@@ -14,7 +14,7 @@
 //!   servicing arrival, so in-flight requests are unclassified),
 //! * per-site `useful + unused_evicted <= prefetch_fills`
 //!   ([`SimResult::check_site_invariants`]),
-//! * naive == fast-forward bit-identity on the file-backed trace.
+//! * every-cycle == event-wheel bit-identity on the file-backed trace.
 //!
 //! Exits non-zero on any violation; writes `ingest.json` under
 //! `BOSIM_REPORT_DIR` (default `target/reports`).
@@ -133,30 +133,27 @@ fn main() {
         }
     }
 
-    // Per-run counter invariants + naive == fast-forward bit-identity
-    // on the ChampSim-backed benchmark (the golden-stats guarantee must
-    // hold for external traces too).
+    // Per-run counter invariants + every-cycle == event-wheel
+    // bit-identity on the ChampSim-backed benchmark (the golden-stats
+    // guarantee must hold for external traces too).
     for bench in &benchmarks {
         let mut sys = System::new(&window, bench);
         let res = sys.run();
         ok &= check(&mut sys, &res, &res.benchmark);
     }
     let champsim_bench = &benchmarks[1];
-    let fast = System::new(&window, champsim_bench).run();
-    let naive = System::new(
+    let wheel = System::new(&window, champsim_bench).run();
+    let every_cycle = System::new(
         &SimConfig {
             fast_forward: false,
-            naive_hot_path: true,
             ..window.clone()
         },
         champsim_bench,
     )
     .run();
-    // Config labels differ only through the hot-path flags (not part of
-    // the label); the counters must be bit-identical.
-    if fast != naive {
+    if wheel != every_cycle {
         eprintln!(
-            "[ingest] INVARIANT VIOLATION: naive and fast-forward runs diverged on {}",
+            "[ingest] INVARIANT VIOLATION: every-cycle and event-wheel runs diverged on {}",
             champsim_bench.name
         );
         ok = false;

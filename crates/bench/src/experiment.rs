@@ -303,10 +303,10 @@ impl Experiment {
 
     /// Runs the deduplicated grid `reps` times and asserts that every
     /// repetition reproduces the first bit-identically — a determinism
-    /// harness for CI and for flushing out scheduling-order bugs in the
-    /// parallel tick loop. Simulated results are unaffected (the first
-    /// repetition is reported); only wall-clock cost scales. `reps = 0`
-    /// is treated as 1.
+    /// harness for CI and for flushing out state that leaks between runs
+    /// or depends on worker-thread scheduling. Simulated results are
+    /// unaffected (the first repetition is reported); only wall-clock
+    /// cost scales. `reps = 0` is treated as 1.
     pub fn reps(mut self, reps: usize) -> Self {
         self.reps = reps.max(1);
         self

@@ -5,13 +5,11 @@
 //! labelled configuration arms, an optional per-arm baseline, a metric
 //! and a table layout. The harness owns job deduplication, worker
 //! threading, speedup pairing and structured [`Report`] output (TSV +
-//! aligned text on stdout, JSON under `target/reports/`). The `perf`
-//! binary ([`measure_suite`]/[`throughput_report`]) measures simulator
-//! throughput itself — sim-cycles/sec, µops/sec, optimized vs naive —
-//! and writes `BENCH_throughput.json`; the `adaptive` binary compares
-//! static prefetcher configurations against the `bosim-adapt` runtime
-//! tuning policies on the phase-shifting workload, with per-epoch
-//! telemetry in its report JSON.
+//! aligned text on stdout, JSON under `target/reports/`). The `adaptive`
+//! binary compares static prefetcher configurations against the
+//! `bosim-adapt` runtime tuning policies on the phase-shifting workload,
+//! with per-epoch telemetry in its report JSON. Simulator throughput is
+//! measured by the separate `bosim-benchmark` package.
 //!
 //! ```no_run
 //! use bosim::{prefetchers, SimConfig};
@@ -41,7 +39,6 @@
 mod experiment;
 pub mod journal;
 mod report;
-mod throughput;
 
 pub use experiment::{
     six_baseline_gm_variants, six_baseline_speedup, Experiment, ExperimentError, ExperimentPlan,
@@ -49,10 +46,6 @@ pub use experiment::{
 };
 pub use journal::{JobRow, JournalError};
 pub use report::{ArmReport, Layout, Report, RunSummary};
-pub use throughput::{
-    aggregate_speedup, measure, measure_suite, perf_arms, throughput_report, ArmThroughput,
-    ThroughputMeasurement, ThroughputPair,
-};
 
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::PageSize;

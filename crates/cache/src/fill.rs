@@ -56,14 +56,10 @@ pub struct FillQueue<T> {
     order: VecDeque<u32>,
     /// Free slot ids.
     free: Vec<u32>,
-    /// line → slot id (unused in linear mode).
+    /// line → slot id.
     index: LineIndex,
     /// Number of ready entries (drain fast path).
     ready: usize,
-    /// Linear-scan mode: CAM searches walk the FIFO like the original
-    /// hardware-faithful model. The throughput harness uses this as the
-    /// naive baseline; results are identical, only speed differs.
-    linear: bool,
 }
 
 impl<T> FillQueue<T> {
@@ -73,20 +69,6 @@ impl<T> FillQueue<T> {
     ///
     /// Panics if `cap == 0`.
     pub fn new(cap: usize) -> Self {
-        Self::with_mode(cap, false)
-    }
-
-    /// Creates a fill queue whose CAM searches scan linearly (the naive
-    /// baseline the throughput harness measures against).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn new_linear(cap: usize) -> Self {
-        Self::with_mode(cap, true)
-    }
-
-    fn with_mode(cap: usize, linear: bool) -> Self {
         assert!(cap > 0, "fill queue needs capacity");
         FillQueue {
             cap,
@@ -95,21 +77,6 @@ impl<T> FillQueue<T> {
             free: (0..cap as u32).rev().collect(),
             index: LineIndex::with_capacity(cap),
             ready: 0,
-            linear,
-        }
-    }
-
-    /// Finds the slot holding `line`, by index or by linear scan.
-    #[inline]
-    fn slot_of(&self, line: LineAddr) -> Option<u32> {
-        if self.linear {
-            self.order
-                .iter()
-                .copied()
-                // bosim-lint: allow(P002, slots named by `order` are occupied by construction)
-                .find(|&s| self.slots[s as usize].as_ref().expect("ordered").line == line)
-        } else {
-            self.index.get(line)
         }
     }
 
@@ -148,7 +115,7 @@ impl<T> FillQueue<T> {
             return false;
         }
         debug_assert!(
-            self.slot_of(line).is_none(),
+            self.index.get(line).is_none(),
             "line already pending: merge before reserving"
         );
         let slot = self.free.pop().expect("not full ⇒ a slot is free"); // bosim-lint: allow(P002, guarded by the is_full check above)
@@ -159,33 +126,31 @@ impl<T> FillQueue<T> {
             payload,
         });
         self.order.push_back(slot);
-        if !self.linear {
-            self.index.insert(line, slot);
-        }
+        self.index.insert(line, slot);
         true
     }
 
     /// CAM search for a pending entry.
     #[inline]
     pub fn find(&self, line: LineAddr) -> Option<&FillEntry<T>> {
-        let slot = self.slot_of(line)?;
+        let slot = self.index.get(line)?;
         self.slots[slot as usize].as_ref()
     }
 
     /// CAM search, mutable (promotion, payload merging).
     #[inline]
     pub fn find_mut(&mut self, line: LineAddr) -> Option<&mut FillEntry<T>> {
-        let slot = self.slot_of(line)?;
+        let slot = self.index.get(line)?;
         self.slots[slot as usize].as_mut()
     }
 
     /// Marks the entry's data as arrived. Returns `false` when no entry
     /// matches (e.g. it was released on an L3 miss).
     pub fn set_ready(&mut self, line: LineAddr) -> bool {
-        let Some(slot) = self.slot_of(line) else {
+        let Some(slot) = self.index.get(line) else {
             return false;
         };
-        let e = self.slots[slot as usize].as_mut().expect("indexed slot"); // bosim-lint: allow(P002, slot_of returns only occupied slots)
+        let e = self.slots[slot as usize].as_mut().expect("indexed slot"); // bosim-lint: allow(P002, the index maps only occupied slots)
         if !e.ready {
             e.ready = true;
             self.ready += 1;
@@ -214,9 +179,7 @@ impl<T> FillQueue<T> {
             .position(|&s| s == slot)
             .expect("slot ordered"); // bosim-lint: allow(P002, every occupied slot is listed in `order`)
         self.order.remove(pos);
-        if !self.linear {
-            self.index.remove(e.line);
-        }
+        self.index.remove(e.line);
         self.free.push(slot);
         if e.ready {
             self.ready -= 1;
@@ -228,8 +191,8 @@ impl<T> FillQueue<T> {
     /// queue entry is released, and the L1/L2 miss request becomes an
     /// L1/L2/L3 miss request"). Returns the payload.
     pub fn release(&mut self, line: LineAddr) -> Option<FillEntry<T>> {
-        let slot = self.slot_of(line)?;
-        // bosim-lint: allow(P002, slot_of returns only occupied slots)
+        let slot = self.index.get(line)?;
+        // bosim-lint: allow(P002, the index maps only occupied slots)
         if self.slots[slot as usize].as_ref().expect("indexed").ready {
             return None;
         }
@@ -243,15 +206,6 @@ impl<T> FillQueue<T> {
     /// strict-FIFO — this avoids unrealistic head-of-line blocking while
     /// keeping allocation order FIFO as described in the paper.
     pub fn pop_ready(&mut self) -> Option<FillEntry<T>> {
-        if self.linear {
-            // Naive baseline: full scan, no ready-count fast path.
-            let slot = self
-                .order
-                .iter()
-                .copied()
-                .find(|&s| self.slots[s as usize].as_ref().expect("ordered").ready)?; // bosim-lint: allow(P002, slots named by `order` are occupied by construction)
-            return Some(self.take_slot(slot));
-        }
         if self.ready == 0 {
             return None;
         }
@@ -265,7 +219,7 @@ impl<T> FillQueue<T> {
 
     /// Peeks the oldest ready entry without removing it.
     pub fn peek_ready(&self) -> Option<&FillEntry<T>> {
-        if !self.linear && self.ready == 0 {
+        if self.ready == 0 {
             return None;
         }
         self.iter().find(|e| e.ready)

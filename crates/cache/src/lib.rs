@@ -13,9 +13,8 @@
 //!   with oldest-drop (§5.4),
 //! * [`MshrFile`] — the DL1's 32-entry MSHR file (Table 1),
 //! * [`LineIndex`] — the small open-addressed line→slot index backing
-//!   the queues' O(1) CAM searches (both queues also offer a
-//!   `new_linear` constructor reproducing the naive scan, used as the
-//!   throughput harness's baseline).
+//!   the queues' O(1) CAM searches (`tests/queue_model.rs` checks both
+//!   queues op by op against a plain linear-scan model).
 //!
 //! # Examples
 //!

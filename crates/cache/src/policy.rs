@@ -28,9 +28,8 @@ pub struct InsertCtx {
 /// placing a block into a way. `state` is the per-line replacement byte of
 /// the set (one entry per way).
 ///
-/// Policies must be [`Send`]: caches owned by a core migrate to worker
-/// threads during parallel tick segments (they are still only ever
-/// touched by one thread at a time).
+/// Policies are [`Send`], like the core's other parts, so a core can move
+/// between threads.
 pub trait ReplacementPolicy: std::fmt::Debug + Send {
     /// Updates state on a cache hit ("upon a cache hit, the hitting block
     /// is always moved to the MRU position").

@@ -19,8 +19,6 @@ pub struct PrefetchQueue {
     cap: usize,
     entries: VecDeque<LineAddr>,
     index: LineIndex,
-    /// Linear-scan mode (the throughput harness's naive baseline).
-    linear: bool,
     /// Number of requests cancelled by overflow (statistics).
     pub cancelled: u64,
 }
@@ -32,26 +30,11 @@ impl PrefetchQueue {
     ///
     /// Panics if `cap == 0`.
     pub fn new(cap: usize) -> Self {
-        Self::with_mode(cap, false)
-    }
-
-    /// Creates a prefetch queue whose CAM searches scan linearly (the
-    /// naive baseline the throughput harness measures against).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn new_linear(cap: usize) -> Self {
-        Self::with_mode(cap, true)
-    }
-
-    fn with_mode(cap: usize, linear: bool) -> Self {
         assert!(cap > 0);
         PrefetchQueue {
             cap,
             entries: VecDeque::with_capacity(cap),
             index: LineIndex::with_capacity(cap),
-            linear,
             cancelled: 0,
         }
     }
@@ -75,57 +58,37 @@ impl PrefetchQueue {
         }
         if self.entries.len() >= self.cap {
             let oldest = self.entries.pop_front().expect("full ⇒ nonempty"); // bosim-lint: allow(P002, full queue is non-empty)
-            if !self.linear {
-                self.index.remove(oldest);
-            }
+            self.index.remove(oldest);
             self.cancelled += 1;
         }
         self.entries.push_back(line);
-        if !self.linear {
-            self.index.insert(line, 0);
-        }
+        self.index.insert(line, 0);
     }
 
     /// Pops the oldest pending prefetch request.
     pub fn pop(&mut self) -> Option<LineAddr> {
         let line = self.entries.pop_front()?;
-        if !self.linear {
-            self.index.remove(line);
-        }
+        self.index.remove(line);
         Some(line)
     }
 
     /// CAM search.
     pub fn contains(&self, line: LineAddr) -> bool {
-        if self.linear {
-            self.entries.contains(&line)
-        } else {
-            self.index.contains(line)
-        }
+        self.index.contains(line)
     }
 
     /// Removes a matching request (e.g. the line just got demanded).
     pub fn remove(&mut self, line: LineAddr) -> bool {
-        if self.linear {
-            match self.entries.iter().position(|&l| l == line) {
-                Some(pos) => {
-                    self.entries.remove(pos);
-                    true
-                }
-                None => false,
-            }
-        } else {
-            if self.index.remove(line).is_none() {
-                return false;
-            }
-            let pos = self
-                .entries
-                .iter()
-                .position(|&l| l == line)
-                .expect("indexed line is queued"); // bosim-lint: allow(P002, the index maps only queued lines)
-            self.entries.remove(pos);
-            true
+        if self.index.remove(line).is_none() {
+            return false;
         }
+        let pos = self
+            .entries
+            .iter()
+            .position(|&l| l == line)
+            .expect("indexed line is queued"); // bosim-lint: allow(P002, the index maps only queued lines)
+        self.entries.remove(pos);
+        true
     }
 }
 

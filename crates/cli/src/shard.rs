@@ -7,9 +7,8 @@
 //! first non-empty victim in a deterministic scan order
 //! ([`ShardQueues::next`]). Stealing from the back keeps a straggler
 //! shard working the front of its own queue while idle shards drain its
-//! tail — an mcf-like benchmark that runs ~50x longer than its
-//! neighbours (see `BENCH_throughput.json`) no longer serializes the
-//! sweep's tail behind one worker.
+//! tail — an mcf-like benchmark that runs far longer than its
+//! neighbours no longer serializes the sweep's tail behind one worker.
 //!
 //! Which shard runs which job is *scheduling*, not *semantics*: every
 //! completed job becomes the same journal row wherever it ran, and the

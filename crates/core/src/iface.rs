@@ -12,10 +12,6 @@
 //! boundaries. The L1D site uses the separate [`L1Prefetcher`] trait,
 //! because DL1 prefetchers see virtual addresses and load/store PCs and
 //! train at retirement.
-//!
-//! `L2Prefetcher` and `L2Access` remain as thin compatibility aliases of
-//! [`Prefetcher`] and [`CacheAccess`] for code written against the old
-//! L2-only interface.
 
 use bosim_types::{LineAddr, PageSize, VirtAddr};
 use std::fmt;
@@ -165,9 +161,6 @@ pub struct CacheAccess {
     pub outcome: AccessOutcome,
 }
 
-/// Compatibility alias of [`CacheAccess`] from the L2-only interface.
-pub type L2Access = CacheAccess;
-
 /// A learning-machinery event reported by a prefetcher for
 /// observability (event tracing in the simulator's `bosim-obs` layer).
 ///
@@ -246,9 +239,6 @@ pub trait Prefetcher: std::fmt::Debug {
         let _ = out;
     }
 }
-
-/// Compatibility alias of [`Prefetcher`] from the L2-only interface.
-pub use self::Prefetcher as L2Prefetcher;
 
 /// A DL1-site prefetcher (the L1D attach point).
 ///
@@ -376,22 +366,5 @@ mod tests {
         assert_eq!(PrefetchSite::parse("L2"), Some(PrefetchSite::L2));
         assert_eq!(PrefetchSite::parse("dram"), None);
         assert_eq!(PrefetchSite::L3.to_string(), "l3");
-    }
-
-    #[test]
-    fn l2_compat_aliases_still_name_the_generic_interface() {
-        // Old-style code using the aliases keeps compiling.
-        fn takes_l2(p: &mut dyn L2Prefetcher, a: L2Access) {
-            let mut out = Vec::new();
-            p.on_access(a, &mut out);
-        }
-        let mut p = NullPrefetcher::new(PageSize::K4);
-        takes_l2(
-            &mut p,
-            L2Access {
-                line: LineAddr(1),
-                outcome: AccessOutcome::Miss,
-            },
-        );
     }
 }

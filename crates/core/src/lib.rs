@@ -19,19 +19,18 @@
 //! * the level-agnostic [`Prefetcher`] trait (with the [`PrefetchSite`]
 //!   attach-point enum and the DL1-side [`L1Prefetcher`] trait)
 //!   implemented by BO and by every baseline prefetcher in
-//!   `bosim-baselines`; `L2Prefetcher`/`L2Access` remain as thin
-//!   compatibility aliases.
+//!   `bosim-baselines`.
 //!
 //! # Examples
 //!
 //! ```
-//! use best_offset::{BestOffsetPrefetcher, L2Prefetcher, L2Access, AccessOutcome};
+//! use best_offset::{AccessOutcome, BestOffsetPrefetcher, CacheAccess, Prefetcher};
 //! use bosim_types::{LineAddr, PageSize};
 //!
 //! let mut bo = BestOffsetPrefetcher::with_defaults(PageSize::K4);
 //! let mut requests = Vec::new();
 //! bo.on_access(
-//!     L2Access { line: LineAddr(8), outcome: AccessOutcome::Miss },
+//!     CacheAccess { line: LineAddr(8), outcome: AccessOutcome::Miss },
 //!     &mut requests,
 //! );
 //! // Fresh prefetcher starts with D = 1 (next-line behaviour) and learns
@@ -48,8 +47,8 @@ mod rr_table;
 
 pub use bo::{BestOffsetPrefetcher, BoConfig, BoConfigError, BoStats};
 pub use iface::{
-    AccessOutcome, CacheAccess, L1Prefetcher, L2Access, L2Prefetcher, NullPrefetcher,
-    PrefetchEvent, PrefetchSite, Prefetcher, SiteDirective, TuneDirective,
+    AccessOutcome, CacheAccess, L1Prefetcher, NullPrefetcher, PrefetchEvent, PrefetchSite,
+    Prefetcher, SiteDirective, TuneDirective,
 };
 pub use offsets::OffsetList;
 pub use rr_table::RrTable;

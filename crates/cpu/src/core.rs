@@ -56,13 +56,6 @@ pub struct CoreConfig {
     pub il1_size: u64,
     /// IL1 associativity.
     pub il1_ways: usize,
-    /// Decode batch size: µops pulled from the trace source per refill
-    /// of the core's decode ring. `0` (the default) bypasses the ring
-    /// and pulls one µop at a time through the virtual call — the
-    /// reference behaviour the batched path must match exactly (batching
-    /// only changes *when* µops are fetched from the source, never which
-    /// µops the front-end sees).
-    pub decode_batch: usize,
 }
 
 impl Default for CoreConfig {
@@ -82,7 +75,6 @@ impl Default for CoreConfig {
             dl1_ways: 8,
             il1_size: 32 << 10,
             il1_ways: 8,
-            decode_batch: 0,
         }
     }
 }
@@ -178,6 +170,11 @@ const EV_RESOLVE: u8 = 1;
 
 const PORT_RING: usize = 256;
 
+/// µops pulled from the trace source per decode-ring refill. Batching
+/// amortizes the virtual `TraceSource` call; it changes only *when* µops
+/// leave the source, never which µops the front end sees.
+const DECODE_BATCH: usize = 64;
+
 /// One simulated core: front-end, ROB, L1 caches, TLBs and predictors.
 #[derive(Debug)]
 pub struct Core {
@@ -206,8 +203,7 @@ pub struct Core {
     cur_fetch_vline: u64,
     pending_uop: Option<MicroOp>,
     /// Decode ring: µops pre-pulled from the trace source in blocks of
-    /// `cfg.decode_batch` (empty and never refilled when batching is
-    /// off). `decode_pos` is the read cursor into it.
+    /// [`DECODE_BATCH`]. `decode_pos` is the read cursor into it.
     decode_buf: Vec<MicroOp>,
     decode_pos: usize,
 
@@ -675,21 +671,16 @@ impl Core {
         }
     }
 
-    /// The next µop off the decode ring — or straight from the source
-    /// when batching is off. The ring refills in `decode_batch` blocks
-    /// via [`TraceSource::next_block`]; sources are infinite, so a
-    /// refill always produces µops (a defensive fallback covers a
-    /// custom source that ignores the contract).
+    /// The next µop off the decode ring. The ring refills in
+    /// [`DECODE_BATCH`] blocks via [`TraceSource::next_block`]; sources
+    /// are infinite, so a refill always produces µops (a defensive
+    /// fallback covers a custom source that ignores the contract).
     #[inline]
     fn next_decoded(&mut self) -> MicroOp {
-        if self.cfg.decode_batch == 0 {
-            return self.trace.next_uop();
-        }
         if self.decode_pos == self.decode_buf.len() {
             self.decode_buf.clear();
             self.decode_pos = 0;
-            self.trace
-                .next_block(&mut self.decode_buf, self.cfg.decode_batch);
+            self.trace.next_block(&mut self.decode_buf, DECODE_BATCH);
             if self.decode_buf.is_empty() {
                 return self.trace.next_uop();
             }

@@ -238,7 +238,10 @@ impl Channel {
                 .next_multiple_of(CORE_CYCLES_PER_BUS_CYCLE.max(1))
         };
         // Transient bookkeeping acts at the very next boundary: a write
-        // batch starting, or a drained batch counter resetting.
+        // batch starting, a drained batch counter resetting, or the
+        // steady mode handing the bus to a lower-counter core (the step
+        // switches whenever the served core has no row hit ready, even
+        // when no command can issue yet).
         let any_full = self
             .write_q
             .iter()
@@ -246,7 +249,8 @@ impl Channel {
         let would_start_batch = self.writes_left == 0
             && writes > 0
             && (any_full || (reads == 0 && writes >= cfg.write_batch));
-        if would_start_batch || (self.writes_left > 0 && writes == 0) {
+        let would_switch = self.writes_left == 0 && self.pick_served() != self.served;
+        if would_start_batch || would_switch || (self.writes_left > 0 && writes == 0) {
             fold(boundary(from));
             return next;
         }
@@ -858,6 +862,69 @@ mod prop_tests {
                 }
             }
             assert!(expected.is_empty(), "reads left pending: {expected:?}");
+        }
+    }
+
+    /// Ticking only on the cycles [`MemorySystem::next_event`] names is
+    /// indistinguishable from ticking every cycle: same completions on
+    /// the same cycles, same statistics. This is the contract the
+    /// event-wheel system loop relies on. Multi-core request streams over
+    /// a few hot rows exercise row hits, conflicts, write batches and
+    /// served-core switches.
+    #[test]
+    fn prop_next_event_ticks_match_every_cycle_ticks() {
+        let mut rng = SplitMix64::new(0x7E7);
+        for case in 0..24u64 {
+            let cores = 2 + (case % 3) as usize;
+            let mut arrivals = Vec::new();
+            let mut at = 0u64;
+            for id in 0..200u64 {
+                at += rng.next_u64() % 24;
+                let row = rng.next_u64() % 8;
+                let line = LineAddr((row << 11) + rng.next_u64() % 32);
+                let core = CoreId((rng.next_u64() % cores as u64) as u8);
+                let write = rng.next_u64().is_multiple_of(4);
+                arrivals.push((at, id, line, core, write));
+            }
+            let horizon = at + 50_000;
+            let run = |every_cycle: bool| {
+                let mut mem = MemorySystem::new(MemConfig {
+                    num_cores: cores,
+                    ..Default::default()
+                });
+                let mut done = Vec::new();
+                let mut out = Vec::new();
+                let mut next_arrival = 0;
+                let mut due = 0;
+                for now in 0..horizon {
+                    let tick = every_cycle || now >= due;
+                    if tick {
+                        out.clear();
+                        mem.tick(now, true, &mut out);
+                        done.extend(out.iter().map(|c| (now, c.id)));
+                    }
+                    let mut enqueued = false;
+                    while let Some(&(t, id, line, core, write)) = arrivals.get(next_arrival) {
+                        if t != now {
+                            break;
+                        }
+                        next_arrival += 1;
+                        enqueued |= if write {
+                            mem.enqueue_write(line, core, now)
+                        } else {
+                            !mem.has_pending_read(line) && mem.enqueue_read(line, core, id, now)
+                        };
+                    }
+                    if tick || enqueued {
+                        due = mem.next_event(now + 1).unwrap_or(Cycle::MAX);
+                    }
+                }
+                (done, mem.stats())
+            };
+            let (every, every_stats) = run(true);
+            let (sched, sched_stats) = run(false);
+            assert_eq!(every_stats, sched_stats, "case {case}: stats");
+            assert_eq!(every, sched, "case {case}: completions");
         }
     }
 }

@@ -47,25 +47,18 @@ pub const DETERMINISM_CRATES: [&str; 8] = [
 /// user-visible output and must stay byte-stable (rule D001).
 pub const DETERMINISM_FILES: [&str; 1] = ["crates/trace/src/analyze.rs"];
 
-/// Library modules allowed to read wall clocks (rule D002): the bench
-/// timing path (throughput measurement is their purpose) and the host
+/// Library modules allowed to read wall clocks (rule D002): the
+/// experiment harness (it times runs for its report) and the host
 /// profiler (wall time is its product; it never feeds sim state).
 /// The shared artifact store deliberately needs no entry — its
 /// freshness keys come from filesystem mtimes (`metadata()`), and its
 /// LRU order from a logical counter, never from reading a clock.
 /// Likewise the serve journal and queue: resume ordering is by job
 /// index, so checkpoint files carry no timestamps at all.
-pub const WALL_CLOCK_FILES: [&str; 3] = [
-    "crates/bench/src/throughput.rs",
+pub const WALL_CLOCK_FILES: [&str; 2] = [
     "crates/bench/src/experiment.rs",
     "crates/obs/src/profile.rs",
 ];
-
-/// The one library module in the determinism-sensitive crates allowed
-/// to spawn threads (rule D004): the deterministic barrier rendezvous.
-/// Everywhere else, worker threads could leak host scheduling order
-/// into simulated results and need a justified allow-pragma.
-pub const THREAD_SPAWN_FILES: [&str; 1] = ["crates/sim/src/barrier.rs"];
 
 impl SourceFile {
     /// Classifies a workspace-relative path. Returns `None` for files
@@ -115,10 +108,6 @@ impl SourceFile {
 
     fn may_read_wall_clock(&self) -> bool {
         WALL_CLOCK_FILES.contains(&self.path.as_str())
-    }
-
-    fn may_spawn_threads(&self) -> bool {
-        THREAD_SPAWN_FILES.contains(&self.path.as_str())
     }
 }
 
@@ -287,11 +276,11 @@ pub fn analyze(file: &SourceFile, src: &str) -> FileAnalysis {
             }
             // `thread::spawn` / `thread::scope` / `thread::Builder` —
             // yield_now/available_parallelism don't create threads and
-            // stay legal everywhere.
+            // stay legal everywhere. Every spawn in a sensitive crate
+            // needs a pragma arguing why scheduling cannot reach results.
             "thread"
                 if file.kind == FileKind::Lib
                     && file.is_determinism_sensitive()
-                    && !file.may_spawn_threads()
                     && next.is_some_and(|n| n.is_punct(':'))
                     && next2.is_some_and(|n| n.is_punct(':'))
                     && next3.is_some_and(|n| {
@@ -303,8 +292,8 @@ pub fn analyze(file: &SourceFile, src: &str) -> FileAnalysis {
                     Rule::D004,
                     t.line,
                     format!(
-                        "thread::{what} in determinism-sensitive crate `{}` outside \
-                         the barrier module (scheduling order may leak into results)",
+                        "thread::{what} in determinism-sensitive crate `{}` \
+                         (scheduling order may leak into results)",
                         file.krate
                     ),
                 );
@@ -540,7 +529,7 @@ mod tests {
         assert_eq!(lib("crates/cache/src/fill.rs").kind, FileKind::Lib);
         assert_eq!(lib("crates/cache/src/fill.rs").krate, "cache");
         assert_eq!(lib("crates/cli/src/main.rs").kind, FileKind::Bin);
-        assert_eq!(lib("crates/bench/src/bin/perf.rs").kind, FileKind::Bin);
+        assert_eq!(lib("crates/bench/src/bin/ingest.rs").kind, FileKind::Bin);
         assert_eq!(lib("crates/cache/tests/e2e.rs").kind, FileKind::Test);
         assert_eq!(lib("tests/tests/golden_stats.rs").kind, FileKind::Test);
         assert_eq!(lib("tests/src/lib.rs").kind, FileKind::Test);
@@ -622,7 +611,8 @@ mod tests {
 
         let now = "pub fn t() { let _ = std::time::Instant::now(); }";
         assert_eq!(lint("crates/stats/src/a.rs", now)[0].rule, Rule::D002);
-        assert!(lint("crates/bench/src/throughput.rs", now).is_empty());
+        assert!(lint("crates/bench/src/experiment.rs", now).is_empty());
+        assert!(lint("crates/obs/src/profile.rs", now).is_empty());
 
         // The checkpoint/resume path is deliberately wall-clock-free:
         // the artifact store keys freshness on filesystem mtimes and a
@@ -646,25 +636,25 @@ mod tests {
     }
 
     #[test]
-    fn thread_spawning_is_confined_to_the_barrier_module() {
+    fn thread_spawning_in_sensitive_crates_needs_a_pragma() {
         for src in [
             "pub fn f() { std::thread::spawn(|| {}); }",
             "pub fn f() { std::thread::scope(|s| {}); }",
             "pub fn f() { let b = std::thread::Builder::new(); }",
         ] {
-            let v = lint("crates/sim/src/uncore.rs", src);
-            assert_eq!(v.len(), 1, "{src}");
-            assert_eq!(v[0].rule, Rule::D004, "{src}");
-            // The barrier module is the sanctioned home…
-            assert!(lint("crates/sim/src/barrier.rs", src).is_empty(), "{src}");
-            // …and non-sensitive crates may thread freely.
+            for path in ["crates/sim/src/uncore.rs", "crates/sim/src/runner.rs"] {
+                let v = lint(path, src);
+                assert_eq!(v.len(), 1, "{path}: {src}");
+                assert_eq!(v[0].rule, Rule::D004, "{path}: {src}");
+            }
+            // Non-sensitive crates may thread freely.
             assert!(lint("crates/bench/src/runner.rs", src).is_empty(), "{src}");
         }
         // Non-spawning thread APIs stay legal everywhere.
         let benign = "pub fn f() { std::thread::yield_now(); \
                       let _ = std::thread::available_parallelism(); }";
         assert!(lint("crates/sim/src/uncore.rs", benign).is_empty());
-        // A justified pragma overrides the confinement.
+        // A justified pragma is the only way to spawn in a sensitive crate.
         let allowed = "pub fn f() {\n\
                        // bosim-lint: allow(D004, independent whole-run workers)\n\
                        std::thread::scope(|s| {}); }";

@@ -3,8 +3,8 @@
 //! The simulator's correctness story rests on properties the compiler
 //! does not check: bit-identical results across the naive and
 //! fast-forward paths (golden stats), byte-stable reports, panic-free
-//! library crates, and — ahead of the parallel tick engine — data-race
-//! freedom in the threaded experiment runner. This crate enforces the
+//! library crates, and data-race freedom in the threaded experiment
+//! runner. This crate enforces the
 //! statically checkable part with a hand-rolled Rust lexer in the same
 //! zero-dependency style as the workspace's TOML-subset parser and
 //! [`Json`](bosim_stats::Json) emitter:

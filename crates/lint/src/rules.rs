@@ -27,8 +27,8 @@ pub enum Rule {
     D002,
     /// Unseeded randomness (`RandomState`, `thread_rng`, …).
     D003,
-    /// `std::thread` spawning in a determinism-sensitive crate outside
-    /// the barrier module.
+    /// `std::thread` spawning in a determinism-sensitive crate without
+    /// an allow-pragma.
     D004,
     /// `.unwrap()` in library code.
     P001,
@@ -99,18 +99,17 @@ impl Rule {
                  order is randomised per process and may feed sim results"
             }
             Rule::D002 => {
-                "Instant::now/SystemTime::now outside the bench-timing and \
-                 decode-cache modules: wall clocks must never steer simulation"
+                "Instant::now/SystemTime::now outside the experiment-timing and \
+                 host-profiler modules: wall clocks must never steer simulation"
             }
             Rule::D003 => {
                 "unseeded randomness (RandomState, thread_rng, getrandom): \
                  all stochastic behaviour must flow from an explicit seed"
             }
             Rule::D004 => {
-                "std::thread spawning in a determinism-sensitive crate outside \
-                 crates/sim/src/barrier.rs: ad-hoc threading can leak scheduling \
-                 order into results — use the barrier rendezvous, or justify \
-                 with an allow-pragma"
+                "std::thread spawning in a determinism-sensitive crate: threading \
+                 can leak scheduling order into results — justify each spawn with \
+                 an allow-pragma"
             }
             Rule::P001 => ".unwrap() in library code (use typed errors or an allow-pragma)",
             Rule::P002 => ".expect(…) in library code (use typed errors or an allow-pragma)",

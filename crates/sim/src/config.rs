@@ -90,28 +90,13 @@ pub struct SimConfig {
     pub measure_instructions: u64,
     /// Master seed (translation hashes, policy randomisation).
     pub seed: u64,
-    /// Fast-forward through provably idle stretches: when every core and
-    /// the whole uncore report no work before a known future cycle, the
-    /// system loop jumps straight to it. Cycle-exact — results are
-    /// bit-identical with the naive every-cycle loop (the golden-stats
-    /// test pins this) — so it defaults to on; the throughput harness
-    /// turns it off to measure the naive baseline.
+    /// Drive the run with the event wheel: each core and the uncore
+    /// tick only on cycles where they may have work, and whole-system
+    /// idle stretches are skipped. Cycle-exact — results are
+    /// bit-identical with the every-cycle loop, which `false` selects
+    /// and the golden-stats suite uses as its oracle — so it defaults to
+    /// on.
     pub fast_forward: bool,
-    /// Naive hot path: linear CAM scans in the fill/prefetch queues and
-    /// full per-cycle polling of every uncore subsystem — the pre-
-    /// optimization behaviour. Cycle-exact identical results, much
-    /// slower; exists purely as the throughput harness's baseline.
-    pub naive_hot_path: bool,
-    /// Host threads for the parallel core-tick phase of the scheduled
-    /// (event-wheel) loop. `1` (the default) ticks every core on the
-    /// main thread; `0` means "use the host's available parallelism";
-    /// values are clamped to the active core count. Parallel ticking
-    /// rendezvous at a deterministic barrier every cycle and applies
-    /// uncore effects in fixed core-ID order, so results are
-    /// bit-identical to the serial path whatever the thread count —
-    /// only wall-clock time changes. Ignored (serial) when
-    /// [`fast_forward`](Self::fast_forward) is off.
-    pub tick_threads: usize,
     /// Adaptive prefetch control: when set, the system slices the run
     /// into epochs, distils the uncore's usefulness counters into
     /// [`bosim_adapt::EpochFeedback`], and lets the configured
@@ -156,8 +141,6 @@ impl Default for SimConfig {
             measure_instructions: default_instructions(),
             seed: 0xB05EED,
             fast_forward: true,
-            naive_hot_path: false,
-            tick_threads: 1,
             adapt: None,
             sample: None,
             obs: ObsConfig::default(),
@@ -547,20 +530,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables or disables the DL1 stride prefetcher.
-    ///
-    /// Deprecated shim: the two pre-refactor toggles
-    /// (`SimConfig.dl1_stride` and `CoreConfig.stride_prefetcher`)
-    /// collapsed into the L1D prefetch site. `dl1_stride(true)` installs
-    /// the default [`prefetchers::stride`] spec,
-    /// `dl1_stride(false)` empties the site — prefer
-    /// [`l1_prefetcher`](Self::l1_prefetcher) /
-    /// [`no_l1_prefetcher`](Self::no_l1_prefetcher) in new code.
-    pub fn dl1_stride(mut self, enabled: bool) -> Self {
-        self.cfg.l1_prefetcher = enabled.then(prefetchers::stride_default);
-        self
-    }
-
     /// Core parameters.
     pub fn core(mut self, core: CoreConfig) -> Self {
         self.cfg.core = core;
@@ -629,25 +598,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables or disables idle-stretch fast-forwarding (on by default;
-    /// see [`SimConfig::fast_forward`]).
+    /// Enables or disables the event-wheel loop (on by default; see
+    /// [`SimConfig::fast_forward`]).
     pub fn fast_forward(mut self, enabled: bool) -> Self {
         self.cfg.fast_forward = enabled;
-        self
-    }
-
-    /// Selects the naive (linear-scan, fully-polled) hot path — the
-    /// throughput harness's baseline (see [`SimConfig::naive_hot_path`]).
-    pub fn naive_hot_path(mut self, enabled: bool) -> Self {
-        self.cfg.naive_hot_path = enabled;
-        self
-    }
-
-    /// Sets the host thread count for the parallel core-tick phase
-    /// (`0` = host parallelism, `1` = serial; results are bit-identical
-    /// either way — see [`SimConfig::tick_threads`]).
-    pub fn tick_threads(mut self, threads: usize) -> Self {
-        self.cfg.tick_threads = threads;
         self
     }
 
@@ -845,23 +799,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn dl1_stride_shim_drives_the_l1_site() {
-        let on = SimConfig::builder()
-            .dl1_stride(true)
-            .build()
-            .expect("valid");
-        assert_eq!(
-            on.l1_prefetcher.as_ref().map(|h| h.name()).as_deref(),
-            Some("stride")
-        );
-        let off = SimConfig::builder()
-            .dl1_stride(false)
-            .build()
-            .expect("valid");
-        assert!(off.l1_prefetcher.is_none());
     }
 
     #[test]

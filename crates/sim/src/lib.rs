@@ -37,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-mod barrier;
 mod config;
 mod registry;
 mod runner;

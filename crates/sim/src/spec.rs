@@ -1,7 +1,6 @@
 //! The open prefetcher-construction interface.
 //!
-//! [`PrefetcherSpec`] replaces the closed `L2PrefetcherKind` enum of
-//! earlier revisions: a spec is a small, cloneable *description* of a
+//! A [`PrefetcherSpec`] is a small, cloneable *description* of a
 //! prefetcher (its algorithm and parameters) that knows how to build the
 //! live [`Prefetcher`] state machine for a concrete [`SimConfig`].
 //! Because the trait is public and object-safe, new prefetchers plug into

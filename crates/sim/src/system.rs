@@ -1,6 +1,5 @@
 //! Full-system assembly: cores + uncore, and the measurement loop.
 
-use crate::barrier::{self, TickSync, STOP};
 use crate::config::SimConfig;
 use crate::uncore::{PrefetchTelemetry, Uncore, UncoreStats};
 use crate::wheel::EventWheel;
@@ -15,13 +14,12 @@ use bosim_obs::{
 };
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
-use std::sync::Mutex;
 
 /// The result of one measured simulation run.
 ///
 /// `PartialEq` compares every counter bit-for-bit — the golden-stats
-/// invariance test relies on this to prove the fast-forwarding system
-/// loop exactly reproduces the naive per-cycle loop.
+/// invariance test relies on this to prove the event-wheel system loop
+/// exactly reproduces the every-cycle loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Benchmark name (e.g. `"433.milc-like"`).
@@ -125,7 +123,7 @@ struct AdaptRuntime {
 /// The live observability epoch tracker: boundary bookkeeping plus the
 /// previous boundary's counter snapshots (the same delta discipline as
 /// [`AdaptRuntime`], so the metric series is bit-identical across the
-/// naive and fast-forwarding loops).
+/// every-cycle and event-wheel loops).
 #[derive(Debug)]
 struct ObsEpochRuntime {
     epoch_cycles: u64,
@@ -146,41 +144,6 @@ const UNCORE_SRC: u16 = 0;
 #[inline]
 fn core_src(c: usize) -> u16 {
     (c + 1) as u16
-}
-
-/// µops pulled per decode-ring refill on the optimized path (the naive
-/// reference arm keeps per-µop pulls — the stream is identical either
-/// way, batching only amortizes the virtual dispatch).
-const DECODE_BATCH: usize = 64;
-
-/// Mailbox of one worker-owned core during a parallel tick segment:
-/// the main thread fills `fills`/`due` before the rendezvous, the
-/// worker applies fills, ticks and leaves its outputs, and the main
-/// thread drains them afterwards in fixed core-id order.
-struct CoreCell {
-    core: Core,
-    /// Fills delivered by the uncore this cycle, in delivery order.
-    fills: Vec<LineAddr>,
-    /// Requests emitted while applying `fills`.
-    fill_reqs: Vec<UncoreRequest>,
-    /// Requests emitted by the cycle's tick.
-    tick_reqs: Vec<UncoreRequest>,
-    /// L1 observability events accumulated this cycle.
-    obs: Vec<CoreObsEvent>,
-    /// Whether the core must tick this cycle (wheel-due or fill-woken).
-    due: bool,
-    /// Whether the worker actually ticked it (guards stale outputs).
-    ticked: bool,
-    /// The core's next self-scheduled work cycle after the tick.
-    next_work: Cycle,
-}
-
-/// Locks a worker-core mailbox. The mutex is uncontended by protocol —
-/// the main thread touches mailboxes only outside the issue→done window
-/// — and poisoning means a worker panicked, so propagating is the only
-/// sound option.
-fn lock_cell(cell: &Mutex<CoreCell>) -> std::sync::MutexGuard<'_, CoreCell> {
-    cell.lock().expect("tick worker panicked") // bosim-lint: allow(P002, poisoned mailbox means a worker panicked; propagating is the only sound option)
 }
 
 /// A complete simulated machine: up to four cores, private L2s, shared L3
@@ -241,12 +204,6 @@ impl System {
             HostProfiler::disabled()
         };
         let decode_timer = prof.start(Phase::Decode);
-        // The optimized path pulls µops in blocks through the decode
-        // ring; the naive reference arm keeps per-µop pulls.
-        let mut core_cfg = cfg.core.clone();
-        if !cfg.naive_hot_path {
-            core_cfg.decode_batch = DECODE_BATCH;
-        }
         let mut cores = Vec::new();
         for i in 0..cfg.active_cores {
             let trace: Box<dyn bosim_trace::TraceSource> = if i == 0 {
@@ -271,7 +228,7 @@ impl System {
             let l1 = cfg.l1_prefetcher.as_ref().and_then(|h| h.build_l1(cfg));
             cores.push(Core::new(
                 CoreId(i as u8),
-                core_cfg.clone(),
+                cfg.core.clone(),
                 trace,
                 cfg.page,
                 cfg.seed ^ (i as u64) << 8,
@@ -526,7 +483,7 @@ impl System {
     /// policy, apply the directives, log core 0's record.
     ///
     /// Called at the top of the run loop, *before* the tick of the cycle
-    /// it fires on. This keeps the naive and fast-forwarding loops
+    /// it fires on. This keeps the every-cycle and event-wheel loops
     /// bit-identical: a skip only jumps provably idle cycles, so when a
     /// jump lands past a boundary the counters are exactly what they
     /// were at the boundary and no prefetcher invocation can have
@@ -664,7 +621,7 @@ impl System {
     /// of the run loop, before the boundary cycle's tick; a
     /// fast-forward jump can only land past a boundary by skipping
     /// provably idle cycles, so the deltas (and therefore the rows and
-    /// events) are bit-identical across the naive and fast-forwarding
+    /// events) are bit-identical across the every-cycle and event-wheel
     /// loops.
     fn process_obs_epochs(&mut self) {
         let Some(ob) = self.obs_rt.as_mut() else {
@@ -759,7 +716,7 @@ impl System {
         if self.cfg.fast_forward {
             self.run_scheduled(target, cycle_cap);
         } else {
-            // Naive reference loop: everything ticks every cycle.
+            // Reference loop: everything ticks every cycle.
             while self.cores[0].retired() < target && self.cycle < cycle_cap {
                 if self.adapt.is_some() {
                     self.adapt_epochs();
@@ -792,21 +749,12 @@ impl System {
 
     /// The wheel-driven run loop (fast-forward on): epoch boundaries are
     /// processed at the loop top, before the boundary cycle's tick, then
-    /// the system advances either serially ([`step_scheduled`] plus a
-    /// wheel skip) or in parallel tick segments bounded by the next
-    /// boundary ([`run_segment_parallel`]).
-    ///
-    /// [`step_scheduled`]: Self::step_scheduled
-    /// [`run_segment_parallel`]: Self::run_segment_parallel
+    /// the system advances one [`step_scheduled`](Self::step_scheduled)
+    /// and skips to the wheel's next posted cycle.
     fn run_scheduled(&mut self, target: u64, cycle_cap: Cycle) {
         // Seed: every source starts due (a conservative post is always
         // safe — early wake-ups are no-op ticks).
         self.wake_all();
-        let threads = match self.cfg.tick_threads {
-            0 => barrier::available_threads(),
-            n => n,
-        };
-        let workers = threads.min(self.cores.len()).saturating_sub(1);
         while self.cores[0].retired() < target && self.cycle < cycle_cap {
             if self.adapt.is_some() && self.adapt_epochs() {
                 self.wake_all();
@@ -814,239 +762,20 @@ impl System {
             if self.obs_rt.is_some() {
                 self.process_obs_epochs();
             }
-            if workers >= 1 {
-                // A segment may SKIP past its stop cycle (idle, exactly
-                // as the serial loop would) but never TICKS a cycle at
-                // or beyond it, so boundary processing stays "before the
-                // boundary cycle's tick".
-                let stop_at = cycle_cap
-                    .min(self.adapt.as_ref().map_or(Cycle::MAX, |a| a.next_boundary))
-                    .min(self.obs_rt.as_ref().map_or(Cycle::MAX, |o| o.next_boundary));
-                self.run_segment_parallel(target, stop_at, cycle_cap, workers);
-            } else {
-                self.step_scheduled();
-                // Never fast-forward once the window boundary is
-                // reached: the skip would push `cycle` past the stopping
-                // point and shift the next window's start relative to
-                // the naive loop.
-                if self.cores[0].retired() < target {
-                    let timer = self.prof.start(Phase::FastForward);
-                    let next = self.wheel.next_after(self.cycle);
-                    self.prof.stop(timer);
-                    if next > self.cycle {
-                        // Cap the jump so a genuine deadlock (next ==
-                        // MAX) still lands on the cycle-cap diagnostics.
-                        self.cycle = next.min(cycle_cap);
-                    }
+            self.step_scheduled();
+            // Never fast-forward once the window boundary is reached: the
+            // skip would push `cycle` past the stopping point and shift
+            // the next window's start relative to the every-cycle loop.
+            if self.cores[0].retired() < target {
+                let timer = self.prof.start(Phase::FastForward);
+                let next = self.wheel.next_after(self.cycle);
+                self.prof.stop(timer);
+                if next > self.cycle {
+                    // Cap the jump so a genuine deadlock (next == MAX)
+                    // still lands on the cycle-cap diagnostics.
+                    self.cycle = next.min(cycle_cap);
                 }
             }
-        }
-    }
-
-    /// Runs scheduled cycles until the retirement target, `stop_at` or
-    /// the cycle cap, ticking cores 1.. on `n_workers` worker threads
-    /// with a barrier rendezvous per simulated cycle.
-    ///
-    /// Determinism argument: within a cycle, core ticks read and write
-    /// only their own core's state — all cross-core interaction flows
-    /// through uncore requests. Workers therefore only *accumulate*
-    /// requests into their per-core mailboxes; the main thread replays
-    /// them into the uncore afterwards in the exact serial order (all
-    /// fill-phase requests in core-ascending order, then all tick-phase
-    /// requests in core-ascending order), and forwards observability
-    /// events in the same fixed order. Every simulated outcome is thus a
-    /// pure function of simulated state, independent of thread count and
-    /// scheduling — `tick_threads: 8` produces bit-identical
-    /// [`SimResult`]s to `tick_threads: 1`.
-    fn run_segment_parallel(
-        &mut self,
-        target: u64,
-        stop_at: Cycle,
-        cycle_cap: Cycle,
-        n_workers: usize,
-    ) {
-        let events_on = self.uncore.events_enabled();
-        let cells: Vec<Mutex<CoreCell>> = self
-            .cores
-            .drain(1..)
-            .map(|core| {
-                Mutex::new(CoreCell {
-                    core,
-                    fills: Vec::new(),
-                    fill_reqs: Vec::with_capacity(8),
-                    tick_reqs: Vec::with_capacity(8),
-                    obs: Vec::new(),
-                    due: false,
-                    ticked: false,
-                    next_work: 0,
-                })
-            })
-            .collect();
-        let sync = TickSync::new();
-        let worker = |w: usize| {
-            let mut seen = 0u64;
-            loop {
-                let (gen, cmd) = sync.await_command(seen);
-                seen = gen;
-                if cmd == STOP {
-                    break;
-                }
-                let _done = sync.done_guard();
-                let now = cmd;
-                let mut ci = w;
-                while ci < cells.len() {
-                    let mut cell = cells[ci].lock().expect("tick worker panicked"); // bosim-lint: allow(P002, a poisoned mailbox means a sibling worker panicked; propagating is the only sound option)
-                    let cell = &mut *cell;
-                    if cell.due {
-                        cell.fill_reqs.clear();
-                        cell.tick_reqs.clear();
-                        for f in 0..cell.fills.len() {
-                            let line = cell.fills[f];
-                            cell.core.fill(line, now, &mut cell.fill_reqs);
-                        }
-                        cell.fills.clear();
-                        cell.core.tick(now, &mut cell.tick_reqs);
-                        if events_on {
-                            cell.core.drain_obs(&mut cell.obs);
-                        }
-                        cell.next_work = cell.core.next_work_cycle(now + 1);
-                        cell.ticked = true;
-                    }
-                    ci += n_workers;
-                }
-            }
-        };
-        barrier::scoped_workers(
-            n_workers,
-            worker,
-            || {
-                let mut c0_reqs: Vec<UncoreRequest> = Vec::with_capacity(8);
-                let mut gens = 0u64;
-                while self.cores[0].retired() < target && self.cycle < stop_at {
-                    let now = self.cycle;
-                    self.steps += 1;
-                    let mut dispatched = false;
-                    // Uncore phase: tick if due, repost, route fills.
-                    // Core 0's fills are applied (and their requests
-                    // dispatched) inline — they come first in delivery
-                    // order; worker cores' fills go to their mailboxes.
-                    if self.wheel.due(UNCORE_SRC, now) {
-                        self.fill_buf.clear();
-                        let timer = self.prof.start(Phase::UncoreTick);
-                        self.uncore.tick(now, &mut self.fill_buf, &mut self.prof);
-                        self.prof.stop(timer);
-                        let next = self.uncore.next_ready_after(now);
-                        self.wheel.post(UNCORE_SRC, next);
-                        for i in 0..self.fill_buf.len() {
-                            let (core, line) = self.fill_buf[i];
-                            if core.index() == 0 {
-                                self.wheel.post(core_src(0), now);
-                                self.req_buf.clear();
-                                self.cores[0].fill(line, now, &mut self.req_buf);
-                                for r in 0..self.req_buf.len() {
-                                    let req = self.req_buf[r];
-                                    self.dispatch_request(core, req, now);
-                                    dispatched = true;
-                                }
-                            } else {
-                                lock_cell(&cells[core.index() - 1]).fills.push(line);
-                            }
-                        }
-                    }
-                    // Mark dues, then release the workers on this cycle.
-                    for (ci, cell) in cells.iter().enumerate() {
-                        let mut cell = lock_cell(cell);
-                        cell.due = self.wheel.due(core_src(ci + 1), now) || !cell.fills.is_empty();
-                        cell.ticked = false;
-                    }
-                    sync.issue(now);
-                    gens += 1;
-                    // Core 0 ticks on this thread, concurrently with the
-                    // workers; its requests are deferred like theirs
-                    // (core ticks never read uncore state).
-                    c0_reqs.clear();
-                    let timer = self.prof.start(Phase::CoreTick);
-                    if self.wheel.due(core_src(0), now) {
-                        self.cores[0].tick(now, &mut c0_reqs);
-                        self.wheel
-                            .post(core_src(0), self.cores[0].next_work_cycle(now + 1));
-                    }
-                    self.prof.stop(timer);
-                    sync.await_done(gens * n_workers as u64);
-                    // Replay the deferred requests in serial order:
-                    // remaining fill-phase requests (cores ascending),
-                    // then tick-phase requests (cores ascending).
-                    for (ci, cell) in cells.iter().enumerate() {
-                        let cell = lock_cell(cell);
-                        if !cell.ticked {
-                            continue;
-                        }
-                        for r in 0..cell.fill_reqs.len() {
-                            let req = cell.fill_reqs[r];
-                            self.dispatch_request(CoreId((ci + 1) as u8), req, now);
-                            dispatched = true;
-                        }
-                    }
-                    for &req in &c0_reqs {
-                        self.dispatch_request(CoreId(0), req, now);
-                        dispatched = true;
-                    }
-                    for (ci, cell) in cells.iter().enumerate() {
-                        let cell = lock_cell(cell);
-                        if !cell.ticked {
-                            continue;
-                        }
-                        for r in 0..cell.tick_reqs.len() {
-                            let req = cell.tick_reqs[r];
-                            self.dispatch_request(CoreId((ci + 1) as u8), req, now);
-                            dispatched = true;
-                        }
-                        self.wheel.post(core_src(ci + 1), cell.next_work);
-                    }
-                    if dispatched {
-                        self.wake_uncore(now + 1);
-                    }
-                    // Observability events, in the serial order: core 0
-                    // first, then worker cores ascending.
-                    if events_on {
-                        self.drain_core_obs(now);
-                        for (ci, cell) in cells.iter().enumerate() {
-                            let mut cell = lock_cell(cell);
-                            for e in 0..cell.obs.len() {
-                                let kind = match cell.obs[e] {
-                                    CoreObsEvent::L1PrefetchIssued { line } => {
-                                        EventKind::PrefetchIssued { line: line.0 }
-                                    }
-                                    CoreObsEvent::L1PrefetchTlbDrop => {
-                                        EventKind::PrefetchDropped { line: 0 }
-                                    }
-                                };
-                                self.uncore.record_event(Event {
-                                    cycle: now,
-                                    core: (ci + 1) as u32,
-                                    site: ObsSite::L1d,
-                                    kind,
-                                });
-                            }
-                            cell.obs.clear();
-                        }
-                    }
-                    self.cycle += 1;
-                    if self.cores[0].retired() < target {
-                        let timer = self.prof.start(Phase::FastForward);
-                        let next = self.wheel.next_after(self.cycle);
-                        self.prof.stop(timer);
-                        if next > self.cycle {
-                            self.cycle = next.min(cycle_cap);
-                        }
-                    }
-                }
-            },
-            || sync.issue(STOP),
-        );
-        for cell in cells {
-            let cell = cell.into_inner().expect("tick worker panicked"); // bosim-lint: allow(P002, a poisoned mailbox means a worker panicked; propagating is the only sound option)
-            self.cores.push(cell.core);
         }
     }
 

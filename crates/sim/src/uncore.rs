@@ -214,9 +214,6 @@ pub struct Uncore {
     /// Per-core scratch for [`drain_l3_fq`](Self::drain_l3_fq): does the
     /// core need a *new* L2 fill-queue entry for the forwarded block?
     fwd_needs_entry: Vec<bool>,
-    /// Naive mode: poll every subsystem every cycle (no idle skipping
-    /// inside [`tick`](Self::tick)); queues scan linearly.
-    naive: bool,
     stats: UncoreStats,
     /// Cycle-domain event log (`None` = tracing disabled, the default;
     /// every hook below is then a single `if let` branch).
@@ -229,7 +226,6 @@ pub struct Uncore {
 impl Uncore {
     /// Builds the uncore for `active_cores` cores.
     pub fn new(cfg: &SimConfig) -> Self {
-        let naive = cfg.naive_hot_path;
         let l2s = (0..cfg.active_cores)
             .map(|i| L2 {
                 array: CacheArray::new(
@@ -239,16 +235,8 @@ impl Uncore {
                     cfg.active_cores,
                     cfg.seed ^ (i as u64 + 10),
                 ),
-                fq: if naive {
-                    FillQueue::new_linear(cfg.l2_fill_queue)
-                } else {
-                    FillQueue::new(cfg.l2_fill_queue)
-                },
-                pq: if naive {
-                    PrefetchQueue::new_linear(cfg.prefetch_queue)
-                } else {
-                    PrefetchQueue::new(cfg.prefetch_queue)
-                },
+                fq: FillQueue::new(cfg.l2_fill_queue),
+                pq: PrefetchQueue::new(cfg.prefetch_queue),
                 prefetcher: cfg.l2_prefetcher.build(cfg),
                 stalled: VecDeque::new(),
                 ready_q: VecDeque::new(),
@@ -266,11 +254,7 @@ impl Uncore {
                 cfg.active_cores,
                 cfg.seed ^ 99,
             ),
-            l3_fq: if naive {
-                FillQueue::new_linear(cfg.l3_fill_queue)
-            } else {
-                FillQueue::new(cfg.l3_fill_queue)
-            },
+            l3_fq: FillQueue::new(cfg.l3_fill_queue),
             l3_in: VecDeque::new(),
             l3_stalled: VecDeque::new(),
             l3_prefetcher: cfg.l3_prefetcher.as_ref().map(|h| h.build(cfg)),
@@ -287,7 +271,6 @@ impl Uncore {
             wb_buf: VecDeque::new(),
             completions: Vec::new(),
             fwd_needs_entry: vec![false; cfg.active_cores],
-            naive,
             stats: UncoreStats::default(),
             recorder: cfg.obs.events.then(|| Recorder::new(cfg.obs.max_events)),
             pf_event_buf: Vec::new(),
@@ -1262,9 +1245,8 @@ impl Uncore {
     /// Idle subsystems are skipped outright: each stage below is guarded
     /// by an O(1) occupancy / next-due check, so a quiescent uncore costs
     /// a handful of branches per cycle instead of polling every queue.
-    /// The guards elide provable no-ops only — cycle-exact behaviour is
-    /// identical to the fully-polled loop (the golden-stats test in
-    /// `tests/tests/golden_stats.rs` pins this down).
+    /// The guards elide provable no-ops only: a skipped stage would have
+    /// found nothing ready, so polling it could not change any state.
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -1297,7 +1279,7 @@ impl Uncore {
 
         // 3. L3 fill-queue drain (one insertion per cycle; O(1) no-op
         // when no entry is ready).
-        if self.naive || self.l3_fq.has_ready() {
+        if self.l3_fq.has_ready() {
             self.drain_l3_fq(now);
         }
 
@@ -1310,8 +1292,7 @@ impl Uncore {
         // 4. Per-core L2 work.
         for c in 0..self.l2s.len() {
             let l2 = &mut self.l2s[c];
-            let idle = !self.naive
-                && !l2.fq.has_ready()
+            let idle = !l2.fq.has_ready()
                 && l2.stalled.is_empty()
                 && l2.pq.is_empty()
                 && l2.ready_q.front().is_none_or(|&(t, _)| t > now)

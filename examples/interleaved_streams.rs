@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p bosim-bench --example interleaved_streams`
 
-use best_offset::{AccessOutcome, BestOffsetPrefetcher, L2Access, L2Prefetcher};
+use best_offset::{AccessOutcome, BestOffsetPrefetcher, CacheAccess, Prefetcher};
 use bosim_types::{LineAddr, PageSize};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let access = |bo: &mut BestOffsetPrefetcher, reqs: &mut Vec<LineAddr>, line: u64| {
         reqs.clear();
         bo.on_access(
-            L2Access {
+            CacheAccess {
                 line: LineAddr(line),
                 outcome: AccessOutcome::Miss,
             },

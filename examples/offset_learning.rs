@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p bosim-bench --example offset_learning`
 
-use best_offset::{AccessOutcome, BestOffsetPrefetcher, L2Access, L2Prefetcher};
+use best_offset::{AccessOutcome, BestOffsetPrefetcher, CacheAccess, Prefetcher};
 use bosim_types::{mix64, LineAddr, PageSize};
 
 fn drive(bo: &mut BestOffsetPrefetcher, lines: impl Iterator<Item = u64>) {
@@ -11,7 +11,7 @@ fn drive(bo: &mut BestOffsetPrefetcher, lines: impl Iterator<Item = u64>) {
     for l in lines {
         reqs.clear();
         bo.on_access(
-            L2Access {
+            CacheAccess {
                 line: LineAddr(l),
                 outcome: AccessOutcome::Miss,
             },

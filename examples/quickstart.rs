@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p bosim-bench --example quickstart`
 
-use best_offset::{AccessOutcome, BestOffsetPrefetcher, L2Access, L2Prefetcher};
+use best_offset::{AccessOutcome, BestOffsetPrefetcher, CacheAccess, Prefetcher};
 use bosim_types::{LineAddr, PageSize};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     for access in 0..200_000u64 {
         requests.clear();
         bo.on_access(
-            L2Access {
+            CacheAccess {
                 line: LineAddr(line),
                 outcome: AccessOutcome::Miss,
             },

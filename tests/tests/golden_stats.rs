@@ -1,9 +1,10 @@
-//! Golden-stats invariance: the optimized hot path (indexed queues,
-//! subsystem skipping, system-loop fast-forwarding) must produce
+//! Golden-stats invariance: the event-wheel loop (each source ticks only
+//! when it may have work, idle stretches are skipped) must produce
 //! *bit-identical* `SimResult`s — instructions, cycles, every core,
-//! uncore and DRAM counter — to the naive path (linear CAM scans, full
-//! per-cycle polling, no skipping) for fixed seeds across the synthetic
-//! suite. The optimizations are pure wall-clock wins; any counter drift
+//! uncore and DRAM counter — to the every-cycle loop
+//! (`fast_forward: false`, every core and the uncore tick every cycle)
+//! for fixed seeds across the synthetic suite. The every-cycle loop is
+//! the oracle; scheduling is a pure wall-clock win, so any counter drift
 //! here is a simulation bug, not a performance trade-off.
 
 use bosim::{prefetchers, PrefetcherHandle, SimConfig, SimResult, System};
@@ -16,17 +17,15 @@ fn run(cfg: &SimConfig, bench_id: &str) -> SimResult {
 }
 
 fn assert_invariant(base: SimConfig, bench_id: &str) {
-    let mut naive = base.clone();
-    naive.fast_forward = false;
-    naive.naive_hot_path = true;
-    let mut optimized = base;
-    optimized.fast_forward = true;
-    optimized.naive_hot_path = false;
-    let a = run(&naive, bench_id);
-    let b = run(&optimized, bench_id);
+    let mut every_cycle = base.clone();
+    every_cycle.fast_forward = false;
+    let mut wheel = base;
+    wheel.fast_forward = true;
+    let a = run(&every_cycle, bench_id);
+    let b = run(&wheel, bench_id);
     assert_eq!(
         a, b,
-        "{bench_id} [{}]: optimized hot path diverged from naive",
+        "{bench_id} [{}]: event-wheel loop diverged from the every-cycle loop",
         b.config
     );
 }
@@ -108,8 +107,8 @@ fn golden_stats_multilevel_sites() {
 /// File-backed external traces must preserve the invariance too, with
 /// trace sampling in play: the ingestion path (ChampSim decode + µop
 /// lowering) and the `SampledSource` wrapper are deterministic pure
-/// functions of the file, so naive and fast-forward replays of the same
-/// trace under the same warm-up sampling plan stay bit-identical.
+/// functions of the file, so every-cycle and event-wheel replays of the
+/// same trace under the same warm-up sampling plan stay bit-identical.
 #[test]
 fn golden_stats_file_backed_trace_with_sampling() {
     use bosim_trace::{capture, champsim, BenchmarkSpec, ExternalSpec, SampleSpec, TraceFormat};
@@ -126,18 +125,17 @@ fn golden_stats_file_backed_trace_with_sampling() {
         sample: Some(SampleSpec::periodic(10_000, 20_000, 30_000)),
         ..quick(prefetchers::bo_default(), 0xB05EED)
     };
-    let mut naive = base.clone();
-    naive.fast_forward = false;
-    naive.naive_hot_path = true;
-    let a = System::new(&naive, &bench).run();
+    let mut every_cycle = base.clone();
+    every_cycle.fast_forward = false;
+    let a = System::new(&every_cycle, &bench).run();
     let b = System::new(&base, &bench).run();
-    assert_eq!(a, b, "file-backed replay diverged between hot paths");
+    assert_eq!(a, b, "file-backed replay diverged between loops");
     let _ = std::fs::remove_file(&path);
 }
 
 /// Observability must not break the invariance — with event tracing,
-/// epoch snapshots and host profiling all enabled, the naive and
-/// fast-forwarding loops must produce bit-identical `SimResult`s
+/// epoch snapshots and host profiling all enabled, the every-cycle and
+/// event-wheel loops must produce bit-identical `SimResult`s
 /// *including* the event stream and the epoch series (`SimResult`'s
 /// `PartialEq` covers `obs`; only the wall-clock profile is excluded).
 /// Epoch boundaries are processed before the boundary cycle's tick and
@@ -165,8 +163,22 @@ fn golden_stats_with_tracing_enabled() {
     use bosim::adapt::{policies, AdaptConfig};
     let mut adaptive = quick(prefetchers::bo_default(), 0xB05EED);
     adaptive.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(5_000));
-    adaptive.obs = obs;
+    adaptive.obs = obs.clone();
     assert_invariant(adaptive, "429");
+
+    // Two cores under adaptive epochs and tracing: core 1's L1 events
+    // and directives must merge into the shared log in the same order
+    // and on the same cycles in both loops, and the DRAM scheduler must
+    // switch between the two cores' read queues on the same cycles.
+    let mut two_core = SimConfig {
+        active_cores: 2,
+        warmup_instructions: 5_000,
+        measure_instructions: 15_000,
+        ..Default::default()
+    };
+    two_core.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(5_000));
+    two_core.obs = obs;
+    assert_invariant(two_core, "429");
 }
 
 #[test]
@@ -192,63 +204,9 @@ fn golden_stats_four_cores() {
         measure_instructions: 15_000,
         ..Default::default()
     };
-    assert_invariant(cfg, "429");
-}
-
-/// Runs `base` serially (`tick_threads: 1`) and with 2 and 4 tick
-/// threads, asserting bit-identical `SimResult`s: the parallel
-/// rendezvous must be invisible in every simulated counter.
-fn assert_parallel_identical(base: SimConfig, bench_id: &str) {
-    let mut serial = base.clone();
-    serial.tick_threads = 1;
-    let a = run(&serial, bench_id);
-    for threads in [2, 4] {
-        let mut par = base.clone();
-        par.tick_threads = threads;
-        let b = run(&par, bench_id);
-        assert_eq!(
-            a, b,
-            "{bench_id}: tick_threads={threads} diverged from the serial loop"
-        );
+    for id in ["429", "470"] {
+        assert_invariant(cfg.clone(), id);
     }
-}
-
-/// Parallel core ticking is a pure wall-clock lever: worker threads
-/// only accumulate per-core effects, and the main thread replays them
-/// in fixed core-ID order, so thread count never shows up in results.
-#[test]
-fn parallel_tick_matches_serial_multicore() {
-    let cfg = SimConfig {
-        active_cores: 4,
-        warmup_instructions: 5_000,
-        measure_instructions: 15_000,
-        ..Default::default()
-    };
-    assert_parallel_identical(cfg, "470");
-}
-
-/// Parallel ticking under adaptive epochs and full tracing: segment
-/// stops must land exactly on epoch boundaries, and observability
-/// events from worker-ticked cores must merge into the shared log in
-/// the same order the serial loop produces.
-#[test]
-fn parallel_tick_matches_serial_with_adapt_and_tracing() {
-    use bosim::adapt::{policies, AdaptConfig};
-    use bosim_obs::ObsConfig;
-    let mut cfg = SimConfig {
-        active_cores: 2,
-        warmup_instructions: 5_000,
-        measure_instructions: 15_000,
-        ..Default::default()
-    };
-    cfg.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(5_000));
-    cfg.obs = ObsConfig {
-        events: true,
-        epochs: true,
-        epoch_cycles: 5_000,
-        ..ObsConfig::default()
-    };
-    assert_parallel_identical(cfg, "429");
 }
 
 #[test]

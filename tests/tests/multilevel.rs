@@ -111,30 +111,6 @@ fn empty_l3_site_is_inert() {
     result.check_site_invariants().expect("invariants hold");
 }
 
-/// Satellite: the deprecated `dl1_stride(bool)` builder shim is
-/// bit-identical to configuring the L1 site directly — both ways of
-/// spelling each configuration produce equal `SimResult`s.
-#[test]
-fn dl1_stride_shim_matches_site_configuration() {
-    // A streaming benchmark, so the stride prefetcher actually fires
-    // and the on/off configurations genuinely differ.
-    let bench = suite::benchmark("462").expect("exists");
-    let run = |cfg: SimConfig| System::new(&quick(cfg), &bench).run();
-
-    let shim_on = run(SimConfig::builder().dl1_stride(true).build().unwrap());
-    let site_on = run(SimConfig::builder()
-        .l1_prefetcher(prefetchers::stride_default())
-        .build()
-        .unwrap());
-    assert_eq!(shim_on, site_on, "dl1_stride(true) == stride at l1");
-
-    let shim_off = run(SimConfig::builder().dl1_stride(false).build().unwrap());
-    let site_off = run(SimConfig::builder().no_l1_prefetcher().build().unwrap());
-    assert_eq!(shim_off, site_off, "dl1_stride(false) == empty l1 site");
-    assert_eq!(shim_off.core.l1_prefetches, 0, "site empty: no issues");
-    assert_ne!(shim_on, shim_off, "the toggle must change behaviour");
-}
-
 /// Site-qualified names resolve through the process-wide registry, with
 /// descriptive errors for unknown sites and site/spec mismatches.
 #[test]

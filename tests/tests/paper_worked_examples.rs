@@ -1,7 +1,7 @@
 //! End-to-end checks of the worked examples in §3 of the paper, driven
 //! through the public `best-offset` API.
 
-use best_offset::{AccessOutcome, BestOffsetPrefetcher, L2Access, L2Prefetcher};
+use best_offset::{AccessOutcome, BestOffsetPrefetcher, CacheAccess, Prefetcher};
 use bosim_types::{LineAddr, PageSize};
 
 fn drive_pattern(bo: &mut BestOffsetPrefetcher, strides: &[u64], laps: usize) {
@@ -11,7 +11,7 @@ fn drive_pattern(bo: &mut BestOffsetPrefetcher, strides: &[u64], laps: usize) {
         for &s in strides {
             reqs.clear();
             bo.on_access(
-                L2Access {
+                CacheAccess {
                     line: LineAddr(line),
                     outcome: AccessOutcome::Miss,
                 },
@@ -64,7 +64,7 @@ fn example_3_interleaved_streams() {
     let access = |bo: &mut BestOffsetPrefetcher, reqs: &mut Vec<LineAddr>, line: u64| {
         reqs.clear();
         bo.on_access(
-            L2Access {
+            CacheAccess {
                 line: LineAddr(line),
                 outcome: AccessOutcome::Miss,
             },

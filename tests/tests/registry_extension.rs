@@ -1,7 +1,7 @@
 //! A third-party prefetcher plugs into the simulator without any change
 //! to `bosim-sim` — the acceptance test for the open registry design.
 
-use best_offset::{L2Access, L2Prefetcher};
+use best_offset::{CacheAccess, Prefetcher};
 use bosim::{prefetchers, registry, PrefetcherHandle, PrefetcherSpec, SimConfig, System};
 use bosim_trace::suite;
 use bosim_types::{LineAddr, PageSize};
@@ -14,8 +14,8 @@ struct TwoAheadPrefetcher {
     issued: u64,
 }
 
-impl L2Prefetcher for TwoAheadPrefetcher {
-    fn on_access(&mut self, access: L2Access, out: &mut Vec<LineAddr>) {
+impl Prefetcher for TwoAheadPrefetcher {
+    fn on_access(&mut self, access: CacheAccess, out: &mut Vec<LineAddr>) {
         if access.outcome.is_eligible() {
             if let Some(target) = access.line.checked_offset(2, self.page) {
                 out.push(target);
@@ -44,7 +44,7 @@ impl PrefetcherSpec for TwoAheadSpec {
         "two-ahead".into()
     }
 
-    fn build(&self, cfg: &SimConfig) -> Box<dyn L2Prefetcher> {
+    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
         Box::new(TwoAheadPrefetcher {
             page: cfg.page,
             issued: 0,
