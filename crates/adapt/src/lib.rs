@@ -17,14 +17,14 @@
 //!   interface (mirroring the prefetcher-spec pattern) with three
 //!   built-ins under [`policies`]: a BO degree governor, a
 //!   bandwidth-aware throttle and a prefetcher tournament;
-//! * [`AdaptConfig`] — what a simulation configuration carries: the
-//!   policy and the epoch length;
 //! * [`AdaptTelemetry`] — the per-run epoch log (feedback, active
 //!   prefetcher, directives) with JSON/table rendering and the counter
 //!   invariants CI pins down.
 //!
 //! The simulator side (uncore counters, epoch boundaries in the system
-//! loop, directive application) lives in `bosim-sim`; policies
+//! loop, directive application) lives in `bosim-sim`: a configuration
+//! carries the [`PolicyHandle`] (`SimConfig::adapt`) and the epoch
+//! length (`SimConfig::epoch_cycles`) separately. Policies
 //! themselves never see a simulator, only [`EpochFeedback`] values —
 //! which keeps them deterministic and unit-testable in isolation.
 
@@ -41,79 +41,3 @@ pub use policy::{
     TunePolicy,
 };
 pub use telemetry::{AdaptTelemetry, DirectiveRecord, EpochRecord};
-
-/// Adaptive-control configuration carried by a simulation config: which
-/// policy to run and how long an epoch is.
-#[derive(Debug, Clone)]
-pub struct AdaptConfig {
-    /// Epoch length in core cycles. Telemetry is snapshotted and the
-    /// policy consulted once per epoch per core.
-    pub epoch_cycles: u64,
-    /// The tuning policy (one instance is built per core).
-    pub policy: PolicyHandle,
-}
-
-/// The default epoch length: long enough for usefulness counters to
-/// resolve (a DRAM round trip is ~100–300 cycles), short enough to track
-/// phase changes within a measured window.
-pub const DEFAULT_EPOCH_CYCLES: u64 = 20_000;
-
-impl AdaptConfig {
-    /// An adaptive configuration with the default epoch length.
-    pub fn new(policy: impl Into<PolicyHandle>) -> Self {
-        AdaptConfig {
-            epoch_cycles: DEFAULT_EPOCH_CYCLES,
-            policy: policy.into(),
-        }
-    }
-
-    /// Overrides the epoch length.
-    pub fn epoch_cycles(mut self, cycles: u64) -> Self {
-        self.epoch_cycles = cycles;
-        self
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated constraint (an epoch of
-    /// zero cycles, or a tournament with fewer than two candidates).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.epoch_cycles == 0 {
-            return Err("adapt epoch length must be at least 1 cycle".into());
-        }
-        let candidates = self.policy.spec().prefetcher_names();
-        if !candidates.is_empty() && candidates.len() < 2 {
-            return Err(format!(
-                "policy {} switches prefetchers but lists only {} candidate",
-                self.policy.name(),
-                candidates.len()
-            ));
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn config_defaults_and_validation() {
-        let cfg = AdaptConfig::new(policies::degree_governor());
-        assert_eq!(cfg.epoch_cycles, DEFAULT_EPOCH_CYCLES);
-        assert!(cfg.validate().is_ok());
-        assert!(cfg.epoch_cycles(0).validate().is_err());
-    }
-
-    #[test]
-    fn single_candidate_tournament_is_rejected() {
-        let cfg = AdaptConfig::new(policies::tournament(["bo"]));
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("only 1 candidate"), "{err}");
-        assert!(AdaptConfig::new(policies::tournament(["bo", "none"]))
-            .validate()
-            .is_ok());
-    }
-}

@@ -17,7 +17,7 @@
 //! Run with: `cargo run --release -p bosim-bench --bin adaptive`
 
 use best_offset::BoConfig;
-use bosim::adapt::{policies, AdaptConfig, TournamentSpec};
+use bosim::adapt::{policies, TournamentSpec};
 use bosim::{prefetchers, SimConfig};
 use bosim_bench::{Experiment, Metric};
 use bosim_trace::suite;
@@ -32,7 +32,8 @@ fn main() {
     let base = SimConfig::baseline(PageSize::M4, 1);
     let adaptive = |cfg: SimConfig, policy: bosim::adapt::PolicyHandle| {
         let mut c = cfg;
-        c.adapt = Some(AdaptConfig::new(policy).epoch_cycles(EPOCH_CYCLES));
+        c.adapt = Some(policy);
+        c.epoch_cycles = EPOCH_CYCLES;
         c
     };
     let bo2 = prefetchers::bo(BoConfig {

@@ -27,10 +27,7 @@ pub struct InsertCtx {
 /// a full set, and [`on_insert`](ReplacementPolicy::on_insert) after
 /// placing a block into a way. `state` is the per-line replacement byte of
 /// the set (one entry per way).
-///
-/// Policies are [`Send`], like the core's other parts, so a core can move
-/// between threads.
-pub trait ReplacementPolicy: std::fmt::Debug + Send {
+pub trait ReplacementPolicy: std::fmt::Debug {
     /// Updates state on a cache hit ("upon a cache hit, the hitting block
     /// is always moved to the MRU position").
     fn on_hit(&mut self, set_idx: usize, state: &mut [u8], way: usize);

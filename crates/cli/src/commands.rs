@@ -48,7 +48,7 @@ bosim — trace-driven Best-Offset prefetching simulator
 USAGE:
   bosim run --trace FILE [--stack STACK] [options]   replay one trace
   bosim sweep --corpus FILE [options]                run a (trace x stack) grid
-  bosim serve --corpus FILE [options]                checkpointed sharded sweep
+  bosim serve --corpus FILE [options]                checkpointed, resumable sweep
   bosim inspect FILE [--format F] [--uops N] [--json] summarise a trace
   bosim gen --bench ID --out FILE [options]          write a synthetic trace
   bosim trace --trace FILE --out FILE [options]      replay + Perfetto export
@@ -83,7 +83,7 @@ SWEEP OPTIONS:
 
 SERVE OPTIONS:
   --corpus FILE         the corpus manifest (see docs/TRACES.md)
-  --shards N            worker shard count (default: all cores)
+  --threads N           worker threads (default: all cores)
   --out DIR             journal/stream/report directory (default as above)
   --abort-after N       test hook: checkpoint N jobs, then stop with exit 1
                         (also BOSIM_SERVE_ABORT_AFTER); rerunning resumes
@@ -522,7 +522,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let p = ParsedArgs::parse(args, &["corpus", "out", "shards", "abort-after"])?;
+    let p = ParsedArgs::parse(args, &["corpus", "out", "threads", "abort-after"])?;
     no_positionals(&p, "serve")?;
     let manifest = p.require("corpus")?;
     let corpus = corpus::load(Path::new(manifest)).map_err(|e| CliError::Failed(e.to_string()))?;
@@ -532,8 +532,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         .map(PathBuf::from)
         .unwrap_or_else(Report::default_dir);
     let mut opts = crate::serve::ServeOptions::new(out_dir);
-    if let Some(s) = p.get_u64("shards")? {
-        opts.shards = s as usize;
+    if let Some(t) = p.get_u64("threads")? {
+        opts.threads = t as usize;
     }
     opts.abort_after = match p.get_u64("abort-after")? {
         Some(n) => Some(n),
@@ -555,11 +555,10 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         )));
     }
     println!(
-        "serve complete: {} jobs ({} resumed, {} run, {} stolen); report {}",
+        "serve complete: {} jobs ({} resumed, {} run); report {}",
         summary.total,
         summary.resumed,
         summary.ran,
-        summary.stolen,
         summary
             .report_path
             .as_deref()

@@ -9,15 +9,15 @@
 //! ```text
 //! bosim run --trace mcf.champsim --stack l2:bo --baseline l2:none
 //! bosim sweep --corpus corpus.toml
-//! bosim serve --corpus corpus.toml --shards 4
+//! bosim serve --corpus corpus.toml --threads 4
 //! bosim inspect mcf.champsim
 //! bosim gen --bench 462 --uops 200000 --out libq.champsim --format champsim
 //! ```
 //!
 //! `bosim serve` is the long-running form of `sweep`: the grid lives in
-//! a persistent job [queue] with a checkpoint journal, worker [shard]s
-//! steal work from each other, and a killed sweep resumes exactly where
-//! it left off ([`serve()`], `docs/SERVE.md`).
+//! a persistent job [queue] with a checkpoint journal, runs on the same
+//! worker pool as `sweep` ([`bosim::stream_jobs`]), and a killed sweep
+//! resumes exactly where it left off ([`serve()`], `docs/SERVE.md`).
 //!
 //! Everything is dependency-free: argument parsing ([`args`]) and the
 //! corpus manifest parser ([`corpus`], a strict TOML subset) are
@@ -36,7 +36,6 @@ pub mod commands;
 pub mod corpus;
 pub mod queue;
 pub mod serve;
-pub mod shard;
 
 pub use commands::{dispatch, CliError, USAGE};
 pub use serve::{serve, ServeOptions, ServeSummary};

@@ -405,8 +405,8 @@ mod tests {
 
     #[test]
     fn random_interleavings_replay_to_the_same_row_set() {
-        // Property: whatever completion order (work stealing, shard
-        // count, scheduling) produced the journal, and whatever
+        // Property: whatever completion order (thread count,
+        // scheduling) produced the journal, and whatever
         // duplicates a retried writer appended, replay yields exactly
         // one row per job with first-occurrence content.
         let p = plan(3);

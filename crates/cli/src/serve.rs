@@ -1,6 +1,6 @@
 //! The `bosim serve` sweep service: a corpus-scale grid runner with a
-//! persistent job queue, worker shards, work stealing, checkpointed
-//! resume and an incremental report stream.
+//! persistent job queue, checkpointed resume and an incremental report
+//! stream.
 //!
 //! # Lifecycle
 //!
@@ -10,11 +10,11 @@
 //! previous run already completed — those jobs are **never re-executed**
 //! (dedup by [job key](bosim_bench::ExperimentPlan::job_key), guarded
 //! by the plan [fingerprint](bosim_bench::ExperimentPlan::fingerprint)).
-//! The remaining jobs are dealt across worker shards
-//! ([`ShardQueues`]) which steal from each
-//! other when they run dry. Each completion is appended to the journal
-//! and echoed to the stream file *before* the next job is handed out,
-//! so a `SIGKILL` at any instant loses at most the in-flight jobs.
+//! The remaining jobs run on the job runner's worker pool
+//! ([`bosim::stream_jobs`]), taken in plan order. Each completion is
+//! appended to the journal and echoed to the stream file on the calling
+//! thread as it arrives, so a `SIGKILL` at any instant loses at most
+//! the in-flight jobs.
 //!
 //! # Determinism
 //!
@@ -23,9 +23,9 @@
 //! ([`ExperimentPlan::report_json_from_rows`]) —
 //! an uninterrupted run and any kill+resume sequence walk the exact
 //! same assembly path over the exact same row set, so their report
-//! files are byte-identical. Completion order, shard count, work
-//! stealing and crash timing can only change *when* rows appear, never
-//! what the report says.
+//! files are byte-identical. Completion order, thread count and crash
+//! timing can only change *when* rows appear, never what the report
+//! says.
 //!
 //! # Artifacts
 //!
@@ -37,22 +37,18 @@
 
 use crate::commands::CliError;
 use crate::queue::Journal;
-use crate::shard::ShardQueues;
-use bosim::run_job;
+use bosim::{RunnerError, SimResult};
 use bosim_bench::{Experiment, ExperimentPlan, JobRow};
 use bosim_stats::Json;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 
 /// Tuning and test knobs for one [`serve`] invocation.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker shard count (clamped to at least 1).
-    pub shards: usize,
+    /// Worker thread count (clamped to at least 1).
+    pub threads: usize,
     /// Soft-abort hook: stop handing out work after this many jobs have
     /// been journaled *by this process* (the crash/restart harness and
     /// the CI smoke test; `--abort-after` / `BOSIM_SERVE_ABORT_AFTER`).
@@ -62,11 +58,11 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults: one shard per core, no abort hook, the standard report
-    /// directory.
+    /// Defaults: one thread per core, no abort hook, the standard
+    /// report directory.
     pub fn new(out_dir: impl Into<PathBuf>) -> ServeOptions {
         ServeOptions {
-            shards: bosim::default_threads(),
+            threads: bosim::default_threads(),
             abort_after: None,
             out_dir: out_dir.into(),
         }
@@ -114,8 +110,6 @@ pub struct ServeSummary {
     pub resumed: usize,
     /// Jobs executed by this process.
     pub ran: usize,
-    /// Of [`ran`](Self::ran), jobs a shard stole from another's deque.
-    pub stolen: usize,
     /// Duplicate journal rows dropped on resume.
     pub duplicates: u64,
     /// Stale journal rows skipped on resume.
@@ -165,17 +159,7 @@ impl Stream {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Runs `experiment` as a checkpointed, sharded sweep. See the [module
+/// Runs `experiment` as a checkpointed sweep. See the [module
 /// docs](self) for lifecycle and determinism.
 ///
 /// # Errors
@@ -214,92 +198,50 @@ fn serve_plan(plan: &ExperimentPlan, opts: &ServeOptions) -> Result<ServeSummary
     stream.emit("resume", resumed as u64, None)?;
 
     let pending: Vec<usize> = (0..total).filter(|i| !rows.contains_key(i)).collect();
-    let shards = opts.shards.max(1).min(pending.len().max(1));
+    let threads = opts.threads.max(1).min(pending.len().max(1));
     eprintln!(
-        "[bosim serve] {}: {} jobs total, {} resumed from journal, {} to run on {} shard(s)",
+        "[bosim serve] {}: {} jobs total, {} resumed from journal, {} to run on {} thread(s)",
         plan.name(),
         total,
         resumed,
         pending.len(),
-        shards,
+        threads,
     );
 
-    let queues = ShardQueues::partition(&pending, shards);
-    let stop = AtomicBool::new(false);
     let mut ran = 0usize;
-    let mut stolen = 0usize;
     let mut aborted = false;
-    let mut failure: Option<String> = None;
-
-    type Done = (
-        crate::shard::ShardJob,
-        Result<Box<bosim::SimResult>, String>,
-    );
-    std::thread::scope(|s| -> Result<(), CliError> {
-        let (tx, rx) = mpsc::channel::<Done>();
-        for shard in 0..shards {
-            let tx = tx.clone();
-            let queues = &queues;
-            let stop = &stop;
-            let jobs = plan.jobs();
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let Some(sj) = queues.next(shard) else { break };
-                    let res = catch_unwind(AssertUnwindSafe(|| Box::new(run_job(&jobs[sj.job]))))
-                        .map_err(panic_message);
-                    if tx.send((sj, res)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        for (sj, res) in rx {
-            match res {
-                // Once the abort hook has fired, in-flight completions
-                // are discarded, exactly as a real crash would lose
-                // them: the journal holds precisely the rows completed
-                // before the "kill", which is what the crash/restart
-                // harness relies on.
-                Ok(_) if aborted => {}
-                Ok(result) => {
-                    let row = plan.row(sj.job, &result);
-                    journal
-                        .append(&row)
-                        .map_err(|e| CliError::Failed(format!("cannot checkpoint: {e}")))?;
-                    rows.insert(sj.job, row.clone());
-                    ran += 1;
-                    if sj.stolen {
-                        stolen += 1;
-                    }
-                    stream.emit("row", rows.len() as u64, Some(row.to_json()))?;
-                    if opts.abort_after.is_some_and(|n| (ran as u64) >= n) && !aborted {
-                        aborted = true;
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-                Err(message) => {
-                    let job = &plan.jobs()[sj.job];
-                    failure.get_or_insert_with(|| {
-                        format!(
-                            "job {} [{}] panicked: {message}",
-                            job.bench.name,
-                            job.config.label()
-                        )
-                    });
-                    stop.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        Ok(())
-    })?;
-
-    if let Some(message) = failure {
-        return Err(CliError::Failed(format!(
-            "sweep failed: {message} (completed rows are checkpointed in {}; rerun to resume)",
-            journal_path.display()
-        )));
+    // Journals and streams one completion; `Ok(false)` fires the abort
+    // hook. Once the runner is told to stop it drops the completions
+    // still in flight, exactly as a real crash would lose them: the
+    // journal holds precisely the rows completed before the "kill",
+    // which is what the crash/restart harness relies on.
+    let mut checkpoint =
+        |job: usize, result: Result<SimResult, RunnerError>| -> Result<bool, CliError> {
+            let result = result.map_err(|e| {
+                CliError::Failed(format!(
+                    "sweep failed: {e} (completed rows are checkpointed in {}; rerun to resume)",
+                    journal_path.display()
+                ))
+            })?;
+            let row = plan.row(job, &result);
+            journal
+                .append(&row)
+                .map_err(|e| CliError::Failed(format!("cannot checkpoint: {e}")))?;
+            rows.insert(job, row.clone());
+            ran += 1;
+            stream.emit("row", rows.len() as u64, Some(row.to_json()))?;
+            aborted = opts.abort_after.is_some_and(|n| (ran as u64) >= n);
+            Ok(!aborted)
+        };
+    let mut failure = None;
+    bosim::stream_jobs(plan.jobs(), &pending, threads, |job, result| {
+        checkpoint(job, result).unwrap_or_else(|e| {
+            failure = Some(e);
+            false
+        })
+    });
+    if let Some(e) = failure {
+        return Err(e);
     }
 
     let complete = rows.len() == total;
@@ -327,7 +269,6 @@ fn serve_plan(plan: &ExperimentPlan, opts: &ServeOptions) -> Result<ServeSummary
         total,
         resumed,
         ran,
-        stolen,
         duplicates: load.duplicates,
         stale: load.stale,
         torn_recovered: load.torn_recovered,

@@ -1,8 +1,8 @@
 //! `bosim serve` end-to-end through the built binary: corpus manifest
-//! in, checkpointed sharded sweep out — including a hard child-process
+//! in, checkpointed sweep out — including a hard child-process
 //! `SIGKILL` mid-sweep (a real dead process, not a cooperative stop)
 //! followed by a resume that must reproduce the uninterrupted report
-//! byte for byte. The in-process abort-hook matrix (shard counts ×
+//! byte for byte. The in-process abort-hook matrix (thread counts ×
 //! kill points) lives in `tests/tests/serve_resume.rs`.
 
 use bosim_cli::dispatch;
@@ -80,7 +80,7 @@ fn serve_cli_completes_resumes_idempotently_and_honours_abort_after() {
             "serve",
             "--corpus",
             manifest.to_str().unwrap(),
-            "--shards",
+            "--threads",
             "2",
             "--out",
             out.to_str().unwrap(),
@@ -142,7 +142,7 @@ fn sigkilled_serve_process_resumes_byte_identically() {
         "serve",
         "--corpus",
         manifest.to_str().unwrap(),
-        "--shards",
+        "--threads",
         "2",
         "--out",
         ref_out.to_str().unwrap(),
@@ -159,7 +159,7 @@ fn sigkilled_serve_process_resumes_byte_identically() {
             "serve",
             "--corpus",
             manifest.to_str().unwrap(),
-            "--shards",
+            "--threads",
             "2",
             "--out",
             out.to_str().unwrap(),
@@ -196,7 +196,7 @@ fn sigkilled_serve_process_resumes_byte_identically() {
         .expect("experiment assembles"),
         &{
             let mut o = bosim_cli::ServeOptions::new(&out);
-            o.shards = 2;
+            o.threads = 2;
             o
         },
     )

@@ -249,7 +249,7 @@ pub trait Prefetcher: std::fmt::Debug {
 /// keeps the §5.5 issue path: the proposal is probed against the TLB2
 /// (dropped on a miss), translated, deduplicated against the DL1 and its
 /// MSHRs, and issued as a [`bosim_types::ReqClass::L1Prefetch`] read.
-pub trait L1Prefetcher: std::fmt::Debug + Send {
+pub trait L1Prefetcher: std::fmt::Debug {
     /// Trains the prefetcher with a retired load/store, in program order.
     fn on_retire(&mut self, pc: u64, vaddr: VirtAddr);
 

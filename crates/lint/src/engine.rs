@@ -238,7 +238,7 @@ pub fn analyze(file: &SourceFile, src: &str) -> FileAnalysis {
             {
                 fire(Rule::P002, t.line, ".expect(…) in library code".into());
             }
-            // `panic!` the macro — not `std::panic::catch_unwind`.
+            // `panic!` the macro — not a `std::panic::…` path.
             "panic" | "todo" | "unimplemented"
                 if file.kind == FileKind::Lib && next.is_some_and(|n| n.is_punct('!')) =>
             {

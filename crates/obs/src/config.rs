@@ -20,11 +20,10 @@ pub struct ObsConfig {
     /// here — the interesting transients are at warm-up and the first
     /// learning phases, and a stable prefix keeps traces comparable).
     pub max_events: usize,
-    /// Collect per-epoch [`crate::EpochRow`] metric snapshots.
+    /// Collect one [`crate::EpochRow`] metric snapshot per epoch of the
+    /// simulator's epoch clock (`SimConfig::epoch_cycles`, shared with
+    /// adaptive control).
     pub epochs: bool,
-    /// Epoch length in cycles for the metric snapshots (independent of
-    /// any adaptive-control epoch).
-    pub epoch_cycles: u64,
     /// Stream each epoch row as a JSON line to this file while the run
     /// is in flight (requires [`epochs`](Self::epochs); I/O errors are
     /// swallowed — streaming is best-effort and never fails a run).
@@ -44,7 +43,6 @@ impl Default for ObsConfig {
             events: false,
             max_events: 65_536,
             epochs: false,
-            epoch_cycles: 50_000,
             epoch_stream: None,
             profile: false,
             profile_sample_shift: 6,
@@ -53,8 +51,8 @@ impl Default for ObsConfig {
 }
 
 impl ObsConfig {
-    /// Everything on, at the default capacity and epoch length — what
-    /// `bosim trace` uses.
+    /// Everything on, at the default capacity — what `bosim trace`
+    /// uses.
     pub fn all() -> Self {
         ObsConfig {
             events: true,
@@ -75,15 +73,11 @@ impl ObsConfig {
     ///
     /// # Errors
     ///
-    /// Fails when event recording is enabled with a zero capacity,
-    /// when epoch collection is enabled with a zero epoch length, or
+    /// Fails when event recording is enabled with a zero capacity, or
     /// when a stream path is set without epoch collection.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.events && self.max_events == 0 {
             return Err("event tracing enabled with max_events = 0");
-        }
-        if self.epochs && self.epoch_cycles == 0 {
-            return Err("epoch snapshots enabled with epoch_cycles = 0");
         }
         if self.epoch_stream.is_some() && !self.epochs {
             return Err("epoch_stream set but epoch snapshots are disabled");
@@ -116,12 +110,6 @@ mod tests {
         let c = ObsConfig {
             events: true,
             max_events: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ObsConfig {
-            epochs: true,
-            epoch_cycles: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -7,11 +7,12 @@ use std::path::Path;
 
 /// One epoch's worth of derived metrics for core 0's workload.
 ///
-/// The simulator computes these at every observability epoch boundary
-/// from the same counter deltas the adaptive-control layer uses, so a
-/// long run becomes a time series instead of a single aggregate. Rows
-/// are pure functions of simulated state: identical across repeated
-/// runs and across the naive/fast-forward system loops.
+/// The simulator derives one row at every boundary of its epoch clock
+/// from core 0's epoch feedback — the record adaptive policies read —
+/// plus the L3 residency gauge, so a long run becomes a time series
+/// instead of a single aggregate. Rows are pure functions of simulated
+/// state: identical across repeated runs and across the every-cycle and
+/// event-wheel system loops.
 // bosim-lint: schema(obs-epoch)
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochRow {

@@ -19,7 +19,7 @@
 
 use crate::spec::{prefetchers, PrefetcherHandle};
 use best_offset::PrefetchSite;
-use bosim_adapt::AdaptConfig;
+use bosim_adapt::PolicyHandle;
 use bosim_cache::policy::PolicyKind;
 use bosim_cpu::CoreConfig;
 use bosim_obs::ObsConfig;
@@ -97,13 +97,19 @@ pub struct SimConfig {
     /// and the golden-stats suite uses as its oracle — so it defaults to
     /// on.
     pub fast_forward: bool,
-    /// Adaptive prefetch control: when set, the system slices the run
-    /// into epochs, distils the uncore's usefulness counters into
-    /// [`bosim_adapt::EpochFeedback`], and lets the configured
-    /// [`bosim_adapt::TunePolicy`] reconfigure each core's L2 prefetcher
-    /// at every boundary. `None` (the default) reproduces the paper's
-    /// static configurations.
-    pub adapt: Option<AdaptConfig>,
+    /// Length in cycles of the system's one epoch clock (default
+    /// 50 000). At every boundary the system distils each core's
+    /// counter deltas into a [`bosim_adapt::EpochFeedback`]; adaptive
+    /// control ([`adapt`](Self::adapt)) and the observability epoch
+    /// series ([`ObsConfig::epochs`]) both read those records. Inert
+    /// when neither is on.
+    pub epoch_cycles: u64,
+    /// Adaptive prefetch control: when set, the configured policy (one
+    /// [`bosim_adapt::TunePolicy`] instance per core) reads its core's
+    /// [`bosim_adapt::EpochFeedback`] at every epoch boundary and may
+    /// reconfigure the core's prefetchers. `None` (the default)
+    /// reproduces the paper's static configurations.
+    pub adapt: Option<PolicyHandle>,
     /// Trace sampling applied to core 0's µop stream (warm-up skip +
     /// periodic measurement windows, see
     /// [`SampleSpec`]). Intended for long external traces; the
@@ -141,6 +147,7 @@ impl Default for SimConfig {
             measure_instructions: default_instructions(),
             seed: 0xB05EED,
             fast_forward: true,
+            epoch_cycles: 50_000,
             adapt: None,
             sample: None,
             obs: ObsConfig::default(),
@@ -213,7 +220,7 @@ impl SimConfig {
     /// unchanged.
     pub fn label(&self) -> String {
         let policy = match &self.adapt {
-            Some(a) => format!("+{}", a.policy.name()),
+            Some(p) => format!("+{}", p.name()),
             None => String::new(),
         };
         let policy = match &self.sample {
@@ -282,6 +289,9 @@ impl SimConfig {
         if self.measure_instructions == 0 {
             return Err(ConfigError::ZeroInstructions);
         }
+        if self.epoch_cycles == 0 {
+            return Err(ConfigError::ZeroEpochCycles);
+        }
         // Per-site prefetcher-spec validation: a spec at a site it does
         // not attach to (stride at L2, BO at L1D) and invalid algorithm
         // parameters (a BO degree of 3, an empty offset list) are
@@ -312,17 +322,24 @@ impl SimConfig {
         if let Err(reason) = self.obs.validate() {
             return Err(ConfigError::InvalidObs { reason });
         }
-        if let Some(adapt) = &self.adapt {
-            if let Err(reason) = adapt.validate() {
-                return Err(ConfigError::InvalidAdapt { reason });
-            }
-            // Every prefetcher the policy may switch to must resolve in
-            // the registry *now* and attach to the L2 site (switch
+        if let Some(policy) = &self.adapt {
+            // A policy that switches prefetchers needs at least two to
+            // switch between. Every one of them must resolve in the
+            // registry *now* and attach to the L2 site (switch
             // directives target the per-core L2 engines) — a sweep must
             // neither die at the first epoch boundary of some arm nor
             // silently keep the old prefetcher because the switch is
             // rejected at runtime.
-            for name in adapt.policy.spec().prefetcher_names() {
+            let candidates = policy.spec().prefetcher_names();
+            if candidates.len() == 1 {
+                return Err(ConfigError::InvalidAdapt {
+                    reason: format!(
+                        "policy {} switches prefetchers but lists only 1 candidate",
+                        policy.name()
+                    ),
+                });
+            }
+            for name in candidates {
                 match crate::registry::registry().resolve(&name) {
                     Err(e) => {
                         return Err(ConfigError::UnknownPrefetcher {
@@ -378,6 +395,8 @@ pub enum ConfigError {
     },
     /// The measured window was zero instructions long.
     ZeroInstructions,
+    /// The epoch clock was configured with zero-cycle epochs.
+    ZeroEpochCycles,
     /// The L2 prefetcher spec rejected its parameters (e.g. a BO degree
     /// outside 1..=2 or an empty offset list).
     InvalidPrefetcher {
@@ -433,6 +452,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroInstructions => {
                 write!(f, "measure_instructions must be at least 1")
             }
+            ConfigError::ZeroEpochCycles => write!(f, "epoch_cycles must be at least 1"),
             ConfigError::InvalidPrefetcher { name, reason } => {
                 write!(f, "prefetcher {name:?} rejected its parameters: {reason}")
             }
@@ -605,10 +625,16 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables adaptive prefetch control with the given epoch/policy
-    /// configuration (see [`SimConfig::adapt`]).
-    pub fn adapt(mut self, adapt: AdaptConfig) -> Self {
-        self.cfg.adapt = Some(adapt);
+    /// Enables adaptive prefetch control with the given policy (see
+    /// [`SimConfig::adapt`]).
+    pub fn adapt(mut self, policy: impl Into<PolicyHandle>) -> Self {
+        self.cfg.adapt = Some(policy.into());
+        self
+    }
+
+    /// Epoch length in cycles (see [`SimConfig::epoch_cycles`]).
+    pub fn epoch_cycles(mut self, cycles: u64) -> Self {
+        self.cfg.epoch_cycles = cycles;
         self
     }
 
@@ -784,12 +810,12 @@ mod tests {
 
     #[test]
     fn adaptive_candidates_must_attach_to_the_l2_site() {
-        use bosim_adapt::{policies, AdaptConfig};
+        use bosim_adapt::policies;
         // "stride" resolves in the registry but is L1D-only: a switch
         // to it would be silently rejected at every epoch boundary, so
         // validation must fail loudly up front.
         let err = SimConfig::builder()
-            .adapt(AdaptConfig::new(policies::tournament(["bo", "stride"])))
+            .adapt(policies::tournament(["bo", "stride"]))
             .build()
             .unwrap_err();
         match &err {
@@ -914,24 +940,25 @@ mod tests {
 
     #[test]
     fn builder_validates_adaptive_configs() {
-        use bosim_adapt::{policies, AdaptConfig};
+        use bosim_adapt::policies;
         // A healthy adaptive config builds.
         let cfg = SimConfig::builder()
             .prefetcher(prefetchers::bo_default())
-            .adapt(AdaptConfig::new(policies::degree_governor()))
+            .adapt(policies::degree_governor())
             .build()
             .expect("valid adaptive config");
         assert_eq!(cfg.label(), "4KB/1-core/BO+degree-governor");
         // Zero-length epochs are rejected.
         let err = SimConfig::builder()
-            .adapt(AdaptConfig::new(policies::degree_governor()).epoch_cycles(0))
+            .adapt(policies::degree_governor())
+            .epoch_cycles(0)
             .build()
             .unwrap_err();
-        assert!(matches!(err, ConfigError::InvalidAdapt { .. }), "{err:?}");
+        assert_eq!(err, ConfigError::ZeroEpochCycles);
         // Tournament candidates must resolve in the registry, with the
         // resolver's diagnosis passed through.
         let err = SimConfig::builder()
-            .adapt(AdaptConfig::new(policies::tournament(["bo", "offset-0"])))
+            .adapt(policies::tournament(["bo", "offset-0"]))
             .build()
             .unwrap_err();
         match &err {
@@ -945,7 +972,7 @@ mod tests {
 
     #[test]
     fn adaptive_prefetcher_names_require_an_adapt_config() {
-        use bosim_adapt::{policies, AdaptConfig};
+        use bosim_adapt::policies;
         let handle = crate::registry::registry()
             .lookup("adaptive-bo")
             .expect("family registered");
@@ -959,7 +986,7 @@ mod tests {
         );
         assert!(SimConfig::builder()
             .prefetcher(handle)
-            .adapt(AdaptConfig::new(policies::bandwidth_throttle()))
+            .adapt(policies::bandwidth_throttle())
             .build()
             .is_ok());
     }

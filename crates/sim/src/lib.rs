@@ -51,7 +51,7 @@ pub use config::{
 pub use registry::{
     registry, PrefetcherRegistry, PrefetcherResolver, ResolveError, ResolverOutcome,
 };
-pub use runner::{default_threads, run_job, run_jobs, speedups, Job, RunnerError};
+pub use runner::{default_threads, run_job, run_jobs, speedups, stream_jobs, Job, RunnerError};
 pub use spec::{
     prefetchers, AdaptiveSpec, AmpmSpec, BoSpec, FixedOffsetSpec, NextLineSpec, NoPrefetchSpec,
     PrefetcherHandle, PrefetcherSpec, SbpSpec, StrideSpec, LINE_ADDRESS_SITES,
@@ -64,4 +64,43 @@ pub use best_offset::{PrefetchSite, SiteDirective, TuneDirective};
 /// The adaptive-control crate, re-exported for policy construction
 /// (`bosim::adapt::policies::tournament([..])`).
 pub use bosim_adapt as adapt;
-pub use bosim_adapt::AdaptConfig;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bosim_adapt::policies;
+
+    #[test]
+    fn config_defaults_and_validation() {
+        // One epoch clock serves adaptive control and epoch rows: 50 000
+        // cycles unless set, and never zero.
+        let mut cfg = SimConfig {
+            adapt: Some(policies::degree_governor()),
+            ..Default::default()
+        };
+        assert_eq!(cfg.epoch_cycles, 50_000);
+        assert!(cfg.validate().is_ok());
+        cfg.epoch_cycles = 0;
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, ConfigError::ZeroEpochCycles);
+        assert!(err.to_string().contains("epoch_cycles"), "{err}");
+    }
+
+    #[test]
+    fn single_candidate_tournament_is_rejected() {
+        let with = |policy| SimConfig {
+            adapt: Some(policy),
+            ..Default::default()
+        };
+        let err = with(policies::tournament(["bo"])).validate().unwrap_err();
+        match &err {
+            ConfigError::InvalidAdapt { reason } => {
+                assert!(reason.contains("only 1 candidate"), "{reason}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(with(policies::tournament(["bo", "none"]))
+            .validate()
+            .is_ok());
+    }
+}

@@ -32,8 +32,9 @@ pub struct SimResult {
     pub cycles: u64,
     /// Core-0 statistics over the measured window.
     pub core: CoreStats,
-    /// Uncore statistics over the measured window (core 0's L2 plus the
-    /// shared structures).
+    /// Uncore statistics over the measured window. The L2 counters sum
+    /// over every core's private L2 (not core 0's alone); the L3 and
+    /// DRAM-writeback counters cover the shared structures.
     pub uncore: UncoreStats,
     /// DRAM statistics over the measured window (all cores).
     pub dram: DramStats,
@@ -101,40 +102,29 @@ impl SimResult {
     }
 }
 
-/// The live adaptive-control engine of a running system: per-core
-/// policies plus the previous epoch's counter snapshots.
+/// The live epoch clock of a running system: one boundary sequence and
+/// the previous boundary's counter snapshots, from which every core's
+/// [`EpochFeedback`] is built once per boundary. Adaptive policies read
+/// the feedback; the observability series is a view of core 0's.
 #[derive(Debug)]
-struct AdaptRuntime {
-    epoch_cycles: u64,
+struct EpochRuntime {
     /// End of the epoch currently accumulating.
     next_boundary: Cycle,
     epoch: u64,
-    /// One policy instance per core (policies are per-core state
-    /// machines; bandwidth feedback is shared, decisions are not).
-    policies: Vec<Box<dyn TunePolicy>>,
     prev_telemetry: Vec<PrefetchTelemetry>,
     prev_core: Vec<CoreStats>,
     prev_retired: Vec<u64>,
     prev_dram: DramStats,
     prev_l3: PrefetchTelemetry,
-    telemetry: AdaptTelemetry,
-}
-
-/// The live observability epoch tracker: boundary bookkeeping plus the
-/// previous boundary's counter snapshots (the same delta discipline as
-/// [`AdaptRuntime`], so the metric series is bit-identical across the
-/// every-cycle and event-wheel loops).
-#[derive(Debug)]
-struct ObsEpochRuntime {
-    epoch_cycles: u64,
-    /// End of the epoch currently accumulating.
-    next_boundary: Cycle,
-    epoch: u64,
-    rows: Vec<EpochRow>,
+    /// One policy instance per core (policies are per-core state
+    /// machines; bandwidth feedback is shared, decisions are not).
+    /// Empty when adaptive control is off.
+    policies: Vec<Box<dyn TunePolicy>>,
+    /// Core 0's adaptation log (`None` = adaptive control off).
+    telemetry: Option<AdaptTelemetry>,
+    /// The observability epoch series (`None` = obs epochs off).
+    rows: Option<Vec<EpochRow>>,
     stream: EpochStream,
-    prev_retired: u64,
-    prev_l2: PrefetchTelemetry,
-    prev_dram: DramStats,
 }
 
 /// Event-wheel source id of the uncore (cores follow at [`core_src`]).
@@ -159,7 +149,9 @@ pub struct System {
     benchmark: String,
     req_buf: Vec<UncoreRequest>,
     fill_buf: Vec<(CoreId, LineAddr)>,
-    adapt: Option<AdaptRuntime>,
+    /// The epoch clock (`None` = neither adaptive control nor obs
+    /// epochs are on).
+    epochs: Option<EpochRuntime>,
     /// The discrete-event calendar driving the scheduled (fast-forward)
     /// loop: one source per core plus the uncore, each posting the
     /// earliest cycle at which it may have work. A post is a promise of
@@ -172,8 +164,6 @@ pub struct System {
     /// Host-side wall-clock attribution (inert unless
     /// [`bosim_obs::ObsConfig::profile`] is set).
     prof: HostProfiler,
-    /// Observability epoch series state (`None` = epochs off).
-    obs_rt: Option<ObsEpochRuntime>,
     /// Scratch for draining core-side L1 observability events.
     core_obs_buf: Vec<CoreObsEvent>,
 }
@@ -241,33 +231,28 @@ impl System {
                 core.set_obs_sink(true);
             }
         }
-        let obs_rt = cfg.obs.epochs.then(|| ObsEpochRuntime {
-            epoch_cycles: cfg.obs.epoch_cycles,
-            next_boundary: cfg.obs.epoch_cycles,
+        let epochs = (cfg.adapt.is_some() || cfg.obs.epochs).then(|| EpochRuntime {
+            next_boundary: cfg.epoch_cycles,
             epoch: 0,
-            rows: Vec::new(),
-            stream: match &cfg.obs.epoch_stream {
-                Some(path) => EpochStream::create(path),
-                None => EpochStream::disabled(),
-            },
-            prev_retired: 0,
-            prev_l2: PrefetchTelemetry::default(),
-            prev_dram: DramStats::default(),
-        });
-        let adapt = cfg.adapt.as_ref().map(|a| AdaptRuntime {
-            epoch_cycles: a.epoch_cycles,
-            next_boundary: a.epoch_cycles,
-            epoch: 0,
-            policies: (0..cfg.active_cores).map(|_| a.policy.build()).collect(),
             prev_telemetry: vec![PrefetchTelemetry::default(); cfg.active_cores],
             prev_core: vec![CoreStats::default(); cfg.active_cores],
             prev_retired: vec![0; cfg.active_cores],
             prev_dram: DramStats::default(),
             prev_l3: PrefetchTelemetry::default(),
-            telemetry: AdaptTelemetry {
-                policy: a.policy.name(),
-                epoch_cycles: a.epoch_cycles,
+            policies: cfg
+                .adapt
+                .iter()
+                .flat_map(|p| (0..cfg.active_cores).map(|_| p.build()))
+                .collect(),
+            telemetry: cfg.adapt.as_ref().map(|p| AdaptTelemetry {
+                policy: p.name(),
+                epoch_cycles: cfg.epoch_cycles,
                 ..Default::default()
+            }),
+            rows: cfg.obs.epochs.then(Vec::new),
+            stream: match &cfg.obs.epoch_stream {
+                Some(path) => EpochStream::create(path),
+                None => EpochStream::disabled(),
             },
         });
         System {
@@ -280,9 +265,8 @@ impl System {
             benchmark: bench.name.clone(),
             req_buf: Vec::with_capacity(64),
             fill_buf: Vec::with_capacity(64),
-            adapt,
+            epochs,
             prof,
-            obs_rt,
             core_obs_buf: Vec::new(),
             cfg: cfg.clone(),
         }
@@ -475,12 +459,14 @@ impl System {
 
     /// Adaptive-control telemetry so far (`None` for static runs).
     pub fn adapt_telemetry(&self) -> Option<&AdaptTelemetry> {
-        self.adapt.as_ref().map(|a| &a.telemetry)
+        self.epochs.as_ref().and_then(|e| e.telemetry.as_ref())
     }
 
     /// Processes every epoch boundary at or before the current cycle:
-    /// snapshot counters, hand each core's [`EpochFeedback`] to its
-    /// policy, apply the directives, log core 0's record.
+    /// snapshot counters into each core's [`EpochFeedback`], hand it to
+    /// the core's policy and apply the directives (adaptive runs), then
+    /// derive the observability row from core 0's feedback (obs epochs).
+    /// Per boundary, directive events are recorded before `epoch_end`.
     ///
     /// Called at the top of the run loop, *before* the tick of the cycle
     /// it fires on. This keeps the every-cycle and event-wheel loops
@@ -490,47 +476,49 @@ impl System {
     /// happened in between — the policy sees the same feedback and
     /// reconfigures the same prefetcher state either way.
     ///
-    /// Returns `true` when at least one boundary was processed — the
+    /// Returns `true` when policies ran at one boundary or more — the
     /// scheduled loop then refreshes every wheel post, because an
     /// applied directive can create work the sources' previous bounds
     /// did not account for.
-    fn adapt_epochs(&mut self) -> bool {
-        let Some(ad) = self.adapt.as_mut() else {
+    fn process_epochs(&mut self) -> bool {
+        let Some(ep) = self.epochs.as_mut() else {
             return false;
         };
+        let epoch_cycles = self.cfg.epoch_cycles;
         let mut processed = false;
-        while self.cycle >= ad.next_boundary {
+        while self.cycle >= ep.next_boundary {
             processed = true;
-            let start_cycle = ad.next_boundary - ad.epoch_cycles;
+            let boundary = ep.next_boundary;
             let dram = self.uncore.dram_stats();
-            let reads = dram.reads - ad.prev_dram.reads;
-            let writes = dram.writes - ad.prev_dram.writes;
+            let reads = dram.reads - ep.prev_dram.reads;
+            let writes = dram.writes - ep.prev_dram.writes;
             // Data-bus occupancy: every CAS moves one line and holds the
             // channel's data bus for tBURST core cycles.
             let busy = (reads + writes) * self.uncore.dram_line_transfer_cycles();
-            let capacity = ad.epoch_cycles * self.uncore.dram_channels() as u64;
+            let capacity = epoch_cycles * self.uncore.dram_channels() as u64;
             let bus_occupancy = busy as f64 / capacity as f64;
             // The L3 site is shared: one machine-wide delta, seen by
             // every core's feedback.
             let l3 = self.uncore.l3_prefetch_telemetry();
             let l3_delta = SiteFeedback {
-                issued: l3.issued - ad.prev_l3.issued,
-                prefetch_fills: l3.prefetch_fills - ad.prev_l3.prefetch_fills,
-                useful_fills: l3.useful - ad.prev_l3.useful,
-                unused_evicted: l3.unused_evicted - ad.prev_l3.unused_evicted,
+                issued: l3.issued - ep.prev_l3.issued,
+                prefetch_fills: l3.prefetch_fills - ep.prev_l3.prefetch_fills,
+                useful_fills: l3.useful - ep.prev_l3.useful,
+                unused_evicted: l3.unused_evicted - ep.prev_l3.unused_evicted,
             };
+            let mut core0 = EpochFeedback::default();
             for c in 0..self.cores.len() {
                 let core = CoreId(c as u8);
                 let telem = self.uncore.prefetch_telemetry(core);
-                let prev = ad.prev_telemetry[c];
+                let prev = ep.prev_telemetry[c];
                 let core_stats = self.cores[c].stats();
-                let prev_core = ad.prev_core[c];
+                let prev_core = ep.prev_core[c];
                 let retired = self.cores[c].retired();
                 let feedback = EpochFeedback {
-                    epoch: ad.epoch,
-                    start_cycle,
-                    cycles: ad.epoch_cycles,
-                    instructions: retired - ad.prev_retired[c],
+                    epoch: ep.epoch,
+                    start_cycle: boundary - epoch_cycles,
+                    cycles: epoch_cycles,
+                    instructions: retired - ep.prev_retired[c],
                     l2_accesses: telem.accesses - prev.accesses,
                     l2_misses: telem.misses - prev.misses,
                     issued: telem.issued - prev.issued,
@@ -546,13 +534,24 @@ impl System {
                         - prev_core.l1_prefetch_tlb_drops,
                     l3: l3_delta,
                 };
+                ep.prev_telemetry[c] = telem;
+                ep.prev_core[c] = core_stats;
+                ep.prev_retired[c] = retired;
+                if c == 0 {
+                    core0 = feedback;
+                }
+                let (Some(policy), Some(telemetry)) =
+                    (ep.policies.get_mut(c), ep.telemetry.as_mut())
+                else {
+                    continue;
+                };
                 // Only core 0's record is logged; capture the name of
                 // the prefetcher that *produced* the epoch before any
                 // directive can switch it.
                 let prefetcher =
                     (c == 0).then(|| self.uncore.l2_prefetcher(core).name().to_string());
                 let mut directives = Vec::new();
-                ad.policies[c].on_epoch(&feedback, &mut directives);
+                policy.on_epoch(&feedback, &mut directives);
                 let mut records = Vec::with_capacity(directives.len());
                 for d in &directives {
                     // Route each directive to its addressed site: the
@@ -569,9 +568,9 @@ impl System {
                         }
                     };
                     if applied {
-                        ad.telemetry.applied += 1;
+                        telemetry.applied += 1;
                     } else {
-                        ad.telemetry.rejected += 1;
+                        telemetry.rejected += 1;
                     }
                     if self.uncore.events_enabled() {
                         let site = match d.site {
@@ -580,7 +579,7 @@ impl System {
                             PrefetchSite::L3 => ObsSite::L3,
                         };
                         self.uncore.record_event(Event {
-                            cycle: ad.next_boundary,
+                            cycle: boundary,
                             core: c as u32,
                             site,
                             kind: EventKind::Directive {
@@ -595,87 +594,30 @@ impl System {
                     });
                 }
                 if let Some(prefetcher) = prefetcher {
-                    ad.telemetry.epochs.push(EpochRecord {
+                    telemetry.epochs.push(EpochRecord {
                         feedback,
                         prefetcher,
                         directives: records,
                     });
                 }
-                ad.prev_telemetry[c] = telem;
-                ad.prev_core[c] = core_stats;
-                ad.prev_retired[c] = retired;
             }
-            ad.prev_dram = dram;
-            ad.prev_l3 = l3;
-            ad.epoch += 1;
-            ad.next_boundary += ad.epoch_cycles;
+            ep.prev_dram = dram;
+            ep.prev_l3 = l3;
+            if let Some(rows) = ep.rows.as_mut() {
+                let row = epoch_row(&core0, self.uncore.l3_prefetched_lines());
+                ep.stream.write_row(&row);
+                rows.push(row);
+                self.uncore.record_event(Event {
+                    cycle: boundary,
+                    core: 0,
+                    site: ObsSite::Sys,
+                    kind: EventKind::EpochEnd { epoch: ep.epoch },
+                });
+            }
+            ep.epoch += 1;
+            ep.next_boundary += epoch_cycles;
         }
-        processed
-    }
-
-    /// Processes every observability epoch boundary at or before the
-    /// current cycle: compute the epoch's metric row from counter
-    /// deltas, stream it, and log the boundary event.
-    ///
-    /// Like [`adapt_epochs`](Self::adapt_epochs), this runs at the top
-    /// of the run loop, before the boundary cycle's tick; a
-    /// fast-forward jump can only land past a boundary by skipping
-    /// provably idle cycles, so the deltas (and therefore the rows and
-    /// events) are bit-identical across the every-cycle and event-wheel
-    /// loops.
-    fn process_obs_epochs(&mut self) {
-        let Some(ob) = self.obs_rt.as_mut() else {
-            return;
-        };
-        while self.cycle >= ob.next_boundary {
-            let boundary = ob.next_boundary;
-            let start_cycle = boundary - ob.epoch_cycles;
-            let retired = self.cores[0].retired();
-            let l2 = self.uncore.prefetch_telemetry(CoreId(0));
-            let dram = self.uncore.dram_stats();
-            let instructions = retired - ob.prev_retired;
-            let fills = l2.prefetch_fills - ob.prev_l2.prefetch_fills;
-            let useful = l2.useful - ob.prev_l2.useful;
-            let misses = l2.misses - ob.prev_l2.misses;
-            let issued = l2.issued - ob.prev_l2.issued;
-            let late = l2.late_promotions - ob.prev_l2.late_promotions;
-            let reads = dram.reads - ob.prev_dram.reads;
-            let writes = dram.writes - ob.prev_dram.writes;
-            let busy = (reads + writes) * self.uncore.dram_line_transfer_cycles();
-            let capacity = ob.epoch_cycles * self.uncore.dram_channels() as u64;
-            let ratio = |num: u64, den: u64| {
-                if den == 0 {
-                    0.0
-                } else {
-                    num as f64 / den as f64
-                }
-            };
-            let row = EpochRow {
-                epoch: ob.epoch,
-                start_cycle,
-                cycles: ob.epoch_cycles,
-                instructions,
-                ipc: ratio(instructions, ob.epoch_cycles),
-                accuracy: ratio(useful, fills),
-                coverage: ratio(useful, useful + misses),
-                lateness: ratio(late, issued),
-                occupancy: ratio(busy, capacity),
-                l3_prefetch_resident: self.uncore.l3_prefetched_lines(),
-            };
-            ob.stream.write_row(&row);
-            ob.rows.push(row);
-            self.uncore.record_event(Event {
-                cycle: boundary,
-                core: 0,
-                site: ObsSite::Sys,
-                kind: EventKind::EpochEnd { epoch: ob.epoch },
-            });
-            ob.prev_retired = retired;
-            ob.prev_l2 = l2;
-            ob.prev_dram = dram;
-            ob.epoch += 1;
-            ob.next_boundary += ob.epoch_cycles;
-        }
+        processed && !ep.policies.is_empty()
     }
 
     /// Assembles the run's observability report, consuming the epoch
@@ -688,7 +630,11 @@ impl System {
             Some((events, dropped)) => (events.to_vec(), dropped),
             None => (Vec::new(), 0),
         };
-        let epochs = self.obs_rt.take().map(|ob| ob.rows).unwrap_or_default();
+        let epochs = self
+            .epochs
+            .as_mut()
+            .and_then(|e| e.rows.take())
+            .unwrap_or_default();
         Some(ObsReport {
             events,
             dropped_events,
@@ -718,11 +664,8 @@ impl System {
         } else {
             // Reference loop: everything ticks every cycle.
             while self.cores[0].retired() < target && self.cycle < cycle_cap {
-                if self.adapt.is_some() {
-                    self.adapt_epochs();
-                }
-                if self.obs_rt.is_some() {
-                    self.process_obs_epochs();
+                if self.epochs.is_some() {
+                    self.process_epochs();
                 }
                 self.step();
             }
@@ -756,11 +699,8 @@ impl System {
         // safe — early wake-ups are no-op ticks).
         self.wake_all();
         while self.cores[0].retired() < target && self.cycle < cycle_cap {
-            if self.adapt.is_some() && self.adapt_epochs() {
+            if self.epochs.is_some() && self.process_epochs() {
                 self.wake_all();
-            }
-            if self.obs_rt.is_some() {
-                self.process_obs_epochs();
             }
             self.step_scheduled();
             // Never fast-forward once the window boundary is reached: the
@@ -838,9 +778,35 @@ impl System {
             dram: diff_dram(dram_before, dram_after),
             l2_site: self.uncore.prefetch_telemetry(CoreId(0)),
             l3_site: self.uncore.l3_prefetch_telemetry(),
-            adapt: self.adapt.as_ref().map(|a| a.telemetry.clone()),
+            adapt: self.adapt_telemetry().cloned(),
             obs: self.take_obs_report(),
         }
+    }
+}
+
+/// Core 0's observability row for one epoch: a view of its feedback
+/// under the row's documented definitions (accuracy = useful / fills,
+/// lateness = late / issued; see `docs/ARCHITECTURE.md`), plus the L3
+/// residency gauge read at the boundary.
+fn epoch_row(fb: &EpochFeedback, l3_prefetch_resident: u64) -> EpochRow {
+    let ratio = |num: u64, den: u64| {
+        if den == 0 {
+            0.0
+        } else {
+            num as f64 / den as f64
+        }
+    };
+    EpochRow {
+        epoch: fb.epoch,
+        start_cycle: fb.start_cycle,
+        cycles: fb.cycles,
+        instructions: fb.instructions,
+        ipc: fb.ipc(),
+        accuracy: ratio(fb.useful_fills, fb.prefetch_fills),
+        coverage: ratio(fb.useful_fills, fb.useful_fills + fb.l2_misses),
+        lateness: ratio(fb.late_promotions, fb.issued),
+        occupancy: fb.bus_occupancy,
+        l3_prefetch_resident,
     }
 }
 

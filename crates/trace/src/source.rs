@@ -28,7 +28,7 @@ use crate::record::MicroOp;
 /// let mut src: Box<dyn TraceSource> = Box::new(Idle);
 /// assert_eq!(src.next_uop().pc, 0x400000);
 /// ```
-pub trait TraceSource: std::fmt::Debug + Send {
+pub trait TraceSource: std::fmt::Debug {
     /// Produces the next µop on the traced path.
     fn next_uop(&mut self) -> MicroOp;
 

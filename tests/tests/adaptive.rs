@@ -3,7 +3,7 @@
 //! adaptive policy beats every static configuration it is allowed to
 //! switch between.
 
-use bosim::adapt::{policies, AdaptConfig, TournamentSpec};
+use bosim::adapt::{policies, TournamentSpec};
 use bosim::{prefetchers, PrefetcherHandle, SimConfig, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
@@ -35,7 +35,8 @@ fn tournament_beats_every_static_arm_it_switches_between() {
     let mut tournament = TournamentSpec::new(["offset-8", "none"]);
     tournament.exploit_epochs = 10;
     let mut cfg = phase_cfg(prefetchers::none());
-    cfg.adapt = Some(AdaptConfig::new(tournament).epoch_cycles(8_000));
+    cfg.adapt = Some(tournament.into());
+    cfg.epoch_cycles = 8_000;
     let adaptive = run_phase(cfg);
     let ipc_adaptive = adaptive.ipc();
 
@@ -77,7 +78,8 @@ fn epoch_telemetry_invariants_hold_for_all_policies() {
         let name = policy.name();
         let mut cfg = phase_cfg(prefetchers::bo_default());
         cfg.measure_instructions = 60_000;
-        cfg.adapt = Some(AdaptConfig::new(policy).epoch_cycles(6_000));
+        cfg.adapt = Some(policy);
+        cfg.epoch_cycles = 6_000;
         let result = run_phase(cfg);
         let telemetry = result.adapt.as_ref().expect("telemetry present");
         assert!(!telemetry.epochs.is_empty(), "{name}: epochs recorded");
@@ -104,7 +106,8 @@ fn epoch_telemetry_invariants_hold_for_all_policies() {
 #[test]
 fn degree_governor_reconfigures_bo_at_runtime() {
     let mut cfg = phase_cfg(prefetchers::bo_default());
-    cfg.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(8_000));
+    cfg.adapt = Some(policies::degree_governor());
+    cfg.epoch_cycles = 8_000;
     let adaptive = run_phase(cfg);
     let telemetry = adaptive.adapt.as_ref().expect("telemetry");
     assert!(
@@ -141,7 +144,7 @@ fn telemetry_presence_matches_configuration() {
 
     let mut cfg = phase_cfg(prefetchers::bo_default());
     cfg.measure_instructions = 20_000;
-    cfg.adapt = Some(AdaptConfig::new(policies::bandwidth_throttle()));
+    cfg.adapt = Some(policies::bandwidth_throttle());
     let r = run_phase(cfg);
     assert!(r.adapt.is_some());
     assert_eq!(r.config, "4MB/1-core/BO+bw-throttle");

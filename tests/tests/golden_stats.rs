@@ -73,15 +73,16 @@ fn golden_stats_second_seed() {
 /// `PartialEq` covers `adapt`).
 #[test]
 fn golden_stats_adaptive_runs() {
-    use bosim::adapt::{policies, AdaptConfig};
+    use bosim::adapt::policies;
     let mut tournament = quick(prefetchers::bo_default(), 0xB05EED);
     tournament.page = PageSize::M4;
-    tournament.adapt =
-        Some(AdaptConfig::new(policies::tournament(["offset-8", "none"])).epoch_cycles(5_000));
+    tournament.adapt = Some(policies::tournament(["offset-8", "none"]));
+    tournament.epoch_cycles = 5_000;
     assert_invariant(tournament, "phase");
 
     let mut governor = quick(prefetchers::bo_default(), 0xB05EED);
-    governor.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(5_000));
+    governor.adapt = Some(policies::degree_governor());
+    governor.epoch_cycles = 5_000;
     assert_invariant(governor, "462");
 }
 
@@ -147,12 +148,12 @@ fn golden_stats_with_tracing_enabled() {
     let obs = ObsConfig {
         events: true,
         epochs: true,
-        epoch_cycles: 5_000,
         profile: true,
         ..ObsConfig::default()
     };
 
     let mut traced = quick(prefetchers::bo_default(), 0xB05EED);
+    traced.epoch_cycles = 5_000;
     traced.l1_prefetcher = Some(prefetchers::stride_default());
     traced.l3_prefetcher = Some(prefetchers::next_line());
     traced.obs = obs.clone();
@@ -160,9 +161,10 @@ fn golden_stats_with_tracing_enabled() {
 
     // Tracing combined with adaptive control: directive and epoch
     // events ride on top of the adapt machinery without perturbing it.
-    use bosim::adapt::{policies, AdaptConfig};
+    use bosim::adapt::policies;
     let mut adaptive = quick(prefetchers::bo_default(), 0xB05EED);
-    adaptive.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(5_000));
+    adaptive.adapt = Some(policies::degree_governor());
+    adaptive.epoch_cycles = 5_000;
     adaptive.obs = obs.clone();
     assert_invariant(adaptive, "429");
 
@@ -174,9 +176,10 @@ fn golden_stats_with_tracing_enabled() {
         active_cores: 2,
         warmup_instructions: 5_000,
         measure_instructions: 15_000,
+        epoch_cycles: 5_000,
         ..Default::default()
     };
-    two_core.adapt = Some(AdaptConfig::new(policies::degree_governor()).epoch_cycles(5_000));
+    two_core.adapt = Some(policies::degree_governor());
     two_core.obs = obs;
     assert_invariant(two_core, "429");
 }

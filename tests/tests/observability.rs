@@ -24,10 +24,10 @@ fn instrumented() -> SimConfig {
         l2_prefetcher: prefetchers::bo_default(),
         l3_prefetcher: Some(prefetchers::next_line()),
         seed: 0xB05EED,
+        epoch_cycles: 5_000,
         obs: ObsConfig {
             events: true,
             epochs: true,
-            epoch_cycles: 5_000,
             profile: true,
             ..ObsConfig::default()
         },
@@ -158,6 +158,71 @@ fn epoch_stream_file_matches_the_in_memory_series() {
             "occupancy",
         ] {
             assert!(row.get(key).is_some(), "epoch row missing {key}: {line}");
+        }
+    }
+}
+
+/// One epoch clock: with adaptive control and obs epochs both on, the
+/// epoch series is a view of core 0's adaptive feedback — one row per
+/// adapt epoch, each metric the row's documented definition applied to
+/// that feedback, bit for bit.
+#[test]
+fn epoch_rows_are_a_view_of_core0_adapt_feedback() {
+    let cfg = SimConfig {
+        warmup_instructions: 10_000,
+        measure_instructions: 40_000,
+        l2_prefetcher: prefetchers::bo_default(),
+        epoch_cycles: 5_000,
+        adapt: Some(bosim::adapt::policies::degree_governor()),
+        obs: ObsConfig {
+            epochs: true,
+            ..ObsConfig::default()
+        },
+        ..Default::default()
+    };
+    let result = run(&cfg, "429");
+    let rows = result.obs.expect("report").epochs;
+    let records = result.adapt.expect("adapt telemetry").epochs;
+    assert!(rows.len() >= 10, "only {} epochs", rows.len());
+    assert_eq!(rows.len(), records.len(), "one row per adapt epoch");
+    let ratio = |num: u64, den: u64| {
+        if den == 0 {
+            0.0
+        } else {
+            num as f64 / den as f64
+        }
+    };
+    for (row, record) in rows.iter().zip(&records) {
+        let fb = &record.feedback;
+        assert_eq!(
+            (row.epoch, row.start_cycle, row.cycles, row.instructions),
+            (fb.epoch, fb.start_cycle, fb.cycles, fb.instructions)
+        );
+        for (metric, got, want) in [
+            ("ipc", row.ipc, ratio(fb.instructions, fb.cycles)),
+            (
+                "accuracy",
+                row.accuracy,
+                ratio(fb.useful_fills, fb.prefetch_fills),
+            ),
+            (
+                "coverage",
+                row.coverage,
+                ratio(fb.useful_fills, fb.useful_fills + fb.l2_misses),
+            ),
+            (
+                "lateness",
+                row.lateness,
+                ratio(fb.late_promotions, fb.issued),
+            ),
+            ("occupancy", row.occupancy, fb.bus_occupancy),
+        ] {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "epoch {}: {metric} {got} vs {want}",
+                row.epoch
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Crash/restart suite for `bosim serve`: kill a sweep after N
 //! completed jobs (via the injected abort hook), resume it, and prove
 //! the final report is **byte-identical** to an uninterrupted run's —
-//! with zero finished jobs re-executed — across shard counts and kill
+//! with zero finished jobs re-executed — across thread counts and kill
 //! points. The child-process `SIGKILL` variant (a real dead process,
 //! not a cooperative stop) lives in `crates/cli/tests/serve_e2e.rs`
 //! where the built binary is available.
@@ -38,9 +38,9 @@ fn experiment(name: &str) -> Experiment {
         .arm_vs("base/self", next, base)
 }
 
-fn opts(dir: &Path, shards: usize, abort_after: Option<u64>) -> ServeOptions {
+fn opts(dir: &Path, threads: usize, abort_after: Option<u64>) -> ServeOptions {
     let mut o = ServeOptions::new(dir);
-    o.shards = shards;
+    o.threads = threads;
     o.abort_after = abort_after;
     o
 }
@@ -71,14 +71,14 @@ fn killed_and_resumed_sweeps_are_byte_identical_across_shard_counts() {
     assert!(!summary.aborted);
     let reference = report_bytes(&ref_dir, "resume_grid");
 
-    // Acceptance: >= 2 shard-count configurations, kill mid-grid,
+    // Acceptance: >= 2 thread-count configurations, kill mid-grid,
     // resume, byte-identical report, zero finished jobs re-executed.
-    for shards in [1usize, 3] {
+    for threads in [1usize, 3] {
         for kill_after in [1u64, (total as u64) / 2] {
-            let dir = scratch(&format!("kill_{shards}_{kill_after}"));
+            let dir = scratch(&format!("kill_{threads}_{kill_after}"));
             let first = serve(
                 experiment("resume_grid"),
-                &opts(&dir, shards, Some(kill_after)),
+                &opts(&dir, threads, Some(kill_after)),
             )
             .expect("aborted run still checkpoints cleanly");
             assert!(first.aborted, "abort hook must fire");
@@ -95,7 +95,7 @@ fn killed_and_resumed_sweeps_are_byte_identical_across_shard_counts() {
             assert_eq!(checkpointed, first.ran);
 
             // Resume: exactly the missing jobs run, none repeat.
-            let second = serve(experiment("resume_grid"), &opts(&dir, shards, None))
+            let second = serve(experiment("resume_grid"), &opts(&dir, threads, None))
                 .expect("resume completes");
             assert_eq!(
                 second.resumed, first.ran,
@@ -111,7 +111,7 @@ fn killed_and_resumed_sweeps_are_byte_identical_across_shard_counts() {
             assert_eq!(
                 report_bytes(&dir, "resume_grid"),
                 reference,
-                "shards={shards} kill_after={kill_after}: resumed report drifted"
+                "threads={threads} kill_after={kill_after}: resumed report drifted"
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
