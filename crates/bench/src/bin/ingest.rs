@@ -96,10 +96,6 @@ fn main() {
         sample: Some(SampleSpec::skip(5_000)),
         ..Default::default()
     };
-    let bo = SimConfig::builder()
-        .prefetcher(bosim::prefetchers::bo_default())
-        .build()
-        .expect("valid");
     let report = Experiment::new(
         "ingest",
         "External-trace ingestion smoke: BO vs no-prefetch",
@@ -108,7 +104,7 @@ fn main() {
     .arm_vs(
         "BO",
         SimConfig {
-            l2_prefetcher: bo.l2_prefetcher.clone(),
+            l2_prefetcher: bosim::prefetchers::bo_default(),
             ..window.clone()
         },
         SimConfig {

@@ -4,7 +4,7 @@
 //! — the Figure 4 shape (L1 on/off) crossed with the new L3 site — and
 //! reports speedups over the paper's next-line baseline. Arms are
 //! expressed with site-qualified registry names (`l1:stride`, `l2:bo`,
-//! `l3:next-line`), exactly what `SimConfigBuilder::site` accepts.
+//! `l3:next-line`), exactly what `SimConfig::with_site` accepts.
 //!
 //! The binary is also the CI multi-level smoke arm: after the grid it
 //! re-runs the full three-site stack on one streaming benchmark and
@@ -20,11 +20,15 @@ use bosim_trace::suite;
 
 /// Builds a configuration from site-qualified registry names.
 fn sites(names: &[&str]) -> SimConfig {
-    let mut b = SimConfig::builder().no_l1_prefetcher();
+    let mut cfg = SimConfig {
+        l1_prefetcher: None,
+        ..SimConfig::default()
+    };
     for name in names {
-        b = b.site(name).unwrap_or_else(|e| panic!("{e}"));
+        cfg = cfg.with_site(name).unwrap_or_else(|e| panic!("{e}"));
     }
-    b.build().unwrap_or_else(|e| panic!("{e}"))
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    cfg
 }
 
 fn main() {

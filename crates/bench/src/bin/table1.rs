@@ -1,6 +1,13 @@
 //! Table 1: the baseline micro-architecture parameters, printed from the
-//! live configuration objects so the table can never drift from the code.
-use bosim::SimConfig;
+//! simulator's own constants and defaults so the table can never drift
+//! from the code.
+use bosim::{
+    SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS, L3_LATENCY, L3_SIZE, L3_WAYS, PREFETCH_QUEUE,
+};
+use bosim_cpu::{
+    DISPATCH_WIDTH, DL1_LATENCY, DL1_SIZE, DL1_WAYS, FP_PORTS, IL1_SIZE, IL1_WAYS, INT_PORTS,
+    LOAD_PORTS, MISPREDICT_PENALTY, MSHRS, RETIRE_WIDTH, ROB_SIZE, STORE_BUFFER,
+};
 use bosim_dram::DdrTimings;
 use bosim_stats::Table;
 
@@ -15,60 +22,57 @@ fn main() {
     ]);
     tab.row(vec![
         "reorder buffer".to_string(),
-        format!("{} micro-ops", c.core.rob_size),
+        format!("{} micro-ops", ROB_SIZE),
     ]);
     tab.row(vec![
         "decode".to_string(),
-        format!("{} instructions / cycle", c.core.dispatch_width),
+        format!("{} instructions / cycle", DISPATCH_WIDTH),
     ]);
     tab.row(vec![
         "retire".to_string(),
-        format!("{} micro-ops / cycle", c.core.retire_width),
+        format!("{} micro-ops / cycle", RETIRE_WIDTH),
     ]);
-    tab.row(vec![
-        "load ports".to_string(),
-        format!("{}", c.core.load_ports),
-    ]);
+    tab.row(vec!["load ports".to_string(), format!("{}", LOAD_PORTS)]);
     tab.row(vec![
         "exec ports".to_string(),
-        format!("{} INT, {} FP", c.core.int_ports, c.core.fp_ports),
+        format!("{} INT, {} FP", INT_PORTS, FP_PORTS),
     ]);
     tab.row(vec![
         "branch misp. penalty".to_string(),
         format!(
             "{} cycles (minimum), redirect at execution",
-            c.core.mispredict_penalty
+            MISPREDICT_PENALTY
         ),
     ]);
     tab.row(vec![
         "MSHR".to_string(),
-        format!("{} DL1 block requests", c.core.mshrs),
+        format!("{} DL1 block requests", MSHRS),
     ]);
     tab.row(vec![
         "store buffer".to_string(),
-        format!("{} stores", c.core.store_buffer),
+        format!("{} stores", STORE_BUFFER),
     ]);
     tab.row(vec!["cache line".to_string(), "64 bytes".to_string()]);
     tab.row(vec![
         "IL1".to_string(),
-        format!("{}KB, {}-way LRU", c.core.il1_size >> 10, c.core.il1_ways),
+        format!("{}KB, {}-way LRU", IL1_SIZE >> 10, IL1_WAYS),
     ]);
     tab.row(vec![
         "DL1".to_string(),
         format!(
             "{}KB, {}-way LRU, {}-cycle lat.",
-            c.core.dl1_size >> 10,
-            c.core.dl1_ways,
-            c.core.dl1_latency
+            DL1_SIZE >> 10,
+            DL1_WAYS,
+            DL1_LATENCY
         ),
     ]);
     tab.row(vec![
         "L2 (private)".to_string(),
         format!(
             "{}KB, {}-way LRU, {}-cycle lat., {}-entry fill queue",
-            c.l2_size >> 10,
-            c.l2_ways,
-            c.l2_latency,
+            L2_SIZE >> 10,
+            L2_WAYS,
+            L2_LATENCY,
             c.l2_fill_queue
         ),
     ]);
@@ -76,16 +80,16 @@ fn main() {
         "L3 (shared)".to_string(),
         format!(
             "{}MB, {}-way {}, {}-cycle lat., {}-entry fill queue",
-            c.l3_size >> 20,
-            c.l3_ways,
+            L3_SIZE >> 20,
+            L3_WAYS,
             c.l3_policy.label(),
-            c.l3_latency,
+            L3_LATENCY,
             c.l3_fill_queue
         ),
     ]);
     tab.row(vec![
         "L2 prefetch queue".to_string(),
-        format!("{} entries", c.prefetch_queue),
+        format!("{} entries", PREFETCH_QUEUE),
     ]);
     tab.row(vec![
         "TLB entries".to_string(),

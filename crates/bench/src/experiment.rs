@@ -105,16 +105,6 @@ pub enum ExperimentError {
     },
     /// The job grid failed to run.
     Runner(RunnerError),
-    /// A `--reps` repetition of the grid produced different results —
-    /// the simulator broke its determinism promise.
-    NonDeterministic {
-        /// Which repetition diverged (1-based; repetition 1 is the
-        /// reference).
-        rep: usize,
-        /// A human-readable `benchmark [config]` tag for the first
-        /// diverging job.
-        job: String,
-    },
 }
 
 impl fmt::Display for ExperimentError {
@@ -130,11 +120,6 @@ impl fmt::Display for ExperimentError {
                 write!(f, "arm {series:?} has an invalid configuration: {error}")
             }
             ExperimentError::Runner(e) => write!(f, "experiment grid failed: {e}"),
-            ExperimentError::NonDeterministic { rep, job } => write!(
-                f,
-                "repetition {rep} diverged from repetition 1 on {job}: \
-                 simulation results must be bit-identical across reps"
-            ),
         }
     }
 }
@@ -144,9 +129,7 @@ impl std::error::Error for ExperimentError {
         match self {
             ExperimentError::InvalidConfig { error, .. } => Some(error),
             ExperimentError::Runner(e) => Some(e),
-            ExperimentError::NoArms
-            | ExperimentError::MixedBaselines { .. }
-            | ExperimentError::NonDeterministic { .. } => None,
+            ExperimentError::NoArms | ExperimentError::MixedBaselines { .. } => None,
         }
     }
 }
@@ -176,7 +159,6 @@ pub struct Experiment {
     with_gm: bool,
     decimals: usize,
     threads: Option<usize>,
-    reps: usize,
 }
 
 impl Experiment {
@@ -197,7 +179,6 @@ impl Experiment {
             with_gm: true,
             decimals: 3,
             threads: None,
-            reps: 1,
         }
     }
 
@@ -298,17 +279,6 @@ impl Experiment {
     /// all cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Runs the deduplicated grid `reps` times and asserts that every
-    /// repetition reproduces the first bit-identically — a determinism
-    /// harness for CI and for flushing out state that leaks between runs
-    /// or depends on worker-thread scheduling. Simulated results are
-    /// unaffected (the first repetition is reported); only wall-clock
-    /// cost scales. `reps = 0` is treated as 1.
-    pub fn reps(mut self, reps: usize) -> Self {
-        self.reps = reps.max(1);
         self
     }
 
@@ -445,31 +415,10 @@ impl Experiment {
         );
         let t0 = std::time::Instant::now();
         let results = run_jobs(&plan.jobs, threads)?;
-        // Extra repetitions re-run the identical grid and must reproduce
-        // it exactly; any drift is a determinism bug, so the whole
-        // experiment fails rather than silently averaging it away.
-        for rep in 2..=self.reps {
-            let again = run_jobs(&plan.jobs, threads)?;
-            if let Some(i) = (0..plan.jobs.len()).find(|&i| again[i] != results[i]) {
-                return Err(ExperimentError::NonDeterministic {
-                    rep,
-                    job: format!(
-                        "{} [{}]",
-                        plan.jobs[i].bench.short,
-                        plan.jobs[i].config.label()
-                    ),
-                });
-            }
-        }
         eprintln!(
-            "[bosim] {}: grid done in {:.1}s{}",
+            "[bosim] {}: grid done in {:.1}s",
             self.name,
             t0.elapsed().as_secs_f64(),
-            if self.reps > 1 {
-                format!(" ({} reps, bit-identical)", self.reps)
-            } else {
-                String::new()
-            }
         );
         Ok(plan.assemble(&results))
     }
@@ -771,16 +720,19 @@ mod tests {
 
     #[test]
     fn repetitions_reproduce_the_grid_bit_identically() {
-        // The simulator is deterministic, so the rep harness must pass
-        // (and report the repetition count only on stderr — the report
-        // itself is the first repetition's).
-        let report = Experiment::new("reps", "reps")
-            .benchmark_ids(&["456"])
-            .arm("base", tiny(SimConfig::default()))
-            .reps(3)
-            .run()
-            .expect("deterministic grid survives repetition");
-        assert!(report.arms[0].values[0] > 0.0);
+        // The report is a function of the grid alone: repeating it on one
+        // worker or on several yields the same bytes.
+        let run = |threads| {
+            Experiment::new("repeat", "repeat")
+                .benchmark_ids(&["456", "444"])
+                .arm("base", tiny(SimConfig::default()))
+                .threads(threads)
+                .run()
+                .expect("grid runs")
+                .to_json()
+                .to_pretty()
+        };
+        assert_eq!(run(1), run(2));
     }
 
     #[test]

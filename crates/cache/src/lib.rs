@@ -9,8 +9,8 @@
 //!   sampling (§5.2),
 //! * [`FillQueue`] — MSHR-less miss handling with associative search and
 //!   late-prefetch promotion (§5.4),
-//! * [`PrefetchQueue`] — the 8-entry lowest-priority L2 prefetch queue
-//!   with oldest-drop (§5.4),
+//! * [`PrefetchQueue`] — the 8-entry lowest-priority prefetch queue with
+//!   oldest-drop (§5.4), one per private L2 and one at the shared L3,
 //! * [`MshrFile`] — the DL1's 32-entry MSHR file (Table 1),
 //! * [`LineIndex`] — the small open-addressed line→slot index backing
 //!   the queues' O(1) CAM searches (`tests/queue_model.rs` checks both

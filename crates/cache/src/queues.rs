@@ -1,14 +1,18 @@
-//! The L2 prefetch queue and the DL1 MSHR file.
+//! The prefetch queue and the DL1 MSHR file.
 
 use crate::line_index::LineIndex;
-use bosim_types::{Cycle, LineAddr};
+use bosim_types::{CoreId, Cycle, LineAddr};
 use std::collections::VecDeque;
 
-/// The L2 prefetch queue (§5.4): "L2 prefetch requests have the lowest
-/// priority for accessing the L3 cache. Prefetch requests wait in an
-/// 8-entry prefetch queue until they can access the L3 cache. When a
-/// prefetch request is inserted into the queue, and if the queue is full,
-/// the oldest request is cancelled."
+/// A lowest-priority prefetch queue (§5.4): "L2 prefetch requests have
+/// the lowest priority for accessing the L3 cache. Prefetch requests
+/// wait in an 8-entry prefetch queue until they can access the L3 cache.
+/// When a prefetch request is inserted into the queue, and if the queue
+/// is full, the oldest request is cancelled."
+///
+/// Every prefetch site that queues requests uses this type: each private
+/// L2, and the shared L3, whose entries carry the core whose access
+/// triggered them (DRAM fairness is accounted per core).
 ///
 /// The CAM search runs once per prefetch candidate (a hot-path
 /// redundancy check), so membership is tracked in a [`LineIndex`]
@@ -17,7 +21,7 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct PrefetchQueue {
     cap: usize,
-    entries: VecDeque<LineAddr>,
+    entries: VecDeque<(LineAddr, CoreId)>,
     index: LineIndex,
     /// Number of requests cancelled by overflow (statistics).
     pub cancelled: u64,
@@ -49,27 +53,28 @@ impl PrefetchQueue {
         self.entries.is_empty()
     }
 
-    /// Pushes a prefetch request; if the queue is full the *oldest*
-    /// request is cancelled. Duplicate requests are dropped (the queue is
-    /// "associatively searched" before insertion, §6.3 fn. 13).
-    pub fn push(&mut self, line: LineAddr) {
+    /// Pushes a prefetch request for `line` on behalf of `core`; if the
+    /// queue is full the *oldest* request is cancelled. Duplicate
+    /// requests are dropped (the queue is "associatively searched" before
+    /// insertion, §6.3 fn. 13).
+    pub fn push(&mut self, line: LineAddr, core: CoreId) {
         if self.contains(line) {
             return;
         }
         if self.entries.len() >= self.cap {
-            let oldest = self.entries.pop_front().expect("full ⇒ nonempty"); // bosim-lint: allow(P002, full queue is non-empty)
+            let (oldest, _) = self.entries.pop_front().expect("full ⇒ nonempty"); // bosim-lint: allow(P002, full queue is non-empty)
             self.index.remove(oldest);
             self.cancelled += 1;
         }
-        self.entries.push_back(line);
+        self.entries.push_back((line, core));
         self.index.insert(line, 0);
     }
 
-    /// Pops the oldest pending prefetch request.
-    pub fn pop(&mut self) -> Option<LineAddr> {
-        let line = self.entries.pop_front()?;
+    /// Pops the oldest pending prefetch request with its core.
+    pub fn pop(&mut self) -> Option<(LineAddr, CoreId)> {
+        let (line, core) = self.entries.pop_front()?;
         self.index.remove(line);
-        Some(line)
+        Some((line, core))
     }
 
     /// CAM search.
@@ -85,7 +90,7 @@ impl PrefetchQueue {
         let pos = self
             .entries
             .iter()
-            .position(|&l| l == line)
+            .position(|&(l, _)| l == line)
             .expect("indexed line is queued"); // bosim-lint: allow(P002, the index maps only queued lines)
         self.entries.remove(pos);
         true
@@ -190,26 +195,31 @@ mod tests {
     fn prefetch_queue_drops_oldest_on_overflow() {
         let mut q = PrefetchQueue::new(3);
         for i in 0..3 {
-            q.push(LineAddr(i));
+            q.push(LineAddr(i), CoreId(i as u8));
         }
-        q.push(LineAddr(99));
+        q.push(LineAddr(99), CoreId(7));
         assert_eq!(q.cancelled, 1);
-        assert_eq!(q.pop(), Some(LineAddr(1)), "oldest (0) was cancelled");
+        assert_eq!(
+            q.pop(),
+            Some((LineAddr(1), CoreId(1))),
+            "oldest (0) was cancelled"
+        );
         assert!(q.contains(LineAddr(99)));
     }
 
     #[test]
     fn prefetch_queue_dedups() {
         let mut q = PrefetchQueue::new(4);
-        q.push(LineAddr(5));
-        q.push(LineAddr(5));
+        q.push(LineAddr(5), CoreId(0));
+        q.push(LineAddr(5), CoreId(1));
         assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((LineAddr(5), CoreId(0))), "first push wins");
     }
 
     #[test]
     fn prefetch_queue_remove() {
         let mut q = PrefetchQueue::new(4);
-        q.push(LineAddr(5));
+        q.push(LineAddr(5), CoreId(0));
         assert!(q.remove(LineAddr(5)));
         assert!(!q.remove(LineAddr(5)));
         assert!(q.is_empty());

@@ -10,7 +10,7 @@
 //! and backward-shift deletes on nearly every step.
 
 use bosim_cache::{FillEntry, FillQueue, PrefetchQueue};
-use bosim_types::{LineAddr, ReqClass, SplitMix64};
+use bosim_types::{CoreId, LineAddr, ReqClass, SplitMix64};
 use std::collections::VecDeque;
 
 /// Capacities under test: every small size, plus the paper's L2 (16)
@@ -135,23 +135,27 @@ fn fill_queue_matches_a_linear_model() {
     }
 }
 
-/// The prefetch queue's reference model.
+/// The prefetch queue's reference model: (line, core) in FIFO order.
 struct PrefetchModel {
     cap: usize,
-    entries: VecDeque<u64>,
+    entries: VecDeque<(u64, u8)>,
     cancelled: u64,
 }
 
 impl PrefetchModel {
-    fn push(&mut self, line: u64) {
-        if self.entries.contains(&line) {
+    fn pos(&self, line: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.0 == line)
+    }
+
+    fn push(&mut self, line: u64, core: u8) {
+        if self.pos(line).is_some() {
             return;
         }
         if self.entries.len() >= self.cap {
             self.entries.pop_front();
             self.cancelled += 1;
         }
-        self.entries.push_back(line);
+        self.entries.push_back((line, core));
     }
 }
 
@@ -168,21 +172,22 @@ fn prefetch_queue_matches_a_linear_model() {
         };
         for step in 0..OPS {
             let line = rng.next_u64() % lines;
+            let core = (rng.next_u64() % 4) as u8;
             let op = rng.next_u64() % 4;
-            let ctx = format!("cap {cap} step {step} op {op} line {line}");
+            let ctx = format!("cap {cap} step {step} op {op} line {line} core {core}");
             match op {
                 // Pushes are weighted double so the queue spends most of
                 // its time full and overflow-cancelling.
                 0 | 1 => {
-                    q.push(LineAddr(line));
-                    m.push(line);
+                    q.push(LineAddr(line), CoreId(core));
+                    m.push(line, core);
                 }
                 2 => {
-                    let expect = m.entries.pop_front().map(LineAddr);
+                    let expect = m.entries.pop_front().map(|(l, c)| (LineAddr(l), CoreId(c)));
                     assert_eq!(q.pop(), expect, "{ctx}");
                 }
                 _ => {
-                    let expect = match m.entries.iter().position(|&l| l == line) {
+                    let expect = match m.pos(line) {
                         Some(p) => m.entries.remove(p).is_some(),
                         None => false,
                     };
@@ -195,13 +200,18 @@ fn prefetch_queue_matches_a_linear_model() {
             for l in 0..lines {
                 assert_eq!(
                     q.contains(LineAddr(l)),
-                    m.entries.contains(&l),
+                    m.pos(l).is_some(),
                     "{ctx}: contains({l})"
                 );
             }
         }
         // The queue exposes its FIFO order only through `pop`: drain it.
-        let drained: Vec<u64> = std::iter::from_fn(|| q.pop().map(|l| l.0)).collect();
-        assert_eq!(drained, Vec::from(m.entries), "cap {cap}: final FIFO order");
+        let drained: Vec<(u64, u8)> =
+            std::iter::from_fn(|| q.pop().map(|(l, c)| (l.0, c.0))).collect();
+        assert_eq!(
+            drained,
+            Vec::from(m.entries),
+            "cap {cap}: final FIFO order and cores"
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::args::{ParsedArgs, UsageError};
 use crate::corpus::{self, Corpus};
-use bosim::{SimConfig, SimConfigBuilder, System};
+use bosim::{SimConfig, System};
 use bosim_bench::{Experiment, Report};
 use bosim_obs::{perfetto, ObsConfig, ObsReport};
 use bosim_stats::{Align, Json, Table};
@@ -71,15 +71,13 @@ RUN OPTIONS:
   --report NAME         report id / JSON file stem (default: run_<name>)
   --out DIR             report directory (default BOSIM_REPORT_DIR or target/reports)
   --threads N           worker threads
-  --reps N              run the grid N times and fail unless every repetition
-                        is bit-identical (determinism harness; default 1)
   --events              also record an event trace: writes <report>.trace.json
                         (Perfetto) and <report>.epochs.jsonl next to the report
   --profile             also profile the host: writes <report>.profile.json
 
 SWEEP OPTIONS:
   --corpus FILE         the corpus manifest (see docs/TRACES.md)
-  --out DIR, --threads N, --reps N  as above
+  --out DIR, --threads N  as above
 
 SERVE OPTIONS:
   --corpus FILE         the corpus manifest (see docs/TRACES.md)
@@ -164,8 +162,8 @@ fn external_spec(
 }
 
 /// Applies a `+`-separated stack of site-qualified registry names to a
-/// builder (`l1:stride+l2:bo+l3:next-line`; a bare name means L2).
-fn apply_stack(mut builder: SimConfigBuilder, stack: &str) -> Result<SimConfigBuilder, CliError> {
+/// configuration (`l1:stride+l2:bo+l3:next-line`; a bare name means L2).
+fn apply_stack(mut cfg: SimConfig, stack: &str) -> Result<SimConfig, CliError> {
     for part in stack.split('+') {
         let part = part.trim();
         if part.is_empty() {
@@ -173,11 +171,11 @@ fn apply_stack(mut builder: SimConfigBuilder, stack: &str) -> Result<SimConfigBu
                 "empty component in stack {stack:?}"
             )));
         }
-        builder = builder
-            .site(part)
+        cfg = cfg
+            .with_site(part)
             .map_err(|e| CliError::Usage(format!("stack {stack:?}: {e}")))?;
     }
-    Ok(builder)
+    Ok(cfg)
 }
 
 fn parse_page(p: &str) -> Result<PageSize, CliError> {
@@ -217,27 +215,21 @@ struct MachineParams {
 
 impl MachineParams {
     fn configure(&self, stack: Option<&str>) -> Result<SimConfig, CliError> {
-        let mut b = SimConfig::builder();
-        if let Some(c) = self.cores {
-            b = b.cores(c as usize);
-        }
-        if let Some(p) = self.page {
-            b = b.page(p);
-        }
-        if let Some(n) = self.instructions {
-            b = b.instructions(n);
-        }
-        if let Some(n) = self.warmup {
-            b = b.warmup(n);
-        }
-        if let Some(s) = self.sample {
-            b = b.sample(s);
-        }
+        let d = SimConfig::default();
+        let mut cfg = SimConfig {
+            active_cores: self.cores.map_or(d.active_cores, |c| c as usize),
+            page: self.page.unwrap_or(d.page),
+            measure_instructions: self.instructions.unwrap_or(d.measure_instructions),
+            warmup_instructions: self.warmup.unwrap_or(d.warmup_instructions),
+            sample: self.sample,
+            ..d
+        };
         if let Some(stack) = stack {
-            b = apply_stack(b, stack)?;
+            cfg = apply_stack(cfg, stack)?;
         }
-        b.build()
-            .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))
+        cfg.validate()
+            .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
+        Ok(cfg)
     }
 }
 
@@ -305,7 +297,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             "report",
             "out",
             "threads",
-            "reps",
         ],
         &["events", "profile"],
     )?;
@@ -360,9 +351,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     };
     if let Some(t) = p.get_u64("threads")? {
         e = e.threads(t as usize);
-    }
-    if let Some(r) = p.get_u64("reps")? {
-        e = e.reps(r as usize);
     }
     emit(e, p.get("out"))?;
 
@@ -507,16 +495,13 @@ fn cmd_check_trace(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
-    let p = ParsedArgs::parse(args, &["corpus", "out", "threads", "reps"])?;
+    let p = ParsedArgs::parse(args, &["corpus", "out", "threads"])?;
     no_positionals(&p, "sweep")?;
     let manifest = p.require("corpus")?;
     let corpus = corpus::load(Path::new(manifest)).map_err(|e| CliError::Failed(e.to_string()))?;
     let mut e = sweep_experiment(&corpus)?;
     if let Some(t) = p.get_u64("threads")? {
         e = e.threads(t as usize);
-    }
-    if let Some(r) = p.get_u64("reps")? {
-        e = e.reps(r as usize);
     }
     emit(e, p.get("out"))
 }
@@ -784,15 +769,13 @@ mod tests {
 
     #[test]
     fn stack_components_resolve_through_the_registry() {
-        let cfg = apply_stack(SimConfig::builder(), "l1:stride+l2:bo+l3:next-line")
-            .unwrap()
-            .build()
-            .unwrap();
+        let cfg = apply_stack(SimConfig::default(), "l1:stride+l2:bo+l3:next-line").unwrap();
+        assert!(cfg.validate().is_ok());
         assert_eq!(cfg.label(), "4KB/1-core/l1:stride+l2:BO+l3:next-line");
         // Bad components carry the registry's diagnosis.
-        let err = apply_stack(SimConfig::builder(), "l3:stride").unwrap_err();
+        let err = apply_stack(SimConfig::default(), "l3:stride").unwrap_err();
         assert!(err.to_string().contains("does not attach"), "{err}");
-        assert!(apply_stack(SimConfig::builder(), "l2:bo++l3:bo").is_err());
+        assert!(apply_stack(SimConfig::default(), "l2:bo++l3:bo").is_err());
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl std::error::Error for BoConfigError {}
 impl BoConfig {
     /// Validates the parameters against the constraints the hardware
     /// model assumes. [`BestOffsetPrefetcher::try_new`] runs this; the
-    /// simulator's configuration builder surfaces the error instead of
+    /// simulator's configuration validation surfaces the error instead of
     /// aborting a sweep mid-grid.
     ///
     /// # Errors
@@ -210,7 +210,7 @@ impl BestOffsetPrefetcher {
     ///
     /// Panics when the configuration fails [`BoConfig::validate`]. Sweeps
     /// should validate specs up front (the simulator's configuration
-    /// builder does) and use [`try_new`](Self::try_new) to surface the
+    /// validation does) and use [`try_new`](Self::try_new) to surface the
     /// error instead.
     pub fn new(cfg: BoConfig, page: PageSize) -> Self {
         match Self::try_new(cfg, page) {

@@ -25,59 +25,34 @@ use bosim_types::{CoreId, Cycle, LineAddr, PageSize, ReqClass, VirtAddr};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Core configuration (Table 1 defaults via [`Default`]).
-#[derive(Debug, Clone)]
-pub struct CoreConfig {
-    /// Reorder buffer capacity (256).
-    pub rob_size: usize,
-    /// Decode/dispatch width (8).
-    pub dispatch_width: usize,
-    /// Retire width (12).
-    pub retire_width: usize,
-    /// Loads issued per cycle (2 load ports).
-    pub load_ports: usize,
-    /// Integer ALU ports (Table 1: 4 INT execution ports).
-    pub int_ports: usize,
-    /// FP ports (Table 1: 2 FP execution ports).
-    pub fp_ports: usize,
-    /// Store buffer entries (42).
-    pub store_buffer: usize,
-    /// DL1 MSHR block requests (32).
-    pub mshrs: usize,
-    /// Minimum misprediction penalty, cycles (12).
-    pub mispredict_penalty: u64,
-    /// DL1 hit latency, cycles (3).
-    pub dl1_latency: u64,
-    /// DL1 size in bytes (32KB) and ways (8).
-    pub dl1_size: u64,
-    /// DL1 associativity.
-    pub dl1_ways: usize,
-    /// IL1 size in bytes (32KB) and ways (8).
-    pub il1_size: u64,
-    /// IL1 associativity.
-    pub il1_ways: usize,
-}
-
-impl Default for CoreConfig {
-    fn default() -> Self {
-        CoreConfig {
-            rob_size: 256,
-            dispatch_width: 8,
-            retire_width: 12,
-            load_ports: 2,
-            int_ports: 4,
-            fp_ports: 2,
-            store_buffer: 42,
-            mshrs: 32,
-            mispredict_penalty: 12,
-            dl1_latency: 3,
-            dl1_size: 32 << 10,
-            dl1_ways: 8,
-            il1_size: 32 << 10,
-            il1_ways: 8,
-        }
-    }
-}
+/// Reorder buffer capacity, µops (Table 1: 256).
+pub const ROB_SIZE: usize = 256;
+/// Decode/dispatch width, instructions per cycle (Table 1: 8).
+pub const DISPATCH_WIDTH: usize = 8;
+/// Retire width, µops per cycle (Table 1: 12).
+pub const RETIRE_WIDTH: usize = 12;
+/// Loads issued per cycle (Table 1: 2 load ports).
+pub const LOAD_PORTS: usize = 2;
+/// Integer execution ports (Table 1: 4).
+pub const INT_PORTS: usize = 4;
+/// FP execution ports (Table 1: 2).
+pub const FP_PORTS: usize = 2;
+/// Store buffer entries (Table 1: 42).
+pub const STORE_BUFFER: usize = 42;
+/// DL1 MSHR block requests (Table 1: 32).
+pub const MSHRS: usize = 32;
+/// Minimum branch misprediction penalty, cycles (Table 1: 12).
+pub const MISPREDICT_PENALTY: u64 = 12;
+/// DL1 hit latency, cycles (Table 1: 3).
+pub const DL1_LATENCY: u64 = 3;
+/// DL1 capacity in bytes (Table 1: 32KB).
+pub const DL1_SIZE: u64 = 32 << 10;
+/// DL1 associativity (Table 1: 8 ways).
+pub const DL1_WAYS: usize = 8;
+/// IL1 capacity in bytes (Table 1: 32KB).
+pub const IL1_SIZE: u64 = 32 << 10;
+/// IL1 associativity (Table 1: 8 ways).
+pub const IL1_WAYS: usize = 8;
 
 /// A request the core sends to the uncore (its private L2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,7 +154,6 @@ const DECODE_BATCH: usize = 64;
 #[derive(Debug)]
 pub struct Core {
     id: CoreId,
-    cfg: CoreConfig,
     trace: Box<dyn TraceSource>,
     translator: PageTranslator,
     /// TLB hierarchy (public for experiment configuration).
@@ -232,7 +206,6 @@ impl Core {
     /// prefetcher is plugged in.
     pub fn new(
         id: CoreId,
-        cfg: CoreConfig,
         trace: Box<dyn TraceSource>,
         page: PageSize,
         seed: u64,
@@ -245,11 +218,11 @@ impl Core {
             tlbs: TlbHierarchy::with_defaults(),
             tage: Tage::with_defaults(),
             ittage: Ittage::with_defaults(),
-            il1: CacheArray::new(cfg.il1_size, cfg.il1_ways, PolicyKind::Lru, 1, seed ^ 1),
-            dl1: CacheArray::new(cfg.dl1_size, cfg.dl1_ways, PolicyKind::Lru, 1, seed ^ 2),
-            mshr: MshrFile::new(cfg.mshrs),
+            il1: CacheArray::new(IL1_SIZE, IL1_WAYS, PolicyKind::Lru, 1, seed ^ 1),
+            dl1: CacheArray::new(DL1_SIZE, DL1_WAYS, PolicyKind::Lru, 1, seed ^ 2),
+            mshr: MshrFile::new(MSHRS),
             l1_prefetcher,
-            rob: VecDeque::with_capacity(cfg.rob_size),
+            rob: VecDeque::with_capacity(ROB_SIZE),
             head_seq: 0,
             next_seq: 0,
             regs: [RegState::Known(0); NUM_REGS],
@@ -267,7 +240,6 @@ impl Core {
             int_port_ring: vec![(u64::MAX, 0); PORT_RING],
             fp_port_ring: vec![(u64::MAX, 0); PORT_RING],
             stats: CoreStats::default(),
-            cfg,
             obs: None,
         }
     }
@@ -345,7 +317,7 @@ impl Core {
             if self.ports[slot].0 != t {
                 self.ports[slot] = (t, 0);
             }
-            if (self.ports[slot].1 as usize) < self.cfg.load_ports {
+            if (self.ports[slot].1 as usize) < LOAD_PORTS {
                 self.ports[slot].1 += 1;
                 return t;
             }
@@ -356,8 +328,8 @@ impl Core {
     /// Reserves an execution port (INT or FP) at or after `t`.
     fn reserve_exec_port(&mut self, kind: UopKind, mut t: Cycle) -> Cycle {
         let (ring, cap) = match kind {
-            UopKind::Fp | UopKind::FpDiv => (&mut self.fp_port_ring, self.cfg.fp_ports),
-            _ => (&mut self.int_port_ring, self.cfg.int_ports),
+            UopKind::Fp | UopKind::FpDiv => (&mut self.fp_port_ring, FP_PORTS),
+            _ => (&mut self.int_port_ring, INT_PORTS),
         };
         loop {
             let slot = (t as usize) % PORT_RING;
@@ -391,7 +363,7 @@ impl Core {
         if mispredicted {
             // Redirect at execution + pipeline-refill minimum (Table 1):
             // replaces the stall sentinel set at dispatch.
-            self.fetch_stalled_until = done + self.cfg.mispredict_penalty;
+            self.fetch_stalled_until = done + MISPREDICT_PENALTY;
         }
         for w in waiters {
             let sched = {
@@ -458,7 +430,7 @@ impl Core {
         match self.dl1.access(line, false) {
             Some(hit) => {
                 self.stats.dl1_hits += 1;
-                let done = now + self.cfg.dl1_latency;
+                let done = now + DL1_LATENCY;
                 self.complete(seq, done, out);
                 if hit.was_prefetch {
                     // Prefetched hit: the L1 prefetcher triggers.
@@ -642,7 +614,7 @@ impl Core {
     /// Retires up to `retire_width` completed µops in program order,
     /// training the L1 prefetcher and committing stores.
     fn retire(&mut self, now: Cycle) {
-        for _ in 0..self.cfg.retire_width {
+        for _ in 0..RETIRE_WIDTH {
             let Some(head) = self.rob.front() else {
                 return;
             };
@@ -650,7 +622,7 @@ impl Core {
                 Some(t) if t <= now => {}
                 _ => return,
             }
-            if head.kind == UopKind::Store && self.store_buffer.len() >= self.cfg.store_buffer {
+            if head.kind == UopKind::Store && self.store_buffer.len() >= STORE_BUFFER {
                 return; // store buffer full: stall retirement
             }
             let e = self.rob.pop_front().expect("head exists"); // bosim-lint: allow(P002, guarded by the head inspection above)
@@ -697,8 +669,8 @@ impl Core {
         }
         let mut line_switches = 0;
         let mut taken_branches = 0;
-        for _ in 0..self.cfg.dispatch_width {
-            if self.rob.len() >= self.cfg.rob_size {
+        for _ in 0..DISPATCH_WIDTH {
+            if self.rob.len() >= ROB_SIZE {
                 return;
             }
             let uop = match self.pending_uop.take() {
@@ -864,7 +836,7 @@ impl Core {
                 if self.fetch_stalled_until != Cycle::MAX {
                     t = t.min(self.fetch_stalled_until);
                 }
-            } else if self.rob.len() < self.cfg.rob_size {
+            } else if self.rob.len() < ROB_SIZE {
                 return from; // dispatch will make progress
             }
         }
@@ -882,7 +854,7 @@ impl Core {
         format!(
             "rob={}/{} head_seq={} head={:?} mshr={} sb={} fetch_stall={} ifetch={:?} events=[{}]",
             self.rob.len(),
-            self.cfg.rob_size,
+            ROB_SIZE,
             self.head_seq,
             head.map(|e| (e.kind, e.done_at, e.unresolved, e.ready_hint, e.vaddr)),
             self.mshr.len(),
@@ -992,14 +964,7 @@ mod tests {
 
     fn core_with(uops: Vec<MicroOp>) -> Core {
         let trace = ReplaySource::new("test", uops);
-        Core::new(
-            CoreId(0),
-            CoreConfig::default(),
-            Box::new(trace),
-            PageSize::M4,
-            42,
-            stride_l1(),
-        )
+        Core::new(CoreId(0), Box::new(trace), PageSize::M4, 42, stride_l1())
     }
 
     #[test]
@@ -1089,7 +1054,6 @@ mod tests {
             };
             let mut core = Core::new(
                 CoreId(0),
-                CoreConfig::default(),
                 Box::new(spec.build()),
                 PageSize::M4,
                 42,
@@ -1117,7 +1081,6 @@ mod tests {
         let spec = suite::thrasher();
         let mut core = Core::new(
             CoreId(0),
-            CoreConfig::default(),
             Box::new(spec.build()),
             PageSize::M4,
             7,
@@ -1156,7 +1119,6 @@ mod tests {
         let spec = suite::benchmark("462").expect("exists");
         let mut core = Core::new(
             CoreId(0),
-            CoreConfig::default(),
             Box::new(spec.build()),
             PageSize::M4,
             11,
@@ -1176,7 +1138,6 @@ mod tests {
         for spec in suite::suite().into_iter().take(6) {
             let mut core = Core::new(
                 CoreId(0),
-                CoreConfig::default(),
                 Box::new(spec.build()),
                 PageSize::K4,
                 3,

@@ -2,9 +2,11 @@
 //! predictors and TLBs.
 //!
 //! * [`Core`] — trace-driven cycle-approximate out-of-order core with the
-//!   Table 1 parameters (256-entry ROB, 8-wide decode, 12-wide retire,
-//!   2 load ports, 32 DL1 MSHRs, 12-cycle minimum redirect penalty),
-//!   private 32KB IL1/DL1 and the DL1 stride prefetcher (§5.5),
+//!   Table 1 parameters as constants ([`ROB_SIZE`]-entry ROB,
+//!   [`DISPATCH_WIDTH`]-wide decode, [`RETIRE_WIDTH`]-wide retire,
+//!   [`LOAD_PORTS`] load ports, [`MSHRS`] DL1 MSHRs, [`MISPREDICT_PENALTY`]-cycle
+//!   minimum redirect penalty), private 32KB IL1/DL1 and the pluggable
+//!   L1D prefetch site (§5.5),
 //! * [`Tage`] / [`Ittage`] — the branch predictors of Table 1,
 //! * [`TlbHierarchy`] / [`PageTranslator`] — two-level TLBs and the
 //!   randomising virtual-to-physical hash of §5.1.
@@ -19,6 +21,10 @@ mod core;
 mod tage;
 mod tlb;
 
-pub use crate::core::{Core, CoreConfig, CoreObsEvent, CoreStats, UncoreRequest};
+pub use crate::core::{
+    Core, CoreObsEvent, CoreStats, UncoreRequest, DISPATCH_WIDTH, DL1_LATENCY, DL1_SIZE, DL1_WAYS,
+    FP_PORTS, IL1_SIZE, IL1_WAYS, INT_PORTS, LOAD_PORTS, MISPREDICT_PENALTY, MSHRS, RETIRE_WIDTH,
+    ROB_SIZE, STORE_BUFFER,
+};
 pub use tage::{Ittage, Tage, TageConfig};
 pub use tlb::{PageTranslator, Tlb, TlbHierarchy, PHYS_BITS};

@@ -88,7 +88,6 @@ struct ReadReq {
     id: u64,
     line: LineAddr,
     loc: DramLoc,
-    arrival: Cycle,
 }
 
 #[derive(Debug, Clone)]
@@ -486,7 +485,7 @@ impl MemorySystem {
     }
 
     /// Enqueues a read; returns false when the queue is full.
-    pub fn enqueue_read(&mut self, line: LineAddr, core: CoreId, id: u64, now: Cycle) -> bool {
+    pub fn enqueue_read(&mut self, line: LineAddr, core: CoreId, id: u64, _now: Cycle) -> bool {
         let ch = self.channel_of(line);
         let q = &mut self.channels[ch].read_q[core.index()];
         if q.len() >= self.cfg.read_queue_cap {
@@ -496,7 +495,6 @@ impl MemorySystem {
             id,
             line,
             loc: map_line(line),
-            arrival: now,
         });
         self.version = self.version.wrapping_add(1);
         true
@@ -594,26 +592,6 @@ impl MemorySystem {
             }
         }
         next
-    }
-
-    /// Total queued reads and writes across all channels — the work
-    /// [`next_event`](Self::next_event) has to walk. Callers use this to
-    /// decide whether computing the bound is worth it.
-    pub fn queue_depth(&self) -> usize {
-        self.channels
-            .iter()
-            .map(|ch| ch.pending_reads() + ch.pending_writes())
-            .sum()
-    }
-
-    /// Oldest pending read arrival (diagnostics; `None` when idle).
-    pub fn oldest_pending_read(&self) -> Option<Cycle> {
-        self.channels
-            .iter()
-            .flat_map(|ch| ch.read_q.iter())
-            .flat_map(|q| q.iter())
-            .map(|r| r.arrival)
-            .min()
     }
 
     /// The configuration in use.

@@ -148,6 +148,8 @@ pub struct FileAnalysis {
     /// String literals appearing in non-test code (JSON keys live
     /// here); consumed by the S-rule cross-check.
     pub strings: Vec<String>,
+    /// The rule of each well-formed allow-pragma in this file.
+    pub allows: Vec<Rule>,
 }
 
 /// Lints one file's source text.
@@ -177,6 +179,9 @@ pub fn analyze(file: &SourceFile, src: &str) -> FileAnalysis {
                                 ),
                             }),
                         }
+                    }
+                    if let Pragma::Allow(rule) = p {
+                        out.allows.push(rule);
                     }
                     pragmas.push((t.line, p));
                 }

@@ -68,6 +68,7 @@ pub fn lint_sources(sources: &[(String, String)], docs: &str) -> LintReport {
     let mut violations = Vec::new();
     let mut schemas = Vec::new();
     let mut strings: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut pragmas: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut files_scanned = 0usize;
     for (path, contents) in sources {
         let Some(file) = SourceFile::classify(path) else {
@@ -77,6 +78,9 @@ pub fn lint_sources(sources: &[(String, String)], docs: &str) -> LintReport {
         let mut analysis = engine::analyze(&file, contents);
         violations.append(&mut analysis.violations);
         schemas.append(&mut analysis.schemas);
+        for rule in analysis.allows {
+            *pragmas.entry(rule.id()).or_insert(0) += 1;
+        }
         strings
             .entry(file.krate)
             .or_default()
@@ -88,6 +92,7 @@ pub fn lint_sources(sources: &[(String, String)], docs: &str) -> LintReport {
         violations,
         files_scanned,
         schemas_checked: schemas.len(),
+        pragmas,
     }
 }
 
@@ -117,6 +122,34 @@ mod tests {
         assert_eq!(report.schemas_checked, 1);
         let rules: Vec<Rule> = report.violations.iter().map(|v| v.rule).collect();
         assert_eq!(rules, [Rule::P001]);
+    }
+
+    #[test]
+    fn allow_pragmas_are_counted_per_rule() {
+        let sources = vec![
+            src(
+                "crates/cache/src/a.rs",
+                "// bosim-lint: allow(P002, checked above)\n\
+                 // bosim-lint: allow(D004, independent workers)\n\
+                 pub fn f() {}",
+            ),
+            src(
+                "crates/dram/src/b.rs",
+                "pub fn g() {} // bosim-lint: allow(P002, checked above)\n\
+                 // bosim-lint: allow(P003)\n\
+                 // bosim-lint: schema(x)\npub struct S { pub a: u8 }",
+            ),
+            // Fixtures are not scanned, so their pragmas do not count.
+            src(
+                "crates/lint/fixtures/f.rs",
+                "// bosim-lint: allow(P001, fixture)\npub fn h() {}",
+            ),
+        ];
+        let report = lint_sources(&sources, "| `a` |");
+        // The reason-less P003 pragma is an L001 violation and the schema
+        // pragma allows nothing: neither counts.
+        let counts: Vec<(&str, u64)> = report.pragmas.into_iter().collect();
+        assert_eq!(counts, [("D004", 1), ("P002", 2)]);
     }
 
     #[test]

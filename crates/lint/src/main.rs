@@ -105,6 +105,7 @@ fn main() -> ExitCode {
             if counts.is_empty() { "" } else { ": " },
             counts.join(" ")
         );
+        println!("bosim-lint: {}", report.pragma_footer());
     }
     if report.is_clean() {
         ExitCode::SUCCESS

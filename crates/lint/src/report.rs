@@ -13,6 +13,9 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// Schema-marked structs checked.
     pub schemas_checked: usize,
+    /// Well-formed allow-pragmas per rule id, only for rules that have
+    /// one.
+    pub pragmas: BTreeMap<&'static str, u64>,
 }
 
 impl LintReport {
@@ -28,6 +31,18 @@ impl LintReport {
             *counts.entry(v.rule.id()).or_insert(0) += 1;
         }
         counts
+    }
+
+    /// The footer line under the human output: allow-pragma counts per
+    /// rule and their total, e.g. `allow-pragmas: P002×3 P003×1 (4)`.
+    pub fn pragma_footer(&self) -> String {
+        let counts: Vec<String> = self
+            .pragmas
+            .iter()
+            .map(|(id, n)| format!("{id}×{n}"))
+            .collect();
+        let total: u64 = self.pragmas.values().sum();
+        format!("allow-pragmas: {} ({total})", counts.join(" "))
     }
 
     /// The aligned human-readable violation table.
@@ -55,6 +70,10 @@ impl LintReport {
             (
                 "counts",
                 Json::obj(self.counts().into_iter().map(|(id, n)| (id, Json::from(n)))),
+            ),
+            (
+                "pragmas",
+                Json::obj(self.pragmas.iter().map(|(id, n)| (*id, Json::from(*n)))),
             ),
             (
                 "violations",
@@ -101,6 +120,7 @@ mod tests {
             }],
             files_scanned: 3,
             schemas_checked: 1,
+            pragmas: BTreeMap::from([("P002", 5), ("P003", 2)]),
         }
     }
 
@@ -112,6 +132,12 @@ mod tests {
         assert!(j.contains("\"P001\":1"));
         assert!(j.contains("\"file\":\"crates/x/src/a.rs\""));
         assert!(j.contains("\"line\":7"));
+        assert!(j.contains("\"pragmas\":{\"P002\":5,\"P003\":2}"), "{j}");
+    }
+
+    #[test]
+    fn footer_counts_pragmas_per_rule() {
+        assert_eq!(report().pragma_footer(), "allow-pragmas: P002×5 P003×2 (7)");
     }
 
     #[test]

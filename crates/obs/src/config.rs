@@ -29,12 +29,9 @@ pub struct ObsConfig {
     /// swallowed — streaming is best-effort and never fails a run).
     pub epoch_stream: Option<PathBuf>,
     /// Attribute host wall-clock time to simulator phases with the
-    /// [`crate::HostProfiler`].
+    /// [`crate::HostProfiler`], sampled at
+    /// [`PROFILE_SAMPLE_SHIFT`](crate::PROFILE_SAMPLE_SHIFT).
     pub profile: bool,
-    /// Profile sampling: fully time every `2^profile_sample_shift`-th
-    /// call of the hot phases and scale up at report time. 0 times
-    /// every call.
-    pub profile_sample_shift: u32,
 }
 
 impl Default for ObsConfig {
@@ -45,7 +42,6 @@ impl Default for ObsConfig {
             epochs: false,
             epoch_stream: None,
             profile: false,
-            profile_sample_shift: 6,
         }
     }
 }

@@ -42,5 +42,7 @@ pub use config::ObsConfig;
 pub use epoch::{EpochRow, EpochStream};
 pub use event::{Event, EventKind, ObsSite};
 pub use log::Recorder;
-pub use profile::{HostProfile, HostProfiler, Phase, PhaseCost, PhaseTimer, ProfileSlot};
+pub use profile::{
+    HostProfile, HostProfiler, Phase, PhaseCost, PhaseTimer, ProfileSlot, PROFILE_SAMPLE_SHIFT,
+};
 pub use report::ObsReport;

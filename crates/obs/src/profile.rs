@@ -120,6 +120,10 @@ pub struct PhaseTimer {
     started: Option<Instant>,
 }
 
+/// The sampling shift the simulator profiles with: the hot phases fully
+/// time every 64th call and scale up at report time.
+pub const PROFILE_SAMPLE_SHIFT: u32 = 6;
+
 /// Scoped wall-clock attribution with deterministic sampling.
 ///
 /// Disabled, `start` is a branch returning an inert token and `stop`

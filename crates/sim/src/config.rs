@@ -1,19 +1,18 @@
 //! Simulation configurations (Table 1 and §5 variants).
 //!
-//! [`SimConfig`] describes one full machine. Construct it either from the
-//! paper's defaults ([`SimConfig::default`], [`SimConfig::baseline`]) or
-//! through the validating [`SimConfig::builder`]:
+//! The Table 1 machine is fixed: its cache geometries, latencies and
+//! prefetch-queue depth are the constants below (the core's live in
+//! [`bosim_cpu`]). [`SimConfig`] carries only what the paper's
+//! evaluation, the CLI, the benchmark or a test varies. Build one as a
+//! struct literal over [`SimConfig::default`] or from
+//! [`SimConfig::baseline`], then [`validate`](SimConfig::validate) it:
 //!
 //! ```
 //! use bosim::{prefetchers, SimConfig};
 //! use bosim_types::PageSize;
 //!
-//! let cfg = SimConfig::builder()
-//!     .page(PageSize::M4)
-//!     .cores(2)
-//!     .prefetcher(prefetchers::bo_default())
-//!     .build()
-//!     .expect("valid configuration");
+//! let cfg = SimConfig::baseline(PageSize::M4, 2).with_prefetcher(prefetchers::bo_default());
+//! cfg.validate().expect("valid configuration");
 //! assert_eq!(cfg.label(), "4MB/2-core/BO");
 //! ```
 
@@ -21,7 +20,6 @@ use crate::spec::{prefetchers, PrefetcherHandle};
 use best_offset::PrefetchSite;
 use bosim_adapt::PolicyHandle;
 use bosim_cache::policy::PolicyKind;
-use bosim_cpu::CoreConfig;
 use bosim_obs::ObsConfig;
 use bosim_trace::SampleSpec;
 use bosim_types::PageSize;
@@ -33,14 +31,30 @@ use std::fmt;
 /// the [`CoreId`](bosim_types::CoreId) encoding (a `u8`).
 pub const MAX_CORES: usize = 256;
 
+/// Private L2 capacity in bytes (Table 1: 512KB).
+pub const L2_SIZE: u64 = 512 << 10;
+/// L2 associativity (Table 1: 8 ways).
+pub const L2_WAYS: usize = 8;
+/// L2 lookup latency, cycles (Table 1: 11).
+pub const L2_LATENCY: u64 = 11;
+/// Shared L3 capacity in bytes (Table 1: 8MB).
+pub const L3_SIZE: u64 = 8 << 20;
+/// L3 associativity (Table 1: 16 ways).
+pub const L3_WAYS: usize = 16;
+/// L3 lookup latency, cycles (Table 1: 21).
+pub const L3_LATENCY: u64 = 21;
+/// Prefetch-queue entries at the L2 site (§5.4: 8) and, with the same
+/// depth, at the L3 site.
+pub const PREFETCH_QUEUE: usize = 8;
+
 /// One full-system simulation configuration.
 ///
 /// `Default` is the paper's baseline (Table 1): 4KB pages, one active
 /// core, the stride prefetcher at the L1D site, L2 next-line
-/// prefetching, no L3 prefetcher, 5P L3 replacement. Field access is
-/// public for introspection; prefer [`SimConfig::builder`] for
-/// constructing variants, since it validates the parameters the
-/// hardware model assumes.
+/// prefetching, no L3 prefetcher, 5P L3 replacement. Variants are
+/// struct literals over the default (or [`SimConfig::baseline`]);
+/// [`validate`](Self::validate) checks the parameters the hardware
+/// model assumes.
 ///
 /// Each level of the hierarchy is an independent prefetch *site*
 /// (see [`PrefetchSite`]): `l1_prefetcher` (per-core, virtual-address,
@@ -64,25 +78,9 @@ pub struct SimConfig {
     pub l3_prefetcher: Option<PrefetcherHandle>,
     /// L3 replacement policy (baseline: 5P; Figure 3 uses LRU/DRRIP).
     pub l3_policy: PolicyKind,
-    /// Core parameters (Table 1).
-    pub core: CoreConfig,
-    /// L2 capacity in bytes (512KB) and associativity (8).
-    pub l2_size: u64,
-    /// L2 ways.
-    pub l2_ways: usize,
-    /// L2 lookup latency, cycles (11).
-    pub l2_latency: u64,
-    /// L2 fill queue entries (16).
+    /// L2 fill queue entries (Table 1: 16).
     pub l2_fill_queue: usize,
-    /// L2 prefetch queue entries (8).
-    pub prefetch_queue: usize,
-    /// L3 capacity in bytes (8MB) and associativity (16).
-    pub l3_size: u64,
-    /// L3 ways.
-    pub l3_ways: usize,
-    /// L3 lookup latency, cycles (21).
-    pub l3_latency: u64,
-    /// L3 fill queue entries (32).
+    /// L3 fill queue entries (Table 1: 32).
     pub l3_fill_queue: usize,
     /// Warm-up instructions on core 0 before measurement.
     pub warmup_instructions: u64,
@@ -133,15 +131,7 @@ impl Default for SimConfig {
             l2_prefetcher: prefetchers::next_line(),
             l3_prefetcher: None,
             l3_policy: PolicyKind::FiveP,
-            core: CoreConfig::default(),
-            l2_size: 512 << 10,
-            l2_ways: 8,
-            l2_latency: 11,
             l2_fill_queue: 16,
-            prefetch_queue: 8,
-            l3_size: 8 << 20,
-            l3_ways: 16,
-            l3_latency: 21,
             l3_fill_queue: 32,
             warmup_instructions: default_warmup(),
             measure_instructions: default_instructions(),
@@ -156,11 +146,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Starts a validating builder from the Table 1 defaults.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder::default()
-    }
-
     /// Baseline for a page size and core count (the paper's six
     /// baselines, §5).
     pub fn baseline(page: PageSize, active_cores: usize) -> Self {
@@ -186,6 +171,25 @@ impl SimConfig {
             PrefetchSite::L3 => self.l3_prefetcher = p,
         }
         self
+    }
+
+    /// Returns a copy with the prefetcher named by a site-qualified
+    /// registry name (`"l1:stride"`, `"l2:bo"`, `"l3:next-line"`; a bare
+    /// name means the L2 site) installed at that site.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::UnknownPrefetcher`] carrying the
+    /// registry's diagnosis (unknown name, unknown site, or a site/spec
+    /// mismatch such as `l3:stride`).
+    pub fn with_site(self, name: &str) -> Result<Self, ConfigError> {
+        match crate::registry::registry().resolve_site(name) {
+            Ok((site, handle)) => Ok(self.with_site_prefetcher(site, Some(handle))),
+            Err(e) => Err(ConfigError::UnknownPrefetcher {
+                name: name.to_string(),
+                reason: e.to_string(),
+            }),
+        }
     }
 
     /// The prefetcher occupying `site`, if any.
@@ -249,7 +253,8 @@ impl SimConfig {
     }
 
     /// Validates the configuration against the constraints the hardware
-    /// model assumes (also run by [`SimConfigBuilder::build`]).
+    /// model assumes (also run by [`System::new`](crate::System::new) and
+    /// by the experiment harness before any job starts).
     ///
     /// # Errors
     ///
@@ -263,23 +268,8 @@ impl SimConfig {
                 requested: self.active_cores,
             });
         }
-        for (cache, size, ways) in [
-            ("IL1", self.core.il1_size, self.core.il1_ways),
-            ("DL1", self.core.dl1_size, self.core.dl1_ways),
-            ("L2", self.l2_size, self.l2_ways),
-            ("L3", self.l3_size, self.l3_ways),
-        ] {
-            if ways == 0 {
-                return Err(ConfigError::ZeroWays { cache });
-            }
-            let sets = size / (64 * ways as u64);
-            if sets == 0 || !sets.is_power_of_two() {
-                return Err(ConfigError::BadSetCount { cache, sets });
-            }
-        }
         for (queue, len) in [
             ("L2 fill queue", self.l2_fill_queue),
-            ("L2 prefetch queue", self.prefetch_queue),
             ("L3 fill queue", self.l3_fill_queue),
         ] {
             if len == 0 {
@@ -365,7 +355,7 @@ impl SimConfig {
 }
 
 /// A constraint violated by a [`SimConfig`] (returned by
-/// [`SimConfigBuilder::build`] and [`SimConfig::validate`]).
+/// [`SimConfig::validate`] and [`SimConfig::with_site`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -375,18 +365,6 @@ pub enum ConfigError {
     TooManyCores {
         /// The requested core count.
         requested: usize,
-    },
-    /// A cache was configured with zero ways.
-    ZeroWays {
-        /// Which cache ("IL1", "DL1", "L2" or "L3").
-        cache: &'static str,
-    },
-    /// A cache's derived set count was zero or not a power of two.
-    BadSetCount {
-        /// Which cache ("IL1", "DL1", "L2" or "L3").
-        cache: &'static str,
-        /// The derived set count (`size / (64 * ways)`).
-        sets: u64,
     },
     /// A queue was configured with zero entries.
     EmptyQueue {
@@ -423,7 +401,7 @@ pub enum ConfigError {
         reason: &'static str,
     },
     /// A prefetcher name (an adaptive policy's candidate, or a
-    /// site-qualified name given to [`SimConfigBuilder::site`]) the
+    /// site-qualified name given to [`SimConfig::with_site`]) the
     /// registry cannot resolve.
     UnknownPrefetcher {
         /// The unresolvable name.
@@ -443,11 +421,6 @@ impl fmt::Display for ConfigError {
                     "active_cores {requested} exceeds the maximum of {MAX_CORES}"
                 )
             }
-            ConfigError::ZeroWays { cache } => write!(f, "{cache} needs at least one way"),
-            ConfigError::BadSetCount { cache, sets } => write!(
-                f,
-                "{cache} set count {sets} invalid: size / (64 * ways) must be a power of two >= 1"
-            ),
             ConfigError::EmptyQueue { queue } => write!(f, "{queue} needs at least one entry"),
             ConfigError::ZeroInstructions => {
                 write!(f, "measure_instructions must be at least 1")
@@ -473,196 +446,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Builder for [`SimConfig`] (see [`SimConfig::builder`]).
-///
-/// Starts from the Table 1 defaults; every setter overrides one
-/// parameter, and [`build`](Self::build) validates the result.
-#[derive(Debug, Clone, Default)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Memory page size.
-    pub fn page(mut self, page: PageSize) -> Self {
-        self.cfg.page = page;
-        self
-    }
-
-    /// Active core count (1..=[`MAX_CORES`]).
-    pub fn cores(mut self, active_cores: usize) -> Self {
-        self.cfg.active_cores = active_cores;
-        self
-    }
-
-    /// The L2 prefetcher under evaluation.
-    pub fn prefetcher(mut self, p: impl Into<PrefetcherHandle>) -> Self {
-        self.cfg.l2_prefetcher = p.into();
-        self
-    }
-
-    /// Sets the L1D-site prefetcher (default: the §5.5 stride
-    /// prefetcher). See also [`no_l1_prefetcher`](Self::no_l1_prefetcher)
-    /// for the Figure 4 ablation.
-    pub fn l1_prefetcher(mut self, p: impl Into<PrefetcherHandle>) -> Self {
-        self.cfg.l1_prefetcher = Some(p.into());
-        self
-    }
-
-    /// Empties the L1D prefetch site (the Figure 4 ablation).
-    pub fn no_l1_prefetcher(mut self) -> Self {
-        self.cfg.l1_prefetcher = None;
-        self
-    }
-
-    /// Sets the shared L3 site's prefetcher (default: none).
-    pub fn l3_prefetcher(mut self, p: impl Into<PrefetcherHandle>) -> Self {
-        self.cfg.l3_prefetcher = Some(p.into());
-        self
-    }
-
-    /// Resolves a site-qualified registry name (`"l1:stride"`,
-    /// `"l2:bo"`, `"l3:next-line"`; a bare name means the L2 site) and
-    /// installs the prefetcher at that site.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::UnknownPrefetcher`] carrying the
-    /// registry's diagnosis (unknown name, unknown site, or a site/spec
-    /// mismatch such as `l3:stride`).
-    pub fn site(mut self, name: &str) -> Result<Self, ConfigError> {
-        match crate::registry::registry().resolve_site(name) {
-            Ok((site, handle)) => {
-                self.cfg = self.cfg.with_site_prefetcher(site, Some(handle));
-                Ok(self)
-            }
-            Err(e) => Err(ConfigError::UnknownPrefetcher {
-                name: name.to_string(),
-                reason: e.to_string(),
-            }),
-        }
-    }
-
-    /// L3 replacement policy.
-    pub fn l3_policy(mut self, policy: PolicyKind) -> Self {
-        self.cfg.l3_policy = policy;
-        self
-    }
-
-    /// Core parameters.
-    pub fn core(mut self, core: CoreConfig) -> Self {
-        self.cfg.core = core;
-        self
-    }
-
-    /// L2 geometry: capacity in bytes and associativity.
-    pub fn l2_geometry(mut self, size_bytes: u64, ways: usize) -> Self {
-        self.cfg.l2_size = size_bytes;
-        self.cfg.l2_ways = ways;
-        self
-    }
-
-    /// L2 lookup latency in cycles.
-    pub fn l2_latency(mut self, cycles: u64) -> Self {
-        self.cfg.l2_latency = cycles;
-        self
-    }
-
-    /// L2 fill-queue entries.
-    pub fn l2_fill_queue(mut self, entries: usize) -> Self {
-        self.cfg.l2_fill_queue = entries;
-        self
-    }
-
-    /// L2 prefetch-queue entries.
-    pub fn prefetch_queue(mut self, entries: usize) -> Self {
-        self.cfg.prefetch_queue = entries;
-        self
-    }
-
-    /// L3 geometry: capacity in bytes and associativity.
-    pub fn l3_geometry(mut self, size_bytes: u64, ways: usize) -> Self {
-        self.cfg.l3_size = size_bytes;
-        self.cfg.l3_ways = ways;
-        self
-    }
-
-    /// L3 lookup latency in cycles.
-    pub fn l3_latency(mut self, cycles: u64) -> Self {
-        self.cfg.l3_latency = cycles;
-        self
-    }
-
-    /// L3 fill-queue entries.
-    pub fn l3_fill_queue(mut self, entries: usize) -> Self {
-        self.cfg.l3_fill_queue = entries;
-        self
-    }
-
-    /// Warm-up instructions before the measured window.
-    pub fn warmup(mut self, instructions: u64) -> Self {
-        self.cfg.warmup_instructions = instructions;
-        self
-    }
-
-    /// Measured instructions on core 0.
-    pub fn instructions(mut self, instructions: u64) -> Self {
-        self.cfg.measure_instructions = instructions;
-        self
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Enables or disables the event-wheel loop (on by default; see
-    /// [`SimConfig::fast_forward`]).
-    pub fn fast_forward(mut self, enabled: bool) -> Self {
-        self.cfg.fast_forward = enabled;
-        self
-    }
-
-    /// Enables adaptive prefetch control with the given policy (see
-    /// [`SimConfig::adapt`]).
-    pub fn adapt(mut self, policy: impl Into<PolicyHandle>) -> Self {
-        self.cfg.adapt = Some(policy.into());
-        self
-    }
-
-    /// Epoch length in cycles (see [`SimConfig::epoch_cycles`]).
-    pub fn epoch_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.epoch_cycles = cycles;
-        self
-    }
-
-    /// Applies a trace-sampling plan to core 0's µop stream (see
-    /// [`SimConfig::sample`]): warm-up skip plus optional periodic
-    /// measurement windows, for replaying long external traces.
-    pub fn sample(mut self, sample: SampleSpec) -> Self {
-        self.cfg.sample = Some(sample);
-        self
-    }
-
-    /// Sets the observability configuration (event tracing, epoch metric
-    /// streams, host-side profiling — see [`SimConfig::obs`]).
-    pub fn obs(mut self, obs: ObsConfig) -> Self {
-        self.cfg.obs = obs;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated constraint as a [`ConfigError`].
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
 
 /// Default measured instructions (overridable via `BOSIM_INSTRUCTIONS`).
 ///
@@ -691,15 +474,11 @@ mod tests {
     #[test]
     fn default_is_table1_baseline() {
         let c = SimConfig::default();
-        assert_eq!(c.l2_size, 512 << 10);
-        assert_eq!(c.l2_ways, 8);
-        assert_eq!(c.l2_latency, 11);
+        assert_eq!((L2_SIZE, L2_WAYS, L2_LATENCY), (512 << 10, 8, 11));
+        assert_eq!((L3_SIZE, L3_WAYS, L3_LATENCY), (8 << 20, 16, 21));
+        assert_eq!(PREFETCH_QUEUE, 8);
         assert_eq!(c.l2_fill_queue, 16);
-        assert_eq!(c.l3_size, 8 << 20);
-        assert_eq!(c.l3_ways, 16);
-        assert_eq!(c.l3_latency, 21);
         assert_eq!(c.l3_fill_queue, 32);
-        assert_eq!(c.prefetch_queue, 8);
         assert_eq!(c.l2_prefetcher.name(), "next-line");
         assert_eq!(c.l3_policy, PolicyKind::FiveP);
         assert_eq!(
@@ -729,37 +508,35 @@ mod tests {
 
     #[test]
     fn multi_level_labels_spell_out_every_site() {
-        let c = SimConfig::builder()
-            .prefetcher(prefetchers::bo_default())
-            .l3_prefetcher(prefetchers::next_line())
-            .build()
-            .expect("valid multi-level config");
+        let c = SimConfig {
+            l3_prefetcher: Some(prefetchers::next_line()),
+            ..SimConfig::default().with_prefetcher(prefetchers::bo_default())
+        };
+        assert!(c.validate().is_ok());
         assert_eq!(c.label(), "4KB/1-core/l1:stride+l2:BO+l3:next-line");
-        let no_l1 = SimConfig::builder()
-            .no_l1_prefetcher()
-            .l3_prefetcher(prefetchers::fixed(4))
-            .build()
-            .expect("valid");
+        let no_l1 = SimConfig {
+            l1_prefetcher: None,
+            l3_prefetcher: Some(prefetchers::fixed(4)),
+            ..Default::default()
+        };
+        assert!(no_l1.validate().is_ok());
         assert_eq!(no_l1.label(), "4KB/1-core/l1:none+l2:next-line+l3:offset-4");
     }
 
     #[test]
     fn builder_site_names_resolve_through_the_registry() {
-        let c = SimConfig::builder()
-            .site("l1:stride")
-            .expect("l1 site")
-            .site("l2:bo")
-            .expect("l2 site")
-            .site("l3:next-line")
-            .expect("l3 site")
-            .build()
-            .expect("valid");
+        let c = SimConfig::default()
+            .with_site("l1:stride")
+            .and_then(|c| c.with_site("l2:bo"))
+            .and_then(|c| c.with_site("l3:next-line"))
+            .expect("every site resolves");
+        assert!(c.validate().is_ok());
         assert_eq!(c.label(), "4KB/1-core/l1:stride+l2:BO+l3:next-line");
         // Bare names mean the L2 site.
-        let c = SimConfig::builder().site("sbp").expect("bare name").cfg;
+        let c = SimConfig::default().with_site("sbp").expect("bare name");
         assert_eq!(c.l2_prefetcher.name(), "SBP");
         // Site errors carry the registry's diagnosis.
-        let err = SimConfig::builder().site("l3:stride").unwrap_err();
+        let err = SimConfig::default().with_site("l3:stride").unwrap_err();
         match &err {
             ConfigError::UnknownPrefetcher { name, reason } => {
                 assert_eq!(name, "l3:stride");
@@ -767,15 +544,15 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(SimConfig::builder().site("l9:bo").is_err());
+        assert!(SimConfig::default().with_site("l9:bo").is_err());
     }
 
     #[test]
     fn validation_rejects_site_spec_mismatches() {
         // Stride cannot occupy the L2 site...
-        let err = SimConfig::builder()
-            .prefetcher(prefetchers::stride_default())
-            .build()
+        let err = SimConfig::default()
+            .with_prefetcher(prefetchers::stride_default())
+            .validate()
             .unwrap_err();
         match &err {
             ConfigError::InvalidPrefetcher { name, reason } => {
@@ -785,13 +562,12 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // ...nor the L3 site; BO cannot occupy the L1D site.
-        assert!(SimConfig::builder()
-            .l3_prefetcher(prefetchers::stride_default())
-            .build()
+        let at = |site, p| SimConfig::default().with_site_prefetcher(site, Some(p));
+        assert!(at(PrefetchSite::L3, prefetchers::stride_default())
+            .validate()
             .is_err());
-        assert!(SimConfig::builder()
-            .l1_prefetcher(prefetchers::bo_default())
-            .build()
+        assert!(at(PrefetchSite::L1D, prefetchers::bo_default())
+            .validate()
             .is_err());
         // Spec-parameter validation applies per site: a bad BO config at
         // the L3 site is caught like one at the L2 site.
@@ -800,9 +576,8 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            SimConfig::builder()
-                .l3_prefetcher(prefetchers::bo(bad))
-                .build()
+            at(PrefetchSite::L3, prefetchers::bo(bad))
+                .validate()
                 .unwrap_err(),
             ConfigError::InvalidPrefetcher { .. }
         ));
@@ -814,11 +589,11 @@ mod tests {
         // "stride" resolves in the registry but is L1D-only: a switch
         // to it would be silently rejected at every epoch boundary, so
         // validation must fail loudly up front.
-        let err = SimConfig::builder()
-            .adapt(policies::tournament(["bo", "stride"]))
-            .build()
-            .unwrap_err();
-        match &err {
+        let cfg = SimConfig {
+            adapt: Some(policies::tournament(["bo", "stride"])),
+            ..Default::default()
+        };
+        match &cfg.validate().unwrap_err() {
             ConfigError::UnknownPrefetcher { name, reason } => {
                 assert_eq!(name, "stride");
                 assert!(reason.contains("does not attach to site l2"), "{reason}");
@@ -829,14 +604,16 @@ mod tests {
 
     #[test]
     fn builder_round_trips_table1() {
-        let c = SimConfig::builder().build().expect("defaults are valid");
+        // The single-core 4KB baseline is the default machine.
+        let c = SimConfig::baseline(PageSize::K4, 1);
+        assert!(c.validate().is_ok());
         assert_eq!(c.label(), SimConfig::default().label());
     }
 
     #[test]
     fn builder_rejects_zero_cores() {
         assert_eq!(
-            SimConfig::builder().cores(0).build().unwrap_err(),
+            SimConfig::baseline(PageSize::K4, 0).validate().unwrap_err(),
             ConfigError::ZeroCores
         );
     }
@@ -845,12 +622,10 @@ mod tests {
     fn builder_rejects_too_many_cores() {
         // The bound is the CoreId encoding, not the paper's four-core
         // evaluation grid: 256 cores validate, 257 do not.
-        assert!(SimConfig::builder().cores(MAX_CORES).build().is_ok());
+        let cores = |n| SimConfig::baseline(PageSize::K4, n).validate();
+        assert!(cores(MAX_CORES).is_ok());
         assert_eq!(
-            SimConfig::builder()
-                .cores(MAX_CORES + 1)
-                .build()
-                .unwrap_err(),
+            cores(MAX_CORES + 1).unwrap_err(),
             ConfigError::TooManyCores {
                 requested: MAX_CORES + 1
             }
@@ -858,63 +633,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_way_caches() {
-        assert_eq!(
-            SimConfig::builder()
-                .l2_geometry(512 << 10, 0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroWays { cache: "L2" }
-        );
-        assert_eq!(
-            SimConfig::builder()
-                .l3_geometry(8 << 20, 0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroWays { cache: "L3" }
-        );
-    }
-
-    #[test]
-    fn builder_rejects_zero_way_l1_caches() {
-        let core = CoreConfig {
-            dl1_ways: 0,
-            ..Default::default()
-        };
-        assert_eq!(
-            SimConfig::builder().core(core).build().unwrap_err(),
-            ConfigError::ZeroWays { cache: "DL1" }
-        );
-    }
-
-    #[test]
-    fn builder_rejects_non_power_of_two_sets() {
-        let err = SimConfig::builder()
-            .l2_geometry(3 * 64 * 8, 8)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::BadSetCount {
-                cache: "L2",
-                sets: 3
-            }
-        );
-        assert!(err.to_string().contains("power of two"));
-    }
-
-    #[test]
     fn builder_rejects_invalid_bo_parameters() {
         // The old behaviour was a panic inside BestOffsetPrefetcher::new
-        // on the first worker thread of a sweep; now the builder reports
+        // on the first worker thread of a sweep; now validation reports
         // the violated constraint up front.
         let bad = best_offset::BoConfig {
             degree: 3,
             ..Default::default()
         };
-        let err = SimConfig::builder()
-            .prefetcher(prefetchers::bo(bad))
-            .build()
+        let err = SimConfig::default()
+            .with_prefetcher(prefetchers::bo(bad))
+            .validate()
             .unwrap_err();
         match &err {
             ConfigError::InvalidPrefetcher { name, reason } => {
@@ -928,9 +657,9 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_fixed_offset() {
-        let err = SimConfig::builder()
-            .prefetcher(crate::spec::FixedOffsetSpec { offset: 0 })
-            .build()
+        let err = SimConfig::default()
+            .with_prefetcher(crate::spec::FixedOffsetSpec { offset: 0 })
+            .validate()
             .unwrap_err();
         assert!(
             matches!(err, ConfigError::InvalidPrefetcher { .. }),
@@ -941,27 +670,29 @@ mod tests {
     #[test]
     fn builder_validates_adaptive_configs() {
         use bosim_adapt::policies;
-        // A healthy adaptive config builds.
-        let cfg = SimConfig::builder()
-            .prefetcher(prefetchers::bo_default())
-            .adapt(policies::degree_governor())
-            .build()
-            .expect("valid adaptive config");
+        // A healthy adaptive config validates.
+        let cfg = SimConfig {
+            adapt: Some(policies::degree_governor()),
+            ..SimConfig::default().with_prefetcher(prefetchers::bo_default())
+        };
+        assert!(cfg.validate().is_ok());
         assert_eq!(cfg.label(), "4KB/1-core/BO+degree-governor");
         // Zero-length epochs are rejected.
-        let err = SimConfig::builder()
-            .adapt(policies::degree_governor())
-            .epoch_cycles(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroEpochCycles);
+        let zero_epochs = SimConfig {
+            epoch_cycles: 0,
+            ..cfg
+        };
+        assert_eq!(
+            zero_epochs.validate().unwrap_err(),
+            ConfigError::ZeroEpochCycles
+        );
         // Tournament candidates must resolve in the registry, with the
         // resolver's diagnosis passed through.
-        let err = SimConfig::builder()
-            .adapt(policies::tournament(["bo", "offset-0"]))
-            .build()
-            .unwrap_err();
-        match &err {
+        let cfg = SimConfig {
+            adapt: Some(policies::tournament(["bo", "offset-0"])),
+            ..Default::default()
+        };
+        match &cfg.validate().unwrap_err() {
             ConfigError::UnknownPrefetcher { name, reason } => {
                 assert_eq!(name, "offset-0");
                 assert!(reason.contains("offset 0 is not a prefetch"), "{reason}");
@@ -976,39 +707,36 @@ mod tests {
         let handle = crate::registry::registry()
             .lookup("adaptive-bo")
             .expect("family registered");
-        let err = SimConfig::builder()
-            .prefetcher(handle.clone())
-            .build()
-            .unwrap_err();
+        let cfg = SimConfig::default().with_prefetcher(handle);
+        let err = cfg.validate().unwrap_err();
         assert!(
             err.to_string().contains("requires adaptive control"),
             "{err}"
         );
-        assert!(SimConfig::builder()
-            .prefetcher(handle)
-            .adapt(policies::bandwidth_throttle())
-            .build()
-            .is_ok());
+        let adaptive = SimConfig {
+            adapt: Some(policies::bandwidth_throttle()),
+            ..cfg
+        };
+        assert!(adaptive.validate().is_ok());
     }
 
     #[test]
     fn builder_validates_sampling_plans() {
         use bosim_trace::SampleSpec;
-        let cfg = SimConfig::builder()
-            .sample(SampleSpec::periodic(10_000, 1_000, 5_000))
-            .build()
-            .expect("valid sampled config");
+        let sampled = |sample| SimConfig {
+            sample: Some(sample),
+            ..Default::default()
+        };
+        let cfg = sampled(SampleSpec::periodic(10_000, 1_000, 5_000));
+        assert!(cfg.validate().is_ok());
         assert_eq!(cfg.label(), "4KB/1-core/next-line@skip10k+1k/5k");
         // A pass-through plan leaves the label untouched.
-        let plain = SimConfig::builder()
-            .sample(SampleSpec::default())
-            .build()
-            .expect("valid");
+        let plain = sampled(SampleSpec::default());
+        assert!(plain.validate().is_ok());
         assert_eq!(plain.label(), "4KB/1-core/next-line");
         // window > interval is rejected with the plan's diagnosis.
-        let err = SimConfig::builder()
-            .sample(SampleSpec::periodic(0, 10, 5))
-            .build()
+        let err = sampled(SampleSpec::periodic(0, 10, 5))
+            .validate()
             .unwrap_err();
         match &err {
             ConfigError::InvalidSample { reason } => {
@@ -1021,30 +749,41 @@ mod tests {
 
     #[test]
     fn builder_validates_obs_configs() {
-        let cfg = SimConfig::builder()
-            .obs(ObsConfig::all())
-            .build()
-            .expect("valid obs config");
+        let observed = |obs| SimConfig {
+            obs,
+            ..Default::default()
+        };
+        let cfg = observed(ObsConfig::all());
+        assert!(cfg.validate().is_ok());
         assert!(cfg.obs.enabled());
         // Event tracing with a zero-capacity buffer is rejected.
-        let bad = ObsConfig {
+        let err = observed(ObsConfig {
             events: true,
             max_events: 0,
             ..Default::default()
-        };
-        let err = SimConfig::builder().obs(bad).build().unwrap_err();
+        })
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, ConfigError::InvalidObs { .. }), "{err:?}");
         assert!(err.to_string().contains("observability"));
     }
 
     #[test]
     fn builder_rejects_empty_queues_and_window() {
+        let empty_l2 = SimConfig {
+            l2_fill_queue: 0,
+            ..Default::default()
+        };
         assert!(matches!(
-            SimConfig::builder().l2_fill_queue(0).build().unwrap_err(),
+            empty_l2.validate().unwrap_err(),
             ConfigError::EmptyQueue { .. }
         ));
+        let no_window = SimConfig {
+            measure_instructions: 0,
+            ..Default::default()
+        };
         assert_eq!(
-            SimConfig::builder().instructions(0).build().unwrap_err(),
+            no_window.validate().unwrap_err(),
             ConfigError::ZeroInstructions
         );
     }

@@ -8,9 +8,14 @@
 //! (§5.4), and a dual-channel DDR3 memory system with FR-FCFS scheduling
 //! and fairness counters (§5.3).
 //!
-//! Machine configurations are built with the validating
-//! [`SimConfig::builder`]; every prefetch *site* of the hierarchy (L1D /
-//! L2 / L3, see [`PrefetchSite`]) is *open*: anything implementing
+//! The Table 1 machine is fixed: cache geometries, latencies and the
+//! prefetch-queue depth are constants ([`L2_SIZE`], [`L3_LATENCY`], ...;
+//! the core's live in [`bosim_cpu`]). A [`SimConfig`] carries what the
+//! evaluation varies — page size, active cores, the prefetchers, the L3
+//! policy, run lengths — and is built as a struct literal or from
+//! [`SimConfig::baseline`], then checked with [`SimConfig::validate`].
+//! Every prefetch *site* of the hierarchy (L1D / L2 / L3, see
+//! [`PrefetchSite`]) is *open*: anything implementing
 //! [`PrefetcherSpec`] plugs in, and the built-in specs are available
 //! through the [`prefetchers`] constructors or by (optionally
 //! site-qualified, e.g. `"l1:stride"`, `"l3:next-line"`) name from the
@@ -23,10 +28,8 @@
 //! use bosim_trace::suite;
 //!
 //! let spec = suite::benchmark("462").expect("libquantum-like");
-//! let cfg = SimConfig::builder()
-//!     .prefetcher(prefetchers::bo_default())
-//!     .build()
-//!     .expect("Table 1 defaults with BO are valid");
+//! let cfg = SimConfig::default().with_prefetcher(prefetchers::bo_default());
+//! cfg.validate().expect("Table 1 defaults with BO are valid");
 //! let result = System::new(&cfg, &spec).run();
 //! println!("{}: IPC {:.3}", result.benchmark, result.ipc());
 //! ```
@@ -46,7 +49,8 @@ mod uncore;
 mod wheel;
 
 pub use config::{
-    default_instructions, default_warmup, ConfigError, SimConfig, SimConfigBuilder, MAX_CORES,
+    default_instructions, default_warmup, ConfigError, SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS,
+    L3_LATENCY, L3_SIZE, L3_WAYS, MAX_CORES, PREFETCH_QUEUE,
 };
 pub use registry::{
     registry, PrefetcherRegistry, PrefetcherResolver, ResolveError, ResolverOutcome,

@@ -329,7 +329,7 @@ impl PrefetcherSpec for AdaptiveSpec {
         self.inner.spec().validate(cfg)?;
         if cfg.adapt.is_none() {
             return Err(format!(
-                "{} requires adaptive control: set SimConfig::builder().adapt(policy)",
+                "{} requires adaptive control: set `SimConfig::adapt`",
                 self.name()
             ));
         }

@@ -11,6 +11,7 @@ use bosim_cpu::{Core, CoreObsEvent, CoreStats, UncoreRequest};
 use bosim_dram::DramStats;
 use bosim_obs::{
     EpochRow, EpochStream, Event, EventKind, HostProfiler, ObsReport, ObsSite, Phase, ProfileSlot,
+    PROFILE_SAMPLE_SHIFT,
 };
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
@@ -189,7 +190,7 @@ impl System {
             panic!("invalid SimConfig: {e}"); // bosim-lint: allow(P003, documented Panics contract; run_jobs converts to RunnerError)
         }
         let mut prof = if cfg.obs.profile {
-            HostProfiler::new(cfg.obs.profile_sample_shift)
+            HostProfiler::new(PROFILE_SAMPLE_SHIFT)
         } else {
             HostProfiler::disabled()
         };
@@ -218,7 +219,6 @@ impl System {
             let l1 = cfg.l1_prefetcher.as_ref().and_then(|h| h.build_l1(cfg));
             cores.push(Core::new(
                 CoreId(i as u8),
-                cfg.core.clone(),
                 trace,
                 cfg.page,
                 cfg.seed ^ (i as u64) << 8,
@@ -289,32 +289,23 @@ impl System {
         &self.uncore
     }
 
-    /// One-line core state dump (diagnostics).
-    pub fn debug_core_state(&self, core: usize) -> String {
-        self.cores[core].debug_state()
-    }
-
     /// Core-0 statistics so far.
     pub fn core0_stats(&self) -> CoreStats {
         self.cores[0].stats()
     }
 
-    /// Advances the system by one cycle. Returns `true` when the cycle
-    /// was visibly active — a fill was delivered or a core emitted an
-    /// uncore request. Quiet cycles are where fast-forwarding looks for
-    /// skippable stretches (activity makes an immediate skip unlikely,
-    /// so the bound computation isn't worth paying for).
-    pub fn step(&mut self) -> bool {
+    /// Advances the system by one cycle, ticking the uncore and every
+    /// core — the every-cycle reference loop the golden-stats suite
+    /// compares the event-wheel loop against.
+    fn step(&mut self) {
         let now = self.cycle;
         self.steps += 1;
-        let mut active = false;
         // Uncore first: deliver due fills into the cores (may produce
         // writebacks, handled immediately).
         self.fill_buf.clear();
         let timer = self.prof.start(Phase::UncoreTick);
         self.uncore.tick(now, &mut self.fill_buf, &mut self.prof);
         self.prof.stop(timer);
-        active |= !self.fill_buf.is_empty();
         let timer = self.prof.start(Phase::CoreTick);
         for i in 0..self.fill_buf.len() {
             let (core, line) = self.fill_buf[i];
@@ -329,7 +320,6 @@ impl System {
         for c in 0..self.cores.len() {
             self.req_buf.clear();
             self.cores[c].tick(now, &mut self.req_buf);
-            active |= !self.req_buf.is_empty();
             for r in 0..self.req_buf.len() {
                 let req = self.req_buf[r];
                 self.dispatch_request(CoreId(c as u8), req, now);
@@ -340,7 +330,6 @@ impl System {
             self.drain_core_obs(now);
         }
         self.cycle += 1;
-        active
     }
 
     /// Moves the uncore's wheel post earlier, to `at`, when it is
@@ -672,13 +661,29 @@ impl System {
         }
         assert!(
             self.cores[0].retired() >= target,
-            "simulation stalled: {} of {} instructions after {} cycles ({})",
-            self.cores[0].retired() - start_retired,
-            instructions,
-            self.cycle - start_cycle,
-            self.benchmark,
+            "{}",
+            self.stall_message(
+                self.cores[0].retired() - start_retired,
+                instructions,
+                self.cycle - start_cycle,
+            )
         );
         self.cycle - start_cycle
+    }
+
+    /// The diagnosis a stalled run reports: its progress, then the state
+    /// of every core and of the uncore (fill, prefetch and stalled-request
+    /// queues) at the cycle it gave up.
+    fn stall_message(&self, retired: u64, instructions: u64, cycles: u64) -> String {
+        let mut msg = format!(
+            "simulation stalled: {retired} of {instructions} instructions after {cycles} cycles ({})",
+            self.benchmark
+        );
+        for (c, core) in self.cores.iter().enumerate() {
+            msg.push_str(&format!("\n  core {c}: {}", core.debug_state()));
+        }
+        msg.push_str(&format!("\n  uncore: {}", self.uncore.debug_state()));
+        msg
     }
 
     /// Makes every wheel source due at the current cycle. Used to seed a
@@ -723,13 +728,14 @@ impl System {
     /// quiescent — every fill delivered, every queue and DRAM channel
     /// empty — then returns the cumulative uncore statistics.
     ///
-    /// Mid-run, an in-flight request is counted in `l2_accesses` but
-    /// not yet classified as a hit or miss (classification is deferred
-    /// to the arrival that services it), so
-    /// `l2_hits + l2_misses <= l2_accesses` with equality only at
-    /// quiescence. This is the hook that lets accounting tests check
-    /// the equality exactly; call it after the final
-    /// [`run`](Self::run) and do not step the system afterwards.
+    /// L2 classification is synchronous: `l2_hits + l2_prefetched_hits +
+    /// l2_misses == l2_accesses` holds at every cycle. L3 classification
+    /// is deferred: a request stalled at the L3 is counted in
+    /// `l3_accesses` but classified as a hit or miss only by the arrival
+    /// that services it, so `l3_hits + l3_misses <= l3_accesses` with
+    /// equality only at quiescence. This is the hook that lets
+    /// accounting tests check that equality exactly; call it after the
+    /// final [`run`](Self::run) and do not step the system afterwards.
     ///
     /// # Panics
     ///
@@ -737,7 +743,7 @@ impl System {
     /// cap (a genuine deadlock).
     pub fn drain_uncore(&mut self) -> UncoreStats {
         let cap = self.cycle + 10_000_000;
-        while self.uncore.next_event_cycle(self.cycle) != Cycle::MAX {
+        while self.uncore.next_ready_after(self.cycle) != Cycle::MAX {
             assert!(self.cycle < cap, "uncore failed to drain (deadlock?)");
             self.fill_buf.clear();
             self.uncore
@@ -962,6 +968,28 @@ mod tests {
             ExternalSpec::new("/nonexistent/gone.champsim", TraceFormat::ChampSim).named("gone"),
         );
         let _ = System::new(&SimConfig::default(), &bench);
+    }
+
+    #[test]
+    fn stall_message_names_every_core_and_the_l3_fill_queue() {
+        let spec = suite::benchmark("462").expect("exists");
+        let cfg = SimConfig {
+            active_cores: 2,
+            warmup_instructions: 0,
+            measure_instructions: 1_000,
+            ..Default::default()
+        };
+        let mut sys = System::new(&cfg, &spec);
+        sys.run();
+        let msg = sys.stall_message(10, 1_000, 500);
+        assert!(
+            msg.starts_with("simulation stalled: 10 of 1000 instructions after 500 cycles"),
+            "{msg}"
+        );
+        for c in 0..2 {
+            assert!(msg.contains(&format!("core {c}: rob=")), "{msg}");
+        }
+        assert!(msg.contains("uncore: l3_fq="), "{msg}");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! With the site empty (the default) every new code path is inert and
 //! the machine is cycle-identical to the pre-site uncore.
 
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS, L3_LATENCY, L3_SIZE, L3_WAYS, PREFETCH_QUEUE,
+};
 use best_offset::{
     AccessOutcome, CacheAccess, PrefetchEvent, PrefetchSite, Prefetcher, TuneDirective,
 };
@@ -192,7 +194,7 @@ pub struct Uncore {
     /// The L3 site's own lowest-priority prefetch queue: candidate lines
     /// with the core whose access triggered them (for DRAM fairness
     /// accounting). Oldest entries are cancelled on overflow.
-    l3_pq: VecDeque<(LineAddr, CoreId)>,
+    l3_pq: PrefetchQueue,
     /// Any request reached the L3 this cycle: L3 prefetch issue waits
     /// (lowest priority, mirroring the per-L2 demand gate).
     l3_saw_request: bool,
@@ -229,14 +231,14 @@ impl Uncore {
         let l2s = (0..cfg.active_cores)
             .map(|i| L2 {
                 array: CacheArray::new(
-                    cfg.l2_size,
-                    cfg.l2_ways,
+                    L2_SIZE,
+                    L2_WAYS,
                     PolicyKind::Lru,
                     cfg.active_cores,
                     cfg.seed ^ (i as u64 + 10),
                 ),
                 fq: FillQueue::new(cfg.l2_fill_queue),
-                pq: PrefetchQueue::new(cfg.prefetch_queue),
+                pq: PrefetchQueue::new(PREFETCH_QUEUE),
                 prefetcher: cfg.l2_prefetcher.build(cfg),
                 stalled: VecDeque::new(),
                 ready_q: VecDeque::new(),
@@ -248,8 +250,8 @@ impl Uncore {
             .collect();
         let mut u = Uncore {
             l3: CacheArray::new(
-                cfg.l3_size,
-                cfg.l3_ways,
+                L3_SIZE,
+                L3_WAYS,
                 cfg.l3_policy,
                 cfg.active_cores,
                 cfg.seed ^ 99,
@@ -258,7 +260,7 @@ impl Uncore {
             l3_in: VecDeque::new(),
             l3_stalled: VecDeque::new(),
             l3_prefetcher: cfg.l3_prefetcher.as_ref().map(|h| h.build(cfg)),
-            l3_pq: VecDeque::new(),
+            l3_pq: PrefetchQueue::new(PREFETCH_QUEUE),
             l3_saw_request: false,
             l3_telemetry: PrefetchTelemetry::default(),
             l3_cand_buf: Vec::new(),
@@ -503,9 +505,7 @@ impl Uncore {
                     self.stats.l2_hits += 1;
                     AccessOutcome::Hit
                 };
-                self.l2s[c]
-                    .fill_out
-                    .push_back((now + self.cfg.l2_latency, line));
+                self.l2s[c].fill_out.push_back((now + L2_LATENCY, line));
                 if !ifetch {
                     self.run_prefetcher(c, line, outcome, now);
                 }
@@ -617,7 +617,7 @@ impl Uncore {
             );
         }
         self.l3_in.push_back((
-            now + self.cfg.l2_latency,
+            now + L2_LATENCY,
             L3Req {
                 line: req.line,
                 core,
@@ -646,7 +646,7 @@ impl Uncore {
             }
             self.stats.l2_prefetches_queued += 1;
             let before = l2.pq.cancelled;
-            l2.pq.push(target);
+            l2.pq.push(target, CoreId(c as u8));
             self.stats.l2_prefetches_cancelled += l2.pq.cancelled - before;
         }
         self.l2s[c].cand_buf = cand;
@@ -672,19 +672,17 @@ impl Uncore {
             // Redundancy checks: resident, in flight, or already queued.
             if self.l3.contains(target)
                 || self.l3_fq.find(target).is_some()
-                || self.l3_pq.iter().any(|&(l, _)| l == target)
+                || self.l3_pq.contains(target)
             {
                 self.stats.l3_prefetches_redundant += 1;
                 continue;
             }
             self.stats.l3_prefetches_queued += 1;
-            if self.l3_pq.len() >= self.cfg.prefetch_queue {
-                // Queue overflow cancels the oldest entry (§5.4: L2/L3
-                // prefetches can be cancelled at any time).
-                self.l3_pq.pop_front();
-                self.stats.l3_prefetches_cancelled += 1;
-            }
-            self.l3_pq.push_back((target, core));
+            // Queue overflow cancels the oldest entry (§5.4: L2/L3
+            // prefetches can be cancelled at any time).
+            let before = self.l3_pq.cancelled;
+            self.l3_pq.push(target, core);
+            self.stats.l3_prefetches_cancelled += self.l3_pq.cancelled - before;
         }
         self.l3_cand_buf = cand;
     }
@@ -694,10 +692,10 @@ impl Uncore {
     /// Resource pressure cancels the request — prefetches are never
     /// retried.
     fn issue_l3_prefetch(&mut self, now: Cycle) {
-        if self.l3_saw_request || self.l3_pq.is_empty() {
+        if self.l3_saw_request {
             return;
         }
-        let Some((line, core)) = self.l3_pq.pop_front() else {
+        let Some((line, core)) = self.l3_pq.pop() else {
             return;
         };
         // Mandatory tag checks before issue: the block may have arrived
@@ -891,7 +889,7 @@ impl Uncore {
             // Data returns to the requesting L2 after the L3 latency.
             self.l2s[req.core.index()]
                 .ready_q
-                .push_back((now + self.cfg.l3_latency, req.line));
+                .push_back((now + L3_LATENCY, req.line));
             return;
         }
         if first_arrival {
@@ -1165,7 +1163,7 @@ impl Uncore {
         if self.l2s[c].fq.is_full() {
             return;
         }
-        let Some(line) = self.l2s[c].pq.pop() else {
+        let Some((line, _)) = self.l2s[c].pq.pop() else {
             return;
         };
         // Tag checks before issue (§6.3: mandatory for SBP, cheap and
@@ -1355,79 +1353,17 @@ impl Uncore {
         }
     }
 
-    /// The earliest cycle ≥ `from` at which [`tick`](Self::tick) can do
-    /// any work, or [`Cycle::MAX`] when the uncore is fully quiescent
-    /// (nothing in flight anywhere — only a new core request wakes it).
-    ///
-    /// Used by the system loop to fast-forward through idle stretches;
-    /// the bound is conservative (it may name a cycle where nothing
-    /// happens) but never late (it never skips a state change).
-    pub fn next_event_cycle(&self, from: Cycle) -> Cycle {
-        // Cheap denials first: retries and drains act every cycle while
-        // their queues hold anything (the L3 prefetch queue may issue on
-        // any quiet cycle).
-        if !self.l3_stalled.is_empty()
-            || self.l3_fq.has_ready()
-            || !self.wb_buf.is_empty()
-            || !self.l3_pq.is_empty()
-        {
-            return from;
-        }
-        let mut t = Cycle::MAX;
-        if let Some(&(d, _)) = self.l3_in.front() {
-            if d <= from {
-                return from;
-            }
-            t = t.min(d);
-        }
-        for l2 in &self.l2s {
-            if l2.fq.has_ready() || !l2.stalled.is_empty() || !l2.pq.is_empty() {
-                return from;
-            }
-            if let Some(&(d, _)) = l2.ready_q.front() {
-                if d <= from {
-                    return from;
-                }
-                t = t.min(d);
-            }
-            if let Some(&(d, _)) = l2.fill_out.front() {
-                if d <= from {
-                    return from;
-                }
-                t = t.min(d);
-            }
-        }
-        // The queue bounds above are O(1); the DRAM bound walks every
-        // queued request. When the uncore queues already cap the skip at
-        // a few cycles AND the memory system is deeply queued, the walk
-        // cannot pay for itself — decline the skip (returning `from`
-        // means "step normally", which is always safe) instead of
-        // scanning the memory system.
-        const MIN_WORTHWHILE_SKIP: Cycle = 8;
-        const CHEAP_MEM_SCAN: usize = 16;
-        if t <= from + MIN_WORTHWHILE_SKIP && self.mem.queue_depth() > CHEAP_MEM_SCAN {
-            return from;
-        }
-        match self.mem.next_event(from) {
-            Some(e) if e <= from => from,
-            Some(e) => t.min(e),
-            None => t,
-        }
-    }
-
     /// The next cycle (strictly after `now`) the scheduled loop must
     /// tick this uncore at — the wake-up it posts to the event wheel
-    /// right after a tick. [`Cycle::MAX`] means fully quiescent: only a
-    /// new core request re-arms it (the system re-posts on dispatch).
+    /// right after a tick. [`Cycle::MAX`] means fully quiescent: nothing
+    /// is in flight anywhere, and only a new core request re-arms it
+    /// (the system re-posts on dispatch).
     ///
-    /// Same one-sided contract as
-    /// [`next_event_cycle`](Self::next_event_cycle): early wake-ups are
-    /// no-op ticks, late
-    /// ones never happen. Unlike that method this one has no
-    /// "walk-not-worth-it" decline heuristic — the expensive DRAM queue
-    /// walk is cached and re-done only when [`MemorySystem::version`]
-    /// moves, so even deeply-queued memory phases pay for it once per
-    /// state change rather than once per cycle. The demand-priority
+    /// The bound is one-sided: early wake-ups are no-op ticks, late ones
+    /// never happen. The expensive DRAM queue walk is cached and re-done
+    /// only when [`MemorySystem::version`] moves, so even deeply-queued
+    /// memory phases pay for it once per state change rather than once
+    /// per cycle. The demand-priority
     /// flags need no term here: a set `sent_demand_this_cycle` flag only
     /// matters to a later prefetch issue, which requires a non-empty
     /// prefetch queue — and any non-empty prefetch queue already pins
@@ -1713,7 +1649,7 @@ mod tests {
 
     /// Regression: `drain_l3_fq` used a hard-coded 8-core scratch array
     /// and panicked for larger machines. The scratch is sized from
-    /// `active_cores` now, matching the builder's core-count bound.
+    /// `active_cores` now, matching validation's core-count bound.
     #[test]
     fn uncore_handles_more_than_eight_cores() {
         let cfg = SimConfig {
@@ -1722,7 +1658,7 @@ mod tests {
             l2_prefetcher: crate::prefetchers::none(),
             ..Default::default()
         };
-        assert!(cfg.validate().is_ok(), "builder must agree with uncore");
+        assert!(cfg.validate().is_ok(), "validation must agree with uncore");
         let mut u = Uncore::new(&cfg);
         u.core_read(CoreId(8), LineAddr(0x9999), ReqClass::Demand, false, 0);
         let (_, fills) = run_to_fill(&mut u, 0, 5000).expect("fill arrives");

@@ -2,14 +2,15 @@
 //!
 //! Each *source* (the uncore is one source, every core is another)
 //! **posts** the next cycle at which it may have work whenever its own
-//! state changes; [`System`](crate::System) consults the wheel instead
-//! of re-deriving `next_work_cycle` / `next_event_cycle` bounds from
-//! scratch on every quiet cycle. A post is a *promise of idleness before
-//! it*, never a promise of work at it: the wheel may wake a source on a
-//! cycle where nothing happens (harmless — the tick is a no-op), but a
-//! source must never have work strictly before its posted cycle. That
-//! one-sided contract is what keeps the fast loop bit-identical to the
-//! naive every-cycle loop (the golden-stats suite pins it).
+//! state changes (a core's `next_work_cycle`, the uncore's
+//! `next_ready_after`); [`System`](crate::System) pops the wheel instead
+//! of polling every source on every quiet cycle. A post is a *promise
+//! of idleness before it*, never a promise of work at it: the wheel may
+//! wake a source on a cycle where nothing happens (harmless — the tick
+//! is a no-op), but a source must never have work strictly before its
+//! posted cycle. That one-sided contract is what keeps the fast loop
+//! bit-identical to the every-cycle loop (the golden-stats suite pins
+//! it).
 //!
 //! Layout: a near window of [`HORIZON`] single-cycle buckets starting at
 //! `base`, plus a *far* set for posts at or beyond `base + HORIZON`. A

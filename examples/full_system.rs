@@ -18,12 +18,11 @@ fn main() {
         ("next-line", prefetchers::next_line()),
         ("BO", prefetchers::bo_default()),
     ] {
-        let cfg = SimConfig::builder()
-            .warmup(200_000)
-            .instructions(1_000_000)
-            .prefetcher(kind)
-            .build()
-            .expect("Table 1 defaults are valid");
+        let cfg = SimConfig {
+            warmup_instructions: 200_000,
+            measure_instructions: 1_000_000,
+            ..SimConfig::default().with_prefetcher(kind)
+        };
         let res = System::new(&cfg, &spec).run();
         println!(
             "{name:>10}: IPC {:.3} | DL1 miss/ki {:.1} | L2 miss/ki {:.1} | DRAM acc/ki {:.1} | prefetches issued {}",

@@ -22,11 +22,15 @@ use bosim_trace::suite;
 /// names, starting from an empty L1 site so a stack lists exactly the
 /// prefetchers it wants.
 fn stack(spec: &str) -> SimConfig {
-    let mut b = SimConfig::builder().no_l1_prefetcher();
+    let mut cfg = SimConfig {
+        l1_prefetcher: None,
+        ..SimConfig::default()
+    };
     for name in spec.split('+').filter(|s| !s.trim().is_empty()) {
-        b = b.site(name.trim()).unwrap_or_else(|e| panic!("{e}"));
+        cfg = cfg.with_site(name.trim()).unwrap_or_else(|e| panic!("{e}"));
     }
-    b.build().unwrap_or_else(|e| panic!("{e}"))
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    cfg
 }
 
 fn main() {
@@ -49,11 +53,11 @@ fn main() {
         );
     }
 
-    let base = SimConfig::builder()
-        .warmup(100_000)
-        .instructions(400_000)
-        .build()
-        .expect("Table 1 defaults are valid");
+    let base = SimConfig {
+        warmup_instructions: 100_000,
+        measure_instructions: 400_000,
+        ..SimConfig::default()
+    };
     let mut e = Experiment::new(
         "multilevel_shootout",
         "Multi-level stacks: speedup over the next-line baseline",

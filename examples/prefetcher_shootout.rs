@@ -12,11 +12,11 @@ use bosim::{prefetchers, registry, PrefetcherHandle, SimConfig};
 use bosim_bench::Experiment;
 
 fn main() {
-    let base = SimConfig::builder()
-        .warmup(100_000)
-        .instructions(400_000)
-        .build()
-        .expect("Table 1 defaults are valid");
+    let base = SimConfig {
+        warmup_instructions: 100_000,
+        measure_instructions: 400_000,
+        ..SimConfig::default()
+    };
     let mut variants: Vec<(String, PrefetcherHandle)> = vec![
         ("none".into(), prefetchers::none()),
         ("D=5".into(), prefetchers::fixed(5)),

@@ -1,61 +1,34 @@
-//! Coverage for the unified experiment API: the validating `SimConfig`
-//! builder, the prefetcher registry and the structured `Report` output.
+//! Coverage for the unified experiment API: `SimConfig` construction and
+//! validation, the prefetcher registry and the structured `Report`
+//! output.
 
-use bosim::{prefetchers, registry, ConfigError, SimConfig};
+use bosim::{prefetchers, registry, SimConfig};
 use bosim_bench::{ArmReport, Layout, Report, RunSummary};
 use bosim_types::PageSize;
 
 #[test]
 fn builder_accepts_table1_defaults() {
-    let cfg = SimConfig::builder().build().expect("defaults valid");
+    let cfg = SimConfig::default();
+    assert!(cfg.validate().is_ok(), "defaults valid");
     assert_eq!(cfg.label(), "4KB/1-core/next-line");
 }
 
 #[test]
 fn builder_composes_the_paper_variants() {
-    let cfg = SimConfig::builder()
-        .page(PageSize::M4)
-        .cores(4)
-        .prefetcher(prefetchers::bo_default())
-        .warmup(1_000)
-        .instructions(5_000)
-        .build()
-        .expect("valid");
+    let cfg = SimConfig {
+        warmup_instructions: 1_000,
+        measure_instructions: 5_000,
+        ..SimConfig::baseline(PageSize::M4, 4).with_prefetcher(prefetchers::bo_default())
+    };
+    assert!(cfg.validate().is_ok());
     assert_eq!(cfg.label(), "4MB/4-core/BO");
     assert_eq!(cfg.measure_instructions, 5_000);
 }
 
 #[test]
-fn builder_rejects_zero_cores() {
-    assert_eq!(
-        SimConfig::builder().cores(0).build().unwrap_err(),
-        ConfigError::ZeroCores
-    );
-}
-
-#[test]
-fn builder_rejects_zero_way_caches() {
-    assert_eq!(
-        SimConfig::builder()
-            .l2_geometry(512 << 10, 0)
-            .build()
-            .unwrap_err(),
-        ConfigError::ZeroWays { cache: "L2" }
-    );
-    assert_eq!(
-        SimConfig::builder()
-            .l3_geometry(8 << 20, 0)
-            .build()
-            .unwrap_err(),
-        ConfigError::ZeroWays { cache: "L3" }
-    );
-}
-
-#[test]
 fn config_errors_display_the_constraint() {
-    let err = SimConfig::builder()
-        .cores(bosim::MAX_CORES + 1)
-        .build()
+    let err = SimConfig::baseline(PageSize::K4, bosim::MAX_CORES + 1)
+        .validate()
         .unwrap_err();
     assert!(err.to_string().contains("maximum"), "{err}");
 }

@@ -16,17 +16,13 @@ fn quick(cfg: SimConfig) -> SimConfig {
 }
 
 fn multilevel_cfg() -> SimConfig {
-    quick(
-        SimConfig::builder()
-            .site("l1:stride")
-            .expect("l1 site resolves")
-            .site("l2:bo")
-            .expect("l2 site resolves")
-            .site("l3:next-line")
-            .expect("l3 site resolves")
-            .build()
-            .expect("multi-level config validates"),
-    )
+    let cfg = SimConfig::default()
+        .with_site("l1:stride")
+        .and_then(|c| c.with_site("l2:bo"))
+        .and_then(|c| c.with_site("l3:next-line"))
+        .expect("every site resolves");
+    cfg.validate().expect("multi-level config validates");
+    quick(cfg)
 }
 
 /// The acceptance arm: a three-site stack runs through the declarative

@@ -61,12 +61,12 @@ fn external_prefetcher_registers_and_simulates() {
 
     // Full-system run with the external prefetcher in the L2 slot.
     let spec = suite::benchmark("462").expect("exists");
-    let cfg = SimConfig::builder()
-        .warmup(10_000)
-        .instructions(40_000)
-        .prefetcher(handle)
-        .build()
-        .expect("valid");
+    let cfg = SimConfig {
+        warmup_instructions: 10_000,
+        measure_instructions: 40_000,
+        ..SimConfig::default().with_prefetcher(handle)
+    };
+    cfg.validate().expect("valid");
     assert_eq!(cfg.label(), "4KB/1-core/two-ahead");
     let res = System::new(&cfg, &spec).run();
     assert!(res.ipc() > 0.01, "IPC {}", res.ipc());
@@ -80,13 +80,10 @@ fn external_prefetcher_registers_and_simulates() {
 #[test]
 fn external_prefetcher_beats_no_prefetch_on_streams() {
     let spec = suite::benchmark("462").expect("exists");
-    let quick = |p: PrefetcherHandle| {
-        SimConfig::builder()
-            .warmup(10_000)
-            .instructions(40_000)
-            .prefetcher(p)
-            .build()
-            .expect("valid")
+    let quick = |p: PrefetcherHandle| SimConfig {
+        warmup_instructions: 10_000,
+        measure_instructions: 40_000,
+        ..SimConfig::default().with_prefetcher(p)
     };
     let none = System::new(&quick(prefetchers::none()), &spec).run();
     let two = System::new(&quick(PrefetcherHandle::new(TwoAheadSpec)), &spec).run();
