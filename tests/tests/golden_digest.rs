@@ -1,0 +1,101 @@
+//! Pinned simulated results: four configurations whose whole
+//! `SimResult` is hashed and compared against a committed digest.
+//!
+//! `golden_stats.rs` proves the event-wheel loop equals the every-cycle
+//! loop, but a change that moves both loops alike passes it. These
+//! digests pin the results themselves, so any change to simulated
+//! behaviour — a reordered wake-up, a different victim, a shifted bound
+//! — fails here under `cargo test`. The hash is the benchmark's FNV-1a
+//! 64 over `format!("{:?}", result)` (host profiling is off, so the
+//! text is a pure function of the configuration), and each digest also
+//! holds for the configuration's every-cycle run.
+//!
+//! A change that is *meant* to alter simulated results updates the
+//! digests here and says why in its description.
+
+use bosim::adapt::policies;
+use bosim::{prefetchers, SimConfig, System};
+use bosim_obs::ObsConfig;
+use bosim_trace::suite;
+
+/// 64-bit FNV-1a, as `bosim-benchmark` digests results.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Runs `cfg` on `bench_id` in both loop modes and checks each run's
+/// digest against `expected`.
+fn assert_digest(cfg: SimConfig, bench_id: &str, expected: u64) {
+    let bench = suite::benchmark(bench_id).expect("benchmark exists");
+    for fast_forward in [true, false] {
+        let cfg = SimConfig {
+            fast_forward,
+            ..cfg.clone()
+        };
+        let result = System::new(&cfg, &bench).run();
+        let digest = fnv64(format!("{result:?}").as_bytes());
+        assert_eq!(
+            digest, expected,
+            "{bench_id} [{}], fast_forward {fast_forward}: digest {digest:016x}, pinned {expected:016x}",
+            result.config
+        );
+    }
+}
+
+fn single_core() -> SimConfig {
+    SimConfig {
+        warmup_instructions: 10_000,
+        measure_instructions: 40_000,
+        seed: 0xB05EED,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn default_stack_444() {
+    assert_digest(single_core(), "444", 0x76bb_895b_c093_5f94);
+}
+
+#[test]
+fn best_offset_429() {
+    let cfg = SimConfig {
+        l2_prefetcher: prefetchers::bo_default(),
+        ..single_core()
+    };
+    assert_digest(cfg, "429", 0x444b_dd2c_cb2e_3d92);
+}
+
+#[test]
+fn four_cores_best_offset_462() {
+    let cfg = SimConfig {
+        active_cores: 4,
+        warmup_instructions: 5_000,
+        measure_instructions: 15_000,
+        l2_prefetcher: prefetchers::bo_default(),
+        ..single_core()
+    };
+    assert_digest(cfg, "462", 0x6735_8599_fd8c_df15);
+}
+
+#[test]
+fn two_cores_adapt_and_tracing_429() {
+    let cfg = SimConfig {
+        active_cores: 2,
+        warmup_instructions: 5_000,
+        measure_instructions: 15_000,
+        epoch_cycles: 5_000,
+        adapt: Some(policies::degree_governor()),
+        obs: ObsConfig {
+            events: true,
+            epochs: true,
+            ..Default::default()
+        },
+        ..single_core()
+    };
+    assert_digest(cfg, "429", 0xc5cc_87b8_644a_ecac);
+}
