@@ -30,30 +30,31 @@ pub struct HitInfo {
     pub was_prefetch: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LineMeta {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    prefetch: bool,
-}
-
-const INVALID: LineMeta = LineMeta {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    prefetch: false,
-};
+/// Flag bit: the line is dirty.
+const DIRTY: u8 = 1;
+/// Flag bit: the line's prefetch bit (§5.6).
+const PREFETCH: u8 = 2;
 
 /// A set-associative cache array with pluggable replacement.
 ///
 /// The array stores tags and status bits only (trace-driven timing
 /// simulation carries no data). Statistics are kept by the caller.
+///
+/// Layout: way `w` of set `s` is slot `s * ways + w` of two packed
+/// arrays. `keys` holds `tag + 1` for a valid line and 0 for an empty
+/// way, so a lookup compares one `u64` per way and a fresh array is
+/// all zeroes — `vec![0; n]`, whose pages the OS maps only as the cache
+/// fills. Line addresses are byte addresses shifted right by 6, so a
+/// tag is below 2^58 and `tag + 1` cannot overflow. `flags` holds each
+/// slot's dirty bit (1) and prefetch bit (2), 0 on an empty way.
 #[derive(Debug)]
 pub struct CacheArray {
     sets: usize,
     ways: usize,
-    meta: Vec<LineMeta>,
+    /// log2 of `sets`: a line's tag is `line >> set_bits`.
+    set_bits: u32,
+    keys: Vec<u64>,
+    flags: Vec<u8>,
     repl_state: Vec<u8>,
     policy: Box<dyn ReplacementPolicy>,
 }
@@ -88,7 +89,9 @@ impl CacheArray {
         CacheArray {
             sets,
             ways,
-            meta: vec![INVALID; n],
+            set_bits: sets.trailing_zeros(),
+            keys: vec![0; n],
+            flags: vec![0; n],
             repl_state,
             policy: policy.build(num_cores, seed),
         }
@@ -110,21 +113,21 @@ impl CacheArray {
         (line.0 as usize) & (self.sets - 1)
     }
 
+    /// The stored key of a resident line (see the type docs).
     #[inline]
-    fn tag_of(&self, line: LineAddr) -> u64 {
-        line.0 >> self.sets.trailing_zeros()
+    fn key_of(&self, line: LineAddr) -> u64 {
+        (line.0 >> self.set_bits) + 1
     }
 
+    /// The slot holding `line`, if resident: one scan of the set's keys.
     #[inline]
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
-
     fn find(&self, line: LineAddr) -> Option<usize> {
-        let set = self.set_of(line);
-        let tag = self.tag_of(line);
-        (0..self.ways)
-            .find(|&w| self.meta[self.idx(set, w)].valid && self.meta[self.idx(set, w)].tag == tag)
+        let base = self.set_of(line) * self.ways;
+        let key = self.key_of(line);
+        let way = self.keys[base..base + self.ways]
+            .iter()
+            .position(|&k| k == key)?;
+        Some(base + way)
     }
 
     /// Pure lookup without any state change (used for the mandatory tag
@@ -138,13 +141,13 @@ impl CacheArray {
     ///
     /// Returns `None` on a miss (the caller issues a fill).
     pub fn access(&mut self, line: LineAddr, write: bool) -> Option<HitInfo> {
-        let way = self.find(line)?;
+        let i = self.find(line)?;
         let set = self.set_of(line);
-        let i = self.idx(set, way);
-        let was_prefetch = self.meta[i].prefetch;
-        self.meta[i].prefetch = false;
+        let way = i - set * self.ways;
+        let was_prefetch = self.flags[i] & PREFETCH != 0;
+        self.flags[i] &= !PREFETCH;
         if write {
-            self.meta[i].dirty = true;
+            self.flags[i] |= DIRTY;
         }
         let base = set * self.ways;
         self.policy
@@ -154,20 +157,17 @@ impl CacheArray {
 
     /// Counts the resident lines whose prefetch bit is still set —
     /// prefetched blocks that have not yet served a demand request. A
-    /// pure scan of the tag/status store (no replacement or prefetch
-    /// state changes), sampled by the observability layer at epoch
-    /// boundaries as a cache-pollution gauge.
+    /// pure scan of the status store (no replacement or prefetch state
+    /// changes), sampled by the observability layer at epoch boundaries
+    /// as a cache-pollution gauge.
     pub fn prefetched_lines(&self) -> u64 {
-        self.meta.iter().filter(|m| m.valid && m.prefetch).count() as u64
+        self.flags.iter().filter(|&&f| f & PREFETCH != 0).count() as u64
     }
 
     /// Re-reads the prefetch bit of a resident line without touching
     /// replacement state (used by prefetchers observing L2 state).
     pub fn prefetch_bit(&self, line: LineAddr) -> Option<bool> {
-        self.find(line).map(|w| {
-            let set = self.set_of(line);
-            self.meta[self.idx(set, w)].prefetch
-        })
+        self.find(line).map(|i| self.flags[i] & PREFETCH != 0)
     }
 
     /// Inserts a fetched block. `prefetched` sets the prefetch bit; `ctx`
@@ -190,32 +190,36 @@ impl CacheArray {
         debug_assert!(!self.contains(line), "duplicate insertion of {line}");
         let set = self.set_of(line);
         let base = set * self.ways;
-        // Prefer an invalid way; otherwise ask the policy for a victim.
-        let (way, evicted) = match (0..self.ways).find(|&w| !self.meta[self.idx(set, w)].valid) {
+        // Prefer an empty way; otherwise ask the policy for a victim.
+        let (way, evicted) = match self.keys[base..base + self.ways]
+            .iter()
+            .position(|&k| k == 0)
+        {
             Some(w) => (w, None),
             None => {
                 let w = self
                     .policy
                     .victim(set, &mut self.repl_state[base..base + self.ways]);
-                let m = self.meta[self.idx(set, w)];
-                let victim_line = LineAddr((m.tag << self.sets.trailing_zeros()) | set as u64);
+                let (key, flags) = (self.keys[base + w], self.flags[base + w]);
                 (
                     w,
                     Some(Evicted {
-                        line: victim_line,
-                        dirty: m.dirty,
-                        prefetch: m.prefetch,
+                        line: LineAddr(((key - 1) << self.set_bits) | set as u64),
+                        dirty: flags & DIRTY != 0,
+                        prefetch: flags & PREFETCH != 0,
                     }),
                 )
             }
         };
-        let i = self.idx(set, way);
-        self.meta[i] = LineMeta {
-            tag: self.tag_of(line),
-            valid: true,
-            dirty,
-            prefetch: prefetched,
-        };
+        let mut flags = 0;
+        if dirty {
+            flags |= DIRTY;
+        }
+        if prefetched {
+            flags |= PREFETCH;
+        }
+        self.keys[base + way] = self.key_of(line);
+        self.flags[base + way] = flags;
         self.policy
             .on_insert(set, &mut self.repl_state[base..base + self.ways], way, ctx);
         evicted
@@ -225,10 +229,8 @@ impl CacheArray {
     /// Returns false when the line is not resident.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
         match self.find(line) {
-            Some(w) => {
-                let set = self.set_of(line);
-                let i = self.idx(set, w);
-                self.meta[i].dirty = true;
+            Some(i) => {
+                self.flags[i] |= DIRTY;
                 true
             }
             None => false,
@@ -237,17 +239,16 @@ impl CacheArray {
 
     /// Invalidates a line if present; returns its dirtiness.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let w = self.find(line)?;
-        let set = self.set_of(line);
-        let i = self.idx(set, w);
-        let dirty = self.meta[i].dirty;
-        self.meta[i] = INVALID;
+        let i = self.find(line)?;
+        let dirty = self.flags[i] & DIRTY != 0;
+        self.keys[i] = 0;
+        self.flags[i] = 0;
         Some(dirty)
     }
 
     /// Number of valid lines currently resident (O(n), for tests/stats).
     pub fn occupancy(&self) -> usize {
-        self.meta.iter().filter(|m| m.valid).count()
+        self.keys.iter().filter(|&&k| k != 0).count()
     }
 
     /// The replacement policy's name.
@@ -281,6 +282,42 @@ mod tests {
         assert_eq!(c.ways(), 8);
         let l3 = CacheArray::new(8 << 20, 16, PolicyKind::FiveP, 4, 1);
         assert_eq!(l3.sets(), 8192);
+    }
+
+    /// The L3 geometry (8MB, 16 ways, 8192 sets): a fresh array is
+    /// empty, and every evicted line's address is rebuilt exactly from
+    /// its stored key and set — up to the largest line address a 64-bit
+    /// byte address has, whose key is the largest `tag + 1`.
+    #[test]
+    fn l3_geometry_starts_empty_and_rebuilds_evicted_lines() {
+        let mut c = CacheArray::new(8 << 20, 16, PolicyKind::Lru, 1, 1);
+        assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.prefetched_lines(), 0);
+        let sets = c.sets() as u64;
+        let set = sets - 1;
+        let top = u64::MAX >> 6; // the last line; it maps to the last set
+        assert_eq!(top % sets, set);
+        let lines: Vec<u64> = std::iter::once(top)
+            .chain((1..16).map(|i| i * (1 << 40) + set))
+            .collect();
+        for (i, &line) in lines.iter().enumerate() {
+            assert!(c
+                .insert(LineAddr(line), i % 2 == 0, i % 3 == 0, ctx())
+                .is_none());
+        }
+        assert_eq!(c.occupancy(), 16);
+        assert_eq!(c.prefetched_lines(), 8);
+        // Overflow the set sixteen times: LRU evicts in insertion order
+        // and each victim comes back with its address and bits intact.
+        for (i, &line) in lines.iter().enumerate() {
+            let filler = LineAddr((0x100 + i as u64) * sets + set);
+            let ev = c.insert(filler, false, false, ctx()).expect("full set");
+            assert_eq!(ev.line, LineAddr(line), "victim {i}");
+            assert_eq!(ev.prefetch, i % 2 == 0, "victim {i}");
+            assert_eq!(ev.dirty, i % 3 == 0, "victim {i}");
+        }
+        assert_eq!(c.occupancy(), 16);
+        assert_eq!(c.prefetched_lines(), 0);
     }
 
     #[test]

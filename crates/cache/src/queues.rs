@@ -1,7 +1,7 @@
 //! The prefetch queue and the DL1 MSHR file.
 
 use crate::line_index::LineIndex;
-use bosim_types::{CoreId, Cycle, LineAddr};
+use bosim_types::{CoreId, LineAddr};
 use std::collections::VecDeque;
 
 /// A lowest-priority prefetch queue (§5.4): "L2 prefetch requests have
@@ -97,15 +97,12 @@ impl PrefetchQueue {
     }
 }
 
-/// One DL1 MSHR entry: a pending block request with the cycle it was
-/// allocated and whether any retired-load consumer is waiting.
-#[derive(Debug, Clone)]
+/// One DL1 MSHR entry: a pending block request and what waits on it.
+/// The block itself is the key the [`MshrFile`] stores beside it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MshrEntry {
-    /// Pending block.
-    pub line: LineAddr,
-    /// Allocation cycle (latency accounting).
-    pub alloc_cycle: Cycle,
-    /// ROB indices of loads waiting on this block (simulator-managed).
+    /// ROB sequence numbers of loads waiting on this block
+    /// (simulator-managed).
     pub waiters: Vec<u64>,
     /// True when the entry was allocated by a prefetch.
     pub prefetch: bool,
@@ -118,10 +115,14 @@ pub struct MshrEntry {
 ///
 /// MSHRs are needed at the DL1 "for keeping track of loads/stores that
 /// depend on a missing block and for preventing redundant miss requests"
-/// (§5.4).
+/// (§5.4). The pending blocks are a packed array of line addresses,
+/// `lines[i]` keying `entries[i]`, so the associative search reads one
+/// `u64` per entry; a miss searches once ([`find_mut`](Self::find_mut))
+/// and then [`alloc`](Self::alloc)ates without searching again.
 #[derive(Debug)]
 pub struct MshrFile {
     cap: usize,
+    lines: Vec<LineAddr>,
     entries: Vec<MshrEntry>,
 }
 
@@ -135,55 +136,68 @@ impl MshrFile {
         assert!(cap > 0);
         MshrFile {
             cap,
+            lines: Vec::with_capacity(cap),
             entries: Vec::with_capacity(cap),
         }
     }
 
     /// Occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
     }
 
     /// True if no entry is allocated.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lines.is_empty()
     }
 
     /// True when no new block request can be accepted.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.cap
+        self.lines.len() >= self.cap
+    }
+
+    #[inline]
+    fn position(&self, line: LineAddr) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
     }
 
     /// Finds the pending entry for a block.
     pub fn find_mut(&mut self, line: LineAddr) -> Option<&mut MshrEntry> {
-        self.entries.iter_mut().find(|e| e.line == line)
+        let i = self.position(line)?;
+        Some(&mut self.entries[i])
     }
 
     /// Finds the pending entry for a block (shared).
     pub fn find(&self, line: LineAddr) -> Option<&MshrEntry> {
-        self.entries.iter().find(|e| e.line == line)
+        self.position(line).map(|i| &self.entries[i])
     }
 
-    /// Allocates an entry; returns `false` when full or already pending
-    /// (merge with [`Self::find_mut`] first).
-    pub fn try_alloc(&mut self, line: LineAddr, cycle: Cycle, prefetch: bool) -> bool {
-        if self.is_full() || self.find(line).is_some() {
-            return false;
+    /// Allocates an entry for `line`, returning it to fill in, or `None`
+    /// when the file is full. The caller has already searched for the
+    /// line (a pending block merges through [`find_mut`](Self::find_mut)
+    /// instead), so no search happens here.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `line` is already pending.
+    pub fn alloc(&mut self, line: LineAddr, prefetch: bool) -> Option<&mut MshrEntry> {
+        debug_assert!(self.position(line).is_none(), "{line} already pending");
+        if self.is_full() {
+            return None;
         }
+        self.lines.push(line);
         self.entries.push(MshrEntry {
-            line,
-            alloc_cycle: cycle,
-            waiters: Vec::new(),
             prefetch,
-            store: false,
+            ..MshrEntry::default()
         });
-        true
+        self.entries.last_mut()
     }
 
     /// Deallocates the entry when its block arrives, returning it.
     pub fn complete(&mut self, line: LineAddr) -> Option<MshrEntry> {
-        let pos = self.entries.iter().position(|e| e.line == line)?;
-        Some(self.entries.swap_remove(pos))
+        let i = self.position(line)?;
+        self.lines.swap_remove(i);
+        Some(self.entries.swap_remove(i))
     }
 }
 
@@ -228,16 +242,16 @@ mod tests {
     #[test]
     fn mshr_alloc_merge_complete() {
         let mut m = MshrFile::new(2);
-        assert!(m.try_alloc(LineAddr(1), 10, false));
-        assert!(!m.try_alloc(LineAddr(1), 11, false), "no duplicate entries");
+        m.alloc(LineAddr(1), false).unwrap().waiters.push(41);
         m.find_mut(LineAddr(1)).unwrap().waiters.push(42);
-        assert!(m.try_alloc(LineAddr(2), 12, true));
+        assert!(m.alloc(LineAddr(2), true).unwrap().prefetch);
         assert!(m.is_full());
-        assert!(!m.try_alloc(LineAddr(3), 13, false));
+        assert!(m.alloc(LineAddr(3), false).is_none());
         let e = m.complete(LineAddr(1)).unwrap();
-        assert_eq!(e.waiters, vec![42]);
-        assert_eq!(e.alloc_cycle, 10);
+        assert_eq!(e.waiters, vec![41, 42]);
+        assert!(!e.prefetch && !e.store);
         assert_eq!(m.len(), 1);
         assert!(m.complete(LineAddr(1)).is_none());
+        assert!(m.find(LineAddr(2)).is_some_and(|e| e.prefetch));
     }
 }

@@ -1,15 +1,16 @@
-//! Model-based tests of the two CAM-searched queues.
+//! Model-based tests of the CAM-searched queues and the MSHR file.
 //!
 //! `FillQueue` and `PrefetchQueue` keep a `LineIndex` beside their FIFO
-//! order so associative searches are O(1). These tests drive each queue
-//! with seeded random op sequences and mirror every op in a plain
-//! `Vec`/`VecDeque` model whose searches are linear scans — the
-//! obviously-correct reading of §5.4. After every op the queue's whole
-//! observable state must match the model. Lines are drawn from a range of
-//! about twice the capacity, so the index sees collisions, re-insertions
-//! and backward-shift deletes on nearly every step.
+//! order so associative searches are O(1); `MshrFile` keys its entries
+//! by a packed line array. These tests drive each structure with seeded
+//! random op sequences and mirror every op in a plain `Vec`/`VecDeque`
+//! model whose searches are linear scans — the obviously-correct reading
+//! of §5.4. After every op the structure's whole observable state must
+//! match the model. Lines are drawn from a range of about twice the
+//! capacity, so the index sees collisions, re-insertions and
+//! backward-shift deletes on nearly every step.
 
-use bosim_cache::{FillEntry, FillQueue, PrefetchQueue};
+use bosim_cache::{FillEntry, FillQueue, MshrEntry, MshrFile, PrefetchQueue};
 use bosim_types::{CoreId, LineAddr, ReqClass, SplitMix64};
 use std::collections::VecDeque;
 
@@ -213,5 +214,110 @@ fn prefetch_queue_matches_a_linear_model() {
             Vec::from(m.entries),
             "cap {cap}: final FIFO order and cores"
         );
+    }
+}
+
+/// The MSHR file's reference model: (line, entry) in allocation order.
+struct MshrModel {
+    cap: usize,
+    entries: Vec<(u64, MshrEntry)>,
+}
+
+impl MshrModel {
+    fn pos(&self, line: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.0 == line)
+    }
+}
+
+#[test]
+fn mshr_file_matches_a_linear_model() {
+    for cap in CAPACITIES {
+        let mut rng = SplitMix64::new(0x3511 ^ cap as u64);
+        let lines = 2 * cap as u64 + 1;
+        let mut q = MshrFile::new(cap);
+        let mut m = MshrModel {
+            cap,
+            entries: Vec::new(),
+        };
+        for step in 0..OPS {
+            let line = rng.next_u64() % lines;
+            let op = rng.next_u64() % 4;
+            let ctx = format!("cap {cap} step {step} op {op} line {line}");
+            match op {
+                // A miss: merge into the pending entry (a load waits on
+                // it, or a store marks it), else allocate one.
+                0 | 1 => {
+                    let load = rng.next_u64().is_multiple_of(2);
+                    let pos = m.pos(line);
+                    match (q.find_mut(LineAddr(line)), pos) {
+                        (Some(e), Some(p)) => {
+                            let me = &mut m.entries[p].1;
+                            if load {
+                                e.waiters.push(step as u64);
+                                me.waiters.push(step as u64);
+                            } else {
+                                e.store = true;
+                                me.store = true;
+                            }
+                        }
+                        (None, None) => {
+                            let prefetch = op == 1;
+                            match q.alloc(LineAddr(line), prefetch) {
+                                Some(e) => {
+                                    assert!(m.entries.len() < cap, "{ctx}: alloc past capacity");
+                                    assert_eq!(
+                                        *e,
+                                        MshrEntry {
+                                            prefetch,
+                                            ..MshrEntry::default()
+                                        },
+                                        "{ctx}: fresh entry"
+                                    );
+                                    m.entries.push((
+                                        line,
+                                        MshrEntry {
+                                            prefetch,
+                                            ..MshrEntry::default()
+                                        },
+                                    ));
+                                }
+                                None => assert_eq!(m.entries.len(), cap, "{ctx}: refused alloc"),
+                            }
+                        }
+                        (found, _) => panic!("{ctx}: find_mut {found:?}, model position {pos:?}"),
+                    }
+                }
+                2 => {
+                    let expect = m.pos(line).map(|p| m.entries.remove(p).1);
+                    assert_eq!(q.complete(LineAddr(line)), expect, "{ctx}");
+                }
+                _ => {
+                    // Fill the file to capacity: alloc must refuse past it.
+                    for l in 0..lines {
+                        if m.pos(l).is_none() && m.entries.len() < m.cap {
+                            assert!(q.alloc(LineAddr(l), false).is_some(), "{ctx}: alloc {l}");
+                            m.entries.push((l, MshrEntry::default()));
+                        }
+                    }
+                    let free = (0..lines).find(|&l| m.pos(l).is_none());
+                    if let Some(l) = free {
+                        assert!(
+                            q.alloc(LineAddr(l), false).is_none(),
+                            "{ctx}: alloc when full"
+                        );
+                    }
+                }
+            }
+            assert_eq!(q.len(), m.entries.len(), "{ctx}: len");
+            assert_eq!(q.is_empty(), m.entries.is_empty(), "{ctx}: is_empty");
+            assert_eq!(q.is_full(), m.entries.len() >= m.cap, "{ctx}: is_full");
+            for l in 0..lines {
+                assert_eq!(
+                    q.find(LineAddr(l)),
+                    m.pos(l).map(|p| &m.entries[p].1),
+                    "{ctx}: find({l})"
+                );
+            }
+        }
     }
 }

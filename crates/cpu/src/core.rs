@@ -14,6 +14,16 @@
 //! pointer chases serialise on memory latency while independent loads
 //! expose memory-level parallelism — the two behaviours that decide
 //! whether prefetch timeliness matters.
+//!
+//! The ROB is a fixed ring of [`ROB_SIZE`] entries: µop `seq` lives in
+//! slot `seq % ROB_SIZE` while `head_seq <= seq < next_seq`, so dispatch
+//! and retirement allocate nothing. Wakeup lists are intrusive FIFOs
+//! threaded through the ring: a producer holds the head and tail of the
+//! list of consumer source slots waiting on it, and each consumer slot
+//! holds the link to the next one. A link names µop `seq`'s source slot
+//! `s` as `seq * 2 + s`; a µop naming one producer in both slots sits on
+//! its list twice and wakes on the second. Dependents wake in attach
+//! order, which decides their port reservations.
 
 use crate::tage::{Ittage, Tage};
 use crate::tlb::{PageTranslator, TlbHierarchy};
@@ -121,7 +131,14 @@ enum RegState {
     Pending(u64),
 }
 
-#[derive(Debug)]
+/// A wakeup-list link: `seq * 2 + s` names source slot `s` of µop
+/// `seq` (see the module docs); [`NIL`] ends a list.
+type Link = u64;
+
+/// The end of a wakeup list.
+const NIL: Link = u64::MAX;
+
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
     kind: UopKind,
     pc: u64,
@@ -133,15 +150,40 @@ struct RobEntry {
     unresolved: u8,
     /// Earliest known execution start.
     ready_hint: Cycle,
-    /// Dependent seqs waiting for this entry's completion.
-    waiters: Vec<u64>,
+    /// First and last consumer source slot waiting for this entry's
+    /// completion, in attach order.
+    wait_head: Link,
+    wait_tail: Link,
+    /// Per source slot: the next consumer slot on the same producer's
+    /// wakeup list.
+    next: [Link; 2],
     mispredicted: bool,
     /// Loads: the address translation penalty has been charged.
     translated: bool,
 }
 
-const EV_LOAD_ISSUE: u8 = 0;
-const EV_RESOLVE: u8 = 1;
+/// The contents of a ring slot no µop has used yet.
+const EMPTY: RobEntry = RobEntry {
+    kind: UopKind::Int,
+    pc: 0,
+    vaddr: 0,
+    has_mem: false,
+    dst: None,
+    done_at: None,
+    unresolved: 0,
+    ready_hint: 0,
+    wait_head: NIL,
+    wait_tail: NIL,
+    next: [NIL; 2],
+    mispredicted: false,
+    translated: false,
+};
+
+/// The ring slot of µop `seq`.
+#[inline]
+fn slot(seq: u64) -> usize {
+    (seq % ROB_SIZE as u64) as usize
+}
 
 const PORT_RING: usize = 256;
 
@@ -166,11 +208,14 @@ pub struct Core {
     /// The pluggable L1D prefetch site (`None` = site empty, Figure 4).
     l1_prefetcher: Option<Box<dyn L1Prefetcher>>,
 
-    rob: VecDeque<RobEntry>,
+    /// The ROB ring: µop `seq` is `rob[slot(seq)]` while
+    /// `head_seq <= seq < next_seq`.
+    rob: [RobEntry; ROB_SIZE],
     head_seq: u64,
     next_seq: u64,
     regs: [RegState; NUM_REGS],
-    events: BinaryHeap<Reverse<(Cycle, u64, u8)>>,
+    /// Pending load issues and retries, `(cycle, seq)`, earliest first.
+    events: BinaryHeap<Reverse<(Cycle, u64)>>,
 
     fetch_stalled_until: Cycle,
     ifetch_pending: Option<LineAddr>,
@@ -222,7 +267,7 @@ impl Core {
             dl1: CacheArray::new(DL1_SIZE, DL1_WAYS, PolicyKind::Lru, 1, seed ^ 2),
             mshr: MshrFile::new(MSHRS),
             l1_prefetcher,
-            rob: VecDeque::with_capacity(ROB_SIZE),
+            rob: [EMPTY; ROB_SIZE],
             head_seq: 0,
             next_seq: 0,
             regs: [RegState::Known(0); NUM_REGS],
@@ -304,10 +349,38 @@ impl Core {
         self.stats = CoreStats::default();
     }
 
+    /// µops in the ROB.
+    #[inline]
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    /// The oldest µop, if the ROB is not empty.
+    #[inline]
+    fn rob_head(&self) -> Option<&RobEntry> {
+        (self.head_seq < self.next_seq).then(|| &self.rob[slot(self.head_seq)])
+    }
+
     #[inline]
     fn entry_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        self.rob.get_mut(idx)
+        (self.head_seq..self.next_seq)
+            .contains(&seq)
+            .then(|| &mut self.rob[slot(seq)])
+    }
+
+    /// Appends `link` (a consumer's source slot) to `producer`'s wakeup
+    /// list. Returns false when `producer` is not in the ROB.
+    fn attach(&mut self, producer: u64, link: Link) -> bool {
+        let Some(p) = self.entry_mut(producer) else {
+            return false;
+        };
+        let tail = std::mem::replace(&mut p.wait_tail, link);
+        if tail == NIL {
+            p.wait_head = link;
+        } else {
+            self.rob[slot(tail >> 1)].next[(tail & 1) as usize] = link;
+        }
+        true
     }
 
     /// Reserves a load port at or after `t`; returns the granted cycle.
@@ -347,13 +420,18 @@ impl Core {
     /// Marks `seq` complete at `done`, propagating to the scoreboard and
     /// waking dependents.
     fn complete(&mut self, seq: u64, done: Cycle, out: &mut Vec<UncoreRequest>) {
-        let (dst, waiters, mispredicted) = {
+        let (dst, mut link, mispredicted) = {
             let e = match self.entry_mut(seq) {
                 Some(e) => e,
                 None => return,
             };
             e.done_at = Some(done);
-            (e.dst, std::mem::take(&mut e.waiters), e.mispredicted)
+            e.wait_tail = NIL;
+            (
+                e.dst,
+                std::mem::replace(&mut e.wait_head, NIL),
+                e.mispredicted,
+            )
         };
         if let Some(d) = dst {
             if self.regs[d as usize] == RegState::Pending(seq) {
@@ -365,23 +443,25 @@ impl Core {
             // replaces the stall sentinel set at dispatch.
             self.fetch_stalled_until = done + MISPREDICT_PENALTY;
         }
-        for w in waiters {
-            let sched = {
-                let e = match self.entry_mut(w) {
-                    Some(e) => e,
-                    None => continue,
+        while link != NIL {
+            let w = link >> 1;
+            let (next, sched) = {
+                // A waiter cannot retire before its producers complete,
+                // so it is always in the ROB.
+                let Some(e) = self.entry_mut(w) else {
+                    break;
                 };
                 e.unresolved -= 1;
                 e.ready_hint = e.ready_hint.max(done);
-                if e.unresolved == 0 {
-                    Some(e.ready_hint)
-                } else {
-                    None
-                }
+                let sched = (e.unresolved == 0).then_some(e.ready_hint);
+                (e.next[(link & 1) as usize], sched)
             };
+            // Scheduling may complete `w` and walk its own list; that
+            // list threads through other slots, so `next` stays valid.
             if let Some(ready) = sched {
                 self.schedule_exec(w, ready, out);
             }
+            link = next;
         }
     }
 
@@ -393,7 +473,7 @@ impl Core {
         };
         if kind == UopKind::Load {
             let t = self.reserve_port(ready);
-            self.events.push(Reverse((t, seq, EV_LOAD_ISSUE)));
+            self.events.push(Reverse((t, seq)));
         } else {
             let start = self.reserve_exec_port(kind, ready);
             let done = start + kind.exec_latency();
@@ -421,8 +501,7 @@ impl Core {
                 .tlbs
                 .data_penalty(va.page_number(self.translator.page_size()));
             if penalty > 0 {
-                self.events
-                    .push(Reverse((now + penalty, seq, EV_LOAD_ISSUE)));
+                self.events.push(Reverse((now + penalty, seq)));
                 return;
             }
         }
@@ -434,33 +513,29 @@ impl Core {
                 self.complete(seq, done, out);
                 if hit.was_prefetch {
                     // Prefetched hit: the L1 prefetcher triggers.
-                    self.try_l1_prefetch(pc, va, out, now);
+                    self.try_l1_prefetch(pc, va, out);
                 }
             }
             None => {
                 // Merge with a pending request if possible.
                 if let Some(e) = self.mshr.find_mut(line) {
                     e.waiters.push(seq);
-                    self.try_l1_prefetch(pc, va, out, now);
+                    self.try_l1_prefetch(pc, va, out);
                     return;
                 }
-                if !self.mshr.try_alloc(line, now, false) {
+                let Some(e) = self.mshr.alloc(line, false) else {
                     // MSHR full: retry next cycle.
-                    self.events.push(Reverse((now + 1, seq, EV_LOAD_ISSUE)));
+                    self.events.push(Reverse((now + 1, seq)));
                     return;
-                }
+                };
+                e.waiters.push(seq);
                 self.stats.dl1_misses += 1;
-                self.mshr
-                    .find_mut(line)
-                    .expect("just allocated") // bosim-lint: allow(P002, MSHR entry allocated two lines above)
-                    .waiters
-                    .push(seq);
                 out.push(UncoreRequest::Read {
                     line,
                     class: ReqClass::Demand,
                     ifetch: false,
                 });
-                self.try_l1_prefetch(pc, va, out, now);
+                self.try_l1_prefetch(pc, va, out);
             }
         }
     }
@@ -468,13 +543,7 @@ impl Core {
     /// The §5.5 L1D prefetch issue path (access-time trigger, TLB2
     /// probe, MSHR allocation), applied to whatever prefetcher occupies
     /// the site.
-    fn try_l1_prefetch(
-        &mut self,
-        pc: u64,
-        vaddr: VirtAddr,
-        out: &mut Vec<UncoreRequest>,
-        now: Cycle,
-    ) {
+    fn try_l1_prefetch(&mut self, pc: u64, vaddr: VirtAddr, out: &mut Vec<UncoreRequest>) {
         let Some(l1) = self.l1_prefetcher.as_mut() else {
             return;
         };
@@ -493,7 +562,7 @@ impl Core {
         if self.dl1.contains(line) || self.mshr.find(line).is_some() {
             return;
         }
-        if !self.mshr.try_alloc(line, now, true) {
+        if self.mshr.alloc(line, true).is_none() {
             return; // MSHR full: drop the prefetch.
         }
         self.stats.l1_prefetches += 1;
@@ -564,7 +633,7 @@ impl Core {
     /// slot, through a fill), so [`next_work_cycle`]
     /// (Self::next_work_cycle) lets the scheduled loop sleep the core
     /// instead of spinning here.
-    fn drain_store(&mut self, now: Cycle, out: &mut Vec<UncoreRequest>) {
+    fn drain_store(&mut self, out: &mut Vec<UncoreRequest>) {
         let Some(&(_pc, vaddr)) = self.store_buffer.front() else {
             return;
         };
@@ -587,8 +656,8 @@ impl Core {
             self.pop_store();
             return;
         }
-        if self.mshr.try_alloc(line, now, false) {
-            self.mshr.find_mut(line).expect("just allocated").store = true; // bosim-lint: allow(P002, MSHR entry allocated in the branch above)
+        if let Some(e) = self.mshr.alloc(line, false) {
+            e.store = true;
             self.stats.dl1_misses += 1;
             out.push(UncoreRequest::Read {
                 line,
@@ -615,29 +684,36 @@ impl Core {
     /// training the L1 prefetcher and committing stores.
     fn retire(&mut self, now: Cycle) {
         for _ in 0..RETIRE_WIDTH {
-            let Some(head) = self.rob.front() else {
+            let Some(&RobEntry {
+                kind,
+                pc,
+                vaddr,
+                has_mem,
+                done_at,
+                ..
+            }) = self.rob_head()
+            else {
                 return;
             };
-            match head.done_at {
+            match done_at {
                 Some(t) if t <= now => {}
                 _ => return,
             }
-            if head.kind == UopKind::Store && self.store_buffer.len() >= STORE_BUFFER {
+            if kind == UopKind::Store && self.store_buffer.len() >= STORE_BUFFER {
                 return; // store buffer full: stall retirement
             }
-            let e = self.rob.pop_front().expect("head exists"); // bosim-lint: allow(P002, guarded by the head inspection above)
             self.head_seq += 1;
             self.stats.retired += 1;
-            if e.has_mem {
+            if has_mem {
                 if let Some(l1) = self.l1_prefetcher.as_mut() {
-                    l1.on_retire(e.pc, VirtAddr(e.vaddr));
+                    l1.on_retire(pc, VirtAddr(vaddr));
                 }
-                if e.kind == UopKind::Load {
+                if kind == UopKind::Load {
                     self.stats.loads += 1;
                 }
-                if e.kind == UopKind::Store {
+                if kind == UopKind::Store {
                     self.stats.stores += 1;
-                    self.store_buffer.push_back((e.pc, e.vaddr));
+                    self.store_buffer.push_back((pc, vaddr));
                 }
             }
         }
@@ -670,7 +746,7 @@ impl Core {
         let mut line_switches = 0;
         let mut taken_branches = 0;
         for _ in 0..DISPATCH_WIDTH {
-            if self.rob.len() >= ROB_SIZE {
+            if self.rob_len() >= ROB_SIZE {
                 return;
             }
             let uop = match self.pending_uop.take() {
@@ -740,40 +816,42 @@ impl Core {
                 }
             }
 
-            // --- Rename/dispatch into the ROB.
+            // --- Rename/dispatch into the ROB. The entry goes in first,
+            // so a µop naming one producer in both source slots can link
+            // its slot 0 to its slot 1.
             let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut unresolved = 0u8;
-            let mut ready = now;
-            for src in uop.srcs.iter().flatten() {
-                match self.regs[src.index()] {
-                    RegState::Known(t) => ready = ready.max(t),
-                    RegState::Pending(p) => {
-                        // Attach to the producer's wait list.
-                        if let Some(pe) = self.entry_mut(p) {
-                            pe.waiters.push(seq);
-                            unresolved += 1;
-                        }
-                    }
-                }
-            }
             let (vaddr, has_mem) = match uop.mem {
                 Some(m) => (m.vaddr.0, true),
                 None => (0, false),
             };
-            self.rob.push_back(RobEntry {
+            self.rob[slot(seq)] = RobEntry {
                 kind: uop.kind,
                 pc: uop.pc,
                 vaddr,
                 has_mem,
                 dst: uop.dst.map(|r| r.0),
-                done_at: None,
-                unresolved,
-                ready_hint: ready,
-                waiters: Vec::new(),
                 mispredicted,
-                translated: false,
-            });
+                ..EMPTY
+            };
+            self.next_seq += 1;
+            let mut unresolved = 0u8;
+            let mut ready = now;
+            for (s, src) in uop.srcs.iter().enumerate() {
+                let Some(src) = src else {
+                    continue;
+                };
+                match self.regs[src.index()] {
+                    RegState::Known(t) => ready = ready.max(t),
+                    RegState::Pending(p) => {
+                        if self.attach(p, seq * 2 + s as u64) {
+                            unresolved += 1;
+                        }
+                    }
+                }
+            }
+            let e = &mut self.rob[slot(seq)];
+            e.unresolved = unresolved;
+            e.ready_hint = ready;
             if let Some(d) = uop.dst {
                 self.regs[d.index()] = RegState::Pending(seq);
             }
@@ -806,7 +884,7 @@ impl Core {
     pub fn next_work_cycle(&self, from: Cycle) -> Cycle {
         let mut t = Cycle::MAX;
         // Scheduled load issues / retries.
-        if let Some(&Reverse((et, _, _))) = self.events.peek() {
+        if let Some(&Reverse((et, _))) = self.events.peek() {
             if et <= from {
                 return from;
             }
@@ -815,7 +893,7 @@ impl Core {
         // Retirement: a completed head retires (or frees ROB space) at
         // its completion cycle; an incomplete head waits on an event or
         // an external fill, both accounted for elsewhere.
-        if let Some(head) = self.rob.front() {
+        if let Some(head) = self.rob_head() {
             match head.done_at {
                 Some(d) if d > from => t = t.min(d),
                 Some(_) => return from,
@@ -836,7 +914,7 @@ impl Core {
                 if self.fetch_stalled_until != Cycle::MAX {
                     t = t.min(self.fetch_stalled_until);
                 }
-            } else if self.rob.len() < ROB_SIZE {
+            } else if self.rob_len() < ROB_SIZE {
                 return from; // dispatch will make progress
             }
         }
@@ -845,15 +923,15 @@ impl Core {
 
     /// One-line state dump for stall diagnostics.
     pub fn debug_state(&self) -> String {
-        let head = self.rob.front();
+        let head = self.rob_head();
         let ev: Vec<String> = self
             .events
             .iter()
-            .map(|std::cmp::Reverse((t, seq, k))| format!("t={t} seq={seq} k={k}"))
+            .map(|Reverse((t, seq))| format!("t={t} seq={seq}"))
             .collect();
         format!(
             "rob={}/{} head_seq={} head={:?} mshr={} sb={} fetch_stall={} ifetch={:?} events=[{}]",
-            self.rob.len(),
+            self.rob_len(),
             ROB_SIZE,
             self.head_seq,
             head.map(|e| (e.kind, e.done_at, e.unresolved, e.ready_hint, e.vaddr)),
@@ -868,19 +946,15 @@ impl Core {
     /// Advances the core by one cycle, pushing uncore requests into `out`.
     pub fn tick(&mut self, now: Cycle, out: &mut Vec<UncoreRequest>) {
         // Process due events.
-        while let Some(&Reverse((t, seq, kind))) = self.events.peek() {
+        while let Some(&Reverse((t, seq))) = self.events.peek() {
             if t > now {
                 break;
             }
             self.events.pop();
-            match kind {
-                EV_LOAD_ISSUE => self.load_issue(seq, t.max(now), out),
-                EV_RESOLVE => {}
-                _ => unreachable!("unknown event kind"),
-            }
+            self.load_issue(seq, t.max(now), out);
         }
         self.retire(now);
-        self.drain_store(now, out);
+        self.drain_store(out);
         self.dispatch(now, out);
     }
 }
@@ -908,23 +982,28 @@ mod tests {
         }
 
         fn run(&mut self, core: &mut Core, cycles: Cycle) {
-            let mut reqs = Vec::new();
             for now in 0..cycles {
-                let mut i = 0;
-                while i < self.pending.len() {
-                    if self.pending[i].0 <= now {
-                        let (_, line) = self.pending.swap_remove(i);
-                        core.fill(line, now, &mut reqs);
-                    } else {
-                        i += 1;
-                    }
+                self.step(core, now);
+            }
+        }
+
+        /// Delivers due fills, then ticks the core once.
+        fn step(&mut self, core: &mut Core, now: Cycle) {
+            let mut reqs = Vec::new();
+            let mut i = 0;
+            while i < self.pending.len() {
+                if self.pending[i].0 <= now {
+                    let (_, line) = self.pending.swap_remove(i);
+                    core.fill(line, now, &mut reqs);
+                } else {
+                    i += 1;
                 }
-                core.tick(now, &mut reqs);
-                for r in reqs.drain(..) {
-                    if let UncoreRequest::Read { line, .. } = r {
-                        self.reads += 1;
-                        self.pending.push((now + self.latency, line));
-                    }
+            }
+            core.tick(now, &mut reqs);
+            for r in reqs.drain(..) {
+                if let UncoreRequest::Read { line, .. } = r {
+                    self.reads += 1;
+                    self.pending.push((now + self.latency, line));
                 }
             }
         }
@@ -1013,6 +1092,66 @@ mod tests {
             mlp_ipc as f64 > serial_ipc as f64 * 2.5,
             "MLP {mlp_ipc} vs serialised {serial_ipc}"
         );
+    }
+
+    /// Wakeup lists through the ROB ring. One load feeds seven
+    /// dependents, one naming it in both source slots, and all become
+    /// ready the cycle it completes. Seven exceed the four INT ports, so
+    /// the cycle each dependent gets shows the wake order: it must be
+    /// attach (program) order, every dependent after the load, and the
+    /// two-slot one woken once, on its second slot. The run wraps the
+    /// ring several times.
+    #[test]
+    fn dependents_wake_in_attach_order_across_rob_wraps() {
+        const DEPS: u64 = 7;
+        const TWO_SLOT: u64 = 3;
+        let mut uops = vec![load(0x400000, 0x10_0000_0000, 1, None)];
+        for i in 0..DEPS {
+            uops.push(MicroOp {
+                pc: 0x400004 + 4 * i,
+                kind: UopKind::Int,
+                dst: Some(Reg(2 + i as u8)),
+                srcs: [Some(Reg(1)), (i == TWO_SLOT).then_some(Reg(1))],
+                mem: None,
+                branch: None,
+            });
+        }
+        uops.push(branch(0x400004 + 4 * DEPS, 0x400000));
+        let lap = uops.len() as u64;
+        let mut core = core_with(uops);
+        let mut unc = FixedUncore::new(20);
+        // Completion cycle per seq, read off the ring each cycle: an
+        // entry completes at least a cycle before it can retire.
+        let mut done = std::collections::BTreeMap::new();
+        for now in 0..3_000 {
+            unc.step(&mut core, now);
+            for seq in core.head_seq..core.next_seq {
+                if let Some(d) = core.rob[slot(seq)].done_at {
+                    assert_eq!(
+                        *done.entry(seq).or_insert(d),
+                        d,
+                        "seq {seq} completed twice"
+                    );
+                }
+            }
+        }
+        assert!(
+            core.head_seq > 3 * ROB_SIZE as u64,
+            "retired {}",
+            core.head_seq
+        );
+        for start in (0..core.head_seq - lap).step_by(lap as usize) {
+            let at = |i: u64| done[&(start + i)];
+            let deps: Vec<Cycle> = (1..=DEPS).map(at).collect();
+            assert!(
+                deps[0] > at(0),
+                "lap at {start}: a dependent ran before the load"
+            );
+            assert!(
+                deps.windows(2).all(|w| w[0] <= w[1]) && deps[0] < deps[DEPS as usize - 1],
+                "lap at {start}: dependents woke out of attach order: {deps:?}"
+            );
+        }
     }
 
     #[test]

@@ -26,5 +26,5 @@ pub use crate::core::{
     FP_PORTS, IL1_SIZE, IL1_WAYS, INT_PORTS, LOAD_PORTS, MISPREDICT_PENALTY, MSHRS, RETIRE_WIDTH,
     ROB_SIZE, STORE_BUFFER,
 };
-pub use tage::{Ittage, Tage, TageConfig};
+pub use tage::{Ittage, Tage};
 pub use tlb::{PageTranslator, Tlb, TlbHierarchy, PHYS_BITS};

@@ -9,9 +9,26 @@
 
 use bosim_types::mix64;
 
+/// Tagged tables. The sizes below make roughly the 31KB of Table 1:
+/// 16K bimodal counters (4KB) plus 8 tagged tables of 1K entries (~2B
+/// each, ~16KB) plus the history machinery.
+const TAGE_TABLES: usize = 8;
+/// log2 of bimodal entries.
+const BIMODAL_BITS: u32 = 14;
+/// log2 of entries per tagged table.
+const TABLE_BITS: u32 = 10;
+/// Entries per tagged table.
+const TABLE_ENTRIES: usize = 1 << TABLE_BITS;
+/// Tag width per tagged table.
+const TAG_BITS: u32 = 11;
+/// Global history length of each tagged table (geometric, ascending).
+const HISTORY_LENGTHS: [u32; TAGE_TABLES] = [4, 8, 16, 32, 64, 120, 220, 400];
+/// Global history bits kept: the longest history plus the bit it drops.
+const GHIST_LEN: usize = HISTORY_LENGTHS[TAGE_TABLES - 1] as usize + 1;
+
 /// Folded history register: compresses an arbitrary-length global history
 /// into `out_bits` by circular XOR folding.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Folded {
     value: u32,
     out_bits: u32,
@@ -46,44 +63,22 @@ struct TaggedEntry {
     useful: u8, // 2-bit usefulness
 }
 
-/// TAGE configuration.
-#[derive(Debug, Clone)]
-pub struct TageConfig {
-    /// log2 of bimodal entries.
-    pub bimodal_bits: u32,
-    /// log2 of entries per tagged table.
-    pub table_bits: u32,
-    /// Tag width per tagged table.
-    pub tag_bits: u32,
-    /// History lengths, one per tagged table (geometric).
-    pub history_lengths: Vec<u32>,
-}
-
-impl Default for TageConfig {
-    /// Roughly 31KB: 16K bimodal (4KB) + 8 tagged tables of 1K entries
-    /// (~2B each -> ~16KB) plus history machinery.
-    fn default() -> Self {
-        TageConfig {
-            bimodal_bits: 14,
-            table_bits: 10,
-            tag_bits: 11,
-            history_lengths: vec![4, 8, 16, 32, 64, 120, 220, 400],
-        }
-    }
-}
+/// Each tagged table's `(index, tag)` for one branch under the current
+/// history: computed once per [`Tage::update`] and shared by the
+/// prediction, the counter update and allocation.
+type Slots = [(usize, u16); TAGE_TABLES];
 
 /// The TAGE conditional-branch direction predictor.
 #[derive(Debug)]
 pub struct Tage {
-    cfg: TageConfig,
     bimodal: Vec<i8>, // 2-bit counters, -2..=1; >= 0 taken
-    tables: Vec<Vec<TaggedEntry>>,
-    /// Global history as a bit deque (bounded by max history length).
-    ghist: Vec<u8>,
+    tables: Vec<[TaggedEntry; TABLE_ENTRIES]>,
+    /// Global history as a bit ring (bounded by the longest history).
+    ghist: [u8; GHIST_LEN],
     ghist_pos: usize,
-    folded_idx: Vec<Folded>,
-    folded_tag0: Vec<Folded>,
-    folded_tag1: Vec<Folded>,
+    folded_idx: [Folded; TAGE_TABLES],
+    folded_tag0: [Folded; TAGE_TABLES],
+    folded_tag1: [Folded; TAGE_TABLES],
     use_alt: i8,
     /// Deterministic allocation tie-breaking.
     rng_state: u64,
@@ -92,80 +87,51 @@ pub struct Tage {
 }
 
 impl Tage {
-    /// Creates a TAGE predictor from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has no tagged tables.
-    pub fn new(cfg: TageConfig) -> Self {
-        assert!(!cfg.history_lengths.is_empty());
-        let max_hist = *cfg.history_lengths.iter().max().expect("non-empty") as usize; // bosim-lint: allow(P002, history_lengths is validated non-empty)
-        let tables = cfg
-            .history_lengths
-            .iter()
-            .map(|_| vec![TaggedEntry::default(); 1 << cfg.table_bits])
-            .collect();
-        let folded_idx = cfg
-            .history_lengths
-            .iter()
-            .map(|&h| Folded::new(h, cfg.table_bits))
-            .collect();
-        let folded_tag0 = cfg
-            .history_lengths
-            .iter()
-            .map(|&h| Folded::new(h, cfg.tag_bits))
-            .collect();
-        let folded_tag1 = cfg
-            .history_lengths
-            .iter()
-            .map(|&h| Folded::new(h, cfg.tag_bits - 1))
-            .collect();
+    /// Creates the ~31KB predictor of Table 1.
+    pub fn with_defaults() -> Self {
+        let folded = |bits: u32| std::array::from_fn(|t| Folded::new(HISTORY_LENGTHS[t], bits));
         Tage {
-            bimodal: vec![0; 1 << cfg.bimodal_bits],
-            tables,
-            ghist: vec![0; max_hist + 1],
+            bimodal: vec![0; 1 << BIMODAL_BITS],
+            tables: vec![[TaggedEntry::default(); TABLE_ENTRIES]; TAGE_TABLES],
+            ghist: [0; GHIST_LEN],
             ghist_pos: 0,
-            folded_idx,
-            folded_tag0,
-            folded_tag1,
+            folded_idx: folded(TABLE_BITS),
+            folded_tag0: folded(TAG_BITS),
+            folded_tag1: folded(TAG_BITS - 1),
             use_alt: 0,
             rng_state: 0x8005_1CE5,
             predictions: 0,
             mispredictions: 0,
-            cfg,
         }
     }
 
-    /// Creates the default ~31KB predictor.
-    pub fn with_defaults() -> Self {
-        Self::new(TageConfig::default())
+    #[inline]
+    fn bimodal_index(pc: u64) -> usize {
+        ((pc >> 2) as usize) & ((1 << BIMODAL_BITS) - 1)
     }
 
+    /// Every tagged table's index and tag for `pc`.
     #[inline]
-    fn bimodal_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & ((1 << self.cfg.bimodal_bits) - 1)
-    }
-
-    #[inline]
-    fn table_index(&self, pc: u64, t: usize) -> usize {
-        let h = self.folded_idx[t].value as u64;
-        let mixed = (pc >> 2) ^ (pc >> (3 + t as u64)) ^ h;
-        (mixed as usize) & ((1 << self.cfg.table_bits) - 1)
-    }
-
-    #[inline]
-    fn table_tag(&self, pc: u64, t: usize) -> u16 {
-        let tag = (pc >> 2) as u32 ^ self.folded_tag0[t].value ^ (self.folded_tag1[t].value << 1);
-        (tag & ((1 << self.cfg.tag_bits) - 1)) as u16
+    fn slots(&self, pc: u64) -> Slots {
+        std::array::from_fn(|t| {
+            let h = self.folded_idx[t].value as u64;
+            let mixed = (pc >> 2) ^ (pc >> (3 + t as u64)) ^ h;
+            let tag =
+                (pc >> 2) as u32 ^ self.folded_tag0[t].value ^ (self.folded_tag1[t].value << 1);
+            (
+                (mixed as usize) & (TABLE_ENTRIES - 1),
+                (tag & ((1 << TAG_BITS) - 1)) as u16,
+            )
+        })
     }
 
     /// Returns `(provider_table, alt_table)` hit indices, longest first.
-    fn matches(&self, pc: u64) -> (Option<usize>, Option<usize>) {
+    fn matches(&self, slots: &Slots) -> (Option<usize>, Option<usize>) {
         let mut provider = None;
         let mut alt = None;
-        for t in (0..self.tables.len()).rev() {
-            let e = &self.tables[t][self.table_index(pc, t)];
-            if e.tag == self.table_tag(pc, t) {
+        for t in (0..TAGE_TABLES).rev() {
+            let (idx, tag) = slots[t];
+            if self.tables[t][idx].tag == tag {
                 if provider.is_none() {
                     provider = Some(t);
                 } else {
@@ -177,26 +143,31 @@ impl Tage {
         (provider, alt)
     }
 
-    fn table_pred(&self, pc: u64, t: usize) -> bool {
-        self.tables[t][self.table_index(pc, t)].ctr >= 0
-    }
-
     fn bimodal_pred(&self, pc: u64) -> bool {
-        self.bimodal[self.bimodal_index(pc)] >= 0
+        self.bimodal[Self::bimodal_index(pc)] >= 0
     }
 
-    /// Predicts the direction of the conditional branch at `pc`.
-    pub fn predict(&self, pc: u64) -> bool {
-        let (provider, alt) = self.matches(pc);
+    /// The alternate prediction: the second-longest match, else bimodal.
+    fn alt_pred(&self, pc: u64, slots: &Slots, alt: Option<usize>) -> bool {
+        match alt {
+            Some(a) => self.tables[a][slots[a].0].ctr >= 0,
+            None => self.bimodal_pred(pc),
+        }
+    }
+
+    /// The prediction from a lookup's slots and matches.
+    fn predict_at(
+        &self,
+        pc: u64,
+        slots: &Slots,
+        (provider, alt): (Option<usize>, Option<usize>),
+    ) -> bool {
         match provider {
             Some(p) => {
-                let e = &self.tables[p][self.table_index(pc, p)];
+                let e = &self.tables[p][slots[p].0];
                 let weak = e.ctr == 0 || e.ctr == -1;
                 if weak && e.useful == 0 && self.use_alt >= 0 {
-                    match alt {
-                        Some(a) => self.table_pred(pc, a),
-                        None => self.bimodal_pred(pc),
-                    }
+                    self.alt_pred(pc, slots, alt)
                 } else {
                     e.ctr >= 0
                 }
@@ -205,27 +176,30 @@ impl Tage {
         }
     }
 
-    /// Updates the predictor with the actual outcome; call once per
-    /// conditional branch, after [`predict`](Self::predict). Returns
+    /// Predicts the direction of the conditional branch at `pc`.
+    pub fn predict(&self, pc: u64) -> bool {
+        let slots = self.slots(pc);
+        self.predict_at(pc, &slots, self.matches(&slots))
+    }
+
+    /// Predicts the conditional branch at `pc`, then trains on its
+    /// actual outcome; call once per conditional branch. Returns
     /// whether the prediction was correct.
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {
-        let predicted = self.predict(pc);
+        let slots = self.slots(pc);
+        let (provider, alt) = self.matches(&slots);
+        let predicted = self.predict_at(pc, &slots, (provider, alt));
         let correct = predicted == taken;
         self.predictions += 1;
         if !correct {
             self.mispredictions += 1;
         }
 
-        let (provider, alt) = self.matches(pc);
         // Provider counter update.
         match provider {
             Some(p) => {
-                let idx = self.table_index(pc, p);
-                let alt_pred = match alt {
-                    Some(a) => self.table_pred(pc, a),
-                    None => self.bimodal_pred(pc),
-                };
-                let e = &mut self.tables[p][idx];
+                let alt_pred = self.alt_pred(pc, &slots, alt);
+                let e = &mut self.tables[p][slots[p].0];
                 let provider_pred = e.ctr >= 0;
                 e.ctr = (e.ctr + if taken { 1 } else { -1 }).clamp(-4, 3);
                 // Usefulness: provider correct where alternate was wrong.
@@ -240,8 +214,7 @@ impl Tage {
                 }
             }
             None => {
-                let idx = self.bimodal_index(pc);
-                let c = &mut self.bimodal[idx];
+                let c = &mut self.bimodal[Self::bimodal_index(pc)];
                 *c = (*c + if taken { 1 } else { -1 }).clamp(-2, 1);
             }
         }
@@ -255,25 +228,20 @@ impl Tage {
                 .wrapping_add(1);
             let skip = (self.rng_state >> 60) & 1; // light randomisation
             let mut allocated = false;
-            let mut t = start + skip as usize;
-            while t < self.tables.len() {
-                let idx = self.table_index(pc, t);
-                let tag = self.table_tag(pc, t);
-                let e = &mut self.tables[t][idx];
+            let first = start + skip as usize;
+            for (table, (idx, tag)) in self.tables.iter_mut().zip(slots).skip(first) {
+                let e = &mut table[idx];
                 if e.useful == 0 {
                     e.tag = tag;
                     e.ctr = if taken { 0 } else { -1 };
                     allocated = true;
                     break;
                 }
-                t += 1;
             }
             if !allocated {
                 // Age usefulness to make room next time.
-                for t in start..self.tables.len() {
-                    let idx = self.table_index(pc, t);
-                    let e = &mut self.tables[t][idx];
-                    e.useful = e.useful.saturating_sub(1);
+                for (table, (idx, _)) in self.tables.iter_mut().zip(slots).skip(start) {
+                    table[idx].useful = table[idx].useful.saturating_sub(1);
                 }
             }
         }
@@ -284,12 +252,11 @@ impl Tage {
     }
 
     fn push_history(&mut self, taken: bool) {
-        let max = self.ghist.len();
-        self.ghist_pos = (self.ghist_pos + 1) % max;
+        self.ghist_pos = (self.ghist_pos + 1) % GHIST_LEN;
         self.ghist[self.ghist_pos] = taken as u8;
         let new_bit = taken as u32;
-        for (t, &hl) in self.cfg.history_lengths.clone().iter().enumerate() {
-            let dropped_idx = (self.ghist_pos + max - hl as usize) % max;
+        for (t, &hl) in HISTORY_LENGTHS.iter().enumerate() {
+            let dropped_idx = (self.ghist_pos + GHIST_LEN - hl as usize) % GHIST_LEN;
             let dropped = self.ghist[dropped_idx] as u32;
             self.folded_idx[t].update(new_bit, dropped);
             self.folded_tag0[t].update(new_bit, dropped);

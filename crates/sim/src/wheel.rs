@@ -1,4 +1,4 @@
-//! The calendar event wheel driving the discrete-event system loop.
+//! The event wheel driving the discrete-event system loop.
 //!
 //! Each *source* (the uncore is one source, every core is another)
 //! **posts** the next cycle at which it may have work whenever its own
@@ -12,35 +12,19 @@
 //! bit-identical to the every-cycle loop (the golden-stats suite pins
 //! it).
 //!
-//! Layout: a near window of [`HORIZON`] single-cycle buckets starting at
-//! `base`, plus a *far* set for posts at or beyond `base + HORIZON`. A
-//! 64-bit occupancy bitmap (one bit per bucket) makes "first non-empty
-//! bucket at or after cycle `c`" a rotate-and-count-trailing-zeros.
-//! When a query moves past the window, the wheel *rolls over*: `base`
-//! jumps to the queried cycle and the buckets are rebuilt from the
-//! authoritative per-source array, migrating far posts in.
+//! Layout: a flat table of each source's posted cycle. A system has one
+//! source per core plus the uncore — five on the paper's four-core
+//! machine — so a post is a store and a query scans the table; a
+//! calendar of buckets costs more than it saves at that size.
 
 use bosim_types::Cycle;
 
-/// Buckets in the near window — one per cycle, so a post within
-/// `[base, base + HORIZON)` maps to exactly one bucket and the
-/// occupancy bitmap fits in a `u64`.
-pub const HORIZON: usize = 64;
-
-/// A bucketed calendar of per-source wake-up cycles (see the module
-/// docs for the posting contract).
+/// Per-source wake-up cycles (see the module docs for the posting
+/// contract).
 #[derive(Debug)]
 pub struct EventWheel {
-    /// Authoritative next-posted cycle per source (`Cycle::MAX` = none).
+    /// Next-posted cycle per source (`Cycle::MAX` = none).
     next: Vec<Cycle>,
-    /// Near-window buckets, indexed by `cycle % HORIZON`.
-    buckets: Vec<Vec<u16>>,
-    /// Bit `cycle % HORIZON` set iff that bucket is non-empty.
-    occ: u64,
-    /// Sources posted at or beyond `base + HORIZON`.
-    far: usize,
-    /// Start of the near window.
-    base: Cycle,
 }
 
 impl EventWheel {
@@ -53,10 +37,6 @@ impl EventWheel {
         assert!(sources <= u16::MAX as usize + 1, "too many wheel sources");
         EventWheel {
             next: vec![Cycle::MAX; sources],
-            buckets: vec![Vec::new(); HORIZON],
-            occ: 0,
-            far: 0,
-            base: 0,
         }
     }
 
@@ -65,60 +45,16 @@ impl EventWheel {
         self.next.len()
     }
 
-    #[inline]
-    fn slot(at: Cycle) -> usize {
-        (at % HORIZON as u64) as usize
-    }
-
-    #[inline]
-    fn in_window(&self, at: Cycle) -> bool {
-        at >= self.base && at - self.base < HORIZON as u64
-    }
-
-    /// Removes `id`'s current post from the bucket / far bookkeeping
-    /// (the `next` entry itself is left to the caller).
-    fn unlink(&mut self, id: u16) {
-        let old = self.next[id as usize];
-        if old == Cycle::MAX {
-            return;
-        }
-        if self.in_window(old) {
-            let b = Self::slot(old);
-            self.buckets[b].retain(|&x| x != id);
-            if self.buckets[b].is_empty() {
-                self.occ &= !(1u64 << b);
-            }
-        } else {
-            self.far -= 1;
-        }
-    }
-
     /// Posts source `id`'s next-ready cycle, replacing any existing
     /// post (a source has one wake-up at a time; re-evaluating its
     /// state supersedes the old promise). `Cycle::MAX` clears the post.
-    /// Posts before the window base are clamped to it — the wheel never
-    /// re-opens the past, and a clamped post is simply "due now".
+    #[inline]
     pub fn post(&mut self, id: u16, at: Cycle) {
-        self.unlink(id);
-        let at = if at == Cycle::MAX {
-            at
-        } else {
-            at.max(self.base)
-        };
         self.next[id as usize] = at;
-        if at == Cycle::MAX {
-            return;
-        }
-        if self.in_window(at) {
-            let b = Self::slot(at);
-            self.buckets[b].push(id);
-            self.occ |= 1 << b;
-        } else {
-            self.far += 1;
-        }
     }
 
     /// The cycle `id` is currently posted for (`Cycle::MAX` = none).
+    #[inline]
     pub fn posted(&self, id: u16) -> Cycle {
         self.next[id as usize]
     }
@@ -129,116 +65,32 @@ impl EventWheel {
         self.next[id as usize] <= now
     }
 
-    /// Rolls the window over so it starts at `to`, rebuilding buckets
-    /// and far count from the authoritative array. Posts that ended up
-    /// behind `to` (possible only when a caller jumped past them) are
-    /// clamped to `to` — due immediately, never lost.
-    fn rebase(&mut self, to: Cycle) {
-        self.base = to;
-        self.occ = 0;
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.far = 0;
-        for i in 0..self.next.len() {
-            let t = self.next[i];
-            if t == Cycle::MAX {
-                continue;
-            }
-            let t = t.max(to);
-            self.next[i] = t;
-            if t - to < HORIZON as u64 {
-                let b = Self::slot(t);
-                self.buckets[b].push(i as u16);
-                self.occ |= 1 << b;
-            } else {
-                self.far += 1;
-            }
-        }
-    }
-
     /// Pops every source posted at or before `now` into `out`, earliest
     /// cycle first and same-cycle ties in ascending source-id order (the
     /// fixed rendezvous order the deterministic loop relies on). Popped
     /// sources are cleared; the caller re-posts them after servicing.
-    ///
-    /// The window start advances to `now` on every pop (a drained cycle
-    /// can never be re-posted — posts clamp to the base), keeping the
-    /// walk O(cycles since the last pop) rather than O(window) and
-    /// migrating far posts in as the window slides over them.
     pub fn pop_due(&mut self, now: Cycle, out: &mut Vec<u16>) {
         out.clear();
-        if now < self.base {
-            return; // posts clamp to the base: nothing can be due yet
-        }
-        if now - self.base >= HORIZON as u64 {
-            self.rebase(now);
-        }
-        let old_base = self.base;
-        let mut c = self.base;
-        while c <= now && self.occ != 0 {
-            let b = Self::slot(c);
-            if self.occ & (1 << b) != 0 {
-                let start = out.len();
-                out.append(&mut self.buckets[b]);
-                out[start..].sort_unstable();
-                self.occ &= !(1u64 << b);
+        for (id, &at) in self.next.iter().enumerate() {
+            if at <= now {
+                out.push(id as u16);
             }
-            c += 1;
         }
+        // Stable: ties keep ascending id order.
+        out.sort_by_key(|&id| self.next[id as usize]);
         for &id in out.iter() {
             self.next[id as usize] = Cycle::MAX;
-        }
-        self.base = now;
-        if self.far > 0 && now > old_base {
-            // The slide uncovered [old_base + HORIZON, now + HORIZON):
-            // bucket the far posts that now fall inside the window, so
-            // the in-window ⇔ bucketed invariant holds.
-            let lo = old_base + HORIZON as u64;
-            let hi = now + HORIZON as u64;
-            for i in 0..self.next.len() {
-                let t = self.next[i];
-                if t != Cycle::MAX && t >= lo && t < hi {
-                    let b = Self::slot(t);
-                    self.buckets[b].push(i as u16);
-                    self.occ |= 1 << b;
-                    self.far -= 1;
-                }
-            }
         }
     }
 
     /// The earliest posted cycle at or after `from`, or [`Cycle::MAX`]
-    /// when nothing is posted. A post somehow stranded before `from`
-    /// answers `from` (due immediately) — a wake-up is never lost.
-    pub fn next_after(&mut self, from: Cycle) -> Cycle {
-        if from >= self.base && from - self.base >= HORIZON as u64 {
-            self.rebase(from);
+    /// when nothing is posted. A post stranded before `from` answers
+    /// `from` (due immediately) — a wake-up is never lost.
+    pub fn next_after(&self, from: Cycle) -> Cycle {
+        match self.next.iter().copied().min() {
+            Some(t) if t != Cycle::MAX => t.max(from),
+            _ => Cycle::MAX,
         }
-        if from < self.base {
-            // Queries behind the window mean a stranded post could hide
-            // anywhere; answer conservatively.
-            if self.occ != 0 || self.far > 0 {
-                return from;
-            }
-            return Cycle::MAX;
-        }
-        if self.occ != 0 {
-            let r = self.occ.rotate_right(Self::slot(from) as u32);
-            let k = r.trailing_zeros() as u64;
-            let candidate = from + k;
-            if candidate - self.base < HORIZON as u64 {
-                return candidate;
-            }
-            // The first set bit wraps to cycles before `from`: a
-            // stranded post — due immediately.
-            return from;
-        }
-        if self.far > 0 {
-            let t = self.next.iter().copied().min().unwrap_or(Cycle::MAX);
-            return t.max(from);
-        }
-        Cycle::MAX
     }
 }
 
@@ -252,12 +104,13 @@ mod tests {
         w.post(2, 10);
         w.post(0, 5);
         w.post(1, 20);
+        w.post(3, 7);
         assert_eq!(w.next_after(0), 5);
         let mut due = Vec::new();
         w.pop_due(4, &mut due);
         assert!(due.is_empty());
         w.pop_due(10, &mut due);
-        assert_eq!(due, vec![0, 2]); // cycle 5 before cycle 10
+        assert_eq!(due, vec![0, 3, 2]); // cycles 5, 7, 10: cycle before id
         assert_eq!(w.posted(0), Cycle::MAX);
         assert_eq!(w.next_after(11), 20);
         w.pop_due(20, &mut due);
@@ -290,17 +143,16 @@ mod tests {
     }
 
     #[test]
-    fn rollover_past_the_bucket_horizon() {
+    fn a_distant_post_is_found_and_popped() {
         let mut w = EventWheel::new(3);
-        let far = HORIZON as u64 * 3 + 17;
-        w.post(0, far); // beyond the window: lands in the far set
+        let far = 209;
+        w.post(0, far);
         w.post(1, 2);
         assert_eq!(w.next_after(0), 2);
         let mut due = Vec::new();
         w.pop_due(2, &mut due);
         assert_eq!(due, vec![1]);
-        // Only the far post remains; the query must find it and the
-        // wheel must roll the window over to reach it.
+        // Only the distant post remains; the query must find it.
         assert_eq!(w.next_after(3), far);
         w.pop_due(far, &mut due);
         assert_eq!(due, vec![0]);
@@ -308,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_rollovers_keep_every_post() {
+    fn widely_spaced_posts_all_pop_in_cycle_order() {
         let mut w = EventWheel::new(4);
         let mut expected = Vec::new();
         for (i, gap) in [3u64, 150, 700, 4096].iter().enumerate() {
@@ -334,15 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn posts_behind_the_window_clamp_to_due_now() {
+    fn stranded_posts_are_due_now() {
         let mut w = EventWheel::new(2);
         w.post(0, 1000);
-        // Jump far ahead: the window rolls over to 5000.
+        // Query far ahead of the post: it answers the query cycle.
         assert_eq!(w.next_after(5000), 5000);
         let mut due = Vec::new();
         w.pop_due(5000, &mut due);
         assert_eq!(due, vec![0]);
-        // A post below the rolled-over base clamps to the base.
+        // A post behind the current cycle is due at once.
         w.post(1, 3);
         assert!(w.due(1, 5000));
         w.pop_due(5000, &mut due);
