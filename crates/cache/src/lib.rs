@@ -3,7 +3,9 @@
 //! Reproduces the cache machinery of the paper's baseline (§5):
 //!
 //! * [`CacheArray`] — set-associative arrays with per-line prefetch bits
-//!   (§5.6),
+//!   (§5.6), stored as one `u64` key per way (`tag + 1`, 0 for an empty
+//!   way) beside a byte of dirty/prefetch bits, so a lookup compares one
+//!   word per way and a new array is untouched zeroed memory,
 //! * replacement policies ([`policy`]): LRU, BIP, DIP, DRRIP and the
 //!   baseline L3 policy **5P** with proportional counters and set
 //!   sampling (§5.2),
@@ -11,10 +13,12 @@
 //!   late-prefetch promotion (§5.4),
 //! * [`PrefetchQueue`] — the 8-entry lowest-priority prefetch queue with
 //!   oldest-drop (§5.4), one per private L2 and one at the shared L3,
-//! * [`MshrFile`] — the DL1's 32-entry MSHR file (Table 1),
+//! * [`MshrFile`] — the DL1's 32-entry MSHR file (Table 1), keyed by a
+//!   packed array of lines so a miss searches it once,
 //! * [`LineIndex`] — the small open-addressed line→slot index backing
 //!   the queues' O(1) CAM searches (`tests/queue_model.rs` checks both
-//!   queues op by op against a plain linear-scan model).
+//!   queues and the MSHR file op by op against a plain linear-scan
+//!   model).
 //!
 //! # Examples
 //!

@@ -630,10 +630,13 @@ impl Core {
     /// re-touch TLB state on every retry. A head parked on a full MSHR
     /// sets `store_blocked`: every later retry is provably identical
     /// (the DL1 and MSHR only gain the line, and the MSHR only frees a
-    /// slot, through a fill), so [`next_work_cycle`]
-    /// (Self::next_work_cycle) lets the scheduled loop sleep the core
-    /// instead of spinning here.
+    /// slot, through a fill), so until a fill clears the flag a tick
+    /// skips the retry and [`next_work_cycle`](Self::next_work_cycle)
+    /// lets the scheduled loop sleep the core.
     fn drain_store(&mut self, out: &mut Vec<UncoreRequest>) {
+        if self.store_blocked {
+            return;
+        }
         let Some(&(_pc, vaddr)) = self.store_buffer.front() else {
             return;
         };

