@@ -143,13 +143,13 @@ impl CacheArray {
     pub fn access(&mut self, line: LineAddr, write: bool) -> Option<HitInfo> {
         let i = self.find(line)?;
         let set = self.set_of(line);
-        let way = i - set * self.ways;
+        let base = set * self.ways;
+        let way = i - base;
         let was_prefetch = self.flags[i] & PREFETCH != 0;
         self.flags[i] &= !PREFETCH;
         if write {
             self.flags[i] |= DIRTY;
         }
-        let base = set * self.ways;
         self.policy
             .on_hit(set, &mut self.repl_state[base..base + self.ways], way);
         Some(HitInfo { way, was_prefetch })

@@ -261,25 +261,15 @@ fn mshr_file_matches_a_linear_model() {
                             }
                         }
                         (None, None) => {
-                            let prefetch = op == 1;
-                            match q.alloc(LineAddr(line), prefetch) {
+                            let fresh = MshrEntry {
+                                prefetch: op == 1,
+                                ..MshrEntry::default()
+                            };
+                            match q.alloc(LineAddr(line), fresh.prefetch) {
                                 Some(e) => {
                                     assert!(m.entries.len() < cap, "{ctx}: alloc past capacity");
-                                    assert_eq!(
-                                        *e,
-                                        MshrEntry {
-                                            prefetch,
-                                            ..MshrEntry::default()
-                                        },
-                                        "{ctx}: fresh entry"
-                                    );
-                                    m.entries.push((
-                                        line,
-                                        MshrEntry {
-                                            prefetch,
-                                            ..MshrEntry::default()
-                                        },
-                                    ));
+                                    assert_eq!(*e, fresh, "{ctx}: fresh entry");
+                                    m.entries.push((line, fresh));
                                 }
                                 None => assert_eq!(m.entries.len(), cap, "{ctx}: refused alloc"),
                             }
