@@ -83,10 +83,8 @@ impl EventWheel {
     /// when nothing is posted. A post stranded before `from` answers
     /// `from` (due immediately) — a wake-up is never lost.
     pub fn next_after(&self, from: Cycle) -> Cycle {
-        match self.next.iter().copied().min() {
-            Some(t) if t != Cycle::MAX => t.max(from),
-            _ => Cycle::MAX,
-        }
+        // An unposted source holds `Cycle::MAX`, which `max` keeps.
+        self.next.iter().copied().min().unwrap_or(Cycle::MAX).max(from)
     }
 }
 
