@@ -84,7 +84,12 @@ impl EventWheel {
     /// `from` (due immediately) — a wake-up is never lost.
     pub fn next_after(&self, from: Cycle) -> Cycle {
         // An unposted source holds `Cycle::MAX`, which `max` keeps.
-        self.next.iter().copied().min().unwrap_or(Cycle::MAX).max(from)
+        self.next
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(Cycle::MAX)
+            .max(from)
     }
 }
 
