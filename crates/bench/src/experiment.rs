@@ -30,7 +30,7 @@ use crate::report::{arm_gm, ArmReport, Layout, Report, RunSummary};
 use crate::{cfg_label, selected_benchmarks, six_baselines, threads};
 use bosim::{run_jobs, ConfigError, Job, RunnerError, SimConfig, SimResult};
 use bosim_trace::{suite, BenchmarkSpec};
-use bosim_types::PageSize;
+use bosim_types::{fnv64, PageSize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -344,7 +344,7 @@ impl Experiment {
                 keys.push(format!(
                     "{}#{bi}|{:016x}",
                     bench.short,
-                    crate::journal::fnv64(debug.as_bytes())
+                    fnv64(debug.as_bytes())
                 ));
                 jobs.push(Job {
                     bench: bench.clone(),
@@ -538,7 +538,7 @@ impl ExperimentPlan {
             text.push_str(key);
             text.push('\n');
         }
-        format!("{:016x}", crate::journal::fnv64(text.as_bytes()))
+        format!("{:016x}", fnv64(text.as_bytes()))
     }
 
     /// Assembles the [`Report`] out of one result per planned job

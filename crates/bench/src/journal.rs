@@ -31,18 +31,6 @@ use bosim_stats::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// 64-bit FNV-1a — the workspace's restart-stable hash for job keys and
-/// plan fingerprints (`DefaultHasher` is seeded per process and cannot
-/// be trusted across restarts).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One journaled grid cell: everything the report needs from one
 /// completed job, in a form that survives a JSON round trip exactly
 /// (f64s are emitted in Rust's shortest round-trip form).
@@ -259,15 +247,6 @@ mod tests {
             measure_instructions: 10_000,
             ..cfg
         }
-    }
-
-    #[test]
-    fn fnv64_is_stable() {
-        // Pinned values: the journal's keys must never drift between
-        // builds, or resumes would re-run the whole grid.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
     }
 
     #[test]

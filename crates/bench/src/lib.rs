@@ -99,11 +99,6 @@ pub fn cfg_label(page: PageSize, cores: usize) -> String {
     format!("{}/{}-core", page.label(), cores)
 }
 
-/// Short row label from a benchmark name: `"433.milc-like"` → `"433"`.
-pub fn short_label(name: &str) -> String {
-    name.split('.').next().unwrap_or(name).to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,12 +109,6 @@ mod tests {
         if std::env::var("BOSIM_CONFIGS").is_err() {
             assert_eq!(six_baselines().len(), 6);
         }
-    }
-
-    #[test]
-    fn short_labels() {
-        assert_eq!(short_label("433.milc-like"), "433");
-        assert_eq!(short_label("plain"), "plain");
     }
 
     #[test]

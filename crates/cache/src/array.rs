@@ -164,12 +164,6 @@ impl CacheArray {
         self.flags.iter().filter(|&&f| f & PREFETCH != 0).count() as u64
     }
 
-    /// Re-reads the prefetch bit of a resident line without touching
-    /// replacement state (used by prefetchers observing L2 state).
-    pub fn prefetch_bit(&self, line: LineAddr) -> Option<bool> {
-        self.find(line).map(|i| self.flags[i] & PREFETCH != 0)
-    }
-
     /// Inserts a fetched block. `prefetched` sets the prefetch bit; `ctx`
     /// feeds the replacement policy. Returns the evicted block, if any.
     ///
@@ -249,11 +243,6 @@ impl CacheArray {
     /// Number of valid lines currently resident (O(n), for tests/stats).
     pub fn occupancy(&self) -> usize {
         self.keys.iter().filter(|&&k| k != 0).count()
-    }
-
-    /// The replacement policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 }
 
@@ -349,7 +338,6 @@ mod tests {
         let mut c = small_cache();
         let line = LineAddr(0x123);
         c.insert(line, true, false, ctx());
-        assert_eq!(c.prefetch_bit(line), Some(true));
         let hit = c.access(line, false).unwrap();
         assert!(hit.was_prefetch, "first access sees the prefetch bit");
         let hit2 = c.access(line, false).unwrap();

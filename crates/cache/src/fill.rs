@@ -10,18 +10,15 @@
 //! in the fill queue was prefetched, the miss request is dropped and the
 //! block in the fill queue is promoted from prefetch to demand miss."
 //!
-//! The queue is CAM-searched on the simulator's hot path (every L2 miss
-//! and every prefetch-redundancy check), so entries live in a fixed slab
-//! with a [`LineIndex`] mapping line → slot: searches are O(1) instead
-//! of a linear scan, FIFO order is kept in a separate ring of slot ids,
-//! and a ready counter lets the per-cycle drain bail out in O(1) when no
-//! entry is ready. A line can appear at most once per queue — all call
-//! sites merge into the existing entry before reserving, matching the
-//! hardware, and `try_reserve` debug-asserts it.
+//! The queue is a `Vec` of entries in allocation order. At the paper's
+//! sizes (16 entries at each L2, 32 at the L3) the CAM search is a
+//! linear scan over the entries' lines, a removal shifts the younger
+//! entries down, and a ready counter lets the per-cycle drain bail out
+//! in O(1) when no entry is ready. A line can appear at most once per
+//! queue — all call sites merge into the existing entry before
+//! reserving, matching the hardware, and `try_reserve` debug-asserts it.
 
-use crate::line_index::LineIndex;
 use bosim_types::{LineAddr, ReqClass};
-use std::collections::VecDeque;
 
 /// One fill queue entry. `T` is simulator-defined payload (requester
 /// bookkeeping: which levels need the block, which loads wait on it).
@@ -50,14 +47,8 @@ impl<T> FillEntry<T> {
 #[derive(Debug)]
 pub struct FillQueue<T> {
     cap: usize,
-    /// Entry slab; slot ids are stable for an entry's lifetime.
-    slots: Vec<Option<FillEntry<T>>>,
-    /// Allocation order (oldest first), as slot ids.
-    order: VecDeque<u32>,
-    /// Free slot ids.
-    free: Vec<u32>,
-    /// line → slot id.
-    index: LineIndex,
+    /// Pending entries in allocation order (oldest first).
+    entries: Vec<FillEntry<T>>,
     /// Number of ready entries (drain fast path).
     ready: usize,
 }
@@ -72,10 +63,7 @@ impl<T> FillQueue<T> {
         assert!(cap > 0, "fill queue needs capacity");
         FillQueue {
             cap,
-            slots: (0..cap).map(|_| None).collect(),
-            order: VecDeque::with_capacity(cap),
-            free: (0..cap as u32).rev().collect(),
-            index: LineIndex::with_capacity(cap),
+            entries: Vec::with_capacity(cap),
             ready: 0,
         }
     }
@@ -87,22 +75,27 @@ impl<T> FillQueue<T> {
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
     /// True when no entries are pending.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.entries.is_empty()
     }
 
     /// True when no free entry remains (requests must wait, §5.4).
     pub fn is_full(&self) -> bool {
-        self.order.len() >= self.cap
+        self.entries.len() >= self.cap
     }
 
     /// True when at least one entry is ready for insertion (O(1)).
     pub fn has_ready(&self) -> bool {
         self.ready > 0
+    }
+
+    #[inline]
+    fn position(&self, line: LineAddr) -> Option<usize> {
+        self.entries.iter().position(|e| e.line == line)
     }
 
     /// Reserves an entry at the tail. Returns `false` (and does nothing)
@@ -115,42 +108,36 @@ impl<T> FillQueue<T> {
             return false;
         }
         debug_assert!(
-            self.index.get(line).is_none(),
+            self.position(line).is_none(),
             "line already pending: merge before reserving"
         );
-        let slot = self.free.pop().expect("not full ⇒ a slot is free"); // bosim-lint: allow(P002, guarded by the is_full check above)
-        self.slots[slot as usize] = Some(FillEntry {
+        self.entries.push(FillEntry {
             line,
             ready: false,
             class,
             payload,
         });
-        self.order.push_back(slot);
-        self.index.insert(line, slot);
         true
     }
 
     /// CAM search for a pending entry.
     #[inline]
     pub fn find(&self, line: LineAddr) -> Option<&FillEntry<T>> {
-        let slot = self.index.get(line)?;
-        self.slots[slot as usize].as_ref()
+        self.entries.iter().find(|e| e.line == line)
     }
 
     /// CAM search, mutable (promotion, payload merging).
     #[inline]
     pub fn find_mut(&mut self, line: LineAddr) -> Option<&mut FillEntry<T>> {
-        let slot = self.index.get(line)?;
-        self.slots[slot as usize].as_mut()
+        self.entries.iter_mut().find(|e| e.line == line)
     }
 
     /// Marks the entry's data as arrived. Returns `false` when no entry
     /// matches (e.g. it was released on an L3 miss).
     pub fn set_ready(&mut self, line: LineAddr) -> bool {
-        let Some(slot) = self.index.get(line) else {
+        let Some(e) = self.entries.iter_mut().find(|e| e.line == line) else {
             return false;
         };
-        let e = self.slots[slot as usize].as_mut().expect("indexed slot"); // bosim-lint: allow(P002, the index maps only occupied slots)
         if !e.ready {
             e.ready = true;
             self.ready += 1;
@@ -170,33 +157,15 @@ impl<T> FillQueue<T> {
         }
     }
 
-    /// Removes the entry in `slot`, fixing up order, index and counters.
-    fn take_slot(&mut self, slot: u32) -> FillEntry<T> {
-        let e = self.slots[slot as usize].take().expect("slot occupied"); // bosim-lint: allow(P002, take_slot is called only with occupied slots)
-        let pos = self
-            .order
-            .iter()
-            .position(|&s| s == slot)
-            .expect("slot ordered"); // bosim-lint: allow(P002, every occupied slot is listed in `order`)
-        self.order.remove(pos);
-        self.index.remove(e.line);
-        self.free.push(slot);
-        if e.ready {
-            self.ready -= 1;
-        }
-        e
-    }
-
     /// Releases a *not-ready* entry (the §5.4 L3-miss path: "the fill
     /// queue entry is released, and the L1/L2 miss request becomes an
     /// L1/L2/L3 miss request"). Returns the payload.
     pub fn release(&mut self, line: LineAddr) -> Option<FillEntry<T>> {
-        let slot = self.index.get(line)?;
-        // bosim-lint: allow(P002, the index maps only occupied slots)
-        if self.slots[slot as usize].as_ref().expect("indexed").ready {
+        let i = self.position(line)?;
+        if self.entries[i].ready {
             return None;
         }
-        Some(self.take_slot(slot))
+        Some(self.entries.remove(i))
     }
 
     /// Pops the oldest *ready* entry for insertion into the cache array.
@@ -209,12 +178,9 @@ impl<T> FillQueue<T> {
         if self.ready == 0 {
             return None;
         }
-        let slot = *self
-            .order
-            .iter()
-            .find(|&&s| self.slots[s as usize].as_ref().expect("ordered").ready) // bosim-lint: allow(P002, slots named by `order` are occupied by construction)
-            .expect("ready count > 0"); // bosim-lint: allow(P002, ready counter is non-zero, checked above)
-        Some(self.take_slot(slot))
+        let i = self.entries.iter().position(|e| e.ready)?;
+        self.ready -= 1;
+        Some(self.entries.remove(i))
     }
 
     /// Peeks the oldest ready entry without removing it.
@@ -227,9 +193,7 @@ impl<T> FillQueue<T> {
 
     /// Iterates over all pending entries (oldest first).
     pub fn iter(&self) -> impl Iterator<Item = &FillEntry<T>> {
-        self.order
-            .iter()
-            .map(|&s| self.slots[s as usize].as_ref().expect("ordered slot")) // bosim-lint: allow(P002, slots named by `order` are occupied by construction)
+        self.entries.iter()
     }
 }
 
@@ -303,8 +267,8 @@ mod tests {
     #[test]
     fn slots_recycle_without_losing_fifo_order() {
         let mut q = fq();
-        // Fill, drain from the middle, refill: order and index must stay
-        // coherent through slot reuse.
+        // Fill, drain from the middle, refill: allocation order and the
+        // CAM search must stay coherent through removals and reuse.
         for i in 0..4u64 {
             q.try_reserve(LineAddr(i), ReqClass::Demand, i as u32);
         }
@@ -335,6 +299,17 @@ mod tests {
         assert!(q.pop_ready().is_some());
         assert!(!q.has_ready());
         assert!(q.pop_ready().is_none());
+    }
+
+    /// A line is pending at most once per queue; a second entry would
+    /// leave `find`, `set_ready` and `release` acting on the first only.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "merge before reserving")]
+    fn reserving_a_pending_line_panics() {
+        let mut q = fq();
+        q.try_reserve(LineAddr(3), ReqClass::Demand, 0);
+        q.try_reserve(LineAddr(3), ReqClass::L2Prefetch, 1);
     }
 
     #[test]

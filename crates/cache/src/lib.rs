@@ -10,15 +10,15 @@
 //!   baseline L3 policy **5P** with proportional counters and set
 //!   sampling (§5.2),
 //! * [`FillQueue`] — MSHR-less miss handling with associative search and
-//!   late-prefetch promotion (§5.4),
+//!   late-prefetch promotion (§5.4), a `Vec` in allocation order whose
+//!   CAM search is a linear scan,
 //! * [`PrefetchQueue`] — the 8-entry lowest-priority prefetch queue with
 //!   oldest-drop (§5.4), one per private L2 and one at the shared L3,
 //! * [`MshrFile`] — the DL1's 32-entry MSHR file (Table 1), keyed by a
-//!   packed array of lines so a miss searches it once,
-//! * [`LineIndex`] — the small open-addressed line→slot index backing
-//!   the queues' O(1) CAM searches (`tests/queue_model.rs` checks both
-//!   queues and the MSHR file op by op against a plain linear-scan
-//!   model).
+//!   packed array of lines so a miss searches it once.
+//!
+//! `tests/queue_model.rs` checks both queues and the MSHR file op by op
+//! against a plain reference model.
 //!
 //! # Examples
 //!
@@ -38,11 +38,9 @@
 
 mod array;
 mod fill;
-mod line_index;
 pub mod policy;
 mod queues;
 
 pub use array::{CacheArray, Evicted, HitInfo};
 pub use fill::{FillEntry, FillQueue};
-pub use line_index::LineIndex;
 pub use queues::{MshrEntry, MshrFile, PrefetchQueue};

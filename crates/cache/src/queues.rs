@@ -1,6 +1,5 @@
 //! The prefetch queue and the DL1 MSHR file.
 
-use crate::line_index::LineIndex;
 use bosim_types::{CoreId, LineAddr};
 use std::collections::VecDeque;
 
@@ -14,15 +13,12 @@ use std::collections::VecDeque;
 /// L2, and the shared L3, whose entries carry the core whose access
 /// triggered them (DRAM fairness is accounted per core).
 ///
-/// The CAM search runs once per prefetch candidate (a hot-path
-/// redundancy check), so membership is tracked in a [`LineIndex`]
-/// alongside the FIFO: `contains` is O(1), and the scan cost is paid
-/// only on actual removals.
+/// The CAM search is a linear scan of the FIFO (eight entries in the
+/// paper), as is the removal of a demanded line.
 #[derive(Debug)]
 pub struct PrefetchQueue {
     cap: usize,
     entries: VecDeque<(LineAddr, CoreId)>,
-    index: LineIndex,
     /// Number of requests cancelled by overflow (statistics).
     pub cancelled: u64,
 }
@@ -38,7 +34,6 @@ impl PrefetchQueue {
         PrefetchQueue {
             cap,
             entries: VecDeque::with_capacity(cap),
-            index: LineIndex::with_capacity(cap),
             cancelled: 0,
         }
     }
@@ -62,38 +57,31 @@ impl PrefetchQueue {
             return;
         }
         if self.entries.len() >= self.cap {
-            let (oldest, _) = self.entries.pop_front().expect("full ⇒ nonempty"); // bosim-lint: allow(P002, full queue is non-empty)
-            self.index.remove(oldest);
+            self.entries.pop_front();
             self.cancelled += 1;
         }
         self.entries.push_back((line, core));
-        self.index.insert(line, 0);
     }
 
     /// Pops the oldest pending prefetch request with its core.
     pub fn pop(&mut self) -> Option<(LineAddr, CoreId)> {
-        let (line, core) = self.entries.pop_front()?;
-        self.index.remove(line);
-        Some((line, core))
+        self.entries.pop_front()
     }
 
     /// CAM search.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.index.contains(line)
+        self.entries.iter().any(|&(l, _)| l == line)
     }
 
     /// Removes a matching request (e.g. the line just got demanded).
     pub fn remove(&mut self, line: LineAddr) -> bool {
-        if self.index.remove(line).is_none() {
-            return false;
+        match self.entries.iter().position(|&(l, _)| l == line) {
+            Some(i) => {
+                self.entries.remove(i);
+                true
+            }
+            None => false,
         }
-        let pos = self
-            .entries
-            .iter()
-            .position(|&(l, _)| l == line)
-            .expect("indexed line is queued"); // bosim-lint: allow(P002, the index maps only queued lines)
-        self.entries.remove(pos);
-        true
     }
 }
 

@@ -1,14 +1,14 @@
 //! Model-based tests of the CAM-searched queues and the MSHR file.
 //!
-//! `FillQueue` and `PrefetchQueue` keep a `LineIndex` beside their FIFO
-//! order so associative searches are O(1); `MshrFile` keys its entries
-//! by a packed line array. These tests drive each structure with seeded
-//! random op sequences and mirror every op in a plain `Vec`/`VecDeque`
-//! model whose searches are linear scans — the obviously-correct reading
-//! of §5.4. After every op the structure's whole observable state must
-//! match the model. Lines are drawn from a range of about twice the
-//! capacity, so the index sees collisions, re-insertions and
-//! backward-shift deletes on nearly every step.
+//! `FillQueue` keeps its entries in allocation order with a ready
+//! counter beside them, `PrefetchQueue` is a bounded FIFO with
+//! oldest-drop and dedup, and `MshrFile` keys its entries by a packed
+//! line array. These tests drive each structure with seeded random op
+//! sequences and mirror every op in a plain `Vec`/`VecDeque` model — the
+//! obviously-correct reading of §5.4. After every op the structure's
+//! whole observable state must match the model. Lines are drawn from a
+//! range of about twice the capacity, so merges, re-insertions and
+//! removals from the middle happen on nearly every step.
 
 use bosim_cache::{FillEntry, FillQueue, MshrEntry, MshrFile, PrefetchQueue};
 use bosim_types::{CoreId, LineAddr, ReqClass, SplitMix64};

@@ -343,12 +343,6 @@ impl Core {
         }
     }
 
-    /// Resets the retired-instruction and event counters (used at the end
-    /// of warm-up; microarchitectural state is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CoreStats::default();
-    }
-
     /// µops in the ROB.
     #[inline]
     fn rob_len(&self) -> usize {

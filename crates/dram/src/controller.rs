@@ -469,12 +469,6 @@ impl MemorySystem {
         self.channels[ch].read_q[core.index()].len() < self.cfg.read_queue_cap
     }
 
-    /// True when the core's write queue in the line's channel can accept.
-    pub fn can_accept_write(&self, line: LineAddr, core: CoreId) -> bool {
-        let ch = self.channel_of(line);
-        self.channels[ch].write_q[core.index()].len() < self.cfg.write_queue_cap
-    }
-
     /// Is a read for this line already pending (CAM search, §6.3 fn. 13)?
     pub fn has_pending_read(&self, line: LineAddr) -> bool {
         let ch = self.channel_of(line);

@@ -53,12 +53,6 @@ impl DdrTimings {
     pub fn core(&self, bus_cycles: u64) -> Cycle {
         bus_cycles * CORE_CYCLES_PER_BUS_CYCLE
     }
-
-    /// Idle-bank read latency in core cycles (ACT + CAS + data), the
-    /// floor of any DRAM read: tRCD + tCL + tBURST.
-    pub fn idle_read_latency(&self) -> Cycle {
-        self.core(self.t_rcd + self.t_cl + self.t_burst)
-    }
 }
 
 /// Per-bank row-buffer and timing state. All times in core cycles.
@@ -160,12 +154,6 @@ mod tests {
         assert_eq!(t.t_wr, 12);
         assert_eq!(t.t_wtr, 6);
         assert_eq!(t.t_burst, 4);
-    }
-
-    #[test]
-    fn idle_read_latency_is_rcd_cl_burst() {
-        let t = DdrTimings::default();
-        assert_eq!(t.idle_read_latency(), (11 + 11 + 4) * 4);
     }
 
     #[test]

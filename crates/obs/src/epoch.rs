@@ -99,11 +99,6 @@ impl EpochStream {
         }
     }
 
-    /// Whether rows actually go anywhere.
-    pub fn is_active(&self) -> bool {
-        self.out.is_some()
-    }
-
     /// Writes one row as a JSON line and flushes it.
     pub fn write_row(&mut self, row: &EpochRow) {
         if let Some(w) = &mut self.out {
@@ -147,7 +142,6 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("bosim_obs_epochs_{}.jsonl", std::process::id()));
         let mut s = EpochStream::create(&path);
-        assert!(s.is_active());
         s.write_row(&row(0));
         s.write_row(&row(1));
         // Flushed at each row: readable before the stream is dropped.
@@ -160,7 +154,6 @@ mod tests {
     #[test]
     fn disabled_stream_is_inert() {
         let mut s = EpochStream::disabled();
-        assert!(!s.is_active());
         s.write_row(&row(0));
     }
 }

@@ -48,11 +48,6 @@ impl Recorder {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Consumes the log into `(events, dropped)`.
-    pub fn into_parts(self) -> (Vec<Event>, u64) {
-        (self.events, self.dropped)
-    }
 }
 
 #[cfg(test)]
@@ -79,9 +74,6 @@ mod tests {
         assert_eq!(r.events()[0].cycle, 0);
         assert_eq!(r.events()[1].cycle, 1);
         assert_eq!(r.dropped(), 3);
-        let (events, dropped) = r.into_parts();
-        assert_eq!(events.len(), 2);
-        assert_eq!(dropped, 3);
     }
 
     #[test]

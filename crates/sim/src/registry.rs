@@ -66,6 +66,9 @@ pub enum ResolveError {
     Unknown {
         /// The unresolved name.
         name: String,
+        /// What the registry does know: its names and resolver families
+        /// ([`PrefetcherRegistry::names`]), for the message.
+        known: Vec<String>,
     },
     /// A resolver family claimed the name but rejected its parameters.
     Malformed {
@@ -99,10 +102,11 @@ pub enum ResolveError {
 impl fmt::Display for ResolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ResolveError::Unknown { name } => {
+            ResolveError::Unknown { name, known } => {
                 write!(
                     f,
-                    "unknown prefetcher {name:?} (try `names()` for the list)"
+                    "unknown prefetcher {name:?} (known: {})",
+                    known.join(", ")
                 )
             }
             ResolveError::Malformed {
@@ -240,7 +244,10 @@ impl PrefetcherRegistry {
                 }
             }
         }
-        Err(ResolveError::Unknown { name: key })
+        Err(ResolveError::Unknown {
+            name: key,
+            known: self.names(),
+        })
     }
 
     /// Resolves a *site-qualified* prefetcher name: `"l1:stride"`,
@@ -426,13 +433,24 @@ mod tests {
             }
             assert!(err.to_string().contains("offset-<D>"));
         }
-        // Unknown names stay Unknown — no family claims them.
+        // Unknown names stay Unknown — no family claims them — and the
+        // message lists what the registry knows instead.
+        let err = reg.resolve("no-such-prefetcher").unwrap_err();
         assert_eq!(
-            reg.resolve("no-such-prefetcher").unwrap_err(),
+            err,
             ResolveError::Unknown {
-                name: "no-such-prefetcher".into()
+                name: "no-such-prefetcher".into(),
+                known: reg.names(),
             }
         );
+        let msg = err.to_string();
+        let listed: Vec<&str> = msg
+            .split_once("(known: ")
+            .map(|(_, list)| list.trim_end_matches(')').split(", ").collect())
+            .unwrap_or_default();
+        assert!(listed.contains(&"bo"), "{msg}");
+        assert!(listed.contains(&"offset-<D>"), "{msg}");
+        assert!(!msg.contains("names()"), "{msg}");
     }
 
     #[test]

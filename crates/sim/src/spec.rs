@@ -102,11 +102,6 @@ impl PrefetcherHandle {
         PrefetcherHandle(Arc::new(spec))
     }
 
-    /// Wraps an already-shared spec.
-    pub fn from_arc(spec: Arc<dyn PrefetcherSpec>) -> Self {
-        PrefetcherHandle(spec)
-    }
-
     /// The spec's report label.
     pub fn name(&self) -> String {
         self.0.name()

@@ -5,10 +5,10 @@
 //! DRAM accesses per kilo-instruction). This crate provides:
 //!
 //! * [`geometric_mean`] / [`speedup`] — the summary math,
-//! * [`Histogram`] — bounded-bucket latency/value histograms,
 //! * [`Table`] — plain-text/TSV/markdown table output used by every figure
 //!   harness,
-//! * [`RateStat`] — events per kilo-instruction helper.
+//! * [`Json`] — the hand-rolled JSON value every report is written with,
+//!   and its parser.
 //!
 //! # Examples
 //!
@@ -22,14 +22,12 @@
 
 #![warn(missing_docs)]
 
-mod histogram;
 mod json;
 mod parse;
 mod summary;
 mod table;
 
-pub use histogram::Histogram;
 pub use json::Json;
 pub use parse::JsonParseError;
-pub use summary::{geometric_mean, harmonic_mean, mean, speedup, RateStat};
-pub use table::{fmt3, Align, Table};
+pub use summary::{geometric_mean, speedup};
+pub use table::{Align, Table};

@@ -1,20 +1,5 @@
 //! Summary statistics: means and speedups.
 
-/// Arithmetic mean; `None` for an empty iterator.
-pub fn mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        sum += v;
-        n += 1;
-    }
-    if n == 0 {
-        None
-    } else {
-        Some(sum / n as f64)
-    }
-}
-
 /// Geometric mean; `None` for an empty iterator.
 ///
 /// This is the summary statistic used throughout the paper's evaluation
@@ -39,26 +24,6 @@ pub fn geometric_mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
     }
 }
 
-/// Harmonic mean; `None` for an empty iterator.
-///
-/// # Panics
-///
-/// Panics if any value is not strictly positive.
-pub fn harmonic_mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
-    let mut inv_sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        assert!(v > 0.0, "harmonic mean requires positive values, got {v}");
-        inv_sum += 1.0 / v;
-        n += 1;
-    }
-    if n == 0 {
-        None
-    } else {
-        Some(n as f64 / inv_sum)
-    }
-}
-
 /// Speedup of `subject` IPC over `baseline` IPC.
 ///
 /// # Panics
@@ -68,35 +33,6 @@ pub fn harmonic_mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
 pub fn speedup(subject_ipc: f64, baseline_ipc: f64) -> f64 {
     assert!(baseline_ipc > 0.0, "baseline IPC must be positive");
     subject_ipc / baseline_ipc
-}
-
-/// An events-per-kilo-instruction rate, e.g. Figure 13's "DRAM accesses
-/// per 1000 instructions".
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RateStat {
-    /// Number of events observed.
-    pub events: u64,
-    /// Number of instructions over which they were observed.
-    pub instructions: u64,
-}
-
-impl RateStat {
-    /// Creates a rate from raw counts.
-    pub fn new(events: u64, instructions: u64) -> Self {
-        RateStat {
-            events,
-            instructions,
-        }
-    }
-
-    /// Events per 1000 instructions (0.0 when no instructions executed).
-    pub fn per_kilo_instr(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.events as f64 * 1000.0 / self.instructions as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,22 +64,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_basics() {
-        assert_eq!(mean(std::iter::empty()), None);
-        assert!(close(mean([2.0, 4.0]).unwrap(), 3.0));
-    }
-
-    #[test]
     fn geomean_basics() {
         assert_eq!(geometric_mean(std::iter::empty()), None);
         assert!(close(geometric_mean([4.0, 1.0]).unwrap(), 2.0));
         assert!(close(geometric_mean([8.0]).unwrap(), 8.0));
-    }
-
-    #[test]
-    fn harmonic_basics() {
-        assert!(close(harmonic_mean([1.0, 1.0]).unwrap(), 1.0));
-        assert!(close(harmonic_mean([2.0, 2.0]).unwrap(), 2.0));
     }
 
     #[test]
@@ -156,13 +80,6 @@ mod tests {
     #[should_panic]
     fn geomean_rejects_nonpositive() {
         geometric_mean([1.0, 0.0]);
-    }
-
-    #[test]
-    fn rate_per_kilo() {
-        let r = RateStat::new(50, 1_000_000);
-        assert!(close(r.per_kilo_instr(), 0.05));
-        assert_eq!(RateStat::new(10, 0).per_kilo_instr(), 0.0);
     }
 
     #[test]
@@ -191,9 +108,10 @@ mod tests {
     #[test]
     fn prop_hm_le_gm_le_am() {
         for values in random_vectors(0.1, 10.0, 20) {
-            let am = mean(values.iter().copied()).unwrap();
+            let n = values.len() as f64;
+            let am = values.iter().sum::<f64>() / n;
             let gm = geometric_mean(values.iter().copied()).unwrap();
-            let hm = harmonic_mean(values.iter().copied()).unwrap();
+            let hm = n / values.iter().map(|v| 1.0 / v).sum::<f64>();
             assert!(hm <= gm + 1e-9, "{values:?}");
             assert!(gm <= am + 1e-9, "{values:?}");
         }

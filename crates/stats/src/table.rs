@@ -163,12 +163,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a float with 3 decimal places, the convention used for speedups
-/// in the experiment outputs.
-pub fn fmt3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,10 +201,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new(["a", "b"]);
         t.row(["only-one"]);
-    }
-
-    #[test]
-    fn fmt3_rounds() {
-        assert_eq!(fmt3(1.23456), "1.235");
     }
 }

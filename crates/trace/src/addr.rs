@@ -30,11 +30,9 @@
 //! with no sources, so the synthetic stream adds no false dependences.
 
 use crate::record::{MemRef, MicroOp, Reg, UopKind};
-use crate::source::ReplaySource;
 use bosim_types::VirtAddr;
 use std::fmt;
 use std::io::{BufRead, Read};
-use std::path::Path;
 
 /// Direction of one raw access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,26 +278,6 @@ pub fn lower(accesses: &[RawAccess]) -> Vec<MicroOp> {
         .collect()
 }
 
-/// Loads a text address trace into a looping [`ReplaySource`].
-///
-/// # Errors
-///
-/// Returns I/O and parse errors (see [`AddrTraceError`]).
-pub fn load_text(path: &Path, name: &str) -> Result<ReplaySource, AddrTraceError> {
-    let accesses = parse_text(std::fs::File::open(path)?)?;
-    Ok(ReplaySource::new(name, lower(&accesses)))
-}
-
-/// Loads a binary address trace into a looping [`ReplaySource`].
-///
-/// # Errors
-///
-/// Returns I/O and parse errors (see [`AddrTraceError`]).
-pub fn load_binary(path: &Path, name: &str) -> Result<ReplaySource, AddrTraceError> {
-    let accesses = parse_binary(std::io::BufReader::new(std::fs::File::open(path)?))?;
-    Ok(ReplaySource::new(name, lower(&accesses)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,21 +383,5 @@ mod tests {
         let uops = lower(&[(AccessDir::Write, 0x40)]);
         assert_eq!(uops[0].kind, UopKind::Store);
         assert!(uops[0].dst.is_none());
-    }
-
-    #[test]
-    fn file_loaders_round_trip() {
-        let dir = std::env::temp_dir();
-        let tpath = dir.join(format!("bosim_addr_test_{}.addr", std::process::id()));
-        let bpath = dir.join(format!("bosim_addr_test_{}.addrbin", std::process::id()));
-        let acc = vec![(AccessDir::Read, 0x9000), (AccessDir::Write, 0x9040)];
-        std::fs::write(&tpath, encode_text(&acc)).unwrap();
-        std::fs::write(&bpath, encode_binary(&acc)).unwrap();
-        let t = load_text(&tpath, "t").unwrap();
-        let b = load_binary(&bpath, "b").unwrap();
-        assert_eq!(t.lap_len(), 2);
-        assert_eq!(b.lap_len(), 2);
-        let _ = std::fs::remove_file(&tpath);
-        let _ = std::fs::remove_file(&bpath);
     }
 }

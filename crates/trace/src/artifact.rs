@@ -28,6 +28,7 @@
 
 use crate::ingest::{decode_file, ExternalSpec, TraceError};
 use crate::{file, MicroOp};
+use bosim_types::fnv64;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -35,17 +36,6 @@ use std::time::SystemTime;
 
 /// Default resident-set budget for the process-global store (1 GiB).
 pub const DEFAULT_CAPACITY_BYTES: u64 = 1 << 30;
-
-/// 64-bit FNV-1a over the key's debug form — names spill files
-/// restart-stably (`DefaultHasher` is randomly seeded per process).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Identity of one decoded artifact: the source file, how it was
 /// decoded, and the file generation (length + mtime) it was decoded

@@ -1,8 +1,9 @@
 //! Binary trace serialisation.
 //!
 //! The paper's methodology stitches recorded trace samples (§5); this
-//! module provides an equivalent capability: capture any [`TraceSource`]
-//! prefix to a compact binary buffer or file and replay it later.
+//! module provides an equivalent capability: [`encode`] a prefix captured
+//! from any [`TraceSource`](crate::TraceSource) to a compact binary
+//! buffer, write it to a file, and replay it later with [`load_replay`].
 //!
 //! Format (little endian), per record (30 bytes fixed):
 //!
@@ -14,11 +15,11 @@
 //! A 16-byte header carries a magic, version and record count.
 
 use crate::record::{BranchInfo, MemRef, MicroOp, Reg, UopKind};
-use crate::source::{ReplaySource, TraceSource};
+use crate::source::ReplaySource;
 use bosim_types::VirtAddr;
 use std::fmt;
 use std::fs::File;
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::path::Path;
 
 pub(crate) const MAGIC: u32 = 0xB05_7ACE;
@@ -293,23 +294,6 @@ pub fn decode(buf: &[u8]) -> Result<Vec<MicroOp>, TraceFileError> {
     Ok(out)
 }
 
-/// Captures `n` µops from `src` and writes them to `path`.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn record_to_file(
-    src: &mut dyn TraceSource,
-    n: usize,
-    path: &Path,
-) -> Result<(), TraceFileError> {
-    let uops = crate::source::capture(src, n);
-    let bytes = encode(&uops);
-    let mut f = File::create(path)?;
-    f.write_all(&bytes)?;
-    Ok(())
-}
-
 /// Loads a trace file into a looping [`ReplaySource`].
 ///
 /// # Errors
@@ -408,7 +392,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("bosim_trace_test_{}.btrace", std::process::id()));
         let spec = suite::benchmark("456").unwrap();
-        record_to_file(&mut spec.build(), 500, &path).unwrap();
+        std::fs::write(&path, encode(&capture(&mut spec.build(), 500))).unwrap();
         let mut replay = load_replay(&path, "456-replayed").unwrap();
         assert_eq!(replay.lap_len(), 500);
         let replayed = capture(&mut replay, 500);

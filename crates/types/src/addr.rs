@@ -87,12 +87,6 @@ impl LineAddr {
         LineAddr(byte_addr >> LINE_SHIFT)
     }
 
-    /// The physical byte address of the first byte of the line.
-    #[inline]
-    pub fn to_byte_addr(self) -> PhysAddr {
-        PhysAddr(self.0 << LINE_SHIFT)
-    }
-
     /// The physical page number of the page containing this line.
     #[inline]
     pub fn page_number(self, size: PageSize) -> u64 {
@@ -278,15 +272,6 @@ mod tests {
                 let pos = l.line_in_page(size) as i64 + off;
                 assert!(pos < 0 || pos >= size.lines_per_page() as i64);
             }
-        }
-    }
-
-    #[test]
-    fn prop_line_byte_roundtrip() {
-        let mut rng = SplitMix64::new(43);
-        for _ in 0..256 {
-            let l = LineAddr(rng.next_u64() % (1 << 40));
-            assert_eq!(l.to_byte_addr().line(), l);
         }
     }
 }

@@ -8,7 +8,8 @@
 //! * request metadata ([`CoreId`], [`AccessKind`], [`ReqClass`]),
 //! * the simulated clock ([`Cycle`]),
 //! * a small deterministic mixing function ([`mix64`]) used for the
-//!   randomising virtual-to-physical hash and table index hashing.
+//!   randomising virtual-to-physical hash and table index hashing, and
+//!   the restart-stable byte-string hash [`fnv64`].
 //!
 //! The simulator reproduces the system of *Best-Offset Hardware
 //! Prefetching* (Michaud, HPCA 2016). Cache lines are 64 bytes everywhere,
@@ -37,7 +38,7 @@ mod rng;
 pub use addr::{LineAddr, PageSize, PhysAddr, VirtAddr, LINE_BYTES, LINE_SHIFT};
 pub use prop_counter::ProportionalCounters;
 pub use req::{AccessKind, CoreId, MemLevel, ReqClass};
-pub use rng::{mix64, SplitMix64};
+pub use rng::{fnv64, mix64, SplitMix64};
 
 /// The simulated clock, counted in core cycles.
 ///

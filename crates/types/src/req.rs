@@ -37,14 +37,6 @@ pub enum AccessKind {
     IFetch,
 }
 
-impl AccessKind {
-    /// True for loads and stores.
-    #[inline]
-    pub fn is_data(self) -> bool {
-        !matches!(self, AccessKind::IFetch)
-    }
-}
-
 /// Classification of a request in the uncore.
 ///
 /// The memory controller "does not distinguish between demand and prefetch
@@ -62,14 +54,6 @@ pub enum ReqClass {
     /// Prefetch issued by the L3-site prefetcher (fills the shared L3
     /// only; it has no core to forward to).
     L3Prefetch,
-}
-
-impl ReqClass {
-    /// True for any prefetch class.
-    #[inline]
-    pub fn is_prefetch(self) -> bool {
-        !matches!(self, ReqClass::Demand)
-    }
 }
 
 /// The cache levels of the simulated hierarchy.
@@ -103,21 +87,6 @@ impl fmt::Display for MemLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn req_class_prefetch_predicate() {
-        assert!(!ReqClass::Demand.is_prefetch());
-        assert!(ReqClass::L1Prefetch.is_prefetch());
-        assert!(ReqClass::L2Prefetch.is_prefetch());
-        assert!(ReqClass::L3Prefetch.is_prefetch());
-    }
-
-    #[test]
-    fn access_kind_data_predicate() {
-        assert!(AccessKind::Load.is_data());
-        assert!(AccessKind::Store.is_data());
-        assert!(!AccessKind::IFetch.is_data());
-    }
 
     #[test]
     fn display_impls_are_nonempty() {

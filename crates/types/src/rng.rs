@@ -4,7 +4,8 @@
 //! applying a randomizing hash function on the virtual page number" (§5.1).
 //! [`mix64`] is that hash; [`SplitMix64`] is a tiny deterministic generator
 //! used where a full `rand` dependency would be overkill (e.g. the BIP
-//! insertion coin-flips).
+//! insertion coin-flips). [`fnv64`] hashes byte strings for keys and
+//! digests that must not change between processes.
 
 /// SplitMix64 finaliser: a high-quality 64-bit mixing function.
 ///
@@ -22,6 +23,19 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// 64-bit FNV-1a — the workspace's restart-stable hash for job keys,
+/// plan fingerprints, artifact spill names and result digests
+/// (`DefaultHasher` is seeded per process and cannot be trusted across
+/// restarts).
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// A minimal deterministic pseudo-random generator (SplitMix64 stream).
@@ -89,6 +103,15 @@ mod tests {
         assert_ne!(a, b);
         // Adjacent inputs should differ in many bits (avalanche sanity).
         assert!((a ^ b).count_ones() > 16);
+    }
+
+    #[test]
+    fn fnv64_is_stable() {
+        // Pinned values: journal keys and result digests must never
+        // drift between builds, or resumes would re-run the whole grid.
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(fnv64(b"ab"), fnv64(b"ba"));
     }
 
     #[test]

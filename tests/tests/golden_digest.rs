@@ -17,16 +17,7 @@ use bosim::adapt::policies;
 use bosim::{prefetchers, SimConfig, System};
 use bosim_obs::ObsConfig;
 use bosim_trace::suite;
-
-/// 64-bit FNV-1a, as `bosim-benchmark` digests results.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use bosim_types::fnv64;
 
 /// Runs `cfg` on `bench_id` in both loop modes and checks each run's
 /// digest against `expected`.
