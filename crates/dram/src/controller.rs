@@ -95,18 +95,63 @@ struct WriteReq {
     loc: DramLoc,
 }
 
+/// The queued requests of one bank, split by whether they target its
+/// open row. Kept in step with the queues on enqueue, CAS, PRE and ACT.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RowSplit {
+    /// Requests for the open row: a CAS serves them.
+    open: u32,
+    /// Requests for another row (every request while the bank is
+    /// closed): each needs a PRE or an ACT first.
+    other: u32,
+}
+
+impl RowSplit {
+    fn add(&mut self, open: bool) {
+        if open {
+            self.open += 1;
+        } else {
+            self.other += 1;
+        }
+    }
+}
+
+/// Earliest cycle bank `b` can take the PRE or ACT that a request for a
+/// row other than its open one needs.
+fn prep_at(b: &Bank) -> Cycle {
+    if b.open_row.is_some() {
+        b.pre_ok_at
+    } else {
+        b.act_ok_at
+    }
+}
+
 #[derive(Debug)]
 struct Channel {
     banks: Vec<Bank>,
     read_q: Vec<VecDeque<ReadReq>>,
     write_q: Vec<VecDeque<WriteReq>>,
+    /// Core `c`'s queued reads for bank `b`, at `c * banks + b`.
+    read_split: Vec<RowSplit>,
+    /// Queued writes for each bank, over all cores.
+    write_split: Vec<RowSplit>,
+    /// Queued reads, over all cores.
+    reads: usize,
+    /// Queued writes, over all cores.
+    writes: usize,
     counters: ProportionalCounters,
     served: usize,
+    /// Writes left in the current batch (0: no batch). A batch starts
+    /// only with writes queued and ends with the CAS of the last one, so
+    /// it is never open while the write queues are empty.
     writes_left: usize,
     /// Data bus is busy until this cycle.
     bus_free_at: Cycle,
     /// tWTR: no read CAS until this cycle.
     read_ok_at: Cycle,
+    /// No [`step`](Self::step) before this cycle can change the channel
+    /// (see [`next_cmd`](Self::next_cmd)); recomputed after every change.
+    cmd_at: Cycle,
     completions: BinaryHeap<Reverse<(Cycle, u64, u64, u8)>>, // (time, id, line, core)
     stats: DramStats,
 }
@@ -117,28 +162,213 @@ impl Channel {
             banks: vec![Bank::default(); cfg.banks],
             read_q: vec![VecDeque::new(); cfg.num_cores],
             write_q: vec![VecDeque::new(); cfg.num_cores],
+            read_split: vec![RowSplit::default(); cfg.num_cores * cfg.banks],
+            write_split: vec![RowSplit::default(); cfg.banks],
+            reads: 0,
+            writes: 0,
             counters: ProportionalCounters::new(cfg.num_cores, 7),
             served: 0,
             writes_left: 0,
             bus_free_at: 0,
             read_ok_at: 0,
+            cmd_at: Cycle::MAX,
             completions: BinaryHeap::new(),
             stats: DramStats::default(),
         }
     }
 
-    fn pending_reads(&self) -> usize {
-        self.read_q.iter().map(|q| q.len()).sum()
+    fn push_read(&mut self, cfg: &MemConfig, c: usize, req: ReadReq) -> bool {
+        if self.read_q[c].len() >= cfg.read_queue_cap {
+            return false;
+        }
+        let b = req.loc.bank as usize;
+        let open = self.banks[b].need(req.loc.row) == BankNeed::Cas;
+        self.read_split[c * self.banks.len() + b].add(open);
+        self.read_q[c].push_back(req);
+        self.reads += 1;
+        self.cmd_at = self.next_cmd(cfg);
+        true
     }
 
-    fn pending_writes(&self) -> usize {
-        self.write_q.iter().map(|q| q.len()).sum()
+    fn push_write(&mut self, cfg: &MemConfig, c: usize, req: WriteReq) -> bool {
+        if self.write_q[c].len() >= cfg.write_queue_cap {
+            return false;
+        }
+        let b = req.loc.bank as usize;
+        let open = self.banks[b].need(req.loc.row) == BankNeed::Cas;
+        self.write_split[b].add(open);
+        self.write_q[c].push_back(req);
+        self.writes += 1;
+        self.cmd_at = self.next_cmd(cfg);
+        true
     }
 
-    /// Issues a read CAS for queue position `pos` of core `c`.
-    fn issue_read_cas(&mut self, t: &DdrTimings, now: Cycle, c: usize, pos: usize, urgent: bool) {
-        let req = self.read_q[c].remove(pos).expect("position valid"); // bosim-lint: allow(P002, position comes from a scan of the same queue)
-        let data_end = self.banks[req.loc.bank as usize].read(now, t);
+    /// Earliest cycle a read CAS to bank `b`'s open row can issue.
+    fn read_cas_at(&self, t: &DdrTimings, b: &Bank) -> Cycle {
+        b.cas_ok_at
+            .max(self.read_ok_at)
+            .max(self.bus_free_at.saturating_sub(t.core(t.t_cl)))
+    }
+
+    /// Earliest cycle a write CAS to bank `b`'s open row can issue.
+    fn write_cas_at(&self, t: &DdrTimings, b: &Bank) -> Cycle {
+        b.cas_ok_at
+            .max(self.bus_free_at.saturating_sub(t.core(t.t_cwl)))
+    }
+
+    /// Can a read CAS for `loc` issue right now?
+    fn read_cas_ready(&self, t: &DdrTimings, now: Cycle, loc: DramLoc) -> bool {
+        let b = &self.banks[loc.bank as usize];
+        b.need(loc.row) == BankNeed::Cas && self.read_cas_at(t, b) <= now
+    }
+
+    /// Can a write CAS for `loc` issue right now?
+    fn write_cas_ready(&self, t: &DdrTimings, now: Cycle, loc: DramLoc) -> bool {
+        let b = &self.banks[loc.bank as usize];
+        b.need(loc.row) == BankNeed::Cas && self.write_cas_at(t, b) <= now
+    }
+
+    /// Earliest cycles at which one of core `c`'s queued reads can take
+    /// a CAS, and a PRE or ACT: O(banks), from the row splits.
+    fn read_bounds(&self, t: &DdrTimings, c: usize) -> (Cycle, Cycle) {
+        let n = self.banks.len();
+        let mut cas = Cycle::MAX;
+        let mut prep = Cycle::MAX;
+        for (b, s) in self.banks.iter().zip(&self.read_split[c * n..(c + 1) * n]) {
+            if s.open > 0 {
+                cas = cas.min(self.read_cas_at(t, b));
+            }
+            if s.other > 0 {
+                prep = prep.min(prep_at(b));
+            }
+        }
+        (cas, prep)
+    }
+
+    /// Earliest cycle at which one of the queued writes can take a CAS.
+    fn write_cas_bound(&self, t: &DdrTimings) -> Cycle {
+        let mut cas = Cycle::MAX;
+        for (b, s) in self.banks.iter().zip(&self.write_split) {
+            if s.open > 0 {
+                cas = cas.min(self.write_cas_at(t, b));
+            }
+        }
+        cas
+    }
+
+    /// Earliest cycle at which a step's urgent mode can issue a command
+    /// for core `c`: a CAS for any of its reads, or the PRE or ACT its
+    /// oldest read needs.
+    fn urgent_bound(&self, t: &DdrTimings, c: usize) -> Cycle {
+        let Some(oldest) = self.read_q[c].front() else {
+            return Cycle::MAX;
+        };
+        let b = &self.banks[oldest.loc.bank as usize];
+        let cas = self.read_bounds(t, c).0;
+        if b.need(oldest.loc.row) == BankNeed::Cas {
+            cas
+        } else {
+            cas.min(prep_at(b))
+        }
+    }
+
+    /// Is the lagging core `c` far enough behind the served one for the
+    /// urgent mode (§5.3)?
+    fn is_urgent(&self, cfg: &MemConfig, c: usize) -> bool {
+        !self.read_q[c].is_empty() && self.counters.diff(self.served, c) > cfg.urgent_threshold
+    }
+
+    /// Does an idle channel start a write batch at its next step?
+    fn batch_due(&self, cfg: &MemConfig) -> bool {
+        let any_full = self
+            .write_q
+            .iter()
+            .any(|q| q.len() >= cfg.write_queue_cap - 1);
+        self.writes > 0 && (any_full || (self.reads == 0 && self.writes >= cfg.write_batch))
+    }
+
+    /// The earliest cycle at which a [`step`](Self::step) can change
+    /// this channel, from its state alone: 0 when bookkeeping is due at
+    /// the next boundary (a write batch starting, or the steady mode
+    /// handing the bus to a lower-counter core); otherwise the first
+    /// cycle one of the requests the mode can issue is ready. In steady
+    /// mode those are the served core's reads; during a write batch,
+    /// every write's CAS and each write queue's oldest request. Either
+    /// way the urgent candidate's reads count too, whatever
+    /// `l3_can_accept` will say. Bank, bus and queue state is frozen
+    /// between changes, so the bound holds until the next one. The cost
+    /// is O(banks + cores), with no walk over the queued requests.
+    fn next_cmd(&self, cfg: &MemConfig) -> Cycle {
+        let t = &cfg.timings;
+        let lagging = self.pick_served();
+        let mut at = if self.writes_left == 0 {
+            if lagging != self.served || self.batch_due(cfg) {
+                return 0;
+            }
+            let (cas, prep) = self.read_bounds(t, self.served);
+            cas.min(prep)
+        } else {
+            let mut at = self.write_cas_bound(t);
+            for q in &self.write_q {
+                if let Some(w) = q.front() {
+                    let b = &self.banks[w.loc.bank as usize];
+                    if b.need(w.loc.row) != BankNeed::Cas {
+                        at = at.min(prep_at(b));
+                    }
+                }
+            }
+            at
+        };
+        if self.is_urgent(cfg, lagging) {
+            at = at.min(self.urgent_bound(t, lagging));
+        }
+        at
+    }
+
+    /// The earliest cycle ≥ `from` at which this channel can do any work
+    /// (`None` when it never can without a new request): the oldest
+    /// completion, or the first bus-cycle boundary at or after `cmd_at`.
+    fn next_event(&self, from: Cycle) -> Option<Cycle> {
+        let done = self.completions.peek().map(|&Reverse((t, ..))| t.max(from));
+        let cmd = (self.cmd_at != Cycle::MAX).then(|| {
+            self.cmd_at
+                .max(from)
+                .next_multiple_of(CORE_CYCLES_PER_BUS_CYCLE)
+        });
+        done.into_iter().chain(cmd).min()
+    }
+
+    /// Pops every read whose data has arrived by `now`.
+    fn complete(&mut self, now: Cycle, out: &mut Vec<ReadCompletion>) {
+        while let Some(&Reverse((t, id, line, core))) = self.completions.peek() {
+            if t > now {
+                break;
+            }
+            self.completions.pop();
+            out.push(ReadCompletion {
+                id,
+                line: LineAddr(line),
+                core: CoreId(core),
+            });
+        }
+    }
+
+    /// Issues a read CAS for core `c`'s oldest read that is ready for
+    /// one now, if any. Returns true if a command was issued.
+    fn issue_read_cas(&mut self, t: &DdrTimings, now: Cycle, c: usize, urgent: bool) -> bool {
+        let Some(pos) = self.read_q[c]
+            .iter()
+            .position(|r| self.read_cas_ready(t, now, r.loc))
+        else {
+            return false;
+        };
+        let Some(req) = self.read_q[c].remove(pos) else {
+            return false;
+        };
+        let b = req.loc.bank as usize;
+        let data_end = self.banks[b].read(now, t);
+        self.read_split[c * self.banks.len() + b].open -= 1;
+        self.reads -= 1;
         self.bus_free_at = data_end;
         self.completions
             .push(Reverse((data_end, req.id, req.line.0, c as u8)));
@@ -148,130 +378,81 @@ impl Channel {
         if urgent {
             self.stats.urgent_reads += 1;
         }
+        true
     }
 
-    /// Can a read CAS for `loc` issue right now?
-    fn read_cas_ready(&self, t: &DdrTimings, now: Cycle, loc: DramLoc) -> bool {
-        let b = &self.banks[loc.bank as usize];
-        b.need(loc.row) == BankNeed::Cas
-            && b.cas_ok_at <= now
-            && now >= self.read_ok_at
-            && now + t.core(t.t_cl) >= self.bus_free_at
-    }
-
-    /// Can a write CAS for `loc` issue right now?
-    fn write_cas_ready(&self, t: &DdrTimings, now: Cycle, loc: DramLoc) -> bool {
-        let b = &self.banks[loc.bank as usize];
-        b.need(loc.row) == BankNeed::Cas
-            && b.cas_ok_at <= now
-            && now + t.core(t.t_cwl) >= self.bus_free_at
+    /// Issues a write CAS for the first write, in core order then queue
+    /// order, that is ready for one now. Returns true if one issued.
+    fn issue_write_cas(&mut self, t: &DdrTimings, now: Cycle) -> bool {
+        for c in 0..self.write_q.len() {
+            let Some(pos) = self.write_q[c]
+                .iter()
+                .position(|w| self.write_cas_ready(t, now, w.loc))
+            else {
+                continue;
+            };
+            let Some(req) = self.write_q[c].remove(pos) else {
+                return false;
+            };
+            let b = req.loc.bank as usize;
+            let data_end = self.banks[b].write(now, t);
+            self.write_split[b].open -= 1;
+            self.writes -= 1;
+            self.bus_free_at = data_end;
+            self.read_ok_at = data_end + t.core(t.t_wtr);
+            self.stats.writes += 1;
+            self.stats.row_hits += 1;
+            return true;
+        }
+        false
     }
 
     /// Issues the preparatory command (PRE or ACT) a request needs, if
     /// its bank timing allows. Returns true if a command was issued.
     fn issue_prep(&mut self, t: &DdrTimings, now: Cycle, loc: DramLoc) -> bool {
-        let b = &mut self.banks[loc.bank as usize];
+        let bi = loc.bank as usize;
+        let b = &mut self.banks[bi];
         match b.need(loc.row) {
             BankNeed::Cas => false,
             BankNeed::Precharge => {
-                if b.pre_ok_at <= now {
-                    b.precharge(now, t);
-                    self.stats.row_conflicts += 1;
-                    true
-                } else {
-                    false
+                if b.pre_ok_at > now {
+                    return false;
                 }
+                b.precharge(now, t);
+                self.stats.row_conflicts += 1;
+                let n = self.banks.len();
+                for s in self.read_split[bi..].iter_mut().step_by(n) {
+                    s.other += std::mem::take(&mut s.open);
+                }
+                let s = &mut self.write_split[bi];
+                s.other += std::mem::take(&mut s.open);
+                true
             }
             BankNeed::Activate => {
-                if b.act_ok_at <= now {
-                    b.activate(now, loc.row, t);
-                    self.stats.row_opens += 1;
-                    true
-                } else {
-                    false
+                if b.act_ok_at > now {
+                    return false;
                 }
-            }
-        }
-    }
-
-    /// Lower bound on the earliest cycle a CAS or preparatory command
-    /// for `loc` could issue, from the bank and bus timing state alone.
-    fn request_ready_bound(&self, t: &DdrTimings, loc: DramLoc, is_write: bool) -> Cycle {
-        let b = &self.banks[loc.bank as usize];
-        match b.need(loc.row) {
-            BankNeed::Cas => {
-                let data_lat = t.core(if is_write { t.t_cwl } else { t.t_cl });
-                let mut c = b.cas_ok_at.max(self.bus_free_at.saturating_sub(data_lat));
-                if !is_write {
-                    c = c.max(self.read_ok_at);
+                b.activate(now, loc.row, t);
+                self.stats.row_opens += 1;
+                let hit = |l: &DramLoc| l.bank == loc.bank && l.row == loc.row;
+                for (c, q) in self.read_q.iter().enumerate() {
+                    let open = q.iter().filter(|r| hit(&r.loc)).count() as u32;
+                    let s = &mut self.read_split[c * self.banks.len() + bi];
+                    s.other -= open;
+                    s.open = open;
                 }
-                c
-            }
-            BankNeed::Precharge => b.pre_ok_at,
-            BankNeed::Activate => b.act_ok_at,
-        }
-    }
-
-    /// The earliest cycle ≥ `from` at which this channel can do any work
-    /// (`None` when fully idle). Completions are exact; command times are
-    /// a lower bound over *every* queued request, whichever one the
-    /// scheduling mode would actually pick — early is safe, late never
-    /// happens. Bank and queue state is frozen while the system is
-    /// quiescent, so the bound stays valid across the whole skip.
-    fn next_event(&self, cfg: &MemConfig, from: Cycle) -> Option<Cycle> {
-        let t = &cfg.timings;
-        let mut next: Option<Cycle> = None;
-        let mut fold = |x: Cycle| {
-            next = Some(next.map_or(x, |n: Cycle| n.min(x)));
-        };
-        if let Some(&Reverse((ct, _, _, _))) = self.completions.peek() {
-            fold(ct.max(from));
-        }
-        let reads = self.pending_reads();
-        let writes = self.pending_writes();
-        if reads == 0 && writes == 0 && self.writes_left == 0 {
-            return next;
-        }
-        let boundary = |c: Cycle| {
-            c.max(from)
-                .next_multiple_of(CORE_CYCLES_PER_BUS_CYCLE.max(1))
-        };
-        // Transient bookkeeping acts at the very next boundary: a write
-        // batch starting, a drained batch counter resetting, or the
-        // steady mode handing the bus to a lower-counter core (the step
-        // switches whenever the served core has no row hit ready, even
-        // when no command can issue yet).
-        let any_full = self
-            .write_q
-            .iter()
-            .any(|q| q.len() >= cfg.write_queue_cap - 1);
-        let would_start_batch = self.writes_left == 0
-            && writes > 0
-            && (any_full || (reads == 0 && writes >= cfg.write_batch));
-        let would_switch = self.writes_left == 0 && self.pick_served() != self.served;
-        if would_start_batch || would_switch || (self.writes_left > 0 && writes == 0) {
-            fold(boundary(from));
-            return next;
-        }
-        let mut cmd = Cycle::MAX;
-        // Reads can issue in steady or urgent mode; include them all.
-        for q in &self.read_q {
-            for r in q {
-                cmd = cmd.min(self.request_ready_bound(t, r.loc, false));
+                let open = self
+                    .write_q
+                    .iter()
+                    .flatten()
+                    .filter(|w| hit(&w.loc))
+                    .count() as u32;
+                let s = &mut self.write_split[bi];
+                s.other -= open;
+                s.open = open;
+                true
             }
         }
-        // Writes only issue while a batch is in progress.
-        if self.writes_left > 0 {
-            for q in &self.write_q {
-                for r in q {
-                    cmd = cmd.min(self.request_ready_bound(t, r.loc, true));
-                }
-            }
-        }
-        if cmd != Cycle::MAX {
-            fold(boundary(cmd));
-        }
-        next
     }
 
     /// Picks the served core: lowest fairness counter among cores with
@@ -294,24 +475,22 @@ impl Channel {
     /// One scheduling step (at most one command), on bus-cycle boundaries.
     ///
     /// Returns true when any channel state changed (a command issued, a
-    /// write batch started or reset, the served core switched) — false
-    /// means the step was a complete no-op: with the queues and bank
-    /// timers frozen, repeating it before the
-    /// [`next_event`](Self::next_event) bound is provably effect-free.
+    /// write batch started or reset, the served core switched); false
+    /// means the step was a complete no-op. No step before `cmd_at` can
+    /// change anything (see [`next_cmd`](Self::next_cmd)), and the
+    /// per-request scans below run only once an O(banks) bound says one
+    /// of them will find a request.
     fn step(&mut self, cfg: &MemConfig, now: Cycle, l3_can_accept: bool) -> bool {
         let t = &cfg.timings;
 
         // ---- Urgent mode (§5.3): pre-empts the steady mode. ----
         if l3_can_accept {
             let lagging = self.pick_served();
-            if !self.read_q[lagging].is_empty()
-                && self.counters.diff(self.served, lagging) > cfg.urgent_threshold
-            {
+            if self.is_urgent(cfg, lagging) {
                 // Serve the lagging core's most ready request.
-                if let Some(pos) = (0..self.read_q[lagging].len())
-                    .find(|&p| self.read_cas_ready(t, now, self.read_q[lagging][p].loc))
+                if self.read_bounds(t, lagging).0 <= now
+                    && self.issue_read_cas(t, now, lagging, true)
                 {
-                    self.issue_read_cas(t, now, lagging, pos, true);
                     return true;
                 }
                 let loc = self.read_q[lagging][0].loc;
@@ -323,38 +502,19 @@ impl Channel {
 
         // ---- Write batches. ----
         let mut changed = false;
-        if self.writes_left == 0 {
-            let any_full = self
-                .write_q
-                .iter()
-                .any(|q| q.len() >= cfg.write_queue_cap - 1);
-            let no_reads = self.pending_reads() == 0;
-            if (any_full || (no_reads && self.pending_writes() >= cfg.write_batch))
-                && self.pending_writes() > 0
-            {
-                self.writes_left = cfg.write_batch;
-                changed = true;
-            }
+        if self.writes_left == 0 && self.batch_due(cfg) {
+            self.writes_left = cfg.write_batch;
+            changed = true;
         }
         if self.writes_left > 0 {
             // Select writes out-of-order across all queues, preferring
-            // row hits, then any whose bank can progress.
-            for c in 0..self.write_q.len() {
-                if let Some(pos) = (0..self.write_q[c].len())
-                    .find(|&p| self.write_cas_ready(t, now, self.write_q[c][p].loc))
-                {
-                    let req = self.write_q[c].remove(pos).expect("valid"); // bosim-lint: allow(P002, position comes from a scan of the same queue)
-                    let data_end = self.banks[req.loc.bank as usize].write(now, t);
-                    self.bus_free_at = data_end;
-                    self.read_ok_at = data_end + t.core(t.t_wtr);
-                    self.stats.writes += 1;
-                    self.stats.row_hits += 1;
-                    self.writes_left -= 1;
-                    if self.pending_writes() == 0 {
-                        self.writes_left = 0;
-                    }
-                    return true;
+            // row hits, then any queue's oldest whose bank can progress.
+            if self.write_cas_bound(t) <= now && self.issue_write_cas(t, now) {
+                self.writes_left -= 1;
+                if self.writes == 0 {
+                    self.writes_left = 0;
                 }
+                return true;
             }
             for c in 0..self.write_q.len() {
                 if let Some(req) = self.write_q[c].front() {
@@ -365,47 +525,32 @@ impl Channel {
                 }
             }
             // Nothing can progress this cycle.
-            if self.pending_writes() == 0 {
-                self.writes_left = 0;
-                changed = true;
-            }
             return changed;
         }
 
         // ---- Steady-mode reads: FR-FCFS for the served core. ----
         // Change the served core only when it has no row-hit-ready read
-        // (or it has no reads at all). A switch never moves the bound
-        // (it covers every queued request) but still counts as a change:
-        // the no-op elision in [`MemorySystem::tick`] must only kick in
-        // once the channel state — served core included — is stable.
-        let served_has_row_hit = self.read_q[self.served]
-            .iter()
-            .any(|r| self.read_cas_ready(t, now, r.loc));
-        if !served_has_row_hit {
+        // (or it has no reads at all).
+        let mut ready = self.read_bounds(t, self.served);
+        if ready.0 > now {
             let picked = self.pick_served();
-            changed |= picked != self.served;
-            self.served = picked;
+            if picked != self.served {
+                self.served = picked;
+                ready = self.read_bounds(t, picked);
+                changed = true;
+            }
         }
         let c = self.served;
-        if self.read_q[c].is_empty() {
-            return changed;
-        }
         // First ready row-hit, else FCFS order for preparation.
-        if let Some(pos) =
-            (0..self.read_q[c].len()).find(|&p| self.read_cas_ready(t, now, self.read_q[c][p].loc))
-        {
-            self.issue_read_cas(t, now, c, pos, false);
+        if ready.0 <= now && self.issue_read_cas(t, now, c, false) {
             return true;
         }
-        let loc = self.read_q[c][0].loc;
-        if self.issue_prep(t, now, loc) {
-            return true;
-        }
-        // Oldest is timing-blocked; try younger requests' banks.
-        for p in 1..self.read_q[c].len() {
-            let loc = self.read_q[c][p].loc;
-            if self.issue_prep(t, now, loc) {
-                return true;
+        if ready.1 <= now {
+            for p in 0..self.read_q[c].len() {
+                let loc = self.read_q[c][p].loc;
+                if self.issue_prep(t, now, loc) {
+                    return true;
+                }
             }
         }
         changed
@@ -417,19 +562,6 @@ impl Channel {
 pub struct MemorySystem {
     cfg: MemConfig,
     channels: Vec<Channel>,
-    /// Bumped on every state change that can move the
-    /// [`next_event`](Self::next_event) bound or a future scheduling
-    /// pick (accepted enqueues, completion pops, issued commands, batch
-    /// transitions, served-core switches). While the
-    /// version holds still, a previously computed bound stays exact —
-    /// callers cache it instead of re-walking the queues every cycle.
-    version: u64,
-    /// While `version` still equals `noop_version`, every tick strictly
-    /// before `noop_until` is a provable no-op (see
-    /// [`tick`](Self::tick)) and returns without touching the channels.
-    noop_version: u64,
-    /// Companion bound to `noop_version` (exclusive).
-    noop_until: Cycle,
 }
 
 impl MemorySystem {
@@ -442,20 +574,7 @@ impl MemorySystem {
         assert!(cfg.num_cores >= 1 && cfg.channels >= 1 && cfg.banks >= 1);
         assert!(cfg.write_batch >= 1);
         let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
-        MemorySystem {
-            cfg,
-            channels,
-            version: 0,
-            noop_version: 0,
-            noop_until: 0,
-        }
-    }
-
-    /// Opaque state-version counter: unchanged between two calls means
-    /// every [`next_event`](Self::next_event) bound computed in between
-    /// is still exact (see the field docs).
-    pub fn version(&self) -> u64 {
-        self.version
+        MemorySystem { cfg, channels }
     }
 
     fn channel_of(&self, line: LineAddr) -> usize {
@@ -481,31 +600,21 @@ impl MemorySystem {
     /// Enqueues a read; returns false when the queue is full.
     pub fn enqueue_read(&mut self, line: LineAddr, core: CoreId, id: u64, _now: Cycle) -> bool {
         let ch = self.channel_of(line);
-        let q = &mut self.channels[ch].read_q[core.index()];
-        if q.len() >= self.cfg.read_queue_cap {
-            return false;
-        }
-        q.push_back(ReadReq {
+        let req = ReadReq {
             id,
             line,
             loc: map_line(line),
-        });
-        self.version = self.version.wrapping_add(1);
-        true
+        };
+        self.channels[ch].push_read(&self.cfg, core.index(), req)
     }
 
     /// Enqueues a writeback; returns false when the queue is full.
     pub fn enqueue_write(&mut self, line: LineAddr, core: CoreId, _now: Cycle) -> bool {
         let ch = self.channel_of(line);
-        let q = &mut self.channels[ch].write_q[core.index()];
-        if q.len() >= self.cfg.write_queue_cap {
-            return false;
-        }
-        q.push_back(WriteReq {
+        let req = WriteReq {
             loc: map_line(line),
-        });
-        self.version = self.version.wrapping_add(1);
-        true
+        };
+        self.channels[ch].push_write(&self.cfg, core.index(), req)
     }
 
     /// Advances the memory system to `now`, collecting read completions.
@@ -513,45 +622,18 @@ impl MemorySystem {
     /// Command scheduling happens on bus-cycle boundaries (every 4 core
     /// cycles); `l3_can_accept` gates the urgent mode as in §5.3.
     ///
-    /// An effect-free tick caches a forward no-op bound: with every
-    /// queue, bank timer, batch counter and served-core pick frozen (no
-    /// version bump), repeating the scan before the
-    /// [`next_event`](Self::next_event) bound cannot pop a completion or
-    /// issue a command, so later ticks in that window return
-    /// immediately. `l3_can_accept` flips cannot break the proof — the
-    /// urgent mode it gates only *selects among* commands the bound
-    /// already covers.
+    /// A channel is stepped only on boundaries at or after its next-command
+    /// bound, which it recomputes from per-bank request counts after
+    /// every change of its state: every earlier step would be a no-op.
+    /// The bound counts the urgent mode's candidate whatever
+    /// `l3_can_accept` says, so the flag needs no part in it.
     pub fn tick(&mut self, now: Cycle, l3_can_accept: bool, out: &mut Vec<ReadCompletion>) {
-        if self.version == self.noop_version && now < self.noop_until {
-            return;
-        }
-        let mut changed = false;
+        let boundary = now.is_multiple_of(CORE_CYCLES_PER_BUS_CYCLE);
         for ch in &mut self.channels {
-            while let Some(&Reverse((t, id, line, core))) = ch.completions.peek() {
-                if t > now {
-                    break;
-                }
-                ch.completions.pop();
-                out.push(ReadCompletion {
-                    id,
-                    line: LineAddr(line),
-                    core: CoreId(core),
-                });
-                changed = true;
+            ch.complete(now, out);
+            if boundary && now >= ch.cmd_at && ch.step(&self.cfg, now, l3_can_accept) {
+                ch.cmd_at = ch.next_cmd(&self.cfg);
             }
-            if now.is_multiple_of(CORE_CYCLES_PER_BUS_CYCLE) {
-                changed |= ch.step(&self.cfg, now, l3_can_accept);
-            }
-        }
-        if changed {
-            self.version = self.version.wrapping_add(1);
-        } else if now.is_multiple_of(CORE_CYCLES_PER_BUS_CYCLE) {
-            // Only a *boundary* no-op proves the window: it ran the
-            // scheduling step, so "no change" covers the served-core
-            // pick too — a non-boundary tick never ran it and cannot
-            // vouch for the boundaries inside the window.
-            self.noop_version = self.version;
-            self.noop_until = self.next_event(now + 1).unwrap_or(Cycle::MAX);
         }
     }
 
@@ -570,22 +652,19 @@ impl MemorySystem {
     }
 
     /// The earliest cycle ≥ `from` at which [`tick`](Self::tick) can do
-    /// any work, or `None` when the memory system is fully idle (no
-    /// queued requests, no write batch in progress, no data in flight).
+    /// any work, or `None` when the memory system is idle until a new
+    /// request arrives.
     ///
-    /// Completion times are exact; command times are a per-request bank
-    /// timing lower bound rounded up to the bus-cycle boundary commands
-    /// actually issue on. The bound may be early (the step turns out to
-    /// be a no-op and the caller re-computes) but never late — no state
-    /// change is ever skipped.
+    /// O(channels): the minimum over each channel's oldest completion,
+    /// which is exact, and its next-command bound rounded up to the
+    /// bus-cycle boundary commands issue on. The bound may be early (the
+    /// step is a no-op while `l3_can_accept` holds the urgent mode back)
+    /// but never late: no state change is ever skipped.
     pub fn next_event(&self, from: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        for ch in &self.channels {
-            if let Some(t) = ch.next_event(&self.cfg, from) {
-                next = Some(next.map_or(t, |n: Cycle| n.min(t)));
-            }
-        }
-        next
+        self.channels
+            .iter()
+            .filter_map(|ch| ch.next_event(from))
+            .min()
     }
 
     /// The configuration in use.
@@ -898,5 +977,176 @@ mod prop_tests {
             assert_eq!(every_stats, sched_stats, "case {case}: stats");
             assert_eq!(every, sched, "case {case}: completions");
         }
+    }
+
+    /// [`MemorySystem::tick`] without the `cmd_at` skip: every channel
+    /// steps on every bus boundary. Asserts that no step changes a
+    /// channel before its `cmd_at`, judged by the served core, the batch
+    /// counter and the command counts rather than by `step`'s own
+    /// verdict.
+    fn tick_every_boundary(
+        mem: &mut MemorySystem,
+        now: Cycle,
+        l3_can_accept: bool,
+        out: &mut Vec<ReadCompletion>,
+    ) {
+        let boundary = now.is_multiple_of(CORE_CYCLES_PER_BUS_CYCLE);
+        for (i, ch) in mem.channels.iter_mut().enumerate() {
+            ch.complete(now, out);
+            if !boundary {
+                continue;
+            }
+            let before = (ch.served, ch.writes_left, ch.stats);
+            let changed = ch.step(&mem.cfg, now, l3_can_accept);
+            assert_eq!(
+                changed,
+                before != (ch.served, ch.writes_left, ch.stats),
+                "channel {i} at {now}: step misreported whether it changed"
+            );
+            assert!(
+                !changed || now >= ch.cmd_at,
+                "channel {i} changed at {now}, before its cmd_at {}",
+                ch.cmd_at
+            );
+            if changed {
+                ch.cmd_at = ch.next_cmd(&mem.cfg);
+            }
+        }
+    }
+
+    /// The incremental row splits and totals equal a recount from the
+    /// queues and the banks' open rows.
+    fn assert_splits_match_queues(mem: &MemorySystem, now: Cycle) {
+        for (i, ch) in mem.channels.iter().enumerate() {
+            let n = ch.banks.len();
+            let open = |l: DramLoc| ch.banks[l.bank as usize].open_row == Some(l.row);
+            let mut reads = vec![RowSplit::default(); ch.read_split.len()];
+            for (c, q) in ch.read_q.iter().enumerate() {
+                for r in q {
+                    reads[c * n + r.loc.bank as usize].add(open(r.loc));
+                }
+            }
+            let mut writes = vec![RowSplit::default(); n];
+            for w in ch.write_q.iter().flatten() {
+                writes[w.loc.bank as usize].add(open(w.loc));
+            }
+            assert_eq!(ch.read_split, reads, "channel {i} at {now}: read splits");
+            assert_eq!(ch.write_split, writes, "channel {i} at {now}: write splits");
+            assert_eq!(ch.reads, ch.read_q.iter().map(VecDeque::len).sum::<usize>());
+            assert_eq!(
+                ch.writes,
+                ch.write_q.iter().map(VecDeque::len).sum::<usize>()
+            );
+        }
+    }
+
+    /// The oracle for the `cmd_at` skip: [`MemorySystem::tick`] matches
+    /// [`tick_every_boundary`] (same completions on the same cycles,
+    /// same statistics), no step before `cmd_at` changes a channel, and
+    /// the row splits always match a recount. Random arrivals alone never
+    /// reach urgent mode, because the lowest-counter core is the one
+    /// served; so core 0 streams and builds a counter lead while the
+    /// other cores idle and then burst, often into core 0's open rows,
+    /// and write-heavy phases keep batches running, during which the
+    /// served core cannot switch. `l3_can_accept` flips within phases.
+    #[test]
+    fn prop_skipped_steps_match_stepping_every_boundary() {
+        let mut urgent = 0;
+        let mut writes = 0;
+        for case in 0..16u64 {
+            let cores = 1 + (case % 4) as usize;
+            let horizon = 16_000u64;
+            let run = |reference: bool| {
+                let mut rng = SplitMix64::new(0x5C1D ^ case);
+                let mut mem = MemorySystem::new(MemConfig {
+                    num_cores: cores,
+                    ..Default::default()
+                });
+                let mut done = Vec::new();
+                let mut out = Vec::new();
+                let mut id = 0u64;
+                let mut stream = 0u64;
+                let (mut l3_mode, mut write_heavy) = (0, false);
+                let mut bursts = vec![(0u64, 0u64); cores];
+                for now in 0..horizon + 20_000 {
+                    let active = now < horizon;
+                    if active && now.is_multiple_of(512) {
+                        l3_mode = rng.next_u64() % 3;
+                        write_heavy = rng.next_u64().is_multiple_of(2);
+                        for b in bursts.iter_mut().skip(1) {
+                            // (first cycle, reads): mostly idle, so that
+                            // core 0 builds its counter lead.
+                            let r = rng.next_u64();
+                            let reads = if r.is_multiple_of(4) { 4 + r % 40 } else { 0 };
+                            *b = (now + (r >> 8) % 512, reads);
+                        }
+                    }
+                    let coin = rng.next_u64();
+                    let l3_can_accept = !active
+                        || match l3_mode {
+                            0 => true,
+                            1 => coin.is_multiple_of(2),
+                            _ => !coin.is_multiple_of(8),
+                        };
+                    out.clear();
+                    if reference {
+                        tick_every_boundary(&mut mem, now, l3_can_accept, &mut out);
+                    } else {
+                        mem.tick(now, l3_can_accept, &mut out);
+                    }
+                    done.extend(out.iter().map(|c| (now, c.id)));
+                    if now.is_multiple_of(CORE_CYCLES_PER_BUS_CYCLE) {
+                        assert_splits_match_queues(&mem, now);
+                    }
+                    if !active {
+                        continue;
+                    }
+                    let draw = rng.next_u64();
+                    // Core 0 streams through consecutive lines.
+                    if draw.is_multiple_of(2)
+                        && !mem.has_pending_read(LineAddr(stream))
+                        && mem.enqueue_read(LineAddr(stream), CoreId(0), id, now)
+                    {
+                        id += 1;
+                        stream += 1;
+                    }
+                    // The other cores burst, half into core 0's rows.
+                    for (c, b) in bursts.iter_mut().enumerate().skip(1) {
+                        let pick = rng.next_u64();
+                        if now < b.0 || b.1 == 0 {
+                            continue;
+                        }
+                        let line = if pick.is_multiple_of(2) {
+                            stream + pick % 64
+                        } else {
+                            ((pick % 8) << 11) + (pick >> 8) % 128
+                        };
+                        let line = LineAddr(line);
+                        if !mem.has_pending_read(line)
+                            && mem.enqueue_read(line, CoreId(c as u8), id, now)
+                        {
+                            id += 1;
+                            b.1 -= 1;
+                        }
+                    }
+                    let w = rng.next_u64();
+                    if w % 16 < if write_heavy { 10 } else { 1 } {
+                        let line = LineAddr((((w >> 8) % 8) << 11) + (w >> 16) % 256);
+                        let _ =
+                            mem.enqueue_write(line, CoreId(((w >> 32) % cores as u64) as u8), now);
+                    }
+                }
+                assert_eq!(mem.next_event(0), None, "case {case}: did not drain");
+                (done, mem.stats())
+            };
+            let (fast, fast_stats) = run(false);
+            let (every, every_stats) = run(true);
+            assert_eq!(fast_stats, every_stats, "case {case}: stats");
+            assert_eq!(fast, every, "case {case}: completions");
+            urgent += fast_stats.urgent_reads;
+            writes += fast_stats.writes;
+        }
+        assert!(urgent > 0, "no case reached urgent mode");
+        assert!(writes > 0, "no case issued a write");
     }
 }

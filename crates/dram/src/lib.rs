@@ -7,6 +7,9 @@
 //! * [`MemorySystem`] — two independent per-channel controllers with
 //!   per-core read/write queues, FR-FCFS scheduling, steady/urgent
 //!   fairness modes driven by proportional counters, and 16-write batches.
+//!   Each channel counts its queued requests per bank and keeps the
+//!   earliest cycle its scheduler can next act, so a tick or a
+//!   [`MemorySystem::next_event`] query between commands walks no queue.
 //!
 //! Refresh and power-related parameters (tFAW) are not modelled, exactly
 //! as in the paper.

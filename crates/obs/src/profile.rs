@@ -5,11 +5,12 @@
 //! harness allowed to read wall clocks (lint rule D002): callers hand
 //! out opaque [`PhaseTimer`] tokens, and all `Instant` handling stays
 //! here. Measurement is *sampled deterministically* — the hot phases
-//! fully time every `2^shift`-th call, decided by a call counter, never
-//! by elapsed time — so enabling the profiler changes which wall-clock
-//! reads happen but not a single simulated event.
+//! fully time one call in each block of `2^shift`, chosen from the call
+//! counter, never by elapsed time — so enabling the profiler changes
+//! which wall-clock reads happen but not a single simulated event.
 
 use bosim_stats::Json;
+use bosim_types::mix64;
 use std::time::Instant;
 
 /// A simulator phase the profiler attributes time to.
@@ -113,7 +114,7 @@ pub struct PhaseTimer {
 }
 
 /// The sampling shift the simulator profiles with: the hot phases fully
-/// time every 64th call and scale up at report time.
+/// time one call in 64 and scale up at report time.
 pub const PROFILE_SAMPLE_SHIFT: u32 = 6;
 
 /// Scoped wall-clock attribution with deterministic sampling.
@@ -123,8 +124,15 @@ pub const PROFILE_SAMPLE_SHIFT: u32 = 6;
 #[derive(Debug, Clone)]
 pub struct HostProfiler {
     enabled: bool,
-    /// Sample when `calls & mask == 0`.
-    mask: u64,
+    /// The sampling block size is `2^shift` calls.
+    shift: u32,
+    /// Per phase, the index of the next call to time: the first call,
+    /// then one call per block at a position `mix64` draws from the
+    /// block and phase. A fixed residue of the call index (such as every
+    /// 64th call) would alias with cycle-periodic work: the DRAM tick
+    /// only schedules on every fourth cycle, so its timed calls could
+    /// all land on scheduling cycles, or none.
+    next: [u64; 5],
     calls: [u64; 5],
     samples: [u64; 5],
     nanos: [u64; 5],
@@ -135,20 +143,21 @@ impl HostProfiler {
     pub fn disabled() -> Self {
         HostProfiler {
             enabled: false,
-            mask: 0,
+            shift: 0,
+            next: [0; 5],
             calls: [0; 5],
             samples: [0; 5],
             nanos: [0; 5],
         }
     }
 
-    /// An active profiler timing every `2^sample_shift`-th call of
-    /// each phase (shift 0 times every call). One-shot phases are
-    /// always timed — their first call samples.
+    /// An active profiler timing one call in each block of
+    /// `2^sample_shift` calls of each phase (shift 0 times every call).
+    /// One-shot phases are always timed — their first call samples.
     pub fn new(sample_shift: u32) -> Self {
         HostProfiler {
             enabled: true,
-            mask: (1u64 << sample_shift.min(63)) - 1,
+            shift: sample_shift.min(63),
             ..Self::disabled()
         }
     }
@@ -171,7 +180,10 @@ impl HostProfiler {
         let i = phase as usize;
         let call = self.calls[i];
         self.calls[i] = call + 1;
-        let started = if call & self.mask == 0 {
+        let started = if call == self.next[i] {
+            let block = (call >> self.shift) + 1;
+            let pos = mix64((block << 3) | i as u64) & ((1u64 << self.shift) - 1);
+            self.next[i] = (block << self.shift) + pos;
             Some(Instant::now())
         } else {
             None
@@ -279,6 +291,36 @@ mod tests {
         assert_eq!(uncore.phase, "uncore-tick");
         assert_eq!(uncore.calls, 8);
         assert_eq!(uncore.samples, 2);
+    }
+
+    /// The timed calls fall on every residue of the call index mod 4
+    /// and mod 8, so a phase whose cost follows a short cycle period
+    /// (the DRAM tick's four-cycle bus boundary) is sampled across it.
+    /// The first call is timed, and each full block of 64 exactly once.
+    #[test]
+    fn sampled_calls_cover_every_short_residue() {
+        let mut p = HostProfiler::new(PROFILE_SAMPLE_SHIFT);
+        let mut timed = Vec::new();
+        for call in 0..64 * 256u64 {
+            let t = p.start(Phase::Dram);
+            if t.started.is_some() {
+                timed.push(call);
+            }
+            p.stop(t);
+        }
+        assert_eq!(timed[0], 0, "the first call is timed");
+        assert_eq!(timed.len(), 256, "one timed call per block");
+        for (block, call) in timed.iter().enumerate() {
+            assert_eq!(call >> PROFILE_SAMPLE_SHIFT, block as u64);
+        }
+        for m in [4, 8] {
+            for r in 0..m {
+                assert!(
+                    timed.iter().any(|c| c % m == r),
+                    "no timed call at residue {r} mod {m}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -203,13 +203,6 @@ pub struct Uncore {
     /// Candidate scratch buffer for the L3 prefetcher.
     l3_cand_buf: Vec<LineAddr>,
     mem: MemorySystem,
-    /// Cached [`MemorySystem::next_event`] bound, valid while
-    /// `mem_seen_version` matches [`MemorySystem::version`]. Amortizes
-    /// the queue walk to once per DRAM state change instead of once per
-    /// quiet cycle (see [`next_ready_after`](Self::next_ready_after)).
-    mem_next: Cycle,
-    /// The DRAM state version `mem_next` was computed at.
-    mem_seen_version: u64,
     /// Dirty L3 victims waiting for a DRAM write-queue slot.
     wb_buf: VecDeque<(LineAddr, CoreId)>,
     completions: Vec<ReadCompletion>,
@@ -268,8 +261,6 @@ impl Uncore {
                 num_cores: cfg.active_cores,
                 ..Default::default()
             }),
-            mem_next: 0,
-            mem_seen_version: u64::MAX,
             wb_buf: VecDeque::new(),
             completions: Vec::new(),
             fwd_needs_entry: vec![false; cfg.active_cores],
@@ -704,10 +695,7 @@ impl Uncore {
             self.stats.l3_prefetches_redundant += 1;
             return;
         }
-        if self.l3_fq.is_full()
-            || !self.mem.can_accept_read(line, core)
-            || self.mem.has_pending_read(line)
-        {
+        if self.l3_fq.is_full() || !self.mem.can_accept_read(line, core) {
             self.stats.l3_prefetches_cancelled += 1;
             self.emit(
                 now,
@@ -728,6 +716,9 @@ impl Uncore {
             },
         );
         debug_assert!(reserved, "checked for space above");
+        // A DRAM read is only ever pending under an L3 fill-queue entry,
+        // and the entry outlives the read: the `find` above rules it out.
+        debug_assert!(!self.mem.has_pending_read(line));
         let accepted = self.mem.enqueue_read(line, core, 0, now);
         debug_assert!(accepted, "checked for space above");
         self.stats.l3_prefetches_issued += 1;
@@ -961,10 +952,7 @@ impl Uncore {
             return;
         }
         // Need an L3 fill-queue entry and a DRAM read-queue slot.
-        if self.l3_fq.is_full()
-            || !self.mem.can_accept_read(req.line, req.core)
-            || self.mem.has_pending_read(req.line)
-        {
+        if self.l3_fq.is_full() || !self.mem.can_accept_read(req.line, req.core) {
             if req.class == ReqClass::L2Prefetch {
                 // Prefetches are cancelled, not retried (§5.4).
                 self.stats.l3_misses += 1;
@@ -990,6 +978,9 @@ impl Uncore {
         );
         debug_assert!(reserved, "checked for space above");
         self.stats.l3_misses += 1;
+        // No read for the line is pending: it would hold the L3
+        // fill-queue entry the merge above looks for.
+        debug_assert!(!self.mem.has_pending_read(req.line));
         let accepted = self.mem.enqueue_read(req.line, req.core, 0, now);
         debug_assert!(accepted, "checked for space above");
     }
@@ -1360,15 +1351,14 @@ impl Uncore {
     /// (the system re-posts on dispatch).
     ///
     /// The bound is one-sided: early wake-ups are no-op ticks, late ones
-    /// never happen. The expensive DRAM queue walk is cached and re-done
-    /// only when [`MemorySystem::version`] moves, so even deeply-queued
-    /// memory phases pay for it once per state change rather than once
-    /// per cycle. The demand-priority
+    /// never happen. The DRAM term is O(channels): each channel keeps its
+    /// next-command bound current as its state changes (see
+    /// [`MemorySystem::next_event`]). The demand-priority
     /// flags need no term here: a set `sent_demand_this_cycle` flag only
     /// matters to a later prefetch issue, which requires a non-empty
     /// prefetch queue — and any non-empty prefetch queue already pins
     /// the wake-up to the very next cycle.
-    pub fn next_ready_after(&mut self, now: Cycle) -> Cycle {
+    pub fn next_ready_after(&self, now: Cycle) -> Cycle {
         let from = now + 1;
         if !self.l3_stalled.is_empty()
             || self.l3_fq.has_ready()
@@ -1401,15 +1391,7 @@ impl Uncore {
                 t = t.min(d);
             }
         }
-        // DRAM bound, amortized: while the version holds still the bank
-        // and queue state is frozen, so the previously computed bound
-        // stays exact. Recompute only on a state change or once the
-        // cached bound is no longer in the future.
-        if self.mem.version() != self.mem_seen_version || self.mem_next <= now {
-            self.mem_next = self.mem.next_event(from).unwrap_or(Cycle::MAX);
-            self.mem_seen_version = self.mem.version();
-        }
-        t.min(self.mem_next)
+        t.min(self.mem.next_event(from).unwrap_or(Cycle::MAX))
     }
 }
 
