@@ -475,8 +475,8 @@ impl Channel {
     /// One scheduling step (at most one command), on bus-cycle boundaries.
     ///
     /// Returns true when any channel state changed (a command issued, a
-    /// write batch started or reset, the served core switched); false
-    /// means the step was a complete no-op. No step before `cmd_at` can
+    /// write batch started, the served core switched); false means the
+    /// step was a complete no-op. No step before `cmd_at` can
     /// change anything (see [`next_cmd`](Self::next_cmd)), and the
     /// per-request scans below run only once an O(banks) bound says one
     /// of them will find a request.
