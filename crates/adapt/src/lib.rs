@@ -13,17 +13,17 @@
 //!   (useful / unused-evicted / late prefetch fills, issue counts) plus
 //!   the shared DRAM-bus occupancy, with derived accuracy / coverage /
 //!   lateness rates;
-//! * [`TunePolicy`] / [`PolicySpec`] / [`PolicyHandle`] — the open policy
-//!   interface (mirroring the prefetcher-spec pattern) with three
-//!   built-ins under [`policies`]: a BO degree governor, a
-//!   bandwidth-aware throttle and a prefetcher tournament;
+//! * [`TunePolicy`] / [`PolicySpec`] — the per-core policy state
+//!   machine and the enum naming its three kinds, with shorthands under
+//!   [`policies`]: a BO degree governor, a bandwidth-aware throttle and
+//!   a prefetcher tournament;
 //! * [`AdaptTelemetry`] — the per-run epoch log (feedback, active
 //!   prefetcher, directives) with JSON/table rendering and the counter
 //!   invariants CI pins down.
 //!
 //! The simulator side (uncore counters, epoch boundaries in the system
 //! loop, directive application) lives in `bosim-sim`: a configuration
-//! carries the [`PolicyHandle`] (`SimConfig::adapt`) and the epoch
+//! carries the [`PolicySpec`] (`SimConfig::adapt`) and the epoch
 //! length (`SimConfig::epoch_cycles`) separately. Policies
 //! themselves never see a simulator, only [`EpochFeedback`] values —
 //! which keeps them deterministic and unit-testable in isolation.
@@ -37,7 +37,6 @@ mod telemetry;
 pub use best_offset::{PrefetchSite, SiteDirective, TuneDirective};
 pub use feedback::{EpochFeedback, SiteFeedback};
 pub use policy::{
-    policies, BandwidthThrottleSpec, DegreeGovernorSpec, PolicyHandle, PolicySpec, TournamentSpec,
-    TunePolicy,
+    policies, BandwidthThrottleSpec, DegreeGovernorSpec, PolicySpec, TournamentSpec, TunePolicy,
 };
 pub use telemetry::{AdaptTelemetry, DirectiveRecord, EpochRecord};

@@ -2,25 +2,22 @@
 //!
 //! A [`TunePolicy`] is a per-core state machine invoked once per epoch
 //! with that core's [`EpochFeedback`]; the directives it emits are
-//! applied to the core's L2 prefetcher by the simulator. Policies are
-//! described by cheap, cloneable [`PolicySpec`] values (mirroring the
-//! prefetcher-spec pattern) so simulation configurations stay `Clone`
-//! and experiment grids can deduplicate on the `Debug` rendering.
-//!
-//! Three policies ship built in:
+//! applied to the core's L2 prefetcher by the simulator. A
+//! [`PolicySpec`] names one of the three policies with its parameters;
+//! it is a plain value, so simulation configurations stay `Clone` and
+//! experiment grids can deduplicate on the `Debug` rendering:
 //!
 //! * [`DegreeGovernorSpec`] — switches BO between degree 1 and 2 from
 //!   observed accuracy and bus pressure;
 //! * [`BandwidthThrottleSpec`] — gates prefetch off under DRAM-bus
 //!   contention (and back on when pressure clears);
-//! * [`TournamentSpec`] — samples a list of registered prefetchers for a
-//!   few epochs each, then runs the IPC winner, re-exploring
-//!   periodically to track phase changes.
+//! * [`TournamentSpec`] — samples a list of prefetchers for a few epochs
+//!   each, then runs the IPC winner, re-exploring periodically to track
+//!   phase changes.
 
 use crate::EpochFeedback;
 use best_offset::{SiteDirective, TuneDirective};
 use std::fmt;
-use std::sync::Arc;
 
 /// A per-core tuning policy (see the crate docs for the control
 /// loop it plugs into).
@@ -39,60 +36,46 @@ pub trait TunePolicy: fmt::Debug {
     fn on_epoch(&mut self, feedback: &EpochFeedback, out: &mut Vec<SiteDirective>);
 }
 
-/// A description of a tuning policy that can build the live per-core
-/// state machine. The `Debug` rendering must include every parameter
-/// (experiment-grid deduplication relies on it).
-pub trait PolicySpec: fmt::Debug + Send + Sync {
-    /// Label used in configuration labels and reports.
-    fn name(&self) -> String;
-
-    /// Builds one core's policy state machine.
-    fn build(&self) -> Box<dyn TunePolicy>;
-
-    /// Registry names of the prefetchers this policy may switch to via
-    /// [`TuneDirective::SwitchPrefetcher`]. Configuration validation
-    /// resolves each name up front so a sweep fails fast instead of
-    /// mid-run.
-    fn prefetcher_names(&self) -> Vec<String> {
-        Vec::new()
-    }
+/// A tuning policy and its parameters. The `Debug` rendering includes
+/// every parameter (experiment-grid deduplication relies on it).
+#[derive(Debug, Clone, PartialEq)]
+pub enum PolicySpec {
+    /// The BO degree governor.
+    DegreeGovernor(DegreeGovernorSpec),
+    /// The bandwidth-aware throttle.
+    BandwidthThrottle(BandwidthThrottleSpec),
+    /// The prefetcher tournament.
+    Tournament(TournamentSpec),
 }
 
-/// A shared, cloneable handle to a [`PolicySpec`].
-#[derive(Clone)]
-pub struct PolicyHandle(Arc<dyn PolicySpec>);
-
-impl PolicyHandle {
-    /// Wraps a spec into a shareable handle.
-    pub fn new(spec: impl PolicySpec + 'static) -> Self {
-        PolicyHandle(Arc::new(spec))
-    }
-
-    /// The spec's report label.
+impl PolicySpec {
+    /// Label used in configuration labels and reports.
     pub fn name(&self) -> String {
-        self.0.name()
+        match self {
+            PolicySpec::DegreeGovernor(s) => s.name(),
+            PolicySpec::BandwidthThrottle(s) => s.name(),
+            PolicySpec::Tournament(s) => s.name(),
+        }
     }
 
     /// Builds one core's policy state machine.
     pub fn build(&self) -> Box<dyn TunePolicy> {
-        self.0.build()
+        match self {
+            PolicySpec::DegreeGovernor(s) => s.build(),
+            PolicySpec::BandwidthThrottle(s) => s.build(),
+            PolicySpec::Tournament(s) => s.build(),
+        }
     }
 
-    /// Borrows the underlying spec.
-    pub fn spec(&self) -> &dyn PolicySpec {
-        self.0.as_ref()
-    }
-}
-
-impl fmt::Debug for PolicyHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl<S: PolicySpec + 'static> From<S> for PolicyHandle {
-    fn from(spec: S) -> Self {
-        PolicyHandle::new(spec)
+    /// Names of the prefetchers this policy may switch to via
+    /// [`TuneDirective::SwitchPrefetcher`]. Configuration validation
+    /// resolves each name up front so a sweep fails fast instead of
+    /// mid-run.
+    pub fn prefetcher_names(&self) -> &[String] {
+        match self {
+            PolicySpec::Tournament(s) => &s.candidates,
+            _ => &[],
+        }
     }
 }
 
@@ -131,12 +114,14 @@ impl Default for DegreeGovernorSpec {
     }
 }
 
-impl PolicySpec for DegreeGovernorSpec {
-    fn name(&self) -> String {
+impl DegreeGovernorSpec {
+    /// The policy's report label.
+    pub fn name(&self) -> String {
         "degree-governor".into()
     }
 
-    fn build(&self) -> Box<dyn TunePolicy> {
+    /// Builds one core's policy state machine.
+    pub fn build(&self) -> Box<dyn TunePolicy> {
         Box::new(DegreeGovernor {
             spec: self.clone(),
             degree: 1,
@@ -218,12 +203,14 @@ impl Default for BandwidthThrottleSpec {
     }
 }
 
-impl PolicySpec for BandwidthThrottleSpec {
-    fn name(&self) -> String {
+impl BandwidthThrottleSpec {
+    /// The policy's report label.
+    pub fn name(&self) -> String {
         "bw-throttle".into()
     }
 
-    fn build(&self) -> Box<dyn TunePolicy> {
+    /// Builds one core's policy state machine.
+    pub fn build(&self) -> Box<dyn TunePolicy> {
         Box::new(BandwidthThrottle {
             spec: self.clone(),
             enabled: true,
@@ -261,9 +248,9 @@ impl TunePolicy for BandwidthThrottle {
 // Tournament selector
 // ---------------------------------------------------------------------
 
-/// Runtime tournament between registered prefetchers.
+/// Runtime tournament between prefetchers.
 ///
-/// The selector cycles through `candidates` (prefetcher registry names),
+/// The selector cycles through `candidates` (prefetcher names),
 /// running each for `trial_epochs` epochs and scoring it by the IPC of
 /// its scored epochs (the first trial epoch after a switch is discarded
 /// as warm-up when `trial_epochs > 1`). It then switches to the winner
@@ -278,7 +265,7 @@ impl TunePolicy for BandwidthThrottle {
 /// misgoverns the whole next phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TournamentSpec {
-    /// Prefetcher registry names to choose between (at least two).
+    /// Prefetcher names to choose between (at least two).
     pub candidates: Vec<String>,
     /// Epochs each candidate runs per exploration round (default 1; the
     /// first is warm-up when more than one).
@@ -301,23 +288,19 @@ impl TournamentSpec {
             retrigger_delta: 0.25,
         }
     }
-}
 
-impl PolicySpec for TournamentSpec {
-    fn name(&self) -> String {
+    /// The policy's report label.
+    pub fn name(&self) -> String {
         format!("tournament[{}]", self.candidates.join(","))
     }
 
-    fn build(&self) -> Box<dyn TunePolicy> {
+    /// Builds one core's policy state machine.
+    pub fn build(&self) -> Box<dyn TunePolicy> {
         Box::new(Tournament {
             spec: self.clone(),
             state: TournamentState::Start,
             scores: vec![(0, 0); self.candidates.len()],
         })
-    }
-
-    fn prefetcher_names(&self) -> Vec<String> {
-        self.candidates.clone()
     }
 }
 
@@ -433,18 +416,18 @@ pub mod policies {
     use super::*;
 
     /// The BO degree governor with default thresholds.
-    pub fn degree_governor() -> PolicyHandle {
-        PolicyHandle::new(DegreeGovernorSpec::default())
+    pub fn degree_governor() -> PolicySpec {
+        PolicySpec::DegreeGovernor(DegreeGovernorSpec::default())
     }
 
     /// The bandwidth-aware throttle with default thresholds.
-    pub fn bandwidth_throttle() -> PolicyHandle {
-        PolicyHandle::new(BandwidthThrottleSpec::default())
+    pub fn bandwidth_throttle() -> PolicySpec {
+        PolicySpec::BandwidthThrottle(BandwidthThrottleSpec::default())
     }
 
-    /// A tournament over prefetcher registry names with default pacing.
-    pub fn tournament(candidates: impl IntoIterator<Item = impl Into<String>>) -> PolicyHandle {
-        PolicyHandle::new(TournamentSpec::new(candidates))
+    /// A tournament over prefetcher names with default pacing.
+    pub fn tournament(candidates: impl IntoIterator<Item = impl Into<String>>) -> PolicySpec {
+        PolicySpec::Tournament(TournamentSpec::new(candidates))
     }
 }
 

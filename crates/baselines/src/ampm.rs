@@ -20,7 +20,7 @@ const ZONE_LINES: u64 = 256;
 const ZONE_WORDS: usize = (ZONE_LINES / 64) as usize;
 
 /// AMPM-lite configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AmpmConfig {
     /// Tracked zones (total table entries; default 64 ≈ 2KB of maps).
     pub zones: usize,

@@ -11,8 +11,8 @@
 //!
 //! All line-address prefetchers implement the level-agnostic
 //! [`best_offset::Prefetcher`] trait (attachable to the L2 or L3 site);
-//! the DL1 stride prefetcher implements [`best_offset::L1Prefetcher`]
-//! because it works on virtual addresses and trains in program order.
+//! the core drives the DL1 stride prefetcher directly, because it works
+//! on virtual addresses and trains in program order.
 
 #![warn(missing_docs)]
 

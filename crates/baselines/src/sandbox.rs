@@ -71,7 +71,7 @@ impl BloomFilter {
 }
 
 /// SBP tuning parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SbpConfig {
     /// Candidate offsets (default: the BO paper's 52-entry list, §6.3).
     pub offsets: OffsetList,

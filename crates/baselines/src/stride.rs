@@ -12,7 +12,7 @@
 //! filter, then translated by the TLB2 before being issued (done by the
 //! simulator; a TLB2 miss drops the request).
 
-use best_offset::{L1Prefetcher, TuneDirective};
+use best_offset::TuneDirective;
 use bosim_types::VirtAddr;
 
 const CONF_MAX: u8 = 15;
@@ -28,7 +28,7 @@ struct StrideEntry {
 }
 
 /// Configuration of the DL1 stride prefetcher.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrideConfig {
     /// Table entries (paper: 64).
     pub entries: usize,
@@ -223,25 +223,11 @@ impl StridePrefetcher {
         self.issued += 1;
         Some(VirtAddr(target))
     }
-}
 
-/// The L1D-site attach point: the core drives training/issue through
-/// this trait when the stride prefetcher is plugged in via the registry
-/// (`l1:stride`).
-impl L1Prefetcher for StridePrefetcher {
-    fn on_retire(&mut self, pc: u64, vaddr: VirtAddr) {
-        StridePrefetcher::on_retire(self, pc, vaddr);
-    }
-
-    fn on_access(&mut self, pc: u64, vaddr: VirtAddr) -> Option<VirtAddr> {
-        StridePrefetcher::on_access(self, pc, vaddr)
-    }
-
-    fn name(&self) -> &'static str {
-        "stride"
-    }
-
-    fn reconfigure(&mut self, directive: &TuneDirective) -> bool {
+    /// Applies a runtime reconfiguration directive: only
+    /// [`TuneDirective::SetEnabled`], which gates issue while training
+    /// goes on. Returns whether the directive was applied.
+    pub fn reconfigure(&mut self, directive: &TuneDirective) -> bool {
         match directive {
             TuneDirective::SetEnabled(on) => {
                 self.enabled = *on;
@@ -347,26 +333,16 @@ mod tests {
     fn external_gate_stops_issue_but_not_training() {
         let mut p = StridePrefetcher::with_defaults();
         let pc = 0x400600;
-        assert!(L1Prefetcher::reconfigure(
-            &mut p,
-            &TuneDirective::SetEnabled(false)
-        ));
+        assert!(p.reconfigure(&TuneDirective::SetEnabled(false)));
         // Training continues while gated...
         for i in 0..20 {
-            L1Prefetcher::on_retire(&mut p, pc, VirtAddr(0x1000 + i * 64));
+            p.on_retire(pc, VirtAddr(0x1000 + i * 64));
         }
-        assert_eq!(L1Prefetcher::on_access(&mut p, pc, VirtAddr(0x2000)), None);
+        assert_eq!(p.on_access(pc, VirtAddr(0x2000)), None);
         // ...so re-enabling issues immediately from the warm table.
-        assert!(L1Prefetcher::reconfigure(
-            &mut p,
-            &TuneDirective::SetEnabled(true)
-        ));
-        assert!(L1Prefetcher::on_access(&mut p, pc, VirtAddr(0x2000)).is_some());
-        assert_eq!(L1Prefetcher::name(&p), "stride");
-        assert!(!L1Prefetcher::reconfigure(
-            &mut p,
-            &TuneDirective::SetDegree(2)
-        ));
+        assert!(p.reconfigure(&TuneDirective::SetEnabled(true)));
+        assert!(p.on_access(pc, VirtAddr(0x2000)).is_some());
+        assert!(!p.reconfigure(&TuneDirective::SetDegree(2)));
     }
 
     #[test]

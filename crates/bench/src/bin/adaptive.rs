@@ -17,7 +17,7 @@
 //! Run with: `cargo run --release -p bosim-bench --bin adaptive`
 
 use best_offset::BoConfig;
-use bosim::adapt::{policies, TournamentSpec};
+use bosim::adapt::{policies, PolicySpec, TournamentSpec};
 use bosim::{prefetchers, SimConfig};
 use bosim_bench::{Experiment, Metric};
 use bosim_trace::suite;
@@ -30,7 +30,7 @@ const EPOCH_CYCLES: u64 = 8_000;
 
 fn main() {
     let base = SimConfig::baseline(PageSize::M4, 1);
-    let adaptive = |cfg: SimConfig, policy: bosim::adapt::PolicyHandle| {
+    let adaptive = |cfg: SimConfig, policy: PolicySpec| {
         let mut c = cfg;
         c.adapt = Some(policy);
         c.epoch_cycles = EPOCH_CYCLES;
@@ -70,7 +70,7 @@ fn main() {
         "tournament",
         adaptive(
             base.clone().with_prefetcher(prefetchers::none()),
-            tournament.into(),
+            PolicySpec::Tournament(tournament),
         ),
     )
     .arm(

@@ -1,14 +1,14 @@
 //! Figure 13: DRAM accesses per 1000 instructions for no-prefetch,
 //! next-line, BO and SBP (4KB pages, 1 active core, memory-intensive
 //! subset).
-use bosim::{prefetchers, PrefetcherHandle, SimConfig};
+use bosim::{prefetchers, PrefetcherSpec, SimConfig};
 use bosim_bench::{Experiment, Metric};
 use bosim_trace::suite;
 use bosim_types::PageSize;
 
 fn main() {
     let base = SimConfig::baseline(PageSize::K4, 1);
-    let variants: [(&str, PrefetcherHandle); 4] = [
+    let variants: [(&str, PrefetcherSpec); 4] = [
         ("no-prefetch", prefetchers::none()),
         ("next-line", prefetchers::next_line()),
         ("BO", prefetchers::bo_default()),
@@ -22,8 +22,8 @@ fn main() {
     .metric(Metric::DramPerKi)
     .gm(false)
     .decimals(1);
-    for (name, handle) in variants {
-        e = e.arm(name, base.clone().with_prefetcher(handle));
+    for (name, spec) in variants {
+        e = e.arm(name, base.clone().with_prefetcher(spec));
     }
     e.run_and_emit();
 }

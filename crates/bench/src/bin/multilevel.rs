@@ -3,7 +3,7 @@
 //! Sweeps prefetcher placements across the three sites of the hierarchy
 //! — the Figure 4 shape (L1 on/off) crossed with the new L3 site — and
 //! reports speedups over the paper's next-line baseline. Arms are
-//! expressed with site-qualified registry names (`l1:stride`, `l2:bo`,
+//! expressed with site-qualified prefetcher names (`l1:stride`, `l2:bo`,
 //! `l3:next-line`), exactly what `SimConfig::with_site` accepts.
 //!
 //! The binary is also the CI multi-level smoke arm: after the grid it
@@ -18,7 +18,7 @@ use bosim::{SimConfig, System};
 use bosim_bench::Experiment;
 use bosim_trace::suite;
 
-/// Builds a configuration from site-qualified registry names.
+/// Builds a configuration from site-qualified prefetcher names.
 fn sites(names: &[&str]) -> SimConfig {
     let mut cfg = SimConfig {
         l1_prefetcher: None,

@@ -3,7 +3,7 @@
 
 use crate::args::{ParsedArgs, UsageError};
 use crate::corpus::{self, Corpus};
-use bosim::{SimConfig, System};
+use bosim::{ConfigError, PrefetcherSpec, SimConfig, System};
 use bosim_bench::{Experiment, Report};
 use bosim_obs::{perfetto, ObsConfig, ObsReport};
 use bosim_stats::{Align, Json, Table};
@@ -161,9 +161,11 @@ fn external_spec(
     })
 }
 
-/// Applies a `+`-separated stack of site-qualified registry names to a
-/// configuration (`l1:stride+l2:bo+l3:next-line`; a bare name means L2).
+/// Applies a `+`-separated stack of site-qualified prefetcher names to a
+/// configuration (`l1:stride+l2:bo+l3:next-line`; a bare name means L2,
+/// `l1:none`/`l3:none` empty those sites). Each site may appear once.
 fn apply_stack(mut cfg: SimConfig, stack: &str) -> Result<SimConfig, CliError> {
+    let mut sites = Vec::new();
     for part in stack.split('+') {
         let part = part.trim();
         if part.is_empty() {
@@ -171,9 +173,20 @@ fn apply_stack(mut cfg: SimConfig, stack: &str) -> Result<SimConfig, CliError> {
                 "empty component in stack {stack:?}"
             )));
         }
-        cfg = cfg
-            .with_site(part)
-            .map_err(|e| CliError::Usage(format!("stack {stack:?}: {e}")))?;
+        let (site, spec) = PrefetcherSpec::parse_site(part).map_err(|e| {
+            let e = ConfigError::UnknownPrefetcher {
+                name: part.to_string(),
+                reason: e.to_string(),
+            };
+            CliError::Usage(format!("stack {stack:?}: {e}"))
+        })?;
+        if sites.contains(&site) {
+            return Err(CliError::Usage(format!(
+                "stack {stack:?} names site {site} more than once"
+            )));
+        }
+        sites.push(site);
+        cfg = cfg.with_site_prefetcher(site, spec);
     }
     Ok(cfg)
 }
@@ -772,10 +785,25 @@ mod tests {
         let cfg = apply_stack(SimConfig::default(), "l1:stride+l2:bo+l3:next-line").unwrap();
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.label(), "4KB/1-core/l1:stride+l2:BO+l3:next-line");
-        // Bad components carry the registry's diagnosis.
+        // Bad components carry the resolution's diagnosis.
         let err = apply_stack(SimConfig::default(), "l3:stride").unwrap_err();
         assert!(err.to_string().contains("does not attach"), "{err}");
         assert!(apply_stack(SimConfig::default(), "l2:bo++l3:bo").is_err());
+    }
+
+    #[test]
+    fn stacks_name_each_site_once() {
+        // A bare name means l2, so each of these names l2 twice.
+        for stack in ["l2:bo+l2:sbp", "bo+l2:sbp", "l1:stride+bo+sbp"] {
+            let err = apply_stack(SimConfig::default(), stack).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{stack}");
+            assert!(err.to_string().contains("site l2"), "{stack}: {err}");
+        }
+        // `none` empties the l1 and l3 sites, as their labels print them.
+        let cfg = apply_stack(SimConfig::default(), "l1:none+l2:bo+l3:next-line").unwrap();
+        assert_eq!(cfg.label(), "4KB/1-core/l1:none+l2:BO+l3:next-line");
+        let cfg = apply_stack(SimConfig::default(), "l3:none").unwrap();
+        assert_eq!(cfg.label(), SimConfig::default().label());
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! and work on physical line addresses", observe read accesses from the
 //! level above (demand misses *and* upper-level prefetches), and trigger
 //! on misses and prefetched hits. Prefetch addresses never cross page
-//! boundaries. The L1D site uses the separate [`L1Prefetcher`] trait,
-//! because DL1 prefetchers see virtual addresses and load/store PCs and
-//! train at retirement.
+//! boundaries. The L1D site is not a [`Prefetcher`]: its stride
+//! prefetcher sees virtual addresses and load/store PCs and trains at
+//! retirement, so the core drives it directly.
 
-use bosim_types::{LineAddr, PageSize, VirtAddr};
+use bosim_types::{LineAddr, PageSize};
 use std::fmt;
 
 /// A prefetcher attach point in the cache hierarchy.
@@ -31,7 +31,7 @@ impl PrefetchSite {
     /// Every site, in hierarchy order.
     pub const ALL: [PrefetchSite; 3] = [PrefetchSite::L1D, PrefetchSite::L2, PrefetchSite::L3];
 
-    /// The site's short label, as used in site-qualified registry names
+    /// The site's short label, as used in site-qualified prefetcher names
     /// (`"l1"`, `"l2"`, `"l3"`).
     pub fn label(self) -> &'static str {
         match self {
@@ -75,7 +75,7 @@ pub enum TuneDirective {
     /// throttle this is imposed from outside (e.g. under bandwidth
     /// contention); learning machinery keeps running while gated.
     SetEnabled(bool),
-    /// Replace the prefetcher with the named registry entry. This is
+    /// Replace the prefetcher with a fresh one of the given name. This is
     /// handled by the *simulator* (which owns prefetcher construction),
     /// never by the prefetcher itself — [`Prefetcher::reconfigure`]
     /// implementations always reject it.
@@ -237,34 +237,6 @@ pub trait Prefetcher: std::fmt::Debug {
     /// enabled; the default implementation produces nothing.
     fn drain_events(&mut self, out: &mut Vec<PrefetchEvent>) {
         let _ = out;
-    }
-}
-
-/// A DL1-site prefetcher (the L1D attach point).
-///
-/// Unlike the line-address [`Prefetcher`], an L1 prefetcher works on
-/// virtual addresses and load/store PCs: it trains at retirement (so
-/// memory accesses are seen in program order, §5.5) and proposes one
-/// virtual prefetch address at DL1 access time. The surrounding core
-/// keeps the §5.5 issue path: the proposal is probed against the TLB2
-/// (dropped on a miss), translated, deduplicated against the DL1 and its
-/// MSHRs, and issued as a [`bosim_types::ReqClass::L1Prefetch`] read.
-pub trait L1Prefetcher: std::fmt::Debug {
-    /// Trains the prefetcher with a retired load/store, in program order.
-    fn on_retire(&mut self, pc: u64, vaddr: VirtAddr);
-
-    /// Issue check at DL1 access time (miss or prefetched hit): returns
-    /// the proposed virtual prefetch address, if any.
-    fn on_access(&mut self, pc: u64, vaddr: VirtAddr) -> Option<VirtAddr>;
-
-    /// Short name for reports ("stride", ...).
-    fn name(&self) -> &'static str;
-
-    /// Applies a runtime reconfiguration directive (see
-    /// [`Prefetcher::reconfigure`]). Default: unsupported.
-    fn reconfigure(&mut self, directive: &TuneDirective) -> bool {
-        let _ = directive;
-        false
     }
 }
 

@@ -17,9 +17,8 @@
 //! * the [`RrTable`] of recently completed prefetch bases (§4.1, §4.4),
 //! * the 5-smooth [`OffsetList`] (§4.2),
 //! * the level-agnostic [`Prefetcher`] trait (with the [`PrefetchSite`]
-//!   attach-point enum and the DL1-side [`L1Prefetcher`] trait)
-//!   implemented by BO and by every baseline prefetcher in
-//!   `bosim-baselines`.
+//!   attach-point enum) implemented by BO and by every line-address
+//!   baseline prefetcher in `bosim-baselines`.
 //!
 //! # Examples
 //!
@@ -47,8 +46,8 @@ mod rr_table;
 
 pub use bo::{BestOffsetPrefetcher, BoConfig, BoConfigError, BoStats};
 pub use iface::{
-    AccessOutcome, CacheAccess, L1Prefetcher, NullPrefetcher, PrefetchEvent, PrefetchSite,
-    Prefetcher, SiteDirective, TuneDirective,
+    AccessOutcome, CacheAccess, NullPrefetcher, PrefetchEvent, PrefetchSite, Prefetcher,
+    SiteDirective, TuneDirective,
 };
 pub use offsets::OffsetList;
 pub use rr_table::RrTable;

@@ -5,9 +5,9 @@
 //! cycle minimum branch misprediction penalty with redirect at branch
 //! execution, TAGE/ITTAGE prediction, two-level TLBs, 32KB 8-way IL1/DL1
 //! (3-cycle DL1), a 42-entry store buffer draining in the background, and
-//! a pluggable L1D prefetch site (any [`best_offset::L1Prefetcher`];
-//! the §5.5 PC-indexed stride prefetcher is the default occupant,
-//! trained at retirement and issuing at access time through the TLB2).
+//! an L1D prefetch site holding the §5.5 PC-indexed stride prefetcher
+//! (trained at retirement and issuing at access time through the TLB2)
+//! or nothing.
 //!
 //! Scheduling is event-driven inside a per-cycle `tick`: register
 //! dependences are tracked through a scoreboard with wakeup lists, so
@@ -27,7 +27,8 @@
 
 use crate::tage::{Ittage, Tage};
 use crate::tlb::{PageTranslator, TlbHierarchy};
-use best_offset::{L1Prefetcher, TuneDirective};
+use best_offset::TuneDirective;
+use bosim_baselines::StridePrefetcher;
 use bosim_cache::policy::{InsertCtx, PolicyKind};
 use bosim_cache::{CacheArray, MshrFile};
 use bosim_trace::{MicroOp, TraceSource, UopKind, NUM_REGS};
@@ -205,8 +206,8 @@ pub struct Core {
     il1: CacheArray,
     dl1: CacheArray,
     mshr: MshrFile,
-    /// The pluggable L1D prefetch site (`None` = site empty, Figure 4).
-    l1_prefetcher: Option<Box<dyn L1Prefetcher>>,
+    /// The L1D prefetch site (`None` = site empty, Figure 4).
+    l1_prefetcher: Option<StridePrefetcher>,
 
     /// The ROB ring: µop `seq` is `rob[slot(seq)]` while
     /// `head_seq <= seq < next_seq`.
@@ -246,15 +247,14 @@ pub struct Core {
 impl Core {
     /// Creates a core running `trace` with the given page size and
     /// translation seed. `l1_prefetcher` occupies the L1D prefetch site
-    /// (`None` leaves the site empty, as in the Figure 4 ablation); the
-    /// TLB2-probe / MSHR-drop issue path of §5.5 applies to whatever
-    /// prefetcher is plugged in.
+    /// (`None` leaves the site empty, as in the Figure 4 ablation) and
+    /// issues through the TLB2-probe / MSHR-drop path of §5.5.
     pub fn new(
         id: CoreId,
         trace: Box<dyn TraceSource>,
         page: PageSize,
         seed: u64,
-        l1_prefetcher: Option<Box<dyn L1Prefetcher>>,
+        l1_prefetcher: Option<StridePrefetcher>,
     ) -> Self {
         Core {
             id,
@@ -325,12 +325,6 @@ impl Core {
     /// The virtual→physical translator (used by tests).
     pub fn translator(&self) -> &PageTranslator {
         &self.translator
-    }
-
-    /// The occupant of the L1D prefetch site, if any (introspection for
-    /// tests and examples).
-    pub fn l1_prefetcher(&self) -> Option<&dyn L1Prefetcher> {
-        self.l1_prefetcher.as_deref()
     }
 
     /// Applies a runtime reconfiguration directive to the L1D-site
@@ -535,8 +529,7 @@ impl Core {
     }
 
     /// The §5.5 L1D prefetch issue path (access-time trigger, TLB2
-    /// probe, MSHR allocation), applied to whatever prefetcher occupies
-    /// the site.
+    /// probe, MSHR allocation).
     fn try_l1_prefetch(&mut self, pc: u64, vaddr: VirtAddr, out: &mut Vec<UncoreRequest>) {
         let Some(l1) = self.l1_prefetcher.as_mut() else {
             return;
@@ -1034,8 +1027,8 @@ mod tests {
         }
     }
 
-    fn stride_l1() -> Option<Box<dyn L1Prefetcher>> {
-        Some(Box::new(bosim_baselines::StridePrefetcher::with_defaults()))
+    fn stride_l1() -> Option<StridePrefetcher> {
+        Some(StridePrefetcher::with_defaults())
     }
 
     fn core_with(uops: Vec<MicroOp>) -> Core {

@@ -5,8 +5,8 @@
 //!   Table 1 parameters as constants ([`ROB_SIZE`]-entry ROB,
 //!   [`DISPATCH_WIDTH`]-wide decode, [`RETIRE_WIDTH`]-wide retire,
 //!   [`LOAD_PORTS`] load ports, [`MSHRS`] DL1 MSHRs, [`MISPREDICT_PENALTY`]-cycle
-//!   minimum redirect penalty), private 32KB IL1/DL1 and the pluggable
-//!   L1D prefetch site (§5.5). The ROB is a fixed ring indexed by
+//!   minimum redirect penalty), private 32KB IL1/DL1 and the optional
+//!   L1D stride prefetcher (§5.5). The ROB is a fixed ring indexed by
 //!   `seq % ROB_SIZE`, and dependents wait on intrusive FIFO lists
 //!   threaded through it, so dispatch, wake-up and retirement allocate
 //!   nothing,

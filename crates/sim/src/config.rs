@@ -16,9 +16,9 @@
 //! assert_eq!(cfg.label(), "4MB/2-core/BO");
 //! ```
 
-use crate::spec::{prefetchers, PrefetcherHandle};
+use crate::spec::{prefetchers, site_mismatch_reason, PrefetcherSpec};
 use best_offset::PrefetchSite;
-use bosim_adapt::PolicyHandle;
+use bosim_adapt::PolicySpec;
 use bosim_cache::policy::PolicyKind;
 use bosim_obs::ObsConfig;
 use bosim_trace::SampleSpec;
@@ -70,12 +70,12 @@ pub struct SimConfig {
     pub active_cores: usize,
     /// The L1D-site prefetcher of every core (default: the §5.5 stride
     /// prefetcher; `None` leaves the site empty, as Figure 4 does).
-    pub l1_prefetcher: Option<PrefetcherHandle>,
+    pub l1_prefetcher: Option<PrefetcherSpec>,
     /// The L2 prefetcher under evaluation.
-    pub l2_prefetcher: PrefetcherHandle,
+    pub l2_prefetcher: PrefetcherSpec,
     /// The shared L3 site's prefetcher (`None` = no L3 prefetching, the
     /// paper's machine).
-    pub l3_prefetcher: Option<PrefetcherHandle>,
+    pub l3_prefetcher: Option<PrefetcherSpec>,
     /// L3 replacement policy (baseline: 5P; Figure 3 uses LRU/DRRIP).
     pub l3_policy: PolicyKind,
     /// L2 fill queue entries (Table 1: 16).
@@ -107,7 +107,7 @@ pub struct SimConfig {
     /// [`bosim_adapt::EpochFeedback`] at every epoch boundary and may
     /// reconfigure the core's prefetchers. `None` (the default)
     /// reproduces the paper's static configurations.
-    pub adapt: Option<PolicyHandle>,
+    pub adapt: Option<PolicySpec>,
     /// Trace sampling applied to core 0's µop stream (warm-up skip +
     /// periodic measurement windows, see
     /// [`SampleSpec`]). Intended for long external traces; the
@@ -157,14 +157,14 @@ impl SimConfig {
     }
 
     /// Returns a copy with a different L2 prefetcher.
-    pub fn with_prefetcher(mut self, p: impl Into<PrefetcherHandle>) -> Self {
-        self.l2_prefetcher = p.into();
+    pub fn with_prefetcher(mut self, p: PrefetcherSpec) -> Self {
+        self.l2_prefetcher = p;
         self
     }
 
     /// Returns a copy with `p` (or nothing) at `site`. The L2 site
     /// cannot be emptied — pass [`prefetchers::none`] there instead.
-    pub fn with_site_prefetcher(mut self, site: PrefetchSite, p: Option<PrefetcherHandle>) -> Self {
+    pub fn with_site_prefetcher(mut self, site: PrefetchSite, p: Option<PrefetcherSpec>) -> Self {
         match site {
             PrefetchSite::L1D => self.l1_prefetcher = p,
             PrefetchSite::L2 => self.l2_prefetcher = p.unwrap_or_else(prefetchers::none),
@@ -173,18 +173,19 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with the prefetcher named by a site-qualified
-    /// registry name (`"l1:stride"`, `"l2:bo"`, `"l3:next-line"`; a bare
-    /// name means the L2 site) installed at that site.
+    /// Returns a copy with the prefetcher named by a site-qualified name
+    /// (`"l1:stride"`, `"l2:bo"`, `"l3:next-line"`; a bare name means
+    /// the L2 site, and `"l1:none"` or `"l3:none"` empties that site)
+    /// installed at that site (see [`PrefetcherSpec::parse_site`]).
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError::UnknownPrefetcher`] carrying the
-    /// registry's diagnosis (unknown name, unknown site, or a site/spec
-    /// mismatch such as `l3:stride`).
+    /// resolution's diagnosis (unknown name, unknown site, or a
+    /// site/spec mismatch such as `l3:stride`).
     pub fn with_site(self, name: &str) -> Result<Self, ConfigError> {
-        match crate::registry::registry().resolve_site(name) {
-            Ok((site, handle)) => Ok(self.with_site_prefetcher(site, Some(handle))),
+        match PrefetcherSpec::parse_site(name) {
+            Ok((site, spec)) => Ok(self.with_site_prefetcher(site, spec)),
             Err(e) => Err(ConfigError::UnknownPrefetcher {
                 name: name.to_string(),
                 reason: e.to_string(),
@@ -193,7 +194,7 @@ impl SimConfig {
     }
 
     /// The prefetcher occupying `site`, if any.
-    pub fn site_prefetcher(&self, site: PrefetchSite) -> Option<&PrefetcherHandle> {
+    pub fn site_prefetcher(&self, site: PrefetchSite) -> Option<&PrefetcherSpec> {
         match site {
             PrefetchSite::L1D => self.l1_prefetcher.as_ref(),
             PrefetchSite::L2 => Some(&self.l2_prefetcher),
@@ -206,10 +207,7 @@ impl SimConfig {
     /// spell out every site.
     fn multi_level(&self) -> bool {
         self.l3_prefetcher.is_some()
-            || self
-                .l1_prefetcher
-                .as_ref()
-                .is_some_and(|h| h.name() != "stride")
+            || !matches!(self.l1_prefetcher, None | Some(PrefetcherSpec::Stride(_)))
     }
 
     /// Short configuration label, e.g. `"4KB/2-core/BO"`; adaptive
@@ -233,7 +231,7 @@ impl SimConfig {
         };
         let prefetchers = if self.multi_level() {
             let site =
-                |h: Option<&PrefetcherHandle>| h.map(|h| h.name()).unwrap_or_else(|| "none".into());
+                |p: Option<&PrefetcherSpec>| p.map(|p| p.name()).unwrap_or_else(|| "none".into());
             format!(
                 "l1:{}+l2:{}+l3:{}",
                 site(self.l1_prefetcher.as_ref()),
@@ -288,18 +286,18 @@ impl SimConfig {
         // reported here instead of aborting mid-sweep when the
         // prefetcher is built.
         for site in PrefetchSite::ALL {
-            let Some(handle) = self.site_prefetcher(site) else {
+            let Some(spec) = self.site_prefetcher(site) else {
                 continue;
             };
-            if !handle.supports_site(site) {
+            if !spec.sites().contains(&site) {
                 return Err(ConfigError::InvalidPrefetcher {
-                    name: handle.name(),
-                    reason: crate::spec::site_mismatch_reason(site, handle.supported_sites()),
+                    name: spec.name(),
+                    reason: site_mismatch_reason(site, spec.sites()),
                 });
             }
-            if let Err(reason) = handle.spec().validate(self) {
+            if let Err(reason) = spec.validate() {
                 return Err(ConfigError::InvalidPrefetcher {
-                    name: handle.name(),
+                    name: spec.name(),
                     reason,
                 });
             }
@@ -314,13 +312,12 @@ impl SimConfig {
         }
         if let Some(policy) = &self.adapt {
             // A policy that switches prefetchers needs at least two to
-            // switch between. Every one of them must resolve in the
-            // registry *now* and attach to the L2 site (switch
-            // directives target the per-core L2 engines) — a sweep must
-            // neither die at the first epoch boundary of some arm nor
-            // silently keep the old prefetcher because the switch is
-            // rejected at runtime.
-            let candidates = policy.spec().prefetcher_names();
+            // switch between. Every one of them must resolve *now* and
+            // attach to the L2 site (switch directives target the
+            // per-core L2 engines) — a sweep must neither die at the
+            // first epoch boundary of some arm nor silently keep the old
+            // prefetcher because the switch is rejected at runtime.
+            let candidates = policy.prefetcher_names();
             if candidates.len() == 1 {
                 return Err(ConfigError::InvalidAdapt {
                     reason: format!(
@@ -330,24 +327,17 @@ impl SimConfig {
                 });
             }
             for name in candidates {
-                match crate::registry::registry().resolve(&name) {
-                    Err(e) => {
-                        return Err(ConfigError::UnknownPrefetcher {
-                            name,
-                            reason: e.to_string(),
-                        });
+                let reason = match PrefetcherSpec::parse(name) {
+                    Err(e) => e.to_string(),
+                    Ok(spec) if !spec.sites().contains(&PrefetchSite::L2) => {
+                        site_mismatch_reason(PrefetchSite::L2, spec.sites())
                     }
-                    Ok(handle) if !handle.supports_site(PrefetchSite::L2) => {
-                        return Err(ConfigError::UnknownPrefetcher {
-                            name,
-                            reason: crate::spec::site_mismatch_reason(
-                                PrefetchSite::L2,
-                                handle.supported_sites(),
-                            ),
-                        });
-                    }
-                    Ok(_) => {}
-                }
+                    Ok(_) => continue,
+                };
+                return Err(ConfigError::UnknownPrefetcher {
+                    name: name.clone(),
+                    reason,
+                });
             }
         }
         Ok(())
@@ -401,12 +391,12 @@ pub enum ConfigError {
         reason: &'static str,
     },
     /// A prefetcher name (an adaptive policy's candidate, or a
-    /// site-qualified name given to [`SimConfig::with_site`]) the
-    /// registry cannot resolve.
+    /// site-qualified name given to [`SimConfig::with_site`]) that does
+    /// not resolve (see [`PrefetcherSpec::parse`]).
     UnknownPrefetcher {
         /// The unresolvable name.
         name: String,
-        /// The registry's resolution error.
+        /// The resolution error.
         reason: String,
     },
 }
@@ -535,7 +525,7 @@ mod tests {
         // Bare names mean the L2 site.
         let c = SimConfig::default().with_site("sbp").expect("bare name");
         assert_eq!(c.l2_prefetcher.name(), "SBP");
-        // Site errors carry the registry's diagnosis.
+        // Site errors carry the resolution's diagnosis.
         let err = SimConfig::default().with_site("l3:stride").unwrap_err();
         match &err {
             ConfigError::UnknownPrefetcher { name, reason } => {
@@ -586,9 +576,9 @@ mod tests {
     #[test]
     fn adaptive_candidates_must_attach_to_the_l2_site() {
         use bosim_adapt::policies;
-        // "stride" resolves in the registry but is L1D-only: a switch
-        // to it would be silently rejected at every epoch boundary, so
-        // validation must fail loudly up front.
+        // "stride" resolves but is L1D-only: a switch to it would be
+        // silently rejected at every epoch boundary, so validation must
+        // fail loudly up front.
         let cfg = SimConfig {
             adapt: Some(policies::tournament(["bo", "stride"])),
             ..Default::default()
@@ -658,7 +648,7 @@ mod tests {
     #[test]
     fn builder_rejects_zero_fixed_offset() {
         let err = SimConfig::default()
-            .with_prefetcher(crate::spec::FixedOffsetSpec { offset: 0 })
+            .with_prefetcher(prefetchers::fixed(0))
             .validate()
             .unwrap_err();
         assert!(
@@ -686,8 +676,8 @@ mod tests {
             zero_epochs.validate().unwrap_err(),
             ConfigError::ZeroEpochCycles
         );
-        // Tournament candidates must resolve in the registry, with the
-        // resolver's diagnosis passed through.
+        // Tournament candidates must resolve, with the resolution's
+        // diagnosis passed through.
         let cfg = SimConfig {
             adapt: Some(policies::tournament(["bo", "offset-0"])),
             ..Default::default()
@@ -699,25 +689,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn adaptive_prefetcher_names_require_an_adapt_config() {
-        use bosim_adapt::policies;
-        let handle = crate::registry::registry()
-            .lookup("adaptive-bo")
-            .expect("family registered");
-        let cfg = SimConfig::default().with_prefetcher(handle);
-        let err = cfg.validate().unwrap_err();
-        assert!(
-            err.to_string().contains("requires adaptive control"),
-            "{err}"
-        );
-        let adaptive = SimConfig {
-            adapt: Some(policies::bandwidth_throttle()),
-            ..cfg
-        };
-        assert!(adaptive.validate().is_ok());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A trace-driven, cycle-approximate multi-core simulator reproducing the
 //! baseline micro-architecture of Michaud's HPCA 2016 paper (§5, Table 1):
 //! out-of-order cores with TAGE/ITTAGE and two-level TLBs, private 512KB
-//! L2s with pluggable prefetchers, a shared 8MB L3 with the 5P
+//! L2s with configurable prefetchers, a shared 8MB L3 with the 5P
 //! replacement policy, MSHR-less fill queues with late-prefetch promotion
 //! (§5.4), and a dual-channel DDR3 memory system with FR-FCFS scheduling
 //! and fairness counters (§5.3).
@@ -14,12 +14,12 @@
 //! evaluation varies — page size, active cores, the prefetchers, the L3
 //! policy, run lengths — and is built as a struct literal or from
 //! [`SimConfig::baseline`], then checked with [`SimConfig::validate`].
-//! Every prefetch *site* of the hierarchy (L1D / L2 / L3, see
-//! [`PrefetchSite`]) is *open*: anything implementing
-//! [`PrefetcherSpec`] plugs in, and the built-in specs are available
-//! through the [`prefetchers`] constructors or by (optionally
-//! site-qualified, e.g. `"l1:stride"`, `"l3:next-line"`) name from the
-//! [`registry`].
+//! Each prefetch *site* of the hierarchy (L1D / L2 / L3, see
+//! [`PrefetchSite`]) holds a [`PrefetcherSpec`]: one of the paper's
+//! prefetchers with its parameters, built through the [`prefetchers`]
+//! constructors or parsed from an (optionally site-qualified, e.g.
+//! `"l1:stride"`, `"l3:next-line"`) name with
+//! [`PrefetcherSpec::parse_site`].
 //!
 //! # Examples
 //!
@@ -33,15 +33,10 @@
 //! let result = System::new(&cfg, &spec).run();
 //! println!("{}: IPC {:.3}", result.benchmark, result.ipc());
 //! ```
-//!
-//! Prefetchers are registered from outside this crate by implementing
-//! [`PrefetcherSpec`] and calling [`registry()`]`.register(..)` — see the
-//! [`registry`] module docs for a complete third-party example.
 
 #![warn(missing_docs)]
 
 mod config;
-mod registry;
 mod runner;
 mod spec;
 mod system;
@@ -52,14 +47,8 @@ pub use config::{
     default_instructions, default_warmup, ConfigError, SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS,
     L3_LATENCY, L3_SIZE, L3_WAYS, MAX_CORES, PREFETCH_QUEUE,
 };
-pub use registry::{
-    registry, PrefetcherRegistry, PrefetcherResolver, ResolveError, ResolverOutcome,
-};
 pub use runner::{default_threads, run_job, run_jobs, speedups, stream_jobs, Job, RunnerError};
-pub use spec::{
-    prefetchers, AdaptiveSpec, AmpmSpec, BoSpec, FixedOffsetSpec, NextLineSpec, NoPrefetchSpec,
-    PrefetcherHandle, PrefetcherSpec, SbpSpec, StrideSpec, LINE_ADDRESS_SITES,
-};
+pub use spec::{prefetchers, PrefetcherSpec, ResolveError};
 pub use system::{SimResult, System};
 pub use uncore::{PrefetchTelemetry, Uncore, UncoreStats};
 

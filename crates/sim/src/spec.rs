@@ -1,40 +1,51 @@
-//! The open prefetcher-construction interface.
+//! Prefetcher specs: the closed set of prefetchers the simulator builds.
 //!
-//! A [`PrefetcherSpec`] is a small, cloneable *description* of a
-//! prefetcher (its algorithm and parameters) that knows how to build the
-//! live [`Prefetcher`] state machine for a concrete [`SimConfig`].
-//! Because the trait is public and object-safe, new prefetchers plug into
-//! the simulator from any crate — nothing in `bosim-sim` needs editing
-//! (see [`crate::registry`] for by-name discovery).
+//! A [`PrefetcherSpec`] names one prefetcher the paper compares (no
+//! prefetch, next-line, a fixed offset, BO, SBP and AMPM) or the §5.5
+//! DL1 stride prefetcher, together with its parameters. It parses from
+//! the names command lines, corpora and adaptive policies use
+//! ([`parse`](PrefetcherSpec::parse), or site-qualified with
+//! [`parse_site`](PrefetcherSpec::parse_site)), labels reports
+//! ([`name`](PrefetcherSpec::name)) and builds the live [`Prefetcher`]
+//! state machine ([`build`](PrefetcherSpec::build)).
 //!
-//! Specs are *site-aware*: [`supported_sites`](PrefetcherSpec::supported_sites)
-//! names the [`PrefetchSite`]s a spec can attach to. Line-address
-//! prefetchers (BO, fixed-offset, SBP, AMPM) are site-neutral between L2
-//! and L3; the PC-indexed [`StrideSpec`] is L1D-only and builds through
-//! [`build_l1`](PrefetcherSpec::build_l1) instead of
-//! [`build`](PrefetcherSpec::build). Configuration validation rejects a
-//! spec placed at a site it does not support.
+//! Specs are *site-aware*: [`sites`](PrefetcherSpec::sites) names the
+//! [`PrefetchSite`]s a spec can attach to. Line-address prefetchers (BO,
+//! fixed-offset, SBP, AMPM) are site-neutral between L2 and L3; the
+//! PC-indexed stride prefetcher attaches to the L1D only, where the core
+//! drives it directly. Configuration validation rejects a spec placed at
+//! a site it does not support.
 //!
-//! The prefetchers evaluated in the paper are provided as built-in specs
-//! via the [`prefetchers`] constructor functions.
+//! A new prefetcher is a new variant: the compiler then lists the
+//! matches in this file that need an arm for it. Its name also goes into
+//! [`PrefetcherSpec::parse`] and the list the round-trip test checks.
 
-use crate::config::SimConfig;
-use best_offset::{
-    BestOffsetPrefetcher, BoConfig, L1Prefetcher, NullPrefetcher, PrefetchSite, Prefetcher,
-};
+use best_offset::{BestOffsetPrefetcher, BoConfig, NullPrefetcher, PrefetchSite, Prefetcher};
 use bosim_baselines::{
     AmpmConfig, AmpmPrefetcher, FixedOffsetPrefetcher, SandboxPrefetcher, SbpConfig, StrideConfig,
-    StridePrefetcher,
 };
+use bosim_types::PageSize;
 use std::fmt;
-use std::sync::Arc;
 
-/// The sites a plain line-address prefetcher can attach to (the default
-/// of [`PrefetcherSpec::supported_sites`]).
-pub const LINE_ADDRESS_SITES: &[PrefetchSite] = &[PrefetchSite::L2, PrefetchSite::L3];
+/// The names [`PrefetcherSpec::parse`] accepts, as listed by
+/// [`ResolveError::Unknown`].
+const KNOWN_NAMES: [&str; 9] = [
+    "none",
+    "no-prefetch",
+    "next-line",
+    "offset-1",
+    "bo",
+    "sbp",
+    "ampm",
+    "stride",
+    OFFSET_FAMILY,
+];
+
+/// The pattern of the parameterised fixed-offset names.
+const OFFSET_FAMILY: &str = "offset-<D>";
 
 /// The one source of the "does not attach to site ..." diagnostic,
-/// shared by registry resolution and configuration validation.
+/// shared by name resolution and configuration validation.
 pub(crate) fn site_mismatch_reason(site: PrefetchSite, supported: &[PrefetchSite]) -> String {
     let supported: Vec<&str> = supported.iter().map(|s| s.label()).collect();
     format!(
@@ -43,296 +54,257 @@ pub(crate) fn site_mismatch_reason(site: PrefetchSite, supported: &[PrefetchSite
     )
 }
 
-/// A description of a prefetcher that can build the live prefetcher for
-/// a simulation run.
+/// A prefetcher and its parameters.
 ///
-/// Implementations should be cheap value types holding algorithm
-/// parameters; [`build`](Self::build) is called once per simulated core
-/// (or once for the shared L3 site). The `Debug` representation must
-/// include every parameter that affects behaviour — the experiment
-/// harness uses it to deduplicate identical simulation jobs.
-pub trait PrefetcherSpec: fmt::Debug + Send + Sync {
-    /// Label used in configuration labels, reports and registry lookups
-    /// (`"BO"`, `"next-line"`, `"offset-5"`, `"stride"`, ...).
-    fn name(&self) -> String;
+/// `Debug` renders every parameter that affects behaviour: the
+/// experiment harness uses it to deduplicate identical simulation jobs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PrefetcherSpec {
+    /// No prefetching (the Figure 5 comparison point).
+    None,
+    /// Next-line prefetching — the paper's default L2 baseline (§5.6).
+    NextLine,
+    /// A constant line offset `D` (Figures 7 and 8).
+    Offset(i64),
+    /// The Best-Offset prefetcher (§4).
+    Bo(BoConfig),
+    /// The Sandbox prefetcher as adapted in §6.3.
+    Sbp(SbpConfig),
+    /// AMPM-lite (extension; the DPC-1 winner referenced in §2).
+    Ampm(AmpmConfig),
+    /// The PC-indexed DL1 stride prefetcher (§5.5) — the default
+    /// occupant of the L1D site, and the only spec that attaches there.
+    Stride(StrideConfig),
+}
+
+impl PrefetcherSpec {
+    /// Resolves a prefetcher name (case-insensitive, surrounding
+    /// whitespace ignored) to its default-parameter spec: `none` /
+    /// `no-prefetch`, `next-line`, `bo`, `sbp`, `ampm`, `stride`, or
+    /// `offset-<D>` for any non-zero `i64` offset `D`.
+    ///
+    /// # Errors
+    ///
+    /// [`ResolveError::Malformed`] for an `offset-` name whose offset is
+    /// zero, not an integer or outside the `i64` range, and
+    /// [`ResolveError::Unknown`] for any other name.
+    pub fn parse(name: &str) -> Result<Self, ResolveError> {
+        let key = name.trim().to_ascii_lowercase();
+        Ok(match key.as_str() {
+            "none" | "no-prefetch" => PrefetcherSpec::None,
+            "next-line" => PrefetcherSpec::NextLine,
+            "bo" => PrefetcherSpec::Bo(BoConfig::default()),
+            "sbp" => PrefetcherSpec::Sbp(SbpConfig::default()),
+            "ampm" => PrefetcherSpec::Ampm(AmpmConfig::default()),
+            "stride" => PrefetcherSpec::Stride(StrideConfig::default()),
+            other => {
+                let Some(d) = other.strip_prefix("offset-") else {
+                    return Err(ResolveError::Unknown {
+                        name: key,
+                        known: KNOWN_NAMES.map(String::from).to_vec(),
+                    });
+                };
+                let spec = d.parse().map(PrefetcherSpec::Offset).map_err(|_| {
+                    format!("offset must be a non-zero integer in the i64 range, got {d:?}")
+                });
+                match spec.and_then(|s| s.validate().map(|()| s)) {
+                    Ok(spec) => spec,
+                    Err(reason) => {
+                        return Err(ResolveError::Malformed {
+                            name: key,
+                            family: OFFSET_FAMILY.into(),
+                            reason,
+                        })
+                    }
+                }
+            }
+        })
+    }
+
+    /// Resolves a *site-qualified* name: `"l1:stride"`, `"l2:bo"`,
+    /// `"l3:next-line"`. A bare name means the L2 site, the paper's
+    /// subject. `none` (or `no-prefetch`) at the L1D or L3 site empties
+    /// that site (`None`); the L2 site cannot be empty and gets the null
+    /// prefetcher instead.
+    ///
+    /// # Errors
+    ///
+    /// [`ResolveError::UnknownSite`] for a site label outside l1/l2/l3,
+    /// [`ResolveError::SiteMismatch`] when the spec does not attach to
+    /// the site (e.g. `l3:stride`), plus everything
+    /// [`parse`](Self::parse) reports about the base name.
+    pub fn parse_site(name: &str) -> Result<(PrefetchSite, Option<Self>), ResolveError> {
+        let full = name.trim();
+        let (site, base) = match full.split_once(':') {
+            Some((label, base)) => match PrefetchSite::parse(label.trim()) {
+                Some(site) => (site, base),
+                None => {
+                    return Err(ResolveError::UnknownSite {
+                        name: full.to_ascii_lowercase(),
+                        site: label.trim().to_ascii_lowercase(),
+                    })
+                }
+            },
+            None => (PrefetchSite::L2, full),
+        };
+        let spec = Self::parse(base)?;
+        if spec == PrefetcherSpec::None && site != PrefetchSite::L2 {
+            return Ok((site, None));
+        }
+        if !spec.sites().contains(&site) {
+            return Err(ResolveError::SiteMismatch {
+                name: full.to_ascii_lowercase(),
+                site,
+                supported: spec.sites().to_vec(),
+            });
+        }
+        Ok((site, Some(spec)))
+    }
+
+    /// Label used in configuration labels and reports (`"BO"`,
+    /// `"next-line"`, `"offset-5"`, `"stride"`, ...). It parses back to
+    /// the same variant.
+    pub fn name(&self) -> String {
+        match self {
+            PrefetcherSpec::None => "no-prefetch".into(),
+            PrefetcherSpec::NextLine => "next-line".into(),
+            PrefetcherSpec::Offset(d) => format!("offset-{d}"),
+            PrefetcherSpec::Bo(_) => "BO".into(),
+            PrefetcherSpec::Sbp(_) => "SBP".into(),
+            PrefetcherSpec::Ampm(_) => "AMPM".into(),
+            PrefetcherSpec::Stride(_) => "stride".into(),
+        }
+    }
+
+    /// The sites this spec can attach to.
+    pub fn sites(&self) -> &'static [PrefetchSite] {
+        match self {
+            PrefetcherSpec::None
+            | PrefetcherSpec::NextLine
+            | PrefetcherSpec::Offset(_)
+            | PrefetcherSpec::Bo(_)
+            | PrefetcherSpec::Sbp(_)
+            | PrefetcherSpec::Ampm(_) => &[PrefetchSite::L2, PrefetchSite::L3],
+            PrefetcherSpec::Stride(_) => &[PrefetchSite::L1D],
+        }
+    }
 
     /// Builds the line-address prefetcher state machine (the L2/L3
-    /// sites). For an L1D-only spec this is never reached through a
-    /// validated configuration; such specs return a null prefetcher.
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher>;
-
-    /// The sites this spec can attach to. Defaults to the line-address
-    /// sites (L2 and L3); L1D-only specs override this.
-    fn supported_sites(&self) -> &'static [PrefetchSite] {
-        LINE_ADDRESS_SITES
+    /// sites) for `page`-sized pages. Stride is L1D-only, so a validated
+    /// configuration never builds it here; it gets a null prefetcher.
+    pub fn build(&self, page: PageSize) -> Box<dyn Prefetcher> {
+        match self {
+            PrefetcherSpec::None | PrefetcherSpec::Stride(_) => Box::new(NullPrefetcher::new(page)),
+            PrefetcherSpec::NextLine => Box::new(FixedOffsetPrefetcher::next_line(page)),
+            PrefetcherSpec::Offset(d) => Box::new(FixedOffsetPrefetcher::new(*d, page)),
+            PrefetcherSpec::Bo(c) => Box::new(BestOffsetPrefetcher::new(c.clone(), page)),
+            PrefetcherSpec::Sbp(c) => Box::new(SandboxPrefetcher::new(c.clone(), page)),
+            PrefetcherSpec::Ampm(c) => Box::new(AmpmPrefetcher::new(c.clone(), page)),
+        }
     }
 
-    /// Builds the L1D-site (virtual-address, PC-indexed) prefetcher.
-    /// `None` for specs that do not support the L1D site (the default).
-    fn build_l1(&self, cfg: &SimConfig) -> Option<Box<dyn L1Prefetcher>> {
-        let _ = cfg;
-        None
-    }
-
-    /// Validates the spec's parameters against `cfg` *before* any
-    /// simulation runs. [`SimConfig::validate`] calls this, so an
-    /// invalid spec (a BO degree of 3, an empty offset list) is reported
-    /// as a [`crate::ConfigError`] instead of panicking mid-sweep when
-    /// [`build`](Self::build) runs on a worker thread.
+    /// Validates the spec's parameters *before* any simulation runs.
+    /// [`SimConfig::validate`](crate::SimConfig::validate) calls this,
+    /// so an invalid spec (a BO degree of 3, an empty offset list) is
+    /// reported as a [`crate::ConfigError`] instead of panicking
+    /// mid-sweep when [`build`](Self::build) runs on a worker thread.
     ///
     /// # Errors
     ///
     /// Returns a description of the violated constraint.
-    fn validate(&self, cfg: &SimConfig) -> Result<(), String> {
-        let _ = cfg;
-        Ok(())
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            PrefetcherSpec::Offset(0) => Err("offset 0 is not a prefetch".into()),
+            PrefetcherSpec::Bo(c) => c.validate().map_err(|e| e.to_string()),
+            PrefetcherSpec::Stride(c) => c.validate(),
+            PrefetcherSpec::None
+            | PrefetcherSpec::NextLine
+            | PrefetcherSpec::Offset(_)
+            | PrefetcherSpec::Sbp(_)
+            | PrefetcherSpec::Ampm(_) => Ok(()),
+        }
     }
 }
 
-/// A shared, cloneable handle to a [`PrefetcherSpec`].
-///
-/// This is what [`SimConfig`] stores: configurations stay `Clone` while
-/// the spec itself is allocated once.
-#[derive(Clone)]
-pub struct PrefetcherHandle(Arc<dyn PrefetcherSpec>);
-
-impl PrefetcherHandle {
-    /// Wraps a spec into a shareable handle.
-    pub fn new(spec: impl PrefetcherSpec + 'static) -> Self {
-        PrefetcherHandle(Arc::new(spec))
-    }
-
-    /// The spec's report label.
-    pub fn name(&self) -> String {
-        self.0.name()
-    }
-
-    /// Builds the live line-address prefetcher (L2/L3 sites) for `cfg`'s
-    /// machine.
-    pub fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        self.0.build(cfg)
-    }
-
-    /// Builds the live L1D-site prefetcher, when the spec supports that
-    /// site.
-    pub fn build_l1(&self, cfg: &SimConfig) -> Option<Box<dyn L1Prefetcher>> {
-        self.0.build_l1(cfg)
-    }
-
-    /// The sites the underlying spec can attach to.
-    pub fn supported_sites(&self) -> &'static [PrefetchSite] {
-        self.0.supported_sites()
-    }
-
-    /// True when the spec can attach to `site`.
-    pub fn supports_site(&self, site: PrefetchSite) -> bool {
-        self.supported_sites().contains(&site)
-    }
-
-    /// Borrows the underlying spec.
-    pub fn spec(&self) -> &dyn PrefetcherSpec {
-        self.0.as_ref()
-    }
+/// Why a name failed to resolve (returned by [`PrefetcherSpec::parse`]
+/// and [`PrefetcherSpec::parse_site`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResolveError {
+    /// No prefetcher has this name.
+    Unknown {
+        /// The unresolved name.
+        name: String,
+        /// The names and name families that do resolve, for the message.
+        known: Vec<String>,
+    },
+    /// A name family claimed the name but rejected its parameters.
+    Malformed {
+        /// The rejected name.
+        name: String,
+        /// The claiming family's pattern (e.g. `"offset-<D>"`).
+        family: String,
+        /// What is wrong with the parameters.
+        reason: String,
+    },
+    /// A site-qualified name used a site label the hierarchy does not
+    /// have (e.g. `"l9:bo"`).
+    UnknownSite {
+        /// The full site-qualified name.
+        name: String,
+        /// The unrecognised site label.
+        site: String,
+    },
+    /// A site-qualified name resolved, but the spec does not attach to
+    /// the requested site (e.g. `"l3:stride"` — stride is L1D-only).
+    SiteMismatch {
+        /// The full site-qualified name.
+        name: String,
+        /// The requested site.
+        site: PrefetchSite,
+        /// The sites the spec does support.
+        supported: Vec<PrefetchSite>,
+    },
 }
 
-impl fmt::Debug for PrefetcherHandle {
+impl fmt::Display for ResolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl<S: PrefetcherSpec + 'static> From<S> for PrefetcherHandle {
-    fn from(spec: S) -> Self {
-        PrefetcherHandle::new(spec)
-    }
-}
-
-/// No L2 prefetching (the Figure 5 comparison point).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoPrefetchSpec;
-
-impl PrefetcherSpec for NoPrefetchSpec {
-    fn name(&self) -> String {
-        "no-prefetch".into()
-    }
-
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        Box::new(NullPrefetcher::new(cfg.page))
-    }
-}
-
-/// Next-line prefetching — the paper's default L2 baseline (§5.6).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NextLineSpec;
-
-impl PrefetcherSpec for NextLineSpec {
-    fn name(&self) -> String {
-        "next-line".into()
-    }
-
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        Box::new(FixedOffsetPrefetcher::next_line(cfg.page))
-    }
-}
-
-/// A constant offset `D` (Figures 7 and 8).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedOffsetSpec {
-    /// The constant line offset.
-    pub offset: i64,
-}
-
-impl PrefetcherSpec for FixedOffsetSpec {
-    fn name(&self) -> String {
-        format!("offset-{}", self.offset)
-    }
-
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        Box::new(FixedOffsetPrefetcher::new(self.offset, cfg.page))
-    }
-
-    fn validate(&self, _cfg: &SimConfig) -> Result<(), String> {
-        if self.offset == 0 {
-            return Err("offset 0 is not a prefetch".into());
+        match self {
+            ResolveError::Unknown { name, known } => {
+                write!(
+                    f,
+                    "unknown prefetcher {name:?} (known: {})",
+                    known.join(", ")
+                )
+            }
+            ResolveError::Malformed {
+                name,
+                family,
+                reason,
+            } => write!(f, "malformed prefetcher spec {name:?} ({family}): {reason}"),
+            ResolveError::UnknownSite { name, site } => {
+                write!(
+                    f,
+                    "unknown prefetch site {site:?} in {name:?} (valid sites: l1, l2, l3)"
+                )
+            }
+            ResolveError::SiteMismatch {
+                name,
+                site,
+                supported,
+            } => {
+                write!(
+                    f,
+                    "prefetcher {name:?} {}",
+                    site_mismatch_reason(*site, supported)
+                )
+            }
         }
-        Ok(())
     }
 }
 
-/// The Best-Offset prefetcher (§4).
-#[derive(Debug, Clone, Default)]
-pub struct BoSpec {
-    /// Algorithm parameters (Table 2 defaults).
-    pub config: BoConfig,
-}
+impl std::error::Error for ResolveError {}
 
-impl PrefetcherSpec for BoSpec {
-    fn name(&self) -> String {
-        "BO".into()
-    }
-
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        Box::new(BestOffsetPrefetcher::new(self.config.clone(), cfg.page))
-    }
-
-    fn validate(&self, _cfg: &SimConfig) -> Result<(), String> {
-        self.config.validate().map_err(|e| e.to_string())
-    }
-}
-
-/// The Sandbox prefetcher as adapted in §6.3.
-#[derive(Debug, Clone, Default)]
-pub struct SbpSpec {
-    /// Algorithm parameters.
-    pub config: SbpConfig,
-}
-
-impl PrefetcherSpec for SbpSpec {
-    fn name(&self) -> String {
-        "SBP".into()
-    }
-
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        Box::new(SandboxPrefetcher::new(self.config.clone(), cfg.page))
-    }
-}
-
-/// AMPM-lite (extension; the DPC-1 winner referenced in §2).
-#[derive(Debug, Clone, Default)]
-pub struct AmpmSpec {
-    /// Algorithm parameters.
-    pub config: AmpmConfig,
-}
-
-impl PrefetcherSpec for AmpmSpec {
-    fn name(&self) -> String {
-        "AMPM".into()
-    }
-
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        Box::new(AmpmPrefetcher::new(self.config.clone(), cfg.page))
-    }
-}
-
-/// The PC-indexed DL1 stride prefetcher (§5.5) — the default occupant
-/// of the L1D site, and the only built-in spec that attaches there.
-///
-/// Stride works on virtual addresses and load/store PCs, so it cannot be
-/// placed at the line-address L2/L3 sites: `supported_sites` is L1D
-/// only, and configuration validation rejects e.g. `l2:stride`.
-#[derive(Debug, Clone, Default)]
-pub struct StrideSpec {
-    /// Algorithm parameters (§5.5 defaults: 64 entries, distance 16).
-    pub config: StrideConfig,
-}
-
-impl PrefetcherSpec for StrideSpec {
-    fn name(&self) -> String {
-        "stride".into()
-    }
-
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        // Unreachable through a validated configuration (the spec is
-        // L1D-only); a null prefetcher keeps raw registry users safe.
-        Box::new(NullPrefetcher::new(cfg.page))
-    }
-
-    fn supported_sites(&self) -> &'static [PrefetchSite] {
-        &[PrefetchSite::L1D]
-    }
-
-    fn build_l1(&self, _cfg: &SimConfig) -> Option<Box<dyn L1Prefetcher>> {
-        Some(Box::new(StridePrefetcher::new(self.config.clone())))
-    }
-
-    fn validate(&self, _cfg: &SimConfig) -> Result<(), String> {
-        self.config.validate()
-    }
-}
-
-/// An adaptive alias around another spec: the registry's
-/// `adaptive-<name>` family resolves to this wrapper.
-///
-/// The wrapper builds exactly the inner prefetcher — adaptivity lives in
-/// the *system*, configured through [`SimConfig::adapt`] — but its
-/// validation insists that an adaptive-control configuration is present,
-/// so a run named `adaptive-bo` without a policy fails fast instead of
-/// silently running static BO.
-#[derive(Debug)]
-pub struct AdaptiveSpec {
-    /// The wrapped (initial) prefetcher.
-    pub inner: PrefetcherHandle,
-}
-
-impl PrefetcherSpec for AdaptiveSpec {
-    fn name(&self) -> String {
-        format!("adaptive-{}", self.inner.name())
-    }
-
-    fn build(&self, cfg: &SimConfig) -> Box<dyn Prefetcher> {
-        self.inner.build(cfg)
-    }
-
-    fn supported_sites(&self) -> &'static [PrefetchSite] {
-        // Adaptive control reconfigures per-core L2 prefetchers through
-        // the epoch loop; the wrapper is an L2-only spec (an example of
-        // a spec narrower than the line-address default).
-        &[PrefetchSite::L2]
-    }
-
-    fn validate(&self, cfg: &SimConfig) -> Result<(), String> {
-        self.inner.spec().validate(cfg)?;
-        if cfg.adapt.is_none() {
-            return Err(format!(
-                "{} requires adaptive control: set `SimConfig::adapt`",
-                self.name()
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Constructor shorthands for the built-in prefetcher specs.
+/// Constructor shorthands for the prefetcher specs.
 ///
 /// ```
 /// use bosim::{prefetchers, SimConfig};
@@ -344,57 +316,57 @@ pub mod prefetchers {
     use super::*;
 
     /// No L2 prefetching.
-    pub fn none() -> PrefetcherHandle {
-        PrefetcherHandle::new(NoPrefetchSpec)
+    pub fn none() -> PrefetcherSpec {
+        PrefetcherSpec::None
     }
 
     /// Next-line prefetching (the baseline).
-    pub fn next_line() -> PrefetcherHandle {
-        PrefetcherHandle::new(NextLineSpec)
+    pub fn next_line() -> PrefetcherSpec {
+        PrefetcherSpec::NextLine
     }
 
     /// Constant-offset prefetching with offset `d`.
-    pub fn fixed(d: i64) -> PrefetcherHandle {
-        PrefetcherHandle::new(FixedOffsetSpec { offset: d })
+    pub fn fixed(d: i64) -> PrefetcherSpec {
+        PrefetcherSpec::Offset(d)
     }
 
     /// Best-Offset prefetching with explicit parameters.
-    pub fn bo(config: BoConfig) -> PrefetcherHandle {
-        PrefetcherHandle::new(BoSpec { config })
+    pub fn bo(config: BoConfig) -> PrefetcherSpec {
+        PrefetcherSpec::Bo(config)
     }
 
     /// Best-Offset prefetching with the Table 2 defaults.
-    pub fn bo_default() -> PrefetcherHandle {
+    pub fn bo_default() -> PrefetcherSpec {
         bo(BoConfig::default())
     }
 
     /// Sandbox prefetching with explicit parameters.
-    pub fn sbp(config: SbpConfig) -> PrefetcherHandle {
-        PrefetcherHandle::new(SbpSpec { config })
+    pub fn sbp(config: SbpConfig) -> PrefetcherSpec {
+        PrefetcherSpec::Sbp(config)
     }
 
     /// Sandbox prefetching with the §6.3 defaults.
-    pub fn sbp_default() -> PrefetcherHandle {
+    pub fn sbp_default() -> PrefetcherSpec {
         sbp(SbpConfig::default())
     }
 
     /// AMPM-lite prefetching with explicit parameters.
-    pub fn ampm(config: AmpmConfig) -> PrefetcherHandle {
-        PrefetcherHandle::new(AmpmSpec { config })
+    pub fn ampm(config: AmpmConfig) -> PrefetcherSpec {
+        PrefetcherSpec::Ampm(config)
     }
 
     /// AMPM-lite prefetching with default parameters.
-    pub fn ampm_default() -> PrefetcherHandle {
+    pub fn ampm_default() -> PrefetcherSpec {
         ampm(AmpmConfig::default())
     }
 
     /// DL1 stride prefetching with explicit parameters (L1D site only).
-    pub fn stride(config: StrideConfig) -> PrefetcherHandle {
-        PrefetcherHandle::new(StrideSpec { config })
+    pub fn stride(config: StrideConfig) -> PrefetcherSpec {
+        PrefetcherSpec::Stride(config)
     }
 
     /// DL1 stride prefetching with the §5.5 defaults (L1D site only).
-    pub fn stride_default() -> PrefetcherHandle {
+    pub fn stride_default() -> PrefetcherSpec {
         stride(StrideConfig::default())
     }
 }
@@ -402,6 +374,7 @@ pub mod prefetchers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimConfig;
 
     #[test]
     fn builtin_names() {
@@ -415,14 +388,13 @@ mod tests {
 
     #[test]
     fn specs_build_matching_prefetchers() {
-        let cfg = SimConfig::default();
-        for (handle, built_name) in [
+        for (spec, built_name) in [
             (prefetchers::none(), "none"),
             (prefetchers::bo_default(), "BO"),
             (prefetchers::sbp_default(), "SBP"),
             (prefetchers::ampm_default(), "AMPM"),
         ] {
-            assert_eq!(handle.build(&cfg).name(), built_name);
+            assert_eq!(spec.build(PageSize::K4).name(), built_name);
         }
     }
 
@@ -436,7 +408,7 @@ mod tests {
     #[test]
     fn site_support_matches_spec_kind() {
         // Line-address specs are L2/L3-neutral.
-        for handle in [
+        for spec in [
             prefetchers::none(),
             prefetchers::next_line(),
             prefetchers::fixed(5),
@@ -444,26 +416,212 @@ mod tests {
             prefetchers::sbp_default(),
             prefetchers::ampm_default(),
         ] {
-            assert!(handle.supports_site(PrefetchSite::L2), "{}", handle.name());
-            assert!(handle.supports_site(PrefetchSite::L3), "{}", handle.name());
-            assert!(
-                !handle.supports_site(PrefetchSite::L1D),
-                "{}",
-                handle.name()
-            );
-            assert!(handle.build_l1(&SimConfig::default()).is_none());
+            assert_eq!(spec.sites(), &[PrefetchSite::L2, PrefetchSite::L3]);
         }
         // Stride is L1D-only.
-        let stride = prefetchers::stride_default();
-        assert_eq!(stride.supported_sites(), &[PrefetchSite::L1D]);
-        let l1 = stride
-            .build_l1(&SimConfig::default())
-            .expect("builds an L1 prefetcher");
-        assert_eq!(l1.name(), "stride");
-        // The adaptive wrapper is L2-only.
-        let adaptive = PrefetcherHandle::new(AdaptiveSpec {
-            inner: prefetchers::bo_default(),
-        });
-        assert_eq!(adaptive.supported_sites(), &[PrefetchSite::L2]);
+        assert_eq!(prefetchers::stride_default().sites(), &[PrefetchSite::L1D]);
+    }
+
+    #[test]
+    fn builtins_resolve_by_name() {
+        for (name, label) in [
+            ("none", "no-prefetch"),
+            ("no-prefetch", "no-prefetch"),
+            ("next-line", "next-line"),
+            ("bo", "BO"),
+            ("BO", "BO"),
+            ("sbp", "SBP"),
+            ("ampm", "AMPM"),
+            ("offset-1", "offset-1"),
+        ] {
+            let spec = PrefetcherSpec::parse(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(spec.name(), label);
+        }
+    }
+
+    #[test]
+    fn offset_family_resolves_parameterised_names() {
+        let parse = |name| PrefetcherSpec::parse(name).map(|s| s.name());
+        assert_eq!(parse("offset-42"), Ok("offset-42".into()));
+        assert_eq!(parse("offset--3"), Ok("offset--3".into()));
+        assert!(parse("offset-0").is_err(), "offset 0 is not a prefetch");
+        assert!(parse("offset-x").is_err());
+    }
+
+    #[test]
+    fn unknown_names_miss() {
+        assert!(PrefetcherSpec::parse("definitely-not-registered").is_err());
+    }
+
+    #[test]
+    fn malformed_offset_specs_are_described() {
+        for (name, needle) in [
+            ("offset-0", "offset 0 is not a prefetch"),
+            ("offset-x", "non-zero integer"),
+            ("offset-12banana", "non-zero integer"),
+            // i64 overflow: parse fails, reported as malformed rather
+            // than silently missing.
+            ("offset-99999999999999999999", "i64 range"),
+        ] {
+            let err = PrefetcherSpec::parse(name).unwrap_err();
+            match &err {
+                ResolveError::Malformed { family, reason, .. } => {
+                    assert_eq!(family, "offset-<D>");
+                    assert!(reason.contains(needle), "{name}: {reason}");
+                }
+                other => panic!("{name}: expected Malformed, got {other:?}"),
+            }
+            assert!(err.to_string().contains("offset-<D>"));
+        }
+        // Unknown names stay Unknown — no family claims them — and the
+        // message lists the names that do resolve instead.
+        let err = PrefetcherSpec::parse("no-such-prefetcher").unwrap_err();
+        assert_eq!(
+            err,
+            ResolveError::Unknown {
+                name: "no-such-prefetcher".into(),
+                known: KNOWN_NAMES.map(String::from).to_vec(),
+            }
+        );
+        let msg = err.to_string();
+        let listed: Vec<&str> = msg
+            .split_once("(known: ")
+            .map(|(_, list)| list.trim_end_matches(')').split(", ").collect())
+            .unwrap_or_default();
+        assert!(listed.contains(&"bo"), "{msg}");
+        assert!(listed.contains(&"offset-<D>"), "{msg}");
+        assert!(!msg.contains("names()"), "{msg}");
+    }
+
+    #[test]
+    fn site_qualified_names_resolve_to_site_and_handle() {
+        for (name, site, label) in [
+            ("l1:stride", PrefetchSite::L1D, "stride"),
+            ("l2:bo", PrefetchSite::L2, "BO"),
+            ("L2:BO", PrefetchSite::L2, "BO"),
+            ("l3:next-line", PrefetchSite::L3, "next-line"),
+            ("l3:offset-12", PrefetchSite::L3, "offset-12"),
+            ("l2:none", PrefetchSite::L2, "no-prefetch"),
+            // Bare names default to the L2 site.
+            ("bo", PrefetchSite::L2, "BO"),
+        ] {
+            let (s, spec) = PrefetcherSpec::parse_site(name).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(s, site, "{name}");
+            assert_eq!(spec.map(|s| s.name()).as_deref(), Some(label), "{name}");
+        }
+        // `none` empties the L1D and L3 sites.
+        for (name, site) in [
+            ("l1:none", PrefetchSite::L1D),
+            ("l3:no-prefetch", PrefetchSite::L3),
+        ] {
+            assert_eq!(PrefetcherSpec::parse_site(name), Ok((site, None)), "{name}");
+        }
+    }
+
+    #[test]
+    fn site_names_tolerate_whitespace() {
+        let (s, spec) = PrefetcherSpec::parse_site(" l3 : bo ").expect("trimmed per segment");
+        assert_eq!(s, PrefetchSite::L3);
+        assert_eq!(spec, Some(prefetchers::bo_default()));
+    }
+
+    #[test]
+    fn unknown_sites_are_described() {
+        let err = PrefetcherSpec::parse_site("l9:bo").unwrap_err();
+        assert_eq!(
+            err,
+            ResolveError::UnknownSite {
+                name: "l9:bo".into(),
+                site: "l9".into()
+            }
+        );
+        assert!(err.to_string().contains("valid sites: l1, l2, l3"), "{err}");
+    }
+
+    #[test]
+    fn site_spec_mismatches_are_described() {
+        // Stride is L1D-only: the L2/L3 sites reject it.
+        for name in ["l3:stride", "l2:stride", "stride"] {
+            let err = PrefetcherSpec::parse_site(name).unwrap_err();
+            match &err {
+                ResolveError::SiteMismatch {
+                    site, supported, ..
+                } => {
+                    assert_ne!(*site, PrefetchSite::L1D, "{name}");
+                    assert_eq!(supported, &[PrefetchSite::L1D], "{name}");
+                }
+                other => panic!("{name}: expected SiteMismatch, got {other:?}"),
+            }
+            assert!(err.to_string().contains("supports: l1"), "{err}");
+        }
+        // Line-address prefetchers reject the L1D site.
+        let err = PrefetcherSpec::parse_site("l1:bo").unwrap_err();
+        assert!(
+            matches!(&err, ResolveError::SiteMismatch { site, .. } if *site == PrefetchSite::L1D),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("supports: l2, l3"), "{err}");
+    }
+
+    #[test]
+    fn site_resolution_reports_base_name_errors() {
+        assert!(matches!(
+            PrefetcherSpec::parse_site("l2:no-such").unwrap_err(),
+            ResolveError::Unknown { .. }
+        ));
+        assert!(matches!(
+            PrefetcherSpec::parse_site("l3:offset-0").unwrap_err(),
+            ResolveError::Malformed { .. }
+        ));
+    }
+
+    /// Names and labels come back in: every default-parameter spec
+    /// parses from its own name, and every label a static, unsampled
+    /// configuration prints rebuilds the same configuration label when
+    /// fed back through `with_site` one component at a time.
+    #[test]
+    fn names_and_labels_round_trip() {
+        let specs = [
+            prefetchers::none(),
+            prefetchers::next_line(),
+            prefetchers::fixed(-1),
+            prefetchers::fixed(i64::MIN),
+            prefetchers::fixed(i64::MAX),
+            prefetchers::bo_default(),
+            prefetchers::sbp_default(),
+            prefetchers::ampm_default(),
+            prefetchers::stride_default(),
+        ];
+        let mut configs = Vec::new();
+        for spec in specs {
+            assert_eq!(PrefetcherSpec::parse(&spec.name()), Ok(spec.clone()));
+            for &site in spec.sites() {
+                // `l3:no-prefetch` reads back as the empty L3 site,
+                // which the empty-site variants below cover.
+                if site == PrefetchSite::L3 && spec == PrefetcherSpec::None {
+                    continue;
+                }
+                let cfg = SimConfig::default().with_site_prefetcher(site, Some(spec.clone()));
+                configs.push(SimConfig {
+                    l1_prefetcher: None,
+                    ..cfg.clone()
+                });
+                configs.push(SimConfig {
+                    l3_prefetcher: None,
+                    ..cfg.clone()
+                });
+                configs.push(cfg);
+            }
+        }
+        for cfg in configs {
+            assert!(cfg.validate().is_ok(), "{}", cfg.label());
+            let label = cfg.label();
+            let stack = label.rsplit('/').next().expect("label has a stack");
+            let rebuilt = stack
+                .split('+')
+                .try_fold(SimConfig::default(), |c, part| c.with_site(part))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(rebuilt.label(), label);
+        }
     }
 }

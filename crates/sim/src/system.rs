@@ -1,12 +1,14 @@
 //! Full-system assembly: cores + uncore, and the measurement loop.
 
 use crate::config::SimConfig;
+use crate::spec::PrefetcherSpec;
 use crate::uncore::{PrefetchTelemetry, Uncore, UncoreStats};
 use crate::wheel::EventWheel;
 use bosim_adapt::{
     AdaptTelemetry, DirectiveRecord, EpochFeedback, EpochRecord, PrefetchSite, SiteFeedback,
     TunePolicy,
 };
+use bosim_baselines::StridePrefetcher;
 use bosim_cpu::{Core, CoreObsEvent, CoreStats, UncoreRequest};
 use bosim_dram::DramStats;
 use bosim_obs::{
@@ -213,10 +215,12 @@ impl System {
                 spec.seed ^= 0x7417 * i as u64;
                 Box::new(spec.build())
             };
-            // The L1D prefetch site is registry-resolved and pluggable:
-            // every core gets its own instance built from the spec
-            // (validation guaranteed the spec supports the site).
-            let l1 = cfg.l1_prefetcher.as_ref().and_then(|h| h.build_l1(cfg));
+            // Every core gets its own L1D-site instance built from the
+            // spec (validation guaranteed only stride sits there).
+            let l1 = match &cfg.l1_prefetcher {
+                Some(PrefetcherSpec::Stride(c)) => Some(StridePrefetcher::new(c.clone())),
+                _ => None,
+            };
             cores.push(Core::new(
                 CoreId(i as u8),
                 trace,

@@ -23,6 +23,7 @@
 use crate::config::{
     SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS, L3_LATENCY, L3_SIZE, L3_WAYS, PREFETCH_QUEUE,
 };
+use crate::spec::PrefetcherSpec;
 use best_offset::{
     AccessOutcome, CacheAccess, PrefetchEvent, PrefetchSite, Prefetcher, TuneDirective,
 };
@@ -31,7 +32,7 @@ use bosim_cache::policy::PolicyKind;
 use bosim_cache::{CacheArray, FillQueue, PrefetchQueue};
 use bosim_dram::{MemConfig, MemorySystem, ReadCompletion};
 use bosim_obs::{Event, EventKind, HostProfiler, ObsSite, Phase, Recorder};
-use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
+use bosim_types::{CoreId, Cycle, LineAddr, PageSize, ReqClass};
 use std::collections::VecDeque;
 
 /// Per-L2 fill-queue payload.
@@ -181,7 +182,8 @@ struct L2 {
 /// The shared uncore.
 #[derive(Debug)]
 pub struct Uncore {
-    cfg: SimConfig,
+    /// The page size prefetchers built by switch directives work in.
+    page: PageSize,
     l2s: Vec<L2>,
     l3: CacheArray,
     l3_fq: FillQueue<L3Meta>,
@@ -232,7 +234,7 @@ impl Uncore {
                 ),
                 fq: FillQueue::new(cfg.l2_fill_queue),
                 pq: PrefetchQueue::new(PREFETCH_QUEUE),
-                prefetcher: cfg.l2_prefetcher.build(cfg),
+                prefetcher: cfg.l2_prefetcher.build(cfg.page),
                 stalled: VecDeque::new(),
                 ready_q: VecDeque::new(),
                 fill_out: VecDeque::new(),
@@ -252,7 +254,7 @@ impl Uncore {
             l3_fq: FillQueue::new(cfg.l3_fill_queue),
             l3_in: VecDeque::new(),
             l3_stalled: VecDeque::new(),
-            l3_prefetcher: cfg.l3_prefetcher.as_ref().map(|h| h.build(cfg)),
+            l3_prefetcher: cfg.l3_prefetcher.as_ref().map(|p| p.build(cfg.page)),
             l3_pq: PrefetchQueue::new(PREFETCH_QUEUE),
             l3_saw_request: false,
             l3_telemetry: PrefetchTelemetry::default(),
@@ -268,7 +270,7 @@ impl Uncore {
             recorder: cfg.obs.events.then(|| Recorder::new(cfg.obs.max_events)),
             pf_event_buf: Vec::new(),
             l2s,
-            cfg: cfg.clone(),
+            page: cfg.page,
         };
         if u.recorder.is_some() {
             for l2 in &mut u.l2s {
@@ -396,57 +398,37 @@ impl Uncore {
 
     /// Applies a runtime reconfiguration directive to a core's L2
     /// prefetcher. [`TuneDirective::SwitchPrefetcher`] is handled here —
-    /// the named registry prefetcher is built fresh (cold state) and
-    /// swapped in; everything else is delegated to the running
-    /// prefetcher's [`Prefetcher::reconfigure`] hook. Returns whether
-    /// the directive was applied.
+    /// the named prefetcher is built fresh (cold state) and swapped in;
+    /// everything else is delegated to the running prefetcher's
+    /// [`Prefetcher::reconfigure`] hook. Returns whether the directive
+    /// was applied.
     pub fn reconfigure_prefetcher(&mut self, core: CoreId, directive: &TuneDirective) -> bool {
-        let l2 = &mut self.l2s[core.index()];
+        let events = self.recorder.is_some();
+        let prefetcher = &mut self.l2s[core.index()].prefetcher;
         match directive {
-            TuneDirective::SwitchPrefetcher(name) => match crate::registry::registry().lookup(name)
-            {
-                Some(handle) if handle.supports_site(PrefetchSite::L2) => {
-                    l2.prefetcher = handle.build(&self.cfg);
-                    if self.recorder.is_some() {
-                        l2.prefetcher.set_event_sink(true);
-                    }
-                    true
-                }
-                _ => false,
-            },
-            other => l2.prefetcher.reconfigure(other),
+            TuneDirective::SwitchPrefetcher(name) => {
+                switch_prefetcher(prefetcher, name, PrefetchSite::L2, self.page, events)
+            }
+            other => prefetcher.reconfigure(other),
         }
     }
 
     /// Applies a runtime reconfiguration directive to the shared L3
-    /// site. [`TuneDirective::SwitchPrefetcher`] rebuilds from the
-    /// registry (the name must attach to the L3 site); other directives
-    /// go to the running prefetcher. Every directive — switches
-    /// included — is rejected when the site is empty: a configuration
-    /// declared L3-prefetch-free stays that way for the whole run.
+    /// site. [`TuneDirective::SwitchPrefetcher`] rebuilds from the name
+    /// (which must attach to the L3 site); other directives go to the
+    /// running prefetcher. Every directive — switches included — is
+    /// rejected when the site is empty: a configuration declared
+    /// L3-prefetch-free stays that way for the whole run.
     pub fn reconfigure_l3_prefetcher(&mut self, directive: &TuneDirective) -> bool {
-        if self.l3_prefetcher.is_none() {
+        let events = self.recorder.is_some();
+        let Some(prefetcher) = self.l3_prefetcher.as_mut() else {
             return false;
-        }
+        };
         match directive {
             TuneDirective::SwitchPrefetcher(name) => {
-                match crate::registry::registry().lookup(name) {
-                    Some(handle) if handle.supports_site(PrefetchSite::L3) => {
-                        let mut p = handle.build(&self.cfg);
-                        if self.recorder.is_some() {
-                            p.set_event_sink(true);
-                        }
-                        self.l3_prefetcher = Some(p);
-                        true
-                    }
-                    _ => false,
-                }
+                switch_prefetcher(prefetcher, name, PrefetchSite::L3, self.page, events)
             }
-            other => self
-                .l3_prefetcher
-                .as_mut()
-                .expect("checked non-empty above") // bosim-lint: allow(P002, peeked non-empty above)
-                .reconfigure(other),
+            other => prefetcher.reconfigure(other),
         }
     }
 
@@ -1395,13 +1377,33 @@ impl Uncore {
     }
 }
 
+/// Replaces `prefetcher` with a cold build of the one `name` names, when
+/// the name parses and attaches to `site`; `events` turns on the new
+/// engine's event sink. Returns whether the switch happened.
+fn switch_prefetcher(
+    prefetcher: &mut Box<dyn Prefetcher>,
+    name: &str,
+    site: PrefetchSite,
+    page: PageSize,
+    events: bool,
+) -> bool {
+    match PrefetcherSpec::parse(name) {
+        Ok(spec) if spec.sites().contains(&site) => {
+            *prefetcher = spec.build(page);
+            if events {
+                prefetcher.set_event_sink(true);
+            }
+            true
+        }
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PrefetcherHandle;
-    use bosim_types::PageSize;
 
-    fn uncore(prefetcher: PrefetcherHandle) -> Uncore {
+    fn uncore(prefetcher: PrefetcherSpec) -> Uncore {
         let cfg = SimConfig {
             active_cores: 1,
             page: PageSize::M4,

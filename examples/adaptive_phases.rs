@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run --release -p bosim-bench --example adaptive_phases`
 
-use bosim::adapt::TournamentSpec;
+use bosim::adapt::{PolicySpec, TournamentSpec};
 use bosim::{prefetchers, SimConfig, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
@@ -43,7 +43,7 @@ fn main() {
     let mut tournament = TournamentSpec::new(["offset-8", "none"]);
     tournament.exploit_epochs = 10;
     let mut adaptive_cfg = base.with_prefetcher(prefetchers::none());
-    adaptive_cfg.adapt = Some(tournament.into());
+    adaptive_cfg.adapt = Some(PolicySpec::Tournament(tournament));
     adaptive_cfg.epoch_cycles = 8_000;
     let adaptive = System::new(&adaptive_cfg, &bench).run();
 

@@ -2,7 +2,7 @@
 //! combination of the three `PrefetchSite`s — the DL1 (l1), the
 //! private L2 (l2) and the shared L3 (l3) — and compare the stacks.
 //!
-//! Sites are addressed with site-qualified registry names
+//! Sites are addressed with site-qualified prefetcher names
 //! (`l1:stride`, `l2:bo`, `l3:next-line`; a bare name means the L2
 //! site). Every arm below is just a list of those names; add your own
 //! stack with `BOSIM_EXTRA_STACKS='l2:sbp+l3:offset-4;l2:ampm'`

@@ -3,12 +3,12 @@
 //! adaptive policy beats every static configuration it is allowed to
 //! switch between.
 
-use bosim::adapt::{policies, TournamentSpec};
-use bosim::{prefetchers, PrefetcherHandle, SimConfig, System};
+use bosim::adapt::{policies, PolicySpec, TournamentSpec};
+use bosim::{prefetchers, PrefetcherSpec, SimConfig, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
 
-fn phase_cfg(prefetcher: PrefetcherHandle) -> SimConfig {
+fn phase_cfg(prefetcher: PrefetcherSpec) -> SimConfig {
     SimConfig {
         page: PageSize::M4,
         warmup_instructions: 20_000,
@@ -35,7 +35,7 @@ fn tournament_beats_every_static_arm_it_switches_between() {
     let mut tournament = TournamentSpec::new(["offset-8", "none"]);
     tournament.exploit_epochs = 10;
     let mut cfg = phase_cfg(prefetchers::none());
-    cfg.adapt = Some(tournament.into());
+    cfg.adapt = Some(PolicySpec::Tournament(tournament));
     cfg.epoch_cycles = 8_000;
     let adaptive = run_phase(cfg);
     let ipc_adaptive = adaptive.ipc();

@@ -1,8 +1,7 @@
 //! Coverage for the unified experiment API: `SimConfig` construction and
-//! validation, the prefetcher registry and the structured `Report`
-//! output.
+//! validation, prefetcher names and the structured `Report` output.
 
-use bosim::{prefetchers, registry, SimConfig};
+use bosim::{prefetchers, PrefetcherSpec, ResolveError, SimConfig};
 use bosim_bench::{ArmReport, Layout, Report, RunSummary};
 use bosim_types::PageSize;
 
@@ -33,10 +32,10 @@ fn config_errors_display_the_constraint() {
     assert!(err.to_string().contains("maximum"), "{err}");
 }
 
-/// The registry round-trips all six built-in prefetchers by name.
+/// All six line-address prefetchers round-trip through their names.
 #[test]
 fn registry_round_trips_builtins() {
-    for handle in [
+    for spec in [
         prefetchers::none(),
         prefetchers::next_line(),
         prefetchers::fixed(5),
@@ -44,20 +43,21 @@ fn registry_round_trips_builtins() {
         prefetchers::sbp_default(),
         prefetchers::ampm_default(),
     ] {
-        let name = handle.name();
-        let resolved = registry()
-            .lookup(&name)
-            .unwrap_or_else(|| panic!("{name} must resolve"));
+        let name = spec.name();
+        let resolved =
+            PrefetcherSpec::parse(&name).unwrap_or_else(|e| panic!("{name} must resolve: {e}"));
         assert_eq!(resolved.name(), name, "round trip of {name}");
         // The resolved spec builds a working prefetcher.
-        let cfg = SimConfig::default();
-        let _ = resolved.build(&cfg);
+        let _ = resolved.build(PageSize::K4);
     }
 }
 
+/// An unknown name's error lists the names that do resolve.
 #[test]
 fn registry_lists_builtin_names() {
-    let names = registry().names();
+    let Err(ResolveError::Unknown { known: names, .. }) = PrefetcherSpec::parse("no-such") else {
+        panic!("an unknown name must be reported as unknown");
+    };
     for expected in ["none", "next-line", "bo", "sbp", "ampm", "offset-<D>"] {
         assert!(
             names.iter().any(|n| n == expected),

@@ -7,7 +7,7 @@
 //! the oracle; scheduling is a pure wall-clock win, so any counter drift
 //! here is a simulation bug, not a performance trade-off.
 
-use bosim::{prefetchers, PrefetcherHandle, SimConfig, SimResult, System};
+use bosim::{prefetchers, PrefetcherSpec, SimConfig, SimResult, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
 
@@ -30,7 +30,7 @@ fn assert_invariant(base: SimConfig, bench_id: &str) {
     );
 }
 
-fn quick(prefetcher: PrefetcherHandle, seed: u64) -> SimConfig {
+fn quick(prefetcher: PrefetcherSpec, seed: u64) -> SimConfig {
     SimConfig {
         warmup_instructions: 10_000,
         measure_instructions: 40_000,

@@ -1,9 +1,9 @@
-//! Multi-level prefetching, end to end: site-qualified registry
+//! Multi-level prefetching, end to end: site-qualified name
 //! resolution, the l1:stride + l2:bo + l3:next-line acceptance arm
 //! through the `Experiment` harness, per-site telemetry invariants, and
 //! the `dl1_stride` compatibility shim.
 
-use bosim::{prefetchers, registry, PrefetchSite, SimConfig, System};
+use bosim::{prefetchers, PrefetchSite, PrefetcherSpec, SimConfig, System};
 use bosim_bench::{Experiment, RunSummary};
 use bosim_trace::suite;
 
@@ -107,8 +107,8 @@ fn empty_l3_site_is_inert() {
     result.check_site_invariants().expect("invariants hold");
 }
 
-/// Site-qualified names resolve through the process-wide registry, with
-/// descriptive errors for unknown sites and site/spec mismatches.
+/// Site-qualified names resolve to their sites, with descriptive errors
+/// for unknown sites and site/spec mismatches.
 #[test]
 fn site_qualified_resolution_via_global_registry() {
     for (name, site) in [
@@ -117,15 +117,12 @@ fn site_qualified_resolution_via_global_registry() {
         ("l3:next-line", PrefetchSite::L3),
         ("l3:offset-8", PrefetchSite::L3),
     ] {
-        let (s, _) = registry()
-            .resolve_site(name)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let (s, _) = PrefetcherSpec::parse_site(name).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(s, site, "{name}");
     }
-    let err = registry().resolve_site("l4:bo").unwrap_err().to_string();
+    let err = PrefetcherSpec::parse_site("l4:bo").unwrap_err().to_string();
     assert!(err.contains("unknown prefetch site"), "{err}");
-    let err = registry()
-        .resolve_site("l2:stride")
+    let err = PrefetcherSpec::parse_site("l2:stride")
         .unwrap_err()
         .to_string();
     assert!(err.contains("does not attach to site l2"), "{err}");

@@ -4,7 +4,7 @@ use bosim::{prefetchers, SimConfig, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
 
-fn run(id: &str, kind: bosim::PrefetcherHandle, page: PageSize) -> bosim::SimResult {
+fn run(id: &str, kind: bosim::PrefetcherSpec, page: PageSize) -> bosim::SimResult {
     let spec = suite::benchmark(id).expect("known benchmark");
     let cfg = SimConfig {
         // BO needs a couple of learning phases before its offset settles,
