@@ -2,17 +2,18 @@
 //!
 //! The paper fixes the Best-Offset parameters offline (Table 2); its only
 //! runtime feedback is the BADSCORE throttle. This crate supplies the
-//! missing control loop: an **epoch feedback monitor** plus a **policy
-//! engine** that reconfigures the L2 prefetcher while the simulation
-//! runs, in the spirit of runtime-guided prefetch reconfiguration
-//! (Prat et al.) and online-learned prefetch control (Pythia).
+//! missing control loop's **policy engine**, which reconfigures the
+//! prefetchers while the simulation runs, in the spirit of
+//! runtime-guided prefetch reconfiguration (Prat et al.) and
+//! online-learned prefetch control (Pythia).
 //!
-//! The pieces, bottom to top:
+//! Policies read [`EpochFeedback`]: one core's epoch of L2 and L3 site
+//! counters ([`PrefetchTelemetry`] deltas, whose accuracy, coverage and
+//! lateness are defined there once) plus the shared DRAM-bus
+//! occupancy. Both records live in `bosim-obs`, and the observability
+//! epoch series is core 0's copy of the same records. On top of them
+//! this crate supplies:
 //!
-//! * [`EpochFeedback`] — one epoch's per-core usefulness counters
-//!   (useful / unused-evicted / late prefetch fills, issue counts) plus
-//!   the shared DRAM-bus occupancy, with derived accuracy / coverage /
-//!   lateness rates;
 //! * [`TunePolicy`] / [`PolicySpec`] — the per-core policy state
 //!   machine and the enum naming its three kinds, with shorthands under
 //!   [`policies`]: a BO degree governor, a bandwidth-aware throttle and
@@ -27,15 +28,16 @@
 //! length (`SimConfig::epoch_cycles`) separately. Policies
 //! themselves never see a simulator, only [`EpochFeedback`] values —
 //! which keeps them deterministic and unit-testable in isolation.
+//!
+//! [`EpochFeedback`]: bosim_obs::EpochFeedback
+//! [`PrefetchTelemetry`]: bosim_obs::PrefetchTelemetry
 
 #![warn(missing_docs)]
 
-mod feedback;
 mod policy;
 mod telemetry;
 
 pub use best_offset::{PrefetchSite, SiteDirective, TuneDirective};
-pub use feedback::{EpochFeedback, SiteFeedback};
 pub use policy::{
     policies, BandwidthThrottleSpec, DegreeGovernorSpec, PolicySpec, TournamentSpec, TunePolicy,
 };

@@ -15,8 +15,8 @@
 //!   each, then runs the IPC winner, re-exploring periodically to track
 //!   phase changes.
 
-use crate::EpochFeedback;
 use best_offset::{SiteDirective, TuneDirective};
+use bosim_obs::EpochFeedback;
 use std::fmt;
 
 /// A per-core tuning policy (see the crate docs for the control
@@ -151,10 +151,10 @@ impl TunePolicy for DegreeGovernor {
             self.initialized = true;
             out.push(TuneDirective::SetDegree(self.degree).into());
         }
-        if fb.resolved_fills() < self.spec.min_fills {
+        if fb.l2.resolved_fills() < self.spec.min_fills {
             return;
         }
-        let acc = fb.accuracy().expect("resolved_fills > 0"); // bosim-lint: allow(P002, guarded by resolved_fills > 0 above)
+        let Some(acc) = fb.l2.accuracy() else { return };
         let occ = fb.bus_occupancy;
         if self.degree == 1 && acc >= self.spec.accuracy_up && occ < self.spec.occupancy_cap {
             self.degree = 2;
@@ -231,8 +231,9 @@ impl TunePolicy for BandwidthThrottle {
 
     fn on_epoch(&mut self, fb: &EpochFeedback, out: &mut Vec<SiteDirective>) {
         if self.enabled {
-            let accurate = fb.resolved_fills() >= self.spec.min_fills
-                && fb.accuracy().is_some_and(|a| a >= self.spec.accuracy_floor);
+            let l2 = &fb.l2;
+            let accurate = l2.resolved_fills() >= self.spec.min_fills
+                && l2.accuracy().is_some_and(|a| a >= self.spec.accuracy_floor);
             if fb.bus_occupancy >= self.spec.occupancy_high && !accurate {
                 self.enabled = false;
                 out.push(TuneDirective::SetEnabled(false).into());
@@ -434,13 +435,17 @@ pub mod policies {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bosim_obs::PrefetchTelemetry;
 
     fn fb(useful: u64, unused: u64, occ: f64) -> EpochFeedback {
         EpochFeedback {
             cycles: 10_000,
             instructions: 10_000,
-            useful_fills: useful,
-            unused_evicted: unused,
+            l2: PrefetchTelemetry {
+                useful,
+                unused_evicted: unused,
+                ..Default::default()
+            },
             bus_occupancy: occ,
             ..Default::default()
         }
@@ -474,6 +479,22 @@ mod tests {
             step(p.as_mut(), &fb(20, 80, 0.1)),
             vec![TuneDirective::SetDegree(1).into()]
         );
+    }
+
+    /// `min_fills: 0` lets an epoch with no resolved fill past the
+    /// fill gate; it has no accuracy, so the governor does nothing.
+    #[test]
+    fn governor_with_no_fill_minimum_skips_an_empty_epoch() {
+        let spec = DegreeGovernorSpec {
+            min_fills: 0,
+            ..Default::default()
+        };
+        let mut p = PolicySpec::DegreeGovernor(spec).build();
+        assert_eq!(
+            step(p.as_mut(), &EpochFeedback::default()),
+            vec![TuneDirective::SetDegree(1).into()]
+        );
+        assert!(step(p.as_mut(), &EpochFeedback::default()).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! and from there into experiment report JSON, and carries the counter
 //! invariants the CI smoke arm pins down.
 
-use crate::EpochFeedback;
+use bosim_obs::{EpochFeedback, PrefetchTelemetry};
 use bosim_stats::{Align, Json, Table};
 
 /// One applied-or-rejected directive at an epoch boundary.
@@ -25,7 +25,7 @@ pub struct DirectiveRecord {
 /// One epoch of the monitored core's adaptation history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
-    /// The epoch's feedback (counter deltas + derived rates).
+    /// The epoch's record (counter deltas; rates derive from them).
     pub feedback: EpochFeedback,
     /// Name of the prefetcher that ran during this epoch.
     pub prefetcher: String,
@@ -73,11 +73,11 @@ pub struct AdaptTelemetry {
 impl AdaptTelemetry {
     /// Checks the counter invariants the telemetry must satisfy:
     ///
-    /// * cumulatively, `useful + unused_evicted <= prefetch_fills` at
-    ///   **every site** (the flat L2 counters and the `l3` block) —
-    ///   every prefetch-filled line resolves at most once;
-    /// * every derived rate (accuracy, coverage, lateness, per-site
-    ///   accuracy) lies in `[0, 1]`;
+    /// * summed over the epochs, every site (`l2` and `l3`) passes
+    ///   [`PrefetchTelemetry::check_resolution`] — every
+    ///   prefetch-filled line resolves at most once;
+    /// * every site rate (accuracy, coverage, lateness) lies in
+    ///   `[0, 1]`;
     /// * bus occupancy is non-negative and sane (≤ 1.25; boundary bursts
     ///   may spill a little past 1.0);
     /// * epoch indices are consecutive.
@@ -86,28 +86,22 @@ impl AdaptTelemetry {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let (mut useful, mut unused, mut fills) = (0u64, 0u64, 0u64);
-        let (mut l3_useful, mut l3_unused, mut l3_fills) = (0u64, 0u64, 0u64);
+        let (mut l2, mut l3) = (PrefetchTelemetry::default(), PrefetchTelemetry::default());
         for (i, r) in self.epochs.iter().enumerate() {
             let fb = &r.feedback;
             if fb.epoch != i as u64 {
                 return Err(format!("epoch {i} recorded index {}", fb.epoch));
             }
-            useful += fb.useful_fills;
-            unused += fb.unused_evicted;
-            fills += fb.prefetch_fills;
-            l3_useful += fb.l3.useful_fills;
-            l3_unused += fb.l3.unused_evicted;
-            l3_fills += fb.l3.prefetch_fills;
-            for (label, rate) in [
-                ("accuracy", fb.accuracy()),
-                ("coverage", fb.coverage()),
-                ("lateness", fb.lateness()),
-                ("l3 accuracy", fb.l3.accuracy()),
-            ] {
-                if let Some(v) = rate {
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(format!("epoch {i}: {label} {v} outside [0, 1]"));
+            l2 = l2 + fb.l2;
+            l3 = l3 + fb.l3;
+            for (site, t) in [("l2", &fb.l2), ("l3", &fb.l3)] {
+                for (label, rate) in [
+                    ("accuracy", t.accuracy()),
+                    ("coverage", t.coverage()),
+                    ("lateness", t.lateness()),
+                ] {
+                    if let Some(v) = rate.filter(|v| !(0.0..=1.0).contains(v)) {
+                        return Err(format!("epoch {i}: {site} {label} {v} outside [0, 1]"));
                     }
                 }
             }
@@ -118,17 +112,8 @@ impl AdaptTelemetry {
                 ));
             }
         }
-        if useful + unused > fills {
-            return Err(format!(
-                "L2 site: useful ({useful}) + unused-evicted ({unused}) exceeds prefetch fills ({fills})"
-            ));
-        }
-        if l3_useful + l3_unused > l3_fills {
-            return Err(format!(
-                "L3 site: useful ({l3_useful}) + unused-evicted ({l3_unused}) exceeds prefetch fills ({l3_fills})"
-            ));
-        }
-        Ok(())
+        l2.check_resolution().map_err(|e| format!("L2 site: {e}"))?;
+        l3.check_resolution().map_err(|e| format!("L3 site: {e}"))
     }
 
     /// The telemetry as a JSON tree (one object per epoch plus totals).
@@ -186,9 +171,9 @@ impl AdaptTelemetry {
                 fb.epoch.to_string(),
                 r.prefetcher.clone(),
                 format!("{:.3}", fb.ipc()),
-                rate(fb.accuracy()),
-                rate(fb.coverage()),
-                rate(fb.lateness()),
+                rate(fb.l2.accuracy()),
+                rate(fb.l2.coverage()),
+                rate(fb.l2.lateness()),
                 format!("{:.2}", fb.bus_occupancy),
                 dirs.join(" "),
             ]);
@@ -207,9 +192,12 @@ mod tests {
                 epoch,
                 cycles: 1_000,
                 instructions: 800,
-                prefetch_fills: fills,
-                useful_fills: useful,
-                unused_evicted: unused,
+                l2: PrefetchTelemetry {
+                    prefetch_fills: fills,
+                    useful,
+                    unused_evicted: unused,
+                    ..Default::default()
+                },
                 bus_occupancy: 0.3,
                 ..Default::default()
             },
@@ -250,23 +238,20 @@ mod tests {
     #[test]
     fn l3_site_over_resolution_is_caught() {
         // The per-site invariant applies to the L3 block independently.
-        let mut r = record(0, 100, 10, 0);
-        r.feedback.l3 = crate::SiteFeedback {
+        let l3 = |useful| PrefetchTelemetry {
             issued: 5,
             prefetch_fills: 4,
-            useful_fills: 3,
+            useful,
             unused_evicted: 2,
+            ..Default::default()
         };
+        let mut r = record(0, 100, 10, 0);
+        r.feedback.l3 = l3(3);
         let err = telemetry(vec![r]).check_invariants().unwrap_err();
         assert!(err.contains("L3 site"), "{err}");
         // A consistent L3 block passes.
         let mut ok = record(0, 100, 10, 0);
-        ok.feedback.l3 = crate::SiteFeedback {
-            issued: 5,
-            prefetch_fills: 4,
-            useful_fills: 2,
-            unused_evicted: 2,
-        };
+        ok.feedback.l3 = l3(2);
         assert!(telemetry(vec![ok]).check_invariants().is_ok());
     }
 

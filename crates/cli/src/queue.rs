@@ -39,8 +39,9 @@ use std::path::{Path, PathBuf};
 /// Journal schema identifier (the header's `schema` field).
 pub const JOURNAL_SCHEMA: &str = "bosim-serve-journal";
 
-/// Journal format version (the header's `version` field).
-pub const JOURNAL_VERSION: u64 = 1;
+/// Journal format version (the header's `version` field), bumped when
+/// the embedded run-summary JSON changes shape but job keys do not.
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// The journal's first line: binds the file to one experiment plan.
 // bosim-lint: schema(serve-journal-header)
@@ -530,6 +531,25 @@ mod tests {
         match Journal::open(&path, &p) {
             Err(QueueError::Corrupt { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn version_one_journals_are_refused() {
+        let p = plan(2);
+        let path = tmp("version1.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let (mut journal, _) = Journal::open(&path, &p).unwrap();
+        journal.append(&fake_row(&p, 0, 0.0)).unwrap();
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let old = text.replacen("\"version\":2", "\"version\":1", 1);
+        assert_ne!(old, text);
+        std::fs::write(&path, old).unwrap();
+        match Journal::open(&path, &p) {
+            Err(QueueError::PlanMismatch { .. }) => {}
+            other => panic!("expected PlanMismatch, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
     }

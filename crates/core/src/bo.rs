@@ -21,9 +21,10 @@
 //! is turned off (§4.3) — but learning continues, with `Y` itself written
 //! to the RR table on every fill (i.e. `D = 0`).
 
-use crate::iface::{AccessOutcome, CacheAccess, PrefetchEvent, Prefetcher, TuneDirective};
+use crate::iface::{AccessOutcome, CacheAccess, Prefetcher, TuneDirective};
 use crate::offsets::OffsetList;
 use crate::rr_table::RrTable;
+use bosim_obs::EventKind;
 use bosim_types::{LineAddr, PageSize};
 use std::fmt;
 
@@ -200,7 +201,7 @@ pub struct BestOffsetPrefetcher {
     /// Buffered learning events, allocated only while an observability
     /// sink is enabled ([`Prefetcher::set_event_sink`]); `None` — the
     /// default — keeps the learning loop free of any event work.
-    events: Option<Vec<PrefetchEvent>>,
+    events: Option<Vec<EventKind>>,
 }
 
 impl BestOffsetPrefetcher {
@@ -331,7 +332,7 @@ impl BestOffsetPrefetcher {
             self.test_idx = 0;
             self.rounds += 1;
             if let Some(events) = &mut self.events {
-                events.push(PrefetchEvent::RoundEnd {
+                events.push(EventKind::RoundEnd {
                     round: self.rounds,
                     leader_offset: self.cfg.offsets.get(self.best_idx),
                     leader_score: self.best_score,
@@ -358,7 +359,7 @@ impl BestOffsetPrefetcher {
             self.stats.phases_off += 1;
         }
         if let Some(events) = &mut self.events {
-            events.push(PrefetchEvent::PhaseEnd {
+            events.push(EventKind::PhaseEnd {
                 best_offset: self.offset,
                 best_score: self.best_score,
                 prefetch_on: self.prefetch_on,
@@ -457,7 +458,7 @@ impl Prefetcher for BestOffsetPrefetcher {
         };
     }
 
-    fn drain_events(&mut self, out: &mut Vec<PrefetchEvent>) {
+    fn drain_events(&mut self, out: &mut Vec<EventKind>) {
         if let Some(events) = &mut self.events {
             out.append(events);
         }
@@ -905,15 +906,15 @@ mod tests {
         assert_eq!(out.len(), 3, "{out:?}");
         assert_eq!(
             out[0],
-            PrefetchEvent::RoundEnd {
+            EventKind::RoundEnd {
                 round: 1,
                 leader_offset: 1,
                 leader_score: 1
             }
         );
-        assert!(matches!(out[1], PrefetchEvent::RoundEnd { round: 2, .. }));
+        assert!(matches!(out[1], EventKind::RoundEnd { round: 2, .. }));
         match &out[2] {
-            PrefetchEvent::PhaseEnd {
+            EventKind::PhaseEnd {
                 best_offset,
                 best_score,
                 prefetch_on,

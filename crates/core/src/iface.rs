@@ -13,6 +13,7 @@
 //! prefetcher sees virtual addresses and load/store PCs and trains at
 //! retirement, so the core drives it directly.
 
+use bosim_obs::EventKind;
 use bosim_types::{LineAddr, PageSize};
 use std::fmt;
 
@@ -161,40 +162,6 @@ pub struct CacheAccess {
     pub outcome: AccessOutcome,
 }
 
-/// A learning-machinery event reported by a prefetcher for
-/// observability (event tracing in the simulator's `bosim-obs` layer).
-///
-/// Events are buffered inside the prefetcher only while a sink is
-/// enabled ([`Prefetcher::set_event_sink`]) and drained by the caller
-/// after each access ([`Prefetcher::drain_events`]); with the sink off
-/// — the default — no allocation or bookkeeping happens at all.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PrefetchEvent {
-    /// A best-offset learning round completed (every candidate offset
-    /// tested once); reports the round's current leader.
-    RoundEnd {
-        /// Rounds completed so far in the phase (1-based).
-        round: u32,
-        /// Best-scoring offset so far.
-        leader_offset: i64,
-        /// Its score.
-        leader_score: u32,
-    },
-    /// A learning phase completed and a new offset was adopted, with
-    /// the full score table at the decision point (§4.1/§4.3).
-    PhaseEnd {
-        /// The adopted offset D.
-        best_offset: i64,
-        /// Its winning score.
-        best_score: u32,
-        /// Whether prefetch stays on (best score above BADSCORE).
-        prefetch_on: bool,
-        /// `(offset, score)` pairs in candidate-list order, captured
-        /// before the phase reset cleared them.
-        scores: Vec<(i64, u32)>,
-    },
-}
-
 /// A line-address prefetcher, attachable to the L2 or L3 site.
 ///
 /// Implementations push prefetch *candidates* (already page-bounded) into
@@ -225,17 +192,18 @@ pub trait Prefetcher: std::fmt::Debug {
         false
     }
 
-    /// Enables or disables event buffering for observability. The
-    /// default implementation ignores the request — prefetchers with no
-    /// learning machinery have nothing to report.
+    /// Enables or disables event buffering for observability; while off
+    /// (the default) no allocation or bookkeeping happens. Prefetchers
+    /// with no learning machinery ignore the request.
     fn set_event_sink(&mut self, enabled: bool) {
         let _ = enabled;
     }
 
-    /// Moves any buffered [`PrefetchEvent`]s into `out`, preserving
-    /// order. Called by the simulator after each access while a sink is
-    /// enabled; the default implementation produces nothing.
-    fn drain_events(&mut self, out: &mut Vec<PrefetchEvent>) {
+    /// Moves any buffered events (BO's [`EventKind::RoundEnd`] and
+    /// [`EventKind::PhaseEnd`]) into `out`, preserving order. The
+    /// simulator calls it after each access while a sink is enabled and
+    /// stamps each event; the default implementation produces nothing.
+    fn drain_events(&mut self, out: &mut Vec<EventKind>) {
         let _ = out;
     }
 }

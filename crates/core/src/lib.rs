@@ -20,6 +20,10 @@
 //!   attach-point enum) implemented by BO and by every line-address
 //!   baseline prefetcher in `bosim-baselines`.
 //!
+//! While an observability sink is on, BO buffers its learning events
+//! (round and phase ends) as `bosim_obs::EventKind`s, the simulator's
+//! one event vocabulary, for the simulator to stamp and record.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,8 +50,8 @@ mod rr_table;
 
 pub use bo::{BestOffsetPrefetcher, BoConfig, BoConfigError, BoStats};
 pub use iface::{
-    AccessOutcome, CacheAccess, NullPrefetcher, PrefetchEvent, PrefetchSite, Prefetcher,
-    SiteDirective, TuneDirective,
+    AccessOutcome, CacheAccess, NullPrefetcher, PrefetchSite, Prefetcher, SiteDirective,
+    TuneDirective,
 };
 pub use offsets::OffsetList;
 pub use rr_table::RrTable;

@@ -31,6 +31,7 @@ use best_offset::TuneDirective;
 use bosim_baselines::StridePrefetcher;
 use bosim_cache::policy::{InsertCtx, PolicyKind};
 use bosim_cache::{CacheArray, MshrFile};
+use bosim_obs::EventKind;
 use bosim_trace::{MicroOp, TraceSource, UopKind, NUM_REGS};
 use bosim_types::{CoreId, Cycle, LineAddr, PageSize, ReqClass, VirtAddr};
 use std::cmp::Reverse;
@@ -107,23 +108,6 @@ pub struct CoreStats {
     pub l1_prefetches: u64,
     /// L1D-site prefetch requests dropped on a TLB2 miss.
     pub l1_prefetch_tlb_drops: u64,
-}
-
-/// An observability event reported by a core (the L1D prefetch site's
-/// issue path). Buffered only while a sink is enabled
-/// ([`Core::set_obs_sink`]) and drained by the simulator each cycle,
-/// which stamps cycle and core id — with the sink off (the default)
-/// the issue path does no event work at all.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoreObsEvent {
-    /// An L1D prefetch was issued into the uncore request path.
-    L1PrefetchIssued {
-        /// Physical line address of the prefetch.
-        line: LineAddr,
-    },
-    /// A proposed L1D prefetch was dropped on the §5.5 TLB2 probe (the
-    /// target was never translated, so no line address exists).
-    L1PrefetchTlbDrop,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,9 +223,9 @@ pub struct Core {
     fp_port_ring: Vec<(Cycle, u8)>,
 
     stats: CoreStats,
-    /// Buffered observability events; `None` (the default) disables
-    /// buffering entirely.
-    obs: Option<Vec<CoreObsEvent>>,
+    /// Buffered L1D-site observability events; `None` (the default)
+    /// disables buffering entirely.
+    obs: Option<Vec<EventKind>>,
 }
 
 impl Core {
@@ -289,9 +273,9 @@ impl Core {
         }
     }
 
-    /// Enables or disables observability event buffering. While on,
-    /// the simulator drains with [`drain_obs`](Self::drain_obs) every
-    /// cycle it ticks this core.
+    /// Enables or disables buffering of the L1D site's events (issues
+    /// and TLB2 drops), which the simulator drains with
+    /// [`drain_obs`](Self::drain_obs) every cycle and stamps.
     pub fn set_obs_sink(&mut self, enabled: bool) {
         self.obs = if enabled {
             Some(self.obs.take().unwrap_or_default())
@@ -300,8 +284,8 @@ impl Core {
         };
     }
 
-    /// Moves any buffered [`CoreObsEvent`]s into `out`, in issue order.
-    pub fn drain_obs(&mut self, out: &mut Vec<CoreObsEvent>) {
+    /// Moves any buffered events into `out`, in issue order.
+    pub fn drain_obs(&mut self, out: &mut Vec<EventKind>) {
         if let Some(obs) = &mut self.obs {
             out.append(obs);
         }
@@ -541,7 +525,8 @@ impl Core {
         if !self.tlbs.prefetch_probe(target.page_number(page)) {
             self.stats.l1_prefetch_tlb_drops += 1;
             if let Some(obs) = &mut self.obs {
-                obs.push(CoreObsEvent::L1PrefetchTlbDrop);
+                // The target was never translated: no line address.
+                obs.push(EventKind::PrefetchDropped { line: 0 });
             }
             return;
         }
@@ -554,7 +539,7 @@ impl Core {
         }
         self.stats.l1_prefetches += 1;
         if let Some(obs) = &mut self.obs {
-            obs.push(CoreObsEvent::L1PrefetchIssued { line });
+            obs.push(EventKind::PrefetchIssued { line: line.0 });
         }
         out.push(UncoreRequest::Read {
             line,

@@ -17,7 +17,10 @@
 //!
 //! The core talks to the uncore (private L2, shared L3, DRAM — assembled
 //! in the `bosim` crate) through [`UncoreRequest`] values and
-//! [`Core::fill`] callbacks.
+//! [`Core::fill`] callbacks. With an observability sink on
+//! ([`Core::set_obs_sink`]), the L1D prefetch site buffers its issues
+//! and TLB2 drops as `bosim_obs::EventKind`s for the simulator to stamp
+//! and record.
 
 #![warn(missing_docs)]
 
@@ -26,9 +29,9 @@ mod tage;
 mod tlb;
 
 pub use crate::core::{
-    Core, CoreObsEvent, CoreStats, UncoreRequest, DISPATCH_WIDTH, DL1_LATENCY, DL1_SIZE, DL1_WAYS,
-    FP_PORTS, IL1_SIZE, IL1_WAYS, INT_PORTS, LOAD_PORTS, MISPREDICT_PENALTY, MSHRS, RETIRE_WIDTH,
-    ROB_SIZE, STORE_BUFFER,
+    Core, CoreStats, UncoreRequest, DISPATCH_WIDTH, DL1_LATENCY, DL1_SIZE, DL1_WAYS, FP_PORTS,
+    IL1_SIZE, IL1_WAYS, INT_PORTS, LOAD_PORTS, MISPREDICT_PENALTY, MSHRS, RETIRE_WIDTH, ROB_SIZE,
+    STORE_BUFFER,
 };
 pub use tage::{Ittage, Tage};
 pub use tlb::{PageTranslator, Tlb, TlbHierarchy, PHYS_BITS};

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 /// single pre-resolved flag (or an `Option` discriminant) per feature,
 /// so a default `ObsConfig` costs nothing: no allocation, no event
 /// construction, no wall-clock reads. The golden-stats invariant holds
-/// with observability on or off — events and epoch rows are pure
+/// with observability on or off — events and epoch records are pure
 /// functions of simulated state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
@@ -20,11 +20,11 @@ pub struct ObsConfig {
     /// here — the interesting transients are at warm-up and the first
     /// learning phases, and a stable prefix keeps traces comparable).
     pub max_events: usize,
-    /// Collect one [`crate::EpochRow`] metric snapshot per epoch of the
-    /// simulator's epoch clock (`SimConfig::epoch_cycles`, shared with
-    /// adaptive control).
+    /// Collect core 0's [`crate::EpochFeedback`] record at every
+    /// boundary of the simulator's epoch clock (`SimConfig::epoch_cycles`,
+    /// shared with adaptive control) into [`crate::ObsReport::epochs`].
     pub epochs: bool,
-    /// Stream each epoch row as a JSON line to this file while the run
+    /// Stream each epoch record as a JSON line to this file while the run
     /// is in flight (requires [`epochs`](Self::epochs); I/O errors are
     /// swallowed — streaming is best-effort and never fails a run).
     pub epoch_stream: Option<PathBuf>,

@@ -53,7 +53,10 @@ impl fmt::Display for ObsSite {
     }
 }
 
-/// What happened. Line addresses are raw physical line numbers.
+/// What happened — the one event vocabulary. Best-offset buffers its
+/// learning events and the core its L1D-site events as `EventKind`s;
+/// the simulator stamps them with cycle, core and site. Line addresses
+/// are raw physical line numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A prefetch request left the site's prefetcher and was accepted
@@ -121,7 +124,7 @@ pub enum EventKind {
         scores: Vec<(i64, u32)>,
     },
     /// An observability epoch boundary was crossed (the matching
-    /// metrics live in the run's [`crate::EpochRow`] series).
+    /// record is in the run's [`crate::EpochFeedback`] series).
     EpochEnd {
         /// Zero-based epoch index that just ended.
         epoch: u64,

@@ -1,18 +1,23 @@
 //! Observability layer for the `bosim` simulator.
 //!
-//! The end-of-run aggregates (`PrefetchTelemetry`, the report JSON) say
-//! *how much* happened; this crate records *when*. It provides four
-//! pieces, all zero-dependency and all inert unless switched on by an
+//! This crate defines the records every view of a run reads, and
+//! records *when* things happen. Its pieces, all zero-dependency and,
+//! apart from the counter records, inert unless switched on by an
 //! [`ObsConfig`]:
 //!
+//! * [`PrefetchTelemetry`] / [`EpochFeedback`] — one prefetch site's
+//!   usefulness counters with their accuracy, coverage and lateness,
+//!   and one core's epoch of them. Run results, adaptive policies,
+//!   report JSON, the epoch series and Perfetto all read these.
 //! * [`Recorder`] — a bounded, keep-first log of cycle-stamped
-//!   [`Event`]s covering the prefetch lifecycle (issue, fill-queue
-//!   entry, late merge, fill, first demand hit, unused eviction) and
-//!   the learning/adaptation machinery (BO round and phase ends with
-//!   score snapshots, epoch boundaries, tuning directives).
-//! * [`EpochRow`] / [`EpochStream`] — per-epoch metric snapshots
-//!   (IPC, accuracy, coverage, lateness, bus occupancy) collected as a
-//!   series and optionally streamed to a JSON-lines file while the run
+//!   [`Event`]s whose [`EventKind`] vocabulary covers the prefetch
+//!   lifecycle (issue, fill-queue entry, late merge, fill, first demand
+//!   hit, unused eviction) and the learning/adaptation machinery (BO
+//!   round and phase ends with score snapshots, epoch boundaries,
+//!   tuning directives). Prefetchers and cores buffer `EventKind`s
+//!   directly; the simulator stamps them.
+//! * [`EpochStream`] — core 0's epoch series (IPC, the L2 and L3 site
+//!   blocks, bus occupancy) streamed to a JSON-lines file while the run
 //!   is still in flight.
 //! * [`HostProfiler`] — wall-clock attribution per simulator phase
 //!   (decode, core tick, uncore tick, DRAM, fast-forward scanning),
@@ -33,14 +38,16 @@
 mod config;
 mod epoch;
 mod event;
+mod feedback;
 mod log;
 pub mod perfetto;
 mod profile;
 mod report;
 
 pub use config::ObsConfig;
-pub use epoch::{EpochRow, EpochStream};
+pub use epoch::EpochStream;
 pub use event::{Event, EventKind, ObsSite};
+pub use feedback::{EpochFeedback, PrefetchTelemetry};
 pub use log::Recorder;
 pub use profile::{
     HostProfile, HostProfiler, Phase, PhaseCost, PhaseTimer, ProfileSlot, PROFILE_SAMPLE_SHIFT,

@@ -8,8 +8,8 @@
 //! maps one simulated cycle to one microsecond, so trace time reads
 //! directly as cycles.
 
-use crate::epoch::EpochRow;
 use crate::event::Event;
+use crate::feedback::EpochFeedback;
 use crate::report::ObsReport;
 use bosim_stats::Json;
 
@@ -34,50 +34,41 @@ fn metadata(name: &str, pid: u64, tid: u64, value: &str) -> Json {
     ])
 }
 
-fn counter(name: &str, ts: u64, key: &str, value: Json) -> Json {
+fn counter(name: &str, ts: u64, key: &str, value: f64) -> Json {
     Json::obj([
         ("name", Json::from(name)),
         ("ph", Json::from("C")),
         ("ts", Json::UInt(ts)),
         ("pid", Json::UInt(SIM_PID)),
         ("tid", Json::UInt(0u64)),
-        ("args", Json::obj([(key, value)])),
+        ("args", Json::obj([(key, Json::Num(value))])),
     ])
 }
 
-fn epoch_counters(row: &EpochRow, out: &mut Vec<Json>) {
-    let ts = row.start_cycle + row.cycles;
-    out.push(counter("epoch ipc", ts, "ipc", Json::Num(row.ipc)));
-    out.push(counter(
-        "epoch accuracy",
-        ts,
-        "accuracy",
-        Json::Num(row.accuracy),
-    ));
-    out.push(counter(
-        "epoch coverage",
-        ts,
-        "coverage",
-        Json::Num(row.coverage),
-    ));
-    out.push(counter(
-        "epoch lateness",
-        ts,
-        "lateness",
-        Json::Num(row.lateness),
-    ));
-    out.push(counter(
-        "epoch occupancy",
-        ts,
-        "occupancy",
-        Json::Num(row.occupancy),
-    ));
-    out.push(counter(
-        "l3 prefetch resident",
-        ts,
-        "lines",
-        Json::UInt(row.l3_prefetch_resident),
-    ));
+/// Core 0's epoch record as counter samples at the epoch's end. An
+/// undefined rate gets no sample, so a track never shows a fake 0.
+fn epoch_counters(fb: &EpochFeedback, out: &mut Vec<Json>) {
+    let ts = fb.start_cycle + fb.cycles;
+    for (name, key, value) in [
+        ("epoch ipc", "ipc", Some(fb.ipc())),
+        ("epoch accuracy", "accuracy", fb.l2.accuracy()),
+        ("epoch coverage", "coverage", fb.l2.coverage()),
+        ("epoch lateness", "lateness", fb.l2.lateness()),
+        (
+            "epoch bus occupancy",
+            "bus_occupancy",
+            Some(fb.bus_occupancy),
+        ),
+        (
+            "l3 prefetch resident",
+            "lines",
+            Some(fb.l3_prefetch_resident as f64),
+        ),
+    ] {
+        if let Some(v) = value {
+            out.push(counter(name, ts, key, v));
+        }
+    }
 }
 
 /// Renders the report as a complete trace-event JSON document:
@@ -119,8 +110,8 @@ pub fn trace_json(report: &ObsReport, title: &str) -> Json {
         ]));
     }
 
-    for row in &report.epochs {
-        epoch_counters(row, &mut events);
+    for fb in &report.epochs {
+        epoch_counters(fb, &mut events);
     }
 
     if let Some(profile) = &report.profile.0 {
@@ -162,6 +153,7 @@ pub fn trace_json(report: &ObsReport, title: &str) -> Json {
 mod tests {
     use super::*;
     use crate::event::{EventKind, ObsSite};
+    use crate::feedback::PrefetchTelemetry;
     use crate::profile::{HostProfile, PhaseCost, ProfileSlot};
 
     fn report() -> ObsReport {
@@ -181,18 +173,26 @@ mod tests {
                 },
             ],
             dropped_events: 0,
-            epochs: vec![EpochRow {
-                epoch: 0,
-                start_cycle: 0,
-                cycles: 100,
-                instructions: 50,
-                ipc: 0.5,
-                accuracy: 1.0,
-                coverage: 0.5,
-                lateness: 0.0,
-                occupancy: 0.25,
-                l3_prefetch_resident: 3,
-            }],
+            epochs: vec![
+                EpochFeedback {
+                    cycles: 100,
+                    instructions: 50,
+                    l2: PrefetchTelemetry {
+                        misses: 4,
+                        useful: 4,
+                        ..Default::default()
+                    },
+                    bus_occupancy: 0.25,
+                    l3_prefetch_resident: 3,
+                    ..Default::default()
+                },
+                EpochFeedback {
+                    epoch: 1,
+                    start_cycle: 100,
+                    cycles: 100,
+                    ..Default::default()
+                },
+            ],
             profile: ProfileSlot(Some(HostProfile {
                 total_nanos: 5_000,
                 phases: vec![PhaseCost {
@@ -216,6 +216,10 @@ mod tests {
         assert!(text.contains(r#""core1 l3""#));
         assert!(text.contains(r#""prefetch_issued""#));
         assert!(text.contains(r#""epoch accuracy""#));
+        assert!(text.contains(r#""bus_occupancy":0.25"#), "{text}");
+        // The second epoch resolved no fill: no accuracy sample for it.
+        assert_eq!(text.matches(r#""epoch ipc""#).count(), 2);
+        assert_eq!(text.matches(r#""epoch accuracy""#).count(), 1);
         assert!(text.contains(r#""bosim host profile""#));
         assert!(text.contains(r#""ph":"X""#));
     }

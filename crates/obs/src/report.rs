@@ -1,7 +1,8 @@
 //! The per-run observability bundle.
 
-use crate::epoch::{to_jsonl, EpochRow};
+use crate::epoch::to_jsonl;
 use crate::event::Event;
+use crate::feedback::EpochFeedback;
 use crate::profile::ProfileSlot;
 use bosim_stats::Json;
 
@@ -19,9 +20,8 @@ pub struct ObsReport {
     pub events: Vec<Event>,
     /// Events that arrived after the log filled up.
     pub dropped_events: u64,
-    /// Per-epoch metric snapshots (empty unless epoch collection was
-    /// on).
-    pub epochs: Vec<EpochRow>,
+    /// Core 0's epoch records (empty unless epoch collection was on).
+    pub epochs: Vec<EpochFeedback>,
     /// The host profile (present only when profiling was on; never
     /// part of equality).
     pub profile: ProfileSlot,
@@ -33,14 +33,14 @@ impl ObsReport {
         to_jsonl(&self.epochs)
     }
 
-    /// Full JSON rendering (events, epoch rows, profile).
+    /// Full JSON rendering (events, epoch records, profile).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("events", Json::arr(self.events.iter().map(Event::to_json))),
             ("dropped_events", Json::UInt(self.dropped_events)),
             (
                 "epochs",
-                Json::arr(self.epochs.iter().map(EpochRow::to_json)),
+                Json::arr(self.epochs.iter().map(EpochFeedback::to_json)),
             ),
             (
                 "profile",

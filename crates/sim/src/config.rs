@@ -97,14 +97,14 @@ pub struct SimConfig {
     pub fast_forward: bool,
     /// Length in cycles of the system's one epoch clock (default
     /// 50 000). At every boundary the system distils each core's
-    /// counter deltas into a [`bosim_adapt::EpochFeedback`]; adaptive
+    /// counter deltas into a [`bosim_obs::EpochFeedback`]; adaptive
     /// control ([`adapt`](Self::adapt)) and the observability epoch
     /// series ([`ObsConfig::epochs`]) both read those records. Inert
     /// when neither is on.
     pub epoch_cycles: u64,
     /// Adaptive prefetch control: when set, the configured policy (one
     /// [`bosim_adapt::TunePolicy`] instance per core) reads its core's
-    /// [`bosim_adapt::EpochFeedback`] at every epoch boundary and may
+    /// [`bosim_obs::EpochFeedback`] at every epoch boundary and may
     /// reconfigure the core's prefetchers. `None` (the default)
     /// reproduces the paper's static configurations.
     pub adapt: Option<PolicySpec>,
@@ -114,8 +114,9 @@ pub struct SimConfig {
     /// thrasher streams on cores 1.. are never sampled. `None` (the
     /// default) replays the stream untouched.
     pub sample: Option<SampleSpec>,
-    /// Observability: cycle-domain event tracing, streamed epoch metric
-    /// snapshots and host-side self-profiling (see [`ObsConfig`]). The
+    /// Observability: cycle-domain event tracing, core 0's epoch records
+    /// (optionally streamed) and host-side self-profiling (see
+    /// [`ObsConfig`]). The
     /// default is everything off, which costs nothing on the hot path;
     /// results are bit-identical with tracing on or off (the golden-stats
     /// suite pins both arms).

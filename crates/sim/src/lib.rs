@@ -50,7 +50,7 @@ pub use config::{
 pub use runner::{default_threads, run_job, run_jobs, speedups, stream_jobs, Job, RunnerError};
 pub use spec::{prefetchers, PrefetcherSpec, ResolveError};
 pub use system::{SimResult, System};
-pub use uncore::{PrefetchTelemetry, Uncore, UncoreStats};
+pub use uncore::{Uncore, UncoreStats};
 
 pub use best_offset::{PrefetchSite, SiteDirective, TuneDirective};
 
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn config_defaults_and_validation() {
-        // One epoch clock serves adaptive control and epoch rows: 50 000
+        // One epoch clock serves adaptive control and obs epochs: 50 000
         // cycles unless set, and never zero.
         let mut cfg = SimConfig {
             adapt: Some(policies::degree_governor()),

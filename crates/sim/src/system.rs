@@ -2,18 +2,15 @@
 
 use crate::config::SimConfig;
 use crate::spec::PrefetcherSpec;
-use crate::uncore::{PrefetchTelemetry, Uncore, UncoreStats};
+use crate::uncore::{Uncore, UncoreStats};
 use crate::wheel::EventWheel;
-use bosim_adapt::{
-    AdaptTelemetry, DirectiveRecord, EpochFeedback, EpochRecord, PrefetchSite, SiteFeedback,
-    TunePolicy,
-};
+use bosim_adapt::{AdaptTelemetry, DirectiveRecord, EpochRecord, PrefetchSite, TunePolicy};
 use bosim_baselines::StridePrefetcher;
-use bosim_cpu::{Core, CoreObsEvent, CoreStats, UncoreRequest};
+use bosim_cpu::{Core, CoreStats, UncoreRequest};
 use bosim_dram::DramStats;
 use bosim_obs::{
-    EpochRow, EpochStream, Event, EventKind, HostProfiler, ObsReport, ObsSite, Phase, ProfileSlot,
-    PROFILE_SAMPLE_SHIFT,
+    EpochFeedback, EpochStream, Event, EventKind, HostProfiler, ObsReport, ObsSite, Phase,
+    PrefetchTelemetry, ProfileSlot, PROFILE_SAMPLE_SHIFT,
 };
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
@@ -53,8 +50,8 @@ pub struct SimResult {
     /// simulation start, warm-up included) when the run was adaptive,
     /// `None` for static configurations.
     pub adapt: Option<AdaptTelemetry>,
-    /// Observability report — the cycle-domain event log, the epoch
-    /// metric series and the host profile — when any [`SimConfig::obs`]
+    /// Observability report — the cycle-domain event log, core 0's epoch
+    /// records and the host profile — when any [`SimConfig::obs`]
     /// channel was enabled, `None` otherwise. Covers the whole run
     /// (warm-up included). Events and epochs are pure functions of
     /// simulated state and participate in equality; the wall-clock
@@ -81,25 +78,19 @@ impl SimResult {
         (self.dram.reads + self.dram.writes) as f64 * 1000.0 / self.instructions as f64
     }
 
-    /// Checks the per-site telemetry invariants carried by this result:
-    /// at core 0's L2 site and the shared L3 site,
-    /// `useful + unused_evicted <= prefetch_fills` — every
-    /// prefetch-filled line resolves at most once. (Other cores' L2
-    /// telemetry is not part of a `SimResult`; the L1 site has no
-    /// fill-resolution counters — its issue counts live in
-    /// [`CoreStats`].)
+    /// Checks [`PrefetchTelemetry::check_resolution`] at core 0's L2
+    /// site and the shared L3 site: every prefetch-filled line resolves
+    /// at most once. (Other cores' L2 telemetry is not part of a
+    /// `SimResult`; the L1 site has no fill-resolution counters — its
+    /// issue counts live in [`CoreStats`].)
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_site_invariants(&self) -> Result<(), String> {
         for (site, t) in [("l2", &self.l2_site), ("l3", &self.l3_site)] {
-            if t.useful + t.unused_evicted > t.prefetch_fills {
-                return Err(format!(
-                    "{site} site: useful ({}) + unused-evicted ({}) exceeds prefetch fills ({})",
-                    t.useful, t.unused_evicted, t.prefetch_fills
-                ));
-            }
+            t.check_resolution()
+                .map_err(|e| format!("{site} site: {e}"))?;
         }
         Ok(())
     }
@@ -108,15 +99,14 @@ impl SimResult {
 /// The live epoch clock of a running system: one boundary sequence and
 /// the previous boundary's counter snapshots, from which every core's
 /// [`EpochFeedback`] is built once per boundary. Adaptive policies read
-/// the feedback; the observability series is a view of core 0's.
+/// each core's record; core 0's is also the observability series.
 #[derive(Debug)]
 struct EpochRuntime {
     /// End of the epoch currently accumulating.
     next_boundary: Cycle,
     epoch: u64,
-    prev_telemetry: Vec<PrefetchTelemetry>,
+    prev_l2: Vec<PrefetchTelemetry>,
     prev_core: Vec<CoreStats>,
-    prev_retired: Vec<u64>,
     prev_dram: DramStats,
     prev_l3: PrefetchTelemetry,
     /// One policy instance per core (policies are per-core state
@@ -125,8 +115,9 @@ struct EpochRuntime {
     policies: Vec<Box<dyn TunePolicy>>,
     /// Core 0's adaptation log (`None` = adaptive control off).
     telemetry: Option<AdaptTelemetry>,
-    /// The observability epoch series (`None` = obs epochs off).
-    rows: Option<Vec<EpochRow>>,
+    /// Core 0's records for the observability report (`None` = obs
+    /// epochs off).
+    series: Option<Vec<EpochFeedback>>,
     stream: EpochStream,
 }
 
@@ -168,7 +159,7 @@ pub struct System {
     /// [`bosim_obs::ObsConfig::profile`] is set).
     prof: HostProfiler,
     /// Scratch for draining core-side L1 observability events.
-    core_obs_buf: Vec<CoreObsEvent>,
+    core_obs_buf: Vec<EventKind>,
 }
 
 impl System {
@@ -238,9 +229,8 @@ impl System {
         let epochs = (cfg.adapt.is_some() || cfg.obs.epochs).then(|| EpochRuntime {
             next_boundary: cfg.epoch_cycles,
             epoch: 0,
-            prev_telemetry: vec![PrefetchTelemetry::default(); cfg.active_cores],
+            prev_l2: vec![PrefetchTelemetry::default(); cfg.active_cores],
             prev_core: vec![CoreStats::default(); cfg.active_cores],
-            prev_retired: vec![0; cfg.active_cores],
             prev_dram: DramStats::default(),
             prev_l3: PrefetchTelemetry::default(),
             policies: cfg
@@ -253,7 +243,7 @@ impl System {
                 epoch_cycles: cfg.epoch_cycles,
                 ..Default::default()
             }),
-            rows: cfg.obs.epochs.then(Vec::new),
+            series: cfg.obs.epochs.then(Vec::new),
             stream: match &cfg.obs.epoch_stream {
                 Some(path) => EpochStream::create(path),
                 None => EpochStream::disabled(),
@@ -415,15 +405,8 @@ impl System {
     /// with the cycle and owning core.
     fn drain_core_obs(&mut self, now: Cycle) {
         for c in 0..self.cores.len() {
-            self.core_obs_buf.clear();
             self.cores[c].drain_obs(&mut self.core_obs_buf);
-            for ev in &self.core_obs_buf {
-                let kind = match ev {
-                    CoreObsEvent::L1PrefetchIssued { line } => {
-                        EventKind::PrefetchIssued { line: line.0 }
-                    }
-                    CoreObsEvent::L1PrefetchTlbDrop => EventKind::PrefetchDropped { line: 0 },
-                };
+            for kind in self.core_obs_buf.drain(..) {
                 self.uncore.record_event(Event {
                     cycle: now,
                     core: c as u32,
@@ -458,7 +441,7 @@ impl System {
     /// Processes every epoch boundary at or before the current cycle:
     /// snapshot counters into each core's [`EpochFeedback`], hand it to
     /// the core's policy and apply the directives (adaptive runs), then
-    /// derive the observability row from core 0's feedback (obs epochs).
+    /// append core 0's record to the observability series (obs epochs).
     /// Per boundary, directive events are recorded before `epoch_end`.
     ///
     /// Called at the top of the run loop, *before* the tick of the cycle
@@ -490,46 +473,32 @@ impl System {
             let busy = (reads + writes) * self.uncore.dram_line_transfer_cycles();
             let capacity = epoch_cycles * self.uncore.dram_channels() as u64;
             let bus_occupancy = busy as f64 / capacity as f64;
-            // The L3 site is shared: one machine-wide delta, seen by
-            // every core's feedback.
+            // The L3 site is shared: one machine-wide delta and gauge,
+            // seen by every core's record.
             let l3 = self.uncore.l3_prefetch_telemetry();
-            let l3_delta = SiteFeedback {
-                issued: l3.issued - ep.prev_l3.issued,
-                prefetch_fills: l3.prefetch_fills - ep.prev_l3.prefetch_fills,
-                useful_fills: l3.useful - ep.prev_l3.useful,
-                unused_evicted: l3.unused_evicted - ep.prev_l3.unused_evicted,
-            };
+            let l3_prefetch_resident = self.uncore.l3_prefetched_lines();
             let mut core0 = EpochFeedback::default();
             for c in 0..self.cores.len() {
                 let core = CoreId(c as u8);
-                let telem = self.uncore.prefetch_telemetry(core);
-                let prev = ep.prev_telemetry[c];
-                let core_stats = self.cores[c].stats();
-                let prev_core = ep.prev_core[c];
-                let retired = self.cores[c].retired();
+                let l2 = self.uncore.prefetch_telemetry(core);
+                let stats = self.cores[c].stats();
+                let prev = ep.prev_core[c];
                 let feedback = EpochFeedback {
                     epoch: ep.epoch,
                     start_cycle: boundary - epoch_cycles,
                     cycles: epoch_cycles,
-                    instructions: retired - ep.prev_retired[c],
-                    l2_accesses: telem.accesses - prev.accesses,
-                    l2_misses: telem.misses - prev.misses,
-                    issued: telem.issued - prev.issued,
-                    prefetch_fills: telem.prefetch_fills - prev.prefetch_fills,
-                    useful_fills: telem.useful - prev.useful,
-                    unused_evicted: telem.unused_evicted - prev.unused_evicted,
-                    late_promotions: telem.late_promotions - prev.late_promotions,
+                    instructions: stats.retired - prev.retired,
+                    l2: l2 - ep.prev_l2[c],
+                    l3: l3 - ep.prev_l3,
                     dram_reads: reads,
                     dram_writes: writes,
                     bus_occupancy,
-                    l1_prefetches: core_stats.l1_prefetches - prev_core.l1_prefetches,
-                    l1_tlb_drops: core_stats.l1_prefetch_tlb_drops
-                        - prev_core.l1_prefetch_tlb_drops,
-                    l3: l3_delta,
+                    l1_prefetches: stats.l1_prefetches - prev.l1_prefetches,
+                    l1_tlb_drops: stats.l1_prefetch_tlb_drops - prev.l1_prefetch_tlb_drops,
+                    l3_prefetch_resident,
                 };
-                ep.prev_telemetry[c] = telem;
-                ep.prev_core[c] = core_stats;
-                ep.prev_retired[c] = retired;
+                ep.prev_l2[c] = l2;
+                ep.prev_core[c] = stats;
                 if c == 0 {
                     core0 = feedback;
                 }
@@ -596,10 +565,9 @@ impl System {
             }
             ep.prev_dram = dram;
             ep.prev_l3 = l3;
-            if let Some(rows) = ep.rows.as_mut() {
-                let row = epoch_row(&core0, self.uncore.l3_prefetched_lines());
-                ep.stream.write_row(&row);
-                rows.push(row);
+            if let Some(series) = ep.series.as_mut() {
+                ep.stream.write_row(&core0);
+                series.push(core0);
                 self.uncore.record_event(Event {
                     cycle: boundary,
                     core: 0,
@@ -626,7 +594,7 @@ impl System {
         let epochs = self
             .epochs
             .as_mut()
-            .and_then(|e| e.rows.take())
+            .and_then(|e| e.series.take())
             .unwrap_or_default();
         Some(ObsReport {
             events,
@@ -791,32 +759,6 @@ impl System {
             adapt: self.adapt_telemetry().cloned(),
             obs: self.take_obs_report(),
         }
-    }
-}
-
-/// Core 0's observability row for one epoch: a view of its feedback
-/// under the row's documented definitions (accuracy = useful / fills,
-/// lateness = late / issued; see `docs/ARCHITECTURE.md`), plus the L3
-/// residency gauge read at the boundary.
-fn epoch_row(fb: &EpochFeedback, l3_prefetch_resident: u64) -> EpochRow {
-    let ratio = |num: u64, den: u64| {
-        if den == 0 {
-            0.0
-        } else {
-            num as f64 / den as f64
-        }
-    };
-    EpochRow {
-        epoch: fb.epoch,
-        start_cycle: fb.start_cycle,
-        cycles: fb.cycles,
-        instructions: fb.instructions,
-        ipc: fb.ipc(),
-        accuracy: ratio(fb.useful_fills, fb.prefetch_fills),
-        coverage: ratio(fb.useful_fills, fb.useful_fills + fb.l2_misses),
-        lateness: ratio(fb.late_promotions, fb.issued),
-        occupancy: fb.bus_occupancy,
-        l3_prefetch_resident,
     }
 }
 

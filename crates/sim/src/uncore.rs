@@ -24,14 +24,12 @@ use crate::config::{
     SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS, L3_LATENCY, L3_SIZE, L3_WAYS, PREFETCH_QUEUE,
 };
 use crate::spec::PrefetcherSpec;
-use best_offset::{
-    AccessOutcome, CacheAccess, PrefetchEvent, PrefetchSite, Prefetcher, TuneDirective,
-};
+use best_offset::{AccessOutcome, CacheAccess, PrefetchSite, Prefetcher, TuneDirective};
 use bosim_cache::policy::InsertCtx;
 use bosim_cache::policy::PolicyKind;
 use bosim_cache::{CacheArray, FillQueue, PrefetchQueue};
 use bosim_dram::{MemConfig, MemorySystem, ReadCompletion};
-use bosim_obs::{Event, EventKind, HostProfiler, ObsSite, Phase, Recorder};
+use bosim_obs::{Event, EventKind, HostProfiler, ObsSite, Phase, PrefetchTelemetry, Recorder};
 use bosim_types::{CoreId, Cycle, LineAddr, PageSize, ReqClass};
 use std::collections::VecDeque;
 
@@ -130,38 +128,6 @@ pub struct UncoreStats {
     pub dram_writebacks: u64,
 }
 
-/// Per-site prefetch-usefulness telemetry (the raw inputs of the
-/// adaptive-control feedback loop; see `bosim-adapt`). One instance
-/// tracks each core's L2 site; a single shared instance tracks the L3
-/// site (where `prefetch_fills` counts *every* prefetch-class insertion
-/// into the L3 — L2-issued prefetches fill the L3 on their way up, §5.4
-/// — so the resolution invariant below covers them too).
-///
-/// Counters are cumulative; the epoch monitor snapshots and subtracts.
-/// At any snapshot, `useful + unused_evicted <= prefetch_fills`: every
-/// prefetch-filled line resolves at most once — its first hit from
-/// above (useful) or its eviction with the prefetch bit still set
-/// (unused).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchTelemetry {
-    /// L2 read accesses from this core (demand + L1 prefetch).
-    pub accesses: u64,
-    /// ... of which missed (fill-queue merges included).
-    pub misses: u64,
-    /// L2 prefetch requests this core issued to the L3.
-    pub issued: u64,
-    /// Lines inserted into this core's L2 still carrying prefetch class.
-    pub prefetch_fills: u64,
-    /// First core-side touches (demand or L1 prefetch, like
-    /// `l2_prefetched_hits`) of lines whose prefetch bit was still set.
-    pub useful: u64,
-    /// Prefetch-filled lines evicted with the prefetch bit still set.
-    pub unused_evicted: u64,
-    /// Demand requests that merged with (and promoted) an in-flight
-    /// prefetch fill — correct but late prefetches.
-    pub late_promotions: u64,
-}
-
 /// One core's private L2 complex.
 #[derive(Debug)]
 struct L2 {
@@ -217,7 +183,7 @@ pub struct Uncore {
     recorder: Option<Recorder>,
     /// Scratch buffer for draining prefetcher-internal events (BO
     /// learning rounds and phase ends).
-    pf_event_buf: Vec<PrefetchEvent>,
+    pf_event_buf: Vec<EventKind>,
 }
 
 impl Uncore {
@@ -333,29 +299,7 @@ impl Uncore {
             }
             _ => self.l2s[c].prefetcher.drain_events(&mut buf),
         }
-        for ev in buf.drain(..) {
-            let kind = match ev {
-                PrefetchEvent::RoundEnd {
-                    round,
-                    leader_offset,
-                    leader_score,
-                } => EventKind::RoundEnd {
-                    round,
-                    leader_offset,
-                    leader_score,
-                },
-                PrefetchEvent::PhaseEnd {
-                    best_offset,
-                    best_score,
-                    prefetch_on,
-                    scores,
-                } => EventKind::PhaseEnd {
-                    best_offset,
-                    best_score,
-                    prefetch_on,
-                    scores,
-                },
-            };
+        for kind in buf.drain(..) {
             self.emit(now, CoreId(c as u8), site, kind);
         }
         self.pf_event_buf = buf;
@@ -388,10 +332,8 @@ impl Uncore {
         self.l2s[core.index()].telemetry
     }
 
-    /// Snapshot of the shared L3 site's cumulative prefetch-usefulness
-    /// telemetry. Counts prefetch-class lines in the L3 regardless of
-    /// the issuing engine (L2 prefetches fill the L3 too, §5.4);
-    /// `issued` counts only the L3 site's own DRAM requests.
+    /// Snapshot of the shared L3 site's cumulative telemetry (what its
+    /// counters cover at the L3: [`PrefetchTelemetry`]).
     pub fn l3_prefetch_telemetry(&self) -> PrefetchTelemetry {
         self.l3_telemetry
     }
