@@ -88,5 +88,5 @@ fn two_cores_adapt_and_tracing_429() {
         },
         ..single_core()
     };
-    assert_digest(cfg, "429", 0xc5cc_87b8_644a_ecac);
+    assert_digest(cfg, "429", 0x5367_a6c7_8373_f655);
 }
