@@ -242,6 +242,17 @@ mod tests {
     }
 
     #[test]
+    fn empty_epoch_has_no_rates() {
+        let f = EpochFeedback::default();
+        assert_eq!(f.ipc(), 0.0);
+        for site in [f.l2, f.l3] {
+            assert_eq!(site.accuracy(), None);
+            assert_eq!(site.coverage(), None);
+            assert_eq!(site.lateness(), None);
+        }
+    }
+
+    #[test]
     fn json_includes_derived_rates() {
         let j = fb().to_json().to_string();
         assert!(j.contains("\"accuracy\":0.8"), "{j}");
@@ -267,7 +278,12 @@ mod tests {
                 assert_eq!(v, Some(&Json::Null), "{site} {rate}");
             }
         }
+    }
+
+    #[test]
+    fn site_feedback_rates() {
         let site = PrefetchTelemetry {
+            issued: 100,
             prefetch_fills: 90,
             useful: 30,
             unused_evicted: 10,
@@ -275,6 +291,9 @@ mod tests {
         };
         assert_eq!(site.resolved_fills(), 40);
         assert_eq!(site.accuracy(), Some(0.75));
+        assert_eq!(PrefetchTelemetry::default().accuracy(), None);
+        let j = site.to_json().to_string();
+        assert!(j.contains("\"issued\":100"), "{j}");
         assert!(site.check_resolution().is_ok());
         let err = PrefetchTelemetry {
             unused_evicted: 61,
