@@ -189,10 +189,6 @@ impl Prefetcher for AmpmPrefetcher {
     fn name(&self) -> &'static str {
         "AMPM"
     }
-
-    fn page_size(&self) -> PageSize {
-        self.page
-    }
 }
 
 #[cfg(test)]

@@ -74,10 +74,6 @@ impl Prefetcher for FixedOffsetPrefetcher {
         }
     }
 
-    fn page_size(&self) -> PageSize {
-        self.page
-    }
-
     fn reconfigure(&mut self, directive: &TuneDirective) -> bool {
         match directive {
             TuneDirective::SetEnabled(on) => {

@@ -262,10 +262,6 @@ impl Prefetcher for SandboxPrefetcher {
     fn name(&self) -> &'static str {
         "SBP"
     }
-
-    fn page_size(&self) -> PageSize {
-        self.page
-    }
 }
 
 #[cfg(test)]

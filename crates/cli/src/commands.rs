@@ -217,7 +217,7 @@ fn sample_spec(
     })
 }
 
-/// Shared machine-configuration assembly for `run` and `sweep`.
+/// Shared machine-configuration assembly for `run`, `trace` and `sweep`.
 struct MachineParams {
     cores: Option<u64>,
     page: Option<PageSize>,
@@ -244,6 +244,29 @@ impl MachineParams {
             .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
         Ok(cfg)
     }
+}
+
+/// The benchmark and machine that `run` and `trace` read from the same
+/// flags: `--trace` (with `--format`/`--name`), loaded once up front so
+/// decode errors surface as a typed message, not a worker panic
+/// mid-grid, and the machine knobs.
+fn trace_and_machine(p: &ParsedArgs) -> Result<(BenchmarkSpec, MachineParams), CliError> {
+    let trace = p.require("trace")?;
+    let ext = external_spec(Path::new(trace), p.get("format"), p.get("name"))?;
+    ext.load()
+        .map_err(|e| CliError::Failed(format!("cannot ingest {trace}: {e}")))?;
+    let machine = MachineParams {
+        cores: p.get_u64("cores")?,
+        page: p.get("page").map(parse_page).transpose()?,
+        instructions: p.get_u64("instructions")?,
+        warmup: p.get_u64("warmup")?,
+        sample: sample_spec(
+            p.get_u64("skip")?,
+            p.get_u64("window")?,
+            p.get_u64("interval")?,
+        ),
+    };
+    Ok((BenchmarkSpec::from_trace(ext), machine))
 }
 
 /// Runs an assembled experiment and emits its report to `out`.
@@ -314,25 +337,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         &["events", "profile"],
     )?;
     no_positionals(&p, "run")?;
-    let trace = p.require("trace")?;
-    let ext = external_spec(Path::new(trace), p.get("format"), p.get("name"))?;
-    // Load once up front so decode errors surface as a typed message,
-    // not a worker panic mid-grid.
-    ext.load()
-        .map_err(|e| CliError::Failed(format!("cannot ingest {trace}: {e}")))?;
-    let bench = BenchmarkSpec::from_trace(ext);
-
-    let machine = MachineParams {
-        cores: p.get_u64("cores")?,
-        page: p.get("page").map(parse_page).transpose()?,
-        instructions: p.get_u64("instructions")?,
-        warmup: p.get_u64("warmup")?,
-        sample: sample_spec(
-            p.get_u64("skip")?,
-            p.get_u64("window")?,
-            p.get_u64("interval")?,
-        ),
-    };
+    let (bench, machine) = trace_and_machine(&p)?;
     let subject = machine.configure(p.get("stack"))?;
     let report_name = p
         .get("report")
@@ -417,23 +422,8 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         ],
     )?;
     no_positionals(&p, "trace")?;
-    let trace = p.require("trace")?;
     let out = PathBuf::from(p.require("out")?);
-    let ext = external_spec(Path::new(trace), p.get("format"), p.get("name"))?;
-    ext.load()
-        .map_err(|e| CliError::Failed(format!("cannot ingest {trace}: {e}")))?;
-    let bench = BenchmarkSpec::from_trace(ext);
-    let machine = MachineParams {
-        cores: p.get_u64("cores")?,
-        page: p.get("page").map(parse_page).transpose()?,
-        instructions: p.get_u64("instructions")?,
-        warmup: p.get_u64("warmup")?,
-        sample: sample_spec(
-            p.get_u64("skip")?,
-            p.get_u64("window")?,
-            p.get_u64("interval")?,
-        ),
-    };
+    let (bench, machine) = trace_and_machine(&p)?;
     let subject = machine.configure(p.get("stack"))?;
     let title = format!("{} on {}", subject.label(), bench.name);
     let report = instrumented_run(subject, &bench, ObsConfig::all())?;

@@ -431,10 +431,6 @@ impl Prefetcher for BestOffsetPrefetcher {
         "BO"
     }
 
-    fn page_size(&self) -> PageSize {
-        self.page
-    }
-
     fn reconfigure(&mut self, directive: &TuneDirective) -> bool {
         match directive {
             TuneDirective::SetDegree(d) if (1..=2).contains(d) => {

@@ -14,7 +14,7 @@
 //! retirement, so the core drives it directly.
 
 use bosim_obs::EventKind;
-use bosim_types::{LineAddr, PageSize};
+use bosim_types::LineAddr;
 use std::fmt;
 
 /// A prefetcher attach point in the cache hierarchy.
@@ -181,9 +181,6 @@ pub trait Prefetcher: std::fmt::Debug {
     /// Short name for reports ("BO", "SBP", "next-line", ...).
     fn name(&self) -> &'static str;
 
-    /// The page size this prefetcher was configured for.
-    fn page_size(&self) -> PageSize;
-
     /// Applies a runtime reconfiguration directive. Returns `true` when
     /// the directive was understood and applied, `false` when this
     /// prefetcher does not support it (the default).
@@ -211,16 +208,7 @@ pub trait Prefetcher: std::fmt::Debug {
 /// The "no prefetch" configuration (Figure 5 baseline), valid at any
 /// line-address site.
 #[derive(Debug, Clone)]
-pub struct NullPrefetcher {
-    page: PageSize,
-}
-
-impl NullPrefetcher {
-    /// Creates a disabled prefetcher.
-    pub fn new(page: PageSize) -> Self {
-        NullPrefetcher { page }
-    }
-}
+pub struct NullPrefetcher;
 
 impl Prefetcher for NullPrefetcher {
     fn on_access(&mut self, _access: CacheAccess, _out: &mut Vec<LineAddr>) {}
@@ -229,10 +217,6 @@ impl Prefetcher for NullPrefetcher {
 
     fn name(&self) -> &'static str {
         "none"
-    }
-
-    fn page_size(&self) -> PageSize {
-        self.page
     }
 }
 
@@ -249,7 +233,7 @@ mod tests {
 
     #[test]
     fn null_prefetcher_never_prefetches() {
-        let mut p = NullPrefetcher::new(PageSize::K4);
+        let mut p = NullPrefetcher;
         let mut out = Vec::new();
         p.on_access(
             CacheAccess {
@@ -264,7 +248,7 @@ mod tests {
 
     #[test]
     fn reconfigure_defaults_to_unsupported() {
-        let mut p = NullPrefetcher::new(PageSize::K4);
+        let mut p = NullPrefetcher;
         assert!(!p.reconfigure(&TuneDirective::SetDegree(2)));
         assert!(!p.reconfigure(&TuneDirective::SetEnabled(false)));
         assert!(!p.reconfigure(&TuneDirective::SwitchPrefetcher("bo".into())));

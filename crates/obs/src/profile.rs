@@ -162,11 +162,6 @@ impl HostProfiler {
         }
     }
 
-    /// Whether this profiler records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Begins a phase measurement. Cheap when disabled or when the
     /// call is not sampled.
     #[inline]

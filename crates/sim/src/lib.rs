@@ -47,10 +47,10 @@ pub use config::{
     default_instructions, default_warmup, ConfigError, SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS,
     L3_LATENCY, L3_SIZE, L3_WAYS, MAX_CORES, PREFETCH_QUEUE,
 };
-pub use runner::{default_threads, run_job, run_jobs, speedups, stream_jobs, Job, RunnerError};
+pub use runner::{default_threads, run_job, run_jobs, stream_jobs, Job, RunnerError};
 pub use spec::{prefetchers, PrefetcherSpec, ResolveError};
 pub use system::{SimResult, System};
-pub use uncore::{Uncore, UncoreStats};
+pub use uncore::UncoreStats;
 
 pub use best_offset::{PrefetchSite, SiteDirective, TuneDirective};
 

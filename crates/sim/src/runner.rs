@@ -1,5 +1,5 @@
 //! Experiment runner: maps (benchmark × configuration) grids onto worker
-//! threads and computes paper-style speedup summaries.
+//! threads.
 //!
 //! All entry points return [`RunnerError`] instead of panicking: a
 //! panicking simulation (e.g. a stall assertion) is caught on the worker
@@ -24,7 +24,7 @@ pub struct Job {
     pub config: SimConfig,
 }
 
-/// A failure while running a job grid or pairing its results.
+/// A failure while running a job grid.
 #[derive(Debug, Clone)]
 pub enum RunnerError {
     /// A worker panicked while simulating a job.
@@ -41,22 +41,6 @@ pub enum RunnerError {
         /// The benchmark whose result is missing.
         benchmark: String,
     },
-    /// Speedup pairing was given result sets of different lengths.
-    LengthMismatch {
-        /// Subject result count.
-        subject: usize,
-        /// Baseline result count.
-        baseline: usize,
-    },
-    /// Speedup pairing found different benchmarks at the same position.
-    BenchmarkMismatch {
-        /// Position in the result sets.
-        index: usize,
-        /// Benchmark in the subject set.
-        subject: String,
-        /// Benchmark in the baseline set.
-        baseline: String,
-    },
 }
 
 impl fmt::Display for RunnerError {
@@ -70,18 +54,6 @@ impl fmt::Display for RunnerError {
             RunnerError::MissingResult { benchmark } => {
                 write!(f, "job {benchmark} produced no result")
             }
-            RunnerError::LengthMismatch { subject, baseline } => write!(
-                f,
-                "cannot pair {subject} subject results with {baseline} baseline results"
-            ),
-            RunnerError::BenchmarkMismatch {
-                index,
-                subject,
-                baseline,
-            } => write!(
-                f,
-                "result sets out of order at {index}: subject {subject} vs baseline {baseline}"
-            ),
         }
     }
 }
@@ -188,40 +160,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(2)
-}
-
-/// Pairs each subject result with its baseline by benchmark name and
-/// returns `(benchmark, speedup)` rows.
-///
-/// # Errors
-///
-/// Returns a [`RunnerError`] if the two slices do not cover the same
-/// benchmarks in the same order.
-pub fn speedups(
-    subject: &[SimResult],
-    baseline: &[SimResult],
-) -> Result<Vec<(String, f64)>, RunnerError> {
-    if subject.len() != baseline.len() {
-        return Err(RunnerError::LengthMismatch {
-            subject: subject.len(),
-            baseline: baseline.len(),
-        });
-    }
-    subject
-        .iter()
-        .zip(baseline)
-        .enumerate()
-        .map(|(index, (s, b))| {
-            if s.benchmark != b.benchmark {
-                return Err(RunnerError::BenchmarkMismatch {
-                    index,
-                    subject: s.benchmark.clone(),
-                    baseline: b.benchmark.clone(),
-                });
-            }
-            Ok((s.benchmark.clone(), s.ipc() / b.ipc()))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -339,18 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn speedups_pair_by_name() {
-        let jobs: Vec<Job> = vec![Job {
-            bench: suite::benchmark("456").expect("exists"),
-            config: tiny_cfg(),
-        }];
-        let r = run_jobs(&jobs, 1).expect("job succeeds");
-        let sp = speedups(&r, &r).expect("same set pairs");
-        assert_eq!(sp.len(), 1);
-        assert!((sp[0].1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn worker_panic_names_the_failing_benchmark() {
         // active_cores = 0 trips the System::new assertion; the runner
         // must surface it as an error naming the job, not a panic.
@@ -376,18 +302,5 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn speedup_pairing_errors_are_typed() {
-        let jobs = vec![Job {
-            bench: suite::benchmark("456").expect("exists"),
-            config: tiny_cfg(),
-        }];
-        let r = run_jobs(&jobs, 1).expect("job succeeds");
-        assert!(matches!(
-            speedups(&r, &[]),
-            Err(RunnerError::LengthMismatch { .. })
-        ));
     }
 }

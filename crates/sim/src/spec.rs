@@ -194,7 +194,7 @@ impl PrefetcherSpec {
     /// configuration never builds it here; it gets a null prefetcher.
     pub fn build(&self, page: PageSize) -> Box<dyn Prefetcher> {
         match self {
-            PrefetcherSpec::None | PrefetcherSpec::Stride(_) => Box::new(NullPrefetcher::new(page)),
+            PrefetcherSpec::None | PrefetcherSpec::Stride(_) => Box::new(NullPrefetcher),
             PrefetcherSpec::NextLine => Box::new(FixedOffsetPrefetcher::next_line(page)),
             PrefetcherSpec::Offset(d) => Box::new(FixedOffsetPrefetcher::new(*d, page)),
             PrefetcherSpec::Bo(c) => Box::new(BestOffsetPrefetcher::new(c.clone(), page)),

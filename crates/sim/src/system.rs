@@ -278,11 +278,6 @@ impl System {
         self.steps
     }
 
-    /// Immutable access to the uncore (prefetcher introspection).
-    pub fn uncore(&self) -> &Uncore {
-        &self.uncore
-    }
-
     /// Core-0 statistics so far.
     pub fn core0_stats(&self) -> CoreStats {
         self.cores[0].stats()
@@ -510,8 +505,7 @@ impl System {
                 // Only core 0's record is logged; capture the name of
                 // the prefetcher that *produced* the epoch before any
                 // directive can switch it.
-                let prefetcher =
-                    (c == 0).then(|| self.uncore.l2_prefetcher(core).name().to_string());
+                let prefetcher = (c == 0).then(|| self.uncore.l2_prefetcher_name(core).to_string());
                 let mut directives = Vec::new();
                 policy.on_epoch(&feedback, &mut directives);
                 let mut records = Vec::with_capacity(directives.len());
@@ -524,10 +518,8 @@ impl System {
                     // leave conflicting policies last-core-wins.
                     let applied = match d.site {
                         PrefetchSite::L1D => self.cores[c].reconfigure_l1_prefetcher(&d.directive),
-                        PrefetchSite::L2 => self.uncore.reconfigure_prefetcher(core, &d.directive),
-                        PrefetchSite::L3 => {
-                            c == 0 && self.uncore.reconfigure_l3_prefetcher(&d.directive)
-                        }
+                        PrefetchSite::L3 if c != 0 => false,
+                        PrefetchSite::L2 | PrefetchSite::L3 => self.uncore.reconfigure(core, d),
                     };
                     if applied {
                         telemetry.applied += 1;

@@ -19,21 +19,27 @@
 //! later demand either hits the L3 or merges with the in-flight fill.
 //! With the site empty (the default) every new code path is inert and
 //! the machine is cycle-identical to the pre-site uncore.
+//!
+//! Each private L2 and the L3 hold one [`Site`] record — engine, queue,
+//! candidate buffer and counters — so one code path runs, reconfigures
+//! and counts the prefetchers of both levels.
 
 use crate::config::{
     SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS, L3_LATENCY, L3_SIZE, L3_WAYS, PREFETCH_QUEUE,
 };
 use crate::spec::PrefetcherSpec;
-use best_offset::{AccessOutcome, CacheAccess, PrefetchSite, Prefetcher, TuneDirective};
+use best_offset::{
+    AccessOutcome, CacheAccess, PrefetchSite, Prefetcher, SiteDirective, TuneDirective,
+};
 use bosim_cache::policy::InsertCtx;
 use bosim_cache::policy::PolicyKind;
-use bosim_cache::{CacheArray, FillQueue, PrefetchQueue};
+use bosim_cache::{CacheArray, Evicted, FillQueue, PrefetchQueue};
 use bosim_dram::{MemConfig, MemorySystem, ReadCompletion};
 use bosim_obs::{Event, EventKind, HostProfiler, ObsSite, Phase, PrefetchTelemetry, Recorder};
 use bosim_types::{CoreId, Cycle, LineAddr, PageSize, ReqClass};
 use std::collections::VecDeque;
 
-/// Per-L2 fill-queue payload.
+/// Per-L2 fill-queue payload: where the block goes once it is in the L2.
 #[derive(Debug, Clone, Copy)]
 struct L2Meta {
     /// Forward the block to the core's IL1 fill path.
@@ -42,13 +48,30 @@ struct L2Meta {
     to_dl1: bool,
 }
 
+impl L2Meta {
+    /// Where a request of `class` wants its block: the IL1 for an
+    /// ifetch, the DL1 for any other core-side read. An L2 prefetch
+    /// stops at the L2.
+    fn of(class: ReqClass, ifetch: bool) -> Self {
+        L2Meta {
+            to_il1: ifetch,
+            to_dl1: !ifetch && class != ReqClass::L2Prefetch,
+        }
+    }
+
+    /// Adds the targets of another request for the same block.
+    fn merge(&mut self, other: L2Meta) {
+        self.to_il1 |= other.to_il1;
+        self.to_dl1 |= other.to_dl1;
+    }
+}
+
 /// One forward target recorded in an L3 fill-queue payload.
 #[derive(Debug, Clone, Copy)]
 struct Fwd {
     core: CoreId,
     class: ReqClass,
-    to_il1: bool,
-    to_dl1: bool,
+    meta: L2Meta,
 }
 
 /// L3 fill-queue payload: the cores waiting for the block.
@@ -128,26 +151,104 @@ pub struct UncoreStats {
     pub dram_writebacks: u64,
 }
 
+/// One line-address prefetch site: an engine, its lowest-priority
+/// prefetch queue (§5.4) and the site's counters. Every private L2 holds
+/// one and the shared L3 holds one.
+#[derive(Debug)]
+struct Site {
+    /// The engine (`None` = an empty L3 site, the paper's machine).
+    engine: Option<Box<dyn Prefetcher>>,
+    /// Candidate lines waiting to issue, each with the core whose access
+    /// triggered it (DRAM fairness is accounted per core). Oldest
+    /// entries are cancelled on overflow; the queue counts those.
+    pq: PrefetchQueue,
+    /// Candidate scratch buffer for the engine.
+    cand: Vec<LineAddr>,
+    /// Cumulative usefulness counters.
+    telemetry: PrefetchTelemetry,
+    /// Candidates accepted into the queue.
+    queued: u64,
+    /// Candidates and queued requests dropped because the line was
+    /// already resident, in flight or queued.
+    redundant: u64,
+    /// Requests cancelled under resource pressure once out of the queue.
+    dropped: u64,
+}
+
+impl Site {
+    /// A site running `engine`; `events` arms its event sink.
+    fn new(mut engine: Option<Box<dyn Prefetcher>>, events: bool) -> Self {
+        if let (Some(p), true) = (engine.as_mut(), events) {
+            p.set_event_sink(true);
+        }
+        Site {
+            engine,
+            pq: PrefetchQueue::new(PREFETCH_QUEUE),
+            cand: Vec::new(),
+            telemetry: PrefetchTelemetry::default(),
+            queued: 0,
+            redundant: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Requests cancelled: queue overflows plus resource pressure.
+    fn cancelled(&self) -> u64 {
+        self.pq.cancelled + self.dropped
+    }
+
+    /// Applies a runtime reconfiguration directive to the engine of this
+    /// site, which sits at `at`. [`TuneDirective::SwitchPrefetcher`]
+    /// swaps in a cold build of the named prefetcher when the name parses
+    /// and attaches to `at` (`events` arms its sink); every other
+    /// directive goes to the running engine's
+    /// [`Prefetcher::reconfigure`]. An empty site rejects every
+    /// directive, switches included: a site declared prefetch-free stays
+    /// that way for the whole run. Returns whether the directive was
+    /// applied.
+    fn reconfigure(
+        &mut self,
+        directive: &TuneDirective,
+        at: PrefetchSite,
+        page: PageSize,
+        events: bool,
+    ) -> bool {
+        let Some(engine) = self.engine.as_mut() else {
+            return false;
+        };
+        let TuneDirective::SwitchPrefetcher(name) = directive else {
+            return engine.reconfigure(directive);
+        };
+        match PrefetcherSpec::parse(name) {
+            Ok(spec) if spec.sites().contains(&at) => {
+                *engine = spec.build(page);
+                if events {
+                    engine.set_event_sink(true);
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 /// One core's private L2 complex.
 #[derive(Debug)]
 struct L2 {
     array: CacheArray,
     fq: FillQueue<L2Meta>,
-    pq: PrefetchQueue,
-    prefetcher: Box<dyn Prefetcher>,
+    site: Site,
     stalled: VecDeque<StalledReq>,
     /// (due cycle, line): L3-hit data arriving at the fill queue.
     ready_q: VecDeque<(Cycle, LineAddr)>,
     /// (due cycle, line): blocks forwarded up to the core (DL1/IL1).
     fill_out: VecDeque<(Cycle, LineAddr)>,
     sent_demand_this_cycle: bool,
-    cand_buf: Vec<LineAddr>,
-    telemetry: PrefetchTelemetry,
 }
 
 /// The shared uncore.
 #[derive(Debug)]
-pub struct Uncore {
+pub(crate) struct Uncore {
     /// The page size prefetchers built by switch directives work in.
     page: PageSize,
     l2s: Vec<L2>,
@@ -156,20 +257,12 @@ pub struct Uncore {
     /// (due cycle, request): requests in flight towards the L3.
     l3_in: VecDeque<(Cycle, L3Req)>,
     l3_stalled: VecDeque<L3Req>,
-    /// The L3 prefetch site's engine (`None` = site empty, the paper's
-    /// machine).
-    l3_prefetcher: Option<Box<dyn Prefetcher>>,
-    /// The L3 site's own lowest-priority prefetch queue: candidate lines
-    /// with the core whose access triggered them (for DRAM fairness
-    /// accounting). Oldest entries are cancelled on overflow.
-    l3_pq: PrefetchQueue,
+    /// The shared L3's prefetch site (engine `None` = site empty, the
+    /// paper's machine).
+    l3_site: Site,
     /// Any request reached the L3 this cycle: L3 prefetch issue waits
     /// (lowest priority, mirroring the per-L2 demand gate).
     l3_saw_request: bool,
-    /// Cumulative L3-site telemetry (shared, not per-core).
-    l3_telemetry: PrefetchTelemetry,
-    /// Candidate scratch buffer for the L3 prefetcher.
-    l3_cand_buf: Vec<LineAddr>,
     mem: MemorySystem,
     /// Dirty L3 victims waiting for a DRAM write-queue slot.
     wb_buf: VecDeque<(LineAddr, CoreId)>,
@@ -177,18 +270,20 @@ pub struct Uncore {
     /// Per-core scratch for [`drain_l3_fq`](Self::drain_l3_fq): does the
     /// core need a *new* L2 fill-queue entry for the forwarded block?
     fwd_needs_entry: Vec<bool>,
+    /// The counters no site keeps: plain hits, fill-queue merges, the
+    /// L3's hit/miss classification, L3-prefetch fills and writebacks.
+    /// The fields the sites count stay zero here;
+    /// [`stats`](Self::stats) reads those from the sites.
     stats: UncoreStats,
     /// Cycle-domain event log (`None` = tracing disabled, the default;
     /// every hook below is then a single `if let` branch).
     recorder: Option<Recorder>,
-    /// Scratch buffer for draining prefetcher-internal events (BO
-    /// learning rounds and phase ends).
-    pf_event_buf: Vec<EventKind>,
 }
 
 impl Uncore {
     /// Builds the uncore for `active_cores` cores.
     pub fn new(cfg: &SimConfig) -> Self {
+        let events = cfg.obs.events;
         let l2s = (0..cfg.active_cores)
             .map(|i| L2 {
                 array: CacheArray::new(
@@ -199,17 +294,14 @@ impl Uncore {
                     cfg.seed ^ (i as u64 + 10),
                 ),
                 fq: FillQueue::new(cfg.l2_fill_queue),
-                pq: PrefetchQueue::new(PREFETCH_QUEUE),
-                prefetcher: cfg.l2_prefetcher.build(cfg.page),
+                site: Site::new(Some(cfg.l2_prefetcher.build(cfg.page)), events),
                 stalled: VecDeque::new(),
                 ready_q: VecDeque::new(),
                 fill_out: VecDeque::new(),
                 sent_demand_this_cycle: false,
-                cand_buf: Vec::new(),
-                telemetry: PrefetchTelemetry::default(),
             })
             .collect();
-        let mut u = Uncore {
+        Uncore {
             l3: CacheArray::new(
                 L3_SIZE,
                 L3_WAYS,
@@ -220,11 +312,11 @@ impl Uncore {
             l3_fq: FillQueue::new(cfg.l3_fill_queue),
             l3_in: VecDeque::new(),
             l3_stalled: VecDeque::new(),
-            l3_prefetcher: cfg.l3_prefetcher.as_ref().map(|p| p.build(cfg.page)),
-            l3_pq: PrefetchQueue::new(PREFETCH_QUEUE),
+            l3_site: Site::new(
+                cfg.l3_prefetcher.as_ref().map(|p| p.build(cfg.page)),
+                events,
+            ),
             l3_saw_request: false,
-            l3_telemetry: PrefetchTelemetry::default(),
-            l3_cand_buf: Vec::new(),
             mem: MemorySystem::new(MemConfig {
                 num_cores: cfg.active_cores,
                 ..Default::default()
@@ -233,20 +325,10 @@ impl Uncore {
             completions: Vec::new(),
             fwd_needs_entry: vec![false; cfg.active_cores],
             stats: UncoreStats::default(),
-            recorder: cfg.obs.events.then(|| Recorder::new(cfg.obs.max_events)),
-            pf_event_buf: Vec::new(),
+            recorder: events.then(|| Recorder::new(cfg.obs.max_events)),
             l2s,
             page: cfg.page,
-        };
-        if u.recorder.is_some() {
-            for l2 in &mut u.l2s {
-                l2.prefetcher.set_event_sink(true);
-            }
-            if let Some(p) = u.l3_prefetcher.as_mut() {
-                p.set_event_sink(true);
-            }
         }
-        u
     }
 
     /// Whether cycle-domain event tracing is active.
@@ -283,31 +365,28 @@ impl Uncore {
         }
     }
 
-    /// Drains the prefetcher-internal events (best-offset round/phase
-    /// ends) of the engine at `site` into the shared log. No-op unless
-    /// tracing is enabled (the sinks are only armed then).
-    fn drain_prefetcher_events(&mut self, c: usize, site: ObsSite, now: Cycle) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.pf_event_buf);
-        match site {
-            ObsSite::L3 => {
-                if let Some(p) = self.l3_prefetcher.as_mut() {
-                    p.drain_events(&mut buf);
-                }
-            }
-            _ => self.l2s[c].prefetcher.drain_events(&mut buf),
-        }
-        for kind in buf.drain(..) {
-            self.emit(now, CoreId(c as u8), site, kind);
-        }
-        self.pf_event_buf = buf;
-    }
-
-    /// Statistics snapshot.
+    /// Statistics snapshot. The L2 counters sum over every core's L2;
+    /// the counters a site keeps are read from the sites.
     pub fn stats(&self) -> UncoreStats {
-        self.stats
+        let l2_sites = || self.l2s.iter().map(|l2| &l2.site);
+        let l2 = l2_sites().fold(PrefetchTelemetry::default(), |t, s| t + s.telemetry);
+        let l3 = &self.l3_site;
+        UncoreStats {
+            l2_accesses: l2.accesses,
+            l2_prefetched_hits: l2.useful,
+            l2_misses: l2.misses,
+            l2_prefetches_queued: l2_sites().map(|s| s.queued).sum(),
+            l2_prefetches_issued: l2.issued,
+            l2_prefetches_cancelled: l2_sites().map(Site::cancelled).sum(),
+            l2_prefetches_redundant: l2_sites().map(|s| s.redundant).sum(),
+            l2_prefetch_fills: l2.prefetch_fills,
+            l3_accesses: l3.telemetry.accesses,
+            l3_prefetches_queued: l3.queued,
+            l3_prefetches_issued: l3.telemetry.issued,
+            l3_prefetches_cancelled: l3.cancelled(),
+            l3_prefetches_redundant: l3.redundant,
+            ..self.stats
+        }
     }
 
     /// DRAM statistics (reads/writes/row behaviour).
@@ -315,63 +394,40 @@ impl Uncore {
         self.mem.stats()
     }
 
-    /// Access to the L2 prefetcher of a core (introspection for tests and
-    /// examples).
-    pub fn l2_prefetcher(&self, core: CoreId) -> &dyn Prefetcher {
-        self.l2s[core.index()].prefetcher.as_ref()
-    }
-
-    /// Access to the L3 site's prefetcher, if the site is occupied.
-    pub fn l3_prefetcher(&self) -> Option<&dyn Prefetcher> {
-        self.l3_prefetcher.as_deref()
+    /// The name of a core's L2 prefetcher.
+    pub fn l2_prefetcher_name(&self, core: CoreId) -> &'static str {
+        self.l2s[core.index()]
+            .site
+            .engine
+            .as_ref()
+            .map_or("none", |p| p.name())
     }
 
     /// Snapshot of a core's cumulative L2-site prefetch-usefulness
     /// telemetry.
     pub fn prefetch_telemetry(&self, core: CoreId) -> PrefetchTelemetry {
-        self.l2s[core.index()].telemetry
+        self.l2s[core.index()].site.telemetry
     }
 
     /// Snapshot of the shared L3 site's cumulative telemetry (what its
     /// counters cover at the L3: [`PrefetchTelemetry`]).
     pub fn l3_prefetch_telemetry(&self) -> PrefetchTelemetry {
-        self.l3_telemetry
+        self.l3_site.telemetry
     }
 
-    /// Applies a runtime reconfiguration directive to a core's L2
-    /// prefetcher. [`TuneDirective::SwitchPrefetcher`] is handled here —
-    /// the named prefetcher is built fresh (cold state) and swapped in;
-    /// everything else is delegated to the running prefetcher's
-    /// [`Prefetcher::reconfigure`] hook. Returns whether the directive
+    /// Applies a runtime reconfiguration directive to the engine at the
+    /// site it names: `core`'s L2 or the shared L3 (see
+    /// [`Site::reconfigure`]). The L1D site belongs to the core, so a
+    /// directive for it is rejected here. Returns whether the directive
     /// was applied.
-    pub fn reconfigure_prefetcher(&mut self, core: CoreId, directive: &TuneDirective) -> bool {
+    pub fn reconfigure(&mut self, core: CoreId, d: &SiteDirective) -> bool {
         let events = self.recorder.is_some();
-        let prefetcher = &mut self.l2s[core.index()].prefetcher;
-        match directive {
-            TuneDirective::SwitchPrefetcher(name) => {
-                switch_prefetcher(prefetcher, name, PrefetchSite::L2, self.page, events)
-            }
-            other => prefetcher.reconfigure(other),
-        }
-    }
-
-    /// Applies a runtime reconfiguration directive to the shared L3
-    /// site. [`TuneDirective::SwitchPrefetcher`] rebuilds from the name
-    /// (which must attach to the L3 site); other directives go to the
-    /// running prefetcher. Every directive — switches included — is
-    /// rejected when the site is empty: a configuration declared
-    /// L3-prefetch-free stays that way for the whole run.
-    pub fn reconfigure_l3_prefetcher(&mut self, directive: &TuneDirective) -> bool {
-        let events = self.recorder.is_some();
-        let Some(prefetcher) = self.l3_prefetcher.as_mut() else {
-            return false;
+        let site = match d.site {
+            PrefetchSite::L1D => return false,
+            PrefetchSite::L2 => &mut self.l2s[core.index()].site,
+            PrefetchSite::L3 => &mut self.l3_site,
         };
-        match directive {
-            TuneDirective::SwitchPrefetcher(name) => {
-                switch_prefetcher(prefetcher, name, PrefetchSite::L3, self.page, events)
-            }
-            other => prefetcher.reconfigure(other),
-        }
+        site.reconfigure(&d.directive, d.site, self.page, events)
     }
 
     /// Core cycles one line transfer occupies on a DRAM channel's data
@@ -403,17 +459,15 @@ impl Uncore {
         now: Cycle,
     ) {
         let c = core.index();
-        self.stats.l2_accesses += 1;
-        self.l2s[c].telemetry.accesses += 1;
+        self.l2s[c].site.telemetry.accesses += 1;
         let hit = self.l2s[c].array.access(line, false);
         match hit {
             Some(info) => {
                 let outcome = if info.was_prefetch {
-                    self.stats.l2_prefetched_hits += 1;
                     // First core-side touch of a prefetch-bit line: the
                     // fill was useful (the access cleared the bit, so
                     // this counts once per prefetched fill).
-                    self.l2s[c].telemetry.useful += 1;
+                    self.l2s[c].site.telemetry.useful += 1;
                     self.emit(now, core, ObsSite::L2, EventKind::FirstHit { line: line.0 });
                     AccessOutcome::PrefetchedHit
                 } else {
@@ -422,64 +476,69 @@ impl Uncore {
                 };
                 self.l2s[c].fill_out.push_back((now + L2_LATENCY, line));
                 if !ifetch {
-                    self.run_prefetcher(c, line, outcome, now);
+                    self.run_prefetcher(ObsSite::L2, core, line, outcome, now);
                 }
             }
             None => {
-                self.stats.l2_misses += 1;
-                self.l2s[c].telemetry.misses += 1;
+                self.l2s[c].site.telemetry.misses += 1;
                 // CAM search of the fill queue: late-prefetch promotion.
-                let mut late = false;
-                let merged = {
-                    let l2 = &mut self.l2s[c];
-                    if let Some(e) = l2.fq.find_mut(line) {
-                        if class == ReqClass::Demand {
-                            if e.class == ReqClass::L2Prefetch {
-                                // A correct-but-late prefetch: the demand
-                                // caught the fill in flight.
-                                l2.telemetry.late_promotions += 1;
-                                late = true;
-                            }
-                            e.class = ReqClass::Demand;
-                        }
-                        e.payload.to_il1 |= ifetch;
-                        e.payload.to_dl1 |= !ifetch;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if late {
-                    self.emit(
-                        now,
-                        core,
-                        ObsSite::L2,
-                        EventKind::LateMerge { line: line.0 },
-                    );
-                }
+                let merged = self.merge_l2_fill(core, line, class, ifetch, now);
                 if merged {
                     self.stats.l2_fill_merges += 1;
                     // Also promote a matching in-flight L3 request.
                     self.promote_l3_inflight(core, line, ifetch);
-                    if !ifetch {
-                        self.run_prefetcher(c, line, AccessOutcome::Miss, now);
-                    }
-                    return;
+                } else {
+                    // A pending prefetch-queue request for this line
+                    // becomes this demand miss.
+                    self.l2s[c].site.pq.remove(line);
                 }
-                // A pending prefetch-queue request for this line becomes
-                // this demand miss.
-                self.l2s[c].pq.remove(line);
                 if !ifetch {
-                    self.run_prefetcher(c, line, AccessOutcome::Miss, now);
+                    self.run_prefetcher(ObsSite::L2, core, line, AccessOutcome::Miss, now);
                 }
-                let req = StalledReq {
-                    line,
-                    class,
-                    ifetch,
-                };
-                self.forward_to_l3(core, req, now);
+                if !merged {
+                    let req = StalledReq {
+                        line,
+                        class,
+                        ifetch,
+                    };
+                    self.forward_to_l3(core, req, now);
+                }
             }
         }
+    }
+
+    /// Merges a request into `core`'s pending L2 fill for `line`, if one
+    /// is pending: the block also goes where the request wants it, and a
+    /// demand promotes a prefetch-class entry — a correct but late
+    /// prefetch (§5.4). Returns whether a fill was pending.
+    #[inline]
+    fn merge_l2_fill(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        class: ReqClass,
+        ifetch: bool,
+        now: Cycle,
+    ) -> bool {
+        let l2 = &mut self.l2s[core.index()];
+        let Some(e) = l2.fq.find_mut(line) else {
+            return false;
+        };
+        e.payload.merge(L2Meta::of(class, ifetch));
+        if class == ReqClass::Demand {
+            let late = e.class == ReqClass::L2Prefetch;
+            e.class = ReqClass::Demand;
+            if late {
+                l2.site.telemetry.late_promotions += 1;
+                self.emit(
+                    now,
+                    core,
+                    ObsSite::L2,
+                    EventKind::LateMerge { line: line.0 },
+                );
+            }
+        }
+        true
     }
 
     /// A demand for a line whose L2 entry was released (L3-miss window):
@@ -491,8 +550,7 @@ impl Uncore {
             for f in &mut e.payload.forwards {
                 if f.core == core {
                     f.class = ReqClass::Demand;
-                    f.to_il1 |= ifetch;
-                    f.to_dl1 |= !ifetch;
+                    f.meta.merge(L2Meta::of(ReqClass::Demand, ifetch));
                 }
             }
         }
@@ -513,10 +571,7 @@ impl Uncore {
     /// not issued until there is a free entry").
     fn forward_to_l3(&mut self, core: CoreId, req: StalledReq, now: Cycle) {
         let c = core.index();
-        let meta = L2Meta {
-            to_il1: req.ifetch,
-            to_dl1: !req.ifetch && req.class != ReqClass::L2Prefetch,
-        };
+        let meta = L2Meta::of(req.class, req.ifetch);
         if !self.l2s[c].fq.try_reserve(req.line, req.class, meta) {
             self.l2s[c].stalled.push_back(req);
             return;
@@ -543,63 +598,90 @@ impl Uncore {
         ));
     }
 
-    /// Runs the L2 prefetcher on an eligible access and queues its
-    /// prefetch candidates.
-    fn run_prefetcher(&mut self, c: usize, line: LineAddr, outcome: AccessOutcome, now: Cycle) {
-        let mut cand = std::mem::take(&mut self.l2s[c].cand_buf);
-        cand.clear();
-        self.l2s[c]
-            .prefetcher
-            .on_access(CacheAccess { line, outcome }, &mut cand);
-        self.drain_prefetcher_events(c, ObsSite::L2, now);
-        for &target in &cand {
-            let l2 = &mut self.l2s[c];
-            // Redundancy checks: resident, in flight, or already queued.
-            if l2.array.contains(target) || l2.fq.find(target).is_some() || l2.pq.contains(target) {
-                self.stats.l2_prefetches_redundant += 1;
-                continue;
-            }
-            self.stats.l2_prefetches_queued += 1;
-            let before = l2.pq.cancelled;
-            l2.pq.push(target, CoreId(c as u8));
-            self.stats.l2_prefetches_cancelled += l2.pq.cancelled - before;
+    /// The prefetch site at `at`: core `c`'s L2 or the shared L3.
+    #[inline]
+    fn site(&mut self, at: ObsSite, c: usize) -> &mut Site {
+        match at {
+            ObsSite::L3 => &mut self.l3_site,
+            _ => &mut self.l2s[c].site,
         }
-        self.l2s[c].cand_buf = cand;
     }
 
-    /// Runs the L3-site prefetcher on an eligible L3 access and queues
-    /// its candidates into the site's own lowest-priority queue.
-    fn run_l3_prefetcher(
+    /// Whether the cache at `at` (core `c`'s L2 or the L3) holds `line`
+    /// or has it in flight: the tag checks a prefetch passes before it is
+    /// queued and again before it issues.
+    #[inline]
+    fn holds(&self, at: ObsSite, c: usize, line: LineAddr) -> bool {
+        match at {
+            ObsSite::L3 => self.l3.contains(line) || self.l3_fq.find(line).is_some(),
+            _ => self.l2s[c].array.contains(line) || self.l2s[c].fq.find(line).is_some(),
+        }
+    }
+
+    /// Runs the engine of site `at` on an eligible access by `core` and
+    /// queues its candidates: a candidate the cache holds or the queue
+    /// already has is redundant, and overflow cancels the oldest queued
+    /// request (§5.4).
+    #[inline]
+    fn run_prefetcher(
         &mut self,
+        at: ObsSite,
         core: CoreId,
         line: LineAddr,
         outcome: AccessOutcome,
         now: Cycle,
     ) {
-        let Some(prefetcher) = self.l3_prefetcher.as_mut() else {
+        let c = core.index();
+        // Borrows the site field alone, unlike `self.site`, so the
+        // recorder stays reachable while the engine is borrowed.
+        let site = match at {
+            ObsSite::L3 => &mut self.l3_site,
+            _ => &mut self.l2s[c].site,
+        };
+        let Some(engine) = site.engine.as_mut() else {
             return;
         };
-        let mut cand = std::mem::take(&mut self.l3_cand_buf);
+        let mut cand = std::mem::take(&mut site.cand);
         cand.clear();
-        prefetcher.on_access(CacheAccess { line, outcome }, &mut cand);
-        self.drain_prefetcher_events(core.index(), ObsSite::L3, now);
-        for &target in &cand {
-            // Redundancy checks: resident, in flight, or already queued.
-            if self.l3.contains(target)
-                || self.l3_fq.find(target).is_some()
-                || self.l3_pq.contains(target)
-            {
-                self.stats.l3_prefetches_redundant += 1;
-                continue;
+        engine.on_access(CacheAccess { line, outcome }, &mut cand);
+        if self.recorder.is_some() {
+            // The learning rounds and phases this access ended, if any
+            // (the sink is only armed while tracing).
+            let mut events = Vec::new();
+            engine.drain_events(&mut events);
+            for kind in events {
+                self.emit(now, core, at, kind);
             }
-            self.stats.l3_prefetches_queued += 1;
-            // Queue overflow cancels the oldest entry (§5.4: L2/L3
-            // prefetches can be cancelled at any time).
-            let before = self.l3_pq.cancelled;
-            self.l3_pq.push(target, core);
-            self.stats.l3_prefetches_cancelled += self.l3_pq.cancelled - before;
         }
-        self.l3_cand_buf = cand;
+        for &target in &cand {
+            let held = self.holds(at, c, target);
+            let site = self.site(at, c);
+            if held || site.pq.contains(target) {
+                site.redundant += 1;
+            } else {
+                site.queued += 1;
+                site.pq.push(target, core);
+            }
+        }
+        self.site(at, c).cand = cand;
+    }
+
+    /// Accounts for a line evicted from the cache at `at` (`core`'s L2,
+    /// or the L3 on `core`'s behalf): a line evicted with its prefetch
+    /// bit still set was fetched but never used, and a dirty one is
+    /// written back — an L2 victim into the L3, an L3 victim to DRAM.
+    #[inline]
+    fn evicted(&mut self, at: ObsSite, core: CoreId, ev: Evicted, now: Cycle) {
+        if ev.prefetch {
+            self.site(at, core.index()).telemetry.unused_evicted += 1;
+            self.emit(now, core, at, EventKind::UnusedEvict { line: ev.line.0 });
+        }
+        if ev.dirty {
+            match at {
+                ObsSite::L3 => self.wb_buf.push_back((ev.line, core)),
+                _ => self.l3_writeback(core, ev.line, now),
+            }
+        }
     }
 
     /// Issues at most one L3-site prefetch to DRAM, only on cycles when
@@ -610,17 +692,17 @@ impl Uncore {
         if self.l3_saw_request {
             return;
         }
-        let Some((line, core)) = self.l3_pq.pop() else {
+        let Some((line, core)) = self.l3_site.pq.pop() else {
             return;
         };
         // Mandatory tag checks before issue: the block may have arrived
         // since the candidate was queued.
-        if self.l3.contains(line) || self.l3_fq.find(line).is_some() {
-            self.stats.l3_prefetches_redundant += 1;
+        if self.holds(ObsSite::L3, core.index(), line) {
+            self.l3_site.redundant += 1;
             return;
         }
         if self.l3_fq.is_full() || !self.mem.can_accept_read(line, core) {
-            self.stats.l3_prefetches_cancelled += 1;
+            self.l3_site.dropped += 1;
             self.emit(
                 now,
                 core,
@@ -641,12 +723,12 @@ impl Uncore {
         );
         debug_assert!(reserved, "checked for space above");
         // A DRAM read is only ever pending under an L3 fill-queue entry,
-        // and the entry outlives the read: the `find` above rules it out.
+        // and the entry outlives the read: the tag check above rules it
+        // out.
         debug_assert!(!self.mem.has_pending_read(line));
         let accepted = self.mem.enqueue_read(line, core, 0, now);
         debug_assert!(accepted, "checked for space above");
-        self.stats.l3_prefetches_issued += 1;
-        self.l3_telemetry.issued += 1;
+        self.l3_site.telemetry.issued += 1;
         self.emit(
             now,
             core,
@@ -677,18 +759,7 @@ impl Uncore {
             },
         );
         if let Some(ev) = evicted {
-            if ev.prefetch {
-                self.l2s[c].telemetry.unused_evicted += 1;
-                self.emit(
-                    now,
-                    core,
-                    ObsSite::L2,
-                    EventKind::UnusedEvict { line: ev.line.0 },
-                );
-            }
-            if ev.dirty {
-                self.l3_writeback(core, ev.line, now);
-            }
+            self.evicted(ObsSite::L2, core, ev, now);
         }
     }
 
@@ -708,19 +779,7 @@ impl Uncore {
             },
         );
         if let Some(ev) = evicted {
-            if ev.prefetch {
-                // An untouched prefetch-bit line fell out of the L3.
-                self.l3_telemetry.unused_evicted += 1;
-                self.emit(
-                    now,
-                    core,
-                    ObsSite::L3,
-                    EventKind::UnusedEvict { line: ev.line.0 },
-                );
-            }
-            if ev.dirty {
-                self.wb_buf.push_back((ev.line, core));
-            }
+            self.evicted(ObsSite::L3, core, ev, now);
         }
     }
 
@@ -731,8 +790,7 @@ impl Uncore {
         self.l3_saw_request = true;
         let first_arrival = !req.counted;
         if first_arrival {
-            self.stats.l3_accesses += 1;
-            self.l3_telemetry.accesses += 1;
+            self.l3_site.telemetry.accesses += 1;
         }
         let hit = self.l3.access(req.line, false);
         if let Some(info) = hit {
@@ -740,7 +798,7 @@ impl Uncore {
                 // First touch from above of a prefetch-bit L3 line: the
                 // fill was useful (the access cleared the bit, so this
                 // counts once per prefetched fill).
-                self.l3_telemetry.useful += 1;
+                self.l3_site.telemetry.useful += 1;
                 self.emit(
                     now,
                     req.core,
@@ -756,49 +814,27 @@ impl Uncore {
                 } else {
                     AccessOutcome::Hit
                 };
-                self.run_l3_prefetcher(req.core, req.line, outcome, now);
+                self.run_prefetcher(ObsSite::L3, req.core, req.line, outcome, now);
             }
-            if req.counted {
-                // A stalled-then-retried request whose block landed in
-                // the L3 while it waited (another core's fill or a
-                // writeback-allocate). Its L2 fill-queue entry was
-                // released on the first (miss) arrival, so it must be
-                // re-reserved before the L3-hit data can be accepted.
-                // The request is recorded as a hit — no DRAM fetch of
-                // its own services it (classification happens here, at
-                // service time, never at the stalled first arrival).
-                let l2 = &mut self.l2s[req.core.index()];
-                let mut late = false;
-                if let Some(e) = l2.fq.find_mut(req.line) {
-                    if req.class == ReqClass::Demand {
-                        if e.class == ReqClass::L2Prefetch {
-                            l2.telemetry.late_promotions += 1;
-                            late = true;
-                        }
-                        e.class = ReqClass::Demand;
-                    }
-                    e.payload.to_il1 |= req.ifetch;
-                    e.payload.to_dl1 |= !req.ifetch && req.class != ReqClass::L2Prefetch;
-                    if late {
-                        self.emit(
-                            now,
-                            req.core,
-                            ObsSite::L2,
-                            EventKind::LateMerge { line: req.line.0 },
-                        );
-                    }
-                } else if !l2.fq.try_reserve(
+            // A stalled-then-retried request whose block landed in the
+            // L3 while it waited (another core's fill or a
+            // writeback-allocate). Its L2 fill-queue entry was released
+            // on the first (miss) arrival, so it must be re-reserved
+            // before the L3-hit data can be accepted. The request is
+            // recorded as a hit — no DRAM fetch of its own services it
+            // (classification happens here, at service time, never at
+            // the stalled first arrival).
+            if req.counted
+                && !self.merge_l2_fill(req.core, req.line, req.class, req.ifetch, now)
+                && !self.l2s[req.core.index()].fq.try_reserve(
                     req.line,
                     req.class,
-                    L2Meta {
-                        to_il1: req.ifetch,
-                        to_dl1: !req.ifetch && req.class != ReqClass::L2Prefetch,
-                    },
-                ) {
-                    // No free L2 entry: the retry stays stalled.
-                    self.l3_stalled.push_back(req);
-                    return;
-                }
+                    L2Meta::of(req.class, req.ifetch),
+                )
+            {
+                // No free L2 entry: the retry stays stalled.
+                self.l3_stalled.push_back(req);
+                return;
             }
             self.stats.l3_hits += 1;
             // Data returns to the requesting L2 after the L3 latency.
@@ -808,9 +844,9 @@ impl Uncore {
             return;
         }
         if first_arrival {
-            self.l3_telemetry.misses += 1;
+            self.l3_site.telemetry.misses += 1;
             if !req.ifetch {
-                self.run_l3_prefetcher(req.core, req.line, AccessOutcome::Miss, now);
+                self.run_prefetcher(ObsSite::L3, req.core, req.line, AccessOutcome::Miss, now);
             }
         }
         // The miss is recorded at the terminal outcome below (merge,
@@ -827,8 +863,7 @@ impl Uncore {
         let fwd = Fwd {
             core: req.core,
             class: req.class,
-            to_il1: req.ifetch,
-            to_dl1: !req.ifetch && req.class != ReqClass::L2Prefetch,
+            meta: L2Meta::of(req.class, req.ifetch),
         };
         // Merge into a pending L3 fill (the block is already on its way).
         let mut late_l3 = false;
@@ -838,7 +873,7 @@ impl Uncore {
                 if e.class == ReqClass::L3Prefetch {
                     // The demand caught an L3-site prefetch in flight:
                     // correct but late, charged to the shared L3 site.
-                    self.l3_telemetry.late_promotions += 1;
+                    self.l3_site.telemetry.late_promotions += 1;
                     late_l3 = true;
                 }
                 if e.class == ReqClass::L2Prefetch && req.core == e.payload.requester {
@@ -849,7 +884,7 @@ impl Uncore {
                     // issuer's (re-reserved) L2 entry prefetch-class,
                     // and a later same-core merge *there* would count
                     // the same prefetch a second time.
-                    self.l2s[req.core.index()].telemetry.late_promotions += 1;
+                    self.l2s[req.core.index()].site.telemetry.late_promotions += 1;
                     late_l2 = true;
                 }
                 e.class = ReqClass::Demand;
@@ -880,7 +915,7 @@ impl Uncore {
             if req.class == ReqClass::L2Prefetch {
                 // Prefetches are cancelled, not retried (§5.4).
                 self.stats.l3_misses += 1;
-                self.stats.l2_prefetches_cancelled += 1;
+                self.l2s[req.core.index()].site.dropped += 1;
                 self.emit(
                     now,
                     req.core,
@@ -932,7 +967,10 @@ impl Uncore {
                 return;
             }
         }
-        let entry = self.l3_fq.pop_ready().expect("peeked above"); // bosim-lint: allow(P002, pop follows a successful peek_ready)
+        // The peek above found a ready entry, so this pop returns it.
+        let Some(entry) = self.l3_fq.pop_ready() else {
+            return;
+        };
         let demand = entry.class == ReqClass::Demand;
         // Mandatory tag check: no duplicates (§5.4).
         if !self.l3.contains(entry.line) {
@@ -949,7 +987,7 @@ impl Uncore {
                 // Every prefetch-class insertion counts toward the L3
                 // site's resolution invariant (L2 prefetches fill the
                 // L3 on their way up, §5.4).
-                self.l3_telemetry.prefetch_fills += 1;
+                self.l3_site.telemetry.prefetch_fills += 1;
                 self.emit(
                     now,
                     entry.payload.requester,
@@ -961,21 +999,10 @@ impl Uncore {
                 self.stats.l3_prefetch_fills += 1;
             }
             if let Some(ev) = evicted {
-                if ev.prefetch {
-                    self.l3_telemetry.unused_evicted += 1;
-                    self.emit(
-                        now,
-                        entry.payload.requester,
-                        ObsSite::L3,
-                        EventKind::UnusedEvict { line: ev.line.0 },
-                    );
-                }
-                if ev.dirty {
-                    self.wb_buf.push_back((ev.line, entry.payload.requester));
-                }
+                self.evicted(ObsSite::L3, entry.payload.requester, ev, now);
             }
         }
-        if let Some(p) = self.l3_prefetcher.as_mut() {
+        if let Some(p) = self.l3_site.engine.as_mut() {
             p.on_fill(entry.line, entry.class == ReqClass::L3Prefetch);
         }
         // Forward to the L2 fill queues (ready immediately: the block is
@@ -988,20 +1015,11 @@ impl Uncore {
                 if f.class == ReqClass::Demand {
                     e.class = ReqClass::Demand;
                 }
-                e.payload.to_il1 |= f.to_il1;
-                e.payload.to_dl1 |= f.to_dl1;
-                l2.fq.set_ready(entry.line);
-                continue;
+                e.payload.merge(f.meta);
+            } else {
+                let ok = l2.fq.try_reserve(entry.line, f.class, f.meta);
+                debug_assert!(ok, "capacity checked above");
             }
-            let ok = l2.fq.try_reserve(
-                entry.line,
-                f.class,
-                L2Meta {
-                    to_il1: f.to_il1,
-                    to_dl1: f.to_dl1,
-                },
-            );
-            debug_assert!(ok, "capacity checked above");
             l2.fq.set_ready(entry.line);
         }
     }
@@ -1022,6 +1040,7 @@ impl Uncore {
         let Some(entry) = self.l2s[c].fq.pop_ready() else {
             return;
         };
+        let core = CoreId(c as u8);
         let prefetched = entry.class == ReqClass::L2Prefetch;
         // Mandatory tag check before inserting a prefetched block (§5.4)
         // — applied to all fills: blocks must never be duplicated.
@@ -1032,37 +1051,25 @@ impl Uncore {
                 false,
                 InsertCtx {
                     demand: !prefetched,
-                    core: CoreId(c as u8),
+                    core,
                 },
             );
             if prefetched {
-                self.stats.l2_prefetch_fills += 1;
-                self.l2s[c].telemetry.prefetch_fills += 1;
+                self.l2s[c].site.telemetry.prefetch_fills += 1;
                 self.emit(
                     now,
-                    CoreId(c as u8),
+                    core,
                     ObsSite::L2,
                     EventKind::PrefetchFill { line: entry.line.0 },
                 );
             }
             if let Some(ev) = evicted {
-                if ev.prefetch {
-                    // Evicted with the prefetch bit still set: fetched
-                    // but never used.
-                    self.l2s[c].telemetry.unused_evicted += 1;
-                    self.emit(
-                        now,
-                        CoreId(c as u8),
-                        ObsSite::L2,
-                        EventKind::UnusedEvict { line: ev.line.0 },
-                    );
-                }
-                if ev.dirty {
-                    self.l3_writeback(CoreId(c as u8), ev.line, now);
-                }
+                self.evicted(ObsSite::L2, core, ev, now);
             }
         }
-        self.l2s[c].prefetcher.on_fill(entry.line, prefetched);
+        if let Some(p) = self.l2s[c].site.engine.as_mut() {
+            p.on_fill(entry.line, prefetched);
+        }
         if entry.payload.to_dl1 || entry.payload.to_il1 {
             self.l2s[c].fill_out.push_back((now + 1, entry.line));
         }
@@ -1071,27 +1078,25 @@ impl Uncore {
     /// Issues at most one prefetch-queue request to the L3, only when the
     /// core sent no demand request this cycle (lowest priority, §5.4).
     fn issue_prefetch(&mut self, c: usize, now: Cycle) {
-        if self.l2s[c].sent_demand_this_cycle {
-            return;
-        }
+        let l2 = &mut self.l2s[c];
         // Peek: if the L2 fill queue is full, leave the request queued.
-        if self.l2s[c].fq.is_full() {
+        if l2.sent_demand_this_cycle || l2.fq.is_full() {
             return;
         }
-        let Some((line, _)) = self.l2s[c].pq.pop() else {
+        let Some((line, _)) = l2.site.pq.pop() else {
             return;
         };
         // Tag checks before issue (§6.3: mandatory for SBP, cheap and
         // harmless for the others).
-        if self.l2s[c].array.contains(line) || self.l2s[c].fq.find(line).is_some() {
-            self.stats.l2_prefetches_redundant += 1;
+        if self.holds(ObsSite::L2, c, line) {
+            self.l2s[c].site.redundant += 1;
             return;
         }
-        self.stats.l2_prefetches_issued += 1;
-        self.l2s[c].telemetry.issued += 1;
+        self.l2s[c].site.telemetry.issued += 1;
+        let core = CoreId(c as u8);
         self.emit(
             now,
-            CoreId(c as u8),
+            core,
             ObsSite::L2,
             EventKind::PrefetchIssued { line: line.0 },
         );
@@ -1100,7 +1105,7 @@ impl Uncore {
             class: ReqClass::L2Prefetch,
             ifetch: false,
         };
-        self.forward_to_l3(CoreId(c as u8), req, now);
+        self.forward_to_l3(core, req, now);
     }
 
     /// One-line state dump for stall diagnostics.
@@ -1128,7 +1133,7 @@ impl Uncore {
                         ))
                         .collect::<Vec<_>>()
                         .join(","),
-                    l2.pq.len(),
+                    l2.site.pq.len(),
                     l2.stalled.len(),
                     l2.ready_q.len(),
                     l2.fill_out.len(),
@@ -1136,7 +1141,7 @@ impl Uncore {
             })
             .collect();
         format!(
-            "l3_fq={}/{} [{}] l3_in={} l3_stalled={} l3_pq={} wb={} | L2: {}",
+            "l3_fq={}/{} [{}] l3_in={} l3_stalled={} l3_site_pq={} wb={} | L2: {}",
             self.l3_fq.len(),
             self.l3_fq.capacity(),
             self.l3_fq
@@ -1146,7 +1151,7 @@ impl Uncore {
                 .join(","),
             self.l3_in.len(),
             self.l3_stalled.len(),
-            self.l3_pq.len(),
+            self.l3_site.pq.len(),
             self.wb_buf.len(),
             l2s.join(" || ")
         )
@@ -1207,7 +1212,7 @@ impl Uncore {
             let l2 = &mut self.l2s[c];
             let idle = !l2.fq.has_ready()
                 && l2.stalled.is_empty()
-                && l2.pq.is_empty()
+                && l2.site.pq.is_empty()
                 && l2.ready_q.front().is_none_or(|&(t, _)| t > now)
                 && l2.fill_out.front().is_none_or(|&(t, _)| t > now);
             if idle {
@@ -1216,31 +1221,12 @@ impl Uncore {
                 continue;
             }
             self.drain_l2_fq(c, now);
-            // Retry one stalled demand request.
+            // Retry one stalled demand request: it may now merge with an
+            // in-flight fill.
             if let Some(req) = self.l2s[c].stalled.pop_front() {
-                // It may now merge with an in-flight fill.
-                let l2 = &mut self.l2s[c];
-                let mut late = false;
-                if let Some(e) = l2.fq.find_mut(req.line) {
-                    if req.class == ReqClass::Demand {
-                        if e.class == ReqClass::L2Prefetch {
-                            l2.telemetry.late_promotions += 1;
-                            late = true;
-                        }
-                        e.class = ReqClass::Demand;
-                    }
-                    e.payload.to_il1 |= req.ifetch;
-                    e.payload.to_dl1 |= !req.ifetch;
-                    if late {
-                        self.emit(
-                            now,
-                            CoreId(c as u8),
-                            ObsSite::L2,
-                            EventKind::LateMerge { line: req.line.0 },
-                        );
-                    }
-                } else {
-                    self.forward_to_l3(CoreId(c as u8), req, now);
+                let core = CoreId(c as u8);
+                if !self.merge_l2_fill(core, req.line, req.class, req.ifetch, now) {
+                    self.forward_to_l3(core, req, now);
                 }
             }
             self.issue_prefetch(c, now);
@@ -1287,7 +1273,7 @@ impl Uncore {
         if !self.l3_stalled.is_empty()
             || self.l3_fq.has_ready()
             || !self.wb_buf.is_empty()
-            || !self.l3_pq.is_empty()
+            || !self.l3_site.pq.is_empty()
         {
             return from;
         }
@@ -1299,7 +1285,7 @@ impl Uncore {
             t = t.min(d);
         }
         for l2 in &self.l2s {
-            if l2.fq.has_ready() || !l2.stalled.is_empty() || !l2.pq.is_empty() {
+            if l2.fq.has_ready() || !l2.stalled.is_empty() || !l2.site.pq.is_empty() {
                 return from;
             }
             if let Some(&(d, _)) = l2.ready_q.front() {
@@ -1316,28 +1302,6 @@ impl Uncore {
             }
         }
         t.min(self.mem.next_event(from).unwrap_or(Cycle::MAX))
-    }
-}
-
-/// Replaces `prefetcher` with a cold build of the one `name` names, when
-/// the name parses and attaches to `site`; `events` turns on the new
-/// engine's event sink. Returns whether the switch happened.
-fn switch_prefetcher(
-    prefetcher: &mut Box<dyn Prefetcher>,
-    name: &str,
-    site: PrefetchSite,
-    page: PageSize,
-    events: bool,
-) -> bool {
-    match PrefetcherSpec::parse(name) {
-        Ok(spec) if spec.sites().contains(&site) => {
-            *prefetcher = spec.build(page);
-            if events {
-                prefetcher.set_event_sink(true);
-            }
-            true
-        }
-        _ => false,
     }
 }
 
@@ -1640,6 +1604,76 @@ mod tests {
         assert_eq!((s.l3_accesses, s.l3_hits, s.l3_misses), (2, 1, 1), "{s:?}");
     }
 
+    /// Fills delivered to the core for `line`.
+    fn fills_of(fills: &[(CoreId, LineAddr)], line: LineAddr) -> usize {
+        fills.iter().filter(|&&(_, l)| l == line).count()
+    }
+
+    /// The stalled-request retry merge: with a one-entry L2 fill queue
+    /// held by A, two same-cycle reads of X (data, then ifetch) both
+    /// stall. The first retry reserves X's entry and the second merges
+    /// into it, so X reaches the core once.
+    #[test]
+    fn stalled_retry_merges_into_the_pending_fill() {
+        let cfg = SimConfig {
+            active_cores: 1,
+            page: PageSize::M4,
+            l2_prefetcher: crate::prefetchers::none(),
+            l2_fill_queue: 1,
+            ..Default::default()
+        };
+        let mut u = Uncore::new(&cfg);
+        let x = LineAddr(0x6100);
+        u.core_read(CoreId(0), LineAddr(0x6000), ReqClass::Demand, false, 0);
+        u.core_read(CoreId(0), x, ReqClass::Demand, false, 0);
+        u.core_read(CoreId(0), x, ReqClass::Demand, true, 0);
+        let mut fills = Vec::new();
+        for now in 0..5000 {
+            u.tick(now, &mut fills, &mut prof());
+        }
+        assert_eq!(fills_of(&fills, x), 1, "{fills:?}");
+        assert_eq!(u.stats().l3_accesses, 2, "{:?}", u.stats());
+    }
+
+    /// The retried-hit merge: B stalls at the L3 and lands there by
+    /// writeback while it waits, as in
+    /// `stalled_then_retried_request_recorded_as_hit`; reading B again
+    /// re-reserves its L2 entry first, so the retry that hits merges into
+    /// that entry. B reaches the core once.
+    #[test]
+    fn retried_hit_merges_into_a_rerequested_fill() {
+        let cfg = SimConfig {
+            active_cores: 1,
+            page: PageSize::M4,
+            l2_prefetcher: crate::prefetchers::none(),
+            l3_fill_queue: 1,
+            ..Default::default()
+        };
+        let mut u = Uncore::new(&cfg);
+        let mut fills = Vec::new();
+        u.core_read(CoreId(0), LineAddr(0x5000), ReqClass::Demand, false, 0);
+        for now in 0..15 {
+            u.tick(now, &mut fills, &mut prof());
+        }
+        let b = LineAddr(0x7000);
+        u.core_read(CoreId(0), b, ReqClass::Demand, false, 15);
+        for now in 15..30 {
+            u.tick(now, &mut fills, &mut prof());
+        }
+        u.core_writeback(CoreId(0), b, 30);
+        for k in 1..=9u64 {
+            u.core_writeback(CoreId(0), LineAddr(b.0 + k * 1024), 30);
+        }
+        u.core_read(CoreId(0), b, ReqClass::Demand, false, 30);
+        for now in 30..5000 {
+            u.tick(now, &mut fills, &mut prof());
+        }
+        assert_eq!(fills_of(&fills, b), 1, "{fills:?}");
+        // The re-read is an L3 access of its own, and hits too.
+        let s = u.stats();
+        assert_eq!((s.l3_accesses, s.l3_hits, s.l3_misses), (3, 2, 1), "{s:?}");
+    }
+
     #[test]
     fn telemetry_counts_useful_fills() {
         let mut u = uncore(crate::prefetchers::next_line());
@@ -1706,23 +1740,35 @@ mod tests {
         assert!(t.useful + t.unused_evicted <= t.prefetch_fills, "{t:?}");
     }
 
+    /// Applies `d` at site `at` on core 0's behalf.
+    fn tune(u: &mut Uncore, at: PrefetchSite, d: TuneDirective) -> bool {
+        u.reconfigure(CoreId(0), &d.at(at))
+    }
+
     #[test]
     fn reconfigure_applies_directives_and_switches_prefetchers() {
+        use PrefetchSite::L2;
         let mut u = uncore(crate::prefetchers::bo_default());
-        assert!(u.reconfigure_prefetcher(CoreId(0), &TuneDirective::SetDegree(2)));
-        assert!(!u.reconfigure_prefetcher(CoreId(0), &TuneDirective::SetDegree(9)));
-        assert!(u.reconfigure_prefetcher(CoreId(0), &TuneDirective::SetEnabled(false)));
+        assert!(tune(&mut u, L2, TuneDirective::SetDegree(2)));
+        assert!(!tune(&mut u, L2, TuneDirective::SetDegree(9)));
+        assert!(tune(&mut u, L2, TuneDirective::SetEnabled(false)));
         // Switch to a registered prefetcher: fresh state, new name.
-        assert!(
-            u.reconfigure_prefetcher(CoreId(0), &TuneDirective::SwitchPrefetcher("none".into()))
-        );
-        assert_eq!(u.l2_prefetcher(CoreId(0)).name(), "none");
-        // Unknown names are rejected, prefetcher unchanged.
-        assert!(!u.reconfigure_prefetcher(
-            CoreId(0),
-            &TuneDirective::SwitchPrefetcher("definitely-not-registered".into())
+        assert!(tune(
+            &mut u,
+            L2,
+            TuneDirective::SwitchPrefetcher("none".into())
         ));
-        assert_eq!(u.l2_prefetcher(CoreId(0)).name(), "none");
+        assert_eq!(u.l2_prefetcher_name(CoreId(0)), "none");
+        // Unknown names are rejected, prefetcher unchanged.
+        let unknown = TuneDirective::SwitchPrefetcher("definitely-not-registered".into());
+        assert!(!tune(&mut u, L2, unknown));
+        assert_eq!(u.l2_prefetcher_name(CoreId(0)), "none");
+        // The L1D engine is the core's: the uncore rejects its directives.
+        assert!(!tune(
+            &mut u,
+            PrefetchSite::L1D,
+            TuneDirective::SetEnabled(false)
+        ));
     }
 
     #[test]
@@ -1731,19 +1777,21 @@ mod tests {
         // even a SwitchPrefetcher directive cannot conjure an engine
         // into the empty site mid-run.
         let mut u = uncore(crate::prefetchers::bo_default());
-        assert!(u.l3_prefetcher().is_none());
+        assert!(u.l3_site.engine.is_none());
         for d in [
             TuneDirective::SwitchPrefetcher("next-line".into()),
             TuneDirective::SetEnabled(false),
             TuneDirective::SetDegree(1),
         ] {
-            assert!(!u.reconfigure_l3_prefetcher(&d), "{d}");
+            let shown = d.to_string();
+            assert!(!tune(&mut u, PrefetchSite::L3, d), "{shown}");
         }
-        assert!(u.l3_prefetcher().is_none(), "site must stay empty");
+        assert!(u.l3_site.engine.is_none(), "site must stay empty");
     }
 
     #[test]
     fn occupied_l3_site_switches_and_gates() {
+        use PrefetchSite::L3;
         let cfg = SimConfig {
             active_cores: 1,
             page: PageSize::M4,
@@ -1752,11 +1800,20 @@ mod tests {
             ..Default::default()
         };
         let mut u = Uncore::new(&cfg);
-        assert!(u.reconfigure_l3_prefetcher(&TuneDirective::SetEnabled(false)));
-        assert!(u.reconfigure_l3_prefetcher(&TuneDirective::SwitchPrefetcher("offset-4".into())));
-        assert_eq!(u.l3_prefetcher().expect("occupied").name(), "fixed-offset");
+        assert!(tune(&mut u, L3, TuneDirective::SetEnabled(false)));
+        assert!(tune(
+            &mut u,
+            L3,
+            TuneDirective::SwitchPrefetcher("offset-4".into())
+        ));
+        let engine = u.l3_site.engine.as_ref().expect("occupied");
+        assert_eq!(engine.name(), "fixed-offset");
         // L1D-only specs cannot be switched into the L3 site.
-        assert!(!u.reconfigure_l3_prefetcher(&TuneDirective::SwitchPrefetcher("stride".into())));
+        assert!(!tune(
+            &mut u,
+            L3,
+            TuneDirective::SwitchPrefetcher("stride".into())
+        ));
     }
 
     #[test]

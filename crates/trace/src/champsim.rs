@@ -55,11 +55,9 @@
 //! ```
 
 use crate::record::{BranchInfo, MemRef, MicroOp, Reg, UopKind, NUM_REGS};
-use crate::source::ReplaySource;
 use bosim_types::VirtAddr;
 use std::fmt;
 use std::io::Read;
-use std::path::Path;
 
 /// Size of one ChampSim instruction record.
 pub const RECORD_BYTES: usize = 64;
@@ -329,18 +327,6 @@ pub fn decode(reader: impl Read) -> Result<Vec<MicroOp>, ChampSimError> {
     Ok(lower(&decode_records(reader)?))
 }
 
-/// Loads a ChampSim trace file into a looping [`ReplaySource`] named
-/// `name`.
-///
-/// # Errors
-///
-/// Returns I/O and decode errors (see [`ChampSimError`]).
-pub fn load_replay(path: &Path, name: &str) -> Result<ReplaySource, ChampSimError> {
-    let file = std::fs::File::open(path)?;
-    let uops = decode(std::io::BufReader::new(file))?;
-    Ok(ReplaySource::new(name, uops))
-}
-
 /// Encodes a µop stream as ChampSim records — the inverse of
 /// [`decode`], up to the lossiness of the format: every µop kind that
 /// ChampSim cannot express (FP, multiplies, jumps, ...) flattens to a
@@ -417,7 +403,7 @@ pub fn encode(uops: &[MicroOp]) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::source::{capture, TraceSource};
-    use crate::suite;
+    use crate::{suite, ExternalSpec, TraceFormat};
 
     fn record(ip: u64) -> ChampSimRecord {
         ChampSimRecord {
@@ -540,7 +526,10 @@ mod tests {
             std::env::temp_dir().join(format!("bosim_champsim_{}.champsim", std::process::id()));
         let uops = capture(&mut suite::benchmark("462").unwrap().build(), 2_000);
         std::fs::write(&path, encode(&uops)).unwrap();
-        let replay = load_replay(&path, "462.champsim").unwrap();
+        let replay = ExternalSpec::new(&path, TraceFormat::ChampSim)
+            .named("462.champsim")
+            .load()
+            .unwrap();
         assert!(replay.lap_len() > 0);
         assert_eq!(replay.name(), "462.champsim");
         let _ = std::fs::remove_file(&path);

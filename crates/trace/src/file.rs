@@ -3,7 +3,8 @@
 //! The paper's methodology stitches recorded trace samples (§5); this
 //! module provides an equivalent capability: [`encode`] a prefix captured
 //! from any [`TraceSource`](crate::TraceSource) to a compact binary
-//! buffer, write it to a file, and replay it later with [`load_replay`].
+//! buffer, write it to a file, and replay it later with
+//! [`ExternalSpec::load`](crate::ExternalSpec::load).
 //!
 //! Format (little endian), per record (30 bytes fixed):
 //!
@@ -15,12 +16,8 @@
 //! A 16-byte header carries a magic, version and record count.
 
 use crate::record::{BranchInfo, MemRef, MicroOp, Reg, UopKind};
-use crate::source::ReplaySource;
 use bosim_types::VirtAddr;
 use std::fmt;
-use std::fs::File;
-use std::io::Read as _;
-use std::path::Path;
 
 pub(crate) const MAGIC: u32 = 0xB05_7ACE;
 const VERSION: u16 = 1;
@@ -294,32 +291,11 @@ pub fn decode(buf: &[u8]) -> Result<Vec<MicroOp>, TraceFileError> {
     Ok(out)
 }
 
-/// Loads a trace file into a looping [`ReplaySource`].
-///
-/// # Errors
-///
-/// Returns decode or I/O errors; an empty trace is rejected as
-/// [`TraceFileError::Corrupt`].
-pub fn load_replay(path: &Path, name: &str) -> Result<ReplaySource, TraceFileError> {
-    let mut f = File::open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    let uops = decode(&buf)?;
-    if uops.is_empty() {
-        return Err(TraceFileError::Corrupt {
-            what: "empty trace",
-            record: 0,
-            offset: HEADER_BYTES,
-        });
-    }
-    Ok(ReplaySource::new(name, uops))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::capture;
-    use crate::suite;
+    use crate::{suite, ExternalSpec, TraceFormat};
 
     #[test]
     fn roundtrip_preserves_uops() {
@@ -393,7 +369,10 @@ mod tests {
         let path = dir.join(format!("bosim_trace_test_{}.btrace", std::process::id()));
         let spec = suite::benchmark("456").unwrap();
         std::fs::write(&path, encode(&capture(&mut spec.build(), 500))).unwrap();
-        let mut replay = load_replay(&path, "456-replayed").unwrap();
+        let mut replay = ExternalSpec::new(&path, TraceFormat::Native)
+            .named("456-replayed")
+            .load()
+            .unwrap();
         assert_eq!(replay.lap_len(), 500);
         let replayed = capture(&mut replay, 500);
         let original = capture(&mut spec.build(), 500);
