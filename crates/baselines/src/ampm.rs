@@ -121,11 +121,15 @@ impl AmpmPrefetcher {
         let way = match slice.iter().position(|z| z.valid && z.tag == zone_id) {
             Some(w) => w,
             None => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "replacement set is structurally non-empty"
+                )]
                 let w = (0..ways)
                     .max_by_key(|&i| {
                         (if slice[i].valid { 0u16 } else { 256 }) + slice[i].lru as u16
                     })
-                    .expect("non-empty set"); // bosim-lint: allow(P002, replacement set is structurally non-empty)
+                    .expect("non-empty set");
                 slice[w].valid = true;
                 slice[w].tag = zone_id;
                 slice[w].map = [0; ZONE_WORDS];

@@ -176,9 +176,13 @@ impl StridePrefetcher {
             }
             None => {
                 // Allocate the LRU way.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "replacement set is structurally non-empty"
+                )]
                 let w = (0..set.len())
                     .max_by_key(|&i| if set[i].valid { set[i].lru } else { u8::MAX })
-                    .expect("non-empty set"); // bosim-lint: allow(P002, replacement set is structurally non-empty)
+                    .expect("non-empty set");
                 set[w] = StrideEntry {
                     valid: true,
                     pc,

@@ -31,7 +31,7 @@ use crate::{cfg_label, selected_benchmarks, six_baselines, threads};
 use bosim::{run_jobs, ConfigError, Job, RunnerError, SimConfig, SimResult};
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::{fnv64, PageSize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The per-run quantity an experiment reports.
@@ -194,11 +194,14 @@ impl Experiment {
     ///
     /// Panics on an unknown id — harness binaries treat that as a usage
     /// error.
+    #[expect(
+        clippy::panic,
+        reason = "harness entry point; env-var benchmark lists fail fast by design"
+    )]
     pub fn benchmark_ids(self, ids: &[&str]) -> Self {
         self.benchmarks(
             ids.iter()
                 .map(|id| {
-                    // bosim-lint: allow(P003, harness entry point; env-var benchmark lists fail fast by design)
                     suite::benchmark(id).unwrap_or_else(|| panic!("unknown benchmark id {id:?}"))
                 })
                 .collect(),
@@ -329,7 +332,7 @@ impl Experiment {
         // is its full Debug rendering (specs carry their parameters).
         let mut jobs: Vec<Job> = Vec::new();
         let mut job_keys: Vec<String> = Vec::new();
-        let mut index: HashMap<(usize, String), usize> = HashMap::new();
+        let mut index: BTreeMap<(usize, String), usize> = BTreeMap::new();
         let mut cell = |jobs: &mut Vec<Job>,
                         keys: &mut Vec<String>,
                         bi: usize,
@@ -402,6 +405,10 @@ impl Experiment {
     /// Returns an [`ExperimentError`] when the experiment is empty,
     /// mixes baseline-paired and raw arms, an arm's configuration is
     /// invalid, or a simulation job fails.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the harness times its grid for a progress line; the time reaches no result"
+    )]
     pub fn run(self) -> Result<Report, ExperimentError> {
         let plan = self.plan()?;
         let threads = self.threads.unwrap_or_else(threads);

@@ -21,8 +21,8 @@
 //!
 //! Determinism note: rows carry **no wall-clock timestamps**. Ordering
 //! is by job index at assembly time, and the journal's only sequencing
-//! is file append order, which the report never depends on. The lint's
-//! D002 rule keeps this module clock-free.
+//! is file append order, which the report never depends on. Rule D002
+//! (clippy's `disallowed_methods`) keeps this module clock-free.
 
 use crate::experiment::ExperimentPlan;
 use crate::report::{arm_gm, RunSummary};
@@ -34,7 +34,6 @@ use std::fmt;
 /// One journaled grid cell: everything the report needs from one
 /// completed job, in a form that survives a JSON round trip exactly
 /// (f64s are emitted in Rust's shortest round-trip form).
-// bosim-lint: schema(serve-journal-row)
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRow {
     /// The job's index in [`ExperimentPlan::jobs`] order.
@@ -98,14 +97,23 @@ fn as_u64(j: &Json) -> Option<u64> {
 impl JobRow {
     /// The compact JSON form written as one journal line.
     pub fn to_json(&self) -> Json {
+        let JobRow {
+            job,
+            key,
+            benchmark,
+            config,
+            ipc,
+            dram_per_ki,
+            summary,
+        } = self;
         Json::obj([
-            ("job", Json::UInt(self.job as u64)),
-            ("key", Json::from(self.key.as_str())),
-            ("benchmark", Json::from(self.benchmark.as_str())),
-            ("config", Json::from(self.config.as_str())),
-            ("ipc", Json::from(self.ipc)),
-            ("dram_per_ki", Json::from(self.dram_per_ki)),
-            ("summary", self.summary.clone()),
+            ("job", Json::UInt(*job as u64)),
+            ("key", Json::from(key.as_str())),
+            ("benchmark", Json::from(benchmark.as_str())),
+            ("config", Json::from(config.as_str())),
+            ("ipc", Json::from(*ipc)),
+            ("dram_per_ki", Json::from(*dram_per_ki)),
+            ("summary", summary.clone()),
         ])
     }
 

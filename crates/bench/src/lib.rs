@@ -52,12 +52,15 @@ use bosim_types::PageSize;
 
 /// The benchmarks selected for this invocation (honours
 /// `BOSIM_BENCHMARKS`).
+#[expect(
+    clippy::panic,
+    reason = "harness entry point; env-var benchmark lists fail fast by design"
+)]
 pub fn selected_benchmarks() -> Vec<BenchmarkSpec> {
     match std::env::var("BOSIM_BENCHMARKS") {
         Ok(list) if !list.trim().is_empty() => list
             .split(',')
             .map(|id| {
-                // bosim-lint: allow(P003, harness entry point; env-var benchmark lists fail fast by design)
                 suite::benchmark(id.trim()).unwrap_or_else(|| panic!("unknown benchmark id {id:?}"))
             })
             .collect(),
@@ -114,5 +117,46 @@ mod tests {
     #[test]
     fn cfg_labels() {
         assert_eq!(cfg_label(PageSize::K4, 2), "4KB/2-core");
+    }
+
+    /// Rule S002: every key a record emits is documented in the report
+    /// schema tables.
+    #[test]
+    fn schema_keys_are_documented() {
+        let docs = include_str!("../../../docs/ARCHITECTURE.md");
+        let summary = RunSummary {
+            benchmark: String::new(),
+            config: String::new(),
+            ipc: 0.0,
+            dram_per_ki: 0.0,
+            l2_miss_per_ki: 0.0,
+            instructions: 0,
+            cycles: 0,
+            l1_prefetches: 0,
+            l1_prefetch_tlb_drops: 0,
+            l2_prefetches_issued: 0,
+            l2_prefetch_fills: 0,
+            l3_prefetches_issued: 0,
+            l3_prefetch_fills: 0,
+            adapt: None,
+        }
+        .to_json();
+        let row = JobRow {
+            job: 0,
+            key: String::new(),
+            benchmark: String::new(),
+            config: String::new(),
+            ipc: 0.0,
+            dram_per_ki: 0.0,
+            summary: summary.clone(),
+        };
+        for record in [summary, row.to_json()] {
+            let bosim_stats::Json::Obj(fields) = record else {
+                panic!("a record renders as an object");
+            };
+            for (key, _) in fields {
+                assert!(docs.contains(&format!("`{key}`")), "`{key}` undocumented");
+            }
+        }
     }
 }

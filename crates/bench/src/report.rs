@@ -13,7 +13,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Key statistics of one simulation run (one grid cell).
-// bosim-lint: schema(run-summary)
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Benchmark name (e.g. `"433.milc-like"`).
@@ -75,32 +74,39 @@ impl From<&SimResult> for RunSummary {
 
 impl RunSummary {
     pub(crate) fn to_json(&self) -> Json {
+        let RunSummary {
+            benchmark,
+            config,
+            ipc,
+            dram_per_ki,
+            l2_miss_per_ki,
+            instructions,
+            cycles,
+            l1_prefetches,
+            l1_prefetch_tlb_drops,
+            l2_prefetches_issued,
+            l2_prefetch_fills,
+            l3_prefetches_issued,
+            l3_prefetch_fills,
+            adapt,
+        } = self;
         Json::obj([
-            ("benchmark", Json::from(self.benchmark.as_str())),
-            ("config", Json::from(self.config.as_str())),
-            ("ipc", Json::from(self.ipc)),
-            ("dram_per_ki", Json::from(self.dram_per_ki)),
-            ("l2_miss_per_ki", Json::from(self.l2_miss_per_ki)),
-            ("instructions", Json::from(self.instructions)),
-            ("cycles", Json::from(self.cycles)),
-            ("l1_prefetches", Json::from(self.l1_prefetches)),
-            (
-                "l1_prefetch_tlb_drops",
-                Json::from(self.l1_prefetch_tlb_drops),
-            ),
-            (
-                "l2_prefetches_issued",
-                Json::from(self.l2_prefetches_issued),
-            ),
-            ("l2_prefetch_fills", Json::from(self.l2_prefetch_fills)),
-            (
-                "l3_prefetches_issued",
-                Json::from(self.l3_prefetches_issued),
-            ),
-            ("l3_prefetch_fills", Json::from(self.l3_prefetch_fills)),
+            ("benchmark", Json::from(benchmark.as_str())),
+            ("config", Json::from(config.as_str())),
+            ("ipc", Json::from(*ipc)),
+            ("dram_per_ki", Json::from(*dram_per_ki)),
+            ("l2_miss_per_ki", Json::from(*l2_miss_per_ki)),
+            ("instructions", Json::from(*instructions)),
+            ("cycles", Json::from(*cycles)),
+            ("l1_prefetches", Json::from(*l1_prefetches)),
+            ("l1_prefetch_tlb_drops", Json::from(*l1_prefetch_tlb_drops)),
+            ("l2_prefetches_issued", Json::from(*l2_prefetches_issued)),
+            ("l2_prefetch_fills", Json::from(*l2_prefetch_fills)),
+            ("l3_prefetches_issued", Json::from(*l3_prefetches_issued)),
+            ("l3_prefetch_fills", Json::from(*l3_prefetch_fills)),
             (
                 "adapt",
-                self.adapt
+                adapt
                     .as_ref()
                     .map(AdaptTelemetry::to_json)
                     .unwrap_or(Json::Null),

@@ -238,7 +238,11 @@ pub fn parse(text: &str, base_dir: &Path) -> Result<Corpus, CorpusError> {
                 }
             },
             Section::Trace => {
-                let entry = corpus.traces.last_mut().expect("section pushed an entry"); // bosim-lint: allow(P002, section header push precedes every entry line)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "section header push precedes every entry line"
+                )]
+                let entry = corpus.traces.last_mut().expect("section pushed an entry");
                 match key {
                     "path" => {
                         let p = PathBuf::from(value.as_str(line_no, key)?);
@@ -257,7 +261,11 @@ pub fn parse(text: &str, base_dir: &Path) -> Result<Corpus, CorpusError> {
                 }
             }
             Section::Stack => {
-                let entry = corpus.stacks.last_mut().expect("section pushed an entry"); // bosim-lint: allow(P002, section header push precedes every entry line)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "section header push precedes every entry line"
+                )]
+                let entry = corpus.stacks.last_mut().expect("section pushed an entry");
                 match key {
                     "stack" => entry.stack = value.as_str(line_no, key)?,
                     "baseline" => entry.baseline = Some(value.as_str(line_no, key)?),

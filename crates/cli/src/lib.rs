@@ -39,3 +39,37 @@ pub mod serve;
 
 pub use commands::{dispatch, CliError, USAGE};
 pub use serve::{serve, ServeOptions, ServeSummary};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bosim_stats::Json;
+
+    /// Rule S002: every key a record emits is documented in the report
+    /// schema tables.
+    #[test]
+    fn schema_keys_are_documented() {
+        let docs = include_str!("../../../docs/ARCHITECTURE.md");
+        let header = queue::JournalHeader {
+            schema: String::new(),
+            version: 0,
+            name: String::new(),
+            fingerprint: String::new(),
+            jobs: 0,
+        };
+        let event = serve::StreamEvent {
+            event: String::new(),
+            done: 0,
+            total: 0,
+            row: None,
+        };
+        for record in [header.to_json(), event.to_json()] {
+            let Json::Obj(fields) = record else {
+                panic!("a record renders as an object");
+            };
+            for (key, _) in fields {
+                assert!(docs.contains(&format!("`{key}`")), "`{key}` undocumented");
+            }
+        }
+    }
+}

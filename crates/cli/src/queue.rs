@@ -44,7 +44,6 @@ pub const JOURNAL_SCHEMA: &str = "bosim-serve-journal";
 pub const JOURNAL_VERSION: u64 = 2;
 
 /// The journal's first line: binds the file to one experiment plan.
-// bosim-lint: schema(serve-journal-header)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalHeader {
     /// Always [`JOURNAL_SCHEMA`].
@@ -74,12 +73,19 @@ impl JournalHeader {
 
     /// The compact JSON form written as the journal's first line.
     pub fn to_json(&self) -> Json {
+        let JournalHeader {
+            schema,
+            version,
+            name,
+            fingerprint,
+            jobs,
+        } = self;
         Json::obj([
-            ("schema", Json::from(self.schema.as_str())),
-            ("version", Json::UInt(self.version)),
-            ("name", Json::from(self.name.as_str())),
-            ("fingerprint", Json::from(self.fingerprint.as_str())),
-            ("jobs", Json::UInt(self.jobs)),
+            ("schema", Json::from(schema.as_str())),
+            ("version", Json::UInt(*version)),
+            ("name", Json::from(name.as_str())),
+            ("fingerprint", Json::from(fingerprint.as_str())),
+            ("jobs", Json::UInt(*jobs)),
         ])
     }
 

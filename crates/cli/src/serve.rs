@@ -76,7 +76,6 @@ impl ServeOptions {
 /// journal row), `"abort"` (the abort hook fired) or `"report"` (grid
 /// complete; the final report was written). `done`/`total` count
 /// completed vs planned jobs at the moment of the event.
-// bosim-lint: schema(serve-stream-event)
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamEvent {
     /// Event kind: `resume`, `row`, `abort` or `report`.
@@ -92,11 +91,17 @@ pub struct StreamEvent {
 impl StreamEvent {
     /// The compact JSON form written as one stream line.
     pub fn to_json(&self) -> Json {
+        let StreamEvent {
+            event,
+            done,
+            total,
+            row,
+        } = self;
         Json::obj([
-            ("event", Json::from(self.event.as_str())),
-            ("done", Json::UInt(self.done)),
-            ("total", Json::UInt(self.total)),
-            ("row", Json::from(self.row.clone())),
+            ("event", Json::from(event.as_str())),
+            ("done", Json::UInt(*done)),
+            ("total", Json::UInt(*total)),
+            ("row", Json::from(row.clone())),
         ])
     }
 }

@@ -216,7 +216,11 @@ impl BestOffsetPrefetcher {
     pub fn new(cfg: BoConfig, page: PageSize) -> Self {
         match Self::try_new(cfg, page) {
             Ok(p) => p,
-            Err(e) => panic!("invalid BoConfig: {e}"), // bosim-lint: allow(P003, documented Panics contract; try_new is the fallible twin)
+            #[expect(
+                clippy::panic,
+                reason = "documented Panics contract; try_new is the fallible twin"
+            )]
+            Err(e) => panic!("invalid BoConfig: {e}"),
         }
     }
 

@@ -25,7 +25,11 @@ impl OffsetList {
     pub fn new(offsets: Vec<i64>) -> Self {
         match Self::try_new(offsets) {
             Ok(list) => list,
-            Err(reason) => panic!("{reason}"), // bosim-lint: allow(P003, documented Panics contract; try_new is the fallible twin)
+            #[expect(
+                clippy::panic,
+                reason = "documented Panics contract; try_new is the fallible twin"
+            )]
+            Err(reason) => panic!("{reason}"),
         }
     }
 

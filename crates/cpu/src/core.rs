@@ -110,6 +110,19 @@ pub struct CoreStats {
     pub l1_prefetch_tlb_drops: u64,
 }
 
+bosim_types::counter_arith!(CoreStats {
+    retired,
+    branches,
+    mispredicts,
+    loads,
+    stores,
+    dl1_hits,
+    dl1_misses,
+    il1_misses,
+    l1_prefetches,
+    l1_prefetch_tlb_drops,
+});
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RegState {
     Known(Cycle),

@@ -128,9 +128,10 @@ impl Tlb {
         if slice.iter().any(|e| e.valid && e.vpn == vpn) {
             return;
         }
+        #[expect(clippy::expect_used, reason = "associativity is validated non-zero")]
         let w = (0..slice.len())
             .max_by_key(|&i| (if slice[i].valid { 0u16 } else { 256 }) + slice[i].lru as u16)
-            .expect("non-empty set"); // bosim-lint: allow(P002, associativity is validated non-zero)
+            .expect("non-empty set");
         let old = slice[w].lru;
         slice[w].valid = true;
         slice[w].vpn = vpn;

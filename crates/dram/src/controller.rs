@@ -83,6 +83,15 @@ pub struct DramStats {
     pub urgent_reads: u64,
 }
 
+bosim_types::counter_arith!(DramStats {
+    reads,
+    writes,
+    row_hits,
+    row_opens,
+    row_conflicts,
+    urgent_reads,
+});
+
 #[derive(Debug, Clone)]
 struct ReadReq {
     id: u64,
@@ -639,16 +648,9 @@ impl MemorySystem {
 
     /// Aggregated statistics over all channels.
     pub fn stats(&self) -> DramStats {
-        let mut s = DramStats::default();
-        for ch in &self.channels {
-            s.reads += ch.stats.reads;
-            s.writes += ch.stats.writes;
-            s.row_hits += ch.stats.row_hits;
-            s.row_opens += ch.stats.row_opens;
-            s.row_conflicts += ch.stats.row_conflicts;
-            s.urgent_reads += ch.stats.urgent_reads;
-        }
-        s
+        self.channels
+            .iter()
+            .fold(DramStats::default(), |s, ch| s + ch.stats)
     }
 
     /// The earliest cycle ≥ `from` at which [`tick`](Self::tick) can do

@@ -202,7 +202,6 @@ impl EventKind {
 }
 
 /// One cycle-stamped observability event.
-// bosim-lint: schema(obs-event)
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Simulated cycle the event happened on.
@@ -220,12 +219,18 @@ impl Event {
     /// Flat JSON rendering: the stamp fields plus the kind name and
     /// its arguments.
     pub fn to_json(&self) -> Json {
+        let Event {
+            cycle,
+            core,
+            site,
+            kind,
+        } = self;
         Json::obj([
-            ("cycle", Json::UInt(self.cycle)),
-            ("core", Json::UInt(u64::from(self.core))),
-            ("site", Json::from(self.site.label())),
-            ("kind", Json::from(self.kind.name())),
-            ("args", self.kind.args()),
+            ("cycle", Json::UInt(*cycle)),
+            ("core", Json::UInt(u64::from(*core))),
+            ("site", Json::from(site.label())),
+            ("kind", Json::from(kind.name())),
+            ("args", kind.args()),
         ])
     }
 }

@@ -3,7 +3,6 @@
 //! and Perfetto tracks — so each counter and each rate is defined once.
 
 use bosim_stats::Json;
-use std::ops::{Add, Sub};
 
 /// One prefetch site's usefulness counters: what happened to the lines
 /// it fetched, the paper's measure of a prefetcher (§5.6).
@@ -18,7 +17,6 @@ use std::ops::{Add, Sub};
 /// from above (useful) or its eviction with the prefetch bit still set
 /// (unused) — so cumulatively `useful + unused_evicted <=
 /// prefetch_fills` ([`check_resolution`](Self::check_resolution)).
-// bosim-lint: schema(site-telemetry)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchTelemetry {
     /// Read accesses from the level above (demand + upper-level
@@ -47,19 +45,17 @@ fn rate(num: u64, den: u64) -> Option<f64> {
     (den > 0).then(|| num as f64 / den as f64)
 }
 
-impl PrefetchTelemetry {
-    fn zip(self, o: Self, f: fn(u64, u64) -> u64) -> Self {
-        PrefetchTelemetry {
-            accesses: f(self.accesses, o.accesses),
-            misses: f(self.misses, o.misses),
-            issued: f(self.issued, o.issued),
-            prefetch_fills: f(self.prefetch_fills, o.prefetch_fills),
-            useful: f(self.useful, o.useful),
-            unused_evicted: f(self.unused_evicted, o.unused_evicted),
-            late_promotions: f(self.late_promotions, o.late_promotions),
-        }
-    }
+bosim_types::counter_arith!(PrefetchTelemetry {
+    accesses,
+    misses,
+    issued,
+    prefetch_fills,
+    useful,
+    unused_evicted,
+    late_promotions,
+});
 
+impl PrefetchTelemetry {
     /// Prefetch fills whose fate is known: a first hit or an unused
     /// eviction. Fills still resident and untouched are unresolved.
     pub fn resolved_fills(&self) -> u64 {
@@ -106,35 +102,27 @@ impl PrefetchTelemetry {
     /// The counters and their three rates as a JSON object; an
     /// undefined rate is `null`.
     pub fn to_json(&self) -> Json {
+        let PrefetchTelemetry {
+            accesses,
+            misses,
+            issued,
+            prefetch_fills,
+            useful,
+            unused_evicted,
+            late_promotions,
+        } = *self;
         Json::obj([
-            ("accesses", Json::from(self.accesses)),
-            ("misses", Json::from(self.misses)),
-            ("issued", Json::from(self.issued)),
-            ("prefetch_fills", Json::from(self.prefetch_fills)),
-            ("useful", Json::from(self.useful)),
-            ("unused_evicted", Json::from(self.unused_evicted)),
-            ("late_promotions", Json::from(self.late_promotions)),
+            ("accesses", Json::from(accesses)),
+            ("misses", Json::from(misses)),
+            ("issued", Json::from(issued)),
+            ("prefetch_fills", Json::from(prefetch_fills)),
+            ("useful", Json::from(useful)),
+            ("unused_evicted", Json::from(unused_evicted)),
+            ("late_promotions", Json::from(late_promotions)),
             ("accuracy", Json::from(self.accuracy())),
             ("coverage", Json::from(self.coverage())),
             ("lateness", Json::from(self.lateness())),
         ])
-    }
-}
-
-impl Add for PrefetchTelemetry {
-    type Output = Self;
-
-    fn add(self, o: Self) -> Self {
-        self.zip(o, |a, b| a + b)
-    }
-}
-
-/// Counter deltas: `later - earlier`.
-impl Sub for PrefetchTelemetry {
-    type Output = Self;
-
-    fn sub(self, o: Self) -> Self {
-        self.zip(o, |a, b| a - b)
     }
 }
 
@@ -145,7 +133,6 @@ impl Sub for PrefetchTelemetry {
 /// clock. Each core's tuning policy reads its own, and core 0's is the
 /// epoch series of the adaptive telemetry and of the observability
 /// report alike.
-// bosim-lint: schema(epoch-feedback)
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochFeedback {
     /// Epoch index since simulation start (0-based).
@@ -187,23 +174,34 @@ impl EpochFeedback {
     /// The record as one JSON object: one line of the epoch JSONL
     /// stream, one element of the report's epoch arrays.
     pub fn to_json(&self) -> Json {
+        let EpochFeedback {
+            epoch,
+            start_cycle,
+            cycles,
+            instructions,
+            l2,
+            l3,
+            dram_reads,
+            dram_writes,
+            bus_occupancy,
+            l1_prefetches,
+            l1_tlb_drops,
+            l3_prefetch_resident,
+        } = *self;
         Json::obj([
-            ("epoch", Json::from(self.epoch)),
-            ("start_cycle", Json::from(self.start_cycle)),
-            ("cycles", Json::from(self.cycles)),
-            ("instructions", Json::from(self.instructions)),
+            ("epoch", Json::from(epoch)),
+            ("start_cycle", Json::from(start_cycle)),
+            ("cycles", Json::from(cycles)),
+            ("instructions", Json::from(instructions)),
             ("ipc", Json::from(self.ipc())),
-            ("l2", self.l2.to_json()),
-            ("l3", self.l3.to_json()),
-            ("dram_reads", Json::from(self.dram_reads)),
-            ("dram_writes", Json::from(self.dram_writes)),
-            ("bus_occupancy", Json::from(self.bus_occupancy)),
-            ("l1_prefetches", Json::from(self.l1_prefetches)),
-            ("l1_tlb_drops", Json::from(self.l1_tlb_drops)),
-            (
-                "l3_prefetch_resident",
-                Json::from(self.l3_prefetch_resident),
-            ),
+            ("l2", l2.to_json()),
+            ("l3", l3.to_json()),
+            ("dram_reads", Json::from(dram_reads)),
+            ("dram_writes", Json::from(dram_writes)),
+            ("bus_occupancy", Json::from(bus_occupancy)),
+            ("l1_prefetches", Json::from(l1_prefetches)),
+            ("l1_tlb_drops", Json::from(l1_tlb_drops)),
+            ("l3_prefetch_resident", Json::from(l3_prefetch_resident)),
         ])
     }
 }

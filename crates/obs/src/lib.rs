@@ -53,3 +53,49 @@ pub use profile::{
     HostProfile, HostProfiler, Phase, PhaseCost, PhaseTimer, ProfileSlot, PROFILE_SAMPLE_SHIFT,
 };
 pub use report::ObsReport;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bosim_stats::Json;
+
+    /// Rule S002: every key a record emits is documented in the report
+    /// schema tables.
+    #[test]
+    fn schema_keys_are_documented() {
+        let docs = include_str!("../../../docs/ARCHITECTURE.md");
+        let profile = HostProfile {
+            total_nanos: 0,
+            phases: vec![PhaseCost {
+                phase: "decode".into(),
+                nanos: 0,
+                calls: 0,
+                samples: 0,
+                share: 0.0,
+            }],
+        }
+        .to_json();
+        let event = Event {
+            cycle: 0,
+            core: 0,
+            site: ObsSite::Sys,
+            kind: EventKind::EpochEnd { epoch: 0 },
+        };
+        let records = [
+            PrefetchTelemetry::default().to_json(),
+            EpochFeedback::default().to_json(),
+            event.to_json(),
+            ObsReport::default().to_json(),
+            profile.get("phases").and_then(Json::as_arr).unwrap()[0].clone(),
+            profile,
+        ];
+        for record in records {
+            let Json::Obj(fields) = record else {
+                panic!("a record renders as an object");
+            };
+            for (key, _) in fields {
+                assert!(docs.contains(&format!("`{key}`")), "`{key}` undocumented");
+            }
+        }
+    }
+}

@@ -55,7 +55,6 @@ impl Phase {
 /// `nanos` scales the sampled time up to the full call count;
 /// `share` is its fraction of the run's total attributed time.
 /// `dram` is nested inside `uncore-tick`, so shares can sum past 1.
-// bosim-lint: schema(obs-profile-phase)
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseCost {
     /// Phase label (see [`Phase::label`]).
@@ -72,7 +71,6 @@ pub struct PhaseCost {
 }
 
 /// The aggregated host profile of one run.
-// bosim-lint: schema(obs-profile)
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostProfile {
     /// Total attributed nanoseconds across the top-level phases
@@ -86,17 +84,28 @@ pub struct HostProfile {
 impl HostProfile {
     /// JSON rendering for the profile artifact.
     pub fn to_json(&self) -> Json {
+        let HostProfile {
+            total_nanos,
+            phases,
+        } = self;
         Json::obj([
-            ("total_nanos", Json::UInt(self.total_nanos)),
+            ("total_nanos", Json::UInt(*total_nanos)),
             (
                 "phases",
-                Json::arr(self.phases.iter().map(|p| {
+                Json::arr(phases.iter().map(|p| {
+                    let PhaseCost {
+                        phase,
+                        nanos,
+                        calls,
+                        samples,
+                        share,
+                    } = p;
                     Json::obj([
-                        ("phase", Json::from(p.phase.as_str())),
-                        ("nanos", Json::UInt(p.nanos)),
-                        ("calls", Json::UInt(p.calls)),
-                        ("samples", Json::UInt(p.samples)),
-                        ("share", Json::Num(p.share)),
+                        ("phase", Json::from(phase.as_str())),
+                        ("nanos", Json::UInt(*nanos)),
+                        ("calls", Json::UInt(*calls)),
+                        ("samples", Json::UInt(*samples)),
+                        ("share", Json::Num(*share)),
                     ])
                 })),
             ),
@@ -175,6 +184,10 @@ impl HostProfiler {
         let i = phase as usize;
         let call = self.calls[i];
         self.calls[i] = call + 1;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the profiler's product is host wall time, which never feeds simulated state"
+        )]
         let started = if call == self.next[i] {
             let block = (call >> self.shift) + 1;
             let pos = mix64((block << 3) | i as u64) & ((1u64 << self.shift) - 1);

@@ -13,7 +13,6 @@ use bosim_stats::Json;
 /// the naive and fast-forwarding loops extends to the event stream and
 /// the epoch series. The host profile is wall-clock data and is
 /// excluded from equality via [`ProfileSlot`].
-// bosim-lint: schema(obs-report)
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObsReport {
     /// The cycle-domain event log (empty unless event tracing was on).
@@ -35,16 +34,22 @@ impl ObsReport {
 
     /// Full JSON rendering (events, epoch records, profile).
     pub fn to_json(&self) -> Json {
+        let ObsReport {
+            events,
+            dropped_events,
+            epochs,
+            profile,
+        } = self;
         Json::obj([
-            ("events", Json::arr(self.events.iter().map(Event::to_json))),
-            ("dropped_events", Json::UInt(self.dropped_events)),
+            ("events", Json::arr(events.iter().map(Event::to_json))),
+            ("dropped_events", Json::UInt(*dropped_events)),
             (
                 "epochs",
-                Json::arr(self.epochs.iter().map(EpochFeedback::to_json)),
+                Json::arr(epochs.iter().map(EpochFeedback::to_json)),
             ),
             (
                 "profile",
-                match &self.profile.0 {
+                match &profile.0 {
                     Some(p) => p.to_json(),
                     None => Json::Null,
                 },

@@ -92,7 +92,11 @@ pub fn stream_jobs(
 ) {
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
-    // bosim-lint: allow(D004, whole-run worker pool: each job is an independent simulation and results are delivered by job index, so host scheduling cannot reach any SimResult)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "whole-run worker pool: each job is an independent simulation and results are \
+                  delivered by job index, so host scheduling cannot reach any SimResult"
+    )]
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::channel();
         for _ in 0..threads.max(1).min(pending.len()) {

@@ -179,8 +179,12 @@ impl System {
     /// benchmark; pre-validate interactively with
     /// [`bosim_trace::ExternalSpec::load`].
     pub fn new(cfg: &SimConfig, bench: &BenchmarkSpec) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented Panics contract; run_jobs converts to RunnerError"
+        )]
         if let Err(e) = cfg.validate() {
-            panic!("invalid SimConfig: {e}"); // bosim-lint: allow(P003, documented Panics contract; run_jobs converts to RunnerError)
+            panic!("invalid SimConfig: {e}");
         }
         let mut prof = if cfg.obs.profile {
             HostProfiler::new(PROFILE_SAMPLE_SHIFT)
@@ -193,7 +197,11 @@ impl System {
             let trace: Box<dyn bosim_trace::TraceSource> = if i == 0 {
                 let src = match bench.source() {
                     Ok(src) => src,
-                    Err(e) => panic!("cannot load benchmark {}: {e}", bench.name), // bosim-lint: allow(P003, documented Panics contract; run_jobs converts to RunnerError)
+                    #[expect(
+                        clippy::panic,
+                        reason = "documented Panics contract; run_jobs converts to RunnerError"
+                    )]
+                    Err(e) => panic!("cannot load benchmark {}: {e}", bench.name),
                 };
                 match cfg.sample {
                     Some(spec) if !spec.is_passthrough() => {
@@ -735,73 +743,20 @@ impl System {
         let uncore_before = self.uncore.stats();
         let dram_before = self.uncore.dram_stats();
         let cycles = self.run_until_retired(self.cfg.measure_instructions);
-        let core_after = self.cores[0].stats();
-        let uncore_after = self.uncore.stats();
-        let dram_after = self.uncore.dram_stats();
+        let core = self.cores[0].stats() - core_before;
         SimResult {
             benchmark: self.benchmark.clone(),
             config: self.cfg.label(),
-            instructions: core_after.retired - core_before.retired,
+            instructions: core.retired,
             cycles,
-            core: diff_core(core_before, core_after),
-            uncore: diff_uncore(uncore_before, uncore_after),
-            dram: diff_dram(dram_before, dram_after),
+            core,
+            uncore: self.uncore.stats() - uncore_before,
+            dram: self.uncore.dram_stats() - dram_before,
             l2_site: self.uncore.prefetch_telemetry(CoreId(0)),
             l3_site: self.uncore.l3_prefetch_telemetry(),
             adapt: self.adapt_telemetry().cloned(),
             obs: self.take_obs_report(),
         }
-    }
-}
-
-fn diff_core(a: CoreStats, b: CoreStats) -> CoreStats {
-    CoreStats {
-        retired: b.retired - a.retired,
-        branches: b.branches - a.branches,
-        mispredicts: b.mispredicts - a.mispredicts,
-        loads: b.loads - a.loads,
-        stores: b.stores - a.stores,
-        dl1_hits: b.dl1_hits - a.dl1_hits,
-        dl1_misses: b.dl1_misses - a.dl1_misses,
-        il1_misses: b.il1_misses - a.il1_misses,
-        l1_prefetches: b.l1_prefetches - a.l1_prefetches,
-        l1_prefetch_tlb_drops: b.l1_prefetch_tlb_drops - a.l1_prefetch_tlb_drops,
-    }
-}
-
-fn diff_uncore(a: UncoreStats, b: UncoreStats) -> UncoreStats {
-    UncoreStats {
-        l2_accesses: b.l2_accesses - a.l2_accesses,
-        l2_hits: b.l2_hits - a.l2_hits,
-        l2_prefetched_hits: b.l2_prefetched_hits - a.l2_prefetched_hits,
-        l2_misses: b.l2_misses - a.l2_misses,
-        l2_fill_merges: b.l2_fill_merges - a.l2_fill_merges,
-        l2_prefetches_queued: b.l2_prefetches_queued - a.l2_prefetches_queued,
-        l2_prefetches_issued: b.l2_prefetches_issued - a.l2_prefetches_issued,
-        l2_prefetches_cancelled: b.l2_prefetches_cancelled - a.l2_prefetches_cancelled,
-        l2_prefetches_redundant: b.l2_prefetches_redundant - a.l2_prefetches_redundant,
-        l2_prefetch_fills: b.l2_prefetch_fills - a.l2_prefetch_fills,
-        l3_accesses: b.l3_accesses - a.l3_accesses,
-        l3_hits: b.l3_hits - a.l3_hits,
-        l3_misses: b.l3_misses - a.l3_misses,
-        l3_fill_merges: b.l3_fill_merges - a.l3_fill_merges,
-        l3_prefetches_queued: b.l3_prefetches_queued - a.l3_prefetches_queued,
-        l3_prefetches_issued: b.l3_prefetches_issued - a.l3_prefetches_issued,
-        l3_prefetches_cancelled: b.l3_prefetches_cancelled - a.l3_prefetches_cancelled,
-        l3_prefetches_redundant: b.l3_prefetches_redundant - a.l3_prefetches_redundant,
-        l3_prefetch_fills: b.l3_prefetch_fills - a.l3_prefetch_fills,
-        dram_writebacks: b.dram_writebacks - a.dram_writebacks,
-    }
-}
-
-fn diff_dram(a: DramStats, b: DramStats) -> DramStats {
-    DramStats {
-        reads: b.reads - a.reads,
-        writes: b.writes - a.writes,
-        row_hits: b.row_hits - a.row_hits,
-        row_opens: b.row_opens - a.row_opens,
-        row_conflicts: b.row_conflicts - a.row_conflicts,
-        urgent_reads: b.urgent_reads - a.urgent_reads,
     }
 }
 

@@ -151,6 +151,29 @@ pub struct UncoreStats {
     pub dram_writebacks: u64,
 }
 
+bosim_types::counter_arith!(UncoreStats {
+    l2_accesses,
+    l2_hits,
+    l2_prefetched_hits,
+    l2_misses,
+    l2_fill_merges,
+    l2_prefetches_queued,
+    l2_prefetches_issued,
+    l2_prefetches_cancelled,
+    l2_prefetches_redundant,
+    l2_prefetch_fills,
+    l3_accesses,
+    l3_hits,
+    l3_misses,
+    l3_fill_merges,
+    l3_prefetches_queued,
+    l3_prefetches_issued,
+    l3_prefetches_cancelled,
+    l3_prefetches_redundant,
+    l3_prefetch_fills,
+    dram_writebacks,
+});
+
 /// One line-address prefetch site: an engine, its lowest-priority
 /// prefetch queue (§5.4) and the site's counters. Every private L2 holds
 /// one and the shared L3 holds one.

@@ -117,7 +117,11 @@ pub fn parse_text(reader: impl Read) -> Result<Vec<RawAccess>, AddrTraceError> {
             continue;
         }
         let mut parts = body.split_whitespace();
-        let tag = parts.next().expect("non-empty body has a first token"); // bosim-lint: allow(P002, body checked non-empty before tokenising)
+        #[expect(
+            clippy::expect_used,
+            reason = "body checked non-empty before tokenising"
+        )]
+        let tag = parts.next().expect("non-empty body has a first token");
         let dir = match tag {
             "R" | "r" => AccessDir::Read,
             "W" | "w" => AccessDir::Write,

@@ -145,8 +145,11 @@ impl ArtifactStore {
             .sum()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "store mutex poisons only if a decode panicked"
+    )]
     fn lock(&self) -> std::sync::MutexGuard<'_, StoreInner> {
-        // bosim-lint: allow(P002, store mutex poisons only if a decode panicked)
         self.inner.lock().expect("artifact store poisoned")
     }
 

@@ -168,7 +168,8 @@ impl ChampSimRecord {
                 }),
             }
         };
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes")); // bosim-lint: allow(P002, caller slices exactly 8 bytes)
+        #[expect(clippy::expect_used, reason = "caller slices exactly 8 bytes")]
+        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
         let mut dest_mem = [0u64; NUM_DEST_MEM];
         for (i, m) in dest_mem.iter_mut().enumerate() {
             *m = u64_at(16 + i * 8);
@@ -354,18 +355,26 @@ pub fn encode(uops: &[MicroOp]) -> Vec<u8> {
         while i < uops.len() && uops[i].pc == pc {
             let u = &uops[i];
             match u.kind {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "loads counted only for uops with mem info"
+                )]
                 UopKind::Load if u.mem.is_some() => {
                     if loads == NUM_SRC_MEM {
                         break;
                     }
-                    rec.src_mem[loads] = u.mem.expect("guarded").vaddr.0; // bosim-lint: allow(P002, loads counted only for uops with mem info)
+                    rec.src_mem[loads] = u.mem.expect("guarded").vaddr.0;
                     loads += 1;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "stores counted only for uops with mem info"
+                )]
                 UopKind::Store if u.mem.is_some() => {
                     if stores == NUM_DEST_MEM {
                         break;
                     }
-                    rec.dest_mem[stores] = u.mem.expect("guarded").vaddr.0; // bosim-lint: allow(P002, stores counted only for uops with mem info)
+                    rec.dest_mem[stores] = u.mem.expect("guarded").vaddr.0;
                     stores += 1;
                 }
                 k if k.is_branch() => {

@@ -154,11 +154,12 @@ impl<'a> Reader<'a> {
         self.buf.len()
     }
 
+    #[expect(clippy::expect_used, reason = "split_at(N) yields exactly N bytes")]
     fn take<const N: usize>(&mut self) -> [u8; N] {
         debug_assert!(self.buf.len() >= N, "caller checks remaining()");
         let (head, tail) = self.buf.split_at(N);
         self.buf = tail;
-        head.try_into().expect("split_at(N) yields N bytes") // bosim-lint: allow(P002, split_at(N) yields exactly N bytes)
+        head.try_into().expect("split_at(N) yields N bytes")
     }
 
     fn u8(&mut self) -> u8 {

@@ -155,8 +155,12 @@ impl<S: TraceSource> SampledSource<S> {
     /// layers (`SimConfig`, the CLI) validate earlier and report typed
     /// errors; reaching here with a bad plan is a programming error.
     pub fn new(inner: S, spec: SampleSpec) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented Panics contract; SampleSpec::validate is checked by config layers"
+        )]
         if let Err(e) = spec.validate() {
-            panic!("invalid SampleSpec: {e}"); // bosim-lint: allow(P003, documented Panics contract; SampleSpec::validate is checked by config layers)
+            panic!("invalid SampleSpec: {e}");
         }
         SampledSource {
             inner,

@@ -49,3 +49,31 @@ pub type Cycle = u64;
 /// Number of core cycles per DRAM bus cycle (Table 1: "bus cycle = 4 core
 /// cycles").
 pub const CORE_CYCLES_PER_BUS_CYCLE: Cycle = 4;
+
+/// Implements `Add` and `Sub` for a counter struct, field by field:
+/// `counter_arith!(Stats { hits, misses });`.
+///
+/// Each field is named once, so `b.x - a.y` cannot be written, and the
+/// struct literal the macro emits fails to compile when a field is left
+/// out of the list. Subtracting two snapshots gives the counts between
+/// them.
+#[macro_export]
+macro_rules! counter_arith {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl ::core::ops::Add for $ty {
+            type Output = Self;
+
+            fn add(self, o: Self) -> Self {
+                $ty { $($field: self.$field + o.$field),+ }
+            }
+        }
+
+        impl ::core::ops::Sub for $ty {
+            type Output = Self;
+
+            fn sub(self, o: Self) -> Self {
+                $ty { $($field: self.$field - o.$field),+ }
+            }
+        }
+    };
+}

@@ -78,25 +78,26 @@ impl ProportionalCounters {
 
     /// Index of the counter with the lowest value (ties broken by lowest
     /// index, deterministically).
+    #[expect(
+        clippy::expect_used,
+        reason = "bank width is validated non-zero at construction"
+    )]
     pub fn argmin(&self) -> usize {
-        let mut best = 0;
-        for (i, &v) in self.values.iter().enumerate() {
-            if v < self.values[best] {
-                best = i;
-            }
-        }
-        let _ = best;
         self.values
             .iter()
             .enumerate()
             .min_by_key(|&(i, &v)| (v, i))
             .map(|(i, _)| i)
-            .expect("bank is non-empty") // bosim-lint: allow(P002, bank width is validated non-zero at construction)
+            .expect("bank is non-empty")
     }
 
     /// The maximum counter value in the bank.
+    #[expect(
+        clippy::expect_used,
+        reason = "bank width is validated non-zero at construction"
+    )]
     pub fn max_value(&self) -> u32 {
-        *self.values.iter().max().expect("bank is non-empty") // bosim-lint: allow(P002, bank width is validated non-zero at construction)
+        *self.values.iter().max().expect("bank is non-empty")
     }
 
     /// The miss-rate test of §5.2: counter `i` is "low" if its value is

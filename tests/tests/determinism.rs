@@ -1,9 +1,9 @@
 //! End-to-end determinism: the same `SimConfig` must produce
 //! byte-identical report JSON on every run — across the threaded
 //! `Experiment` grid, adaptive epoch telemetry, and file-backed
-//! ChampSim ingestion. This is the dynamic counterpart of the
-//! `bosim-lint` D-rules: the lint bans the usual sources of
-//! nondeterminism statically, this test pins the observable output.
+//! ChampSim ingestion. This is the dynamic counterpart of the D-rules
+//! (docs/ANALYSIS.md): clippy bans the usual sources of nondeterminism
+//! in library code statically, this test pins the observable output.
 
 use bosim::adapt::{PolicySpec, TournamentSpec};
 use bosim::{prefetchers, SimConfig};
