@@ -73,7 +73,8 @@ pub struct DramStats {
     pub reads: u64,
     /// Write CAS commands issued.
     pub writes: u64,
-    /// CAS commands that hit an open row.
+    /// CAS commands that found their row open: every CAS but the first
+    /// after its bank's ACT.
     pub row_hits: u64,
     /// Activates issued.
     pub row_opens: u64,
@@ -375,6 +376,7 @@ impl Channel {
             return false;
         };
         let b = req.loc.bank as usize;
+        let row_hit = !self.banks[b].fresh_row;
         let data_end = self.banks[b].read(now, t);
         self.read_split[c * self.banks.len() + b].open -= 1;
         self.reads -= 1;
@@ -383,7 +385,7 @@ impl Channel {
             .push(Reverse((data_end, req.id, req.line.0, c as u8)));
         self.counters.increment(c);
         self.stats.reads += 1;
-        self.stats.row_hits += 1;
+        self.stats.row_hits += u64::from(row_hit);
         if urgent {
             self.stats.urgent_reads += 1;
         }
@@ -404,13 +406,14 @@ impl Channel {
                 return false;
             };
             let b = req.loc.bank as usize;
+            let row_hit = !self.banks[b].fresh_row;
             let data_end = self.banks[b].write(now, t);
             self.write_split[b].open -= 1;
             self.writes -= 1;
             self.bus_free_at = data_end;
             self.read_ok_at = data_end + t.core(t.t_wtr);
             self.stats.writes += 1;
-            self.stats.row_hits += 1;
+            self.stats.row_hits += u64::from(row_hit);
             return true;
         }
         false
@@ -750,6 +753,21 @@ mod tests {
                 "row conflict ({gap_conflict}) should cost more than row hit ({gap_same_row})"
             );
         }
+    }
+
+    #[test]
+    fn one_act_and_two_reads_of_its_row_are_one_row_hit() {
+        let mut mem = MemorySystem::new(MemConfig {
+            num_cores: 1,
+            ..Default::default()
+        });
+        let (a, b) = (map_line(LineAddr(0x1000)), map_line(LineAddr(0x1001)));
+        assert_eq!((a.channel, a.bank, a.row), (b.channel, b.bank, b.row));
+        assert!(mem.enqueue_read(LineAddr(0x1000), CoreId(0), 1, 0));
+        assert!(mem.enqueue_read(LineAddr(0x1001), CoreId(0), 2, 0));
+        assert_eq!(run_until_complete(&mut mem, 0, 2000).len(), 2);
+        let s = mem.stats();
+        assert_eq!((s.row_hits, s.row_opens, s.reads), (1, 1, 2), "{s:?}");
     }
 
     #[test]

@@ -66,12 +66,9 @@ pub struct Bank {
     pub pre_ok_at: Cycle,
     /// Earliest cycle an ACT may issue (after precharge completes).
     pub act_ok_at: Cycle,
-    /// Row-buffer statistics.
-    pub row_hits: u64,
-    /// Row misses (ACT issued on an idle bank).
-    pub row_opens: u64,
-    /// Row conflicts (precharge of a different row needed).
-    pub row_conflicts: u64,
+    /// An ACT opened the row and no CAS has used it yet: the next CAS
+    /// needed that ACT, so it is no row hit.
+    pub fresh_row: bool,
 }
 
 /// The action a bank needs before serving a given row.
@@ -100,7 +97,6 @@ impl Bank {
         debug_assert!(now >= self.pre_ok_at, "tRAS/tRTP/tWR violated");
         self.open_row = None;
         self.act_ok_at = now + t.core(t.t_rp);
-        self.row_conflicts += 1;
     }
 
     /// Issues an activate of `row` at `now` (caller checked `act_ok_at`).
@@ -110,7 +106,7 @@ impl Bank {
         self.open_row = Some(row);
         self.cas_ok_at = now + t.core(t.t_rcd);
         self.pre_ok_at = now + t.core(t.t_ras);
-        self.row_opens += 1;
+        self.fresh_row = true;
     }
 
     /// Issues a read CAS at `now`; returns the cycle the data burst ends
@@ -118,7 +114,7 @@ impl Bank {
     pub fn read(&mut self, now: Cycle, t: &DdrTimings) -> Cycle {
         debug_assert!(now >= self.cas_ok_at, "tRCD violated");
         debug_assert!(self.open_row.is_some());
-        self.row_hits += 1;
+        self.fresh_row = false;
         let data_end = now + t.core(t.t_cl + t.t_burst);
         // Read-to-precharge: the row may close tRTP after the CAS.
         self.pre_ok_at = self.pre_ok_at.max(now + t.core(t.t_rtp));
@@ -130,7 +126,7 @@ impl Bank {
     pub fn write(&mut self, now: Cycle, t: &DdrTimings) -> Cycle {
         debug_assert!(now >= self.cas_ok_at, "tRCD violated");
         debug_assert!(self.open_row.is_some());
-        self.row_hits += 1;
+        self.fresh_row = false;
         let data_end = now + t.core(t.t_cwl + t.t_burst);
         // Write recovery: precharge no earlier than data end + tWR.
         self.pre_ok_at = self.pre_ok_at.max(data_end + t.core(t.t_wr));
@@ -184,16 +180,5 @@ mod tests {
         assert_eq!(data_end, t.core(11) + t.core(8 + 4));
         assert_eq!(b.pre_ok_at, data_end + t.core(12));
         assert!(b.pre_ok_at > t.core(33), "tWR beyond tRAS");
-    }
-
-    #[test]
-    fn row_hit_counters() {
-        let t = DdrTimings::default();
-        let mut b = Bank::default();
-        b.activate(0, 9, &t);
-        b.read(b.cas_ok_at, &t);
-        b.read(b.cas_ok_at + 16, &t);
-        assert_eq!(b.row_hits, 2);
-        assert_eq!(b.row_opens, 1);
     }
 }
