@@ -49,7 +49,7 @@ fn single_core() -> SimConfig {
 
 #[test]
 fn default_stack_444() {
-    assert_digest(single_core(), "444", 0x76bb_895b_c093_5f94);
+    assert_digest(single_core(), "444", 0x3a8b_060e_f1b6_513a);
 }
 
 #[test]
@@ -58,7 +58,7 @@ fn best_offset_429() {
         l2_prefetcher: prefetchers::bo_default(),
         ..single_core()
     };
-    assert_digest(cfg, "429", 0x444b_dd2c_cb2e_3d92);
+    assert_digest(cfg, "429", 0xe9bf_7ecc_4360_09fa);
 }
 
 #[test]
@@ -70,7 +70,7 @@ fn four_cores_best_offset_462() {
         l2_prefetcher: prefetchers::bo_default(),
         ..single_core()
     };
-    assert_digest(cfg, "462", 0x6735_8599_fd8c_df15);
+    assert_digest(cfg, "462", 0x8f2f_d7d6_479f_96f5);
 }
 
 #[test]
@@ -88,5 +88,5 @@ fn two_cores_adapt_and_tracing_429() {
         },
         ..single_core()
     };
-    assert_digest(cfg, "429", 0x5367_a6c7_8373_f655);
+    assert_digest(cfg, "429", 0x6db8_7ed3_08df_333b);
 }
