@@ -445,15 +445,9 @@ mod tests {
     #[test]
     fn prop_all_policies_keep_invariants() {
         let mut rng = SplitMix64::new(0xBEEF);
-        for (pi, kind) in [
-            PolicyKind::Lru,
-            PolicyKind::Bip,
-            PolicyKind::Dip,
-            PolicyKind::Drrip,
-            PolicyKind::FiveP,
-        ]
-        .into_iter()
-        .enumerate()
+        for (pi, kind) in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::FiveP]
+            .into_iter()
+            .enumerate()
         {
             for case in 0..24u64 {
                 let mut c = CacheArray::new(2048, 4, kind, 4, 11); // 8 sets x 4

@@ -6,7 +6,7 @@
 //!   (§5.6), stored as one `u64` key per way (`tag + 1`, 0 for an empty
 //!   way) beside a byte of dirty/prefetch bits, so a lookup compares one
 //!   word per way and a new array is untouched zeroed memory,
-//! * replacement policies ([`policy`]): LRU, BIP, DIP, DRRIP and the
+//! * replacement policies ([`policy`]): LRU, DRRIP and the
 //!   baseline L3 policy **5P** with proportional counters and set
 //!   sampling (§5.2),
 //! * [`FillQueue`] — MSHR-less miss handling with associative search and

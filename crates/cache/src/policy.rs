@@ -1,10 +1,10 @@
-//! Replacement policies: LRU, BIP, DIP, DRRIP and the paper's 5P.
+//! Replacement policies: LRU, DRRIP and the paper's 5P.
 //!
 //! The baseline L3 policy is **5P** (§5.2): set sampling with five
 //! insertion policies arbitrated by proportional counters. L2 uses plain
 //! LRU ("we experimented with DIP/DRRIP at the L2 but did not observe any
-//! significant performance gain over LRU"); DIP and DRRIP are provided for
-//! the Figure 3 comparison.
+//! significant performance gain over LRU"); DRRIP is provided for the
+//! Figure 3 comparison.
 //!
 //! Per-line replacement state is a single byte owned by the policy:
 //! an LRU age for the stack-based policies, an RRPV for DRRIP.
@@ -86,111 +86,6 @@ impl ReplacementPolicy for Lru {
 
     fn name(&self) -> &'static str {
         "LRU"
-    }
-}
-
-// ---------------------------------------------------------------- BIP --
-
-/// Bimodal insertion (BIP): LRU insertion except a 1/32 chance of MRU
-/// insertion (Qureshi et al., used as IP2 of 5P).
-#[derive(Debug)]
-pub struct Bip {
-    rng: SplitMix64,
-}
-
-impl Bip {
-    /// Creates a BIP policy with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
-        Bip {
-            rng: SplitMix64::new(seed),
-        }
-    }
-}
-
-impl ReplacementPolicy for Bip {
-    fn on_hit(&mut self, _set: usize, state: &mut [u8], way: usize) {
-        lru_touch(state, way);
-    }
-
-    fn victim(&mut self, _set: usize, state: &mut [u8]) -> usize {
-        lru_victim(state)
-    }
-
-    fn on_insert(&mut self, _set: usize, state: &mut [u8], way: usize, _ctx: InsertCtx) {
-        if self.rng.chance(1, 32) {
-            lru_touch(state, way); // MRU insertion
-        }
-        // Otherwise leave the block at the LRU position (victim's age).
-    }
-
-    fn name(&self) -> &'static str {
-        "BIP"
-    }
-}
-
-// ---------------------------------------------------------------- DIP --
-
-/// Dynamic insertion policy: set-duels LRU against BIP with a PSEL
-/// counter (Qureshi et al., ISCA 2007).
-#[derive(Debug)]
-pub struct Dip {
-    rng: SplitMix64,
-    psel: i32,
-    psel_max: i32,
-}
-
-impl Dip {
-    /// Creates a DIP policy with a deterministic seed.
-    pub fn new(seed: u64) -> Self {
-        Dip {
-            rng: SplitMix64::new(seed),
-            psel: 0,
-            psel_max: 512,
-        }
-    }
-
-    /// Leader-set mapping: one LRU leader and one BIP leader per 32 sets.
-    fn leader(&self, set: usize) -> Option<bool> {
-        match set % 32 {
-            0 => Some(true),   // LRU leader
-            16 => Some(false), // BIP leader
-            _ => None,
-        }
-    }
-
-    fn use_lru(&self, set: usize) -> bool {
-        match self.leader(set) {
-            Some(l) => l,
-            None => self.psel <= 0,
-        }
-    }
-}
-
-impl ReplacementPolicy for Dip {
-    fn on_hit(&mut self, _set: usize, state: &mut [u8], way: usize) {
-        lru_touch(state, way);
-    }
-
-    fn victim(&mut self, _set: usize, state: &mut [u8]) -> usize {
-        lru_victim(state)
-    }
-
-    fn on_insert(&mut self, set: usize, state: &mut [u8], way: usize, ctx: InsertCtx) {
-        // A fill implies a miss: update PSEL on leader-set misses.
-        if ctx.demand {
-            match self.leader(set) {
-                Some(true) => self.psel = (self.psel + 1).min(self.psel_max),
-                Some(false) => self.psel = (self.psel - 1).max(-self.psel_max),
-                None => {}
-            }
-        }
-        if self.use_lru(set) || self.rng.chance(1, 32) {
-            lru_touch(state, way);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "DIP"
     }
 }
 
@@ -277,7 +172,8 @@ impl ReplacementPolicy for Drrip {
 enum Ip {
     /// IP1: MRU insertion (classical LRU).
     Mru,
-    /// IP2: probabilistic LRU/MRU insertion (BIP).
+    /// IP2: bimodal insertion (BIP, Qureshi et al.): MRU with a 1/32
+    /// chance, otherwise LRU.
     Bip,
     /// IP3: MRU if demand miss, otherwise LRU (prefetch-aware).
     DemandMru,
@@ -390,10 +286,6 @@ impl ReplacementPolicy for FiveP {
 pub enum PolicyKind {
     /// Classical LRU.
     Lru,
-    /// Bimodal insertion.
-    Bip,
-    /// Dynamic insertion (LRU/BIP dueling).
-    Dip,
     /// Dynamic RRIP.
     Drrip,
     /// The paper's 5P policy.
@@ -405,8 +297,6 @@ impl PolicyKind {
     pub fn build(self, num_cores: usize, seed: u64) -> Box<dyn ReplacementPolicy> {
         match self {
             PolicyKind::Lru => Box::new(Lru),
-            PolicyKind::Bip => Box::new(Bip::new(seed)),
-            PolicyKind::Dip => Box::new(Dip::new(seed)),
             PolicyKind::Drrip => Box::new(Drrip::new(seed)),
             PolicyKind::FiveP => Box::new(FiveP::new(num_cores, seed)),
         }
@@ -416,8 +306,6 @@ impl PolicyKind {
     pub fn label(self) -> &'static str {
         match self {
             PolicyKind::Lru => "LRU",
-            PolicyKind::Bip => "BIP",
-            PolicyKind::Dip => "DIP",
             PolicyKind::Drrip => "DRRIP",
             PolicyKind::FiveP => "5P",
         }
@@ -472,22 +360,6 @@ mod tests {
             sorted.sort();
             assert_eq!(sorted, vec![0, 1, 2, 3], "ages must stay a permutation");
         }
-    }
-
-    #[test]
-    fn bip_mostly_inserts_at_lru() {
-        let mut p = Bip::new(42);
-        let mut mru_inserts = 0;
-        for _ in 0..3200 {
-            let mut s = fresh_set();
-            // Insert into the LRU way (3).
-            p.on_insert(0, &mut s, 3, ctx(true, 0));
-            if s[3] == 0 {
-                mru_inserts += 1;
-            }
-        }
-        // Expect ~1/32 = 100 of 3200; allow generous slack.
-        assert!((30..300).contains(&mru_inserts), "mru={mru_inserts}");
     }
 
     #[test]
@@ -572,13 +444,7 @@ mod tests {
 
     #[test]
     fn policy_kind_builds_all() {
-        for k in [
-            PolicyKind::Lru,
-            PolicyKind::Bip,
-            PolicyKind::Dip,
-            PolicyKind::Drrip,
-            PolicyKind::FiveP,
-        ] {
+        for k in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::FiveP] {
             let p = k.build(4, 3);
             assert_eq!(p.name(), k.label());
         }
