@@ -1,14 +1,15 @@
-//! External trace ingestion, end to end (the ISSUE 5 acceptance arm):
-//! generate a ChampSim-format trace, ingest it as a file-backed
-//! benchmark, apply a warm-up sampling window, run it through the
-//! `Experiment` harness, and assert the `SimResult` invariants —
+//! External trace ingestion, end to end: write a synthetic prefix in
+//! every on-disk format, ingest each file as a file-backed benchmark,
+//! apply a warm-up sampling window, run it through the `Experiment`
+//! harness and the machine, and assert the `SimResult` invariants —
 //! `l2 hits + prefetched hits + misses == accesses`, L3 accounting
-//! closing at quiescence, and per-site `useful + unused ≤ fills`.
+//! closing at quiescence, per-site `useful + unused ≤ fills`, and a
+//! measured window of the requested length.
 
 use bosim::{prefetchers, SimConfig, System};
 use bosim_bench::Experiment;
 use bosim_trace::{
-    addr, capture, champsim, suite, BenchmarkSpec, ExternalSpec, SampleSpec, TraceFormat,
+    addr, capture, champsim, file, suite, BenchmarkSpec, ExternalSpec, SampleSpec, TraceFormat,
     TraceSource,
 };
 use std::path::PathBuf;
@@ -60,23 +61,61 @@ fn champsim_trace_through_experiment_with_warmup_sampling() {
     // The config label records the sampling plan.
     assert!(run.config.contains("@skip10k"), "{}", run.config);
 
-    // SimResult invariants on a direct run of the same arm.
-    let mut sys = System::new(&base.with_prefetcher(prefetchers::bo_default()), &bench);
-    let res = sys.run();
-    assert_eq!(res.instructions, 25_000);
-    assert_eq!(
-        res.uncore.l2_hits + res.uncore.l2_prefetched_hits + res.uncore.l2_misses,
-        res.uncore.l2_accesses,
-        "every L2 access classifies exactly once"
-    );
-    res.check_site_invariants()
-        .expect("useful + unused <= fills at every site");
-    let drained = sys.drain_uncore();
-    assert_eq!(
-        drained.l3_hits + drained.l3_misses,
-        drained.l3_accesses,
-        "L3 accounting closes at quiescence"
-    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The counter invariants hold on a replay of each of the four on-disk
+/// formats, under BO and a warm-up sampling plan.
+#[test]
+fn every_format_replays_with_the_counter_invariants() {
+    let dir = scratch("formats_invariants");
+    let uops = capture(&mut suite::benchmark("462").unwrap().build(), 80_000);
+    let accesses = addr::accesses_of(&uops);
+    let cfg = tiny(SimConfig {
+        sample: Some(SampleSpec::skip(10_000)),
+        ..Default::default()
+    })
+    .with_prefetcher(prefetchers::bo_default());
+    for (name, format, bytes) in [
+        ("t.btrace", TraceFormat::Native, file::encode(&uops)),
+        ("t.champsim", TraceFormat::ChampSim, champsim::encode(&uops)),
+        (
+            "t.addr",
+            TraceFormat::AddrText,
+            addr::encode_text(&accesses).into_bytes(),
+        ),
+        (
+            "t.addrbin",
+            TraceFormat::AddrBin,
+            addr::encode_binary(&accesses),
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let bench = BenchmarkSpec::from_trace(ExternalSpec::new(&path, format));
+        let mut sys = System::new(&cfg, &bench);
+        let res = sys.run();
+        // The retire stage is 12-wide: a window may overshoot its
+        // target by less than one retire group.
+        assert!(
+            (25_000..25_012).contains(&res.instructions),
+            "{format}: measured {} instructions",
+            res.instructions
+        );
+        assert_eq!(
+            res.uncore.l2_hits + res.uncore.l2_prefetched_hits + res.uncore.l2_misses,
+            res.uncore.l2_accesses,
+            "{format}: every L2 access classifies exactly once"
+        );
+        res.check_site_invariants()
+            .unwrap_or_else(|e| panic!("{format}: {e}"));
+        let drained = sys.drain_uncore();
+        assert_eq!(
+            drained.l3_hits + drained.l3_misses,
+            drained.l3_accesses,
+            "{format}: L3 accounting closes at quiescence"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
