@@ -19,29 +19,18 @@ use bosim_types::{LineAddr, PageSize};
 const ZONE_LINES: u64 = 256;
 const ZONE_WORDS: usize = (ZONE_LINES / 64) as usize;
 
-/// AMPM-lite configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AmpmConfig {
-    /// Tracked zones (total table entries; default 64 ≈ 2KB of maps).
-    pub zones: usize,
-    /// Zone-table associativity.
-    pub ways: usize,
-    /// Largest candidate stride tested (default 32 lines).
-    pub max_stride: i64,
-    /// Maximum prefetches issued per access (default 2).
-    pub degree: usize,
-}
+/// Tracked zones, the table's total entries (64 ≈ 2KB of maps).
+pub const ZONES: usize = 64;
+/// Zone-table associativity.
+pub const WAYS: usize = 4;
+/// Largest candidate stride tested, in lines.
+pub const MAX_STRIDE: i64 = 32;
+/// Most prefetches issued per access.
+pub const DEGREE: usize = 2;
 
-impl Default for AmpmConfig {
-    fn default() -> Self {
-        AmpmConfig {
-            zones: 64,
-            ways: 4,
-            max_stride: 32,
-            degree: 2,
-        }
-    }
-}
+/// Zone-table sets.
+const SETS: usize = ZONES / WAYS;
+const _: () = assert!(SETS.is_power_of_two() && SETS * WAYS == ZONES);
 
 #[derive(Debug, Clone, Copy)]
 struct Zone {
@@ -61,10 +50,8 @@ const EMPTY_ZONE: Zone = Zone {
 /// The AMPM-lite L2 prefetcher.
 #[derive(Debug)]
 pub struct AmpmPrefetcher {
-    cfg: AmpmConfig,
     page: PageSize,
-    sets: usize,
-    zones: Vec<Zone>,
+    zones: [Zone; ZONES],
     issued: u64,
 }
 
@@ -77,33 +64,17 @@ fn map_get(map: &[u64; ZONE_WORDS], pos: i64) -> bool {
 }
 
 impl AmpmPrefetcher {
-    /// Creates an AMPM-lite prefetcher.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `zones / ways` is a power of two and
-    /// `max_stride`/`degree` are at least 1.
-    pub fn new(cfg: AmpmConfig, page: PageSize) -> Self {
-        assert!(cfg.ways >= 1 && cfg.zones >= cfg.ways);
-        let sets = cfg.zones / cfg.ways;
-        assert!(sets.is_power_of_two());
-        assert!(cfg.max_stride >= 1 && cfg.degree >= 1);
-        let mut zones = vec![EMPTY_ZONE; cfg.zones];
+    /// Creates an AMPM-lite prefetcher for `page`-sized pages.
+    pub fn new(page: PageSize) -> Self {
+        let mut zones = [EMPTY_ZONE; ZONES];
         for (i, z) in zones.iter_mut().enumerate() {
-            z.lru = (i % cfg.ways) as u8;
+            z.lru = (i % WAYS) as u8;
         }
         AmpmPrefetcher {
-            sets,
             zones,
             issued: 0,
-            cfg,
             page,
         }
-    }
-
-    /// Creates an AMPM-lite prefetcher with default parameters.
-    pub fn with_defaults(page: PageSize) -> Self {
-        Self::new(AmpmConfig::default(), page)
     }
 
     /// Prefetch requests issued so far.
@@ -114,22 +85,22 @@ impl AmpmPrefetcher {
     /// Finds (allocating if needed) the zone for a line; returns the
     /// zone index.
     fn zone_for(&mut self, zone_id: u64) -> usize {
-        let set = (zone_id as usize) & (self.sets - 1);
-        let base = set * self.cfg.ways;
-        let ways = self.cfg.ways;
-        let slice = &mut self.zones[base..base + ways];
+        let set = (zone_id as usize) & (SETS - 1);
+        let base = set * WAYS;
+        let slice = &mut self.zones[base..base + WAYS];
         let way = match slice.iter().position(|z| z.valid && z.tag == zone_id) {
             Some(w) => w,
             None => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "replacement set is structurally non-empty"
-                )]
-                let w = (0..ways)
-                    .max_by_key(|&i| {
-                        (if slice[i].valid { 0u16 } else { 256 }) + slice[i].lru as u16
-                    })
-                    .expect("non-empty set");
+                // Invalid ways first, then the LRU one; the last of equal
+                // ways wins.
+                let age = |z: &Zone| u16::from(z.lru) + if z.valid { 0 } else { 256 };
+                let w = (1..WAYS).fold(0, |best, i| {
+                    if age(&slice[i]) >= age(&slice[best]) {
+                        i
+                    } else {
+                        best
+                    }
+                });
                 slice[w].valid = true;
                 slice[w].tag = zone_id;
                 slice[w].map = [0; ZONE_WORDS];
@@ -161,8 +132,8 @@ impl Prefetcher for AmpmPrefetcher {
         self.zones[zi].map[(pos / 64) as usize] |= 1 << (pos % 64);
         let map = self.zones[zi].map;
         // Pattern match: two prior accesses at stride d predict p+d.
-        let mut budget = self.cfg.degree;
-        for d in 1..=self.cfg.max_stride {
+        let mut budget = DEGREE;
+        for d in 1..=MAX_STRIDE {
             if budget == 0 {
                 break;
             }
@@ -214,7 +185,7 @@ mod tests {
 
     #[test]
     fn sequential_pattern_prefetches_next_lines() {
-        let mut p = AmpmPrefetcher::with_defaults(PageSize::M4);
+        let mut p = AmpmPrefetcher::new(PageSize::M4);
         let base = 10 * ZONE_LINES;
         assert!(access(&mut p, base).is_empty());
         assert!(access(&mut p, base + 1).is_empty());
@@ -227,7 +198,7 @@ mod tests {
 
     #[test]
     fn strided_pattern_prefetches_with_stride() {
-        let mut p = AmpmPrefetcher::with_defaults(PageSize::M4);
+        let mut p = AmpmPrefetcher::new(PageSize::M4);
         let base = 20 * ZONE_LINES;
         access(&mut p, base);
         access(&mut p, base + 5);
@@ -240,7 +211,7 @@ mod tests {
 
     #[test]
     fn backwards_stream_prefetches_downwards() {
-        let mut p = AmpmPrefetcher::with_defaults(PageSize::M4);
+        let mut p = AmpmPrefetcher::new(PageSize::M4);
         let base = 30 * ZONE_LINES + 100;
         access(&mut p, base);
         access(&mut p, base - 1);
@@ -253,7 +224,7 @@ mod tests {
 
     #[test]
     fn random_isolated_accesses_stay_quiet() {
-        let mut p = AmpmPrefetcher::with_defaults(PageSize::M4);
+        let mut p = AmpmPrefetcher::new(PageSize::M4);
         let mut issued = 0;
         for i in 0..200u64 {
             // Spread accesses over many zones: no pattern forms.
@@ -264,21 +235,22 @@ mod tests {
 
     #[test]
     fn degree_budget_is_respected() {
-        let cfg = AmpmConfig {
-            degree: 1,
-            ..Default::default()
-        };
-        let mut p = AmpmPrefetcher::new(cfg, PageSize::M4);
+        let mut p = AmpmPrefetcher::new(PageSize::M4);
+        // A sequential stream matches every stride up to its length,
+        // more candidates than the degree allows.
         let base = 40 * ZONE_LINES;
-        for i in 0..8 {
+        let mut most = 0;
+        for i in 0..16 {
             let reqs = access(&mut p, base + i);
-            assert!(reqs.len() <= 1, "degree 1 exceeded: {reqs:?}");
+            assert!(reqs.len() <= DEGREE, "degree {DEGREE} exceeded: {reqs:?}");
+            most = most.max(reqs.len());
         }
+        assert_eq!(most, DEGREE);
     }
 
     #[test]
     fn page_boundaries_respected() {
-        let mut p = AmpmPrefetcher::with_defaults(PageSize::K4);
+        let mut p = AmpmPrefetcher::new(PageSize::K4);
         // 4KB page = 64 lines; zone = 256 lines spans 4 pages.
         let base = 50 * ZONE_LINES + 61;
         access(&mut p, base);
@@ -294,17 +266,13 @@ mod tests {
 
     #[test]
     fn zone_eviction_forgets_old_maps() {
-        let cfg = AmpmConfig {
-            zones: 4,
-            ways: 4,
-            ..Default::default()
-        };
-        let mut p = AmpmPrefetcher::new(cfg, PageSize::M4);
-        // Train a pattern in zone 0, then touch 4 other zones to evict it.
+        let mut p = AmpmPrefetcher::new(PageSize::M4);
+        // Train a pattern in zone 0, then touch WAYS other zones of its
+        // set (zone ids SETS apart) to evict it.
         access(&mut p, 0);
         access(&mut p, 1);
-        for z in 1..=4u64 {
-            access(&mut p, z * ZONE_LINES);
+        for z in 1..=WAYS as u64 {
+            access(&mut p, z * SETS as u64 * ZONE_LINES);
         }
         // Zone 0 must have been evicted: the old history is gone.
         let reqs = access(&mut p, 2);

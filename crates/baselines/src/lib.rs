@@ -4,10 +4,15 @@
 //!   the default L2 next-line prefetcher of the baseline (§5.6, Figures
 //!   5, 7, 8),
 //! * [`SandboxPrefetcher`] — Pugsley et al.'s SBP as adapted in §6.3
-//!   (52-offset list, 2048-bit Bloom filter, 256-access periods),
-//! * [`StridePrefetcher`] — the PC-indexed DL1 stride prefetcher (§5.5),
+//!   (52-offset list, [`sandbox::BLOOM_BITS`]-bit Bloom filter,
+//!   [`sandbox::PERIOD`]-access periods),
+//! * [`StridePrefetcher`] — the PC-indexed DL1 stride prefetcher (§5.5,
+//!   [`stride::ENTRIES`] entries, distance [`stride::DISTANCE`]),
 //! * [`AmpmPrefetcher`] — an AMPM-lite extension (the DPC-1 winner the
-//!   paper positions SBP against).
+//!   paper positions SBP against; [`ampm::ZONES`] zones).
+//!
+//! Each prefetcher's parameters are constants in its module; nothing
+//! varies them.
 //!
 //! All line-address prefetchers implement the level-agnostic
 //! [`best_offset::Prefetcher`] trait (attachable to the L2 or L3 site);
@@ -16,12 +21,12 @@
 
 #![warn(missing_docs)]
 
-mod ampm;
+pub mod ampm;
 mod fixed;
-mod sandbox;
-mod stride;
+pub mod sandbox;
+pub mod stride;
 
-pub use ampm::{AmpmConfig, AmpmPrefetcher};
+pub use ampm::AmpmPrefetcher;
 pub use fixed::FixedOffsetPrefetcher;
-pub use sandbox::{BloomFilter, SandboxPrefetcher, SbpConfig};
-pub use stride::{StrideConfig, StridePrefetcher};
+pub use sandbox::SandboxPrefetcher;
+pub use stride::StridePrefetcher;

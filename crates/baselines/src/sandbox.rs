@@ -17,103 +17,68 @@
 use best_offset::{CacheAccess, OffsetList, Prefetcher};
 use bosim_types::{mix64, LineAddr, PageSize};
 
-/// A small Bloom filter used as the prefetch sandbox.
-#[derive(Debug, Clone)]
-pub struct BloomFilter {
-    bits: Vec<u64>,
-    num_bits: usize,
-    hashes: u32,
+/// Bloom filter size in bits (§6.3: 2048).
+pub const BLOOM_BITS: usize = 2048;
+/// Hash functions probing the Bloom filter (§6.3: 3).
+pub const BLOOM_HASHES: u32 = 3;
+/// Evaluation period in eligible L2 accesses (§6.3: 256).
+pub const PERIOD: u32 = 256;
+/// Score at or above which an offset prefetches `X + D` (degree 1).
+///
+/// The cutoffs follow the original SBP's accuracy thresholds scaled to
+/// the 256-access period with up to 4 sandbox hits per access: degree 1
+/// at 25% coverage, degree 2/3 when the pattern persists across 2-3
+/// offsets of lookahead.
+pub const CUTOFF1: u32 = 64;
+/// Score at or above which an offset also prefetches `X + 2D`.
+pub const CUTOFF2: u32 = 320;
+/// Score at or above which an offset also prefetches `X + 3D`.
+pub const CUTOFF3: u32 = 640;
+/// Most prefetch requests per access, across all active offsets.
+pub const MAX_REQUESTS_PER_ACCESS: usize = 4;
+
+const _: () = assert!(BLOOM_BITS.is_power_of_two() && BLOOM_BITS >= 64 && BLOOM_HASHES >= 1);
+
+/// The [`BLOOM_BITS`]-bit Bloom filter used as the prefetch sandbox,
+/// probed with [`BLOOM_HASHES`] hash functions.
+#[derive(Debug, Default)]
+struct BloomFilter {
+    bits: [u64; BLOOM_BITS / 64],
 }
 
 impl BloomFilter {
-    /// Creates a filter of `num_bits` bits (power of two) probed with
-    /// `hashes` hash functions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_bits` is not a power of two or `hashes == 0`.
-    pub fn new(num_bits: usize, hashes: u32) -> Self {
-        assert!(num_bits.is_power_of_two() && num_bits >= 64);
-        assert!(hashes >= 1);
-        BloomFilter {
-            bits: vec![0; num_bits / 64],
-            num_bits,
-            hashes,
-        }
-    }
-
     #[inline]
-    fn bit_index(&self, value: u64, k: u32) -> usize {
-        (mix64(value ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize)
-            & (self.num_bits - 1)
+    fn bit_index(value: u64, k: u32) -> usize {
+        (mix64(value ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize) & (BLOOM_BITS - 1)
     }
 
     /// Inserts a value.
-    pub fn insert(&mut self, value: u64) {
-        for k in 0..self.hashes {
-            let b = self.bit_index(value, k);
+    fn insert(&mut self, value: u64) {
+        for k in 0..BLOOM_HASHES {
+            let b = Self::bit_index(value, k);
             self.bits[b / 64] |= 1 << (b % 64);
         }
     }
 
     /// Tests membership (false positives possible, never negatives).
-    pub fn contains(&self, value: u64) -> bool {
-        (0..self.hashes).all(|k| {
-            let b = self.bit_index(value, k);
+    fn contains(&self, value: u64) -> bool {
+        (0..BLOOM_HASHES).all(|k| {
+            let b = Self::bit_index(value, k);
             self.bits[b / 64] & (1 << (b % 64)) != 0
         })
     }
 
     /// Clears the filter (done between evaluation periods).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.bits.fill(0);
-    }
-}
-
-/// SBP tuning parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SbpConfig {
-    /// Candidate offsets (default: the BO paper's 52-entry list, §6.3).
-    pub offsets: OffsetList,
-    /// Bloom filter size in bits (default 2048).
-    pub bloom_bits: usize,
-    /// Bloom hash functions (default 3).
-    pub bloom_hashes: u32,
-    /// Evaluation period in eligible L2 accesses (default 256).
-    pub period: u32,
-    /// Score cutoff to prefetch with an offset at all (degree 1).
-    pub cutoff1: u32,
-    /// Score cutoff to also prefetch `X + 2D` (degree 2).
-    pub cutoff2: u32,
-    /// Score cutoff to also prefetch `X + 3D` (degree 3).
-    pub cutoff3: u32,
-    /// Maximum prefetch requests per access across all active offsets.
-    pub max_requests_per_access: usize,
-}
-
-impl Default for SbpConfig {
-    fn default() -> Self {
-        // Cutoffs follow the original SBP's accuracy thresholds scaled to
-        // the 256-access period with up to 4 sandbox hits per access:
-        // degree 1 at 25% coverage, degree 2/3 when the pattern persists
-        // across 2-3 offsets of lookahead.
-        SbpConfig {
-            offsets: OffsetList::paper_default(),
-            bloom_bits: 2048,
-            bloom_hashes: 3,
-            period: 256,
-            cutoff1: 64,
-            cutoff2: 320,
-            cutoff3: 640,
-            max_requests_per_access: 4,
-        }
     }
 }
 
 /// The Sandbox prefetcher.
 #[derive(Debug)]
 pub struct SandboxPrefetcher {
-    cfg: SbpConfig,
+    /// Candidate offsets: the BO paper's 52-entry list (§6.3).
+    offsets: OffsetList,
     page: PageSize,
     sandbox: BloomFilter,
     /// Latest completed-evaluation score per offset.
@@ -131,26 +96,20 @@ pub struct SandboxPrefetcher {
 }
 
 impl SandboxPrefetcher {
-    /// Creates an SBP with the given configuration.
-    pub fn new(cfg: SbpConfig, page: PageSize) -> Self {
-        let n = cfg.offsets.len();
-        let sandbox = BloomFilter::new(cfg.bloom_bits, cfg.bloom_hashes);
+    /// Creates an SBP with the §6.3 parameters for `page`-sized pages.
+    pub fn new(page: PageSize) -> Self {
+        let offsets = OffsetList::paper_default();
         SandboxPrefetcher {
-            sandbox,
-            scores: vec![0; n],
+            sandbox: BloomFilter::default(),
+            scores: vec![0; offsets.len()],
             eval_score: 0,
             eval_idx: 0,
             accesses: 0,
             plan: Vec::new(),
             issued: 0,
-            cfg,
+            offsets,
             page,
         }
-    }
-
-    /// Creates an SBP with the §6.3 defaults.
-    pub fn with_defaults(page: PageSize) -> Self {
-        Self::new(SbpConfig::default(), page)
     }
 
     /// Latest per-offset scores (offset-list order).
@@ -168,12 +127,12 @@ impl SandboxPrefetcher {
         self.issued
     }
 
-    fn degree_for(&self, score: u32) -> u32 {
-        if score >= self.cfg.cutoff3 {
+    fn degree_for(score: u32) -> u32 {
+        if score >= CUTOFF3 {
             3
-        } else if score >= self.cfg.cutoff2 {
+        } else if score >= CUTOFF2 {
             2
-        } else if score >= self.cfg.cutoff1 {
+        } else if score >= CUTOFF1 {
             1
         } else {
             0
@@ -184,9 +143,9 @@ impl SandboxPrefetcher {
         let mut scored: Vec<(u32, i64)> = self
             .scores
             .iter()
-            .zip(self.cfg.offsets.iter())
+            .zip(self.offsets.iter())
             .filter_map(|(&s, d)| {
-                if self.degree_for(s) > 0 {
+                if Self::degree_for(s) > 0 {
                     Some((s, d))
                 } else {
                     None
@@ -197,13 +156,13 @@ impl SandboxPrefetcher {
         scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.abs().cmp(&b.1.abs())));
         self.plan = scored
             .into_iter()
-            .map(|(s, d)| (d, self.degree_for(s)))
+            .map(|(s, d)| (d, Self::degree_for(s)))
             .collect();
     }
 
     fn end_period(&mut self) {
         self.scores[self.eval_idx] = self.eval_score;
-        self.eval_idx = (self.eval_idx + 1) % self.cfg.offsets.len();
+        self.eval_idx = (self.eval_idx + 1) % self.offsets.len();
         self.eval_score = 0;
         self.accesses = 0;
         self.sandbox.clear();
@@ -217,7 +176,7 @@ impl Prefetcher for SandboxPrefetcher {
             return;
         }
         let x = access.line;
-        let d = self.cfg.offsets.get(self.eval_idx);
+        let d = self.offsets.get(self.eval_idx);
 
         // --- Sandbox evaluation of the candidate offset ---
         // Check X, X-D, X-2D, X-3D against the fake prefetches.
@@ -232,12 +191,12 @@ impl Prefetcher for SandboxPrefetcher {
             self.sandbox.insert(fake.0);
         }
         self.accesses += 1;
-        if self.accesses >= self.cfg.period {
+        if self.accesses >= PERIOD {
             self.end_period();
         }
 
         // --- Real prefetching according to the current plan ---
-        let mut budget = self.cfg.max_requests_per_access;
+        let mut budget = MAX_REQUESTS_PER_ACCESS;
         for &(offset, degree) in &self.plan {
             for mult in 1..=degree as i64 {
                 if budget == 0 {
@@ -283,7 +242,7 @@ mod tests {
 
     #[test]
     fn bloom_filter_membership() {
-        let mut b = BloomFilter::new(2048, 3);
+        let mut b = BloomFilter::default();
         assert!(!b.contains(42));
         b.insert(42);
         assert!(b.contains(42));
@@ -293,7 +252,7 @@ mod tests {
 
     #[test]
     fn bloom_filter_false_positive_rate_is_low_when_sparse() {
-        let mut b = BloomFilter::new(2048, 3);
+        let mut b = BloomFilter::default();
         for v in 0..64 {
             b.insert(v);
         }
@@ -303,14 +262,14 @@ mod tests {
 
     #[test]
     fn no_prefetch_before_any_evaluation() {
-        let mut p = SandboxPrefetcher::with_defaults(PageSize::M4);
+        let mut p = SandboxPrefetcher::new(PageSize::M4);
         // Plan is empty until a period completes with a passing score.
         assert!(access(&mut p, 1000).is_empty());
     }
 
     #[test]
     fn sequential_stream_activates_offsets() {
-        let mut p = SandboxPrefetcher::with_defaults(PageSize::M4);
+        let mut p = SandboxPrefetcher::new(PageSize::M4);
         let mut line = 4096u64;
         // Run enough periods to evaluate several candidates; candidate 1
         // (offset 1) on a sequential stream scores ~4 hits/access.
@@ -332,7 +291,7 @@ mod tests {
 
     #[test]
     fn random_traffic_stays_off() {
-        let mut p = SandboxPrefetcher::with_defaults(PageSize::M4);
+        let mut p = SandboxPrefetcher::new(PageSize::M4);
         let mut x = 7u64;
         for _ in 0..256 * 55 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -346,20 +305,25 @@ mod tests {
 
     #[test]
     fn request_budget_is_respected() {
-        let cfg = SbpConfig {
-            max_requests_per_access: 2,
-            ..Default::default()
-        };
-        let mut p = SandboxPrefetcher::new(cfg, PageSize::M4);
+        // A sequential stream plans offset 1 at degree 3 and more
+        // offsets besides: more candidates than the budget allows.
+        let mut p = SandboxPrefetcher::new(PageSize::M4);
+        let mut most = 0;
         for line in 8192u64..8192 + 256 * 8 {
             let reqs = access(&mut p, line);
-            assert!(reqs.len() <= 2, "budget exceeded: {}", reqs.len());
+            assert!(
+                reqs.len() <= MAX_REQUESTS_PER_ACCESS,
+                "budget exceeded: {}",
+                reqs.len()
+            );
+            most = most.max(reqs.len());
         }
+        assert_eq!(most, MAX_REQUESTS_PER_ACCESS, "{:?}", p.plan());
     }
 
     #[test]
     fn page_boundaries_respected() {
-        let mut p = SandboxPrefetcher::with_defaults(PageSize::K4);
+        let mut p = SandboxPrefetcher::new(PageSize::K4);
         for line in 0u64..256 * 6 {
             let reqs = access(&mut p, line);
             for r in reqs {

@@ -17,6 +17,20 @@ use bosim_types::VirtAddr;
 
 const CONF_MAX: u8 = 15;
 
+/// Prefetch-table entries (§5.5: 64).
+pub const ENTRIES: usize = 64;
+/// Associativity of the PC-indexed table (the paper does not say; 8).
+pub const WAYS: usize = 8;
+/// Prefetch distance factor: the target is `addr + DISTANCE × stride`
+/// (§5.5: 16, determined empirically).
+pub const DISTANCE: i64 = 16;
+/// Recent-prefetch filter entries, in lines (§5.5: 16).
+pub const FILTER_ENTRIES: usize = 16;
+
+/// Prefetch-table sets.
+const SETS: usize = ENTRIES / WAYS;
+const _: () = assert!(SETS.is_power_of_two() && SETS * WAYS == ENTRIES && FILTER_ENTRIES >= 1);
+
 #[derive(Debug, Clone, Copy, Default)]
 struct StrideEntry {
     valid: bool,
@@ -27,66 +41,15 @@ struct StrideEntry {
     lru: u8,
 }
 
-/// Configuration of the DL1 stride prefetcher.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrideConfig {
-    /// Table entries (paper: 64).
-    pub entries: usize,
-    /// Associativity of the PC-indexed table (paper: unspecified; 8-way).
-    pub ways: usize,
-    /// Prefetch distance factor (paper: 16, determined empirically).
-    pub distance: i64,
-    /// Recent-prefetch filter size (paper: 16 lines).
-    pub filter_entries: usize,
-}
-
-impl Default for StrideConfig {
-    fn default() -> Self {
-        StrideConfig {
-            entries: 64,
-            ways: 8,
-            distance: 16,
-            filter_entries: 16,
-        }
-    }
-}
-
-impl StrideConfig {
-    /// Validates the parameters [`StridePrefetcher::new`] would otherwise
-    /// panic on (used by configuration validation so an invalid spec is
-    /// reported before any simulation runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.ways < 1 || self.entries < self.ways {
-            return Err(format!(
-                "stride table needs entries ({}) >= ways ({}) >= 1",
-                self.entries, self.ways
-            ));
-        }
-        let sets = self.entries / self.ways;
-        if !sets.is_power_of_two() {
-            return Err(format!(
-                "stride table set count {sets} (entries {} / ways {}) must be a power of two",
-                self.entries, self.ways
-            ));
-        }
-        if self.filter_entries < 1 {
-            return Err("stride recent-prefetch filter needs at least one entry".into());
-        }
-        Ok(())
-    }
-}
-
 /// The PC-indexed DL1 stride prefetcher.
 #[derive(Debug)]
 pub struct StridePrefetcher {
-    cfg: StrideConfig,
-    sets: usize,
+    /// [`ENTRIES`] entries, on the heap: held inline, they grew every
+    /// core by 2 KB and made `System::new` 15–20% slower in
+    /// `bosim-benchmark` (2-vCPU x86-64 VM).
     table: Vec<StrideEntry>,
-    /// 16-entry FIFO of recently prefetched virtual *lines*.
+    /// FIFO of the [`FILTER_ENTRIES`] most recently prefetched virtual
+    /// *lines*.
     filter: Vec<u64>,
     filter_pos: usize,
     issued: u64,
@@ -96,35 +59,21 @@ pub struct StridePrefetcher {
     enabled: bool,
 }
 
-impl StridePrefetcher {
-    /// Creates a stride prefetcher.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `entries` is divisible by `ways` into a power-of-two
-    /// set count.
-    pub fn new(cfg: StrideConfig) -> Self {
-        assert!(cfg.ways >= 1 && cfg.entries >= cfg.ways);
-        let sets = cfg.entries / cfg.ways;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(cfg.filter_entries >= 1);
+impl Default for StridePrefetcher {
+    /// The §5.5 prefetcher, with an empty table.
+    fn default() -> Self {
         StridePrefetcher {
-            sets,
-            table: vec![StrideEntry::default(); cfg.entries],
-            filter: vec![u64::MAX; cfg.filter_entries],
+            table: vec![StrideEntry::default(); ENTRIES],
+            filter: vec![u64::MAX; FILTER_ENTRIES],
             filter_pos: 0,
             issued: 0,
             trained: 0,
             enabled: true,
-            cfg,
         }
     }
+}
 
-    /// Creates the paper-default 64-entry prefetcher.
-    pub fn with_defaults() -> Self {
-        Self::new(StrideConfig::default())
-    }
-
+impl StridePrefetcher {
     /// Requests issued (pre-TLB).
     pub fn issued(&self) -> u64 {
         self.issued
@@ -136,13 +85,12 @@ impl StridePrefetcher {
     }
 
     #[inline]
-    fn set_of(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & (self.sets - 1)
+    fn set_of(pc: u64) -> usize {
+        ((pc >> 2) as usize) & (SETS - 1)
     }
 
     fn set_slice(&mut self, set: usize) -> &mut [StrideEntry] {
-        let w = self.cfg.ways;
-        &mut self.table[set * w..(set + 1) * w]
+        &mut self.table[set * WAYS..(set + 1) * WAYS]
     }
 
     fn touch_lru(set: &mut [StrideEntry], way: usize) {
@@ -158,7 +106,7 @@ impl StridePrefetcher {
     /// Trains the table at retirement, in program order (§5.5).
     pub fn on_retire(&mut self, pc: u64, vaddr: VirtAddr) {
         self.trained += 1;
-        let set_idx = self.set_of(pc);
+        let set_idx = Self::set_of(pc);
         let set = self.set_slice(set_idx);
         let way = set.iter().position(|e| e.valid && e.pc == pc);
         match way {
@@ -175,14 +123,16 @@ impl StridePrefetcher {
                 Self::touch_lru(set, w);
             }
             None => {
-                // Allocate the LRU way.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "replacement set is structurally non-empty"
-                )]
-                let w = (0..set.len())
-                    .max_by_key(|&i| if set[i].valid { set[i].lru } else { u8::MAX })
-                    .expect("non-empty set");
+                // Allocate an invalid way, else the LRU one; the last of
+                // equal ways wins.
+                let age = |e: &StrideEntry| if e.valid { e.lru } else { u8::MAX };
+                let w = (1..WAYS).fold(0, |best, i| {
+                    if age(&set[i]) >= age(&set[best]) {
+                        i
+                    } else {
+                        best
+                    }
+                });
                 set[w] = StrideEntry {
                     valid: true,
                     pc,
@@ -205,25 +155,24 @@ impl StridePrefetcher {
         if !self.enabled {
             return None;
         }
-        let distance = self.cfg.distance;
-        let set_idx = self.set_of(pc);
+        let set_idx = Self::set_of(pc);
         let set = self.set_slice(set_idx);
         let e = set.iter().find(|e| e.valid && e.pc == pc)?;
         if e.stride == 0 || e.confidence < CONF_MAX {
             return None;
         }
-        let target = vaddr.0 as i64 + distance * e.stride;
+        let target = vaddr.0 as i64 + DISTANCE * e.stride;
         if target < 0 {
             return None;
         }
         let target = target as u64;
         let line = target >> 6;
-        // 16-entry filter: skip lines prefetched recently.
+        // Skip lines prefetched recently.
         if self.filter.contains(&line) {
             return None;
         }
         self.filter[self.filter_pos] = line;
-        self.filter_pos = (self.filter_pos + 1) % self.filter.len();
+        self.filter_pos = (self.filter_pos + 1) % FILTER_ENTRIES;
         self.issued += 1;
         Some(VirtAddr(target))
     }
@@ -248,7 +197,7 @@ mod tests {
 
     #[test]
     fn constant_stride_trains_to_full_confidence() {
-        let mut p = StridePrefetcher::with_defaults();
+        let mut p = StridePrefetcher::default();
         let pc = 0x400100;
         // Need stride established + 15 confirmations.
         for i in 0..20 {
@@ -264,7 +213,7 @@ mod tests {
 
     #[test]
     fn no_issue_before_confidence() {
-        let mut p = StridePrefetcher::with_defaults();
+        let mut p = StridePrefetcher::default();
         let pc = 0x400100;
         for i in 0..5 {
             p.on_retire(pc, VirtAddr(0x1000 + i * 64));
@@ -274,7 +223,7 @@ mod tests {
 
     #[test]
     fn stride_change_resets_confidence() {
-        let mut p = StridePrefetcher::with_defaults();
+        let mut p = StridePrefetcher::default();
         let pc = 0x400200;
         for i in 0..20 {
             p.on_retire(pc, VirtAddr(0x1000 + i * 64));
@@ -291,7 +240,7 @@ mod tests {
 
     #[test]
     fn zero_stride_never_prefetches() {
-        let mut p = StridePrefetcher::with_defaults();
+        let mut p = StridePrefetcher::default();
         let pc = 0x400300;
         for _ in 0..40 {
             p.on_retire(pc, VirtAddr(0x7000));
@@ -301,7 +250,7 @@ mod tests {
 
     #[test]
     fn filter_suppresses_repeats() {
-        let mut p = StridePrefetcher::with_defaults();
+        let mut p = StridePrefetcher::default();
         let pc = 0x400400;
         for i in 0..20 {
             p.on_retire(pc, VirtAddr(0x1000 + i * 8));
@@ -316,7 +265,7 @@ mod tests {
 
     #[test]
     fn distinct_pcs_do_not_interfere() {
-        let mut p = StridePrefetcher::with_defaults();
+        let mut p = StridePrefetcher::default();
         // Two loads in a loop with different strides; both reach
         // confidence despite interleaved training.
         for i in 0..20u64 {
@@ -335,7 +284,7 @@ mod tests {
 
     #[test]
     fn external_gate_stops_issue_but_not_training() {
-        let mut p = StridePrefetcher::with_defaults();
+        let mut p = StridePrefetcher::default();
         let pc = 0x400600;
         assert!(p.reconfigure(&TuneDirective::SetEnabled(false)));
         // Training continues while gated...
@@ -350,46 +299,19 @@ mod tests {
     }
 
     #[test]
-    fn config_validation_matches_constructor_panics() {
-        assert!(StrideConfig::default().validate().is_ok());
-        let bad_sets = StrideConfig {
-            entries: 24,
-            ways: 8,
-            ..Default::default()
-        };
-        assert!(bad_sets.validate().unwrap_err().contains("power of two"));
-        let bad_ways = StrideConfig {
-            entries: 4,
-            ways: 8,
-            ..Default::default()
-        };
-        assert!(bad_ways.validate().is_err());
-        let bad_filter = StrideConfig {
-            filter_entries: 0,
-            ..Default::default()
-        };
-        assert!(bad_filter.validate().unwrap_err().contains("filter"));
-    }
-
-    #[test]
     fn capacity_eviction_is_lru() {
-        let cfg = StrideConfig {
-            entries: 8,
-            ways: 8,
-            ..Default::default()
-        };
-        let mut p = StridePrefetcher::new(cfg);
-        // 9 PCs map to the single set; the first must be evicted.
-        for pc in 0..9u64 {
+        let mut p = StridePrefetcher::default();
+        // WAYS + 1 PCs map to one set (PCs SETS × 4 apart); the first
+        // must be evicted.
+        let pc = |k: u64| 0x400000 + k * SETS as u64 * 4;
+        for k in 0..=WAYS as u64 {
             for i in 0..20 {
-                p.on_retire(0x400000 + pc * 4, VirtAddr(0x1000 * (pc + 1) + i * 64));
+                p.on_retire(pc(k), VirtAddr(0x1000 * (k + 1) + i * 64));
             }
         }
         // PC 0 was LRU and evicted: no prefetch.
-        assert_eq!(p.on_access(0x400000, VirtAddr(0x500000)), None);
-        // PC 8 is present and confident.
-        assert!(p
-            .on_access(0x400000 + 8 * 4, VirtAddr(0x9000 * 9))
-            .is_some());
+        assert_eq!(p.on_access(pc(0), VirtAddr(0x500000)), None);
+        // The last PC is present and confident.
+        assert!(p.on_access(pc(WAYS as u64), VirtAddr(0x9000 * 9)).is_some());
     }
 }

@@ -2,18 +2,24 @@
 //! simulator's own constants and defaults so the table can never drift
 //! from the code.
 use bosim::{
-    SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS, L3_LATENCY, L3_SIZE, L3_WAYS, PREFETCH_QUEUE,
+    SimConfig, L2_FILL_QUEUE, L2_LATENCY, L2_SIZE, L2_WAYS, L3_FILL_QUEUE, L3_LATENCY, L3_SIZE,
+    L3_WAYS, PREFETCH_QUEUE,
 };
+use bosim_baselines::stride;
 use bosim_cpu::{
-    DISPATCH_WIDTH, DL1_LATENCY, DL1_SIZE, DL1_WAYS, FP_PORTS, IL1_SIZE, IL1_WAYS, INT_PORTS,
-    LOAD_PORTS, MISPREDICT_PENALTY, MSHRS, RETIRE_WIDTH, ROB_SIZE, STORE_BUFFER,
+    TlbHierarchy, DISPATCH_WIDTH, DL1_LATENCY, DL1_SIZE, DL1_WAYS, FP_PORTS, IL1_SIZE, IL1_WAYS,
+    INT_PORTS, LOAD_PORTS, MISPREDICT_PENALTY, MSHRS, RETIRE_WIDTH, ROB_SIZE, STORE_BUFFER,
+    TLB2_LATENCY, WALK_LATENCY,
 };
-use bosim_dram::DdrTimings;
+use bosim_dram::{
+    BANKS, CHANNELS, READ_QUEUE, T_BURST, T_CL, T_CWL, T_RAS, T_RCD, T_RP, T_RTP, T_WR, T_WTR,
+    URGENT_THRESHOLD, WRITE_BATCH, WRITE_QUEUE,
+};
 use bosim_stats::Table;
 
 fn main() {
     let c = SimConfig::default();
-    let t = DdrTimings::default();
+    let tlbs = TlbHierarchy::with_defaults();
     let mut tab = Table::new(["parameter", "value"]);
     tab.row(vec!["clock freq.".to_string(), "fixed".to_string()]);
     tab.row(vec![
@@ -73,7 +79,7 @@ fn main() {
             L2_SIZE >> 10,
             L2_WAYS,
             L2_LATENCY,
-            c.l2_fill_queue
+            L2_FILL_QUEUE
         ),
     ]);
     tab.row(vec![
@@ -84,7 +90,7 @@ fn main() {
             L3_WAYS,
             c.l3_policy.label(),
             L3_LATENCY,
-            c.l3_fill_queue
+            L3_FILL_QUEUE
         ),
     ]);
     tab.row(vec![
@@ -93,26 +99,44 @@ fn main() {
     ]);
     tab.row(vec![
         "TLB entries".to_string(),
-        "ITLB1: 64, DTLB1: 64, TLB2: 512".to_string(),
+        format!(
+            "ITLB1: {}, DTLB1: {}, TLB2: {}",
+            tlbs.itlb.entries(),
+            tlbs.dtlb.entries(),
+            tlbs.tlb2.entries()
+        ),
+    ]);
+    tab.row(vec![
+        "TLB miss latency".to_string(),
+        format!("TLB2: {TLB2_LATENCY} cycles, page walk: +{WALK_LATENCY} cycles"),
     ]);
     tab.row(vec![
         "memory".to_string(),
-        "2 channels, 1 controller/channel, 8 banks, FR-FCFS + steady/urgent".to_string(),
+        format!(
+            "{CHANNELS} channels, 1 controller/channel, {BANKS} banks, FR-FCFS + steady/urgent"
+        ),
     ]);
     tab.row(vec![
         "DDR3 param. (bus cycles)".to_string(),
         format!(
-            "tCL={}, tRCD={}, tRP={}, tRAS={}, tCWL={}, tRTP={}, tWR={}, tWTR={}, tBURST={}",
-            t.t_cl, t.t_rcd, t.t_rp, t.t_ras, t.t_cwl, t.t_rtp, t.t_wr, t.t_wtr, t.t_burst
+            "tCL={T_CL}, tRCD={T_RCD}, tRP={T_RP}, tRAS={T_RAS}, tCWL={T_CWL}, tRTP={T_RTP}, \
+             tWR={T_WR}, tWTR={T_WTR}, tBURST={T_BURST}"
         ),
     ]);
     tab.row(vec![
         "memory controller".to_string(),
-        "32-entry read + 32-entry write queue per core, 16-write batches".to_string(),
+        format!(
+            "{READ_QUEUE}-entry read + {WRITE_QUEUE}-entry write queue per core, \
+             {WRITE_BATCH}-write batches, urgent gap > {URGENT_THRESHOLD}"
+        ),
     ]);
     tab.row(vec![
         "DL1 prefetch".to_string(),
-        "stride prefetcher, 64 entries, distance 16".to_string(),
+        format!(
+            "stride prefetcher, {} entries, distance {}",
+            stride::ENTRIES,
+            stride::DISTANCE
+        ),
     ]);
     tab.row(vec![
         "L2 prefetch".to_string(),

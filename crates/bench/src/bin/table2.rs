@@ -1,5 +1,6 @@
-//! Table 2: BO prefetcher default parameters, printed from `BoConfig`.
-use best_offset::BoConfig;
+//! Table 2: BO prefetcher default parameters, printed from `BoConfig`
+//! and the RR tag width constant.
+use best_offset::{BoConfig, RR_TAG_BITS};
 use bosim_stats::Table;
 
 fn main() {
@@ -9,10 +10,7 @@ fn main() {
         "RR table entries".to_string(),
         format!("{}", c.rr_entries),
     ]);
-    tab.row(vec![
-        "RR tag bits".to_string(),
-        format!("{}", c.rr_tag_bits),
-    ]);
+    tab.row(vec!["RR tag bits".to_string(), format!("{RR_TAG_BITS}")]);
     tab.row(vec!["SCOREMAX".to_string(), format!("{}", c.score_max)]);
     tab.row(vec!["ROUNDMAX".to_string(), format!("{}", c.round_max)]);
     tab.row(vec!["BADSCORE".to_string(), format!("{}", c.bad_score)]);

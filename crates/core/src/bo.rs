@@ -33,8 +33,6 @@ use std::fmt;
 pub struct BoConfig {
     /// RR table entries (Table 2: 256).
     pub rr_entries: usize,
-    /// RR partial tag width in bits (Table 2: 12).
-    pub rr_tag_bits: u32,
     /// Maximum score ending a learning phase (Table 2: 31).
     pub score_max: u32,
     /// Maximum rounds per learning phase (Table 2: 100).
@@ -53,7 +51,6 @@ impl Default for BoConfig {
     fn default() -> Self {
         BoConfig {
             rr_entries: 256,
-            rr_tag_bits: 12,
             score_max: 31,
             round_max: 100,
             bad_score: 1,
@@ -80,11 +77,6 @@ pub enum BoConfigError {
         /// The requested entry count.
         entries: usize,
     },
-    /// The RR partial tag width was 0 or larger than 16 bits.
-    BadRrTagBits {
-        /// The requested tag width.
-        bits: u32,
-    },
     /// SCOREMAX was 0 — a learning phase could never saturate.
     ZeroScoreMax,
     /// ROUNDMAX was 0 — a learning phase could never end.
@@ -105,9 +97,6 @@ impl fmt::Display for BoConfigError {
                 f,
                 "BO RR table needs a power-of-two entry count >= 2, got {entries}"
             ),
-            BoConfigError::BadRrTagBits { bits } => {
-                write!(f, "BO RR partial tag must be 1..=16 bits, got {bits}")
-            }
             BoConfigError::ZeroScoreMax => write!(f, "BO SCOREMAX must be at least 1"),
             BoConfigError::ZeroRoundMax => write!(f, "BO ROUNDMAX must be at least 1"),
         }
@@ -137,11 +126,6 @@ impl BoConfig {
         if self.rr_entries < 2 || !self.rr_entries.is_power_of_two() {
             return Err(BoConfigError::BadRrEntries {
                 entries: self.rr_entries,
-            });
-        }
-        if !(1..=16).contains(&self.rr_tag_bits) {
-            return Err(BoConfigError::BadRrTagBits {
-                bits: self.rr_tag_bits,
             });
         }
         if self.score_max == 0 {
@@ -233,7 +217,7 @@ impl BestOffsetPrefetcher {
     pub fn try_new(cfg: BoConfig, page: PageSize) -> Result<Self, BoConfigError> {
         cfg.validate()?;
         let n = cfg.offsets.len();
-        let rr = RrTable::new(cfg.rr_entries, cfg.rr_tag_bits);
+        let rr = RrTable::new(cfg.rr_entries);
         Ok(BestOffsetPrefetcher {
             offset: cfg.offsets.get(0),
             second_offset: cfg.offsets.get(0),
@@ -939,7 +923,7 @@ mod tests {
     fn default_config_matches_table2() {
         let c = BoConfig::default();
         assert_eq!(c.rr_entries, 256);
-        assert_eq!(c.rr_tag_bits, 12);
+        assert_eq!(crate::RR_TAG_BITS, 12);
         assert_eq!(c.score_max, 31);
         assert_eq!(c.round_max, 100);
         assert_eq!(c.bad_score, 1);

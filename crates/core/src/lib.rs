@@ -15,6 +15,7 @@
 //!
 //! * [`BestOffsetPrefetcher`] with [`BoConfig`] (Table 2 defaults),
 //! * the [`RrTable`] of recently completed prefetch bases (§4.1, §4.4),
+//!   with [`RR_TAG_BITS`]-bit partial tags,
 //! * the 5-smooth [`OffsetList`] (§4.2),
 //! * the level-agnostic [`Prefetcher`] trait (with the [`PrefetchSite`]
 //!   attach-point enum) implemented by BO and by every line-address
@@ -54,4 +55,4 @@ pub use iface::{
     TuneDirective,
 };
 pub use offsets::OffsetList;
-pub use rr_table::RrTable;
+pub use rr_table::{RrTable, RR_TAG_BITS};

@@ -9,15 +9,21 @@
 //! Hashing (§4.4, generalised from the 256-entry example): for a table of
 //! `2^i` entries, the index XORs the `i` least-significant line-address
 //! bits with the next `i` bits; the tag skips the `i` least-significant
-//! bits and extracts the next `tag_bits` bits.
+//! bits and extracts the next [`RR_TAG_BITS`] bits.
 
 use bosim_types::LineAddr;
+
+/// RR partial tag width in bits (Table 2: 12).
+pub const RR_TAG_BITS: u32 = 12;
+const _: () = assert!(
+    RR_TAG_BITS >= 1 && RR_TAG_BITS <= 16,
+    "tags are stored as u16"
+);
 
 /// Direct-mapped table of recently completed prefetch base addresses.
 #[derive(Debug, Clone)]
 pub struct RrTable {
     index_bits: u32,
-    tag_bits: u32,
     entries: Vec<Option<u16>>,
     inserts: u64,
     hits: u64,
@@ -26,19 +32,15 @@ pub struct RrTable {
 
 impl RrTable {
     /// Creates an RR table with `entries` slots (must be a power of two;
-    /// the paper's default is 256) and `tag_bits` partial tags (default
-    /// 12, at most 16).
+    /// the paper's default is 256) and [`RR_TAG_BITS`]-bit partial tags.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a power of two ≥ 2, or `tag_bits` is 0
-    /// or greater than 16.
-    pub fn new(entries: usize, tag_bits: u32) -> Self {
+    /// Panics if `entries` is not a power of two ≥ 2.
+    pub fn new(entries: usize) -> Self {
         assert!(entries >= 2 && entries.is_power_of_two());
-        assert!((1..=16).contains(&tag_bits));
         RrTable {
             index_bits: entries.trailing_zeros(),
-            tag_bits,
             entries: vec![None; entries],
             inserts: 0,
             hits: 0,
@@ -65,7 +67,7 @@ impl RrTable {
 
     #[inline]
     fn tag(&self, line: LineAddr) -> u16 {
-        ((line.0 >> self.index_bits) & ((1u64 << self.tag_bits) - 1)) as u16
+        ((line.0 >> self.index_bits) & ((1u64 << RR_TAG_BITS) - 1)) as u16
     }
 
     /// Records a base address.
@@ -108,14 +110,14 @@ mod tests {
 
     #[test]
     fn paper_default_geometry() {
-        let t = RrTable::new(256, 12);
+        let t = RrTable::new(256);
         assert_eq!(t.len(), 256);
         assert_eq!(t.index_bits, 8);
     }
 
     #[test]
     fn insert_then_contains() {
-        let mut t = RrTable::new(256, 12);
+        let mut t = RrTable::new(256);
         let line = LineAddr(0xABCDE);
         assert!(!t.contains(line));
         t.insert(line);
@@ -124,7 +126,7 @@ mod tests {
 
     #[test]
     fn index_xors_low_bits_with_next_bits() {
-        let t = RrTable::new(256, 12);
+        let t = RrTable::new(256);
         // line = 0x1FF00: low 8 bits 0x00, next 8 bits 0xFF -> index 0xFF.
         assert_eq!(t.index(LineAddr(0xFF00)), 0xFF);
         // line = 0x00FF: low 8 bits 0xFF, next 8 bits 0x00 -> index 0xFF.
@@ -133,7 +135,7 @@ mod tests {
 
     #[test]
     fn tag_skips_index_bits() {
-        let t = RrTable::new(256, 12);
+        let t = RrTable::new(256);
         // Bits [8..20) of the line address form the tag.
         assert_eq!(t.tag(LineAddr(0xFFF00)), 0xFFF);
         assert_eq!(t.tag(LineAddr(0x000FF)), 0x000);
@@ -141,7 +143,7 @@ mod tests {
 
     #[test]
     fn conflicting_lines_evict() {
-        let mut t = RrTable::new(256, 12);
+        let mut t = RrTable::new(256);
         let a = LineAddr(0x100);
         // Bit 16 is outside both index-bit ranges (0..8 and 8..16) but
         // inside the tag (bits 8..20): same index, different tag.
@@ -155,7 +157,7 @@ mod tests {
 
     #[test]
     fn partial_tags_alias() {
-        let mut t = RrTable::new(256, 12);
+        let mut t = RrTable::new(256);
         let a = LineAddr(0x42);
         // Same index and same 12-bit tag, different full address:
         // adding 1 << (8 + 12 + 8) changes neither index bits nor tag
@@ -169,7 +171,7 @@ mod tests {
 
     #[test]
     fn stats_count() {
-        let mut t = RrTable::new(64, 12);
+        let mut t = RrTable::new(64);
         t.insert(LineAddr(1));
         t.contains(LineAddr(1));
         t.contains(LineAddr(2));
@@ -183,7 +185,7 @@ mod tests {
         let mut rng = SplitMix64::new(7);
         for case in 0..256u64 {
             let size_pow = 5 + (case % 5) as u32;
-            let mut t = RrTable::new(1 << size_pow, 12);
+            let mut t = RrTable::new(1 << size_pow);
             let l = LineAddr(rng.next_u64() % (1 << 40));
             t.insert(l);
             assert!(t.contains(l), "{l:?} size 2^{size_pow}");
@@ -199,7 +201,7 @@ mod tests {
         while checked < 128 {
             let a = rng.next_u64() % (1 << 30);
             let b = rng.next_u64() % (1 << 30);
-            let mut t = RrTable::new(256, 12);
+            let mut t = RrTable::new(256);
             if t.index(LineAddr(a)) == t.index(LineAddr(b)) {
                 continue;
             }

@@ -1026,7 +1026,7 @@ mod tests {
     }
 
     fn stride_l1() -> Option<StridePrefetcher> {
-        Some(StridePrefetcher::with_defaults())
+        Some(StridePrefetcher::default())
     }
 
     fn core_with(uops: Vec<MicroOp>) -> Core {

@@ -12,7 +12,8 @@
 //!   nothing,
 //! * [`Tage`] / [`Ittage`] — the branch predictors of Table 1 (sizes and
 //!   history lengths are constants),
-//! * [`TlbHierarchy`] / [`PageTranslator`] — two-level TLBs and the
+//! * [`TlbHierarchy`] / [`PageTranslator`] — two-level TLBs with
+//!   [`TLB2_LATENCY`]/[`WALK_LATENCY`]-cycle miss latencies and the
 //!   randomising virtual-to-physical hash of §5.1.
 //!
 //! The core talks to the uncore (private L2, shared L3, DRAM — assembled
@@ -34,4 +35,4 @@ pub use crate::core::{
     STORE_BUFFER,
 };
 pub use tage::{Ittage, Tage};
-pub use tlb::{PageTranslator, Tlb, TlbHierarchy, PHYS_BITS};
+pub use tlb::{PageTranslator, Tlb, TlbHierarchy, PHYS_BITS, TLB2_LATENCY, WALK_LATENCY};

@@ -88,6 +88,11 @@ impl Tlb {
         }
     }
 
+    /// Total entries.
+    pub fn entries(&self) -> usize {
+        self.entries.len()
+    }
+
     #[inline]
     fn set_of(&self, vpn: u64) -> usize {
         (vpn as usize) & (self.sets - 1)
@@ -150,7 +155,16 @@ impl Tlb {
     }
 }
 
-/// The per-core two-level TLB hierarchy with fixed miss latencies.
+/// TLB2 lookup latency in cycles on a first-level TLB miss. The paper
+/// does not give it; 8 is this model's choice.
+pub const TLB2_LATENCY: u64 = 8;
+/// Page-walk latency in cycles on a TLB2 miss, on top of
+/// [`TLB2_LATENCY`]. The paper does not give it; 120 is this model's
+/// choice.
+pub const WALK_LATENCY: u64 = 120;
+
+/// The per-core two-level TLB hierarchy with fixed miss latencies
+/// ([`TLB2_LATENCY`], [`WALK_LATENCY`]).
 #[derive(Debug)]
 pub struct TlbHierarchy {
     /// First-level instruction TLB (64 entries).
@@ -159,23 +173,15 @@ pub struct TlbHierarchy {
     pub dtlb: Tlb,
     /// Shared second-level TLB (512 entries).
     pub tlb2: Tlb,
-    /// TLB2 lookup latency in cycles (model parameter).
-    pub tlb2_latency: u64,
-    /// Page-walk latency in cycles on a TLB2 miss (model parameter).
-    pub walk_latency: u64,
 }
 
 impl TlbHierarchy {
-    /// Table 1 geometry with default latencies (TLB2: 8 cycles, page
-    /// walk: 120 cycles — the paper does not specify these; see
-    /// DESIGN.md).
+    /// The Table 1 geometry, every TLB empty.
     pub fn with_defaults() -> Self {
         TlbHierarchy {
             itlb: Tlb::new(64, 4),
             dtlb: Tlb::new(64, 4),
             tlb2: Tlb::new(512, 8),
-            tlb2_latency: 8,
-            walk_latency: 120,
         }
     }
 
@@ -186,11 +192,11 @@ impl TlbHierarchy {
         }
         if self.tlb2.access(vpn) {
             self.dtlb.fill(vpn);
-            return self.tlb2_latency;
+            return TLB2_LATENCY;
         }
         self.tlb2.fill(vpn);
         self.dtlb.fill(vpn);
-        self.tlb2_latency + self.walk_latency
+        TLB2_LATENCY + WALK_LATENCY
     }
 
     /// Instruction-side translation cost in extra cycles.
@@ -200,11 +206,11 @@ impl TlbHierarchy {
         }
         if self.tlb2.access(vpn) {
             self.itlb.fill(vpn);
-            return self.tlb2_latency;
+            return TLB2_LATENCY;
         }
         self.tlb2.fill(vpn);
         self.itlb.fill(vpn);
-        self.tlb2_latency + self.walk_latency
+        TLB2_LATENCY + WALK_LATENCY
     }
 
     /// TLB2 lookup for DL1 prefetch requests (§5.5): returns `false` on a

@@ -8,50 +8,39 @@
 //!
 //! The scheduler has a *steady* mode (serve one core at a time, switch
 //! when its row locality is exhausted or a write queue fills; writes go in
-//! batches of 16, selected out-of-order for row locality) and an *urgent*
-//! mode (serve the lagging core when its fairness counter falls more than
-//! 31 behind the served core's). "The scheduler does not distinguish
-//! between demand and prefetch read requests."
+//! batches of [`WRITE_BATCH`], selected out-of-order for row locality) and
+//! an *urgent* mode (serve the lagging core when its fairness counter
+//! falls more than [`URGENT_THRESHOLD`] behind the served core's). "The
+//! scheduler does not distinguish between demand and prefetch read
+//! requests."
 
-use crate::mapping::{map_line, DramLoc};
-use crate::timing::{Bank, BankNeed, DdrTimings};
+use crate::mapping::{map_line, DramLoc, BANKS, CHANNELS};
+use crate::timing::{core_cycles, Bank, BankNeed, T_CL, T_CWL, T_WTR};
 use bosim_types::{CoreId, Cycle, LineAddr, ProportionalCounters, CORE_CYCLES_PER_BUS_CYCLE};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Memory system configuration (Table 1 defaults via [`Default`]).
+/// Read-queue entries per core per channel (Table 1: 32).
+pub const READ_QUEUE: usize = 32;
+/// Write-queue entries per core per channel (Table 1: 32).
+pub const WRITE_QUEUE: usize = 32;
+/// Writes per batch (§5.3: 16).
+pub const WRITE_BATCH: usize = 16;
+/// Fairness-counter lead of the served core over a lagging one beyond
+/// which the urgent mode serves the lagging core (§5.3: 31).
+pub const URGENT_THRESHOLD: i64 = 31;
+
+/// Memory system configuration. The DDR3 timings and the controller's
+/// geometry are constants; only the core count varies.
 #[derive(Debug, Clone)]
 pub struct MemConfig {
-    /// DDR3 timing parameters.
-    pub timings: DdrTimings,
     /// Number of cores (per-core queues and fairness counters).
     pub num_cores: usize,
-    /// Channels (Table 1: 2).
-    pub channels: usize,
-    /// Banks per channel (Table 1: 8 banks/chip, one rank).
-    pub banks: usize,
-    /// Read-queue capacity per core per channel (Table 1: 32).
-    pub read_queue_cap: usize,
-    /// Write-queue capacity per core per channel (Table 1: 32).
-    pub write_queue_cap: usize,
-    /// Write batch size (§5.3: 16).
-    pub write_batch: usize,
-    /// Urgent-mode counter difference threshold (§5.3: 31).
-    pub urgent_threshold: i64,
 }
 
 impl Default for MemConfig {
     fn default() -> Self {
-        MemConfig {
-            timings: DdrTimings::default(),
-            num_cores: 4,
-            channels: 2,
-            banks: 8,
-            read_queue_cap: 32,
-            write_queue_cap: 32,
-            write_batch: 16,
-            urgent_threshold: 31,
-        }
+        MemConfig { num_cores: 4 }
     }
 }
 
@@ -138,13 +127,13 @@ fn prep_at(b: &Bank) -> Cycle {
 
 #[derive(Debug)]
 struct Channel {
-    banks: Vec<Bank>,
+    banks: [Bank; BANKS],
     read_q: Vec<VecDeque<ReadReq>>,
     write_q: Vec<VecDeque<WriteReq>>,
-    /// Core `c`'s queued reads for bank `b`, at `c * banks + b`.
+    /// Core `c`'s queued reads for bank `b`, at `c * BANKS + b`.
     read_split: Vec<RowSplit>,
     /// Queued writes for each bank, over all cores.
-    write_split: Vec<RowSplit>,
+    write_split: [RowSplit; BANKS],
     /// Queued reads, over all cores.
     reads: usize,
     /// Queued writes, over all cores.
@@ -167,16 +156,16 @@ struct Channel {
 }
 
 impl Channel {
-    fn new(cfg: &MemConfig) -> Self {
+    fn new(num_cores: usize) -> Self {
         Channel {
-            banks: vec![Bank::default(); cfg.banks],
-            read_q: vec![VecDeque::new(); cfg.num_cores],
-            write_q: vec![VecDeque::new(); cfg.num_cores],
-            read_split: vec![RowSplit::default(); cfg.num_cores * cfg.banks],
-            write_split: vec![RowSplit::default(); cfg.banks],
+            banks: Default::default(),
+            read_q: vec![VecDeque::new(); num_cores],
+            write_q: vec![VecDeque::new(); num_cores],
+            read_split: vec![RowSplit::default(); num_cores * BANKS],
+            write_split: [RowSplit::default(); BANKS],
             reads: 0,
             writes: 0,
-            counters: ProportionalCounters::new(cfg.num_cores, 7),
+            counters: ProportionalCounters::new(num_cores, 7),
             served: 0,
             writes_left: 0,
             bus_free_at: 0,
@@ -187,21 +176,21 @@ impl Channel {
         }
     }
 
-    fn push_read(&mut self, cfg: &MemConfig, c: usize, req: ReadReq) -> bool {
-        if self.read_q[c].len() >= cfg.read_queue_cap {
+    fn push_read(&mut self, c: usize, req: ReadReq) -> bool {
+        if self.read_q[c].len() >= READ_QUEUE {
             return false;
         }
         let b = req.loc.bank as usize;
         let open = self.banks[b].need(req.loc.row) == BankNeed::Cas;
-        self.read_split[c * self.banks.len() + b].add(open);
+        self.read_split[c * BANKS + b].add(open);
         self.read_q[c].push_back(req);
         self.reads += 1;
-        self.cmd_at = self.next_cmd(cfg);
+        self.cmd_at = self.next_cmd();
         true
     }
 
-    fn push_write(&mut self, cfg: &MemConfig, c: usize, req: WriteReq) -> bool {
-        if self.write_q[c].len() >= cfg.write_queue_cap {
+    fn push_write(&mut self, c: usize, req: WriteReq) -> bool {
+        if self.write_q[c].len() >= WRITE_QUEUE {
             return false;
         }
         let b = req.loc.bank as usize;
@@ -209,44 +198,44 @@ impl Channel {
         self.write_split[b].add(open);
         self.write_q[c].push_back(req);
         self.writes += 1;
-        self.cmd_at = self.next_cmd(cfg);
+        self.cmd_at = self.next_cmd();
         true
     }
 
     /// Earliest cycle a read CAS to bank `b`'s open row can issue.
-    fn read_cas_at(&self, t: &DdrTimings, b: &Bank) -> Cycle {
+    fn read_cas_at(&self, b: &Bank) -> Cycle {
         b.cas_ok_at
             .max(self.read_ok_at)
-            .max(self.bus_free_at.saturating_sub(t.core(t.t_cl)))
+            .max(self.bus_free_at.saturating_sub(core_cycles(T_CL)))
     }
 
     /// Earliest cycle a write CAS to bank `b`'s open row can issue.
-    fn write_cas_at(&self, t: &DdrTimings, b: &Bank) -> Cycle {
+    fn write_cas_at(&self, b: &Bank) -> Cycle {
         b.cas_ok_at
-            .max(self.bus_free_at.saturating_sub(t.core(t.t_cwl)))
+            .max(self.bus_free_at.saturating_sub(core_cycles(T_CWL)))
     }
 
     /// Can a read CAS for `loc` issue right now?
-    fn read_cas_ready(&self, t: &DdrTimings, now: Cycle, loc: DramLoc) -> bool {
+    fn read_cas_ready(&self, now: Cycle, loc: DramLoc) -> bool {
         let b = &self.banks[loc.bank as usize];
-        b.need(loc.row) == BankNeed::Cas && self.read_cas_at(t, b) <= now
+        b.need(loc.row) == BankNeed::Cas && self.read_cas_at(b) <= now
     }
 
     /// Can a write CAS for `loc` issue right now?
-    fn write_cas_ready(&self, t: &DdrTimings, now: Cycle, loc: DramLoc) -> bool {
+    fn write_cas_ready(&self, now: Cycle, loc: DramLoc) -> bool {
         let b = &self.banks[loc.bank as usize];
-        b.need(loc.row) == BankNeed::Cas && self.write_cas_at(t, b) <= now
+        b.need(loc.row) == BankNeed::Cas && self.write_cas_at(b) <= now
     }
 
     /// Earliest cycles at which one of core `c`'s queued reads can take
     /// a CAS, and a PRE or ACT: O(banks), from the row splits.
-    fn read_bounds(&self, t: &DdrTimings, c: usize) -> (Cycle, Cycle) {
-        let n = self.banks.len();
+    fn read_bounds(&self, c: usize) -> (Cycle, Cycle) {
         let mut cas = Cycle::MAX;
         let mut prep = Cycle::MAX;
-        for (b, s) in self.banks.iter().zip(&self.read_split[c * n..(c + 1) * n]) {
+        let splits = &self.read_split[c * BANKS..(c + 1) * BANKS];
+        for (b, s) in self.banks.iter().zip(splits) {
             if s.open > 0 {
-                cas = cas.min(self.read_cas_at(t, b));
+                cas = cas.min(self.read_cas_at(b));
             }
             if s.other > 0 {
                 prep = prep.min(prep_at(b));
@@ -256,11 +245,11 @@ impl Channel {
     }
 
     /// Earliest cycle at which one of the queued writes can take a CAS.
-    fn write_cas_bound(&self, t: &DdrTimings) -> Cycle {
+    fn write_cas_bound(&self) -> Cycle {
         let mut cas = Cycle::MAX;
         for (b, s) in self.banks.iter().zip(&self.write_split) {
             if s.open > 0 {
-                cas = cas.min(self.write_cas_at(t, b));
+                cas = cas.min(self.write_cas_at(b));
             }
         }
         cas
@@ -269,12 +258,12 @@ impl Channel {
     /// Earliest cycle at which a step's urgent mode can issue a command
     /// for core `c`: a CAS for any of its reads, or the PRE or ACT its
     /// oldest read needs.
-    fn urgent_bound(&self, t: &DdrTimings, c: usize) -> Cycle {
+    fn urgent_bound(&self, c: usize) -> Cycle {
         let Some(oldest) = self.read_q[c].front() else {
             return Cycle::MAX;
         };
         let b = &self.banks[oldest.loc.bank as usize];
-        let cas = self.read_bounds(t, c).0;
+        let cas = self.read_bounds(c).0;
         if b.need(oldest.loc.row) == BankNeed::Cas {
             cas
         } else {
@@ -284,17 +273,14 @@ impl Channel {
 
     /// Is the lagging core `c` far enough behind the served one for the
     /// urgent mode (§5.3)?
-    fn is_urgent(&self, cfg: &MemConfig, c: usize) -> bool {
-        !self.read_q[c].is_empty() && self.counters.diff(self.served, c) > cfg.urgent_threshold
+    fn is_urgent(&self, c: usize) -> bool {
+        !self.read_q[c].is_empty() && self.counters.diff(self.served, c) > URGENT_THRESHOLD
     }
 
     /// Does an idle channel start a write batch at its next step?
-    fn batch_due(&self, cfg: &MemConfig) -> bool {
-        let any_full = self
-            .write_q
-            .iter()
-            .any(|q| q.len() >= cfg.write_queue_cap - 1);
-        self.writes > 0 && (any_full || (self.reads == 0 && self.writes >= cfg.write_batch))
+    fn batch_due(&self) -> bool {
+        let any_full = self.write_q.iter().any(|q| q.len() >= WRITE_QUEUE - 1);
+        self.writes > 0 && (any_full || (self.reads == 0 && self.writes >= WRITE_BATCH))
     }
 
     /// The earliest cycle at which a [`step`](Self::step) can change
@@ -308,17 +294,16 @@ impl Channel {
     /// `l3_can_accept` will say. Bank, bus and queue state is frozen
     /// between changes, so the bound holds until the next one. The cost
     /// is O(banks + cores), with no walk over the queued requests.
-    fn next_cmd(&self, cfg: &MemConfig) -> Cycle {
-        let t = &cfg.timings;
+    fn next_cmd(&self) -> Cycle {
         let lagging = self.pick_served();
         let mut at = if self.writes_left == 0 {
-            if lagging != self.served || self.batch_due(cfg) {
+            if lagging != self.served || self.batch_due() {
                 return 0;
             }
-            let (cas, prep) = self.read_bounds(t, self.served);
+            let (cas, prep) = self.read_bounds(self.served);
             cas.min(prep)
         } else {
-            let mut at = self.write_cas_bound(t);
+            let mut at = self.write_cas_bound();
             for q in &self.write_q {
                 if let Some(w) = q.front() {
                     let b = &self.banks[w.loc.bank as usize];
@@ -329,8 +314,8 @@ impl Channel {
             }
             at
         };
-        if self.is_urgent(cfg, lagging) {
-            at = at.min(self.urgent_bound(t, lagging));
+        if self.is_urgent(lagging) {
+            at = at.min(self.urgent_bound(lagging));
         }
         at
     }
@@ -365,10 +350,10 @@ impl Channel {
 
     /// Issues a read CAS for core `c`'s oldest read that is ready for
     /// one now, if any. Returns true if a command was issued.
-    fn issue_read_cas(&mut self, t: &DdrTimings, now: Cycle, c: usize, urgent: bool) -> bool {
+    fn issue_read_cas(&mut self, now: Cycle, c: usize, urgent: bool) -> bool {
         let Some(pos) = self.read_q[c]
             .iter()
-            .position(|r| self.read_cas_ready(t, now, r.loc))
+            .position(|r| self.read_cas_ready(now, r.loc))
         else {
             return false;
         };
@@ -377,8 +362,8 @@ impl Channel {
         };
         let b = req.loc.bank as usize;
         let row_hit = !self.banks[b].fresh_row;
-        let data_end = self.banks[b].read(now, t);
-        self.read_split[c * self.banks.len() + b].open -= 1;
+        let data_end = self.banks[b].read(now);
+        self.read_split[c * BANKS + b].open -= 1;
         self.reads -= 1;
         self.bus_free_at = data_end;
         self.completions
@@ -394,11 +379,11 @@ impl Channel {
 
     /// Issues a write CAS for the first write, in core order then queue
     /// order, that is ready for one now. Returns true if one issued.
-    fn issue_write_cas(&mut self, t: &DdrTimings, now: Cycle) -> bool {
+    fn issue_write_cas(&mut self, now: Cycle) -> bool {
         for c in 0..self.write_q.len() {
             let Some(pos) = self.write_q[c]
                 .iter()
-                .position(|w| self.write_cas_ready(t, now, w.loc))
+                .position(|w| self.write_cas_ready(now, w.loc))
             else {
                 continue;
             };
@@ -407,11 +392,11 @@ impl Channel {
             };
             let b = req.loc.bank as usize;
             let row_hit = !self.banks[b].fresh_row;
-            let data_end = self.banks[b].write(now, t);
+            let data_end = self.banks[b].write(now);
             self.write_split[b].open -= 1;
             self.writes -= 1;
             self.bus_free_at = data_end;
-            self.read_ok_at = data_end + t.core(t.t_wtr);
+            self.read_ok_at = data_end + core_cycles(T_WTR);
             self.stats.writes += 1;
             self.stats.row_hits += u64::from(row_hit);
             return true;
@@ -421,7 +406,7 @@ impl Channel {
 
     /// Issues the preparatory command (PRE or ACT) a request needs, if
     /// its bank timing allows. Returns true if a command was issued.
-    fn issue_prep(&mut self, t: &DdrTimings, now: Cycle, loc: DramLoc) -> bool {
+    fn issue_prep(&mut self, now: Cycle, loc: DramLoc) -> bool {
         let bi = loc.bank as usize;
         let b = &mut self.banks[bi];
         match b.need(loc.row) {
@@ -430,10 +415,9 @@ impl Channel {
                 if b.pre_ok_at > now {
                     return false;
                 }
-                b.precharge(now, t);
+                b.precharge(now);
                 self.stats.row_conflicts += 1;
-                let n = self.banks.len();
-                for s in self.read_split[bi..].iter_mut().step_by(n) {
+                for s in self.read_split[bi..].iter_mut().step_by(BANKS) {
                     s.other += std::mem::take(&mut s.open);
                 }
                 let s = &mut self.write_split[bi];
@@ -444,12 +428,12 @@ impl Channel {
                 if b.act_ok_at > now {
                     return false;
                 }
-                b.activate(now, loc.row, t);
+                b.activate(now, loc.row);
                 self.stats.row_opens += 1;
                 let hit = |l: &DramLoc| l.bank == loc.bank && l.row == loc.row;
                 for (c, q) in self.read_q.iter().enumerate() {
                     let open = q.iter().filter(|r| hit(&r.loc)).count() as u32;
-                    let s = &mut self.read_split[c * self.banks.len() + bi];
+                    let s = &mut self.read_split[c * BANKS + bi];
                     s.other -= open;
                     s.open = open;
                 }
@@ -492,21 +476,17 @@ impl Channel {
     /// change anything (see [`next_cmd`](Self::next_cmd)), and the
     /// per-request scans below run only once an O(banks) bound says one
     /// of them will find a request.
-    fn step(&mut self, cfg: &MemConfig, now: Cycle, l3_can_accept: bool) -> bool {
-        let t = &cfg.timings;
-
+    fn step(&mut self, now: Cycle, l3_can_accept: bool) -> bool {
         // ---- Urgent mode (§5.3): pre-empts the steady mode. ----
         if l3_can_accept {
             let lagging = self.pick_served();
-            if self.is_urgent(cfg, lagging) {
+            if self.is_urgent(lagging) {
                 // Serve the lagging core's most ready request.
-                if self.read_bounds(t, lagging).0 <= now
-                    && self.issue_read_cas(t, now, lagging, true)
-                {
+                if self.read_bounds(lagging).0 <= now && self.issue_read_cas(now, lagging, true) {
                     return true;
                 }
                 let loc = self.read_q[lagging][0].loc;
-                if self.issue_prep(t, now, loc) {
+                if self.issue_prep(now, loc) {
                     return true;
                 }
             }
@@ -514,14 +494,14 @@ impl Channel {
 
         // ---- Write batches. ----
         let mut changed = false;
-        if self.writes_left == 0 && self.batch_due(cfg) {
-            self.writes_left = cfg.write_batch;
+        if self.writes_left == 0 && self.batch_due() {
+            self.writes_left = WRITE_BATCH;
             changed = true;
         }
         if self.writes_left > 0 {
             // Select writes out-of-order across all queues, preferring
             // row hits, then any queue's oldest whose bank can progress.
-            if self.write_cas_bound(t) <= now && self.issue_write_cas(t, now) {
+            if self.write_cas_bound() <= now && self.issue_write_cas(now) {
                 self.writes_left -= 1;
                 if self.writes == 0 {
                     self.writes_left = 0;
@@ -531,7 +511,7 @@ impl Channel {
             for c in 0..self.write_q.len() {
                 if let Some(req) = self.write_q[c].front() {
                     let loc = req.loc;
-                    if self.issue_prep(t, now, loc) {
+                    if self.issue_prep(now, loc) {
                         return true;
                     }
                 }
@@ -543,24 +523,24 @@ impl Channel {
         // ---- Steady-mode reads: FR-FCFS for the served core. ----
         // Change the served core only when it has no row-hit-ready read
         // (or it has no reads at all).
-        let mut ready = self.read_bounds(t, self.served);
+        let mut ready = self.read_bounds(self.served);
         if ready.0 > now {
             let picked = self.pick_served();
             if picked != self.served {
                 self.served = picked;
-                ready = self.read_bounds(t, picked);
+                ready = self.read_bounds(picked);
                 changed = true;
             }
         }
         let c = self.served;
         // First ready row-hit, else FCFS order for preparation.
-        if ready.0 <= now && self.issue_read_cas(t, now, c, false) {
+        if ready.0 <= now && self.issue_read_cas(now, c, false) {
             return true;
         }
         if ready.1 <= now {
             for p in 0..self.read_q[c].len() {
                 let loc = self.read_q[c][p].loc;
-                if self.issue_prep(t, now, loc) {
+                if self.issue_prep(now, loc) {
                     return true;
                 }
             }
@@ -572,8 +552,7 @@ impl Channel {
 /// The two-channel main memory system.
 #[derive(Debug)]
 pub struct MemorySystem {
-    cfg: MemConfig,
-    channels: Vec<Channel>,
+    channels: [Channel; CHANNELS],
 }
 
 impl MemorySystem {
@@ -581,23 +560,23 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero cores, channels or banks.
+    /// Panics if the configuration has zero cores.
     pub fn new(cfg: MemConfig) -> Self {
-        assert!(cfg.num_cores >= 1 && cfg.channels >= 1 && cfg.banks >= 1);
-        assert!(cfg.write_batch >= 1);
-        let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
-        MemorySystem { cfg, channels }
+        assert!(cfg.num_cores >= 1);
+        MemorySystem {
+            channels: std::array::from_fn(|_| Channel::new(cfg.num_cores)),
+        }
     }
 
     fn channel_of(&self, line: LineAddr) -> usize {
-        (map_line(line).channel as usize) % self.channels.len()
+        map_line(line).channel as usize
     }
 
     /// True when the core's read queue in the line's channel can accept a
     /// request.
     pub fn can_accept_read(&self, line: LineAddr, core: CoreId) -> bool {
         let ch = self.channel_of(line);
-        self.channels[ch].read_q[core.index()].len() < self.cfg.read_queue_cap
+        self.channels[ch].read_q[core.index()].len() < READ_QUEUE
     }
 
     /// Is a read for this line already pending (CAM search, §6.3 fn. 13)?
@@ -617,7 +596,7 @@ impl MemorySystem {
             line,
             loc: map_line(line),
         };
-        self.channels[ch].push_read(&self.cfg, core.index(), req)
+        self.channels[ch].push_read(core.index(), req)
     }
 
     /// Enqueues a writeback; returns false when the queue is full.
@@ -626,7 +605,7 @@ impl MemorySystem {
         let req = WriteReq {
             loc: map_line(line),
         };
-        self.channels[ch].push_write(&self.cfg, core.index(), req)
+        self.channels[ch].push_write(core.index(), req)
     }
 
     /// Advances the memory system to `now`, collecting read completions.
@@ -643,8 +622,8 @@ impl MemorySystem {
         let boundary = now.is_multiple_of(CORE_CYCLES_PER_BUS_CYCLE);
         for ch in &mut self.channels {
             ch.complete(now, out);
-            if boundary && now >= ch.cmd_at && ch.step(&self.cfg, now, l3_can_accept) {
-                ch.cmd_at = ch.next_cmd(&self.cfg);
+            if boundary && now >= ch.cmd_at && ch.step(now, l3_can_accept) {
+                ch.cmd_at = ch.next_cmd();
             }
         }
     }
@@ -671,11 +650,6 @@ impl MemorySystem {
             .filter_map(|ch| ch.next_event(from))
             .min()
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MemConfig {
-        &self.cfg
-    }
 }
 
 #[cfg(test)]
@@ -701,10 +675,7 @@ mod tests {
 
     #[test]
     fn single_read_completes_with_idle_latency() {
-        let cfg = MemConfig {
-            num_cores: 1,
-            ..Default::default()
-        };
+        let cfg = MemConfig { num_cores: 1 };
         let mut mem = MemorySystem::new(cfg);
         assert!(mem.enqueue_read(LineAddr(0x1000), CoreId(0), 7, 0));
         let done = run_until_complete(&mut mem, 0, 1000);
@@ -720,10 +691,7 @@ mod tests {
 
     #[test]
     fn row_hits_are_faster_than_conflicts() {
-        let cfg = MemConfig {
-            num_cores: 1,
-            ..Default::default()
-        };
+        let cfg = MemConfig { num_cores: 1 };
         let mut mem = MemorySystem::new(cfg);
         // Two lines in the same row (consecutive lines share a row).
         assert!(mem.enqueue_read(LineAddr(0x1000), CoreId(0), 1, 0));
@@ -732,10 +700,7 @@ mod tests {
         assert_eq!(done.len(), 2);
         let gap_same_row = done[1].0 - done[0].0;
 
-        let mut mem2 = MemorySystem::new(MemConfig {
-            num_cores: 1,
-            ..Default::default()
-        });
+        let mut mem2 = MemorySystem::new(MemConfig { num_cores: 1 });
         // Same bank, different row: 2^11 lines apart keeps bank bits but
         // changes the row.
         let a = LineAddr(0x1000);
@@ -757,10 +722,7 @@ mod tests {
 
     #[test]
     fn one_act_and_two_reads_of_its_row_are_one_row_hit() {
-        let mut mem = MemorySystem::new(MemConfig {
-            num_cores: 1,
-            ..Default::default()
-        });
+        let mut mem = MemorySystem::new(MemConfig { num_cores: 1 });
         let (a, b) = (map_line(LineAddr(0x1000)), map_line(LineAddr(0x1001)));
         assert_eq!((a.channel, a.bank, a.row), (b.channel, b.bank, b.row));
         assert!(mem.enqueue_read(LineAddr(0x1000), CoreId(0), 1, 0));
@@ -772,37 +734,25 @@ mod tests {
 
     #[test]
     fn queue_capacity_is_enforced() {
-        let cfg = MemConfig {
-            num_cores: 1,
-            read_queue_cap: 4,
-            ..Default::default()
-        };
-        let mut mem = MemorySystem::new(cfg);
-        // All to one channel: find 5 lines mapping to channel 0.
-        let mut enq = 0;
-        let mut line = 0u64;
-        let mut rejected = false;
-        while enq < 6 {
-            let l = LineAddr(line);
-            if map_line(l).channel == 0 {
-                if mem.enqueue_read(l, CoreId(0), enq, 0) {
-                    enq += 1;
-                } else {
-                    rejected = true;
-                    break;
-                }
-            }
-            line += 1;
+        let mut mem = MemorySystem::new(MemConfig { num_cores: 1 });
+        // Channel 0's read queue takes READ_QUEUE lines and rejects the
+        // next one.
+        let mut lines = (0u64..).map(LineAddr).filter(|&l| map_line(l).channel == 0);
+        for (id, l) in lines.by_ref().take(READ_QUEUE).enumerate() {
+            assert!(mem.can_accept_read(l, CoreId(0)));
+            assert!(mem.enqueue_read(l, CoreId(0), id as u64, 0), "entry {id}");
         }
-        assert!(rejected, "5th request must be rejected");
+        let next = lines.next().expect("endless");
+        assert!(!mem.can_accept_read(next, CoreId(0)));
+        assert!(
+            !mem.enqueue_read(next, CoreId(0), 99, 0),
+            "entry 33 rejected"
+        );
     }
 
     #[test]
     fn writes_drain_in_batches() {
-        let cfg = MemConfig {
-            num_cores: 1,
-            ..Default::default()
-        };
+        let cfg = MemConfig { num_cores: 1 };
         let mut mem = MemorySystem::new(cfg);
         for i in 0..40 {
             // Spread lines across channels; writes eventually drain.
@@ -818,10 +768,7 @@ mod tests {
 
     #[test]
     fn bandwidth_is_shared_between_cores() {
-        let cfg = MemConfig {
-            num_cores: 2,
-            ..Default::default()
-        };
+        let cfg = MemConfig { num_cores: 2 };
         let mut mem = MemorySystem::new(cfg);
         let mut id = 0u64;
         let mut out = Vec::new();
@@ -861,10 +808,7 @@ mod tests {
     fn streaming_throughput_is_bandwidth_bound() {
         // A long unit-stride stream should sustain roughly one line per
         // tBURST per channel: check throughput is in a sane range.
-        let cfg = MemConfig {
-            num_cores: 1,
-            ..Default::default()
-        };
+        let cfg = MemConfig { num_cores: 1 };
         let mut mem = MemorySystem::new(cfg);
         let mut id = 0u64;
         let mut line = 0u64;
@@ -959,10 +903,7 @@ mod prop_tests {
             }
             let horizon = at + 50_000;
             let run = |every_cycle: bool| {
-                let mut mem = MemorySystem::new(MemConfig {
-                    num_cores: cores,
-                    ..Default::default()
-                });
+                let mut mem = MemorySystem::new(MemConfig { num_cores: cores });
                 let mut done = Vec::new();
                 let mut out = Vec::new();
                 let mut next_arrival = 0;
@@ -1017,7 +958,7 @@ mod prop_tests {
                 continue;
             }
             let before = (ch.served, ch.writes_left, ch.stats);
-            let changed = ch.step(&mem.cfg, now, l3_can_accept);
+            let changed = ch.step(now, l3_can_accept);
             assert_eq!(
                 changed,
                 before != (ch.served, ch.writes_left, ch.stats),
@@ -1029,7 +970,7 @@ mod prop_tests {
                 ch.cmd_at
             );
             if changed {
-                ch.cmd_at = ch.next_cmd(&mem.cfg);
+                ch.cmd_at = ch.next_cmd();
             }
         }
     }
@@ -1038,15 +979,14 @@ mod prop_tests {
     /// queues and the banks' open rows.
     fn assert_splits_match_queues(mem: &MemorySystem, now: Cycle) {
         for (i, ch) in mem.channels.iter().enumerate() {
-            let n = ch.banks.len();
             let open = |l: DramLoc| ch.banks[l.bank as usize].open_row == Some(l.row);
             let mut reads = vec![RowSplit::default(); ch.read_split.len()];
             for (c, q) in ch.read_q.iter().enumerate() {
                 for r in q {
-                    reads[c * n + r.loc.bank as usize].add(open(r.loc));
+                    reads[c * BANKS + r.loc.bank as usize].add(open(r.loc));
                 }
             }
-            let mut writes = vec![RowSplit::default(); n];
+            let mut writes = [RowSplit::default(); BANKS];
             for w in ch.write_q.iter().flatten() {
                 writes[w.loc.bank as usize].add(open(w.loc));
             }
@@ -1078,10 +1018,7 @@ mod prop_tests {
             let horizon = 16_000u64;
             let run = |reference: bool| {
                 let mut rng = SplitMix64::new(0x5C1D ^ case);
-                let mut mem = MemorySystem::new(MemConfig {
-                    num_cores: cores,
-                    ..Default::default()
-                });
+                let mut mem = MemorySystem::new(MemConfig { num_cores: cores });
                 let mut done = Vec::new();
                 let mut out = Vec::new();
                 let mut id = 0u64;

@@ -10,12 +10,19 @@
 
 use bosim_types::LineAddr;
 
+/// Independent channels, one controller each (Table 1: 2; the mapping's
+/// one channel bit).
+pub const CHANNELS: usize = 2;
+/// Banks per channel (Table 1: 8 banks per chip, one rank; the
+/// mapping's three bank bits).
+pub const BANKS: usize = 8;
+
 /// Location of a line in the DRAM system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramLoc {
-    /// Channel index (0 or 1).
+    /// Channel index, below [`CHANNELS`].
     pub channel: u8,
-    /// Bank index within the rank (0..8).
+    /// Bank index within the rank, below [`BANKS`].
     pub bank: u8,
     /// Row identifier.
     pub row: u64,
@@ -94,15 +101,21 @@ mod tests {
         assert_eq!(map_line(LineAddr(1 << 10)).bank, 4);
     }
 
+    /// Random lines stay inside the controller's geometry and reach
+    /// every (channel, bank) pair, so the constants and the bit mapping
+    /// cannot drift apart.
     #[test]
     fn prop_fields_in_range() {
         let mut rng = SplitMix64::new(3);
+        let mut seen = [[false; BANKS]; CHANNELS];
         for _ in 0..512 {
             let l = map_line(LineAddr(rng.next_u64() % (1 << 33)));
-            assert!(l.channel <= 1);
-            assert!(l.bank < 8);
+            assert!((l.channel as usize) < CHANNELS);
+            assert!((l.bank as usize) < BANKS);
             assert!(l.row_offset < 128);
+            seen[l.channel as usize][l.bank as usize] = true;
         }
+        assert!(seen.iter().flatten().all(|&s| s), "{seen:?}");
     }
 
     /// The mapping is a pure function of the line address.

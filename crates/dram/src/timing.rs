@@ -1,58 +1,36 @@
 //! DDR3 timing parameters and bank state machines.
 //!
-//! Parameters from Table 1, given in *bus cycles* ("bus cycle = 4 core
-//! cycles"): tCL=11, tRCD=11, tRP=11, tRAS=33, tCWL=8, tRTP=6, tWR=12,
-//! tWTR=6, tBURST=4 (8 beats). Refresh and power parameters (tFAW) are
-//! not modelled, as in the paper (§5.3).
+//! The Table 1 parameters are constants in *bus cycles* ("bus cycle = 4
+//! core cycles"). Refresh and power parameters (tFAW) are not modelled,
+//! as in the paper (§5.3).
 
 use bosim_types::{Cycle, CORE_CYCLES_PER_BUS_CYCLE};
 
-/// DDR3 timing parameters in bus cycles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DdrTimings {
-    /// CAS (read) latency.
-    pub t_cl: u64,
-    /// RAS-to-CAS delay.
-    pub t_rcd: u64,
-    /// Row precharge time.
-    pub t_rp: u64,
-    /// Minimum row-active time.
-    pub t_ras: u64,
-    /// CAS write latency.
-    pub t_cwl: u64,
-    /// Read-to-precharge delay.
-    pub t_rtp: u64,
-    /// Write recovery time (write data end to precharge).
-    pub t_wr: u64,
-    /// Write-to-read turnaround.
-    pub t_wtr: u64,
-    /// Data burst duration (8 beats on a 64-bit bus).
-    pub t_burst: u64,
-}
+/// CAS (read) latency, bus cycles (Table 1: 11).
+pub const T_CL: u64 = 11;
+/// RAS-to-CAS delay, bus cycles (Table 1: 11).
+pub const T_RCD: u64 = 11;
+/// Row precharge time, bus cycles (Table 1: 11).
+pub const T_RP: u64 = 11;
+/// Minimum row-active time, bus cycles (Table 1: 33).
+pub const T_RAS: u64 = 33;
+/// CAS write latency, bus cycles (Table 1: 8).
+pub const T_CWL: u64 = 8;
+/// Read-to-precharge delay, bus cycles (Table 1: 6).
+pub const T_RTP: u64 = 6;
+/// Write recovery time (write data end to precharge), bus cycles
+/// (Table 1: 12).
+pub const T_WR: u64 = 12;
+/// Write-to-read turnaround, bus cycles (Table 1: 6).
+pub const T_WTR: u64 = 6;
+/// Data burst duration, bus cycles (Table 1: 4, 8 beats on a 64-bit
+/// bus).
+pub const T_BURST: u64 = 4;
 
-impl Default for DdrTimings {
-    /// The Table 1 DDR3 parameters.
-    fn default() -> Self {
-        DdrTimings {
-            t_cl: 11,
-            t_rcd: 11,
-            t_rp: 11,
-            t_ras: 33,
-            t_cwl: 8,
-            t_rtp: 6,
-            t_wr: 12,
-            t_wtr: 6,
-            t_burst: 4,
-        }
-    }
-}
-
-impl DdrTimings {
-    /// Converts a parameter from bus cycles to core cycles.
-    #[inline]
-    pub fn core(&self, bus_cycles: u64) -> Cycle {
-        bus_cycles * CORE_CYCLES_PER_BUS_CYCLE
-    }
+/// Converts a parameter from bus cycles to core cycles.
+#[inline]
+pub(crate) const fn core_cycles(bus_cycles: u64) -> Cycle {
+    bus_cycles * CORE_CYCLES_PER_BUS_CYCLE
 }
 
 /// Per-bank row-buffer and timing state. All times in core cycles.
@@ -93,43 +71,43 @@ impl Bank {
     }
 
     /// Issues a precharge at `now` (caller checked `pre_ok_at`).
-    pub fn precharge(&mut self, now: Cycle, t: &DdrTimings) {
+    pub fn precharge(&mut self, now: Cycle) {
         debug_assert!(now >= self.pre_ok_at, "tRAS/tRTP/tWR violated");
         self.open_row = None;
-        self.act_ok_at = now + t.core(t.t_rp);
+        self.act_ok_at = now + core_cycles(T_RP);
     }
 
     /// Issues an activate of `row` at `now` (caller checked `act_ok_at`).
-    pub fn activate(&mut self, now: Cycle, row: u64, t: &DdrTimings) {
+    pub fn activate(&mut self, now: Cycle, row: u64) {
         debug_assert!(now >= self.act_ok_at, "tRP violated");
         debug_assert!(self.open_row.is_none(), "bank already open");
         self.open_row = Some(row);
-        self.cas_ok_at = now + t.core(t.t_rcd);
-        self.pre_ok_at = now + t.core(t.t_ras);
+        self.cas_ok_at = now + core_cycles(T_RCD);
+        self.pre_ok_at = now + core_cycles(T_RAS);
         self.fresh_row = true;
     }
 
     /// Issues a read CAS at `now`; returns the cycle the data burst ends
     /// (the completion time of the request).
-    pub fn read(&mut self, now: Cycle, t: &DdrTimings) -> Cycle {
+    pub fn read(&mut self, now: Cycle) -> Cycle {
         debug_assert!(now >= self.cas_ok_at, "tRCD violated");
         debug_assert!(self.open_row.is_some());
         self.fresh_row = false;
-        let data_end = now + t.core(t.t_cl + t.t_burst);
+        let data_end = now + core_cycles(T_CL + T_BURST);
         // Read-to-precharge: the row may close tRTP after the CAS.
-        self.pre_ok_at = self.pre_ok_at.max(now + t.core(t.t_rtp));
+        self.pre_ok_at = self.pre_ok_at.max(now + core_cycles(T_RTP));
         data_end
     }
 
     /// Issues a write CAS at `now`; returns the cycle the write data ends
     /// on the bus.
-    pub fn write(&mut self, now: Cycle, t: &DdrTimings) -> Cycle {
+    pub fn write(&mut self, now: Cycle) -> Cycle {
         debug_assert!(now >= self.cas_ok_at, "tRCD violated");
         debug_assert!(self.open_row.is_some());
         self.fresh_row = false;
-        let data_end = now + t.core(t.t_cwl + t.t_burst);
+        let data_end = now + core_cycles(T_CWL + T_BURST);
         // Write recovery: precharge no earlier than data end + tWR.
-        self.pre_ok_at = self.pre_ok_at.max(data_end + t.core(t.t_wr));
+        self.pre_ok_at = self.pre_ok_at.max(data_end + core_cycles(T_WR));
         data_end
     }
 }
@@ -140,45 +118,35 @@ mod tests {
 
     #[test]
     fn defaults_match_table1() {
-        let t = DdrTimings::default();
-        assert_eq!(t.t_cl, 11);
-        assert_eq!(t.t_rcd, 11);
-        assert_eq!(t.t_rp, 11);
-        assert_eq!(t.t_ras, 33);
-        assert_eq!(t.t_cwl, 8);
-        assert_eq!(t.t_rtp, 6);
-        assert_eq!(t.t_wr, 12);
-        assert_eq!(t.t_wtr, 6);
-        assert_eq!(t.t_burst, 4);
+        assert_eq!((T_CL, T_RCD, T_RP, T_RAS), (11, 11, 11, 33));
+        assert_eq!((T_CWL, T_RTP, T_WR, T_WTR, T_BURST), (8, 6, 12, 6, 4));
     }
 
     #[test]
     fn bank_lifecycle_act_read_pre() {
-        let t = DdrTimings::default();
         let mut b = Bank::default();
         assert_eq!(b.need(5), BankNeed::Activate);
-        b.activate(0, 5, &t);
+        b.activate(0, 5);
         assert_eq!(b.need(5), BankNeed::Cas);
         assert_eq!(b.need(6), BankNeed::Precharge);
-        assert_eq!(b.cas_ok_at, t.core(11));
+        assert_eq!(b.cas_ok_at, core_cycles(11));
         // Read at earliest CAS.
-        let done = b.read(b.cas_ok_at, &t);
-        assert_eq!(done, t.core(11) + t.core(11 + 4));
+        let done = b.read(b.cas_ok_at);
+        assert_eq!(done, core_cycles(11) + core_cycles(11 + 4));
         // tRAS dominates tRTP here: precharge allowed at ACT + tRAS.
-        assert_eq!(b.pre_ok_at, t.core(33));
-        b.precharge(b.pre_ok_at, &t);
+        assert_eq!(b.pre_ok_at, core_cycles(33));
+        b.precharge(b.pre_ok_at);
         assert_eq!(b.need(5), BankNeed::Activate);
-        assert_eq!(b.act_ok_at, t.core(33) + t.core(11));
+        assert_eq!(b.act_ok_at, core_cycles(33) + core_cycles(11));
     }
 
     #[test]
     fn write_recovery_extends_precharge() {
-        let t = DdrTimings::default();
         let mut b = Bank::default();
-        b.activate(0, 1, &t);
-        let data_end = b.write(b.cas_ok_at, &t);
-        assert_eq!(data_end, t.core(11) + t.core(8 + 4));
-        assert_eq!(b.pre_ok_at, data_end + t.core(12));
-        assert!(b.pre_ok_at > t.core(33), "tWR beyond tRAS");
+        b.activate(0, 1);
+        let data_end = b.write(b.cas_ok_at);
+        assert_eq!(data_end, core_cycles(11) + core_cycles(8 + 4));
+        assert_eq!(b.pre_ok_at, data_end + core_cycles(12));
+        assert!(b.pre_ok_at > core_cycles(33), "tWR beyond tRAS");
     }
 }

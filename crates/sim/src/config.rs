@@ -46,6 +46,10 @@ pub const L3_LATENCY: u64 = 21;
 /// Prefetch-queue entries at the L2 site (§5.4: 8) and, with the same
 /// depth, at the L3 site.
 pub const PREFETCH_QUEUE: usize = 8;
+/// Fill-queue entries of each private L2 (Table 1: 16).
+pub const L2_FILL_QUEUE: usize = 16;
+/// Fill-queue entries of the shared L3 (Table 1: 32).
+pub const L3_FILL_QUEUE: usize = 32;
 
 /// One full-system simulation configuration.
 ///
@@ -78,10 +82,6 @@ pub struct SimConfig {
     pub l3_prefetcher: Option<PrefetcherSpec>,
     /// L3 replacement policy (baseline: 5P; Figure 3 uses LRU/DRRIP).
     pub l3_policy: PolicyKind,
-    /// L2 fill queue entries (Table 1: 16).
-    pub l2_fill_queue: usize,
-    /// L3 fill queue entries (Table 1: 32).
-    pub l3_fill_queue: usize,
     /// Warm-up instructions on core 0 before measurement.
     pub warmup_instructions: u64,
     /// Measured instructions on core 0.
@@ -132,8 +132,6 @@ impl Default for SimConfig {
             l2_prefetcher: prefetchers::next_line(),
             l3_prefetcher: None,
             l3_policy: PolicyKind::FiveP,
-            l2_fill_queue: 16,
-            l3_fill_queue: 32,
             warmup_instructions: default_warmup(),
             measure_instructions: default_instructions(),
             seed: 0xB05EED,
@@ -208,7 +206,7 @@ impl SimConfig {
     /// spell out every site.
     fn multi_level(&self) -> bool {
         self.l3_prefetcher.is_some()
-            || !matches!(self.l1_prefetcher, None | Some(PrefetcherSpec::Stride(_)))
+            || !matches!(self.l1_prefetcher, None | Some(PrefetcherSpec::Stride))
     }
 
     /// Short configuration label, e.g. `"4KB/2-core/BO"`; adaptive
@@ -266,14 +264,6 @@ impl SimConfig {
             return Err(ConfigError::TooManyCores {
                 requested: self.active_cores,
             });
-        }
-        for (queue, len) in [
-            ("L2 fill queue", self.l2_fill_queue),
-            ("L3 fill queue", self.l3_fill_queue),
-        ] {
-            if len == 0 {
-                return Err(ConfigError::EmptyQueue { queue });
-            }
         }
         if self.measure_instructions == 0 {
             return Err(ConfigError::ZeroInstructions);
@@ -357,11 +347,6 @@ pub enum ConfigError {
         /// The requested core count.
         requested: usize,
     },
-    /// A queue was configured with zero entries.
-    EmptyQueue {
-        /// Which queue.
-        queue: &'static str,
-    },
     /// The measured window was zero instructions long.
     ZeroInstructions,
     /// The epoch clock was configured with zero-cycle epochs.
@@ -412,7 +397,6 @@ impl fmt::Display for ConfigError {
                     "active_cores {requested} exceeds the maximum of {MAX_CORES}"
                 )
             }
-            ConfigError::EmptyQueue { queue } => write!(f, "{queue} needs at least one entry"),
             ConfigError::ZeroInstructions => {
                 write!(f, "measure_instructions must be at least 1")
             }
@@ -467,9 +451,7 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!((L2_SIZE, L2_WAYS, L2_LATENCY), (512 << 10, 8, 11));
         assert_eq!((L3_SIZE, L3_WAYS, L3_LATENCY), (8 << 20, 16, 21));
-        assert_eq!(PREFETCH_QUEUE, 8);
-        assert_eq!(c.l2_fill_queue, 16);
-        assert_eq!(c.l3_fill_queue, 32);
+        assert_eq!((PREFETCH_QUEUE, L2_FILL_QUEUE, L3_FILL_QUEUE), (8, 16, 32));
         assert_eq!(c.l2_prefetcher.name(), "next-line");
         assert_eq!(c.l3_policy, PolicyKind::FiveP);
         assert_eq!(
@@ -741,15 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_empty_queues_and_window() {
-        let empty_l2 = SimConfig {
-            l2_fill_queue: 0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            empty_l2.validate().unwrap_err(),
-            ConfigError::EmptyQueue { .. }
-        ));
+    fn builder_rejects_an_empty_window() {
         let no_window = SimConfig {
             measure_instructions: 0,
             ..Default::default()

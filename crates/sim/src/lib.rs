@@ -9,8 +9,10 @@
 //! and fairness counters (§5.3).
 //!
 //! The Table 1 machine is fixed: cache geometries, latencies and the
-//! prefetch-queue depth are constants ([`L2_SIZE`], [`L3_LATENCY`], ...;
-//! the core's live in [`bosim_cpu`]). A [`SimConfig`] carries what the
+//! prefetch- and fill-queue depths are constants ([`L2_SIZE`],
+//! [`L3_LATENCY`], [`L3_FILL_QUEUE`], ...; the core's live in
+//! [`bosim_cpu`], the DDR3 timings and controller geometry in
+//! [`bosim_dram`]). A [`SimConfig`] carries what the
 //! evaluation varies — page size, active cores, the prefetchers, the L3
 //! policy, run lengths — and is built as a struct literal or from
 //! [`SimConfig::baseline`], then checked with [`SimConfig::validate`].
@@ -44,8 +46,8 @@ mod uncore;
 mod wheel;
 
 pub use config::{
-    default_instructions, default_warmup, ConfigError, SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS,
-    L3_LATENCY, L3_SIZE, L3_WAYS, MAX_CORES, PREFETCH_QUEUE,
+    default_instructions, default_warmup, ConfigError, SimConfig, L2_FILL_QUEUE, L2_LATENCY,
+    L2_SIZE, L2_WAYS, L3_FILL_QUEUE, L3_LATENCY, L3_SIZE, L3_WAYS, MAX_CORES, PREFETCH_QUEUE,
 };
 pub use runner::{default_threads, run_job, run_jobs, stream_jobs, Job, RunnerError};
 pub use spec::{prefetchers, PrefetcherSpec, ResolveError};

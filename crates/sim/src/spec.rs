@@ -2,7 +2,8 @@
 //!
 //! A [`PrefetcherSpec`] names one prefetcher the paper compares (no
 //! prefetch, next-line, a fixed offset, BO, SBP and AMPM) or the §5.5
-//! DL1 stride prefetcher, together with its parameters. It parses from
+//! DL1 stride prefetcher, together with its parameters where it has any
+//! (the fixed offset, BO's [`BoConfig`]). It parses from
 //! the names command lines, corpora and adaptive policies use
 //! ([`parse`](PrefetcherSpec::parse), or site-qualified with
 //! [`parse_site`](PrefetcherSpec::parse_site)), labels reports
@@ -21,9 +22,7 @@
 //! [`PrefetcherSpec::parse`] and the list the round-trip test checks.
 
 use best_offset::{BestOffsetPrefetcher, BoConfig, NullPrefetcher, PrefetchSite, Prefetcher};
-use bosim_baselines::{
-    AmpmConfig, AmpmPrefetcher, FixedOffsetPrefetcher, SandboxPrefetcher, SbpConfig, StrideConfig,
-};
+use bosim_baselines::{AmpmPrefetcher, FixedOffsetPrefetcher, SandboxPrefetcher};
 use bosim_types::PageSize;
 use std::fmt;
 
@@ -69,12 +68,12 @@ pub enum PrefetcherSpec {
     /// The Best-Offset prefetcher (§4).
     Bo(BoConfig),
     /// The Sandbox prefetcher as adapted in §6.3.
-    Sbp(SbpConfig),
+    Sbp,
     /// AMPM-lite (extension; the DPC-1 winner referenced in §2).
-    Ampm(AmpmConfig),
+    Ampm,
     /// The PC-indexed DL1 stride prefetcher (§5.5) — the default
     /// occupant of the L1D site, and the only spec that attaches there.
-    Stride(StrideConfig),
+    Stride,
 }
 
 impl PrefetcherSpec {
@@ -94,9 +93,9 @@ impl PrefetcherSpec {
             "none" | "no-prefetch" => PrefetcherSpec::None,
             "next-line" => PrefetcherSpec::NextLine,
             "bo" => PrefetcherSpec::Bo(BoConfig::default()),
-            "sbp" => PrefetcherSpec::Sbp(SbpConfig::default()),
-            "ampm" => PrefetcherSpec::Ampm(AmpmConfig::default()),
-            "stride" => PrefetcherSpec::Stride(StrideConfig::default()),
+            "sbp" => PrefetcherSpec::Sbp,
+            "ampm" => PrefetcherSpec::Ampm,
+            "stride" => PrefetcherSpec::Stride,
             other => {
                 let Some(d) = other.strip_prefix("offset-") else {
                     return Err(ResolveError::Unknown {
@@ -170,9 +169,9 @@ impl PrefetcherSpec {
             PrefetcherSpec::NextLine => "next-line".into(),
             PrefetcherSpec::Offset(d) => format!("offset-{d}"),
             PrefetcherSpec::Bo(_) => "BO".into(),
-            PrefetcherSpec::Sbp(_) => "SBP".into(),
-            PrefetcherSpec::Ampm(_) => "AMPM".into(),
-            PrefetcherSpec::Stride(_) => "stride".into(),
+            PrefetcherSpec::Sbp => "SBP".into(),
+            PrefetcherSpec::Ampm => "AMPM".into(),
+            PrefetcherSpec::Stride => "stride".into(),
         }
     }
 
@@ -183,9 +182,9 @@ impl PrefetcherSpec {
             | PrefetcherSpec::NextLine
             | PrefetcherSpec::Offset(_)
             | PrefetcherSpec::Bo(_)
-            | PrefetcherSpec::Sbp(_)
-            | PrefetcherSpec::Ampm(_) => &[PrefetchSite::L2, PrefetchSite::L3],
-            PrefetcherSpec::Stride(_) => &[PrefetchSite::L1D],
+            | PrefetcherSpec::Sbp
+            | PrefetcherSpec::Ampm => &[PrefetchSite::L2, PrefetchSite::L3],
+            PrefetcherSpec::Stride => &[PrefetchSite::L1D],
         }
     }
 
@@ -194,12 +193,12 @@ impl PrefetcherSpec {
     /// configuration never builds it here; it gets a null prefetcher.
     pub fn build(&self, page: PageSize) -> Box<dyn Prefetcher> {
         match self {
-            PrefetcherSpec::None | PrefetcherSpec::Stride(_) => Box::new(NullPrefetcher),
+            PrefetcherSpec::None | PrefetcherSpec::Stride => Box::new(NullPrefetcher),
             PrefetcherSpec::NextLine => Box::new(FixedOffsetPrefetcher::next_line(page)),
             PrefetcherSpec::Offset(d) => Box::new(FixedOffsetPrefetcher::new(*d, page)),
             PrefetcherSpec::Bo(c) => Box::new(BestOffsetPrefetcher::new(c.clone(), page)),
-            PrefetcherSpec::Sbp(c) => Box::new(SandboxPrefetcher::new(c.clone(), page)),
-            PrefetcherSpec::Ampm(c) => Box::new(AmpmPrefetcher::new(c.clone(), page)),
+            PrefetcherSpec::Sbp => Box::new(SandboxPrefetcher::new(page)),
+            PrefetcherSpec::Ampm => Box::new(AmpmPrefetcher::new(page)),
         }
     }
 
@@ -216,12 +215,12 @@ impl PrefetcherSpec {
         match self {
             PrefetcherSpec::Offset(0) => Err("offset 0 is not a prefetch".into()),
             PrefetcherSpec::Bo(c) => c.validate().map_err(|e| e.to_string()),
-            PrefetcherSpec::Stride(c) => c.validate(),
             PrefetcherSpec::None
             | PrefetcherSpec::NextLine
             | PrefetcherSpec::Offset(_)
-            | PrefetcherSpec::Sbp(_)
-            | PrefetcherSpec::Ampm(_) => Ok(()),
+            | PrefetcherSpec::Sbp
+            | PrefetcherSpec::Ampm
+            | PrefetcherSpec::Stride => Ok(()),
         }
     }
 }
@@ -340,34 +339,19 @@ pub mod prefetchers {
         bo(BoConfig::default())
     }
 
-    /// Sandbox prefetching with explicit parameters.
-    pub fn sbp(config: SbpConfig) -> PrefetcherSpec {
-        PrefetcherSpec::Sbp(config)
-    }
-
-    /// Sandbox prefetching with the §6.3 defaults.
+    /// Sandbox prefetching (§6.3).
     pub fn sbp_default() -> PrefetcherSpec {
-        sbp(SbpConfig::default())
+        PrefetcherSpec::Sbp
     }
 
-    /// AMPM-lite prefetching with explicit parameters.
-    pub fn ampm(config: AmpmConfig) -> PrefetcherSpec {
-        PrefetcherSpec::Ampm(config)
-    }
-
-    /// AMPM-lite prefetching with default parameters.
+    /// AMPM-lite prefetching.
     pub fn ampm_default() -> PrefetcherSpec {
-        ampm(AmpmConfig::default())
+        PrefetcherSpec::Ampm
     }
 
-    /// DL1 stride prefetching with explicit parameters (L1D site only).
-    pub fn stride(config: StrideConfig) -> PrefetcherSpec {
-        PrefetcherSpec::Stride(config)
-    }
-
-    /// DL1 stride prefetching with the §5.5 defaults (L1D site only).
+    /// DL1 stride prefetching (§5.5; L1D site only).
     pub fn stride_default() -> PrefetcherSpec {
-        stride(StrideConfig::default())
+        PrefetcherSpec::Stride
     }
 }
 

@@ -7,13 +7,13 @@ use crate::wheel::EventWheel;
 use bosim_adapt::{AdaptTelemetry, DirectiveRecord, EpochRecord, PrefetchSite, TunePolicy};
 use bosim_baselines::StridePrefetcher;
 use bosim_cpu::{Core, CoreStats, UncoreRequest};
-use bosim_dram::DramStats;
+use bosim_dram::{DramStats, CHANNELS, T_BURST};
 use bosim_obs::{
     EpochFeedback, EpochStream, Event, EventKind, HostProfiler, ObsReport, ObsSite, Phase,
     PrefetchTelemetry, ProfileSlot, PROFILE_SAMPLE_SHIFT,
 };
 use bosim_trace::{suite, BenchmarkSpec};
-use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
+use bosim_types::{CoreId, Cycle, LineAddr, ReqClass, CORE_CYCLES_PER_BUS_CYCLE};
 
 /// The result of one measured simulation run.
 ///
@@ -217,7 +217,7 @@ impl System {
             // Every core gets its own L1D-site instance built from the
             // spec (validation guaranteed only stride sits there).
             let l1 = match &cfg.l1_prefetcher {
-                Some(PrefetcherSpec::Stride(c)) => Some(StridePrefetcher::new(c.clone())),
+                Some(PrefetcherSpec::Stride) => Some(StridePrefetcher::default()),
                 _ => None,
             };
             cores.push(Core::new(
@@ -472,9 +472,9 @@ impl System {
             let reads = dram.reads - ep.prev_dram.reads;
             let writes = dram.writes - ep.prev_dram.writes;
             // Data-bus occupancy: every CAS moves one line and holds the
-            // channel's data bus for tBURST core cycles.
-            let busy = (reads + writes) * self.uncore.dram_line_transfer_cycles();
-            let capacity = epoch_cycles * self.uncore.dram_channels() as u64;
+            // channel's data bus for tBURST.
+            let busy = (reads + writes) * T_BURST * CORE_CYCLES_PER_BUS_CYCLE;
+            let capacity = epoch_cycles * CHANNELS as u64;
             let bus_occupancy = busy as f64 / capacity as f64;
             // The L3 site is shared: one machine-wide delta and gauge,
             // seen by every core's record.
@@ -883,6 +883,30 @@ mod tests {
             assert!(msg.contains(&format!("core {c}: rob=")), "{msg}");
         }
         assert!(msg.contains("uncore: l3_fq="), "{msg}");
+    }
+
+    /// Small fill queues (L2 4, L3 2) and no L2 prefetcher: the stall
+    /// and retry paths run under back-pressure, where the uncore's
+    /// bookkeeping matters most, and the event-wheel loop still matches
+    /// the every-cycle loop bit for bit.
+    #[test]
+    fn golden_stats_no_prefetch_small_l3_queue() {
+        let spec = suite::benchmark("429").expect("exists");
+        let run = |fast_forward| {
+            let cfg = SimConfig {
+                l2_prefetcher: prefetchers::none(),
+                warmup_instructions: 5_000,
+                measure_instructions: 20_000,
+                fast_forward,
+                ..Default::default()
+            };
+            let mut sys = System::new(&cfg, &spec);
+            sys.uncore.shrink_fill_queues(4, 2);
+            sys.run()
+        };
+        let every_cycle = run(false);
+        assert!(every_cycle.uncore.l2_accesses > 0, "{every_cycle:?}");
+        assert_eq!(every_cycle, run(true), "event-wheel loop diverged");
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! and counts the prefetchers of both levels.
 
 use crate::config::{
-    SimConfig, L2_LATENCY, L2_SIZE, L2_WAYS, L3_LATENCY, L3_SIZE, L3_WAYS, PREFETCH_QUEUE,
+    SimConfig, L2_FILL_QUEUE, L2_LATENCY, L2_SIZE, L2_WAYS, L3_FILL_QUEUE, L3_LATENCY, L3_SIZE,
+    L3_WAYS, PREFETCH_QUEUE,
 };
 use crate::spec::PrefetcherSpec;
 use best_offset::{
@@ -316,7 +317,7 @@ impl Uncore {
                     cfg.active_cores,
                     cfg.seed ^ (i as u64 + 10),
                 ),
-                fq: FillQueue::new(cfg.l2_fill_queue),
+                fq: FillQueue::new(L2_FILL_QUEUE),
                 site: Site::new(Some(cfg.l2_prefetcher.build(cfg.page)), events),
                 stalled: VecDeque::new(),
                 ready_q: VecDeque::new(),
@@ -332,7 +333,7 @@ impl Uncore {
                 cfg.active_cores,
                 cfg.seed ^ 99,
             ),
-            l3_fq: FillQueue::new(cfg.l3_fill_queue),
+            l3_fq: FillQueue::new(L3_FILL_QUEUE),
             l3_in: VecDeque::new(),
             l3_stalled: VecDeque::new(),
             l3_site: Site::new(
@@ -342,7 +343,6 @@ impl Uncore {
             l3_saw_request: false,
             mem: MemorySystem::new(MemConfig {
                 num_cores: cfg.active_cores,
-                ..Default::default()
             }),
             wb_buf: VecDeque::new(),
             completions: Vec::new(),
@@ -352,6 +352,19 @@ impl Uncore {
             l2s,
             page: cfg.page,
         }
+    }
+
+    /// Shrinks every L2 fill queue to `l2` entries and the L3's to `l3`,
+    /// so that tests reach the stall and retry paths of a full queue.
+    /// Call it before the first request.
+    #[cfg(test)]
+    pub(crate) fn shrink_fill_queues(&mut self, l2: usize, l3: usize) {
+        for l2s in &mut self.l2s {
+            debug_assert!(l2s.fq.is_empty());
+            l2s.fq = FillQueue::new(l2);
+        }
+        debug_assert!(self.l3_fq.is_empty());
+        self.l3_fq = FillQueue::new(l3);
     }
 
     /// Whether cycle-domain event tracing is active.
@@ -451,18 +464,6 @@ impl Uncore {
             PrefetchSite::L3 => &mut self.l3_site,
         };
         site.reconfigure(&d.directive, d.site, self.page, events)
-    }
-
-    /// Core cycles one line transfer occupies on a DRAM channel's data
-    /// bus (tBURST), for bus-occupancy telemetry.
-    pub fn dram_line_transfer_cycles(&self) -> u64 {
-        let t = &self.mem.config().timings;
-        t.core(t.t_burst)
-    }
-
-    /// Number of independent DRAM channels.
-    pub fn dram_channels(&self) -> usize {
-        self.mem.config().channels
     }
 
     /// Lines currently resident in the shared L3 with the prefetch bit
@@ -1547,10 +1548,10 @@ mod tests {
             active_cores: 1,
             page: PageSize::M4,
             l2_prefetcher: crate::prefetchers::none(),
-            l2_fill_queue: 1,
             ..Default::default()
         };
         let mut u = Uncore::new(&cfg);
+        u.shrink_fill_queues(1, L3_FILL_QUEUE);
         let line = LineAddr(0x3000);
         let mut fills = Vec::new();
         // First demand: reserves the single L2 entry, reaches the L3 at
@@ -1602,10 +1603,10 @@ mod tests {
             active_cores: 1,
             page: PageSize::M4,
             l2_prefetcher: crate::prefetchers::none(),
-            l3_fill_queue: 1,
             ..Default::default()
         };
         let mut u = Uncore::new(&cfg);
+        u.shrink_fill_queues(L2_FILL_QUEUE, 1);
         let mut fills = Vec::new();
         // A occupies the single L3 fill-queue entry (DRAM takes ≥104
         // cycles); B arrives behind it and stalls, its access counted
@@ -1654,10 +1655,10 @@ mod tests {
             active_cores: 1,
             page: PageSize::M4,
             l2_prefetcher: crate::prefetchers::none(),
-            l2_fill_queue: 1,
             ..Default::default()
         };
         let mut u = Uncore::new(&cfg);
+        u.shrink_fill_queues(1, L3_FILL_QUEUE);
         let x = LineAddr(0x6100);
         u.core_read(CoreId(0), LineAddr(0x6000), ReqClass::Demand, false, 0);
         u.core_read(CoreId(0), x, ReqClass::Demand, false, 0);
@@ -1681,10 +1682,10 @@ mod tests {
             active_cores: 1,
             page: PageSize::M4,
             l2_prefetcher: crate::prefetchers::none(),
-            l3_fill_queue: 1,
             ..Default::default()
         };
         let mut u = Uncore::new(&cfg);
+        u.shrink_fill_queues(L2_FILL_QUEUE, 1);
         let mut fills = Vec::new();
         u.core_read(CoreId(0), LineAddr(0x5000), ReqClass::Demand, false, 0);
         for now in 0..15 {

@@ -211,18 +211,3 @@ fn golden_stats_four_cores() {
         assert_invariant(cfg.clone(), id);
     }
 }
-
-#[test]
-fn golden_stats_no_prefetch_small_l3_queue() {
-    // Small L3 fill queue: exercises the stall/retry paths under
-    // back-pressure, where the bugfixed bookkeeping matters most.
-    let cfg = SimConfig {
-        l3_fill_queue: 2,
-        l2_fill_queue: 4,
-        l2_prefetcher: prefetchers::none(),
-        warmup_instructions: 5_000,
-        measure_instructions: 20_000,
-        ..Default::default()
-    };
-    assert_invariant(cfg, "429");
-}
