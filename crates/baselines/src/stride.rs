@@ -45,8 +45,10 @@ struct StrideEntry {
 #[derive(Debug)]
 pub struct StridePrefetcher {
     /// [`ENTRIES`] entries, on the heap: held inline, they grew every
-    /// core by 2 KB and made `System::new` 15–20% slower in
-    /// `bosim-benchmark` (2-vCPU x86-64 VM).
+    /// core by 2 KB and `bosim-benchmark` read `setup_s` 12–17% higher
+    /// on 2-vCPU x86-64 VMs. That is a layout effect, not more work: a
+    /// standalone timing of `System::new` saw no difference (ROADMAP
+    /// item 5).
     table: Vec<StrideEntry>,
     /// FIFO of the [`FILTER_ENTRIES`] most recently prefetched virtual
     /// *lines*.

@@ -4,7 +4,7 @@
 //! * [`Bank`] — DDR3 bank state machines with the Table 1 timings as
 //!   constants ([`T_CL`], [`T_RCD`], [`T_RP`], [`T_RAS`], [`T_CWL`],
 //!   [`T_RTP`], [`T_WR`], [`T_WTR`], [`T_BURST`], in bus cycles of 4 core
-//!   cycles),
+//!   cycles; [`LINE_TRANSFER_CYCLES`] is tBURST in core cycles),
 //! * [`MemorySystem`] — [`CHANNELS`] independent per-channel controllers
 //!   of [`BANKS`] banks with per-core [`READ_QUEUE`]/[`WRITE_QUEUE`]-entry
 //!   read/write queues, FR-FCFS scheduling, steady/urgent fairness modes
@@ -43,4 +43,7 @@ pub use controller::{
     WRITE_QUEUE,
 };
 pub use mapping::{map_line, DramLoc, BANKS, CHANNELS};
-pub use timing::{Bank, BankNeed, T_BURST, T_CL, T_CWL, T_RAS, T_RCD, T_RP, T_RTP, T_WR, T_WTR};
+pub use timing::{
+    Bank, BankNeed, LINE_TRANSFER_CYCLES, T_BURST, T_CL, T_CWL, T_RAS, T_RCD, T_RP, T_RTP, T_WR,
+    T_WTR,
+};

@@ -33,6 +33,10 @@ pub(crate) const fn core_cycles(bus_cycles: u64) -> Cycle {
     bus_cycles * CORE_CYCLES_PER_BUS_CYCLE
 }
 
+/// Core cycles one line transfer holds a channel's data bus: [`T_BURST`]
+/// converted from bus cycles.
+pub const LINE_TRANSFER_CYCLES: Cycle = core_cycles(T_BURST);
+
 /// Per-bank row-buffer and timing state. All times in core cycles.
 #[derive(Debug, Clone, Default)]
 pub struct Bank {

@@ -7,13 +7,13 @@ use crate::wheel::EventWheel;
 use bosim_adapt::{AdaptTelemetry, DirectiveRecord, EpochRecord, PrefetchSite, TunePolicy};
 use bosim_baselines::StridePrefetcher;
 use bosim_cpu::{Core, CoreStats, UncoreRequest};
-use bosim_dram::{DramStats, CHANNELS, T_BURST};
+use bosim_dram::{DramStats, CHANNELS, LINE_TRANSFER_CYCLES};
 use bosim_obs::{
     EpochFeedback, EpochStream, Event, EventKind, HostProfiler, ObsReport, ObsSite, Phase,
     PrefetchTelemetry, ProfileSlot, PROFILE_SAMPLE_SHIFT,
 };
 use bosim_trace::{suite, BenchmarkSpec};
-use bosim_types::{CoreId, Cycle, LineAddr, ReqClass, CORE_CYCLES_PER_BUS_CYCLE};
+use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
 
 /// The result of one measured simulation run.
 ///
@@ -473,7 +473,7 @@ impl System {
             let writes = dram.writes - ep.prev_dram.writes;
             // Data-bus occupancy: every CAS moves one line and holds the
             // channel's data bus for tBURST.
-            let busy = (reads + writes) * T_BURST * CORE_CYCLES_PER_BUS_CYCLE;
+            let busy = (reads + writes) * LINE_TRANSFER_CYCLES;
             let capacity = epoch_cycles * CHANNELS as u64;
             let bus_occupancy = busy as f64 / capacity as f64;
             // The L3 site is shared: one machine-wide delta and gauge,

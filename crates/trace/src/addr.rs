@@ -235,7 +235,7 @@ pub fn encode_text(accesses: &[RawAccess]) -> String {
 
 /// Reduces a µop stream to its raw data-access sequence — the inverse
 /// direction of [`lower`], used when exporting richer traces to the
-/// address formats (`bosim gen`, the ingest smoke, tests).
+/// address formats (`bosim gen`, tests).
 pub fn accesses_of(uops: &[MicroOp]) -> Vec<RawAccess> {
     uops.iter()
         .filter_map(|u| {
