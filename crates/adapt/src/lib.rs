@@ -15,9 +15,11 @@
 //! this crate supplies:
 //!
 //! * [`TunePolicy`] / [`PolicySpec`] — the per-core policy state
-//!   machine and the enum naming its three kinds, with shorthands under
-//!   [`policies`]: a BO degree governor, a bandwidth-aware throttle and
-//!   a prefetcher tournament;
+//!   machine and the enum naming its three kinds: a BO degree governor,
+//!   a bandwidth-aware throttle and a prefetcher tournament (built from
+//!   a name list by [`policies::tournament`]). Their thresholds and
+//!   pacing are constants ([`GOVERNOR_ACCURACY_UP`],
+//!   [`THROTTLE_OCCUPANCY_HIGH`], [`EXPLOIT_EPOCHS`], ...);
 //! * [`AdaptTelemetry`] — the per-run epoch log (feedback, active
 //!   prefetcher, directives) with JSON/table rendering and the counter
 //!   invariants CI pins down.
@@ -39,6 +41,8 @@ mod telemetry;
 
 pub use best_offset::{PrefetchSite, SiteDirective, TuneDirective};
 pub use policy::{
-    policies, BandwidthThrottleSpec, DegreeGovernorSpec, PolicySpec, TournamentSpec, TunePolicy,
+    policies, PolicySpec, TunePolicy, EXPLOIT_EPOCHS, GOVERNOR_ACCURACY_DOWN, GOVERNOR_ACCURACY_UP,
+    GOVERNOR_MIN_FILLS, GOVERNOR_OCCUPANCY_CAP, RETRIGGER_DELTA, THROTTLE_ACCURACY_FLOOR,
+    THROTTLE_MIN_FILLS, THROTTLE_OCCUPANCY_HIGH, THROTTLE_OCCUPANCY_LOW,
 };
 pub use telemetry::{AdaptTelemetry, DirectiveRecord, EpochRecord};

@@ -17,7 +17,7 @@
 //! Run with: `cargo run --release -p bosim-bench --bin adaptive`
 
 use best_offset::BoConfig;
-use bosim::adapt::{policies, PolicySpec, TournamentSpec};
+use bosim::adapt::{policies, PolicySpec};
 use bosim::{prefetchers, SimConfig};
 use bosim_bench::{Experiment, Metric};
 use bosim_trace::suite;
@@ -40,9 +40,6 @@ fn main() {
         degree: 2,
         ..Default::default()
     });
-    let mut tournament = TournamentSpec::new(["offset-8", "none"]);
-    tournament.exploit_epochs = 10;
-
     let report = Experiment::new(
         "adaptive",
         "Static vs adaptive prefetch control: IPC per arm",
@@ -70,21 +67,21 @@ fn main() {
         "tournament",
         adaptive(
             base.clone().with_prefetcher(prefetchers::none()),
-            PolicySpec::Tournament(tournament),
+            policies::tournament(["offset-8", "none"]),
         ),
     )
     .arm(
         "governor",
         adaptive(
             base.clone().with_prefetcher(prefetchers::bo_default()),
-            policies::degree_governor(),
+            PolicySpec::DegreeGovernor,
         ),
     )
     .arm(
         "bw-throttle",
         adaptive(
             base.with_prefetcher(prefetchers::bo_default()),
-            policies::bandwidth_throttle(),
+            PolicySpec::BandwidthThrottle,
         ),
     )
     .run_and_emit();

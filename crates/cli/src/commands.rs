@@ -83,8 +83,8 @@ SERVE OPTIONS:
   --corpus FILE         the corpus manifest (see docs/TRACES.md)
   --threads N           worker threads (default: all cores)
   --out DIR             journal/stream/report directory (default as above)
-  --abort-after N       test hook: checkpoint N jobs, then stop with exit 1
-                        (also BOSIM_SERVE_ABORT_AFTER); rerunning resumes
+  --abort-after N       test hook: checkpoint N jobs, then stop with exit 1;
+                        rerunning resumes
   Completed jobs checkpoint to <name>.journal.jsonl and stream to
   <name>.stream.jsonl; a killed serve resumes exactly (docs/SERVE.md).
 
@@ -201,20 +201,14 @@ fn parse_page(p: &str) -> Result<PageSize, CliError> {
     }
 }
 
-/// Builds the sampling plan out of individually optional knobs.
-fn sample_spec(
-    skip: Option<u64>,
-    window: Option<u64>,
-    interval: Option<u64>,
-) -> Option<SampleSpec> {
-    if skip.is_none() && window.is_none() && interval.is_none() {
-        return None;
-    }
-    Some(SampleSpec {
+/// Builds the sampling plan out of individually optional knobs (an
+/// absent knob is 0; none at all is the pass-through plan).
+fn sample_spec(skip: Option<u64>, window: Option<u64>, interval: Option<u64>) -> SampleSpec {
+    SampleSpec {
         skip: skip.unwrap_or(0),
         window: window.unwrap_or(0),
         interval: interval.unwrap_or(0),
-    })
+    }
 }
 
 /// Shared machine-configuration assembly for `run`, `trace` and `sweep`.
@@ -223,7 +217,7 @@ struct MachineParams {
     page: Option<PageSize>,
     instructions: Option<u64>,
     warmup: Option<u64>,
-    sample: Option<SampleSpec>,
+    sample: SampleSpec,
 }
 
 impl MachineParams {
@@ -378,18 +372,16 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         let events = p.flag("events");
         let obs = ObsConfig {
             events,
-            epochs: events,
-            epoch_stream: events.then(|| dir.join(format!("{report_name}.epochs.jsonl"))),
             profile: p.flag("profile"),
-            ..ObsConfig::default()
         };
         let report = instrumented_run(cfg, &bench, obs)?;
         if events {
             let path = dir.join(format!("{report_name}.trace.json"));
             write_artifact(&path, &perfetto::trace_json(&report, &title).to_string())?;
+            let path = dir.join(format!("{report_name}.epochs.jsonl"));
+            write_artifact(&path, &report.epochs_jsonl())?;
             eprintln!(
-                "[bosim] wrote {} ({} events recorded, {} dropped, {} epochs)",
-                dir.join(format!("{report_name}.epochs.jsonl")).display(),
+                "[bosim] {} events recorded, {} dropped, {} epochs",
                 report.events.len(),
                 report.dropped_events,
                 report.epochs.len(),
@@ -523,12 +515,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if let Some(t) = p.get_u64("threads")? {
         opts.threads = t as usize;
     }
-    opts.abort_after = match p.get_u64("abort-after")? {
-        Some(n) => Some(n),
-        None => std::env::var("BOSIM_SERVE_ABORT_AFTER")
-            .ok()
-            .and_then(|v| v.parse().ok()),
-    };
+    opts.abort_after = p.get_u64("abort-after")?;
     let summary = crate::serve::serve(experiment, &opts)?;
     if summary.aborted {
         // The abort hook is a deliberate mid-sweep stop (test harness /
@@ -805,14 +792,12 @@ mod tests {
 
     #[test]
     fn sample_knobs_fold_into_a_spec() {
-        assert_eq!(sample_spec(None, None, None), None);
-        assert_eq!(
-            sample_spec(Some(10), None, None),
-            Some(SampleSpec::skip(10))
-        );
+        assert_eq!(sample_spec(None, None, None), SampleSpec::default());
+        assert_eq!(sample_spec(Some(0), None, None), SampleSpec::default());
+        assert_eq!(sample_spec(Some(10), None, None), SampleSpec::skip(10));
         assert_eq!(
             sample_spec(Some(1), Some(2), Some(3)),
-            Some(SampleSpec::periodic(1, 2, 3))
+            SampleSpec::periodic(1, 2, 3)
         );
     }
 

@@ -51,7 +51,7 @@ pub struct ServeOptions {
     pub threads: usize,
     /// Soft-abort hook: stop handing out work after this many jobs have
     /// been journaled *by this process* (the crash/restart harness and
-    /// the CI smoke test; `--abort-after` / `BOSIM_SERVE_ABORT_AFTER`).
+    /// the CI smoke test; `--abort-after`).
     pub abort_after: Option<u64>,
     /// Output directory for the journal, stream and report files.
     pub out_dir: PathBuf,

@@ -3,6 +3,7 @@
 //! the same loop the CI ingest-smoke step runs through the binary.
 
 use bosim_cli::{dispatch, CliError};
+use bosim_stats::Json;
 use std::path::{Path, PathBuf};
 
 fn strs(v: &[&str]) -> Vec<String> {
@@ -231,12 +232,23 @@ fn run_with_obs_flags_writes_trace_profile_and_epoch_artifacts() {
     assert!(perfetto.contains(r#""traceEvents""#), "{perfetto}");
     let profile = read(&dir.join("cli_obs_e2e.profile.json"));
     assert!(profile.contains("total_nanos"), "{profile}");
-    // The stream file always exists; whether it has rows depends on
-    // the run outlasting the 50k-cycle default epoch (pinned by the
-    // workspace observability tests, not here).
+    // 18k instructions of 429 outlast several 50k-cycle epochs. Every
+    // line is a self-contained epoch record: core 0's counters, the two
+    // site blocks and the shared gauges.
     let epochs = read(&dir.join("cli_obs_e2e.epochs.jsonl"));
+    assert!(epochs.lines().count() >= 1, "no epoch records");
     for line in epochs.lines() {
-        assert!(line.contains("\"ipc\""), "{line}");
+        let rec = Json::parse(line).expect("epoch line parses");
+        for key in [
+            "epoch",
+            "ipc",
+            "l2",
+            "l3",
+            "bus_occupancy",
+            "l3_prefetch_resident",
+        ] {
+            assert!(rec.get(key).is_some(), "epoch record missing {key}: {line}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,5 @@
 //! The counter records every view of a run reads — run results,
-//! adaptive policies and their log, the epoch series, its JSONL stream
+//! adaptive policies and their log, the epoch series, its JSONL file
 //! and Perfetto tracks — so each counter and each rate is defined once.
 
 use bosim_stats::Json;
@@ -172,7 +172,7 @@ impl EpochFeedback {
     }
 
     /// The record as one JSON object: one line of the epoch JSONL
-    /// stream, one element of the report's epoch arrays.
+    /// file, one element of the report's epoch arrays.
     pub fn to_json(&self) -> Json {
         let EpochFeedback {
             epoch,

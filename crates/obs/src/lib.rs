@@ -16,9 +16,9 @@
 //!   round and phase ends with score snapshots, epoch boundaries,
 //!   tuning directives). Prefetchers and cores buffer `EventKind`s
 //!   directly; the simulator stamps them.
-//! * [`EpochStream`] — core 0's epoch series (IPC, the L2 and L3 site
-//!   blocks, bus occupancy) streamed to a JSON-lines file while the run
-//!   is still in flight.
+//! * [`ObsReport::epochs`] — core 0's epoch series (IPC, the L2 and L3
+//!   site blocks, bus occupancy), rendered as JSON lines by
+//!   [`ObsReport::epochs_jsonl`].
 //! * [`HostProfiler`] — wall-clock attribution per simulator phase
 //!   (decode, core tick, uncore tick, DRAM, fast-forward scanning),
 //!   sampled deterministically so the measurement never perturbs
@@ -45,10 +45,9 @@ mod profile;
 mod report;
 
 pub use config::ObsConfig;
-pub use epoch::EpochStream;
 pub use event::{Event, EventKind, ObsSite};
 pub use feedback::{EpochFeedback, PrefetchTelemetry};
-pub use log::Recorder;
+pub use log::{Recorder, MAX_EVENTS};
 pub use profile::{
     HostProfile, HostProfiler, Phase, PhaseCost, PhaseTimer, ProfileSlot, PROFILE_SAMPLE_SHIFT,
 };

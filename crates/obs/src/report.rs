@@ -19,7 +19,7 @@ pub struct ObsReport {
     pub events: Vec<Event>,
     /// Events that arrived after the log filled up.
     pub dropped_events: u64,
-    /// Core 0's epoch records (empty unless epoch collection was on).
+    /// Core 0's epoch records (empty unless event tracing was on).
     pub epochs: Vec<EpochFeedback>,
     /// The host profile (present only when profiling was on; never
     /// part of equality).

@@ -99,7 +99,7 @@ pub struct SimConfig {
     /// 50 000). At every boundary the system distils each core's
     /// counter deltas into a [`bosim_obs::EpochFeedback`]; adaptive
     /// control ([`adapt`](Self::adapt)) and the observability epoch
-    /// series ([`ObsConfig::epochs`]) both read those records. Inert
+    /// series ([`ObsConfig::events`]) both read those records. Inert
     /// when neither is on.
     pub epoch_cycles: u64,
     /// Adaptive prefetch control: when set, the configured policy (one
@@ -111,12 +111,11 @@ pub struct SimConfig {
     /// Trace sampling applied to core 0's µop stream (warm-up skip +
     /// periodic measurement windows, see
     /// [`SampleSpec`]). Intended for long external traces; the
-    /// thrasher streams on cores 1.. are never sampled. `None` (the
-    /// default) replays the stream untouched.
-    pub sample: Option<SampleSpec>,
-    /// Observability: cycle-domain event tracing, core 0's epoch records
-    /// (optionally streamed) and host-side self-profiling (see
-    /// [`ObsConfig`]). The
+    /// thrasher streams on cores 1.. are never sampled. The default,
+    /// a pass-through plan, replays the stream untouched.
+    pub sample: SampleSpec,
+    /// Observability: cycle-domain event tracing with core 0's epoch
+    /// records, and host-side self-profiling (see [`ObsConfig`]). The
     /// default is everything off, which costs nothing on the hot path;
     /// results are bit-identical with tracing on or off (the golden-stats
     /// suite pins both arms).
@@ -138,7 +137,7 @@ impl Default for SimConfig {
             fast_forward: true,
             epoch_cycles: 50_000,
             adapt: None,
-            sample: None,
+            sample: SampleSpec::default(),
             obs: ObsConfig::default(),
         }
     }
@@ -224,9 +223,10 @@ impl SimConfig {
             Some(p) => format!("+{}", p.name()),
             None => String::new(),
         };
-        let policy = match &self.sample {
-            Some(s) if !s.is_passthrough() => format!("{policy}@{s}"),
-            _ => policy,
+        let policy = if self.sample.is_passthrough() {
+            policy
+        } else {
+            format!("{policy}@{}", self.sample)
         };
         let prefetchers = if self.multi_level() {
             let site =
@@ -293,27 +293,21 @@ impl SimConfig {
                 });
             }
         }
-        if let Some(sample) = &self.sample {
-            if let Err(reason) = sample.validate() {
-                return Err(ConfigError::InvalidSample { reason });
-            }
+        if let Err(reason) = self.sample.validate() {
+            return Err(ConfigError::InvalidSample { reason });
         }
-        if let Err(reason) = self.obs.validate() {
-            return Err(ConfigError::InvalidObs { reason });
-        }
-        if let Some(policy) = &self.adapt {
-            // A policy that switches prefetchers needs at least two to
-            // switch between. Every one of them must resolve *now* and
-            // attach to the L2 site (switch directives target the
-            // per-core L2 engines) — a sweep must neither die at the
-            // first epoch boundary of some arm nor silently keep the old
-            // prefetcher because the switch is rejected at runtime.
-            let candidates = policy.prefetcher_names();
-            if candidates.len() == 1 {
+        if let Some(PolicySpec::Tournament(candidates)) = &self.adapt {
+            // A tournament needs at least two prefetchers to switch
+            // between. Every one of them must resolve *now* and attach
+            // to the L2 site (switch directives target the per-core L2
+            // engines) — a sweep must neither die at the first epoch
+            // boundary of some arm nor silently keep the old prefetcher
+            // because the switch is rejected at runtime.
+            if candidates.len() < 2 {
                 return Err(ConfigError::InvalidAdapt {
                     reason: format!(
-                        "policy {} switches prefetchers but lists only 1 candidate",
-                        policy.name()
+                        "a tournament needs at least 2 candidates, got {}",
+                        candidates.len()
                     ),
                 });
             }
@@ -370,12 +364,6 @@ pub enum ConfigError {
         /// The violated constraint.
         reason: String,
     },
-    /// The observability configuration was invalid (see
-    /// [`ObsConfig::validate`]).
-    InvalidObs {
-        /// The violated constraint.
-        reason: &'static str,
-    },
     /// A prefetcher name (an adaptive policy's candidate, or a
     /// site-qualified name given to [`SimConfig::with_site`]) that does
     /// not resolve (see [`PrefetcherSpec::parse`]).
@@ -409,9 +397,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InvalidSample { reason } => {
                 write!(f, "trace-sampling plan invalid: {reason}")
-            }
-            ConfigError::InvalidObs { reason } => {
-                write!(f, "observability configuration invalid: {reason}")
             }
             ConfigError::UnknownPrefetcher { name, reason } => {
                 write!(f, "unresolvable prefetcher {name:?}: {reason}")
@@ -645,7 +630,7 @@ mod tests {
         use bosim_adapt::policies;
         // A healthy adaptive config validates.
         let cfg = SimConfig {
-            adapt: Some(policies::degree_governor()),
+            adapt: Some(PolicySpec::DegreeGovernor),
             ..SimConfig::default().with_prefetcher(prefetchers::bo_default())
         };
         assert!(cfg.validate().is_ok());
@@ -678,7 +663,7 @@ mod tests {
     fn builder_validates_sampling_plans() {
         use bosim_trace::SampleSpec;
         let sampled = |sample| SimConfig {
-            sample: Some(sample),
+            sample,
             ..Default::default()
         };
         let cfg = sampled(SampleSpec::periodic(10_000, 1_000, 5_000));
@@ -699,27 +684,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(err.to_string().contains("sampling plan invalid"));
-    }
-
-    #[test]
-    fn builder_validates_obs_configs() {
-        let observed = |obs| SimConfig {
-            obs,
-            ..Default::default()
-        };
-        let cfg = observed(ObsConfig::all());
-        assert!(cfg.validate().is_ok());
-        assert!(cfg.obs.enabled());
-        // Event tracing with a zero-capacity buffer is rejected.
-        let err = observed(ObsConfig {
-            events: true,
-            max_events: 0,
-            ..Default::default()
-        })
-        .validate()
-        .unwrap_err();
-        assert!(matches!(err, ConfigError::InvalidObs { .. }), "{err:?}");
-        assert!(err.to_string().contains("observability"));
     }
 
     #[test]

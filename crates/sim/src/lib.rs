@@ -63,14 +63,14 @@ pub use bosim_adapt as adapt;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bosim_adapt::policies;
+    use bosim_adapt::{policies, PolicySpec};
 
     #[test]
     fn config_defaults_and_validation() {
-        // One epoch clock serves adaptive control and obs epochs: 50 000
-        // cycles unless set, and never zero.
+        // One epoch clock serves adaptive control and the obs epoch
+        // series: 50 000 cycles unless set, and never zero.
         let mut cfg = SimConfig {
-            adapt: Some(policies::degree_governor()),
+            adapt: Some(PolicySpec::DegreeGovernor),
             ..Default::default()
         };
         assert_eq!(cfg.epoch_cycles, 50_000);
@@ -87,12 +87,16 @@ mod tests {
             adapt: Some(policy),
             ..Default::default()
         };
-        let err = with(policies::tournament(["bo"])).validate().unwrap_err();
-        match &err {
-            ConfigError::InvalidAdapt { reason } => {
-                assert!(reason.contains("only 1 candidate"), "{reason}");
+        for candidates in [vec!["bo"], vec![]] {
+            let err = with(policies::tournament(candidates))
+                .validate()
+                .unwrap_err();
+            match &err {
+                ConfigError::InvalidAdapt { reason } => {
+                    assert!(reason.contains("at least 2 candidates"), "{reason}");
+                }
+                other => panic!("unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
         assert!(with(policies::tournament(["bo", "none"]))
             .validate()

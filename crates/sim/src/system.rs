@@ -9,8 +9,8 @@ use bosim_baselines::StridePrefetcher;
 use bosim_cpu::{Core, CoreStats, UncoreRequest};
 use bosim_dram::{DramStats, CHANNELS, LINE_TRANSFER_CYCLES};
 use bosim_obs::{
-    EpochFeedback, EpochStream, Event, EventKind, HostProfiler, ObsReport, ObsSite, Phase,
-    PrefetchTelemetry, ProfileSlot, PROFILE_SAMPLE_SHIFT,
+    EpochFeedback, Event, EventKind, HostProfiler, ObsReport, ObsSite, Phase, PrefetchTelemetry,
+    ProfileSlot, PROFILE_SAMPLE_SHIFT,
 };
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
@@ -115,10 +115,9 @@ struct EpochRuntime {
     policies: Vec<Box<dyn TunePolicy>>,
     /// Core 0's adaptation log (`None` = adaptive control off).
     telemetry: Option<AdaptTelemetry>,
-    /// Core 0's records for the observability report (`None` = obs
-    /// epochs off).
+    /// Core 0's records for the observability report (`None` = event
+    /// tracing off).
     series: Option<Vec<EpochFeedback>>,
-    stream: EpochStream,
 }
 
 /// Event-wheel source id of the uncore (cores follow at [`core_src`]).
@@ -130,8 +129,8 @@ fn core_src(c: usize) -> u16 {
     (c + 1) as u16
 }
 
-/// A complete simulated machine: up to four cores, private L2s, shared L3
-/// and dual-channel DRAM.
+/// A complete simulated machine: up to [`MAX_CORES`](crate::MAX_CORES)
+/// cores, private L2s, shared L3 and dual-channel DRAM.
 #[derive(Debug)]
 pub struct System {
     cfg: SimConfig,
@@ -143,8 +142,8 @@ pub struct System {
     benchmark: String,
     req_buf: Vec<UncoreRequest>,
     fill_buf: Vec<(CoreId, LineAddr)>,
-    /// The epoch clock (`None` = neither adaptive control nor obs
-    /// epochs are on).
+    /// The epoch clock (`None` = neither adaptive control nor event
+    /// tracing is on).
     epochs: Option<EpochRuntime>,
     /// The discrete-event calendar driving the scheduled (fast-forward)
     /// loop: one source per core plus the uncore, each posting the
@@ -165,10 +164,10 @@ pub struct System {
 impl System {
     /// Builds a system running `bench` on core 0 — a synthetic spec or
     /// a file-backed one ([`BenchmarkSpec::from_trace`]). Cores
-    /// 1..active run the §5.1 cache-thrashing micro-benchmark. When
-    /// [`SimConfig::sample`] is set, core 0's µop stream is wrapped in
-    /// the sampling plan (warm-up skip + periodic windows); the
-    /// thrasher streams are never sampled.
+    /// 1..active run the §5.1 cache-thrashing micro-benchmark. Unless
+    /// [`SimConfig::sample`] is a pass-through plan, core 0's µop stream
+    /// is wrapped in it (warm-up skip + periodic windows); the thrasher
+    /// streams are never sampled.
     ///
     /// # Panics
     ///
@@ -203,11 +202,10 @@ impl System {
                     )]
                     Err(e) => panic!("cannot load benchmark {}: {e}", bench.name),
                 };
-                match cfg.sample {
-                    Some(spec) if !spec.is_passthrough() => {
-                        Box::new(bosim_trace::SampledSource::new(src, spec))
-                    }
-                    _ => src,
+                if cfg.sample.is_passthrough() {
+                    src
+                } else {
+                    Box::new(bosim_trace::SampledSource::new(src, cfg.sample))
                 }
             } else {
                 let mut spec = suite::thrasher();
@@ -234,7 +232,7 @@ impl System {
                 core.set_obs_sink(true);
             }
         }
-        let epochs = (cfg.adapt.is_some() || cfg.obs.epochs).then(|| EpochRuntime {
+        let epochs = (cfg.adapt.is_some() || cfg.obs.events).then(|| EpochRuntime {
             next_boundary: cfg.epoch_cycles,
             epoch: 0,
             prev_l2: vec![PrefetchTelemetry::default(); cfg.active_cores],
@@ -251,11 +249,7 @@ impl System {
                 epoch_cycles: cfg.epoch_cycles,
                 ..Default::default()
             }),
-            series: cfg.obs.epochs.then(Vec::new),
-            stream: match &cfg.obs.epoch_stream {
-                Some(path) => EpochStream::create(path),
-                None => EpochStream::disabled(),
-            },
+            series: cfg.obs.events.then(Vec::new),
         });
         System {
             uncore: Uncore::new(cfg),
@@ -444,7 +438,8 @@ impl System {
     /// Processes every epoch boundary at or before the current cycle:
     /// snapshot counters into each core's [`EpochFeedback`], hand it to
     /// the core's policy and apply the directives (adaptive runs), then
-    /// append core 0's record to the observability series (obs epochs).
+    /// append core 0's record to the observability series (event
+    /// tracing).
     /// Per boundary, directive events are recorded before `epoch_end`.
     ///
     /// Called at the top of the run loop, *before* the tick of the cycle
@@ -566,7 +561,6 @@ impl System {
             ep.prev_dram = dram;
             ep.prev_l3 = l3;
             if let Some(series) = ep.series.as_mut() {
-                ep.stream.write_row(&core0);
                 series.push(core0);
                 self.uncore.record_event(Event {
                     cycle: boundary,
@@ -831,7 +825,7 @@ mod tests {
         let cfg = SimConfig {
             warmup_instructions: 5_000,
             measure_instructions: 20_000,
-            sample: Some(SampleSpec::periodic(2_000, 1_000, 4_000)),
+            sample: SampleSpec::periodic(2_000, 1_000, 4_000),
             ..Default::default()
         };
         let mut sys = System::new(&cfg, &bench);

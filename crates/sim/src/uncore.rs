@@ -348,7 +348,7 @@ impl Uncore {
             completions: Vec::new(),
             fwd_needs_entry: vec![false; cfg.active_cores],
             stats: UncoreStats::default(),
-            recorder: events.then(|| Recorder::new(cfg.obs.max_events)),
+            recorder: events.then(Recorder::default),
             l2s,
             page: cfg.page,
         }

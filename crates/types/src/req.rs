@@ -8,7 +8,7 @@
 
 use core::fmt;
 
-/// Identifies one of the (up to four) simulated cores.
+/// Identifies one of the simulated cores (a `u8`, so at most 256).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(pub u8);
 

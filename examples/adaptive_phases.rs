@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run --release -p bosim-bench --example adaptive_phases`
 
-use bosim::adapt::{PolicySpec, TournamentSpec};
+use bosim::adapt::policies;
 use bosim::{prefetchers, SimConfig, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
@@ -40,10 +40,8 @@ fn main() {
 
     // The adaptive arm: epoch telemetry every 8k cycles feeds a
     // tournament between the two static configurations above.
-    let mut tournament = TournamentSpec::new(["offset-8", "none"]);
-    tournament.exploit_epochs = 10;
     let mut adaptive_cfg = base.with_prefetcher(prefetchers::none());
-    adaptive_cfg.adapt = Some(PolicySpec::Tournament(tournament));
+    adaptive_cfg.adapt = Some(policies::tournament(["offset-8", "none"]));
     adaptive_cfg.epoch_cycles = 8_000;
     let adaptive = System::new(&adaptive_cfg, &bench).run();
 

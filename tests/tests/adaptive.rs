@@ -3,7 +3,7 @@
 //! adaptive policy beats every static configuration it is allowed to
 //! switch between.
 
-use bosim::adapt::{policies, PolicySpec, TournamentSpec};
+use bosim::adapt::{policies, PolicySpec};
 use bosim::{prefetchers, PrefetcherSpec, SimConfig, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
@@ -32,10 +32,8 @@ fn tournament_beats_every_static_arm_it_switches_between() {
     let ipc_none = run_phase(phase_cfg(prefetchers::none())).ipc();
     let ipc_off8 = run_phase(phase_cfg(prefetchers::fixed(8))).ipc();
 
-    let mut tournament = TournamentSpec::new(["offset-8", "none"]);
-    tournament.exploit_epochs = 10;
     let mut cfg = phase_cfg(prefetchers::none());
-    cfg.adapt = Some(PolicySpec::Tournament(tournament));
+    cfg.adapt = Some(policies::tournament(["offset-8", "none"]));
     cfg.epoch_cycles = 8_000;
     let adaptive = run_phase(cfg);
     let ipc_adaptive = adaptive.ipc();
@@ -70,8 +68,8 @@ fn tournament_beats_every_static_arm_it_switches_between() {
 #[test]
 fn epoch_telemetry_invariants_hold_for_all_policies() {
     let policies = [
-        policies::degree_governor(),
-        policies::bandwidth_throttle(),
+        PolicySpec::DegreeGovernor,
+        PolicySpec::BandwidthThrottle,
         policies::tournament(["offset-8", "none"]),
     ];
     for policy in policies {
@@ -106,7 +104,7 @@ fn epoch_telemetry_invariants_hold_for_all_policies() {
 #[test]
 fn degree_governor_reconfigures_bo_at_runtime() {
     let mut cfg = phase_cfg(prefetchers::bo_default());
-    cfg.adapt = Some(policies::degree_governor());
+    cfg.adapt = Some(PolicySpec::DegreeGovernor);
     cfg.epoch_cycles = 8_000;
     let adaptive = run_phase(cfg);
     let telemetry = adaptive.adapt.as_ref().expect("telemetry");
@@ -144,7 +142,7 @@ fn telemetry_presence_matches_configuration() {
 
     let mut cfg = phase_cfg(prefetchers::bo_default());
     cfg.measure_instructions = 20_000;
-    cfg.adapt = Some(policies::bandwidth_throttle());
+    cfg.adapt = Some(PolicySpec::BandwidthThrottle);
     let r = run_phase(cfg);
     assert!(r.adapt.is_some());
     assert_eq!(r.config, "4MB/1-core/BO+bw-throttle");

@@ -5,7 +5,7 @@
 //! (docs/ANALYSIS.md): clippy bans the usual sources of nondeterminism
 //! in library code statically, this test pins the observable output.
 
-use bosim::adapt::{PolicySpec, TournamentSpec};
+use bosim::adapt::policies;
 use bosim::{prefetchers, SimConfig};
 use bosim_bench::Experiment;
 use bosim_trace::{capture, champsim, suite, BenchmarkSpec, ExternalSpec, TraceFormat};
@@ -31,9 +31,7 @@ fn tiny(cfg: SimConfig) -> SimConfig {
 fn synthetic_report_json() -> String {
     let base = tiny(SimConfig::default());
     let mut adaptive = tiny(SimConfig::default());
-    adaptive.adapt = Some(PolicySpec::Tournament(TournamentSpec::new([
-        "offset-8", "none",
-    ])));
+    adaptive.adapt = Some(policies::tournament(["offset-8", "none"]));
     adaptive.epoch_cycles = 4_000;
     Experiment::new("determinism_synth", "byte-stable synthetic grid")
         .benchmarks(vec![

@@ -13,7 +13,7 @@
 //! A change that is *meant* to alter simulated results updates the
 //! digests here and says why in its description.
 
-use bosim::adapt::policies;
+use bosim::adapt::PolicySpec;
 use bosim::{prefetchers, SimConfig, System};
 use bosim_obs::ObsConfig;
 use bosim_trace::suite;
@@ -80,10 +80,9 @@ fn two_cores_adapt_and_tracing_429() {
         warmup_instructions: 5_000,
         measure_instructions: 15_000,
         epoch_cycles: 5_000,
-        adapt: Some(policies::degree_governor()),
+        adapt: Some(PolicySpec::DegreeGovernor),
         obs: ObsConfig {
             events: true,
-            epochs: true,
             ..Default::default()
         },
         ..single_core()

@@ -73,7 +73,7 @@ fn golden_stats_second_seed() {
 /// `PartialEq` covers `adapt`).
 #[test]
 fn golden_stats_adaptive_runs() {
-    use bosim::adapt::policies;
+    use bosim::adapt::{policies, PolicySpec};
     let mut tournament = quick(prefetchers::bo_default(), 0xB05EED);
     tournament.page = PageSize::M4;
     tournament.adapt = Some(policies::tournament(["offset-8", "none"]));
@@ -81,7 +81,7 @@ fn golden_stats_adaptive_runs() {
     assert_invariant(tournament, "phase");
 
     let mut governor = quick(prefetchers::bo_default(), 0xB05EED);
-    governor.adapt = Some(policies::degree_governor());
+    governor.adapt = Some(PolicySpec::DegreeGovernor);
     governor.epoch_cycles = 5_000;
     assert_invariant(governor, "462");
 }
@@ -123,7 +123,7 @@ fn golden_stats_file_backed_trace_with_sampling() {
         ExternalSpec::new(&path, TraceFormat::ChampSim).named("462-file"),
     );
     let base = SimConfig {
-        sample: Some(SampleSpec::periodic(10_000, 20_000, 30_000)),
+        sample: SampleSpec::periodic(10_000, 20_000, 30_000),
         ..quick(prefetchers::bo_default(), 0xB05EED)
     };
     let mut every_cycle = base.clone();
@@ -145,12 +145,7 @@ fn golden_stats_file_backed_trace_with_sampling() {
 #[test]
 fn golden_stats_with_tracing_enabled() {
     use bosim_obs::ObsConfig;
-    let obs = ObsConfig {
-        events: true,
-        epochs: true,
-        profile: true,
-        ..ObsConfig::default()
-    };
+    let obs = ObsConfig::all();
 
     let mut traced = quick(prefetchers::bo_default(), 0xB05EED);
     traced.epoch_cycles = 5_000;
@@ -161,9 +156,9 @@ fn golden_stats_with_tracing_enabled() {
 
     // Tracing combined with adaptive control: directive and epoch
     // events ride on top of the adapt machinery without perturbing it.
-    use bosim::adapt::policies;
+    use bosim::adapt::PolicySpec;
     let mut adaptive = quick(prefetchers::bo_default(), 0xB05EED);
-    adaptive.adapt = Some(policies::degree_governor());
+    adaptive.adapt = Some(PolicySpec::DegreeGovernor);
     adaptive.epoch_cycles = 5_000;
     adaptive.obs = obs.clone();
     assert_invariant(adaptive, "429");
@@ -179,7 +174,7 @@ fn golden_stats_with_tracing_enabled() {
         epoch_cycles: 5_000,
         ..Default::default()
     };
-    two_core.adapt = Some(policies::degree_governor());
+    two_core.adapt = Some(PolicySpec::DegreeGovernor);
     two_core.obs = obs;
     assert_invariant(two_core, "429");
 }

@@ -41,7 +41,7 @@ fn champsim_trace_through_experiment_with_warmup_sampling() {
     // Warm-up sampling on the trace itself, independent of the
     // simulator's warm-up instruction window.
     let base = tiny(SimConfig {
-        sample: Some(SampleSpec::skip(10_000)),
+        sample: SampleSpec::skip(10_000),
         ..Default::default()
     });
     let report = Experiment::new("ingest_e2e", "BO on an ingested ChampSim trace")
@@ -72,7 +72,7 @@ fn every_format_replays_with_the_counter_invariants() {
     let uops = capture(&mut suite::benchmark("462").unwrap().build(), 80_000);
     let accesses = addr::accesses_of(&uops);
     let cfg = tiny(SimConfig {
-        sample: Some(SampleSpec::skip(10_000)),
+        sample: SampleSpec::skip(10_000),
         ..Default::default()
     })
     .with_prefetcher(prefetchers::bo_default());
@@ -149,7 +149,7 @@ fn sampling_changes_the_replayed_stream() {
 
     // Small windows: an access-only trace keeps the ROB saturated with
     // loads, the simulator's slowest-per-cycle regime.
-    let run = |sample: Option<SampleSpec>| {
+    let run = |sample: SampleSpec| {
         let cfg = SimConfig {
             sample,
             warmup_instructions: 1_000,
@@ -158,8 +158,8 @@ fn sampling_changes_the_replayed_stream() {
         };
         System::new(&cfg, &bench).run()
     };
-    let unsampled = run(None);
-    let skipped = run(Some(SampleSpec::skip(35_000)));
+    let unsampled = run(SampleSpec::default());
+    let skipped = run(SampleSpec::skip(35_000));
     // The streaming phase misses the caches where the loop phase hits:
     // the skipped replay must be measurably slower and DRAM-bound.
     assert!(

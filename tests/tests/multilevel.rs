@@ -1,7 +1,7 @@
 //! Multi-level prefetching, end to end: site-qualified name
 //! resolution, the l1:stride + l2:bo + l3:next-line acceptance arm
-//! through the `Experiment` harness, per-site telemetry invariants, and
-//! the `dl1_stride` compatibility shim.
+//! through the `Experiment` harness, per-site telemetry invariants, an
+//! empty L3 site, and a multi-level stack on two cores.
 
 use bosim::{prefetchers, PrefetchSite, PrefetcherSpec, SimConfig, System};
 use bosim_bench::{Experiment, RunSummary};
