@@ -18,8 +18,8 @@
 
 use best_offset::BoConfig;
 use bosim::adapt::{policies, PolicySpec};
-use bosim::{prefetchers, SimConfig};
-use bosim_bench::{Experiment, Metric};
+use bosim::{prefetchers, run_jobs, SimConfig};
+use bosim_bench::{threads, Experiment, JobRow, Metric};
 use bosim_trace::suite;
 use bosim_types::PageSize;
 
@@ -40,7 +40,11 @@ fn main() {
         degree: 2,
         ..Default::default()
     });
-    let report = Experiment::new(
+    let tournament = adaptive(
+        base.clone().with_prefetcher(prefetchers::none()),
+        policies::tournament(["offset-8", "none"]),
+    );
+    let plan = Experiment::new(
         "adaptive",
         "Static vs adaptive prefetch control: IPC per arm",
     )
@@ -63,13 +67,7 @@ fn main() {
         base.clone().with_prefetcher(prefetchers::bo_default()),
     )
     .arm("BO-deg2", base.clone().with_prefetcher(bo2))
-    .arm(
-        "tournament",
-        adaptive(
-            base.clone().with_prefetcher(prefetchers::none()),
-            policies::tournament(["offset-8", "none"]),
-        ),
-    )
+    .arm("tournament", tournament.clone())
     .arm(
         "governor",
         adaptive(
@@ -84,15 +82,26 @@ fn main() {
             PolicySpec::BandwidthThrottle,
         ),
     )
-    .run_and_emit();
+    .plan()
+    .expect("the adaptive grid is valid");
+
+    let results = run_jobs(plan.jobs(), threads()).unwrap_or_else(|e| {
+        eprintln!("[bosim] experiment failed: {e}");
+        std::process::exit(1);
+    });
+    let rows: Vec<JobRow> = results
+        .iter()
+        .enumerate()
+        .map(|(job, result)| plan.row(job, result))
+        .collect();
+    plan.assemble(&rows).emit();
 
     // Print the tournament's epoch history on the phase workload: the
     // human-readable view of what the policy did and why.
-    if let Some(run) = report
-        .arms
+    let tournament = tournament.label();
+    if let Some(run) = results
         .iter()
-        .find(|a| a.series == "tournament")
-        .and_then(|a| a.runs.iter().find(|r| r.benchmark.starts_with("phase")))
+        .find(|r| r.config == tournament && r.benchmark.starts_with("phase"))
     {
         if let Some(telemetry) = &run.adapt {
             println!("# tournament on {}: epoch history", run.benchmark);
@@ -102,16 +111,14 @@ fn main() {
 
     // CI smoke: telemetry invariants must hold on every adaptive run.
     let mut violations = 0;
-    for arm in &report.arms {
-        for run in &arm.runs {
-            if let Some(telemetry) = &run.adapt {
-                if let Err(e) = telemetry.check_invariants() {
-                    eprintln!(
-                        "[bosim] telemetry invariant violated ({} on {}): {e}",
-                        arm.series, run.benchmark
-                    );
-                    violations += 1;
-                }
+    for run in &results {
+        if let Some(telemetry) = &run.adapt {
+            if let Err(e) = telemetry.check_invariants() {
+                eprintln!(
+                    "[bosim] telemetry invariant violated ({} on {}): {e}",
+                    run.config, run.benchmark
+                );
+                violations += 1;
             }
         }
     }

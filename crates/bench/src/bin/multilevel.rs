@@ -3,8 +3,9 @@
 //! Sweeps prefetcher placements across the three sites of the hierarchy
 //! — the Figure 4 shape (L1 on/off) crossed with the new L3 site — and
 //! reports speedups over the paper's next-line baseline. Arms are
-//! expressed with site-qualified prefetcher names (`l1:stride`, `l2:bo`,
-//! `l3:next-line`), exactly what `SimConfig::with_site` accepts.
+//! expressed as stacks of site-qualified prefetcher names
+//! (`l1:stride+l2:bo+l3:next-line`), exactly what
+//! `SimConfig::with_stack` accepts.
 //!
 //! The binary is also the CI multi-level smoke arm: after the grid it
 //! re-runs the full three-site stack on one streaming benchmark and
@@ -14,44 +15,35 @@
 //!
 //! Run with: `cargo run --release -p bosim-bench --bin multilevel`
 
-use bosim::{SimConfig, System};
+use bosim::{ConfigError, SimConfig, System};
 use bosim_bench::Experiment;
 use bosim_trace::suite;
 
-/// Builds a configuration from site-qualified prefetcher names.
-fn sites(names: &[&str]) -> SimConfig {
-    let mut cfg = SimConfig {
-        l1_prefetcher: None,
-        ..SimConfig::default()
-    };
-    for name in names {
-        cfg = cfg.with_site(name).unwrap_or_else(|e| panic!("{e}"));
-    }
-    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    cfg
-}
-
-fn main() {
+fn main() -> Result<(), ConfigError> {
     let base = SimConfig::default();
     Experiment::new(
         "multilevel",
         "Multi-level prefetching: speedup over the next-line baseline",
     )
-    .arm_vs("l2:bo", sites(&["l1:stride", "l2:bo"]), base.clone())
+    .arm_vs(
+        "l2:bo",
+        base.clone().with_stack("l1:stride+l2:bo")?,
+        base.clone(),
+    )
     .arm_vs(
         "l2:bo, no l1",
-        sites(&["l2:bo"]), // L1 site left empty (Figure 4 shape)
+        base.clone().with_stack("l1:none+l2:bo")?, // Figure 4 shape
         base.clone(),
     )
     .arm_vs(
         "l2:bo + l3:next-line",
-        sites(&["l1:stride", "l2:bo", "l3:next-line"]),
+        base.clone().with_stack("l1:stride+l2:bo+l3:next-line")?,
         base.clone(),
     )
     .arm_vs(
         "l2:bo + l3:offset-8",
-        sites(&["l1:stride", "l2:bo", "l3:offset-8"]),
-        base,
+        base.clone().with_stack("l1:stride+l2:bo+l3:offset-8")?,
+        base.clone(),
     )
     .run_and_emit();
 
@@ -61,7 +53,7 @@ fn main() {
     let cfg = SimConfig {
         warmup_instructions: 20_000,
         measure_instructions: 100_000,
-        ..sites(&["l1:stride", "l2:bo", "l3:next-line"])
+        ..base.with_stack("l1:stride+l2:bo+l3:next-line")?
     };
     let result = System::new(&cfg, &bench).run();
     if let Err(e) = result.check_site_invariants() {
@@ -76,4 +68,5 @@ fn main() {
         result.l3_site.issued,
         result.l3_site.useful,
     );
+    Ok(())
 }

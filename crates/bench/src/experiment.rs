@@ -26,9 +26,11 @@
 //! threading, speedup pairing by benchmark, geometric-mean summaries and
 //! structured [`Report`] output.
 
-use crate::report::{arm_gm, ArmReport, Layout, Report, RunSummary};
+use crate::journal::JobRow;
+use crate::report::{arm_gm, ArmReport, Layout, Report};
 use crate::{cfg_label, selected_benchmarks, six_baselines, threads};
-use bosim::{run_jobs, ConfigError, Job, RunnerError, SimConfig, SimResult};
+use bosim::{run_jobs, ConfigError, Job, RunnerError, SimConfig};
+use bosim_stats::Json;
 use bosim_trace::{suite, BenchmarkSpec};
 use bosim_types::{fnv64, PageSize};
 use std::collections::BTreeMap;
@@ -47,29 +49,28 @@ pub enum Metric {
 }
 
 impl Metric {
-    fn value(self, r: &SimResult) -> f64 {
+    /// The run-summary key holding this metric's per-run value.
+    pub(crate) fn key(self) -> &'static str {
         match self {
-            Metric::Ipc => r.ipc(),
-            Metric::DramPerKi => r.dram_accesses_per_ki(),
+            Metric::Ipc => "ipc",
+            Metric::DramPerKi => "dram_per_ki",
         }
     }
 
-    /// The metric value out of a journaled row (the same quantity
-    /// [`value`](Self::value) extracts from a live result — rows store
-    /// both so a resumed sweep can assemble either metric).
-    pub(crate) fn row_value(self, ipc: f64, dram_per_ki: f64) -> f64 {
-        match self {
-            Metric::Ipc => ipc,
-            Metric::DramPerKi => dram_per_ki,
-        }
+    /// The metric's value in a job row (NaN, printed `null`, only for a
+    /// hand-built row: [`JobRow::from_json`] checks both metrics).
+    fn value(self, row: &JobRow) -> f64 {
+        row.summary
+            .get(self.key())
+            .and_then(Json::as_f64)
+            .unwrap_or(f64::NAN)
     }
 
-    pub(crate) fn label(self, with_baseline: bool) -> &'static str {
+    fn label(self, with_baseline: bool) -> &'static str {
         match (self, with_baseline) {
-            (Metric::Ipc, false) => "ipc",
             (Metric::Ipc, true) => "speedup",
-            (Metric::DramPerKi, false) => "dram_per_ki",
             (Metric::DramPerKi, true) => "dram_per_ki_ratio",
+            (metric, false) => metric.key(),
         }
     }
 }
@@ -288,9 +289,10 @@ impl Experiment {
     /// Resolves the experiment into an [`ExperimentPlan`]: the
     /// deduplicated job list plus everything needed to assemble the
     /// [`Report`] once results exist. `run` is `plan` + execute +
+    /// [`row`](ExperimentPlan::row) per result +
     /// [`assemble`](ExperimentPlan::assemble); a resumable sweep
     /// (`bosim serve`) executes the same plan job by job, journalling
-    /// each completed cell.
+    /// each row, and assembles the same way.
     ///
     /// # Errors
     ///
@@ -421,13 +423,17 @@ impl Experiment {
             threads,
         );
         let t0 = std::time::Instant::now();
-        let results = run_jobs(&plan.jobs, threads)?;
+        let rows: Vec<JobRow> = run_jobs(&plan.jobs, threads)?
+            .iter()
+            .enumerate()
+            .map(|(job, result)| plan.row(job, result))
+            .collect();
         eprintln!(
             "[bosim] {}: grid done in {:.1}s",
             self.name,
             t0.elapsed().as_secs_f64(),
         );
-        Ok(plan.assemble(&results))
+        Ok(plan.assemble(&rows))
     }
 
     /// Runs the experiment and emits the report (tables + JSON file);
@@ -451,15 +457,11 @@ impl Experiment {
 /// carries, with the configurations already flattened into the job
 /// list.
 #[derive(Debug, Clone)]
-pub struct PlannedArm {
-    /// Series label shown in tables.
-    pub series: String,
-    /// Optional group label for pivoted GM tables.
-    pub group: Option<String>,
-    /// Subject configuration label.
-    pub config: String,
-    /// Baseline configuration label, when the arm reports ratios.
-    pub baseline: Option<String>,
+struct PlannedArm {
+    series: String,
+    group: Option<String>,
+    config: String,
+    baseline: Option<String>,
 }
 
 /// A resolved experiment: the deduplicated job grid plus the metadata
@@ -469,22 +471,23 @@ pub struct PlannedArm {
 /// whole grid in one process; `bosim serve` executes the same plan one
 /// job at a time, journalling each completed cell (see
 /// [`journal`](crate::journal)) so a killed sweep resumes without
-/// re-running finished work.
+/// re-running finished work. Both turn each result into its
+/// [`JobRow`] and build the report with [`assemble`](Self::assemble).
 #[derive(Debug, Clone)]
 pub struct ExperimentPlan {
-    pub(crate) name: String,
-    pub(crate) title: String,
-    pub(crate) metric: Metric,
-    pub(crate) layout: Layout,
-    pub(crate) with_gm: bool,
-    pub(crate) decimals: usize,
-    pub(crate) paired: bool,
-    pub(crate) benchmarks: Vec<BenchmarkSpec>,
-    pub(crate) arms: Vec<PlannedArm>,
-    pub(crate) jobs: Vec<Job>,
-    pub(crate) job_keys: Vec<String>,
+    name: String,
+    title: String,
+    metric: Metric,
+    layout: Layout,
+    with_gm: bool,
+    decimals: usize,
+    paired: bool,
+    benchmarks: Vec<BenchmarkSpec>,
+    arms: Vec<PlannedArm>,
+    jobs: Vec<Job>,
+    job_keys: Vec<String>,
     /// (arm, benchmark) -> (subject job, baseline job) indices.
-    pub(crate) lookup: Vec<Vec<(usize, Option<usize>)>>,
+    lookup: Vec<Vec<(usize, Option<usize>)>>,
 }
 
 impl ExperimentPlan {
@@ -496,11 +499,6 @@ impl ExperimentPlan {
     /// The deduplicated job list, in plan order.
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
-    }
-
-    /// The planned arms, in report order.
-    pub fn arms(&self) -> &[PlannedArm] {
-        &self.arms
     }
 
     /// The benchmark list, in report order.
@@ -548,24 +546,26 @@ impl ExperimentPlan {
         format!("{:016x}", fnv64(text.as_bytes()))
     }
 
-    /// Assembles the [`Report`] out of one result per planned job
-    /// (same order as [`jobs`](Self::jobs)).
+    /// Assembles the [`Report`] out of one row per planned job, in job
+    /// order ([`jobs`](Self::jobs)). The report depends on the rows
+    /// alone, so rows read back from a journal assemble the same bytes
+    /// as rows fresh from [`row`](Self::row).
     ///
     /// # Panics
     ///
-    /// Panics when `results` is shorter than the job list.
-    pub fn assemble(&self, results: &[SimResult]) -> Report {
+    /// Panics when `rows` is shorter than the job list.
+    pub fn assemble(&self, rows: &[JobRow]) -> Report {
         let arms = self
             .arms
             .iter()
             .zip(&self.lookup)
-            .map(|(arm, row)| {
-                let values: Vec<f64> = row
+            .map(|(arm, cells)| {
+                let values: Vec<f64> = cells
                     .iter()
                     .map(|&(s, b)| {
-                        let subject = self.metric.value(&results[s]);
+                        let subject = self.metric.value(&rows[s]);
                         match b {
-                            Some(b) => subject / self.metric.value(&results[b]),
+                            Some(b) => subject / self.metric.value(&rows[b]),
                             None => subject,
                         }
                     })
@@ -576,9 +576,9 @@ impl ExperimentPlan {
                     config: arm.config.clone(),
                     baseline: arm.baseline.clone(),
                     gm: arm_gm(&values, self.with_gm),
-                    runs: row
+                    runs: cells
                         .iter()
-                        .map(|&(s, _)| RunSummary::from(&results[s]))
+                        .map(|&(s, _)| rows[s].summary.clone())
                         .collect(),
                     values,
                 }
@@ -704,7 +704,8 @@ mod tests {
         }
         assert_eq!(report.metric, "speedup");
         // Subject runs carry real statistics.
-        assert!(report.arms[0].runs[0].ipc > 0.0);
+        let ipc = report.arms[0].runs[0].get("ipc").and_then(Json::as_f64);
+        assert!(ipc.is_some_and(|ipc| ipc > 0.0), "{ipc:?}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod report;
 
 pub use experiment::{
     six_baseline_gm_variants, six_baseline_speedup, Experiment, ExperimentError, ExperimentPlan,
-    Metric, PlannedArm, VariantFn,
+    Metric, VariantFn,
 };
 pub use journal::{JobRow, JournalError};
 pub use report::{ArmReport, Layout, Report, RunSummary};
@@ -144,10 +144,6 @@ mod tests {
         let row = JobRow {
             job: 0,
             key: String::new(),
-            benchmark: String::new(),
-            config: String::new(),
-            ipc: 0.0,
-            dram_per_ki: 0.0,
             summary: summary.clone(),
         };
         for record in [summary, row.to_json()] {

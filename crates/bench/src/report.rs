@@ -73,7 +73,9 @@ impl From<&SimResult> for RunSummary {
 }
 
 impl RunSummary {
-    pub(crate) fn to_json(&self) -> Json {
+    /// The run-summary object a report's `runs` and a job row's
+    /// `summary` hold.
+    pub fn to_json(&self) -> Json {
         let RunSummary {
             benchmark,
             config,
@@ -132,8 +134,9 @@ pub struct ArmReport {
     pub values: Vec<f64>,
     /// Geometric mean of `values` (when meaningful for the metric).
     pub gm: Option<f64>,
-    /// Per-benchmark subject-run statistics.
-    pub runs: Vec<RunSummary>,
+    /// Per-benchmark subject-run statistics: each run's
+    /// [`RunSummary`] object, as its job row holds it.
+    pub runs: Vec<Json>,
 }
 
 /// How a [`Report`] lays out its tables.
@@ -290,7 +293,7 @@ impl Report {
                         ),
                         ("gm", Json::from(a.gm)),
                         ("values", Json::arr(a.values.iter().map(|&v| Json::from(v)))),
-                        ("runs", Json::arr(a.runs.iter().map(RunSummary::to_json))),
+                        ("runs", Json::arr(a.runs.iter().cloned())),
                     ])
                 })),
             ),
@@ -338,8 +341,8 @@ impl Report {
     }
 }
 
-/// Recomputes an arm's geometric mean (used by [`Experiment`] while
-/// assembling reports).
+/// An arm's geometric mean (used by
+/// [`ExperimentPlan::assemble`](crate::ExperimentPlan::assemble)).
 pub(crate) fn arm_gm(values: &[f64], with_gm: bool) -> Option<f64> {
     if !with_gm || values.is_empty() || values.iter().any(|&v| v <= 0.0 || !v.is_finite()) {
         return None;

@@ -40,8 +40,9 @@ use std::path::{Path, PathBuf};
 pub const JOURNAL_SCHEMA: &str = "bosim-serve-journal";
 
 /// Journal format version (the header's `version` field), bumped when
-/// the embedded run-summary JSON changes shape but job keys do not.
-pub const JOURNAL_VERSION: u64 = 2;
+/// the row or its embedded run-summary JSON changes shape but job keys
+/// do not.
+pub const JOURNAL_VERSION: u64 = 3;
 
 /// The journal's first line: binds the file to one experiment plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,10 +301,9 @@ impl Journal {
                         load.duplicates += 1;
                     }
                 }
-                Err(e) if last => {
+                Err(_) if last => {
                     // Valid JSON but not a valid row, in final
                     // position: a tear can end exactly on a brace.
-                    let _ = e;
                     load.torn_recovered = true;
                     keep_bytes = *off;
                 }
@@ -348,11 +348,6 @@ impl Journal {
                 error,
             })
     }
-
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
@@ -379,11 +374,10 @@ mod tests {
         JobRow {
             job,
             key: plan.job_key(job).to_string(),
-            benchmark: format!("b{job}"),
-            config: format!("c{job}"),
-            ipc: 1.0 + salt,
-            dram_per_ki: 2.0 + salt,
-            summary: Json::obj([("ipc", Json::Num(1.0 + salt))]),
+            summary: Json::obj([
+                ("ipc", Json::Num(1.0 + salt)),
+                ("dram_per_ki", Json::Num(2.0 + salt)),
+            ]),
         }
     }
 
@@ -549,8 +543,9 @@ mod tests {
         let (mut journal, _) = Journal::open(&path, &p).unwrap();
         journal.append(&fake_row(&p, 0, 0.0)).unwrap();
         drop(journal);
+        // Any older version is refused; the previous one stands in.
         let text = std::fs::read_to_string(&path).unwrap();
-        let old = text.replacen("\"version\":2", "\"version\":1", 1);
+        let old = text.replacen("\"version\":3", "\"version\":2", 1);
         assert_ne!(old, text);
         std::fs::write(&path, old).unwrap();
         match Journal::open(&path, &p) {

@@ -19,13 +19,12 @@
 //! # Determinism
 //!
 //! The final report is **always** assembled from the journaled rows,
-//! sorted by job index
-//! ([`ExperimentPlan::report_json_from_rows`]) —
-//! an uninterrupted run and any kill+resume sequence walk the exact
-//! same assembly path over the exact same row set, so their report
-//! files are byte-identical. Completion order, thread count and crash
-//! timing can only change *when* rows appear, never what the report
-//! says.
+//! sorted by job index ([`ExperimentPlan::assemble`], the assembler
+//! `bosim sweep` uses too) — an uninterrupted run and any kill+resume
+//! sequence walk the exact same assembly path over the exact same row
+//! set, so their report files are byte-identical. Completion order,
+//! thread count and crash timing can only change *when* rows appear,
+//! never what the report says.
 //!
 //! # Artifacts
 //!
@@ -184,7 +183,6 @@ fn serve_plan(plan: &ExperimentPlan, opts: &ServeOptions) -> Result<ServeSummary
     let total = plan.jobs().len();
     let journal_path = opts.out_dir.join(format!("{}.journal.jsonl", plan.name()));
     let stream_path = opts.out_dir.join(format!("{}.stream.jsonl", plan.name()));
-    let report_path = opts.out_dir.join(format!("{}.json", plan.name()));
 
     let (mut journal, load) = Journal::open(&journal_path, plan)
         .map_err(|e| CliError::Failed(format!("cannot resume sweep: {e}")))?;
@@ -257,17 +255,23 @@ fn serve_plan(plan: &ExperimentPlan, opts: &ServeOptions) -> Result<ServeSummary
             rows.len()
         );
     }
-    let mut final_report = None;
+    let mut report_path = None;
+    // The journal admits only in-range rows, one per job, so a complete
+    // row set holds every job exactly once, in job order.
     if complete {
-        let doc = plan
-            .report_json_from_rows(&rows)
-            .map_err(|e| CliError::Failed(format!("cannot assemble report: {e}")))?;
-        std::fs::write(&report_path, doc.to_pretty()).map_err(|e| {
-            CliError::Failed(format!("cannot write {}: {e}", report_path.display()))
-        })?;
-        stream.emit("report", rows.len() as u64, None)?;
-        eprintln!("[bosim serve] report written to {}", report_path.display());
-        final_report = Some(report_path);
+        let rows: Vec<JobRow> = rows.into_values().collect();
+        let path = plan
+            .assemble(&rows)
+            .write_json(&opts.out_dir)
+            .map_err(|e| {
+                CliError::Failed(format!(
+                    "cannot write the report under {}: {e}",
+                    opts.out_dir.display()
+                ))
+            })?;
+        stream.emit("report", total as u64, None)?;
+        eprintln!("[bosim serve] report written to {}", path.display());
+        report_path = Some(path);
     }
 
     Ok(ServeSummary {
@@ -278,7 +282,7 @@ fn serve_plan(plan: &ExperimentPlan, opts: &ServeOptions) -> Result<ServeSummary
         stale: load.stale,
         torn_recovered: load.torn_recovered,
         aborted,
-        report_path: final_report,
+        report_path,
         journal_path,
         stream_path,
     })

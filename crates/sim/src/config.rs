@@ -171,24 +171,36 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy with the prefetcher named by a site-qualified name
-    /// (`"l1:stride"`, `"l2:bo"`, `"l3:next-line"`; a bare name means
-    /// the L2 site, and `"l1:none"` or `"l3:none"` empties that site)
-    /// installed at that site (see [`PrefetcherSpec::parse_site`]).
+    /// Returns a copy with a `+`-separated stack of site-qualified
+    /// prefetcher names installed (`"l1:stride+l2:bo+l3:next-line"`,
+    /// see [`PrefetcherSpec::parse_site`]; a single name is a one-site
+    /// stack, a bare name means the L2 site, and `"l1:none"` or
+    /// `"l3:none"` empties that site). Sites not named keep theirs.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::UnknownPrefetcher`] carrying the
-    /// resolution's diagnosis (unknown name, unknown site, or a
-    /// site/spec mismatch such as `l3:stride`).
-    pub fn with_site(self, name: &str) -> Result<Self, ConfigError> {
-        match PrefetcherSpec::parse_site(name) {
-            Ok((site, spec)) => Ok(self.with_site_prefetcher(site, spec)),
-            Err(e) => Err(ConfigError::UnknownPrefetcher {
-                name: name.to_string(),
-                reason: e.to_string(),
-            }),
+    /// Returns [`ConfigError::UnknownPrefetcher`] naming the stack when a
+    /// component is empty, repeats a site, or does not resolve (unknown
+    /// name or site, or a site/spec mismatch such as `l3:stride`).
+    pub fn with_stack(mut self, stack: &str) -> Result<Self, ConfigError> {
+        let error = |reason: String| ConfigError::UnknownPrefetcher {
+            name: stack.to_string(),
+            reason,
+        };
+        let mut named = Vec::new();
+        for part in stack.split('+').map(str::trim) {
+            if part.is_empty() {
+                return Err(error("empty component".to_string()));
+            }
+            let (site, spec) =
+                PrefetcherSpec::parse_site(part).map_err(|e| error(e.to_string()))?;
+            if named.contains(&site) {
+                return Err(error(format!("names site {site} more than once")));
+            }
+            named.push(site);
+            self = self.with_site_prefetcher(site, spec);
         }
+        Ok(self)
     }
 
     /// The prefetcher occupying `site`, if any.
@@ -330,7 +342,7 @@ impl SimConfig {
 }
 
 /// A constraint violated by a [`SimConfig`] (returned by
-/// [`SimConfig::validate`] and [`SimConfig::with_site`]).
+/// [`SimConfig::validate`] and [`SimConfig::with_stack`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -364,9 +376,9 @@ pub enum ConfigError {
         /// The violated constraint.
         reason: String,
     },
-    /// A prefetcher name (an adaptive policy's candidate, or a
-    /// site-qualified name given to [`SimConfig::with_site`]) that does
-    /// not resolve (see [`PrefetcherSpec::parse`]).
+    /// A prefetcher name (an adaptive policy's candidate, or a stack
+    /// given to [`SimConfig::with_stack`]) that does not resolve (see
+    /// [`PrefetcherSpec::parse`]).
     UnknownPrefetcher {
         /// The unresolvable name.
         name: String,
@@ -483,18 +495,11 @@ mod tests {
 
     #[test]
     fn builder_site_names_resolve_through_the_registry() {
-        let c = SimConfig::default()
-            .with_site("l1:stride")
-            .and_then(|c| c.with_site("l2:bo"))
-            .and_then(|c| c.with_site("l3:next-line"))
-            .expect("every site resolves");
-        assert!(c.validate().is_ok());
-        assert_eq!(c.label(), "4KB/1-core/l1:stride+l2:BO+l3:next-line");
-        // Bare names mean the L2 site.
-        let c = SimConfig::default().with_site("sbp").expect("bare name");
+        // A single name is a one-site stack; a bare name means the L2 site.
+        let c = SimConfig::default().with_stack("sbp").expect("bare name");
         assert_eq!(c.l2_prefetcher.name(), "SBP");
         // Site errors carry the resolution's diagnosis.
-        let err = SimConfig::default().with_site("l3:stride").unwrap_err();
+        let err = SimConfig::default().with_stack("l3:stride").unwrap_err();
         match &err {
             ConfigError::UnknownPrefetcher { name, reason } => {
                 assert_eq!(name, "l3:stride");
@@ -502,7 +507,44 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(SimConfig::default().with_site("l9:bo").is_err());
+        assert!(SimConfig::default().with_stack("l9:bo").is_err());
+    }
+
+    #[test]
+    fn stack_components_resolve_through_the_registry() {
+        let cfg = SimConfig::default()
+            .with_stack("l1:stride+l2:bo+l3:next-line")
+            .unwrap();
+        assert!(cfg.validate().is_ok());
+        assert_eq!(cfg.label(), "4KB/1-core/l1:stride+l2:BO+l3:next-line");
+        // A bad component fails the stack with the component's diagnosis.
+        let err = SimConfig::default()
+            .with_stack("l2:bo+l3:stride")
+            .unwrap_err();
+        assert!(err.to_string().contains("does not attach"), "{err}");
+        for stack in ["l2:bo++l3:bo", "l2:bo+", ""] {
+            let err = SimConfig::default().with_stack(stack).unwrap_err();
+            assert!(
+                err.to_string().contains("empty component"),
+                "{stack:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn stacks_name_each_site_once() {
+        // A bare name means l2, so each of these names l2 twice.
+        for stack in ["l2:bo+l2:sbp", "bo+l2:sbp", "l1:stride+bo+sbp"] {
+            let err = SimConfig::default().with_stack(stack).unwrap_err();
+            assert!(err.to_string().contains("site l2"), "{stack}: {err}");
+        }
+        // `none` empties the l1 and l3 sites, as their labels print them.
+        let cfg = SimConfig::default()
+            .with_stack("l1:none+l2:bo+l3:next-line")
+            .unwrap();
+        assert_eq!(cfg.label(), "4KB/1-core/l1:none+l2:BO+l3:next-line");
+        let cfg = SimConfig::default().with_stack("l3:none").unwrap();
+        assert_eq!(cfg.label(), SimConfig::default().label());
     }
 
     #[test]

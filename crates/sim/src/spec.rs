@@ -562,7 +562,7 @@ mod tests {
     /// Names and labels come back in: every default-parameter spec
     /// parses from its own name, and every label a static, unsampled
     /// configuration prints rebuilds the same configuration label when
-    /// fed back through `with_site` one component at a time.
+    /// fed back through `with_stack`.
     #[test]
     fn names_and_labels_round_trip() {
         let specs = [
@@ -601,9 +601,8 @@ mod tests {
             assert!(cfg.validate().is_ok(), "{}", cfg.label());
             let label = cfg.label();
             let stack = label.rsplit('/').next().expect("label has a stack");
-            let rebuilt = stack
-                .split('+')
-                .try_fold(SimConfig::default(), |c, part| c.with_site(part))
+            let rebuilt = SimConfig::default()
+                .with_stack(stack)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(rebuilt.label(), label);
         }

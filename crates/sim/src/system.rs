@@ -575,9 +575,11 @@ impl System {
         processed && !ep.policies.is_empty()
     }
 
-    /// Assembles the run's observability report, consuming the epoch
-    /// series. `None` when every [`SimConfig::obs`] channel is off.
-    fn take_obs_report(&mut self) -> Option<ObsReport> {
+    /// Assembles the observability report of everything simulated so
+    /// far: the event log and the epoch series are copied, not taken, so
+    /// a later `run()` reports both from simulation start. `None` when
+    /// every [`SimConfig::obs`] channel is off.
+    fn obs_report(&self) -> Option<ObsReport> {
         if !self.cfg.obs.enabled() {
             return None;
         }
@@ -587,8 +589,8 @@ impl System {
         };
         let epochs = self
             .epochs
-            .as_mut()
-            .and_then(|e| e.series.take())
+            .as_ref()
+            .and_then(|e| e.series.clone())
             .unwrap_or_default();
         Some(ObsReport {
             events,
@@ -749,7 +751,7 @@ impl System {
             l2_site: self.uncore.prefetch_telemetry(CoreId(0)),
             l3_site: self.uncore.l3_prefetch_telemetry(),
             adapt: self.adapt_telemetry().cloned(),
-            obs: self.take_obs_report(),
+            obs: self.obs_report(),
         }
     }
 }
@@ -796,6 +798,36 @@ mod tests {
             "resident benchmark dram/ki {}",
             res.dram_accesses_per_ki()
         );
+    }
+
+    #[test]
+    fn a_second_run_reports_from_simulation_start() {
+        use bosim_obs::ObsConfig;
+        let spec = suite::benchmark("429").expect("exists");
+        let cfg = SimConfig {
+            warmup_instructions: 5_000,
+            measure_instructions: 20_000,
+            epoch_cycles: 5_000,
+            obs: ObsConfig {
+                events: true,
+                profile: false,
+            },
+            ..Default::default()
+        };
+        let mut sys = System::new(&cfg, &spec);
+        let [first, second] = [sys.run(), sys.run()].map(|r| r.obs.expect("events are on"));
+        assert!(!first.epochs.is_empty());
+        assert!(second.epochs.len() > first.epochs.len());
+        assert_eq!(second.epochs[..first.epochs.len()], first.epochs[..]);
+        for report in [&first, &second] {
+            assert_eq!(report.dropped_events, 0);
+            let epoch_ends = report
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::EpochEnd { .. }))
+                .count();
+            assert_eq!(epoch_ends, report.epochs.len());
+        }
     }
 
     #[test]

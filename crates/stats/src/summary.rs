@@ -1,4 +1,4 @@
-//! Summary statistics: means and speedups.
+//! Summary statistics: the geometric mean.
 
 /// Geometric mean; `None` for an empty iterator.
 ///
@@ -22,17 +22,6 @@ pub fn geometric_mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
     } else {
         Some((log_sum / n as f64).exp())
     }
-}
-
-/// Speedup of `subject` IPC over `baseline` IPC.
-///
-/// # Panics
-///
-/// Panics if `baseline` is not strictly positive.
-#[inline]
-pub fn speedup(subject_ipc: f64, baseline_ipc: f64) -> f64 {
-    assert!(baseline_ipc > 0.0, "baseline IPC must be positive");
-    subject_ipc / baseline_ipc
 }
 
 #[cfg(test)]
@@ -68,12 +57,6 @@ mod tests {
         assert_eq!(geometric_mean(std::iter::empty()), None);
         assert!(close(geometric_mean([4.0, 1.0]).unwrap(), 2.0));
         assert!(close(geometric_mean([8.0]).unwrap(), 8.0));
-    }
-
-    #[test]
-    fn speedup_is_ratio() {
-        assert!(close(speedup(1.5, 1.0), 1.5));
-        assert!(close(speedup(1.0, 2.0), 0.5));
     }
 
     #[test]

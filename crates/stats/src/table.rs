@@ -105,27 +105,6 @@ impl Table {
         out
     }
 
-    /// Renders as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str("| ");
-        out.push_str(&self.header.join(" | "));
-        out.push_str(" |\n|");
-        for a in &self.aligns {
-            out.push_str(match a {
-                Align::Left => "---|",
-                Align::Right => "--:|",
-            });
-        }
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str("| ");
-            out.push_str(&r.join(" | "));
-            out.push_str(" |\n");
-        }
-        out
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for r in &self.rows {
@@ -186,14 +165,6 @@ mod tests {
         for line in s.lines().filter(|l| !l.starts_with('-')) {
             assert!(line.len() >= "longer  1.000".len() - 1);
         }
-    }
-
-    #[test]
-    fn markdown_has_separator() {
-        let mut t = Table::new(["h"]);
-        t.row(["v"]);
-        let md = t.to_markdown();
-        assert!(md.contains("|---|") || md.contains("|--:|"));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //!
 //! Sites are addressed with site-qualified prefetcher names
 //! (`l1:stride`, `l2:bo`, `l3:next-line`; a bare name means the L2
-//! site). Every arm below is just a list of those names; add your own
-//! stack with `BOSIM_EXTRA_STACKS='l2:sbp+l3:offset-4;l2:ampm'`
-//! (stacks separated by `;`, sites within a stack by `+`).
+//! site). Every arm below is a stack of those names as
+//! `SimConfig::with_stack` reads it, over an empty L1 site, so a stack
+//! lists exactly the prefetchers it wants; add your own stack with
+//! `BOSIM_EXTRA_STACKS='l2:sbp+l3:offset-4;l2:ampm'` (stacks separated
+//! by `;`, sites within a stack by `+`, each site named once).
 //!
 //! After the grid, the example prints each stack's per-site telemetry
 //! (issued / fills / useful / unused-evicted per site) for one
@@ -17,21 +19,6 @@
 use bosim::{SimConfig, System};
 use bosim_bench::Experiment;
 use bosim_trace::suite;
-
-/// Builds a configuration from a `+`-separated stack of site-qualified
-/// names, starting from an empty L1 site so a stack lists exactly the
-/// prefetchers it wants.
-fn stack(spec: &str) -> SimConfig {
-    let mut cfg = SimConfig {
-        l1_prefetcher: None,
-        ..SimConfig::default()
-    };
-    for name in spec.split('+').filter(|s| !s.trim().is_empty()) {
-        cfg = cfg.with_site(name.trim()).unwrap_or_else(|e| panic!("{e}"));
-    }
-    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-    cfg
-}
 
 fn main() {
     let mut stacks: Vec<String> = [
@@ -58,18 +45,26 @@ fn main() {
         measure_instructions: 400_000,
         ..SimConfig::default()
     };
+    let empty_l1 = SimConfig {
+        l1_prefetcher: None,
+        ..base.clone()
+    };
+    let configs: Vec<SimConfig> = stacks
+        .iter()
+        .map(|s| {
+            empty_l1
+                .clone()
+                .with_stack(s)
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+        .collect();
     let mut e = Experiment::new(
         "multilevel_shootout",
         "Multi-level stacks: speedup over the next-line baseline",
     )
     .benchmark_ids(&["429", "433", "462", "470", "471"]);
-    for s in &stacks {
-        let cfg = SimConfig {
-            warmup_instructions: base.warmup_instructions,
-            measure_instructions: base.measure_instructions,
-            ..stack(s)
-        };
-        e = e.arm_vs(s.clone(), cfg, base.clone());
+    for (s, cfg) in stacks.iter().zip(&configs) {
+        e = e.arm_vs(s.clone(), cfg.clone(), base.clone());
     }
     e.run_and_emit();
 
@@ -78,11 +73,11 @@ fn main() {
     println!("\n# per-site telemetry on 462.libquantum-like");
     println!("stack\tsite\tissued\tfills\tuseful\tunused");
     let bench = suite::benchmark("462").expect("exists");
-    for s in &stacks {
+    for (s, cfg) in stacks.iter().zip(&configs) {
         let cfg = SimConfig {
             warmup_instructions: 50_000,
             measure_instructions: 200_000,
-            ..stack(s)
+            ..cfg.clone()
         };
         let r = System::new(&cfg, &bench).run();
         r.check_site_invariants().unwrap_or_else(|e| panic!("{e}"));

@@ -94,7 +94,8 @@ fn sample_report() -> Report {
                 l3_prefetches_issued: 600,
                 l3_prefetch_fills: 550,
                 adapt: None,
-            }],
+            }
+            .to_json()],
         }],
         layout: Layout::BenchRows,
         with_gm: true,

@@ -8,6 +8,7 @@
 
 use bosim::{prefetchers, SimConfig, System};
 use bosim_bench::Experiment;
+use bosim_stats::Json;
 use bosim_trace::{
     addr, capture, champsim, file, suite, BenchmarkSpec, ExternalSpec, SampleSpec, TraceFormat,
     TraceSource,
@@ -55,11 +56,15 @@ fn champsim_trace_through_experiment_with_warmup_sampling() {
         .expect("file-backed grid runs");
     assert_eq!(report.benchmarks, vec!["libq"]);
     let run = &report.arms[0].runs[0];
-    assert_eq!(run.benchmark, "libq");
-    assert!(run.ipc > 0.0);
+    assert_eq!(run.get("benchmark").and_then(Json::as_str), Some("libq"));
+    assert!(run
+        .get("ipc")
+        .and_then(Json::as_f64)
+        .is_some_and(|ipc| ipc > 0.0));
     assert!(report.arms[0].values[0] > 0.0);
     // The config label records the sampling plan.
-    assert!(run.config.contains("@skip10k"), "{}", run.config);
+    let config = run.get("config").and_then(Json::as_str).unwrap_or_default();
+    assert!(config.contains("@skip10k"), "{config}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,9 +2,10 @@
 //! completed jobs (via the injected abort hook), resume it, and prove
 //! the final report is **byte-identical** to an uninterrupted run's —
 //! with zero finished jobs re-executed — across thread counts and kill
-//! points. The child-process `SIGKILL` variant (a real dead process,
-//! not a cooperative stop) lives in `crates/cli/tests/serve_e2e.rs`
-//! where the built binary is available.
+//! points — and that the same grid run in one process writes the same
+//! report bytes. The child-process `SIGKILL` variant (a real dead
+//! process, not a cooperative stop) lives in
+//! `crates/cli/tests/serve_e2e.rs` where the built binary is available.
 
 use bosim::{prefetchers, SimConfig};
 use bosim_bench::Experiment;
@@ -117,6 +118,27 @@ fn killed_and_resumed_sweeps_are_byte_identical_across_shard_counts() {
         }
     }
     let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+/// `bosim sweep` (`Experiment::run` + `Report::write_json`) and
+/// `bosim serve` write the same report bytes for the same grid.
+#[test]
+fn run_and_serve_write_the_same_report() {
+    let run_dir = scratch("run");
+    experiment("run_vs_serve")
+        .threads(2)
+        .run()
+        .expect("grid runs")
+        .write_json(&run_dir)
+        .expect("report written");
+    let serve_dir = scratch("serve");
+    serve(experiment("run_vs_serve"), &opts(&serve_dir, 2, None)).expect("sweep completes");
+    assert_eq!(
+        report_bytes(&run_dir, "run_vs_serve"),
+        report_bytes(&serve_dir, "run_vs_serve")
+    );
+    let _ = std::fs::remove_dir_all(&run_dir);
+    let _ = std::fs::remove_dir_all(&serve_dir);
 }
 
 #[test]
