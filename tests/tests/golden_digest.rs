@@ -1,4 +1,4 @@
-//! Pinned simulated results: four configurations whose whole
+//! Pinned simulated results: five configurations whose whole
 //! `SimResult` is hashed and compared against a committed digest.
 //!
 //! `golden_stats.rs` proves the event-wheel loop equals the every-cycle
@@ -12,28 +12,39 @@
 //!
 //! A change that is *meant* to alter simulated results updates the
 //! digests here and says why in its description.
+//!
+//! The fifth configuration replays a ChampSim trace file, and the same
+//! test pins the bytes both trace encoders write for its capture, so
+//! the ChampSim decoder and both encoders are pinned along with the
+//! machine.
 
 use bosim::adapt::PolicySpec;
 use bosim::{prefetchers, SimConfig, System};
 use bosim_obs::ObsConfig;
-use bosim_trace::suite;
+use bosim_trace::{capture, champsim, file, suite, BenchmarkSpec, ExternalSpec, TraceFormat};
 use bosim_types::fnv64;
 
 /// Runs `cfg` on `bench_id` in both loop modes and checks each run's
 /// digest against `expected`.
 fn assert_digest(cfg: SimConfig, bench_id: &str, expected: u64) {
     let bench = suite::benchmark(bench_id).expect("benchmark exists");
+    assert_spec_digest(cfg, &bench, expected);
+}
+
+/// Runs `cfg` on `bench` in both loop modes and checks each run's
+/// digest against `expected`.
+fn assert_spec_digest(cfg: SimConfig, bench: &BenchmarkSpec, expected: u64) {
     for fast_forward in [true, false] {
         let cfg = SimConfig {
             fast_forward,
             ..cfg.clone()
         };
-        let result = System::new(&cfg, &bench).run();
+        let result = System::new(&cfg, bench).run();
         let digest = fnv64(format!("{result:?}").as_bytes());
         assert_eq!(
             digest, expected,
-            "{bench_id} [{}], fast_forward {fast_forward}: digest {digest:016x}, pinned {expected:016x}",
-            result.config
+            "{} [{}], fast_forward {fast_forward}: digest {digest:016x}, pinned {expected:016x}",
+            bench.name, result.config
         );
     }
 }
@@ -88,4 +99,40 @@ fn two_cores_adapt_and_tracing_429() {
         ..single_core()
     };
     assert_digest(cfg, "429", 0x6db8_7ed3_08df_333b);
+}
+
+/// A 462 prefix written as a ChampSim trace and replayed from the file
+/// under `l2:bo`. The two hashes pin the bytes of the ChampSim and the
+/// native encoding of the same capture.
+#[test]
+fn champsim_replay_best_offset_462() {
+    let uops = capture(
+        &mut suite::benchmark("462").expect("benchmark exists").build(),
+        60_000,
+    );
+    let champsim_bytes = champsim::encode(&uops);
+    let champsim_hash = fnv64(&champsim_bytes);
+    let native_hash = fnv64(&file::encode(&uops));
+    assert_eq!(
+        champsim_hash, 0x5ca9_ccb9_47ff_8265,
+        "champsim::encode hash {champsim_hash:016x}"
+    );
+    assert_eq!(
+        native_hash, 0xd3fe_d34c_4683_3f12,
+        "file::encode hash {native_hash:016x}"
+    );
+    let path = std::env::temp_dir().join(format!(
+        "bosim_golden_digest_{}.champsim",
+        std::process::id()
+    ));
+    std::fs::write(&path, &champsim_bytes).expect("write the trace");
+    let bench = BenchmarkSpec::from_trace(
+        ExternalSpec::new(&path, TraceFormat::ChampSim).named("462.champsim"),
+    );
+    let cfg = SimConfig {
+        l2_prefetcher: prefetchers::bo_default(),
+        ..single_core()
+    };
+    assert_spec_digest(cfg, &bench, 0x0f4b_c9f4_7a96_33a2);
+    let _ = std::fs::remove_file(&path);
 }
