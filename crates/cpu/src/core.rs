@@ -140,8 +140,8 @@ const NIL: Link = u64::MAX;
 struct RobEntry {
     kind: UopKind,
     pc: u64,
+    /// Loads and stores: the data address; 0 otherwise.
     vaddr: u64,
-    has_mem: bool,
     dst: Option<u8>,
     done_at: Option<Cycle>,
     /// Producers still outstanding.
@@ -165,7 +165,6 @@ const EMPTY: RobEntry = RobEntry {
     kind: UopKind::Int,
     pc: 0,
     vaddr: 0,
-    has_mem: false,
     dst: None,
     done_at: None,
     unresolved: 0,
@@ -676,7 +675,6 @@ impl Core {
                 kind,
                 pc,
                 vaddr,
-                has_mem,
                 done_at,
                 ..
             }) = self.rob_head()
@@ -692,7 +690,7 @@ impl Core {
             }
             self.head_seq += 1;
             self.stats.retired += 1;
-            if has_mem {
+            if kind.is_mem() {
                 if let Some(l1) = self.l1_prefetcher.as_mut() {
                     l1.on_retire(pc, VirtAddr(vaddr));
                 }
@@ -775,21 +773,17 @@ impl Core {
             // --- Branch prediction.
             let mut mispredicted = false;
             if uop.kind.is_branch() {
-                let info = uop.branch.unwrap_or(bosim_trace::BranchInfo {
-                    taken: true,
-                    target: 0,
-                });
                 match uop.kind {
                     UopKind::CondBranch => {
                         self.stats.branches += 1;
-                        let correct = self.tage.update(uop.pc, info.taken);
+                        let correct = self.tage.update(uop.pc, uop.taken);
                         if !correct {
                             mispredicted = true;
                         }
                     }
                     UopKind::IndirectBranch => {
                         self.stats.branches += 1;
-                        let correct = self.ittage.update(uop.pc, info.target);
+                        let correct = self.ittage.update(uop.pc, uop.addr);
                         if !correct {
                             mispredicted = true;
                         }
@@ -799,7 +793,7 @@ impl Core {
                 if mispredicted {
                     self.stats.mispredicts += 1;
                 }
-                if info.taken {
+                if uop.taken {
                     taken_branches += 1;
                 }
             }
@@ -808,15 +802,10 @@ impl Core {
             // so a µop naming one producer in both source slots can link
             // its slot 0 to its slot 1.
             let seq = self.next_seq;
-            let (vaddr, has_mem) = match uop.mem {
-                Some(m) => (m.vaddr.0, true),
-                None => (0, false),
-            };
             self.rob[slot(seq)] = RobEntry {
                 kind: uop.kind,
                 pc: uop.pc,
-                vaddr,
-                has_mem,
+                vaddr: uop.data_addr().unwrap_or(0),
                 dst: uop.dst.map(|r| r.0),
                 mispredicted,
                 ..EMPTY
@@ -950,8 +939,8 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bosim_trace::Reg;
     use bosim_trace::{suite, ReplaySource};
-    use bosim_trace::{BranchInfo, MemRef, Reg};
 
     /// A trivial uncore: every read completes after a fixed latency.
     struct FixedUncore {
@@ -1000,28 +989,22 @@ mod tests {
     fn load(pc: u64, addr: u64, dst: u8, addr_dep: Option<u8>) -> MicroOp {
         MicroOp {
             pc,
+            addr,
             kind: UopKind::Load,
             dst: Some(Reg(dst)),
             srcs: [addr_dep.map(Reg), None],
-            mem: Some(MemRef {
-                vaddr: VirtAddr(addr),
-                size: 8,
-            }),
-            branch: None,
+            taken: false,
         }
     }
 
     fn branch(pc: u64, target: u64) -> MicroOp {
         MicroOp {
             pc,
+            addr: target,
             kind: UopKind::CondBranch,
             dst: None,
             srcs: [None, None],
-            mem: None,
-            branch: Some(BranchInfo {
-                taken: true,
-                target,
-            }),
+            taken: true,
         }
     }
 
@@ -1039,11 +1022,11 @@ mod tests {
         let uops: Vec<MicroOp> = (0..64)
             .map(|i| MicroOp {
                 pc: 0x400000 + i * 4,
+                addr: 0,
                 kind: UopKind::Int,
                 dst: Some(Reg((i % 8) as u8)),
                 srcs: [None, None],
-                mem: None,
-                branch: None,
+                taken: false,
             })
             .chain(std::iter::once(branch(0x400000 + 64 * 4, 0x400000)))
             .collect();
@@ -1097,11 +1080,11 @@ mod tests {
         for i in 0..DEPS {
             uops.push(MicroOp {
                 pc: 0x400004 + 4 * i,
+                addr: 0,
                 kind: UopKind::Int,
                 dst: Some(Reg(2 + i as u8)),
                 srcs: [Some(Reg(1)), (i == TWO_SLOT).then_some(Reg(1))],
-                mem: None,
-                branch: None,
+                taken: false,
             });
         }
         uops.push(branch(0x400004 + 4 * DEPS, 0x400000));

@@ -29,8 +29,7 @@
 //! control flow to model). Loads write rotating destination registers
 //! with no sources, so the synthetic stream adds no false dependences.
 
-use crate::record::{MemRef, MicroOp, Reg, UopKind};
-use bosim_types::VirtAddr;
+use crate::record::{MicroOp, Reg, UopKind};
 use std::fmt;
 use std::io::{BufRead, Read};
 
@@ -239,13 +238,13 @@ pub fn encode_text(accesses: &[RawAccess]) -> String {
 pub fn accesses_of(uops: &[MicroOp]) -> Vec<RawAccess> {
     uops.iter()
         .filter_map(|u| {
-            u.mem.map(|m| {
+            u.data_addr().map(|addr| {
                 let dir = if u.is_store() {
                     AccessDir::Write
                 } else {
                     AccessDir::Read
                 };
-                (dir, m.vaddr.0)
+                (dir, addr)
             })
         })
         .collect()
@@ -269,14 +268,11 @@ pub fn lower(accesses: &[RawAccess]) -> Vec<MicroOp> {
             };
             MicroOp {
                 pc: SYNTH_PC_BASE + (i as u64 % SYNTH_PC_PERIOD) * 4,
+                addr,
                 kind,
                 dst,
                 srcs: [None, None],
-                mem: Some(MemRef {
-                    vaddr: VirtAddr(addr),
-                    size: 8,
-                }),
-                branch: None,
+                taken: false,
             }
         })
         .collect()
@@ -375,10 +371,10 @@ mod tests {
         // The PC stream wraps, so per-PC stride detection has history.
         assert_eq!(uops[256].pc, uops[0].pc);
         assert_eq!(uops[0].kind, UopKind::Load);
-        assert_eq!(uops[0].mem.unwrap().vaddr.0, 0x10_0000);
+        assert_eq!(uops[0].addr, 0x10_0000);
         // Same recurring PC sees a constant address stride.
-        let d1 = uops[256].mem.unwrap().vaddr.0 - uops[0].mem.unwrap().vaddr.0;
-        let d2 = uops[512].mem.unwrap().vaddr.0 - uops[256].mem.unwrap().vaddr.0;
+        let d1 = uops[256].addr - uops[0].addr;
+        let d2 = uops[512].addr - uops[256].addr;
         assert_eq!(d1, d2);
     }
 

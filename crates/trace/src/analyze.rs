@@ -71,13 +71,13 @@ pub fn summarize(uops: &[MicroOp]) -> TraceSummary {
         }
         if u.kind.is_branch() {
             s.branches += 1;
-            if u.branch.map(|b| b.taken).unwrap_or(false) {
+            if u.taken {
                 s.taken_branches += 1;
             }
         }
-        if let Some(m) = u.mem {
-            lines.insert(m.vaddr.0 >> 6);
-            pages.insert(m.vaddr.0 >> 12);
+        if let Some(addr) = u.data_addr() {
+            lines.insert(addr >> 6);
+            pages.insert(addr >> 12);
         }
     }
     s.distinct_lines = lines.len() as u64;
@@ -112,17 +112,17 @@ pub fn stride_patterns(uops: &[MicroOp], min_count: u64) -> Vec<StridePattern> {
     }
     let mut per_pc: BTreeMap<u64, PcState> = BTreeMap::new();
     for u in uops {
-        let Some(m) = u.mem else { continue };
+        let Some(addr) = u.data_addr() else { continue };
         let e = per_pc.entry(u.pc).or_insert(PcState {
-            last: m.vaddr.0,
+            last: addr,
             strides: BTreeMap::new(),
             count: 0,
         });
         if e.count > 0 {
-            let stride = m.vaddr.0 as i64 - e.last as i64;
+            let stride = addr as i64 - e.last as i64;
             *e.strides.entry(stride).or_insert(0) += 1;
         }
-        e.last = m.vaddr.0;
+        e.last = addr;
         e.count += 1;
     }
     let mut out: Vec<StridePattern> = per_pc
@@ -162,9 +162,9 @@ pub fn line_stride_histogram(uops: &[MicroOp], region_shift: u32) -> Vec<(i64, u
     let mut hist: BTreeMap<i64, u64> = BTreeMap::new();
     let mut last: BTreeMap<u64, u64> = BTreeMap::new();
     for u in uops {
-        let Some(m) = u.mem else { continue };
-        let line = m.vaddr.0 >> 6;
-        let region = m.vaddr.0 >> region_shift;
+        let Some(addr) = u.data_addr() else { continue };
+        let line = addr >> 6;
+        let region = addr >> region_shift;
         if let Some(&prev) = last.get(&region) {
             if line != prev {
                 *hist.entry(line as i64 - prev as i64).or_insert(0) += 1;

@@ -41,6 +41,11 @@
 //! `(id - 1) % NUM_REGS`. Decode errors ([`ChampSimError`]) name the
 //! absolute byte offset of the offending record.
 //!
+//! [`decode`] works in one pass: it reads the input in blocks of
+//! records, parses each record, and lowers it as soon as the next
+//! record's `ip` is known. No whole-file buffer or record vector is
+//! built.
+//!
 //! # Example
 //!
 //! ```
@@ -54,13 +59,15 @@
 //! assert!(replay.next_uop().pc > 0);
 //! ```
 
-use crate::record::{BranchInfo, MemRef, MicroOp, Reg, UopKind, NUM_REGS};
-use bosim_types::VirtAddr;
+use crate::record::{MicroOp, Reg, UopKind, NUM_REGS};
 use std::fmt;
 use std::io::Read;
 
 /// Size of one ChampSim instruction record.
 pub const RECORD_BYTES: usize = 64;
+
+/// Records [`decode`] reads per block (64 KiB).
+const BLOCK_RECORDS: usize = 1024;
 
 const NUM_DEST_REGS: usize = 2;
 const NUM_SRC_REGS: usize = 4;
@@ -168,24 +175,16 @@ impl ChampSimRecord {
                 }),
             }
         };
-        #[expect(clippy::expect_used, reason = "caller slices exactly 8 bytes")]
-        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
-        let mut dest_mem = [0u64; NUM_DEST_MEM];
-        for (i, m) in dest_mem.iter_mut().enumerate() {
-            *m = u64_at(16 + i * 8);
-        }
-        let mut src_mem = [0u64; NUM_SRC_MEM];
-        for (i, m) in src_mem.iter_mut().enumerate() {
-            *m = u64_at(32 + i * 8);
-        }
+        let (words, _) = bytes.as_chunks::<8>();
+        let word = |i: usize| u64::from_le_bytes(words[i]);
         Ok(ChampSimRecord {
-            ip: u64_at(0),
+            ip: word(0),
             is_branch: flag("is_branch", bytes[8], offset + 8)?,
             branch_taken: flag("branch_taken", bytes[9], offset + 9)?,
             dest_regs: [bytes[10], bytes[11]],
             src_regs: [bytes[12], bytes[13], bytes[14], bytes[15]],
-            dest_mem,
-            src_mem,
+            dest_mem: [word(2), word(3)],
+            src_mem: [word(4), word(5), word(6), word(7)],
         })
     }
 
@@ -208,42 +207,6 @@ impl ChampSimRecord {
     }
 }
 
-/// Streams records out of `reader` (no intermediate whole-file buffer).
-///
-/// # Errors
-///
-/// Returns [`ChampSimError::Truncated`] naming the byte offset of a
-/// partial trailing record, [`ChampSimError::BadFlag`] for corrupt flag
-/// bytes, and [`ChampSimError::Empty`] for a record-less stream.
-pub fn decode_records(mut reader: impl Read) -> Result<Vec<ChampSimRecord>, ChampSimError> {
-    let mut records = Vec::new();
-    let mut buf = [0u8; RECORD_BYTES];
-    let mut offset: u64 = 0;
-    loop {
-        // Fill one record, tolerating short reads (pipes, BufReader).
-        let mut have = 0;
-        while have < RECORD_BYTES {
-            let n = reader.read(&mut buf[have..])?;
-            if n == 0 {
-                break;
-            }
-            have += n;
-        }
-        if have == 0 {
-            break;
-        }
-        if have < RECORD_BYTES {
-            return Err(ChampSimError::Truncated { offset, have });
-        }
-        records.push(ChampSimRecord::parse(&buf, offset)?);
-        offset += RECORD_BYTES as u64;
-    }
-    if records.is_empty() {
-        return Err(ChampSimError::Empty);
-    }
-    Ok(records)
-}
-
 fn map_reg(id: u8) -> Option<Reg> {
     if id == 0 {
         None
@@ -252,80 +215,89 @@ fn map_reg(id: u8) -> Option<Reg> {
     }
 }
 
-/// Lowers decoded records to the simulator's µop stream (see the
-/// [module docs](self) for the expansion rules).
-pub fn lower(records: &[ChampSimRecord]) -> Vec<MicroOp> {
-    let mut out = Vec::with_capacity(records.len() * 2);
-    for (i, r) in records.iter().enumerate() {
-        let dst = r.dest_regs.iter().copied().find_map(map_reg);
-        let mut srcs_it = r.src_regs.iter().copied().filter_map(map_reg);
-        let srcs = [srcs_it.next(), srcs_it.next()];
-        let mut emitted_mem = false;
-        for &vaddr in r.src_mem.iter().filter(|&&m| m != 0) {
-            out.push(MicroOp {
-                pc: r.ip,
-                kind: UopKind::Load,
-                dst,
-                srcs,
-                mem: Some(MemRef {
-                    vaddr: VirtAddr(vaddr),
-                    size: 8,
-                }),
-                branch: None,
-            });
-            emitted_mem = true;
-        }
-        for &vaddr in r.dest_mem.iter().filter(|&&m| m != 0) {
-            out.push(MicroOp {
-                pc: r.ip,
-                kind: UopKind::Store,
-                dst: None,
-                srcs,
-                mem: Some(MemRef {
-                    vaddr: VirtAddr(vaddr),
-                    size: 8,
-                }),
-                branch: None,
-            });
-            emitted_mem = true;
-        }
-        if r.is_branch {
-            // The taken target is the next committed instruction's ip;
-            // for the final record (or a fallthrough next ip) the branch
-            // still trains the predictor on its direction.
-            let target = records.get(i + 1).map(|n| n.ip).unwrap_or(r.ip + 4);
-            out.push(MicroOp {
-                pc: r.ip,
-                kind: UopKind::CondBranch,
-                dst: None,
-                srcs,
-                mem: None,
-                branch: Some(BranchInfo {
-                    taken: r.branch_taken,
-                    target,
-                }),
-            });
-        } else if !emitted_mem {
-            out.push(MicroOp {
-                pc: r.ip,
-                kind: UopKind::Int,
-                dst,
-                srcs,
-                mem: None,
-                branch: None,
-            });
-        }
+/// Appends the µops of record `r` (see the [module docs](self) for the
+/// expansion rules); `target` is a taken branch's target.
+fn push_uops(r: &ChampSimRecord, target: u64, out: &mut Vec<MicroOp>) {
+    let dst = r.dest_regs.iter().copied().find_map(map_reg);
+    let mut srcs_it = r.src_regs.iter().copied().filter_map(map_reg);
+    let srcs = [srcs_it.next(), srcs_it.next()];
+    let uop = |kind, addr, dst, taken| MicroOp {
+        pc: r.ip,
+        addr,
+        kind,
+        dst,
+        srcs,
+        taken,
+    };
+    let before = out.len();
+    for &vaddr in r.src_mem.iter().filter(|&&m| m != 0) {
+        out.push(uop(UopKind::Load, vaddr, dst, false));
     }
-    out
+    for &vaddr in r.dest_mem.iter().filter(|&&m| m != 0) {
+        out.push(uop(UopKind::Store, vaddr, None, false));
+    }
+    if r.is_branch {
+        out.push(uop(UopKind::CondBranch, target, None, r.branch_taken));
+    } else if out.len() == before {
+        out.push(uop(UopKind::Int, 0, dst, false));
+    }
 }
 
-/// Decodes a ChampSim byte stream straight to µops.
+/// Reads from `reader` until `buf` is full or the stream ends,
+/// tolerating short reads (pipes, `BufReader`); returns the bytes read.
+fn fill(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut have = 0;
+    while have < buf.len() {
+        match reader.read(&mut buf[have..])? {
+            0 => break,
+            n => have += n,
+        }
+    }
+    Ok(have)
+}
+
+/// Decodes a ChampSim byte stream straight to µops, in one pass (see
+/// the [module docs](self)).
 ///
 /// # Errors
 ///
-/// Propagates [`decode_records`] errors.
-pub fn decode(reader: impl Read) -> Result<Vec<MicroOp>, ChampSimError> {
-    Ok(lower(&decode_records(reader)?))
+/// Returns [`ChampSimError::Truncated`] naming the byte offset of a
+/// partial trailing record, [`ChampSimError::BadFlag`] for corrupt flag
+/// bytes, [`ChampSimError::Empty`] for a record-less stream, and
+/// [`ChampSimError::Io`] when `reader` fails.
+pub fn decode(mut reader: impl Read) -> Result<Vec<MicroOp>, ChampSimError> {
+    let mut block = vec![0u8; BLOCK_RECORDS * RECORD_BYTES];
+    let mut out = Vec::new();
+    // Each record is lowered once the next one is parsed: a branch's
+    // taken target is the next committed instruction's ip. The final
+    // record's branch targets its fall-through, and still trains the
+    // predictor on its direction.
+    let mut held: Option<ChampSimRecord> = None;
+    let mut offset: u64 = 0;
+    loop {
+        let have = fill(&mut reader, &mut block)?;
+        let (records, partial) = block[..have].as_chunks::<RECORD_BYTES>();
+        for bytes in records {
+            let r = ChampSimRecord::parse(bytes, offset)?;
+            if let Some(prev) = held.replace(r) {
+                push_uops(&prev, r.ip, &mut out);
+            }
+            offset += RECORD_BYTES as u64;
+        }
+        if !partial.is_empty() {
+            return Err(ChampSimError::Truncated {
+                offset,
+                have: partial.len(),
+            });
+        }
+        if have < block.len() {
+            break;
+        }
+    }
+    let last = held.ok_or(ChampSimError::Empty)?;
+    push_uops(&last, last.ip.wrapping_add(4), &mut out);
+    out.shrink_to_fit();
+    Ok(out)
 }
 
 /// Encodes a µop stream as ChampSim records — the inverse of
@@ -355,26 +327,18 @@ pub fn encode(uops: &[MicroOp]) -> Vec<u8> {
         while i < uops.len() && uops[i].pc == pc {
             let u = &uops[i];
             match u.kind {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "loads counted only for uops with mem info"
-                )]
-                UopKind::Load if u.mem.is_some() => {
+                UopKind::Load => {
                     if loads == NUM_SRC_MEM {
                         break;
                     }
-                    rec.src_mem[loads] = u.mem.expect("guarded").vaddr.0;
+                    rec.src_mem[loads] = u.addr;
                     loads += 1;
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "stores counted only for uops with mem info"
-                )]
-                UopKind::Store if u.mem.is_some() => {
+                UopKind::Store => {
                     if stores == NUM_DEST_MEM {
                         break;
                     }
-                    rec.dest_mem[stores] = u.mem.expect("guarded").vaddr.0;
+                    rec.dest_mem[stores] = u.addr;
                     stores += 1;
                 }
                 k if k.is_branch() => {
@@ -382,10 +346,7 @@ pub fn encode(uops: &[MicroOp]) -> Vec<u8> {
                         break;
                     }
                     rec.is_branch = true;
-                    rec.branch_taken = u
-                        .branch
-                        .map(|b| b.taken)
-                        .unwrap_or(k != UopKind::CondBranch);
+                    rec.branch_taken = u.taken;
                 }
                 _ => {}
             }
@@ -452,17 +413,20 @@ mod tests {
         b.is_branch = true;
         b.branch_taken = true;
         let c = record(0x400100);
-        let uops = lower(&[a, b, c]);
+        let bytes = [a, b, c].map(|r| r.to_bytes()).concat();
+        let uops = decode(&bytes[..]).unwrap();
         // a → 2 loads + 1 store; b → branch; c → plain int.
         assert_eq!(uops.len(), 5);
         assert_eq!(uops[0].kind, UopKind::Load);
         assert_eq!(uops[0].dst, Some(Reg(4))); // champsim id 5 → reg 4
-        assert_eq!(uops[1].mem.unwrap().vaddr.0, 0x10_0040);
+        assert_eq!(uops[1].addr, 0x10_0040);
         assert_eq!(uops[2].kind, UopKind::Store);
         assert_eq!(uops[3].kind, UopKind::CondBranch);
+        assert!(uops[3].taken);
         // Taken target = next record's ip.
-        assert_eq!(uops[3].branch.unwrap().target, 0x400100);
+        assert_eq!(uops[3].addr, 0x400100);
         assert_eq!(uops[4].kind, UopKind::Int);
+        assert_eq!(uops[4].addr, 0);
     }
 
     #[test]
@@ -470,7 +434,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&record(1).to_bytes());
         bytes.extend_from_slice(&record(2).to_bytes()[..17]);
-        match decode_records(&bytes[..]) {
+        match decode(&bytes[..]) {
             Err(ChampSimError::Truncated { offset, have }) => {
                 assert_eq!(offset, 64);
                 assert_eq!(have, 17);
@@ -484,7 +448,7 @@ mod tests {
         let mut bytes = record(1).to_bytes().to_vec();
         bytes.extend_from_slice(&record(2).to_bytes());
         bytes[64 + 9] = 7; // second record's branch_taken
-        match decode_records(&bytes[..]) {
+        match decode(&bytes[..]) {
             Err(ChampSimError::BadFlag {
                 field,
                 value,
@@ -496,13 +460,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let msg = decode_records(&bytes[..]).unwrap_err().to_string();
+        let msg = decode(&bytes[..]).unwrap_err().to_string();
         assert!(msg.contains("byte offset 73"), "{msg}");
     }
 
     #[test]
     fn empty_stream_is_rejected() {
-        assert!(matches!(decode_records(&[][..]), Err(ChampSimError::Empty)));
+        assert!(matches!(decode(&[][..]), Err(ChampSimError::Empty)));
     }
 
     #[test]
@@ -523,9 +487,8 @@ mod tests {
             count(&uops, |u| u.kind.is_branch()),
             count(&decoded, |u| u.kind.is_branch())
         );
-        let addrs = |v: &[MicroOp]| -> Vec<u64> {
-            v.iter().filter_map(|u| u.mem.map(|m| m.vaddr.0)).collect()
-        };
+        let addrs =
+            |v: &[MicroOp]| -> Vec<u64> { v.iter().filter_map(MicroOp::data_addr).collect() };
         assert_eq!(addrs(&uops), addrs(&decoded));
     }
 

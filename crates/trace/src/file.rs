@@ -13,10 +13,14 @@
 //! u64 mem_vaddr (kind-gated) | u8 mem_size | u8 branch_flags | u64 target
 //! ```
 //!
+//! A register byte is a register index below [`NUM_REGS`] or `0xFF` for
+//! none; any other value is a [`TraceFileError::Corrupt`] record.
+//! `mem_size` is written as 8 and not read. A branch record whose flags
+//! carry no branch info replays as a taken branch to address 0.
+//!
 //! A 16-byte header carries a magic, version and record count.
 
-use crate::record::{BranchInfo, MemRef, MicroOp, Reg, UopKind};
-use bosim_types::VirtAddr;
+use crate::record::{MicroOp, Reg, UopKind, NUM_REGS};
 use std::fmt;
 
 pub(crate) const MAGIC: u32 = 0xB05_7ACE;
@@ -131,14 +135,6 @@ fn reg_to_u8(r: Option<Reg>) -> u8 {
     r.map(|r| r.0).unwrap_or(0xFF)
 }
 
-fn reg_from_u8(v: u8) -> Option<Reg> {
-    if v == 0xFF {
-        None
-    } else {
-        Some(Reg(v))
-    }
-}
-
 /// A little-endian byte reader over a borrowed slice (keeps the file
 /// format dependency-free).
 struct Reader<'a> {
@@ -192,26 +188,19 @@ pub fn encode(uops: &[MicroOp]) -> Vec<u8> {
         b.push(reg_to_u8(u.dst));
         b.push(reg_to_u8(u.srcs[0]));
         b.push(reg_to_u8(u.srcs[1]));
-        match u.mem {
-            Some(m) => {
-                b.extend_from_slice(&m.vaddr.0.to_le_bytes());
-                b.push(m.size);
-            }
-            None => {
-                b.extend_from_slice(&0u64.to_le_bytes());
-                b.push(0);
-            }
-        }
-        match u.branch {
-            Some(br) => {
-                b.push(if br.taken { 3 } else { 1 });
-                b.extend_from_slice(&br.target.to_le_bytes());
-            }
-            None => {
-                b.push(0);
-                b.extend_from_slice(&0u64.to_le_bytes());
-            }
-        }
+        let (vaddr, size) = match u.data_addr() {
+            Some(addr) => (addr, 8),
+            None => (0, 0),
+        };
+        b.extend_from_slice(&vaddr.to_le_bytes());
+        b.push(size);
+        let (flags, target) = match (u.kind.is_branch(), u.taken) {
+            (true, true) => (3, u.addr),
+            (true, false) => (1, u.addr),
+            (false, _) => (0, 0),
+        };
+        b.push(flags);
+        b.extend_from_slice(&target.to_le_bytes());
     }
     b
 }
@@ -257,36 +246,38 @@ pub fn decode(buf: &[u8]) -> Result<Vec<MicroOp>, TraceFileError> {
             record,
             offset: rec_offset + 8,
         })?;
-        let dst = reg_from_u8(buf.u8());
-        let s0 = reg_from_u8(buf.u8());
-        let s1 = reg_from_u8(buf.u8());
-        let vaddr = buf.u64_le();
-        let size = buf.u8();
-        let mem = if kind.is_mem() {
-            Some(MemRef {
-                vaddr: VirtAddr(vaddr),
-                size,
-            })
-        } else {
-            None
+        let reg = |v: u8, at: usize| match v {
+            0xFF => Ok(None),
+            v if usize::from(v) < NUM_REGS => Ok(Some(Reg(v))),
+            _ => Err(TraceFileError::Corrupt {
+                what: "register",
+                record,
+                offset: rec_offset + at,
+            }),
         };
+        let [dst, s0, s1] = buf.take::<3>();
+        let (dst, s0, s1) = (reg(dst, 9)?, reg(s0, 10)?, reg(s1, 11)?);
+        let vaddr = buf.u64_le();
+        let _size = buf.u8();
         let bflags = buf.u8();
         let target = buf.u64_le();
-        let branch = if bflags & 1 != 0 {
-            Some(BranchInfo {
-                taken: bflags & 2 != 0,
-                target,
-            })
+        let (addr, taken) = if kind.is_mem() {
+            (vaddr, false)
+        } else if !kind.is_branch() {
+            (0, false)
+        } else if bflags & 1 != 0 {
+            (target, bflags & 2 != 0)
         } else {
-            None
+            // A branch without branch info replays as taken to 0.
+            (0, true)
         };
         out.push(MicroOp {
             pc,
+            addr,
             kind,
             dst,
             srcs: [s0, s1],
-            mem,
-            branch,
+            taken,
         });
     }
     Ok(out)
@@ -362,6 +353,49 @@ mod tests {
         let msg = decode(&encoded).unwrap_err().to_string();
         assert!(msg.contains("record 4"), "{msg}");
         assert!(msg.contains(&format!("byte offset {at}")), "{msg}");
+    }
+
+    #[test]
+    fn out_of_range_register_bytes_name_record_and_offset() {
+        let uops = capture(&mut suite::benchmark("462").unwrap().build(), 20);
+        const REC: usize = 30;
+        // Register bytes sit at offsets 9 (dst), 10 and 11 (sources).
+        for (record, field, value) in [(10, 9, 200), (3, 11, 64), (0, 10, 0xFE)] {
+            let mut encoded = encode(&uops);
+            let at = HEADER_BYTES + record * REC + field;
+            encoded[at] = value;
+            match decode(&encoded).unwrap_err() {
+                TraceFileError::Corrupt {
+                    what,
+                    record: r,
+                    offset,
+                } => {
+                    assert_eq!((what, r, offset), ("register", record, at));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        // The highest register and "none" are valid.
+        let mut encoded = encode(&uops);
+        encoded[HEADER_BYTES + 9] = (NUM_REGS - 1) as u8;
+        encoded[HEADER_BYTES + 10] = 0xFF;
+        let decoded = decode(&encoded).unwrap();
+        assert_eq!(decoded[0].dst, Some(Reg(NUM_REGS as u8 - 1)));
+        assert_eq!(decoded[0].srcs[0], None);
+    }
+
+    #[test]
+    fn branches_without_branch_info_replay_taken_to_zero() {
+        let mut branch = MicroOp::nop(0x400000);
+        branch.kind = UopKind::CondBranch;
+        branch.addr = 0x400100;
+        let mut encoded = encode(&[branch]);
+        // The flags byte follows pc, kind, three registers, the data
+        // address and the size byte.
+        encoded[HEADER_BYTES + 21] = 0;
+        let decoded = decode(&encoded).unwrap();
+        assert!(decoded[0].taken);
+        assert_eq!(decoded[0].addr, 0);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! reproduces serialisation of pointer chases vs. the MLP of streams), and
 //! deterministic pseudo-random decisions.
 
-use crate::record::{BranchInfo, MemRef, MicroOp, Reg, UopKind};
+use crate::record::{MicroOp, Reg, UopKind};
 use crate::synth::{
     layout, BranchyCfg, ChaseCfg, ComputeCfg, GatherCfg, KernelCfg, ScanWriteCfg, StreamCfg,
 };
-use bosim_types::{mix64, SplitMix64, VirtAddr, LINE_BYTES};
+use bosim_types::{mix64, SplitMix64, LINE_BYTES};
 
 /// Full-period LCG multiplier for power-of-two moduli (a ≡ 1 mod 4).
 const LCG_MUL: u64 = 6364136223846793005;
@@ -27,55 +27,36 @@ impl<'a> Emitter<'a> {
     }
 
     fn op(&mut self, kind: UopKind, dst: Option<Reg>, srcs: [Option<Reg>; 2]) {
-        self.out.push(MicroOp {
-            pc: self.pc,
-            kind,
-            dst,
-            srcs,
-            mem: None,
-            branch: None,
-        });
-        self.pc += 4;
+        self.push(kind, 0, dst, srcs, false);
     }
 
     fn load(&mut self, vaddr: u64, dst: Reg, addr_src: Option<Reg>) {
-        self.out.push(MicroOp {
-            pc: self.pc,
-            kind: UopKind::Load,
-            dst: Some(dst),
-            srcs: [addr_src, None],
-            mem: Some(MemRef {
-                vaddr: VirtAddr(vaddr),
-                size: 8,
-            }),
-            branch: None,
-        });
-        self.pc += 4;
+        self.push(UopKind::Load, vaddr, Some(dst), [addr_src, None], false);
     }
 
     fn store(&mut self, vaddr: u64, data_src: Option<Reg>) {
-        self.out.push(MicroOp {
-            pc: self.pc,
-            kind: UopKind::Store,
-            dst: None,
-            srcs: [data_src, None],
-            mem: Some(MemRef {
-                vaddr: VirtAddr(vaddr),
-                size: 8,
-            }),
-            branch: None,
-        });
-        self.pc += 4;
+        self.push(UopKind::Store, vaddr, None, [data_src, None], false);
     }
 
     fn branch(&mut self, taken: bool, target: u64) {
+        self.push(UopKind::CondBranch, target, None, [None, None], taken);
+    }
+
+    fn push(
+        &mut self,
+        kind: UopKind,
+        addr: u64,
+        dst: Option<Reg>,
+        srcs: [Option<Reg>; 2],
+        taken: bool,
+    ) {
         self.out.push(MicroOp {
             pc: self.pc,
-            kind: UopKind::CondBranch,
-            dst: None,
-            srcs: [None, None],
-            mem: None,
-            branch: Some(BranchInfo { taken, target }),
+            addr,
+            kind,
+            dst,
+            srcs,
+            taken,
         });
         self.pc += 4;
     }
@@ -509,7 +490,7 @@ mod tests {
         let lines: Vec<u64> = uops
             .iter()
             .filter(|u| u.is_load())
-            .map(|u| u.mem.unwrap().vaddr.0 / 64)
+            .map(|u| u.addr / 64)
             .collect();
         for (i, w) in lines.windows(2).enumerate() {
             let expect = if i % 2 == 0 { 3 } else { 2 };
@@ -551,7 +532,7 @@ mod tests {
         let lines: Vec<u64> = uops
             .iter()
             .filter(|u| u.is_load())
-            .map(|u| u.mem.unwrap().vaddr.0 / 64)
+            .map(|u| u.addr / 64)
             .collect();
         // Full-period LCG: no repeats within the period.
         let set: std::collections::HashSet<_> = lines.iter().collect();
@@ -594,7 +575,7 @@ mod tests {
         let lines: Vec<u64> = uops
             .iter()
             .filter(|u| u.is_store())
-            .map(|u| u.mem.unwrap().vaddr.0 / 64)
+            .map(|u| u.addr / 64)
             .collect();
         assert_eq!(lines.len(), 32);
         for w in lines.windows(2) {
@@ -636,7 +617,8 @@ mod tests {
         let uops = collect(&mut k, 200);
         let branches: Vec<bool> = uops
             .iter()
-            .filter_map(|u| u.branch.map(|b| b.taken))
+            .filter(|u| u.kind.is_branch())
+            .map(|u| u.taken)
             .collect();
         assert!(branches.iter().any(|&t| t));
         assert!(branches.iter().any(|&t| !t));

@@ -58,6 +58,8 @@ pub mod addr;
 pub mod analyze;
 pub mod artifact;
 pub mod champsim;
+#[cfg(test)]
+mod decode_fuzz;
 pub mod file;
 pub mod ingest;
 mod kernels;
@@ -69,7 +71,7 @@ pub mod synth;
 
 pub use artifact::{ArtifactCounters, ArtifactStore};
 pub use ingest::{ExternalSpec, TraceError, TraceFormat};
-pub use record::{BranchInfo, MemRef, MicroOp, Reg, UopKind, NUM_REGS};
+pub use record::{MicroOp, Reg, UopKind, NUM_REGS};
 pub use sample::{SampleSpec, SampledSource};
 pub use source::{capture, ReplaySource, TraceSource};
 pub use synth::{BenchmarkSpec, KernelCfg, Schedule, SynthSource};

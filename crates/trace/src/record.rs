@@ -3,9 +3,7 @@
 //! The paper's simulator is trace driven (§5): each trace records the
 //! committed (correct-path) instruction stream. A [`MicroOp`] carries
 //! everything the timing model needs: PC, operation class, register
-//! dependences, memory reference, and branch outcome.
-
-use bosim_types::VirtAddr;
+//! dependences, memory address, and branch outcome.
 
 /// An architectural register name in the trace's virtual register file.
 ///
@@ -85,54 +83,40 @@ impl UopKind {
     }
 }
 
-/// A data memory reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemRef {
-    /// Virtual byte address accessed.
-    pub vaddr: VirtAddr,
-    /// Access size in bytes (informational; caches work on 64B lines).
-    pub size: u8,
-}
-
-/// Branch outcome information recorded in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BranchInfo {
-    /// Whether the branch was taken on the traced (correct) path.
-    pub taken: bool,
-    /// Branch target virtual address (valid when taken).
-    pub target: u64,
-}
-
 /// One traced micro-op.
 ///
-/// `Copy` and small by design: the synthetic generators produce tens of
-/// millions of these per second.
+/// `Copy` and 24 bytes by design: the synthetic generators produce tens
+/// of millions of these per second, and a decoded trace holds one per
+/// µop. One address field serves both memory µops and branches, since a
+/// µop is never both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroOp {
     /// Virtual address of the instruction.
     pub pc: u64,
+    /// A load's or store's data virtual address, a branch's target, and
+    /// 0 for every other kind.
+    pub addr: u64,
     /// Operation class.
     pub kind: UopKind,
     /// Destination register, if any.
     pub dst: Option<Reg>,
     /// Up to two source registers.
     pub srcs: [Option<Reg>; 2],
-    /// Data memory reference for loads/stores.
-    pub mem: Option<MemRef>,
-    /// Branch outcome for branch kinds.
-    pub branch: Option<BranchInfo>,
+    /// Whether a branch was taken on the traced (correct) path; false
+    /// for every other kind.
+    pub taken: bool,
 }
 
 impl MicroOp {
-    /// A simple integer ALU op with no dependences, useful as filler.
+    /// A no-op with no dependences, useful as filler.
     pub fn nop(pc: u64) -> Self {
         MicroOp {
             pc,
+            addr: 0,
             kind: UopKind::Nop,
             dst: None,
             srcs: [None, None],
-            mem: None,
-            branch: None,
+            taken: false,
         }
     }
 
@@ -146,6 +130,13 @@ impl MicroOp {
     #[inline]
     pub fn is_store(&self) -> bool {
         self.kind == UopKind::Store
+    }
+
+    /// The data virtual address of a load or store, `None` for every
+    /// other kind.
+    #[inline]
+    pub fn data_addr(&self) -> Option<u64> {
+        self.kind.is_mem().then_some(self.addr)
     }
 }
 
@@ -177,14 +168,15 @@ mod tests {
 
     #[test]
     fn microop_is_small() {
-        // Keep the record compact: generators stream millions of these.
-        assert!(std::mem::size_of::<MicroOp>() <= 64);
+        // Keep the record compact: generators stream millions of these,
+        // and a decoded trace holds one per µop.
+        assert_eq!(std::mem::size_of::<MicroOp>(), 24);
     }
 
     #[test]
     fn nop_has_no_side_effects() {
         let n = MicroOp::nop(0x400000);
         assert_eq!(n.pc, 0x400000);
-        assert!(n.dst.is_none() && n.mem.is_none() && n.branch.is_none());
+        assert!(n.dst.is_none() && n.data_addr().is_none() && !n.taken);
     }
 }

@@ -648,8 +648,8 @@ mod tests {
             let mut lines = std::collections::HashSet::new();
             for _ in 0..50_000 {
                 let u = src.next_uop();
-                if let Some(m) = u.mem {
-                    lines.insert(m.vaddr.0 >> 6);
+                if let Some(addr) = u.data_addr() {
+                    lines.insert(addr >> 6);
                 }
             }
             assert!(lines.len() > 500, "{id} touched only {} lines", lines.len());

@@ -407,7 +407,7 @@ mod tests {
         let lines: Vec<u64> = uops
             .iter()
             .filter(|u| u.is_load())
-            .map(|u| u.mem.unwrap().vaddr.0 >> 6)
+            .map(|u| u.addr >> 6)
             .collect();
         assert!(lines.len() > 100);
         for w in lines.windows(2) {

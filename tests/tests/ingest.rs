@@ -198,7 +198,7 @@ fn all_formats_replay_the_same_memory_stream() {
         let mut src = spec.source().expect("loads");
         capture(src.as_mut(), n)
             .into_iter()
-            .filter_map(|u| u.mem.map(|m| (u.is_store(), m.vaddr.0)))
+            .filter_map(|u| u.data_addr().map(|addr| (u.is_store(), addr)))
             .collect()
     };
     let a = mem_stream(
@@ -276,6 +276,23 @@ fn decoder_rejections_surface_through_benchmark_source() {
         .source()
         .unwrap_err();
     assert!(err.to_string().contains("record 2"), "{err}");
+
+    // Native register byte outside the register file, with record +
+    // offset: the core indexes its register file with it.
+    let p = dir.join("badreg.btrace");
+    let uops = capture(&mut suite::benchmark("456").unwrap().build(), 20);
+    let mut bytes = file::encode(&uops);
+    let at = 16 + 10 * 30 + 9; // record 10's dst byte
+    bytes[at] = 200;
+    std::fs::write(&p, bytes).unwrap();
+    let err = BenchmarkSpec::from_trace(ExternalSpec::new(&p, TraceFormat::Native))
+        .source()
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("register in record 10") && msg.contains(&format!("byte offset {at}")),
+        "{msg}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -288,9 +305,7 @@ fn external_traces_loop_like_replay_sources() {
     std::fs::write(&p, "R 0x1000\nW 0x2000\nR 0x3000\n").unwrap();
     let spec = BenchmarkSpec::from_trace(ExternalSpec::new(&p, TraceFormat::AddrText));
     let mut src = spec.source().expect("loads");
-    let pcs: Vec<u64> = (0..7)
-        .map(|_| src.next_uop().mem.unwrap().vaddr.0)
-        .collect();
+    let pcs: Vec<u64> = (0..7).map(|_| src.next_uop().addr).collect();
     assert_eq!(
         pcs,
         vec![0x1000, 0x2000, 0x3000, 0x1000, 0x2000, 0x3000, 0x1000]

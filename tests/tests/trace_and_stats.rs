@@ -51,7 +51,7 @@ fn phased_trace_roundtrips_and_shows_footprint_shift() {
     let k1_base = layout::data_base(1);
     let switch = uops
         .iter()
-        .position(|u| u.mem.is_some_and(|m| m.vaddr.0 >= k1_base))
+        .position(|u| u.data_addr().is_some_and(|addr| addr >= k1_base))
         .expect("gather phase must appear in the window");
     assert!(switch > 10_000, "stream phase runs first ({switch} uops)");
 
@@ -82,7 +82,7 @@ fn phased_trace_roundtrips_and_shows_footprint_shift() {
     // after the gather phase.
     let returns = uops[switch..]
         .iter()
-        .any(|u| u.mem.is_some_and(|m| m.vaddr.0 < k1_base));
+        .any(|u| u.data_addr().is_some_and(|addr| addr < k1_base));
     assert!(returns, "schedule must cycle back to the stream kernel");
 }
 
