@@ -939,8 +939,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bosim_trace::Reg;
-    use bosim_trace::{suite, ReplaySource};
+    use bosim_trace::{suite, Reg, ReplaySource};
 
     /// A trivial uncore: every read completes after a fixed latency.
     struct FixedUncore {
