@@ -265,9 +265,19 @@ fn fill(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
 /// partial trailing record, [`ChampSimError::BadFlag`] for corrupt flag
 /// bytes, [`ChampSimError::Empty`] for a record-less stream, and
 /// [`ChampSimError::Io`] when `reader` fails.
-pub fn decode(mut reader: impl Read) -> Result<Vec<MicroOp>, ChampSimError> {
+pub fn decode(reader: impl Read) -> Result<Vec<MicroOp>, ChampSimError> {
+    decode_with_capacity(reader, 0)
+}
+
+/// [`decode`] into a vector with room for `capacity` µops up front. A
+/// file's record count is a lower bound (every record lowers to at
+/// least one µop) and spares the vector's growth copies.
+pub(crate) fn decode_with_capacity(
+    mut reader: impl Read,
+    capacity: usize,
+) -> Result<Vec<MicroOp>, ChampSimError> {
     let mut block = vec![0u8; BLOCK_RECORDS * RECORD_BYTES];
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(capacity);
     // Each record is lowered once the next one is parsed: a branch's
     // taken target is the next committed instruction's ip. The final
     // record's branch targets its fall-through, and still trains the

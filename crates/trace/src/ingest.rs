@@ -306,7 +306,12 @@ pub(crate) fn decode_file(
             }
             uops
         }
-        TraceFormat::ChampSim => champsim::decode(std::io::BufReader::new(open()?))?,
+        TraceFormat::ChampSim => {
+            // `decode` reads in large blocks, so no `BufReader`.
+            let file = open()?;
+            let records = file.metadata().map_or(0, |m| m.len()) / champsim::RECORD_BYTES as u64;
+            champsim::decode_with_capacity(file, records as usize)?
+        }
         TraceFormat::AddrText => addr::lower(&addr::parse_text(open()?)?),
         TraceFormat::AddrBin => addr::lower(&addr::parse_binary(std::io::BufReader::new(open()?))?),
     })
