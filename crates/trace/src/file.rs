@@ -14,7 +14,8 @@
 //! ```
 //!
 //! A register byte is a register index below [`NUM_REGS`] or `0xFF` for
-//! none; any other value is a [`TraceFileError::Corrupt`] record.
+//! none; any other value fails the decode with
+//! [`TraceFileError::Corrupt`].
 //! `mem_size` is written as 8 and not read. A branch record whose flags
 //! carry no branch info replays as a taken branch to address 0.
 //!
