@@ -231,15 +231,6 @@ impl CacheArray {
         }
     }
 
-    /// Invalidates a line if present; returns its dirtiness.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let i = self.find(line)?;
-        let dirty = self.flags[i] & DIRTY != 0;
-        self.keys[i] = 0;
-        self.flags[i] = 0;
-        Some(dirty)
-    }
-
     /// Number of valid lines currently resident (O(n), for tests/stats).
     pub fn occupancy(&self) -> usize {
         self.keys.iter().filter(|&&k| k != 0).count()
@@ -390,15 +381,6 @@ mod tests {
         c.insert(LineAddr(4), false, false, ctx());
         let ev = c.insert(LineAddr(8), false, false, ctx()).unwrap();
         assert!(ev.dirty);
-    }
-
-    #[test]
-    fn invalidate_removes() {
-        let mut c = small_cache();
-        c.insert(LineAddr(0), false, true, ctx());
-        assert_eq!(c.invalidate(LineAddr(0)), Some(true));
-        assert!(!c.contains(LineAddr(0)));
-        assert_eq!(c.invalidate(LineAddr(0)), None);
     }
 
     /// No duplicate lines, occupancy bounded by capacity, and every

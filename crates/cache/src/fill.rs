@@ -145,18 +145,6 @@ impl<T> FillQueue<T> {
         true
     }
 
-    /// Promotes a prefetch entry to demand class (late prefetch, §5.4).
-    /// Returns `true` if an entry matched (whatever its class).
-    pub fn promote(&mut self, line: LineAddr) -> bool {
-        match self.find_mut(line) {
-            Some(e) => {
-                e.class = ReqClass::Demand;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Releases a *not-ready* entry (the §5.4 L3-miss path: "the fill
     /// queue entry is released, and the L1/L2 miss request becomes an
     /// L1/L2/L3 miss request"). Returns the payload.
@@ -232,15 +220,6 @@ mod tests {
         assert!(q.pop_ready().is_none());
         assert!(!q.has_ready());
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn promotion_changes_class() {
-        let mut q = fq();
-        q.try_reserve(LineAddr(7), ReqClass::L2Prefetch, 0);
-        assert!(q.promote(LineAddr(7)));
-        assert_eq!(q.find(LineAddr(7)).unwrap().class, ReqClass::Demand);
-        assert!(!q.promote(LineAddr(8)));
     }
 
     #[test]

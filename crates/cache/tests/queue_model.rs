@@ -105,11 +105,16 @@ fn fill_queue_matches_a_linear_model() {
                     assert_eq!(q.set_ready(LineAddr(line)), pos.is_some(), "{ctx}");
                 }
                 2 => {
+                    // Late-prefetch promotion, the way the uncore does it.
                     let pos = m.pos(line);
                     if let Some(p) = pos {
                         m.entries[p].2 = ReqClass::Demand;
                     }
-                    assert_eq!(q.promote(LineAddr(line)), pos.is_some(), "{ctx}");
+                    let entry = q.find_mut(LineAddr(line));
+                    assert_eq!(entry.is_some(), pos.is_some(), "{ctx}");
+                    if let Some(e) = entry {
+                        e.class = ReqClass::Demand;
+                    }
                 }
                 3 => {
                     let expect = match m.pos(line) {

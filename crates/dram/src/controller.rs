@@ -883,7 +883,7 @@ mod prop_tests {
     /// Ticking only on the cycles [`MemorySystem::next_event`] names is
     /// indistinguishable from ticking every cycle: same completions on
     /// the same cycles, same statistics. This is the contract the
-    /// event-wheel system loop relies on. Multi-core request streams over
+    /// skipping system loop relies on. Multi-core request streams over
     /// a few hot rows exercise row hits, conflicts, write batches and
     /// served-core switches.
     #[test]

@@ -88,12 +88,12 @@ pub struct SimConfig {
     pub measure_instructions: u64,
     /// Master seed (translation hashes, policy randomisation).
     pub seed: u64,
-    /// Drive the run with the event wheel: each core and the uncore
-    /// tick only on cycles where they may have work, and whole-system
-    /// idle stretches are skipped. Cycle-exact — results are
-    /// bit-identical with the every-cycle loop, which `false` selects
-    /// and the golden-stats suite uses as its oracle — so it defaults to
-    /// on.
+    /// Skip idle work: each core and the uncore tick only once the
+    /// wake-up armed from its own bound is due, and the run jumps over
+    /// cycles where no source is due. Cycle-exact — results are
+    /// bit-identical with `false`, the oracle that wakes every source
+    /// every cycle, which the golden-stats suite compares against — so
+    /// it defaults to on.
     pub fast_forward: bool,
     /// Length in cycles of the system's one epoch clock (default
     /// 50 000). At every boundary the system distils each core's

@@ -43,7 +43,6 @@ mod runner;
 mod spec;
 mod system;
 mod uncore;
-mod wheel;
 
 pub use config::{
     default_instructions, default_warmup, ConfigError, SimConfig, L2_FILL_QUEUE, L2_LATENCY,

@@ -3,7 +3,6 @@
 use crate::config::SimConfig;
 use crate::spec::PrefetcherSpec;
 use crate::uncore::{Uncore, UncoreStats};
-use crate::wheel::EventWheel;
 use bosim_adapt::{AdaptTelemetry, DirectiveRecord, EpochRecord, PrefetchSite, TunePolicy};
 use bosim_baselines::StridePrefetcher;
 use bosim_cpu::{Core, CoreStats, UncoreRequest};
@@ -18,8 +17,8 @@ use bosim_types::{CoreId, Cycle, LineAddr, ReqClass};
 /// The result of one measured simulation run.
 ///
 /// `PartialEq` compares every counter bit-for-bit — the golden-stats
-/// invariance test relies on this to prove the event-wheel system loop
-/// exactly reproduces the every-cycle loop.
+/// invariance test relies on this to prove the skipping run loop
+/// exactly reproduces the every-cycle oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Benchmark name (e.g. `"433.milc-like"`).
@@ -120,15 +119,6 @@ struct EpochRuntime {
     series: Option<Vec<EpochFeedback>>,
 }
 
-/// Event-wheel source id of the uncore (cores follow at [`core_src`]).
-const UNCORE_SRC: u16 = 0;
-
-/// Event-wheel source id of core `c`.
-#[inline]
-fn core_src(c: usize) -> u16 {
-    (c + 1) as u16
-}
-
 /// A complete simulated machine: up to [`MAX_CORES`](crate::MAX_CORES)
 /// cores, private L2s, shared L3 and dual-channel DRAM.
 #[derive(Debug)]
@@ -145,15 +135,13 @@ pub struct System {
     /// The epoch clock (`None` = neither adaptive control nor event
     /// tracing is on).
     epochs: Option<EpochRuntime>,
-    /// The discrete-event calendar driving the scheduled (fast-forward)
-    /// loop: one source per core plus the uncore, each posting the
-    /// earliest cycle at which it may have work. A post is a promise of
-    /// idleness *before* it, never of work *at* it — early wake-ups are
-    /// harmless no-op ticks, but a source must never have work strictly
-    /// before its post.
-    wheel: EventWheel,
-    /// Scratch for the sources popped each stepped cycle.
-    due_buf: Vec<u16>,
+    /// The uncore's wake-up: the earliest cycle at which it may have
+    /// work. A wake-up is a promise of idleness *before* it, never of
+    /// work *at* it — an early wake-up is a harmless no-op tick, but a
+    /// source must never have work strictly before its wake-up.
+    uncore_wake: Cycle,
+    /// Each core's wake-up, under the same contract.
+    core_wake: Vec<Cycle>,
     /// Host-side wall-clock attribution (inert unless
     /// [`bosim_obs::ObsConfig::profile`] is set).
     prof: HostProfiler,
@@ -253,8 +241,8 @@ impl System {
         });
         System {
             uncore: Uncore::new(cfg),
-            wheel: EventWheel::new(cfg.active_cores + 1),
-            due_buf: Vec::with_capacity(cfg.active_cores + 1),
+            uncore_wake: 0,
+            core_wake: vec![0; cfg.active_cores],
             cores,
             cycle: 0,
             steps: 0,
@@ -285,121 +273,88 @@ impl System {
         self.cores[0].stats()
     }
 
-    /// Advances the system by one cycle, ticking the uncore and every
-    /// core — the every-cycle reference loop the golden-stats suite
-    /// compares the event-wheel loop against.
+    /// Advances the system by one cycle: ticks the uncore if its wake-up
+    /// is due and hands its fills to their cores, then ticks every core
+    /// whose wake-up is due (a fill delivered this cycle makes its core
+    /// due). Each ticked source re-arms its wake-up from its own bound.
+    /// The (source, cycle) pairs left out are provably idle, so ticking
+    /// them would be a no-op: the oracle, which wakes every source every
+    /// cycle, steps through the same states.
     fn step(&mut self) {
         let now = self.cycle;
         self.steps += 1;
-        // Uncore first: deliver due fills into the cores (may produce
-        // writebacks, handled immediately).
-        self.fill_buf.clear();
-        let timer = self.prof.start(Phase::UncoreTick);
-        self.uncore.tick(now, &mut self.fill_buf, &mut self.prof);
-        self.prof.stop(timer);
-        let timer = self.prof.start(Phase::CoreTick);
-        for i in 0..self.fill_buf.len() {
-            let (core, line) = self.fill_buf[i];
-            self.req_buf.clear();
-            self.cores[core.index()].fill(line, now, &mut self.req_buf);
-            for r in 0..self.req_buf.len() {
-                let req = self.req_buf[r];
-                self.dispatch_request(core, req, now);
-            }
-        }
-        // Cores tick and emit new uncore requests.
-        for c in 0..self.cores.len() {
-            self.req_buf.clear();
-            self.cores[c].tick(now, &mut self.req_buf);
-            for r in 0..self.req_buf.len() {
-                let req = self.req_buf[r];
-                self.dispatch_request(CoreId(c as u8), req, now);
-            }
-        }
-        self.prof.stop(timer);
-        if self.uncore.events_enabled() {
-            self.drain_core_obs(now);
-        }
-        self.cycle += 1;
-    }
-
-    /// Moves the uncore's wheel post earlier, to `at`, when it is
-    /// currently scheduled later. Called after every dispatched request:
-    /// dispatch mutates uncore state outside its tick, so the bound it
-    /// posted at its last tick no longer covers the new work (and the
-    /// demand-priority flag it may have set must age at the next cycle's
-    /// tick).
-    fn wake_uncore(&mut self, at: Cycle) {
-        if self.wheel.posted(UNCORE_SRC) > at {
-            self.wheel.post(UNCORE_SRC, at);
-        }
-    }
-
-    /// Advances the system by one cycle, popping the event wheel and
-    /// ticking only the sources that are due (plus any core woken by a
-    /// fill delivered this very cycle). Skipped (source, cycle) pairs
-    /// are provably idle — the posting contract makes ticking them a
-    /// no-op — so this is bit-identical to [`step`](Self::step), which
-    /// ticks everything every cycle.
-    fn step_scheduled(&mut self) {
-        let now = self.cycle;
-        self.steps += 1;
-        let mut due_buf = std::mem::take(&mut self.due_buf);
-        self.wheel.pop_due(now, &mut due_buf);
-        let uncore_due = due_buf.contains(&UNCORE_SRC);
-        if uncore_due {
-            self.fill_buf.clear();
+        if self.uncore_wake <= now {
             let timer = self.prof.start(Phase::UncoreTick);
             self.uncore.tick(now, &mut self.fill_buf, &mut self.prof);
             self.prof.stop(timer);
-            let next = self.uncore.next_ready_after(now);
-            self.wheel.post(UNCORE_SRC, next);
+            self.uncore_wake = self.uncore.next_ready_after(now);
         }
         let timer = self.prof.start(Phase::CoreTick);
-        if uncore_due {
-            for i in 0..self.fill_buf.len() {
-                let (core, line) = self.fill_buf[i];
-                // A delivered fill can unblock dispatch this very cycle.
-                self.wheel.post(core_src(core.index()), now);
-                self.req_buf.clear();
-                self.cores[core.index()].fill(line, now, &mut self.req_buf);
-                if !self.req_buf.is_empty() {
-                    self.wake_uncore(now + 1);
-                }
-                for r in 0..self.req_buf.len() {
-                    let req = self.req_buf[r];
-                    self.dispatch_request(core, req, now);
-                }
-            }
-        }
+        self.deliver_fills(now);
         for c in 0..self.cores.len() {
-            // Due if popped, or posted mid-cycle by a fill delivery.
-            if !due_buf.contains(&core_src(c)) && !self.wheel.due(core_src(c), now) {
+            if self.core_wake[c] > now {
                 continue;
             }
-            self.req_buf.clear();
             self.cores[c].tick(now, &mut self.req_buf);
-            if !self.req_buf.is_empty() {
-                self.wake_uncore(now + 1);
-            }
-            for r in 0..self.req_buf.len() {
-                let req = self.req_buf[r];
-                self.dispatch_request(CoreId(c as u8), req, now);
-            }
-            self.wheel
-                .post(core_src(c), self.cores[c].next_work_cycle(now + 1));
+            self.dispatch_requests(CoreId(c as u8), now);
+            self.core_wake[c] = self.cores[c].next_work_cycle(now + 1);
         }
         self.prof.stop(timer);
-        self.due_buf = due_buf;
         if self.uncore.events_enabled() {
             self.drain_core_obs(now);
         }
         self.cycle += 1;
+    }
+
+    /// Hands the fills the uncore delivered this cycle to their cores and
+    /// empties `fill_buf`. A core that takes a fill is due this very
+    /// cycle: the fill can unblock its dispatch (including a head store
+    /// parked on a full MSHR).
+    fn deliver_fills(&mut self, now: Cycle) {
+        for i in 0..self.fill_buf.len() {
+            let (core, line) = self.fill_buf[i];
+            self.core_wake[core.index()] = now;
+            self.cores[core.index()].fill(line, now, &mut self.req_buf);
+            self.dispatch_requests(core, now);
+        }
+        self.fill_buf.clear();
+    }
+
+    /// Sends the requests `core` just emitted into `req_buf` to the
+    /// uncore and empties the buffer. Dispatch changes uncore state
+    /// outside its tick, so the bound the uncore armed at its last tick
+    /// no longer covers the new work: its wake-up moves forward to the
+    /// next cycle (where the demand-priority flag a request sets also
+    /// ages out).
+    fn dispatch_requests(&mut self, core: CoreId, now: Cycle) {
+        if self.req_buf.is_empty() {
+            return;
+        }
+        self.uncore_wake = self.uncore_wake.min(now + 1);
+        for r in 0..self.req_buf.len() {
+            match self.req_buf[r] {
+                UncoreRequest::Read {
+                    line,
+                    class,
+                    ifetch,
+                } => {
+                    debug_assert!(class != ReqClass::L2Prefetch);
+                    self.uncore.core_read(core, line, class, ifetch, now);
+                }
+                UncoreRequest::Writeback { line } => {
+                    self.uncore.core_writeback(core, line, now);
+                }
+            }
+        }
+        self.req_buf.clear();
     }
 
     /// Forwards the cycle's core-side L1 observability events (stride
     /// prefetch issues, TLB drops) into the shared event log, stamped
     /// with the cycle and owning core.
+    // Out of line, as with `process_epochs`: it runs only with event
+    // tracing on, and inlined into the run loop it slows every run.
+    #[inline(never)]
     fn drain_core_obs(&mut self, now: Cycle) {
         for c in 0..self.cores.len() {
             self.cores[c].drain_obs(&mut self.core_obs_buf);
@@ -410,22 +365,6 @@ impl System {
                     site: ObsSite::L1d,
                     kind,
                 });
-            }
-        }
-    }
-
-    fn dispatch_request(&mut self, core: CoreId, req: UncoreRequest, now: Cycle) {
-        match req {
-            UncoreRequest::Read {
-                line,
-                class,
-                ifetch,
-            } => {
-                debug_assert!(class != ReqClass::L2Prefetch);
-                self.uncore.core_read(core, line, class, ifetch, now);
-            }
-            UncoreRequest::Writeback { line } => {
-                self.uncore.core_writeback(core, line, now);
             }
         }
     }
@@ -443,17 +382,20 @@ impl System {
     /// Per boundary, directive events are recorded before `epoch_end`.
     ///
     /// Called at the top of the run loop, *before* the tick of the cycle
-    /// it fires on. This keeps the every-cycle and event-wheel loops
-    /// bit-identical: a skip only jumps provably idle cycles, so when a
-    /// jump lands past a boundary the counters are exactly what they
-    /// were at the boundary and no prefetcher invocation can have
+    /// it fires on. This keeps the every-cycle oracle and the skipping
+    /// loop bit-identical: a skip only jumps provably idle cycles, so
+    /// when a jump lands past a boundary the counters are exactly what
+    /// they were at the boundary and no prefetcher invocation can have
     /// happened in between — the policy sees the same feedback and
     /// reconfigures the same prefetcher state either way.
     ///
     /// Returns `true` when policies ran at one boundary or more — the
-    /// scheduled loop then refreshes every wheel post, because an
-    /// applied directive can create work the sources' previous bounds
-    /// did not account for.
+    /// run loop then wakes every source, because an applied directive
+    /// can create work the sources' previous bounds did not account for.
+    // Out of line: it runs only with an epoch clock, and the run loop is
+    // its one caller; inlined there, it slowed bosim-benchmark's
+    // core-bound and memory-bound workloads by about 4% (2-vCPU host).
+    #[inline(never)]
     fn process_epochs(&mut self) -> bool {
         let Some(ep) = self.epochs.as_mut() else {
             return false;
@@ -603,11 +545,11 @@ impl System {
     /// Runs until core 0 has retired `instructions` more instructions (or
     /// the safety cycle cap is hit).
     ///
-    /// With [`SimConfig::fast_forward`] on (the default), the run is
-    /// driven by the event wheel: each source ticks only on cycles it
-    /// may have work, and whole-system idle stretches are skipped by
-    /// popping the wheel instead of recomputing per-source bounds every
-    /// cycle. Elided ticks and skipped cycles are provable no-ops, so
+    /// Each iteration processes the epoch boundaries due, steps one cycle
+    /// and, with [`SimConfig::fast_forward`] on (the default), jumps to
+    /// the earliest wake-up of any source. The oracle (`fast_forward`
+    /// off) is the same loop waking every source every cycle and never
+    /// jumping. Elided ticks and skipped cycles are provable no-ops, so
     /// the simulation stays cycle-exact; only wall-clock time changes.
     fn run_until_retired(&mut self, instructions: u64) -> u64 {
         let start_retired = self.cores[0].retired();
@@ -616,15 +558,30 @@ impl System {
         // Safety net: a run that sinks below 0.002 IPC is considered hung
         // (deadlock guard for development; never triggered in practice).
         let cycle_cap = self.cycle + instructions * 500 + 1_000_000;
-        if self.cfg.fast_forward {
-            self.run_scheduled(target, cycle_cap);
-        } else {
-            // Reference loop: everything ticks every cycle.
-            while self.cores[0].retired() < target && self.cycle < cycle_cap {
-                if self.epochs.is_some() {
-                    self.process_epochs();
+        // Seed: every source starts due (an early wake-up is always safe).
+        self.wake_all();
+        while self.cores[0].retired() < target && self.cycle < cycle_cap {
+            let reconfigured = self.epochs.is_some() && self.process_epochs();
+            if reconfigured || !self.cfg.fast_forward {
+                self.wake_all();
+            }
+            self.step();
+            // Never fast-forward once the window boundary is reached: the
+            // skip would push `cycle` past the stopping point and shift
+            // the next window's start relative to the every-cycle oracle.
+            if self.cfg.fast_forward && self.cores[0].retired() < target {
+                let timer = self.prof.start(Phase::FastForward);
+                let next = self
+                    .core_wake
+                    .iter()
+                    .copied()
+                    .fold(self.uncore_wake, Cycle::min);
+                self.prof.stop(timer);
+                if next > self.cycle {
+                    // Cap the jump so a genuine deadlock (next == MAX)
+                    // still lands on the cycle-cap diagnostics.
+                    self.cycle = next.min(cycle_cap);
                 }
-                self.step();
             }
         }
         assert!(
@@ -654,42 +611,12 @@ impl System {
         msg
     }
 
-    /// Makes every wheel source due at the current cycle. Used to seed a
-    /// scheduled run and to invalidate all posted bounds after an
-    /// adaptive directive reconfigures prefetcher state.
+    /// Makes every source due at the current cycle. Seeds a run, wakes
+    /// every source each cycle of the oracle, and invalidates all bounds
+    /// after an adaptive directive reconfigures prefetcher state.
     fn wake_all(&mut self) {
-        for src in 0..self.wheel.sources() {
-            self.wheel.post(src as u16, self.cycle);
-        }
-    }
-
-    /// The wheel-driven run loop (fast-forward on): epoch boundaries are
-    /// processed at the loop top, before the boundary cycle's tick, then
-    /// the system advances one [`step_scheduled`](Self::step_scheduled)
-    /// and skips to the wheel's next posted cycle.
-    fn run_scheduled(&mut self, target: u64, cycle_cap: Cycle) {
-        // Seed: every source starts due (a conservative post is always
-        // safe — early wake-ups are no-op ticks).
-        self.wake_all();
-        while self.cores[0].retired() < target && self.cycle < cycle_cap {
-            if self.epochs.is_some() && self.process_epochs() {
-                self.wake_all();
-            }
-            self.step_scheduled();
-            // Never fast-forward once the window boundary is reached: the
-            // skip would push `cycle` past the stopping point and shift
-            // the next window's start relative to the every-cycle loop.
-            if self.cores[0].retired() < target {
-                let timer = self.prof.start(Phase::FastForward);
-                let next = self.wheel.next_after(self.cycle);
-                self.prof.stop(timer);
-                if next > self.cycle {
-                    // Cap the jump so a genuine deadlock (next == MAX)
-                    // still lands on the cycle-cap diagnostics.
-                    self.cycle = next.min(cycle_cap);
-                }
-            }
-        }
+        self.uncore_wake = self.cycle;
+        self.core_wake.fill(self.cycle);
     }
 
     /// Freezes the cores and ticks the uncore until it is fully
@@ -713,18 +640,9 @@ impl System {
         let cap = self.cycle + 10_000_000;
         while self.uncore.next_ready_after(self.cycle) != Cycle::MAX {
             assert!(self.cycle < cap, "uncore failed to drain (deadlock?)");
-            self.fill_buf.clear();
             self.uncore
                 .tick(self.cycle, &mut self.fill_buf, &mut self.prof);
-            for i in 0..self.fill_buf.len() {
-                let (core, line) = self.fill_buf[i];
-                self.req_buf.clear();
-                self.cores[core.index()].fill(line, self.cycle, &mut self.req_buf);
-                for r in 0..self.req_buf.len() {
-                    let req = self.req_buf[r];
-                    self.dispatch_request(core, req, self.cycle);
-                }
-            }
+            self.deliver_fills(self.cycle);
             self.cycle += 1;
         }
         self.uncore.stats()
@@ -913,8 +831,8 @@ mod tests {
 
     /// Small fill queues (L2 4, L3 2) and no L2 prefetcher: the stall
     /// and retry paths run under back-pressure, where the uncore's
-    /// bookkeeping matters most, and the event-wheel loop still matches
-    /// the every-cycle loop bit for bit.
+    /// bookkeeping matters most, and the skipping loop still matches
+    /// the every-cycle oracle bit for bit.
     #[test]
     fn golden_stats_no_prefetch_small_l3_queue() {
         let spec = suite::benchmark("429").expect("exists");
@@ -928,11 +846,18 @@ mod tests {
             };
             let mut sys = System::new(&cfg, &spec);
             sys.uncore.shrink_fill_queues(4, 2);
-            sys.run()
+            let res = sys.run();
+            (res, sys.steps_executed(), sys.cycle())
         };
-        let every_cycle = run(false);
+        let (every_cycle, steps, cycles) = run(false);
         assert!(every_cycle.uncore.l2_accesses > 0, "{every_cycle:?}");
-        assert_eq!(every_cycle, run(true), "event-wheel loop diverged");
+        assert_eq!(steps, cycles, "the oracle skipped cycles");
+        let (skipping, steps, cycles) = run(true);
+        assert_eq!(every_cycle, skipping, "the skipping loop diverged");
+        assert!(
+            steps < cycles,
+            "the skipping loop stepped all {cycles} cycles"
+        );
     }
 
     #[test]

@@ -40,30 +40,27 @@ use bosim_obs::{Event, EventKind, HostProfiler, ObsSite, Phase, PrefetchTelemetr
 use bosim_types::{CoreId, Cycle, LineAddr, PageSize, ReqClass};
 use std::collections::VecDeque;
 
-/// Per-L2 fill-queue payload: where the block goes once it is in the L2.
+/// Per-L2 fill-queue payload: whether the block goes on to the core
+/// once it is in the L2.
 #[derive(Debug, Clone, Copy)]
 struct L2Meta {
-    /// Forward the block to the core's IL1 fill path.
-    to_il1: bool,
-    /// Forward the block to the core's DL1 fill path.
-    to_dl1: bool,
+    /// Forward the block to the core's fill path (IL1 or DL1).
+    to_core: bool,
 }
 
 impl L2Meta {
-    /// Where a request of `class` wants its block: the IL1 for an
-    /// ifetch, the DL1 for any other core-side read. An L2 prefetch
-    /// stops at the L2.
+    /// Whether a request of `class` wants its block at the core: an
+    /// ifetch or any other core-side read does, an L2 prefetch stops at
+    /// the L2.
     fn of(class: ReqClass, ifetch: bool) -> Self {
         L2Meta {
-            to_il1: ifetch,
-            to_dl1: !ifetch && class != ReqClass::L2Prefetch,
+            to_core: ifetch || class != ReqClass::L2Prefetch,
         }
     }
 
     /// Adds the targets of another request for the same block.
     fn merge(&mut self, other: L2Meta) {
-        self.to_il1 |= other.to_il1;
-        self.to_dl1 |= other.to_dl1;
+        self.to_core |= other.to_core;
     }
 }
 
@@ -268,6 +265,22 @@ struct L2 {
     /// (due cycle, line): blocks forwarded up to the core (DL1/IL1).
     fill_out: VecDeque<(Cycle, LineAddr)>,
     sent_demand_this_cycle: bool,
+}
+
+impl L2 {
+    /// The earliest cycle at or after `from` at which this L2 has work —
+    /// a ready fill, a stalled request, a queued prefetch, or L3 data or
+    /// a core-bound block falling due — or [`Cycle::MAX`] when it has
+    /// none. [`Uncore::tick`] skips an L2 with no work at `now`, and
+    /// [`Uncore::next_ready_after`] wakes the uncore for the earliest
+    /// one, so the two agree by construction.
+    fn next_work(&self, from: Cycle) -> Cycle {
+        if self.fq.has_ready() || !self.stalled.is_empty() || !self.site.pq.is_empty() {
+            return from;
+        }
+        let due = |q: &VecDeque<(Cycle, LineAddr)>| q.front().map_or(Cycle::MAX, |&(t, _)| t);
+        due(&self.ready_q).min(due(&self.fill_out)).max(from)
+    }
 }
 
 /// The shared uncore.
@@ -1094,7 +1107,7 @@ impl Uncore {
         if let Some(p) = self.l2s[c].site.engine.as_mut() {
             p.on_fill(entry.line, prefetched);
         }
-        if entry.payload.to_dl1 || entry.payload.to_il1 {
+        if entry.payload.to_core {
             self.l2s[c].fill_out.push_back((now + 1, entry.line));
         }
     }
@@ -1234,12 +1247,7 @@ impl Uncore {
         // 4. Per-core L2 work.
         for c in 0..self.l2s.len() {
             let l2 = &mut self.l2s[c];
-            let idle = !l2.fq.has_ready()
-                && l2.stalled.is_empty()
-                && l2.site.pq.is_empty()
-                && l2.ready_q.front().is_none_or(|&(t, _)| t > now)
-                && l2.fill_out.front().is_none_or(|&(t, _)| t > now);
-            if idle {
+            if l2.next_work(now) > now {
                 // The demand-priority flag still ages out after one cycle.
                 l2.sent_demand_this_cycle = false;
                 continue;
@@ -1278,11 +1286,11 @@ impl Uncore {
         }
     }
 
-    /// The next cycle (strictly after `now`) the scheduled loop must
-    /// tick this uncore at — the wake-up it posts to the event wheel
-    /// right after a tick. [`Cycle::MAX`] means fully quiescent: nothing
-    /// is in flight anywhere, and only a new core request re-arms it
-    /// (the system re-posts on dispatch).
+    /// The next cycle (strictly after `now`) the system must tick this
+    /// uncore at — the wake-up it re-arms right after a tick.
+    /// [`Cycle::MAX`] means fully quiescent: nothing is in flight
+    /// anywhere, and only a new core request re-arms it (dispatch pulls
+    /// the wake-up forward).
     ///
     /// The bound is one-sided: early wake-ups are no-op ticks, late ones
     /// never happen. The DRAM term is O(channels): each channel keeps its
@@ -1309,21 +1317,11 @@ impl Uncore {
             t = t.min(d);
         }
         for l2 in &self.l2s {
-            if l2.fq.has_ready() || !l2.stalled.is_empty() || !l2.site.pq.is_empty() {
+            let d = l2.next_work(from);
+            if d == from {
                 return from;
             }
-            if let Some(&(d, _)) = l2.ready_q.front() {
-                if d <= from {
-                    return from;
-                }
-                t = t.min(d);
-            }
-            if let Some(&(d, _)) = l2.fill_out.front() {
-                if d <= from {
-                    return from;
-                }
-                t = t.min(d);
-            }
+            t = t.min(d);
         }
         t.min(self.mem.next_event(from).unwrap_or(Cycle::MAX))
     }

@@ -362,11 +362,9 @@ mod tests {
         std::fs::remove_file(&pa).unwrap();
         let err = store.load(&ExternalSpec::new(&pa, TraceFormat::Native));
         assert!(err.is_err(), "metadata probe needs the source file");
-        // Restore the source bytes (same content => same len; mtime
-        // changes, but we reset it below to keep the key identical).
-        let meta_b = std::fs::metadata(&pb).unwrap();
+        // Restore the source bytes (same content, so same length; the
+        // mtime may move, which changes the key).
         std::fs::write(&pa, file::encode(&ua)).unwrap();
-        let _ = meta_b; // silence unused in case of platform quirks
 
         let spec_a = ExternalSpec::new(&pa, TraceFormat::Native);
         let a2 = store.load(&spec_a).unwrap();
@@ -446,5 +444,8 @@ mod tests {
         for p in [pa, pb] {
             let _ = std::fs::remove_file(p);
         }
+        // The re-decode of trace a evicted b, which spilled into a new
+        // copy of the directory.
+        let _ = std::fs::remove_dir_all(&spill_dir);
     }
 }

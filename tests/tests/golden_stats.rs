@@ -1,33 +1,53 @@
-//! Golden-stats invariance: the event-wheel loop (each source ticks only
-//! when it may have work, idle stretches are skipped) must produce
+//! Golden-stats invariance: the skipping run loop (each source ticks
+//! only when it may have work, idle stretches are skipped) must produce
 //! *bit-identical* `SimResult`s — instructions, cycles, every core,
-//! uncore and DRAM counter — to the every-cycle loop
-//! (`fast_forward: false`, every core and the uncore tick every cycle)
-//! for fixed seeds across the synthetic suite. The every-cycle loop is
-//! the oracle; scheduling is a pure wall-clock win, so any counter drift
-//! here is a simulation bug, not a performance trade-off.
+//! uncore and DRAM counter — to the every-cycle oracle
+//! (`fast_forward: false`, the same loop waking every core and the
+//! uncore every cycle) for fixed seeds across the synthetic suite.
+//! Skipping is a pure wall-clock win, so any counter drift here is a
+//! simulation bug, not a performance trade-off. Both arms share one
+//! step function, so each comparison also checks that the oracle steps
+//! every cycle and that the skipping arm skips where it can.
 
 use bosim::{prefetchers, PrefetcherSpec, SimConfig, SimResult, System};
 use bosim_trace::suite;
 use bosim_types::PageSize;
 
-fn run(cfg: &SimConfig, bench_id: &str) -> SimResult {
+/// One run's result with the cycles it stepped and simulated.
+fn run(cfg: &SimConfig, bench_id: &str) -> (SimResult, u64, u64) {
     let bench = suite::benchmark(bench_id).expect("benchmark exists");
-    System::new(cfg, &bench).run()
+    let mut sys = System::new(cfg, &bench);
+    let res = sys.run();
+    (res, sys.steps_executed(), sys.cycle())
 }
 
 fn assert_invariant(base: SimConfig, bench_id: &str) {
+    let single_core = base.active_cores == 1;
     let mut every_cycle = base.clone();
     every_cycle.fast_forward = false;
-    let mut wheel = base;
-    wheel.fast_forward = true;
-    let a = run(&every_cycle, bench_id);
-    let b = run(&wheel, bench_id);
+    let mut skipping = base;
+    skipping.fast_forward = true;
+    let (a, a_steps, a_cycles) = run(&every_cycle, bench_id);
+    let (b, b_steps, b_cycles) = run(&skipping, bench_id);
     assert_eq!(
         a, b,
-        "{bench_id} [{}]: event-wheel loop diverged from the every-cycle loop",
+        "{bench_id} [{}]: the skipping loop diverged from the every-cycle oracle",
         b.config
     );
+    assert_eq!(
+        a_steps, a_cycles,
+        "{bench_id} [{}]: the every-cycle oracle skipped cycles",
+        a.config
+    );
+    // Pointer-chasing 429 on one core waits on DRAM most of the time, so
+    // a skipping arm that stepped every cycle has stopped skipping.
+    if single_core && bench_id == "429" {
+        assert!(
+            b_steps < b_cycles,
+            "{bench_id} [{}]: the skipping loop stepped all {b_cycles} cycles",
+            b.config
+        );
+    }
 }
 
 fn quick(prefetcher: PrefetcherSpec, seed: u64) -> SimConfig {
@@ -108,7 +128,7 @@ fn golden_stats_multilevel_sites() {
 /// File-backed external traces must preserve the invariance too, with
 /// trace sampling in play: the ingestion path (ChampSim decode + µop
 /// lowering) and the `SampledSource` wrapper are deterministic pure
-/// functions of the file, so every-cycle and event-wheel replays of the
+/// functions of the file, so every-cycle and skipping replays of the
 /// same trace under the same warm-up sampling plan stay bit-identical.
 #[test]
 fn golden_stats_file_backed_trace_with_sampling() {
@@ -130,13 +150,13 @@ fn golden_stats_file_backed_trace_with_sampling() {
     every_cycle.fast_forward = false;
     let a = System::new(&every_cycle, &bench).run();
     let b = System::new(&base, &bench).run();
-    assert_eq!(a, b, "file-backed replay diverged between loops");
+    assert_eq!(a, b, "file-backed replay diverged between the two modes");
     let _ = std::fs::remove_file(&path);
 }
 
 /// Observability must not break the invariance — with event tracing,
 /// epoch snapshots and host profiling all enabled, the every-cycle and
-/// event-wheel loops must produce bit-identical `SimResult`s
+/// skipping runs must produce bit-identical `SimResult`s
 /// *including* the event stream and the epoch series (`SimResult`'s
 /// `PartialEq` covers `obs`; only the wall-clock profile is excluded).
 /// Epoch boundaries are processed before the boundary cycle's tick and
@@ -191,8 +211,8 @@ fn golden_stats_multicore_large_pages() {
     assert_invariant(cfg, "470");
 }
 
-/// Four active cores under the event-wheel loop: maximum interleaving
-/// of per-core posts, mid-cycle fill wake-ups and uncore re-posting,
+/// Four active cores under the skipping loop: maximum interleaving of
+/// per-core wake-ups, mid-cycle fill wake-ups and uncore re-arming,
 /// with the shared L3 and DRAM fairness machinery fully engaged.
 #[test]
 fn golden_stats_four_cores() {
