@@ -5,7 +5,9 @@
 //! missing control loop's **policy engine**, which reconfigures the
 //! prefetchers while the simulation runs, in the spirit of
 //! runtime-guided prefetch reconfiguration (Prat et al.) and
-//! online-learned prefetch control (Pythia).
+//! online-learned prefetch control (Pythia). Every [`TuneDirective`] a
+//! policy emits goes to its own core's L2 prefetcher, where the paper's
+//! throttle acts too.
 //!
 //! Policies read [`EpochFeedback`]: one core's epoch of L2 and L3 site
 //! counters ([`PrefetchTelemetry`] deltas, whose accuracy, coverage and
@@ -25,9 +27,9 @@
 //!   invariants CI pins down.
 //!
 //! The simulator side (uncore counters, epoch boundaries in the system
-//! loop, directive application) lives in `bosim-sim`: a configuration
-//! carries the [`PolicySpec`] (`SimConfig::adapt`) and the epoch
-//! length (`SimConfig::epoch_cycles`) separately. Policies
+//! loop, directive application at the L2) lives in `bosim-sim`: a
+//! configuration carries the [`PolicySpec`] (`SimConfig::adapt`) and
+//! the epoch length (`SimConfig::epoch_cycles`) separately. Policies
 //! themselves never see a simulator, only [`EpochFeedback`] values —
 //! which keeps them deterministic and unit-testable in isolation.
 //!
@@ -39,7 +41,7 @@
 mod policy;
 mod telemetry;
 
-pub use best_offset::{PrefetchSite, SiteDirective, TuneDirective};
+pub use best_offset::TuneDirective;
 pub use policy::{
     policies, PolicySpec, TunePolicy, EXPLOIT_EPOCHS, GOVERNOR_ACCURACY_DOWN, GOVERNOR_ACCURACY_UP,
     GOVERNOR_MIN_FILLS, GOVERNOR_OCCUPANCY_CAP, RETRIGGER_DELTA, THROTTLE_ACCURACY_FLOOR,

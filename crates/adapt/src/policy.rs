@@ -20,7 +20,7 @@
 //! BADSCORE throttle (§4.3) — but this simulator's own choices for a
 //! runtime-guided reconfiguration loop in the spirit of Prat et al.
 
-use best_offset::{SiteDirective, TuneDirective};
+use best_offset::TuneDirective;
 use bosim_obs::EpochFeedback;
 use std::fmt;
 
@@ -28,14 +28,10 @@ use std::fmt;
 /// loop it plugs into).
 pub trait TunePolicy: fmt::Debug {
     /// Observes one finished epoch and appends any reconfiguration
-    /// directives — each addressed to a prefetch site — to `out`.
-    /// Called once per epoch per core, in epoch order; the policy owns
-    /// whatever state it needs between calls. A bare
-    /// [`TuneDirective`]`.into()` addresses the L2 site. Directives
-    /// addressed to the *shared* L3 site are honoured from core 0's
-    /// policy instance only (other cores' L3 directives are recorded as
-    /// rejected) — the L3 is one engine, not a per-core structure.
-    fn on_epoch(&mut self, feedback: &EpochFeedback, out: &mut Vec<SiteDirective>);
+    /// directives for the core's L2 prefetcher to `out`. Called once
+    /// per epoch per core, in epoch order; the policy owns whatever
+    /// state it needs between calls.
+    fn on_epoch(&mut self, feedback: &EpochFeedback, out: &mut Vec<TuneDirective>);
 }
 
 /// A tuning policy. The `Debug` rendering includes the tournament's
@@ -115,10 +111,10 @@ struct DegreeGovernor {
 }
 
 impl TunePolicy for DegreeGovernor {
-    fn on_epoch(&mut self, fb: &EpochFeedback, out: &mut Vec<SiteDirective>) {
+    fn on_epoch(&mut self, fb: &EpochFeedback, out: &mut Vec<TuneDirective>) {
         if !self.initialized {
             self.initialized = true;
-            out.push(TuneDirective::SetDegree(self.degree).into());
+            out.push(TuneDirective::SetDegree(self.degree));
         }
         if fb.l2.resolved_fills() < GOVERNOR_MIN_FILLS {
             return;
@@ -127,12 +123,12 @@ impl TunePolicy for DegreeGovernor {
         let occ = fb.bus_occupancy;
         if self.degree == 1 && acc >= GOVERNOR_ACCURACY_UP && occ < GOVERNOR_OCCUPANCY_CAP {
             self.degree = 2;
-            out.push(TuneDirective::SetDegree(2).into());
+            out.push(TuneDirective::SetDegree(2));
         } else if self.degree == 2
             && (acc <= GOVERNOR_ACCURACY_DOWN || occ >= GOVERNOR_OCCUPANCY_CAP)
         {
             self.degree = 1;
-            out.push(TuneDirective::SetDegree(1).into());
+            out.push(TuneDirective::SetDegree(1));
         }
     }
 }
@@ -168,18 +164,18 @@ struct BandwidthThrottle {
 }
 
 impl TunePolicy for BandwidthThrottle {
-    fn on_epoch(&mut self, fb: &EpochFeedback, out: &mut Vec<SiteDirective>) {
+    fn on_epoch(&mut self, fb: &EpochFeedback, out: &mut Vec<TuneDirective>) {
         if self.enabled {
             let l2 = &fb.l2;
             let accurate = l2.resolved_fills() >= THROTTLE_MIN_FILLS
                 && l2.accuracy().is_some_and(|a| a >= THROTTLE_ACCURACY_FLOOR);
             if fb.bus_occupancy >= THROTTLE_OCCUPANCY_HIGH && !accurate {
                 self.enabled = false;
-                out.push(TuneDirective::SetEnabled(false).into());
+                out.push(TuneDirective::SetEnabled(false));
             }
         } else if fb.bus_occupancy <= THROTTLE_OCCUPANCY_LOW {
             self.enabled = true;
-            out.push(TuneDirective::SetEnabled(true).into());
+            out.push(TuneDirective::SetEnabled(true));
         }
     }
 }
@@ -239,14 +235,14 @@ impl Tournament {
         (best, self.scores[best])
     }
 
-    fn explore(&mut self, out: &mut Vec<SiteDirective>) {
-        out.push(TuneDirective::SwitchPrefetcher(self.candidates[0].clone()).into());
+    fn explore(&mut self, out: &mut Vec<TuneDirective>) {
+        out.push(TuneDirective::SwitchPrefetcher(self.candidates[0].clone()));
         self.state = TournamentState::Explore { idx: 0 };
     }
 }
 
 impl TunePolicy for Tournament {
-    fn on_epoch(&mut self, fb: &EpochFeedback, out: &mut Vec<SiteDirective>) {
+    fn on_epoch(&mut self, fb: &EpochFeedback, out: &mut Vec<TuneDirective>) {
         if self.candidates.len() < 2 {
             return; // nothing to select between
         }
@@ -258,7 +254,9 @@ impl TunePolicy for Tournament {
                 self.scores[current] = fb.ipc();
                 let next = current + 1;
                 if next < self.candidates.len() {
-                    out.push(TuneDirective::SwitchPrefetcher(self.candidates[next].clone()).into());
+                    out.push(TuneDirective::SwitchPrefetcher(
+                        self.candidates[next].clone(),
+                    ));
                     self.state = TournamentState::Explore { idx: next };
                 } else {
                     let (w, score) = self.winner();
@@ -267,9 +265,7 @@ impl TunePolicy for Tournament {
                     // (BO) keeps its just-warmed learning state for the
                     // exploit window.
                     if w != current {
-                        out.push(
-                            TuneDirective::SwitchPrefetcher(self.candidates[w].clone()).into(),
-                        );
+                        out.push(TuneDirective::SwitchPrefetcher(self.candidates[w].clone()));
                     }
                     self.state = TournamentState::Exploit {
                         left: EXPLOIT_EPOCHS,
@@ -320,7 +316,7 @@ mod tests {
         }
     }
 
-    fn step(p: &mut dyn TunePolicy, f: &EpochFeedback) -> Vec<SiteDirective> {
+    fn step(p: &mut dyn TunePolicy, f: &EpochFeedback) -> Vec<TuneDirective> {
         let mut out = Vec::new();
         p.on_epoch(f, &mut out);
         out
@@ -333,20 +329,20 @@ mod tests {
         // have been configured differently); too few fills otherwise.
         assert_eq!(
             step(p.as_mut(), &fb(10, 0, 0.1)),
-            vec![TuneDirective::SetDegree(1).into()]
+            vec![TuneDirective::SetDegree(1)]
         );
         assert!(step(p.as_mut(), &fb(10, 0, 0.1)).is_empty());
         // Accurate and idle bus: degree 2.
         assert_eq!(
             step(p.as_mut(), &fb(90, 10, 0.1)),
-            vec![TuneDirective::SetDegree(2).into()]
+            vec![TuneDirective::SetDegree(2)]
         );
         // Staying accurate: no churn.
         assert!(step(p.as_mut(), &fb(90, 10, 0.1)).is_empty());
         // Accuracy collapses: back to degree 1.
         assert_eq!(
             step(p.as_mut(), &fb(20, 80, 0.1)),
-            vec![TuneDirective::SetDegree(1).into()]
+            vec![TuneDirective::SetDegree(1)]
         );
     }
 
@@ -357,17 +353,17 @@ mod tests {
         // initial state-establishing directive).
         assert_eq!(
             step(p.as_mut(), &fb(90, 10, 0.9)),
-            vec![TuneDirective::SetDegree(1).into()]
+            vec![TuneDirective::SetDegree(1)]
         );
         assert!(step(p.as_mut(), &fb(90, 10, 0.9)).is_empty());
         assert_eq!(
             step(p.as_mut(), &fb(90, 10, 0.2)),
-            vec![TuneDirective::SetDegree(2).into()]
+            vec![TuneDirective::SetDegree(2)]
         );
         // Pressure returns: demote even though accuracy is fine.
         assert_eq!(
             step(p.as_mut(), &fb(90, 10, 0.9)),
-            vec![TuneDirective::SetDegree(1).into()]
+            vec![TuneDirective::SetDegree(1)]
         );
     }
 
@@ -377,13 +373,13 @@ mod tests {
         assert!(step(p.as_mut(), &fb(10, 30, 0.6)).is_empty(), "below high");
         assert_eq!(
             step(p.as_mut(), &fb(10, 30, 0.8)),
-            vec![TuneDirective::SetEnabled(false).into()]
+            vec![TuneDirective::SetEnabled(false)]
         );
         // Still above the low threshold: stays gated.
         assert!(step(p.as_mut(), &fb(0, 0, 0.6)).is_empty());
         assert_eq!(
             step(p.as_mut(), &fb(0, 0, 0.3)),
-            vec![TuneDirective::SetEnabled(true).into()]
+            vec![TuneDirective::SetEnabled(true)]
         );
     }
 
@@ -395,7 +391,7 @@ mod tests {
         // Same pressure, poor accuracy: gate.
         assert_eq!(
             step(p.as_mut(), &fb(30, 70, 0.9)),
-            vec![TuneDirective::SetEnabled(false).into()]
+            vec![TuneDirective::SetEnabled(false)]
         );
     }
 
@@ -410,17 +406,17 @@ mod tests {
         // Boundary 0: start exploring with candidate 0.
         assert_eq!(
             step(p.as_mut(), &epoch(500)),
-            vec![TuneDirective::SwitchPrefetcher("bo".into()).into()]
+            vec![TuneDirective::SwitchPrefetcher("bo".into())]
         );
         // "bo" scores 2.0 IPC; move on to "none".
         assert_eq!(
             step(p.as_mut(), &epoch(2_000)),
-            vec![TuneDirective::SwitchPrefetcher("none".into()).into()]
+            vec![TuneDirective::SwitchPrefetcher("none".into())]
         );
         // "none" scores 0.5 IPC; the winner ("bo") is adopted.
         assert_eq!(
             step(p.as_mut(), &epoch(500)),
-            vec![TuneDirective::SwitchPrefetcher("bo".into()).into()]
+            vec![TuneDirective::SwitchPrefetcher("bo".into())]
         );
         // Exploit for EXPLOIT_EPOCHS epochs...
         for _ in 1..EXPLOIT_EPOCHS {
@@ -429,7 +425,7 @@ mod tests {
         // ...then re-explore from candidate 0.
         assert_eq!(
             step(p.as_mut(), &epoch(2_000)),
-            vec![TuneDirective::SwitchPrefetcher("bo".into()).into()]
+            vec![TuneDirective::SwitchPrefetcher("bo".into())]
         );
         // This round "none" wins while it is the candidate running: no
         // cold rebuild.
@@ -441,7 +437,7 @@ mod tests {
         assert!(step(p.as_mut(), &epoch(1_600)).is_empty());
         assert_eq!(
             step(p.as_mut(), &epoch(1_000)),
-            vec![TuneDirective::SwitchPrefetcher("bo".into()).into()]
+            vec![TuneDirective::SwitchPrefetcher("bo".into())]
         );
     }
 

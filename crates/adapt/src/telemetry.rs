@@ -14,11 +14,11 @@ use bosim_stats::{Align, Json, Table};
 /// One applied-or-rejected directive at an epoch boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectiveRecord {
-    /// Rendered site-addressed directive (e.g. `"l2:degree=2"`,
-    /// `"l3:prefetch=off"`, `"l2:switch=none"`).
+    /// The directive, prefixed with the site it was applied at (e.g.
+    /// `"l2:degree=2"`, `"l2:switch=none"`).
     pub directive: String,
-    /// Whether the target prefetcher (or the simulator, for switches)
-    /// accepted it.
+    /// Whether the core's L2 prefetcher (or the simulator, for
+    /// switches) accepted it.
     pub applied: bool,
 }
 

@@ -12,7 +12,6 @@
 //! filter, then translated by the TLB2 before being issued (done by the
 //! simulator; a TLB2 miss drops the request).
 
-use best_offset::TuneDirective;
 use bosim_types::VirtAddr;
 
 const CONF_MAX: u8 = 15;
@@ -56,9 +55,6 @@ pub struct StridePrefetcher {
     filter_pos: usize,
     issued: u64,
     trained: u64,
-    /// External gate imposed by an adaptive tuning policy
-    /// (`TuneDirective::SetEnabled`); training keeps running while gated.
-    enabled: bool,
 }
 
 impl Default for StridePrefetcher {
@@ -70,7 +66,6 @@ impl Default for StridePrefetcher {
             filter_pos: 0,
             issued: 0,
             trained: 0,
-            enabled: true,
         }
     }
 }
@@ -154,9 +149,6 @@ impl StridePrefetcher {
     /// The caller must still translate through the TLB2 (dropping on a
     /// TLB2 miss) and perform line-level dedup against the MSHRs.
     pub fn on_access(&mut self, pc: u64, vaddr: VirtAddr) -> Option<VirtAddr> {
-        if !self.enabled {
-            return None;
-        }
         let set_idx = Self::set_of(pc);
         let set = self.set_slice(set_idx);
         let e = set.iter().find(|e| e.valid && e.pc == pc)?;
@@ -177,19 +169,6 @@ impl StridePrefetcher {
         self.filter_pos = (self.filter_pos + 1) % FILTER_ENTRIES;
         self.issued += 1;
         Some(VirtAddr(target))
-    }
-
-    /// Applies a runtime reconfiguration directive: only
-    /// [`TuneDirective::SetEnabled`], which gates issue while training
-    /// goes on. Returns whether the directive was applied.
-    pub fn reconfigure(&mut self, directive: &TuneDirective) -> bool {
-        match directive {
-            TuneDirective::SetEnabled(on) => {
-                self.enabled = *on;
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -282,22 +261,6 @@ mod tests {
             p.on_access(0x400504, VirtAddr(0xA0000)),
             Some(VirtAddr(0xA0000 + 16 * 256))
         );
-    }
-
-    #[test]
-    fn external_gate_stops_issue_but_not_training() {
-        let mut p = StridePrefetcher::default();
-        let pc = 0x400600;
-        assert!(p.reconfigure(&TuneDirective::SetEnabled(false)));
-        // Training continues while gated...
-        for i in 0..20 {
-            p.on_retire(pc, VirtAddr(0x1000 + i * 64));
-        }
-        assert_eq!(p.on_access(pc, VirtAddr(0x2000)), None);
-        // ...so re-enabling issues immediately from the warm table.
-        assert!(p.reconfigure(&TuneDirective::SetEnabled(true)));
-        assert!(p.on_access(pc, VirtAddr(0x2000)).is_some());
-        assert!(!p.reconfigure(&TuneDirective::SetDegree(2)));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The `bosim` subcommands: `run`, `sweep`, `serve`, `inspect`, `gen`,
-//! `trace`, `check-trace`.
+//! `check-trace`.
 
 use crate::args::{ParsedArgs, UsageError};
 use crate::corpus::{self, Corpus};
 use bosim::{SimConfig, System};
 use bosim_bench::{Experiment, Report};
-use bosim_obs::{perfetto, ObsConfig, ObsReport};
+use bosim_obs::{perfetto, ObsConfig};
 use bosim_stats::{Align, Json, Table};
 use bosim_trace::{
     addr, analyze, capture, champsim, file, suite, BenchmarkSpec, ExternalSpec, SampleSpec,
@@ -51,7 +51,6 @@ USAGE:
   bosim serve --corpus FILE [options]                checkpointed, resumable sweep
   bosim inspect FILE [--format F] [--uops N] [--json] summarise a trace
   bosim gen --bench ID --out FILE [options]          write a synthetic trace
-  bosim trace --trace FILE --out FILE [options]      replay + Perfetto export
   bosim check-trace FILE                             validate trace-event JSON
 
 RUN OPTIONS:
@@ -94,12 +93,6 @@ GEN OPTIONS:
   --out FILE            output path (required)
   --format F            native | champsim | addr-text | addr-bin (default: native)
 
-TRACE OPTIONS:
-  --out FILE            Perfetto/Chrome trace-event JSON output path (required)
-  plus the run machine options (--trace, --format, --name, --stack, --cores,
-  --page, --instructions, --warmup, --skip, --window, --interval); the replay
-  runs with full observability (events, epoch metrics, host profile).
-
 Formats, sampling semantics and a worked walkthrough: docs/TRACES.md;
 the event catalogue and export schemas: docs/OBSERVABILITY.md.
 ";
@@ -118,7 +111,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         Some("serve") => cmd_serve(&args[1..]),
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
         Some("check-trace") => cmd_check_trace(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
             print!("{USAGE}");
@@ -126,7 +118,7 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         }
         Some(other) => Err(CliError::Usage(format!(
             "unknown command {other:?} (expected run, sweep, serve, inspect, \
-             gen, trace or check-trace; see bosim --help)"
+             gen or check-trace; see bosim --help)"
         ))),
         None => Err(CliError::Usage(format!("no command given\n\n{USAGE}"))),
     }
@@ -181,7 +173,7 @@ fn sample_spec(skip: Option<u64>, window: Option<u64>, interval: Option<u64>) ->
     }
 }
 
-/// Shared machine-configuration assembly for `run`, `trace` and `sweep`.
+/// Shared machine-configuration assembly for `run` and `sweep`.
 #[derive(Default)]
 struct MachineParams {
     cores: Option<u64>,
@@ -213,10 +205,10 @@ impl MachineParams {
     }
 }
 
-/// The benchmark and machine that `run` and `trace` read from the same
-/// flags: `--trace` (with `--format`/`--name`), loaded once up front so
-/// decode errors surface as a typed message, not a worker panic
-/// mid-grid, and the machine knobs.
+/// The benchmark and machine that `run` reads from its flags: `--trace`
+/// (with `--format`/`--name`), loaded once up front so decode errors
+/// surface as a typed message, not a worker panic mid-grid, and the
+/// machine knobs.
 fn trace_and_machine(p: &ParsedArgs) -> Result<(BenchmarkSpec, MachineParams), CliError> {
     let trace = p.require("trace")?;
     let ext = external_spec(Path::new(trace), p.get("format"), p.get("name"))?;
@@ -259,19 +251,6 @@ fn sanitize_id(name: &str) -> String {
         out.push('t');
     }
     out
-}
-
-/// Replays `bench` once on `cfg` with the given observability switches
-/// and returns the collected report.
-fn instrumented_run(
-    mut cfg: SimConfig,
-    bench: &BenchmarkSpec,
-    obs: ObsConfig,
-) -> Result<ObsReport, CliError> {
-    cfg.obs = obs;
-    System::new(&cfg, bench).run().obs.ok_or_else(|| {
-        CliError::Failed("instrumented run produced no observability report".to_string())
-    })
 }
 
 fn write_artifact(path: &Path, text: &str) -> Result<(), CliError> {
@@ -317,12 +296,20 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     // run keeps observability out of the timing-sensitive experiment
     // workers, and the golden-stats invariant guarantees it reproduces
     // the measured counters exactly.
-    let obs_artifacts = (p.flag("events") || p.flag("profile")).then(|| {
+    let obs = ObsConfig {
+        events: p.flag("events"),
+        profile: p.flag("profile"),
+    };
+    let obs_artifacts = obs.enabled().then(|| {
         let dir = p
             .get("out")
             .map(PathBuf::from)
             .unwrap_or_else(Report::default_dir);
-        (dir, subject.clone(), bench.clone(), title.clone())
+        let cfg = SimConfig {
+            obs,
+            ..subject.clone()
+        };
+        (dir, cfg, bench.clone(), title.clone())
     });
 
     let mut e = Experiment::new(report_name.clone(), title).benchmarks(vec![bench]);
@@ -342,13 +329,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if let Some((dir, cfg, bench, title)) = obs_artifacts {
         std::fs::create_dir_all(&dir)
             .map_err(|e| CliError::Failed(format!("cannot create {}: {e}", dir.display())))?;
-        let events = p.flag("events");
-        let obs = ObsConfig {
-            events,
-            profile: p.flag("profile"),
-        };
-        let report = instrumented_run(cfg, &bench, obs)?;
-        if events {
+        let report = System::new(&cfg, &bench).run().obs.ok_or_else(|| {
+            CliError::Failed("instrumented run produced no observability report".to_string())
+        })?;
+        if cfg.obs.events {
             let path = dir.join(format!("{report_name}.trace.json"));
             write_artifact(&path, &perfetto::trace_json(&report, &title).to_string())?;
             let path = dir.join(format!("{report_name}.epochs.jsonl"));
@@ -365,46 +349,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             write_artifact(&path, &profile.to_json().to_pretty())?;
         }
     }
-    Ok(())
-}
-
-fn cmd_trace(args: &[String]) -> Result<(), CliError> {
-    let p = ParsedArgs::parse(
-        args,
-        &[
-            "trace",
-            "format",
-            "name",
-            "stack",
-            "cores",
-            "page",
-            "instructions",
-            "warmup",
-            "skip",
-            "window",
-            "interval",
-            "out",
-        ],
-    )?;
-    no_positionals(&p, "trace")?;
-    let out = PathBuf::from(p.require("out")?);
-    let (bench, machine) = trace_and_machine(&p)?;
-    let subject = machine.configure(p.get("stack"))?;
-    let title = format!("{} on {}", subject.label(), bench.name);
-    let report = instrumented_run(subject, &bench, ObsConfig::all())?;
-    write_artifact(&out, &perfetto::trace_json(&report, &title).to_string())?;
-    println!(
-        "{}: {} events recorded ({} dropped), {} epochs, host profile {}",
-        out.display(),
-        report.events.len(),
-        report.dropped_events,
-        report.epochs.len(),
-        if report.profile.0.is_some() {
-            "attached"
-        } else {
-            "absent"
-        },
-    );
     Ok(())
 }
 

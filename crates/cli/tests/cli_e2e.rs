@@ -150,50 +150,6 @@ fn inspect_summarises_every_format() {
 }
 
 #[test]
-fn trace_exports_perfetto_json_that_check_trace_accepts() {
-    let dir = scratch("trace");
-    let trace = dir.join("libq.champsim");
-    dispatch(&strs(&[
-        "gen",
-        "--bench",
-        "462",
-        "--uops",
-        "40000",
-        "--format",
-        "champsim",
-        "--out",
-        trace.to_str().unwrap(),
-    ]))
-    .expect("gen succeeds");
-    let out = dir.join("trace.json");
-    dispatch(&strs(&[
-        "trace",
-        "--trace",
-        trace.to_str().unwrap(),
-        "--stack",
-        "l2:bo",
-        "--instructions",
-        "15000",
-        "--warmup",
-        "3000",
-        "--out",
-        out.to_str().unwrap(),
-    ]))
-    .expect("trace succeeds");
-    let text = read(&out);
-    assert!(text.starts_with(r#"{"traceEvents":["#), "{text}");
-    dispatch(&strs(&["check-trace", out.to_str().unwrap()])).expect("export validates");
-    // The checker rejects structurally broken documents.
-    let broken = dir.join("broken.json");
-    std::fs::write(&broken, r#"{"traceEvents":[{"ph":"i"}]}"#).unwrap();
-    assert!(matches!(
-        dispatch(&strs(&["check-trace", broken.to_str().unwrap()])),
-        Err(CliError::Failed(_))
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn run_with_obs_flags_writes_trace_profile_and_epoch_artifacts() {
     let dir = scratch("obs_run");
     let trace = dir.join("mcf.champsim");
@@ -228,8 +184,17 @@ fn run_with_obs_flags_writes_trace_profile_and_epoch_artifacts() {
     ]))
     .expect("run succeeds");
     assert!(dir.join("cli_obs_e2e.json").exists(), "report missing");
-    let perfetto = read(&dir.join("cli_obs_e2e.trace.json"));
-    assert!(perfetto.contains(r#""traceEvents""#), "{perfetto}");
+    let perfetto_path = dir.join("cli_obs_e2e.trace.json");
+    let perfetto = read(&perfetto_path);
+    assert!(perfetto.starts_with(r#"{"traceEvents":["#), "{perfetto}");
+    dispatch(&strs(&["check-trace", perfetto_path.to_str().unwrap()])).expect("export validates");
+    // The checker rejects structurally broken documents.
+    let broken = dir.join("broken.json");
+    std::fs::write(&broken, r#"{"traceEvents":[{"ph":"i"}]}"#).unwrap();
+    assert!(matches!(
+        dispatch(&strs(&["check-trace", broken.to_str().unwrap()])),
+        Err(CliError::Failed(_))
+    ));
     let profile = read(&dir.join("cli_obs_e2e.profile.json"));
     assert!(profile.contains("total_nanos"), "{profile}");
     // 18k instructions of 429 outlast several 50k-cycle epochs. Every
@@ -286,6 +251,12 @@ fn inspect_json_emits_a_parseable_document() {
 #[test]
 fn bad_invocations_fail_with_usage_errors() {
     assert!(matches!(dispatch(&strs(&["run"])), Err(CliError::Usage(_))));
+    // `bosim run --events` writes the Perfetto export; there is no
+    // separate `trace` command.
+    match dispatch(&strs(&["trace", "--trace", "x", "--out", "y"])) {
+        Err(CliError::Usage(msg)) => assert!(msg.contains("unknown command"), "{msg}"),
+        other => panic!("unexpected {other:?}"),
+    }
     assert!(matches!(
         dispatch(&strs(&["run", "--trace", "x", "--bogus", "y"])),
         Err(CliError::Usage(_))

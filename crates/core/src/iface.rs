@@ -60,12 +60,11 @@ impl fmt::Display for PrefetchSite {
     }
 }
 
-/// A runtime reconfiguration request for a prefetcher.
+/// A runtime reconfiguration request for a core's L2 prefetcher.
 ///
 /// Directives are produced by adaptive tuning policies (the
-/// `bosim-adapt` crate) at epoch boundaries, addressed to a site via
-/// [`SiteDirective`], and applied through [`Prefetcher::reconfigure`]
-/// (or the L1/L3 equivalents). A prefetcher honours the directives it
+/// `bosim-adapt` crate) at epoch boundaries and applied through
+/// [`Prefetcher::reconfigure`]. A prefetcher honours the directives it
 /// understands and rejects the rest — the caller records which ones were
 /// applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,16 +82,6 @@ pub enum TuneDirective {
     SwitchPrefetcher(String),
 }
 
-impl TuneDirective {
-    /// Addresses this directive to `site`.
-    pub fn at(self, site: PrefetchSite) -> SiteDirective {
-        SiteDirective {
-            site,
-            directive: self,
-        }
-    }
-}
-
 impl fmt::Display for TuneDirective {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -102,32 +91,6 @@ impl fmt::Display for TuneDirective {
             }
             TuneDirective::SwitchPrefetcher(name) => write!(f, "switch={name}"),
         }
-    }
-}
-
-/// A [`TuneDirective`] addressed to one prefetch site.
-///
-/// Tuning policies emit these; the simulator routes each to the named
-/// site's prefetcher (the per-core L1/L2 engines or the shared L3 one).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteDirective {
-    /// The addressed site.
-    pub site: PrefetchSite,
-    /// The directive itself.
-    pub directive: TuneDirective,
-}
-
-impl fmt::Display for SiteDirective {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.site, self.directive)
-    }
-}
-
-/// A bare directive defaults to the L2 site — the paper's subject and
-/// the address of every pre-existing tuning policy.
-impl From<TuneDirective> for SiteDirective {
-    fn from(directive: TuneDirective) -> Self {
-        directive.at(PrefetchSite::L2)
     }
 }
 
@@ -262,23 +225,6 @@ mod tests {
             TuneDirective::SwitchPrefetcher("none".into()).to_string(),
             "switch=none"
         );
-    }
-
-    #[test]
-    fn site_directives_render_with_site_prefix() {
-        assert_eq!(
-            TuneDirective::SetDegree(2).at(PrefetchSite::L2).to_string(),
-            "l2:degree=2"
-        );
-        assert_eq!(
-            TuneDirective::SetEnabled(false)
-                .at(PrefetchSite::L3)
-                .to_string(),
-            "l3:prefetch=off"
-        );
-        // Bare directives default to the L2 site.
-        let d: SiteDirective = TuneDirective::SetDegree(1).into();
-        assert_eq!(d.site, PrefetchSite::L2);
     }
 
     #[test]

@@ -51,8 +51,7 @@ mod rr_table;
 
 pub use bo::{BestOffsetPrefetcher, BoConfig, BoConfigError, BoStats};
 pub use iface::{
-    AccessOutcome, CacheAccess, NullPrefetcher, PrefetchSite, Prefetcher, SiteDirective,
-    TuneDirective,
+    AccessOutcome, CacheAccess, NullPrefetcher, PrefetchSite, Prefetcher, TuneDirective,
 };
 pub use offsets::OffsetList;
 pub use rr_table::{RrTable, RR_TAG_BITS};

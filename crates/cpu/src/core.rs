@@ -27,7 +27,6 @@
 
 use crate::tage::{Ittage, Tage};
 use crate::tlb::{PageTranslator, TlbHierarchy};
-use best_offset::TuneDirective;
 use bosim_baselines::StridePrefetcher;
 use bosim_cache::policy::{InsertCtx, PolicyKind};
 use bosim_cache::{CacheArray, MshrFile};
@@ -321,16 +320,6 @@ impl Core {
     /// The virtual→physical translator (used by tests).
     pub fn translator(&self) -> &PageTranslator {
         &self.translator
-    }
-
-    /// Applies a runtime reconfiguration directive to the L1D-site
-    /// prefetcher. Returns whether the directive was applied (`false`
-    /// when the site is empty or the occupant rejects it).
-    pub fn reconfigure_l1_prefetcher(&mut self, directive: &TuneDirective) -> bool {
-        match self.l1_prefetcher.as_mut() {
-            Some(p) => p.reconfigure(directive),
-            None => false,
-        }
     }
 
     /// µops in the ROB.

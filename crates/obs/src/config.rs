@@ -23,7 +23,7 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Everything on — what `bosim trace` uses.
+    /// Everything on — what `bosim run --events --profile` asks for.
     pub fn all() -> Self {
         ObsConfig {
             events: true,

@@ -12,10 +12,10 @@ use std::fmt;
 /// The hierarchy site an event belongs to.
 ///
 /// This mirrors the simulator's prefetch sites plus a `Sys` track for
-/// whole-system events (epoch boundaries, tuning directives).
+/// whole-system events (epoch boundaries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ObsSite {
-    /// Whole-system events (epochs, directives).
+    /// Whole-system events (epochs).
     Sys,
     /// The first-level data cache site.
     L1d,
@@ -129,18 +129,19 @@ pub enum EventKind {
         /// Zero-based epoch index that just ended.
         epoch: u64,
     },
-    /// An adaptive tuning directive was routed to a site.
+    /// An adaptive tuning directive was applied to a core's L2
+    /// prefetcher, or rejected by it (recorded at the L2 site).
     Directive {
-        /// Rendered directive (e.g. `"l2:degree=2"`).
+        /// The directive, prefixed with its site (e.g. `"l2:degree=2"`).
         directive: String,
-        /// Whether the target site accepted it.
+        /// Whether the prefetcher (or the simulator, for switches)
+        /// accepted it.
         applied: bool,
     },
 }
 
 impl EventKind {
-    /// Stable event name, used as the Perfetto event name and the
-    /// `kind` field of the JSON rendering.
+    /// Stable event name, used as the Perfetto event name.
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::PrefetchIssued { .. } => "prefetch_issued",
@@ -215,26 +216,6 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Event {
-    /// Flat JSON rendering: the stamp fields plus the kind name and
-    /// its arguments.
-    pub fn to_json(&self) -> Json {
-        let Event {
-            cycle,
-            core,
-            site,
-            kind,
-        } = self;
-        Json::obj([
-            ("cycle", Json::UInt(*cycle)),
-            ("core", Json::UInt(u64::from(*core))),
-            ("site", Json::from(site.label())),
-            ("kind", Json::from(kind.name())),
-            ("args", kind.args()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,20 +226,6 @@ mod tests {
         assert_eq!(ObsSite::L3.to_string(), "l3");
         assert!(ObsSite::Sys < ObsSite::L1d && ObsSite::L2 < ObsSite::L3);
         assert_eq!(ObsSite::L1d.track_index(), 1);
-    }
-
-    #[test]
-    fn event_json_carries_stamp_and_args() {
-        let e = Event {
-            cycle: 1234,
-            core: 1,
-            site: ObsSite::L2,
-            kind: EventKind::PrefetchIssued { line: 77 },
-        };
-        assert_eq!(
-            e.to_json().to_string(),
-            r#"{"cycle":1234,"core":1,"site":"l2","kind":"prefetch_issued","args":{"line":77}}"#
-        );
     }
 
     #[test]
@@ -274,5 +241,9 @@ mod tests {
             k.args().to_string(),
             r#"{"best_offset":2,"best_score":31,"prefetch_on":true,"scores":[[1,4],[2,31]]}"#
         );
+        // A line event's only argument is its line.
+        let k = EventKind::PrefetchIssued { line: 77 };
+        assert_eq!(k.name(), "prefetch_issued");
+        assert_eq!(k.args().to_string(), r#"{"line":77}"#);
     }
 }

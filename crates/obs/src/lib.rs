@@ -74,17 +74,9 @@ mod tests {
             }],
         }
         .to_json();
-        let event = Event {
-            cycle: 0,
-            core: 0,
-            site: ObsSite::Sys,
-            kind: EventKind::EpochEnd { epoch: 0 },
-        };
         let records = [
             PrefetchTelemetry::default().to_json(),
             EpochFeedback::default().to_json(),
-            event.to_json(),
-            ObsReport::default().to_json(),
             profile.get("phases").and_then(Json::as_arr).unwrap()[0].clone(),
             profile,
         ];

@@ -4,7 +4,6 @@ use crate::epoch::to_jsonl;
 use crate::event::Event;
 use crate::feedback::EpochFeedback;
 use crate::profile::ProfileSlot;
-use bosim_stats::Json;
 
 /// Everything observability collected over one run, attached to the
 /// simulator's `SimResult`.
@@ -31,31 +30,6 @@ impl ObsReport {
     pub fn epochs_jsonl(&self) -> String {
         to_jsonl(&self.epochs)
     }
-
-    /// Full JSON rendering (events, epoch records, profile).
-    pub fn to_json(&self) -> Json {
-        let ObsReport {
-            events,
-            dropped_events,
-            epochs,
-            profile,
-        } = self;
-        Json::obj([
-            ("events", Json::arr(events.iter().map(Event::to_json))),
-            ("dropped_events", Json::UInt(*dropped_events)),
-            (
-                "epochs",
-                Json::arr(epochs.iter().map(EpochFeedback::to_json)),
-            ),
-            (
-                "profile",
-                match &profile.0 {
-                    Some(p) => p.to_json(),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -65,12 +39,7 @@ mod tests {
 
     #[test]
     fn empty_report_renders() {
-        let r = ObsReport::default();
-        assert_eq!(
-            r.to_json().to_string(),
-            r#"{"events":[],"dropped_events":0,"epochs":[],"profile":null}"#
-        );
-        assert_eq!(r.epochs_jsonl(), "");
+        assert_eq!(ObsReport::default().epochs_jsonl(), "");
     }
 
     #[test]

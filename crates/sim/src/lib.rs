@@ -53,7 +53,7 @@ pub use spec::{prefetchers, PrefetcherSpec, ResolveError};
 pub use system::{SimResult, System};
 pub use uncore::UncoreStats;
 
-pub use best_offset::{PrefetchSite, SiteDirective, TuneDirective};
+pub use best_offset::{PrefetchSite, TuneDirective};
 
 /// The adaptive-control crate, re-exported for policy construction
 /// (`bosim::adapt::policies::tournament([..])`).

@@ -3,7 +3,7 @@
 use crate::config::SimConfig;
 use crate::spec::PrefetcherSpec;
 use crate::uncore::{Uncore, UncoreStats};
-use bosim_adapt::{AdaptTelemetry, DirectiveRecord, EpochRecord, PrefetchSite, TunePolicy};
+use bosim_adapt::{AdaptTelemetry, DirectiveRecord, EpochRecord, TunePolicy};
 use bosim_baselines::StridePrefetcher;
 use bosim_cpu::{Core, CoreStats, UncoreRequest};
 use bosim_dram::{DramStats, CHANNELS, LINE_TRANSFER_CYCLES};
@@ -376,9 +376,9 @@ impl System {
 
     /// Processes every epoch boundary at or before the current cycle:
     /// snapshot counters into each core's [`EpochFeedback`], hand it to
-    /// the core's policy and apply the directives (adaptive runs), then
-    /// append core 0's record to the observability series (event
-    /// tracing).
+    /// the core's policy and apply the directives to the core's L2
+    /// prefetcher (adaptive runs), then append core 0's record to the
+    /// observability series (event tracing).
     /// Per boundary, directive events are recorded before `epoch_end`.
     ///
     /// Called at the top of the run loop, *before* the tick of the cycle
@@ -455,42 +455,26 @@ impl System {
                 policy.on_epoch(&feedback, &mut directives);
                 let mut records = Vec::with_capacity(directives.len());
                 for d in &directives {
-                    // Route each directive to its addressed site: the
-                    // per-core L1/L2 engines, or the shared L3 one. The
-                    // L3 is a single shared engine, so only core 0's
-                    // policy may steer it — honouring every core's L3
-                    // directives would rebuild it once per core and
-                    // leave conflicting policies last-core-wins.
-                    let applied = match d.site {
-                        PrefetchSite::L1D => self.cores[c].reconfigure_l1_prefetcher(&d.directive),
-                        PrefetchSite::L3 if c != 0 => false,
-                        PrefetchSite::L2 | PrefetchSite::L3 => self.uncore.reconfigure(core, d),
-                    };
+                    let applied = self.uncore.reconfigure(core, d);
                     if applied {
                         telemetry.applied += 1;
                     } else {
                         telemetry.rejected += 1;
                     }
+                    // Rendered with the site it was applied at.
+                    let directive = format!("{}:{d}", ObsSite::L2);
                     if self.uncore.events_enabled() {
-                        let site = match d.site {
-                            PrefetchSite::L1D => ObsSite::L1d,
-                            PrefetchSite::L2 => ObsSite::L2,
-                            PrefetchSite::L3 => ObsSite::L3,
-                        };
                         self.uncore.record_event(Event {
                             cycle: boundary,
                             core: c as u32,
-                            site,
+                            site: ObsSite::L2,
                             kind: EventKind::Directive {
-                                directive: d.to_string(),
+                                directive: directive.clone(),
                                 applied,
                             },
                         });
                     }
-                    records.push(DirectiveRecord {
-                        directive: d.to_string(),
-                        applied,
-                    });
+                    records.push(DirectiveRecord { directive, applied });
                 }
                 if let Some(prefetcher) = prefetcher {
                     telemetry.epochs.push(EpochRecord {

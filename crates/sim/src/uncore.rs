@@ -21,17 +21,15 @@
 //! the machine is cycle-identical to the pre-site uncore.
 //!
 //! Each private L2 and the L3 hold one [`Site`] record — engine, queue,
-//! candidate buffer and counters — so one code path runs, reconfigures
-//! and counts the prefetchers of both levels.
+//! candidate buffer and counters — so one code path runs and counts the
+//! prefetchers of both levels. Tuning directives reconfigure the L2s'.
 
 use crate::config::{
     SimConfig, L2_FILL_QUEUE, L2_LATENCY, L2_SIZE, L2_WAYS, L3_FILL_QUEUE, L3_LATENCY, L3_SIZE,
     L3_WAYS, PREFETCH_QUEUE,
 };
 use crate::spec::PrefetcherSpec;
-use best_offset::{
-    AccessOutcome, CacheAccess, PrefetchSite, Prefetcher, SiteDirective, TuneDirective,
-};
+use best_offset::{AccessOutcome, CacheAccess, PrefetchSite, Prefetcher, TuneDirective};
 use bosim_cache::policy::InsertCtx;
 use bosim_cache::policy::PolicyKind;
 use bosim_cache::{CacheArray, Evicted, FillQueue, PrefetchQueue};
@@ -219,21 +217,13 @@ impl Site {
     }
 
     /// Applies a runtime reconfiguration directive to the engine of this
-    /// site, which sits at `at`. [`TuneDirective::SwitchPrefetcher`]
-    /// swaps in a cold build of the named prefetcher when the name parses
-    /// and attaches to `at` (`events` arms its sink); every other
+    /// site, an L2's. [`TuneDirective::SwitchPrefetcher`] swaps in a
+    /// cold build of the named prefetcher when the name parses and
+    /// attaches to the L2 (`events` arms its sink); every other
     /// directive goes to the running engine's
-    /// [`Prefetcher::reconfigure`]. An empty site rejects every
-    /// directive, switches included: a site declared prefetch-free stays
-    /// that way for the whole run. Returns whether the directive was
+    /// [`Prefetcher::reconfigure`]. Returns whether the directive was
     /// applied.
-    fn reconfigure(
-        &mut self,
-        directive: &TuneDirective,
-        at: PrefetchSite,
-        page: PageSize,
-        events: bool,
-    ) -> bool {
+    fn reconfigure(&mut self, directive: &TuneDirective, page: PageSize, events: bool) -> bool {
         let Some(engine) = self.engine.as_mut() else {
             return false;
         };
@@ -241,7 +231,7 @@ impl Site {
             return engine.reconfigure(directive);
         };
         match PrefetcherSpec::parse(name) {
-            Ok(spec) if spec.sites().contains(&at) => {
+            Ok(spec) if spec.sites().contains(&PrefetchSite::L2) => {
                 *engine = spec.build(page);
                 if events {
                     engine.set_event_sink(true);
@@ -464,19 +454,14 @@ impl Uncore {
         self.l3_site.telemetry
     }
 
-    /// Applies a runtime reconfiguration directive to the engine at the
-    /// site it names: `core`'s L2 or the shared L3 (see
-    /// [`Site::reconfigure`]). The L1D site belongs to the core, so a
-    /// directive for it is rejected here. Returns whether the directive
-    /// was applied.
-    pub fn reconfigure(&mut self, core: CoreId, d: &SiteDirective) -> bool {
+    /// Applies a runtime reconfiguration directive to `core`'s L2
+    /// prefetcher (see [`Site::reconfigure`]). Returns whether the
+    /// directive was applied.
+    pub fn reconfigure(&mut self, core: CoreId, d: &TuneDirective) -> bool {
         let events = self.recorder.is_some();
-        let site = match d.site {
-            PrefetchSite::L1D => return false,
-            PrefetchSite::L2 => &mut self.l2s[core.index()].site,
-            PrefetchSite::L3 => &mut self.l3_site,
-        };
-        site.reconfigure(&d.directive, d.site, self.page, events)
+        self.l2s[core.index()]
+            .site
+            .reconfigure(d, self.page, events)
     }
 
     /// Lines currently resident in the shared L3 with the prefetch bit
@@ -1774,80 +1759,22 @@ mod tests {
         assert!(t.useful + t.unused_evicted <= t.prefetch_fills, "{t:?}");
     }
 
-    /// Applies `d` at site `at` on core 0's behalf.
-    fn tune(u: &mut Uncore, at: PrefetchSite, d: TuneDirective) -> bool {
-        u.reconfigure(CoreId(0), &d.at(at))
-    }
-
     #[test]
     fn reconfigure_applies_directives_and_switches_prefetchers() {
-        use PrefetchSite::L2;
         let mut u = uncore(crate::prefetchers::bo_default());
-        assert!(tune(&mut u, L2, TuneDirective::SetDegree(2)));
-        assert!(!tune(&mut u, L2, TuneDirective::SetDegree(9)));
-        assert!(tune(&mut u, L2, TuneDirective::SetEnabled(false)));
+        let mut tune = |d: TuneDirective| u.reconfigure(CoreId(0), &d);
+        assert!(tune(TuneDirective::SetDegree(2)));
+        assert!(!tune(TuneDirective::SetDegree(9)));
+        assert!(tune(TuneDirective::SetEnabled(false)));
         // Switch to a registered prefetcher: fresh state, new name.
-        assert!(tune(
-            &mut u,
-            L2,
-            TuneDirective::SwitchPrefetcher("none".into())
-        ));
-        assert_eq!(u.l2_prefetcher_name(CoreId(0)), "none");
+        assert!(tune(TuneDirective::SwitchPrefetcher("none".into())));
         // Unknown names are rejected, prefetcher unchanged.
-        let unknown = TuneDirective::SwitchPrefetcher("definitely-not-registered".into());
-        assert!(!tune(&mut u, L2, unknown));
+        assert!(!tune(TuneDirective::SwitchPrefetcher(
+            "definitely-not-registered".into()
+        )));
+        // L1D-only specs cannot be switched into an L2 site.
+        assert!(!tune(TuneDirective::SwitchPrefetcher("stride".into())));
         assert_eq!(u.l2_prefetcher_name(CoreId(0)), "none");
-        // The L1D engine is the core's: the uncore rejects its directives.
-        assert!(!tune(
-            &mut u,
-            PrefetchSite::L1D,
-            TuneDirective::SetEnabled(false)
-        ));
-    }
-
-    #[test]
-    fn empty_l3_site_rejects_every_directive() {
-        // A configuration declared L3-prefetch-free must stay that way:
-        // even a SwitchPrefetcher directive cannot conjure an engine
-        // into the empty site mid-run.
-        let mut u = uncore(crate::prefetchers::bo_default());
-        assert!(u.l3_site.engine.is_none());
-        for d in [
-            TuneDirective::SwitchPrefetcher("next-line".into()),
-            TuneDirective::SetEnabled(false),
-            TuneDirective::SetDegree(1),
-        ] {
-            let shown = d.to_string();
-            assert!(!tune(&mut u, PrefetchSite::L3, d), "{shown}");
-        }
-        assert!(u.l3_site.engine.is_none(), "site must stay empty");
-    }
-
-    #[test]
-    fn occupied_l3_site_switches_and_gates() {
-        use PrefetchSite::L3;
-        let cfg = SimConfig {
-            active_cores: 1,
-            page: PageSize::M4,
-            l2_prefetcher: crate::prefetchers::none(),
-            l3_prefetcher: Some(crate::prefetchers::next_line()),
-            ..Default::default()
-        };
-        let mut u = Uncore::new(&cfg);
-        assert!(tune(&mut u, L3, TuneDirective::SetEnabled(false)));
-        assert!(tune(
-            &mut u,
-            L3,
-            TuneDirective::SwitchPrefetcher("offset-4".into())
-        ));
-        let engine = u.l3_site.engine.as_ref().expect("occupied");
-        assert_eq!(engine.name(), "fixed-offset");
-        // L1D-only specs cannot be switched into the L3 site.
-        assert!(!tune(
-            &mut u,
-            L3,
-            TuneDirective::SwitchPrefetcher("stride".into())
-        ));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Pinned simulated results: five configurations whose whole
 //! `SimResult` is hashed and compared against a committed digest.
 //!
-//! `golden_stats.rs` proves the event-wheel loop equals the every-cycle
-//! loop, but a change that moves both loops alike passes it. These
+//! `golden_stats.rs` proves the skipping run loop equals the every-cycle
+//! oracle, but a change that moves both alike passes it. These
 //! digests pin the results themselves, so any change to simulated
 //! behaviour — a reordered wake-up, a different victim, a shifted bound
 //! — fails here under `cargo test`. The hash is the benchmark's FNV-1a

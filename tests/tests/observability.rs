@@ -151,6 +151,76 @@ fn obs_epochs_are_the_adapt_records_feedback() {
     assert_eq!(series, feedback);
 }
 
+/// Every directive is logged twice, as a `directive` event and in the
+/// adaptive telemetry, and the two logs agree: one event per applied or
+/// rejected directive, all at the L2, and core 0's events are its epoch
+/// records' directives, in order.
+#[test]
+fn directive_events_are_the_adapt_records_directives() {
+    // `golden_digest.rs`'s two-core adaptive + tracing configuration:
+    // its next-line L2 rejects the governor's degree directives, and the
+    // same machine with BO at the L2 applies them. It measures 8k
+    // instructions, not 15k: at 15k the next-line run overflows the
+    // event log, and a log missing events cannot be counted against
+    // the telemetry.
+    let next_line = SimConfig {
+        active_cores: 2,
+        warmup_instructions: 5_000,
+        measure_instructions: 8_000,
+        seed: 0xB05EED,
+        epoch_cycles: 5_000,
+        adapt: Some(PolicySpec::DegreeGovernor),
+        obs: ObsConfig {
+            events: true,
+            ..ObsConfig::default()
+        },
+        ..Default::default()
+    };
+    let bo = SimConfig {
+        l2_prefetcher: prefetchers::bo_default(),
+        ..next_line.clone()
+    };
+    let (mut applied, mut rejected) = (0, 0);
+    for cfg in [next_line, bo] {
+        let result = run(&cfg, "429");
+        let obs = result.obs.expect("report");
+        let adapt = result.adapt.expect("adapt telemetry");
+        assert_eq!(obs.dropped_events, 0, "the log overflowed");
+        let events: Vec<_> = obs
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Directive { directive, applied } => {
+                    Some((e.core, e.site, directive.clone(), *applied))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(events.iter().all(|&(_, site, ..)| site == ObsSite::L2));
+        assert_eq!(events.len() as u64, adapt.applied + adapt.rejected);
+        let applied_events = events.iter().filter(|&&(.., a)| a).count();
+        assert_eq!(applied_events as u64, adapt.applied);
+        let core0: Vec<_> = events
+            .into_iter()
+            .filter(|&(core, ..)| core == 0)
+            .map(|(_, _, directive, applied)| (directive, applied))
+            .collect();
+        let records: Vec<_> = adapt
+            .epochs
+            .iter()
+            .flat_map(|r| &r.directives)
+            .map(|d| (d.directive.clone(), d.applied))
+            .collect();
+        assert_eq!(core0, records);
+        applied += adapt.applied;
+        rejected += adapt.rejected;
+    }
+    assert!(
+        applied > 0 && rejected > 0,
+        "{applied} applied, {rejected} rejected"
+    );
+}
+
 #[test]
 fn perfetto_export_is_structurally_valid_trace_event_json() {
     let obs = run(&instrumented(), "462").obs.expect("report");
