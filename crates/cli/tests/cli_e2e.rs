@@ -149,6 +149,55 @@ fn inspect_summarises_every_format() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `bosim run --events` is the one Perfetto exporter; `check-trace`
+/// accepts what it writes.
+#[test]
+fn trace_exports_perfetto_json_that_check_trace_accepts() {
+    let dir = scratch("trace");
+    let trace = dir.join("libq.champsim");
+    dispatch(&strs(&[
+        "gen",
+        "--bench",
+        "462",
+        "--uops",
+        "40000",
+        "--format",
+        "champsim",
+        "--out",
+        trace.to_str().unwrap(),
+    ]))
+    .expect("gen succeeds");
+    dispatch(&strs(&[
+        "run",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--stack",
+        "l2:bo",
+        "--instructions",
+        "15000",
+        "--warmup",
+        "3000",
+        "--report",
+        "trace",
+        "--out",
+        dir.to_str().unwrap(),
+        "--events",
+    ]))
+    .expect("run succeeds");
+    let out = dir.join("trace.trace.json");
+    let text = read(&out);
+    assert!(text.starts_with(r#"{"traceEvents":["#), "{text}");
+    dispatch(&strs(&["check-trace", out.to_str().unwrap()])).expect("export validates");
+    // The checker rejects structurally broken documents.
+    let broken = dir.join("broken.json");
+    std::fs::write(&broken, r#"{"traceEvents":[{"ph":"i"}]}"#).unwrap();
+    assert!(matches!(
+        dispatch(&strs(&["check-trace", broken.to_str().unwrap()])),
+        Err(CliError::Failed(_))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn run_with_obs_flags_writes_trace_profile_and_epoch_artifacts() {
     let dir = scratch("obs_run");
@@ -184,17 +233,8 @@ fn run_with_obs_flags_writes_trace_profile_and_epoch_artifacts() {
     ]))
     .expect("run succeeds");
     assert!(dir.join("cli_obs_e2e.json").exists(), "report missing");
-    let perfetto_path = dir.join("cli_obs_e2e.trace.json");
-    let perfetto = read(&perfetto_path);
-    assert!(perfetto.starts_with(r#"{"traceEvents":["#), "{perfetto}");
-    dispatch(&strs(&["check-trace", perfetto_path.to_str().unwrap()])).expect("export validates");
-    // The checker rejects structurally broken documents.
-    let broken = dir.join("broken.json");
-    std::fs::write(&broken, r#"{"traceEvents":[{"ph":"i"}]}"#).unwrap();
-    assert!(matches!(
-        dispatch(&strs(&["check-trace", broken.to_str().unwrap()])),
-        Err(CliError::Failed(_))
-    ));
+    let perfetto = read(&dir.join("cli_obs_e2e.trace.json"));
+    assert!(perfetto.contains(r#""traceEvents""#), "{perfetto}");
     let profile = read(&dir.join("cli_obs_e2e.profile.json"));
     assert!(profile.contains("total_nanos"), "{profile}");
     // 18k instructions of 429 outlast several 50k-cycle epochs. Every
