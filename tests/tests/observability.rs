@@ -160,9 +160,9 @@ fn directive_events_are_the_adapt_records_directives() {
     // `golden_digest.rs`'s two-core adaptive + tracing configuration:
     // its next-line L2 rejects the governor's degree directives, and the
     // same machine with BO at the L2 applies them. It measures 8k
-    // instructions, not 15k: at 15k the next-line run overflows the
-    // event log, and a log missing events cannot be counted against
-    // the telemetry.
+    // instructions, not the digest's 10k, so that both runs' logs fit
+    // with room to spare: a log missing events cannot be counted
+    // against the telemetry.
     let next_line = SimConfig {
         active_cores: 2,
         warmup_instructions: 5_000,
