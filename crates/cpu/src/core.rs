@@ -605,7 +605,10 @@ impl Core {
     /// (the DL1 and MSHR only gain the line, and the MSHR only frees a
     /// slot, through a fill), so until a fill clears the flag a tick
     /// skips the retry and [`next_work_cycle`](Self::next_work_cycle)
-    /// lets the scheduled loop sleep the core.
+    /// lets the scheduled loop sleep the core. The sleep holds with a
+    /// full buffer too: a completed ROB-head store waiting for a buffer
+    /// slot then adds no retirement term, since the slot frees only
+    /// when this blocked head drains.
     fn drain_store(&mut self, out: &mut Vec<UncoreRequest>) {
         if self.store_blocked {
             return;
@@ -847,6 +850,14 @@ impl Core {
     /// The bound is conservative: whenever the core *might* act next
     /// cycle (dispatch can proceed, a store is draining, a retire was
     /// width-limited) it returns `from` and no cycles are skipped.
+    ///
+    /// A store-streaming core reaches `Cycle::MAX` with a full ROB whose
+    /// completed head store waits on a full store buffer, and that
+    /// buffer's head parked on a full MSHR (`store_blocked`). Such a
+    /// ROB head adds no retirement term: only the buffer draining lets
+    /// it retire, the buffer drains only through its head, and only a
+    /// fill moves a blocked head — a fill the system delivers by making
+    /// the core due.
     pub fn next_work_cycle(&self, from: Cycle) -> Cycle {
         let mut t = Cycle::MAX;
         // Scheduled load issues / retries.
@@ -858,9 +869,14 @@ impl Core {
         }
         // Retirement: a completed head retires (or frees ROB space) at
         // its completion cycle; an incomplete head waits on an event or
-        // an external fill, both accounted for elsewhere.
+        // an external fill, both accounted for elsewhere. A head store
+        // facing a full store buffer waits on the buffer, whose own term
+        // follows.
         if let Some(head) = self.rob_head() {
+            let buffer_full =
+                head.kind == UopKind::Store && self.store_buffer.len() >= STORE_BUFFER;
             match head.done_at {
+                _ if buffer_full => {}
                 Some(d) if d > from => t = t.min(d),
                 Some(_) => return from,
                 None => {}
@@ -1210,6 +1226,47 @@ mod tests {
         }
         assert!(core.stats().stores > 1000);
         assert!(writebacks > 100, "writebacks: {writebacks}");
+    }
+
+    /// A store-streaming core against a slow memory (2,000 cycles a
+    /// read) reaches the state where only a fill can move it: a full ROB
+    /// whose completed head store waits on a full store buffer, and that
+    /// buffer's head parked on a full MSHR. `next_work_cycle` then
+    /// returns `Cycle::MAX`, and a tick changes nothing.
+    #[test]
+    fn store_blocked_core_sleeps_until_a_fill() {
+        let mut core = Core::new(
+            CoreId(0),
+            Box::new(suite::thrasher().build()),
+            PageSize::M4,
+            7,
+            stride_l1(),
+        );
+        let mut unc = FixedUncore::new(2_000);
+        let mut now = 0;
+        loop {
+            unc.step(&mut core, now);
+            now += 1;
+            if core.store_blocked && core.next_work_cycle(now) == Cycle::MAX {
+                break;
+            }
+            assert!(now < 20_000, "never slept: {}", core.debug_state());
+        }
+        let head = core.rob_head().expect("a full ROB");
+        assert!(
+            core.rob_len() == ROB_SIZE
+                && core.store_buffer.len() == STORE_BUFFER
+                && head.kind == UopKind::Store
+                && head.done_at.is_some_and(|d| d < now),
+            "{}",
+            core.debug_state()
+        );
+        let (state, stats) = (core.debug_state(), core.stats());
+        let mut out = Vec::new();
+        core.tick(now, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(core.debug_state(), state);
+        assert_eq!(core.stats(), stats);
     }
 
     #[test]

@@ -86,7 +86,7 @@ struct StalledReq {
 }
 
 /// A request travelling to / waiting at the L3.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct L3Req {
     line: LineAddr,
     core: CoreId,
@@ -97,6 +97,13 @@ struct L3Req {
     /// request, so those counters stay monotonic — a measurement-window
     /// snapshot can never land between a count and a correction.
     counted: bool,
+    /// In `l3_stalled`: the request last stalled on the miss path, and
+    /// nothing has since put its line in the L3 or reserved an L3 or
+    /// L2 fill-queue entry for it ([`Uncore::unstick`] clears the flag
+    /// when something does). While the L3 fill queue is full, a retry
+    /// of a stuck request misses again, finds the queue full and puts
+    /// the request back at the tail, changing nothing else.
+    stuck: bool,
 }
 
 /// Uncore statistics (measurement windows snapshot and subtract these).
@@ -283,7 +290,15 @@ pub(crate) struct Uncore {
     l3_fq: FillQueue<L3Meta>,
     /// (due cycle, request): requests in flight towards the L3.
     l3_in: VecDeque<(Cycle, L3Req)>,
+    /// Requests waiting for an L3 fill-queue entry or a DRAM read-queue
+    /// slot; every tick retries the oldest one.
     l3_stalled: VecDeque<L3Req>,
+    /// How many requests in `l3_stalled` are not `stuck`.
+    l3_unstuck: usize,
+    /// The cycle of the next `l3_stalled` retry in every-cycle order:
+    /// one past the last tick. A tick after skipped cycles first catches
+    /// up on the retries those cycles would have made.
+    l3_retry_due: Cycle,
     /// The shared L3's prefetch site (engine `None` = site empty, the
     /// paper's machine).
     l3_site: Site,
@@ -339,6 +354,8 @@ impl Uncore {
             l3_fq: FillQueue::new(L3_FILL_QUEUE),
             l3_in: VecDeque::new(),
             l3_stalled: VecDeque::new(),
+            l3_unstuck: 0,
+            l3_retry_due: 0,
             l3_site: Site::new(
                 cfg.l3_prefetcher.as_ref().map(|p| p.build(cfg.page)),
                 events,
@@ -598,6 +615,7 @@ impl Uncore {
             self.l2s[c].stalled.push_back(req);
             return;
         }
+        self.unstick(req.line);
         if req.class != ReqClass::L2Prefetch {
             self.l2s[c].sent_demand_this_cycle = true;
         } else {
@@ -616,6 +634,7 @@ impl Uncore {
                 class: req.class,
                 ifetch: req.ifetch,
                 counted: false,
+                stuck: false,
             },
         ));
     }
@@ -744,6 +763,7 @@ impl Uncore {
             },
         );
         debug_assert!(reserved, "checked for space above");
+        self.unstick(line);
         // A DRAM read is only ever pending under an L3 fill-queue entry,
         // and the entry outlives the read: the tag check above rules it
         // out.
@@ -791,6 +811,7 @@ impl Uncore {
         if self.l3.mark_dirty(line) {
             return;
         }
+        self.unstick(line);
         let evicted = self.l3.insert(
             line,
             false,
@@ -854,8 +875,9 @@ impl Uncore {
                     L2Meta::of(req.class, req.ifetch),
                 )
             {
-                // No free L2 entry: the retry stays stalled.
-                self.l3_stalled.push_back(req);
+                // No free L2 entry: the retry stays stalled, and not
+                // stuck — an L2 entry may free on any cycle.
+                self.stall_at_l3(req, false);
                 return;
             }
             self.stats.l3_hits += 1;
@@ -945,7 +967,7 @@ impl Uncore {
                     EventKind::PrefetchDropped { line: req.line.0 },
                 );
             } else {
-                self.l3_stalled.push_back(req);
+                self.stall_at_l3(req, true);
             }
             return;
         }
@@ -958,12 +980,45 @@ impl Uncore {
             },
         );
         debug_assert!(reserved, "checked for space above");
+        self.unstick(req.line);
         self.stats.l3_misses += 1;
         // No read for the line is pending: it would hold the L3
         // fill-queue entry the merge above looks for.
         debug_assert!(!self.mem.has_pending_read(req.line));
         let accepted = self.mem.enqueue_read(req.line, req.core, 0, now);
         debug_assert!(accepted, "checked for space above");
+    }
+
+    /// Puts `req` at the tail of the L3 stall queue, `stuck` or not.
+    fn stall_at_l3(&mut self, mut req: L3Req, stuck: bool) {
+        req.stuck = stuck;
+        self.l3_unstuck += usize::from(!stuck);
+        self.l3_stalled.push_back(req);
+    }
+
+    /// Clears `stuck` on every stalled request for `line`: the line is
+    /// entering the L3 by writeback, or an L3 or L2 fill-queue entry is
+    /// being reserved for it, so its next retry may do more than move
+    /// it to the tail. An L3 fill needs no call: the reservation of its
+    /// entry made one. O(1) when no request is stuck.
+    fn unstick(&mut self, line: LineAddr) {
+        if self.l3_unstuck == self.l3_stalled.len() {
+            return;
+        }
+        for r in self.l3_stalled.iter_mut() {
+            if r.stuck && r.line == line {
+                r.stuck = false;
+                self.l3_unstuck += 1;
+            }
+        }
+    }
+
+    /// Whether the L3 stall queue's retries are pure rotations: the L3
+    /// fill queue is full and every stalled request is stuck, so each
+    /// retry moves the head request to the tail and changes nothing
+    /// else until a tick frees an entry or an `unstick` hook fires.
+    fn l3_stall_queue_asleep(&self) -> bool {
+        self.l3_unstuck == 0 && self.l3_fq.is_full()
     }
 
     /// Drains at most one ready entry from the L3 fill queue into the L3
@@ -993,6 +1048,13 @@ impl Uncore {
         let Some(entry) = self.l3_fq.pop_ready() else {
             return;
         };
+        // The line enters the L3 and its forwards reserve L2 entries,
+        // yet no request for it is stuck: reserving this entry unstuck
+        // them, and an arrival for the line since has merged into it.
+        debug_assert!(!self
+            .l3_stalled
+            .iter()
+            .any(|r| r.stuck && r.line == entry.line));
         let demand = entry.class == ReqClass::Demand;
         // Mandatory tag check: no duplicates (§5.4).
         if !self.l3.contains(entry.line) {
@@ -1205,9 +1267,34 @@ impl Uncore {
         }
         self.completions = comps;
 
-        // 2. Requests arriving at the L3 (plus one stalled retry).
+        // 2. Requests arriving at the L3 (plus one stalled retry). The
+        // cycles skipped since the last tick each made a retry in
+        // every-cycle order; the queue slept through them, so each moved
+        // the head to the tail, and a rotation replays them.
+        let skipped = now - self.l3_retry_due;
+        self.l3_retry_due = now + 1;
+        if skipped > 0 && !self.l3_stalled.is_empty() {
+            // Only a tick frees an L3 fill-queue entry.
+            debug_assert!(self.l3_fq.is_full());
+            let n = self.l3_stalled.len();
+            self.l3_stalled.rotate_left((skipped % n as u64) as usize);
+        }
         if let Some(req) = self.l3_stalled.pop_front() {
+            self.l3_unstuck -= usize::from(!req.stuck);
+            let rotation = req.stuck && self.l3_fq.is_full();
+            debug_assert!(
+                !rotation
+                    || self.l2s[req.core.index()]
+                        .fq
+                        .find(req.line)
+                        .is_none_or(|e| e.is_ready()),
+                "a stuck retry would release an L2 entry reserved since it stalled"
+            );
             self.l3_arrive(req, now);
+            debug_assert!(
+                !rotation || self.l3_stalled.back() == Some(&L3Req { stuck: true, ..req }),
+                "a stuck retry under a full L3 fill queue did more than move to the tail"
+            );
         }
         while let Some(&(t, req)) = self.l3_in.front() {
             if t > now {
@@ -1285,9 +1372,20 @@ impl Uncore {
     /// matters to a later prefetch issue, which requires a non-empty
     /// prefetch queue — and any non-empty prefetch queue already pins
     /// the wake-up to the very next cycle.
+    ///
+    /// The L3 stall queue asks for the next cycle unless it sleeps: the
+    /// L3 fill queue is full and every stalled request is `stuck`. Each
+    /// retry then only moves the head request to the tail, the queue
+    /// adds no term, and the next tick replays the skipped retries as
+    /// one rotation. Only a tick frees an L3 fill-queue entry, and a
+    /// core request that unsticks a request pulls the wake-up forward
+    /// as any dispatch does. The queue still never lets the bound reach
+    /// [`Cycle::MAX`] (a deadlock then keeps ticking into
+    /// [`System::drain_uncore`](crate::System::drain_uncore)'s cap).
     pub fn next_ready_after(&self, now: Cycle) -> Cycle {
         let from = now + 1;
-        if !self.l3_stalled.is_empty()
+        let stalled = !self.l3_stalled.is_empty();
+        if (stalled && !self.l3_stall_queue_asleep())
             || self.l3_fq.has_ready()
             || !self.wb_buf.is_empty()
             || !self.l3_site.pq.is_empty()
@@ -1308,7 +1406,10 @@ impl Uncore {
             }
             t = t.min(d);
         }
-        t.min(self.mem.next_event(from).unwrap_or(Cycle::MAX))
+        match t.min(self.mem.next_event(from).unwrap_or(Cycle::MAX)) {
+            Cycle::MAX if stalled => from,
+            t => t,
+        }
     }
 }
 
@@ -1621,6 +1722,90 @@ mod tests {
         assert_eq!(got[0], (CoreId(0), b));
         let s = u.stats();
         assert_eq!((s.l3_accesses, s.l3_hits, s.l3_misses), (2, 1, 1), "{s:?}");
+    }
+
+    /// The L3 stall queue sleeps while the L3 fill queue is full and
+    /// every stalled request is stuck, and the next tick replays the
+    /// skipped retries as one rotation. Two cores' demand misses back
+    /// up behind a two-entry L3 fill queue; one uncore ticks only at its
+    /// `next_ready_after` wake-up and its twin every cycle, and both get
+    /// the same requests on the same cycles. Midway, one stalled line is
+    /// re-requested as an ifetch (an L2 fill-queue reservation for it)
+    /// and another lands in the L3 by writeback, so both `unstick`
+    /// hooks fire. At every tick of the first uncore, the two have
+    /// delivered the same fills on the same cycles and hold the stall
+    /// queue in the same order.
+    #[test]
+    fn golden_stats_sleeping_l3_stall_queue_matches_every_cycle() {
+        let cfg = SimConfig {
+            active_cores: 2,
+            page: PageSize::M4,
+            l2_prefetcher: crate::prefetchers::none(),
+            ..Default::default()
+        };
+        let [mut skipping, mut every] = [Uncore::new(&cfg), Uncore::new(&cfg)];
+        skipping.shrink_fill_queues(16, 2);
+        every.shrink_fill_queues(16, 2);
+        let (mut skip_fills, mut every_fills) = (Vec::new(), Vec::new());
+        let mut fills = Vec::new();
+        let mut wake = 0;
+        let (mut ticks, mut slept_stalled) = (0, 0);
+        let mut last_tick = 0;
+        for now in 0..20_000 {
+            every.tick(now, &mut fills, &mut prof());
+            every_fills.extend(fills.drain(..).map(|(c, l)| (now, c, l)));
+            if wake <= now {
+                if now > last_tick + 1 && !skipping.l3_stalled.is_empty() {
+                    slept_stalled += 1;
+                }
+                skipping.tick(now, &mut fills, &mut prof());
+                skip_fills.extend(fills.drain(..).map(|(c, l)| (now, c, l)));
+                wake = skipping.next_ready_after(now);
+                (ticks, last_tick) = (ticks + 1, now);
+                assert_eq!(skip_fills, every_fills, "fills differ at cycle {now}");
+                assert_eq!(
+                    skipping.l3_stalled, every.l3_stalled,
+                    "stall queues differ at cycle {now}"
+                );
+            }
+            // Requests reach both uncores after the cycle's tick, and
+            // pull the sleeping one's wake-up forward, as core dispatch
+            // does.
+            if now < 12 {
+                for u in [&mut skipping, &mut every] {
+                    for c in 0..2u8 {
+                        let line = LineAddr(0x10_0000 * (u64::from(c) + 1) + now * 64);
+                        u.core_read(CoreId(c), line, ReqClass::Demand, false, now);
+                    }
+                }
+                wake = wake.min(now + 1);
+            }
+            if now == 300 {
+                let [a, b] = [every.l3_stalled[0], every.l3_stalled[1]];
+                let other = CoreId(1 - b.core.0);
+                for u in [&mut skipping, &mut every] {
+                    u.core_read(a.core, a.line, ReqClass::Demand, true, now);
+                    // Nine more dirty lines in its L2 set evict b's line
+                    // into the L3.
+                    u.core_writeback(other, b.line, now);
+                    for k in 1..=9u64 {
+                        u.core_writeback(other, LineAddr(b.line.0 + k * 1024), now);
+                    }
+                }
+                wake = wake.min(now + 1);
+            }
+            if every.next_ready_after(now) == Cycle::MAX && wake == Cycle::MAX {
+                break;
+            }
+        }
+        assert_eq!(skip_fills, every_fills);
+        assert_eq!(skipping.stats(), every.stats());
+        // The ifetch merges into its line's demand fill.
+        assert_eq!(every_fills.len(), 24, "{every_fills:?}");
+        assert!(
+            slept_stalled > 0 && ticks < every_fills.last().map_or(0, |f| f.0) / 2,
+            "the stall queue never slept: {ticks} ticks, {slept_stalled} after a sleep"
+        );
     }
 
     /// Fills delivered to the core for `line`.

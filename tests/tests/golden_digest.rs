@@ -16,11 +16,11 @@
 //! The fifth configuration replays a ChampSim trace file, and the same
 //! test pins the bytes both trace encoders write for its capture, so
 //! the ChampSim decoder and both encoders are pinned along with the
-//! machine.
+//! machine. The configurations live in `bosim_tests::golden`, which
+//! `golden_work.rs` shares.
 
-use bosim::adapt::PolicySpec;
 use bosim::{prefetchers, SimConfig, System};
-use bosim_obs::ObsConfig;
+use bosim_tests::golden;
 use bosim_trace::{capture, champsim, file, suite, BenchmarkSpec, ExternalSpec, TraceFormat};
 use bosim_types::fnv64;
 
@@ -58,59 +58,32 @@ fn assert_spec_digest(cfg: SimConfig, bench: &BenchmarkSpec, expected: u64) {
     }
 }
 
-fn single_core() -> SimConfig {
-    SimConfig {
-        warmup_instructions: 10_000,
-        measure_instructions: 40_000,
-        seed: 0xB05EED,
-        ..Default::default()
-    }
-}
-
 #[test]
 fn default_stack_444() {
-    assert_digest(single_core(), "444", 0x3a8b_060e_f1b6_513a);
+    assert_digest(golden::default_stack_444(), "444", 0x3a8b_060e_f1b6_513a);
 }
 
 #[test]
 fn best_offset_429() {
-    let cfg = SimConfig {
-        l2_prefetcher: prefetchers::bo_default(),
-        ..single_core()
-    };
-    assert_digest(cfg, "429", 0xe9bf_7ecc_4360_09fa);
+    assert_digest(golden::best_offset_429(), "429", 0xe9bf_7ecc_4360_09fa);
 }
 
 #[test]
 fn four_cores_best_offset_462() {
-    let cfg = SimConfig {
-        active_cores: 4,
-        warmup_instructions: 5_000,
-        measure_instructions: 15_000,
-        l2_prefetcher: prefetchers::bo_default(),
-        ..single_core()
-    };
-    assert_digest(cfg, "462", 0x8f2f_d7d6_479f_96f5);
+    assert_digest(
+        golden::four_cores_best_offset_462(),
+        "462",
+        0x8f2f_d7d6_479f_96f5,
+    );
 }
 
-/// Two cores under the degree governor with event tracing. The window
-/// is short enough that the event log keeps every event (62,706 of at
-/// most 65,536), so the whole stream is pinned.
 #[test]
 fn two_cores_adapt_and_tracing_429() {
-    let cfg = SimConfig {
-        active_cores: 2,
-        warmup_instructions: 5_000,
-        measure_instructions: 10_000,
-        epoch_cycles: 5_000,
-        adapt: Some(PolicySpec::DegreeGovernor),
-        obs: ObsConfig {
-            events: true,
-            ..Default::default()
-        },
-        ..single_core()
-    };
-    assert_digest(cfg, "429", 0x1e3c_d4c1_3e38_1c11);
+    assert_digest(
+        golden::two_cores_adapt_and_tracing_429(),
+        "429",
+        0x1e3c_d4c1_3e38_1c11,
+    );
 }
 
 /// A 462 prefix written as a ChampSim trace and replayed from the file
@@ -143,7 +116,7 @@ fn champsim_replay_best_offset_462() {
     );
     let cfg = SimConfig {
         l2_prefetcher: prefetchers::bo_default(),
-        ..single_core()
+        ..golden::single_core()
     };
     assert_spec_digest(cfg, &bench, 0x0f4b_c9f4_7a96_33a2);
     let _ = std::fs::remove_file(&path);

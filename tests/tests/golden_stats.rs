@@ -7,7 +7,9 @@
 //! Skipping is a pure wall-clock win, so any counter drift here is a
 //! simulation bug, not a performance trade-off. Both arms share one
 //! step function, so each comparison also checks that the oracle steps
-//! every cycle and that the skipping arm skips where it can.
+//! every cycle and that the skipping arm skips where it must: on every
+//! multi-core run and on single-core 429, it steps fewer than three
+//! fifths of the cycles.
 
 use bosim::{prefetchers, PrefetcherSpec, SimConfig, SimResult, System};
 use bosim_trace::suite;
@@ -39,12 +41,17 @@ fn assert_invariant(base: SimConfig, bench_id: &str) {
         "{bench_id} [{}]: the every-cycle oracle skipped cycles",
         a.config
     );
-    // Pointer-chasing 429 on one core waits on DRAM most of the time, so
-    // a skipping arm that stepped every cycle has stopped skipping.
-    if single_core && bench_id == "429" {
+    // Pointer-chasing 429 on one core waits on DRAM most of the time.
+    // On several cores, the thrashers spend most cycles asleep: each
+    // with a full store buffer behind an MSHR-blocked head store, and
+    // their misses stuck behind the full L3 fill queue. The busiest of
+    // these runs, 470 on two cores with 4 MB pages, steps 51% of its
+    // cycles; a skipping arm that steps three fifths or more has stopped
+    // skipping.
+    if !single_core || bench_id == "429" {
         assert!(
-            b_steps < b_cycles,
-            "{bench_id} [{}]: the skipping loop stepped all {b_cycles} cycles",
+            b_steps * 5 < b_cycles * 3,
+            "{bench_id} [{}]: the skipping loop stepped {b_steps} of {b_cycles} cycles",
             b.config
         );
     }
@@ -213,7 +220,9 @@ fn golden_stats_multicore_large_pages() {
 
 /// Four active cores under the skipping loop: maximum interleaving of
 /// per-core wake-ups, mid-cycle fill wake-ups and uncore re-arming,
-/// with the shared L3 and DRAM fairness machinery fully engaged.
+/// with the shared L3 and DRAM fairness machinery fully engaged. The
+/// last run has the shape of the benchmark's multicore-thrash workload
+/// (462 beside three thrashers, best-offset at every L2).
 #[test]
 fn golden_stats_four_cores() {
     let cfg = SimConfig {
@@ -225,4 +234,9 @@ fn golden_stats_four_cores() {
     for id in ["429", "470"] {
         assert_invariant(cfg.clone(), id);
     }
+    let thrash = SimConfig {
+        l2_prefetcher: prefetchers::bo_default(),
+        ..cfg
+    };
+    assert_invariant(thrash, "462");
 }
