@@ -1001,10 +1001,22 @@ impl Uncore {
     /// being reserved for it, so its next retry may do more than move
     /// it to the tail. An L3 fill needs no call: the reservation of its
     /// entry made one. O(1) when no request is stuck.
+    #[inline]
     fn unstick(&mut self, line: LineAddr) {
-        if self.l3_unstuck == self.l3_stalled.len() {
-            return;
+        if self.l3_unstuck != self.l3_stalled.len() {
+            self.unstick_stalled(line);
         }
+    }
+
+    /// The scan behind [`unstick`](Self::unstick). It runs only while
+    /// requests are stuck.
+    // Out of line, as is `replay_skipped_retries`: inlined into the
+    // hooks and the tick, the two cost core-bound, memory-bound and
+    // multicore-thrash 5–7% of bosim-benchmark's `muops_per_s` (three
+    // pairs each, seed 11, 2-vCPU host).
+    #[cold]
+    #[inline(never)]
+    fn unstick_stalled(&mut self, line: LineAddr) {
         for r in self.l3_stalled.iter_mut() {
             if r.stuck && r.line == line {
                 r.stuck = false;
@@ -1013,12 +1025,16 @@ impl Uncore {
         }
     }
 
-    /// Whether the L3 stall queue's retries are pure rotations: the L3
-    /// fill queue is full and every stalled request is stuck, so each
-    /// retry moves the head request to the tail and changes nothing
-    /// else until a tick frees an entry or an `unstick` hook fires.
-    fn l3_stall_queue_asleep(&self) -> bool {
-        self.l3_unstuck == 0 && self.l3_fq.is_full()
+    /// Replays the retries of `skipped` cycles the stall queue slept
+    /// through: each moved the head request to the tail.
+    // Out of line: see `unstick_stalled`.
+    #[cold]
+    #[inline(never)]
+    fn replay_skipped_retries(&mut self, skipped: u64) {
+        // Only a tick frees an L3 fill-queue entry.
+        debug_assert!(self.l3_fq.is_full());
+        let n = self.l3_stalled.len();
+        self.l3_stalled.rotate_left((skipped % n as u64) as usize);
     }
 
     /// Drains at most one ready entry from the L3 fill queue into the L3
@@ -1274,10 +1290,7 @@ impl Uncore {
         let skipped = now - self.l3_retry_due;
         self.l3_retry_due = now + 1;
         if skipped > 0 && !self.l3_stalled.is_empty() {
-            // Only a tick frees an L3 fill-queue entry.
-            debug_assert!(self.l3_fq.is_full());
-            let n = self.l3_stalled.len();
-            self.l3_stalled.rotate_left((skipped % n as u64) as usize);
+            self.replay_skipped_retries(skipped);
         }
         if let Some(req) = self.l3_stalled.pop_front() {
             self.l3_unstuck -= usize::from(!req.stuck);
@@ -1385,7 +1398,8 @@ impl Uncore {
     pub fn next_ready_after(&self, now: Cycle) -> Cycle {
         let from = now + 1;
         let stalled = !self.l3_stalled.is_empty();
-        if (stalled && !self.l3_stall_queue_asleep())
+        let asleep = self.l3_unstuck == 0 && self.l3_fq.is_full();
+        if (stalled && !asleep)
             || self.l3_fq.has_ready()
             || !self.wb_buf.is_empty()
             || !self.l3_site.pq.is_empty()
