@@ -1001,40 +1001,16 @@ impl Uncore {
     /// being reserved for it, so its next retry may do more than move
     /// it to the tail. An L3 fill needs no call: the reservation of its
     /// entry made one. O(1) when no request is stuck.
-    #[inline]
     fn unstick(&mut self, line: LineAddr) {
-        if self.l3_unstuck != self.l3_stalled.len() {
-            self.unstick_stalled(line);
+        if self.l3_unstuck == self.l3_stalled.len() {
+            return;
         }
-    }
-
-    /// The scan behind [`unstick`](Self::unstick). It runs only while
-    /// requests are stuck.
-    // Out of line, as is `replay_skipped_retries`: inlined into the
-    // hooks and the tick, the two cost core-bound, memory-bound and
-    // multicore-thrash 5–7% of bosim-benchmark's `muops_per_s` (three
-    // pairs each, seed 11, 2-vCPU host).
-    #[cold]
-    #[inline(never)]
-    fn unstick_stalled(&mut self, line: LineAddr) {
         for r in self.l3_stalled.iter_mut() {
             if r.stuck && r.line == line {
                 r.stuck = false;
                 self.l3_unstuck += 1;
             }
         }
-    }
-
-    /// Replays the retries of `skipped` cycles the stall queue slept
-    /// through: each moved the head request to the tail.
-    // Out of line: see `unstick_stalled`.
-    #[cold]
-    #[inline(never)]
-    fn replay_skipped_retries(&mut self, skipped: u64) {
-        // Only a tick frees an L3 fill-queue entry.
-        debug_assert!(self.l3_fq.is_full());
-        let n = self.l3_stalled.len();
-        self.l3_stalled.rotate_left((skipped % n as u64) as usize);
     }
 
     /// Drains at most one ready entry from the L3 fill queue into the L3
@@ -1283,14 +1259,18 @@ impl Uncore {
         }
         self.completions = comps;
 
-        // 2. Requests arriving at the L3 (plus one stalled retry). The
-        // cycles skipped since the last tick each made a retry in
-        // every-cycle order; the queue slept through them, so each moved
-        // the head to the tail, and a rotation replays them.
+        // 2. Requests arriving at the L3 (plus one stalled retry). Ticked
+        // every cycle, each cycle skipped since the last tick would have
+        // retried the head request; the queue slept through them, so
+        // each retry moved the head to the tail, and one rotation
+        // replays them all.
         let skipped = now - self.l3_retry_due;
         self.l3_retry_due = now + 1;
         if skipped > 0 && !self.l3_stalled.is_empty() {
-            self.replay_skipped_retries(skipped);
+            // Only a tick frees an L3 fill-queue entry.
+            debug_assert!(self.l3_fq.is_full());
+            let n = self.l3_stalled.len();
+            self.l3_stalled.rotate_left((skipped % n as u64) as usize);
         }
         if let Some(req) = self.l3_stalled.pop_front() {
             self.l3_unstuck -= usize::from(!req.stuck);
