@@ -9,7 +9,8 @@ pub mod golden {
     use bosim::{prefetchers, SimConfig};
     use bosim_obs::ObsConfig;
 
-    /// The one-core machine the others start from.
+    /// The one-core machine the others start from, run as it is on 444
+    /// (the default stack).
     pub fn single_core() -> SimConfig {
         SimConfig {
             warmup_instructions: 10_000,
@@ -17,11 +18,6 @@ pub mod golden {
             seed: 0xB05EED,
             ..Default::default()
         }
-    }
-
-    /// The default stack on one core, run on 444.
-    pub fn default_stack_444() -> SimConfig {
-        single_core()
     }
 
     /// Best-offset at the L2 on one core, run on 429.

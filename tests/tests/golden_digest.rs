@@ -60,7 +60,7 @@ fn assert_spec_digest(cfg: SimConfig, bench: &BenchmarkSpec, expected: u64) {
 
 #[test]
 fn default_stack_444() {
-    assert_digest(golden::default_stack_444(), "444", 0x3a8b_060e_f1b6_513a);
+    assert_digest(golden::single_core(), "444", 0x3a8b_060e_f1b6_513a);
 }
 
 #[test]

