@@ -549,10 +549,24 @@ impl Channel {
     }
 }
 
+/// How many channel scheduling steps a memory system ran: exact work
+/// counts, fixed by the requests it was given, and kept out of
+/// [`DramStats`] because the stepping depends on how it is ticked.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChannelSteps {
+    /// Steps run: a channel is stepped on a bus-cycle boundary at or
+    /// after its next-command bound.
+    pub steps: u64,
+    /// ... of which changed nothing (no command, no write batch, no
+    /// switch of the served core).
+    pub idle: u64,
+}
+
 /// The two-channel main memory system.
 #[derive(Debug)]
 pub struct MemorySystem {
     channels: [Channel; CHANNELS],
+    steps: ChannelSteps,
 }
 
 impl MemorySystem {
@@ -565,6 +579,7 @@ impl MemorySystem {
         assert!(cfg.num_cores >= 1);
         MemorySystem {
             channels: std::array::from_fn(|_| Channel::new(cfg.num_cores)),
+            steps: ChannelSteps::default(),
         }
     }
 
@@ -622,10 +637,21 @@ impl MemorySystem {
         let boundary = now.is_multiple_of(CORE_CYCLES_PER_BUS_CYCLE);
         for ch in &mut self.channels {
             ch.complete(now, out);
-            if boundary && now >= ch.cmd_at && ch.step(now, l3_can_accept) {
+            if !boundary || now < ch.cmd_at {
+                continue;
+            }
+            self.steps.steps += 1;
+            if ch.step(now, l3_can_accept) {
                 ch.cmd_at = ch.next_cmd();
+            } else {
+                self.steps.idle += 1;
             }
         }
+    }
+
+    /// The channel scheduling steps run so far.
+    pub fn channel_steps(&self) -> ChannelSteps {
+        self.steps
     }
 
     /// Aggregated statistics over all channels.

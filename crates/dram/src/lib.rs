@@ -39,8 +39,8 @@ pub mod mapping;
 mod timing;
 
 pub use controller::{
-    DramStats, MemConfig, MemorySystem, ReadCompletion, READ_QUEUE, URGENT_THRESHOLD, WRITE_BATCH,
-    WRITE_QUEUE,
+    ChannelSteps, DramStats, MemConfig, MemorySystem, ReadCompletion, READ_QUEUE, URGENT_THRESHOLD,
+    WRITE_BATCH, WRITE_QUEUE,
 };
 pub use mapping::{map_line, DramLoc, BANKS, CHANNELS};
 pub use timing::{

@@ -50,7 +50,7 @@ pub use config::{
 };
 pub use runner::{default_threads, run_job, run_jobs, stream_jobs, Job, RunnerError};
 pub use spec::{prefetchers, PrefetcherSpec, ResolveError};
-pub use system::{SimResult, System};
+pub use system::{SimResult, System, WorkCounts};
 pub use uncore::UncoreStats;
 
 pub use best_offset::{PrefetchSite, TuneDirective};

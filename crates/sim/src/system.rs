@@ -95,6 +95,31 @@ impl SimResult {
     }
 }
 
+/// Exact counts of the work a [`System`] did: how often each source
+/// ticked and how much its queues were searched. Simulated results fix
+/// them on any host, so they pin a saving that end-to-end timings are
+/// too noisy to show. They differ between the skipping loop and the
+/// every-cycle oracle by design, so they are kept out of [`SimResult`]
+/// (its `PartialEq` and the `Debug` text the digests hash).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Cycles on which any source ticked ([`System::steps_executed`]).
+    pub steps: u64,
+    /// Core ticks, over all cores.
+    pub core_ticks: u64,
+    /// Uncore ticks, [`System::drain_uncore`]'s included.
+    pub uncore_ticks: u64,
+    /// DRAM channel scheduling steps.
+    pub dram_steps: u64,
+    /// ... of which changed nothing.
+    pub dram_idle_steps: u64,
+    /// L3 stall-queue retries that ran the full L3 arrival.
+    pub l3_retries: u64,
+    /// L3 stall-queue entries visited in searches for the stuck
+    /// requests of a line.
+    pub unstick_visits: u64,
+}
+
 /// The live epoch clock of a running system: one boundary sequence and
 /// the previous boundary's counter snapshots, from which every core's
 /// [`EpochFeedback`] is built once per boundary. Adaptive policies read
@@ -129,6 +154,8 @@ pub struct System {
     cycle: Cycle,
     /// Cycles actually stepped (≤ `cycle`; the rest were fast-forwarded).
     steps: u64,
+    /// Core ticks, over all cores.
+    core_ticks: u64,
     benchmark: String,
     req_buf: Vec<UncoreRequest>,
     fill_buf: Vec<(CoreId, LineAddr)>,
@@ -246,6 +273,7 @@ impl System {
             cores,
             cycle: 0,
             steps: 0,
+            core_ticks: 0,
             benchmark: bench.name.clone(),
             req_buf: Vec::with_capacity(64),
             fill_buf: Vec::with_capacity(64),
@@ -266,6 +294,15 @@ impl System {
     /// number of skipped (provably idle) cycles.
     pub fn steps_executed(&self) -> u64 {
         self.steps
+    }
+
+    /// The work done so far, warm-up included.
+    pub fn work(&self) -> WorkCounts {
+        WorkCounts {
+            steps: self.steps,
+            core_ticks: self.core_ticks,
+            ..self.uncore.work()
+        }
     }
 
     /// Core-0 statistics so far.
@@ -296,6 +333,7 @@ impl System {
                 continue;
             }
             self.cores[c].tick(now, &mut self.req_buf);
+            self.core_ticks += 1;
             self.dispatch_requests(CoreId(c as u8), now);
             self.core_wake[c] = self.cores[c].next_work_cycle(now + 1);
         }

@@ -29,6 +29,7 @@ use crate::config::{
     L3_WAYS, PREFETCH_QUEUE,
 };
 use crate::spec::PrefetcherSpec;
+use crate::system::WorkCounts;
 use best_offset::{AccessOutcome, CacheAccess, PrefetchSite, Prefetcher, TuneDirective};
 use bosim_cache::policy::InsertCtx;
 use bosim_cache::policy::PolicyKind;
@@ -320,6 +321,10 @@ pub(crate) struct Uncore {
     /// Cycle-domain event log (`None` = tracing disabled, the default;
     /// every hook below is then a single `if let` branch).
     recorder: Option<Recorder>,
+    /// The work counts the uncore keeps: its ticks, stall retries and
+    /// stall-queue entries visited. The DRAM counts are read from the
+    /// memory system, and the system's own stay zero here.
+    work: WorkCounts,
 }
 
 impl Uncore {
@@ -369,6 +374,7 @@ impl Uncore {
             fwd_needs_entry: vec![false; cfg.active_cores],
             stats: UncoreStats::default(),
             recorder: events.then(Recorder::default),
+            work: WorkCounts::default(),
             l2s,
             page: cfg.page,
         }
@@ -442,6 +448,16 @@ impl Uncore {
             l3_prefetches_cancelled: l3.cancelled(),
             l3_prefetches_redundant: l3.redundant,
             ..self.stats
+        }
+    }
+
+    /// The work counts the uncore and its memory system keep.
+    pub fn work(&self) -> WorkCounts {
+        let dram = self.mem.channel_steps();
+        WorkCounts {
+            dram_steps: dram.steps,
+            dram_idle_steps: dram.idle,
+            ..self.work
         }
     }
 
@@ -1005,6 +1021,7 @@ impl Uncore {
         if self.l3_unstuck == self.l3_stalled.len() {
             return;
         }
+        self.work.unstick_visits += self.l3_stalled.len() as u64;
         for r in self.l3_stalled.iter_mut() {
             if r.stuck && r.line == line {
                 r.stuck = false;
@@ -1247,6 +1264,7 @@ impl Uncore {
         fills: &mut Vec<(CoreId, LineAddr)>,
         prof: &mut HostProfiler,
     ) {
+        self.work.uncore_ticks += 1;
         // 1. DRAM: completions make L3 fill-queue entries ready.
         self.completions.clear();
         let l3_can_accept = !self.l3_fq.is_full();
@@ -1283,6 +1301,7 @@ impl Uncore {
                         .is_none_or(|e| e.is_ready()),
                 "a stuck retry would release an L2 entry reserved since it stalled"
             );
+            self.work.l3_retries += 1;
             self.l3_arrive(req, now);
             debug_assert!(
                 !rotation || self.l3_stalled.back() == Some(&L3Req { stuck: true, ..req }),

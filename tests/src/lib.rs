@@ -2,12 +2,14 @@
 //! this library holds what more than one of them runs.
 
 /// The golden configurations. `golden_digest.rs` pins each one's whole
-/// `SimResult` by digest, and `golden_work.rs` pins the cycles the
-/// skipping run loop steps for the four on synthetic benchmarks.
+/// `SimResult` by digest, and `golden_work.rs` pins the work the
+/// skipping run loop does for the four on synthetic benchmarks and for
+/// the two-core large-page run `golden_stats.rs` checks.
 pub mod golden {
     use bosim::adapt::PolicySpec;
     use bosim::{prefetchers, SimConfig};
     use bosim_obs::ObsConfig;
+    use bosim_types::PageSize;
 
     /// The one-core machine the others start from, run as it is on 444
     /// (the default stack).
@@ -55,6 +57,19 @@ pub mod golden {
                 ..Default::default()
             },
             ..single_core()
+        }
+    }
+
+    /// Two cores with 4 MB pages and the default stack, run on 470: the
+    /// multi-core run whose skipping loop steps the largest share of its
+    /// cycles.
+    pub fn two_cores_large_pages() -> SimConfig {
+        SimConfig {
+            active_cores: 2,
+            page: PageSize::M4,
+            warmup_instructions: 5_000,
+            measure_instructions: 20_000,
+            ..Default::default()
         }
     }
 }

@@ -12,6 +12,7 @@
 //! fifths of the cycles.
 
 use bosim::{prefetchers, PrefetcherSpec, SimConfig, SimResult, System};
+use bosim_tests::golden;
 use bosim_trace::suite;
 use bosim_types::PageSize;
 
@@ -208,14 +209,7 @@ fn golden_stats_with_tracing_enabled() {
 
 #[test]
 fn golden_stats_multicore_large_pages() {
-    let cfg = SimConfig {
-        active_cores: 2,
-        page: PageSize::M4,
-        warmup_instructions: 5_000,
-        measure_instructions: 20_000,
-        ..Default::default()
-    };
-    assert_invariant(cfg, "470");
+    assert_invariant(golden::two_cores_large_pages(), "470");
 }
 
 /// Four active cores under the skipping loop: maximum interleaving of
