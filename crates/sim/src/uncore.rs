@@ -36,8 +36,16 @@ use bosim_cache::policy::PolicyKind;
 use bosim_cache::{CacheArray, Evicted, FillQueue, PrefetchQueue};
 use bosim_dram::{MemConfig, MemorySystem, ReadCompletion};
 use bosim_obs::{Event, EventKind, HostProfiler, ObsSite, Phase, PrefetchTelemetry, Recorder};
-use bosim_types::{CoreId, Cycle, LineAddr, PageSize, ReqClass};
+use bosim_types::{mix64, CoreId, Cycle, LineAddr, PageSize, ReqClass};
 use std::collections::VecDeque;
+
+/// Slots in the per-line count of stuck stall-queue requests.
+const STUCK_SLOTS: usize = 1024;
+
+/// The slot of `line` in the per-line count of stuck requests.
+fn stuck_slot(line: LineAddr) -> usize {
+    (mix64(line.0) % STUCK_SLOTS as u64) as usize
+}
 
 /// Per-L2 fill-queue payload: whether the block goes on to the core
 /// once it is in the L2.
@@ -102,8 +110,9 @@ struct L3Req {
     /// nothing has since put its line in the L3 or reserved an L3 or
     /// L2 fill-queue entry for it ([`Uncore::unstick`] clears the flag
     /// when something does). While the L3 fill queue is full, a retry
-    /// of a stuck request misses again, finds the queue full and puts
-    /// the request back at the tail, changing nothing else.
+    /// of a stuck request would miss again, find the queue full and put
+    /// the request back at the tail, changing nothing else, so
+    /// [`Uncore::tick`] moves it to the tail without the lookup.
     stuck: bool,
 }
 
@@ -296,6 +305,11 @@ pub(crate) struct Uncore {
     l3_stalled: VecDeque<L3Req>,
     /// How many requests in `l3_stalled` are not `stuck`.
     l3_unstuck: usize,
+    /// How many requests in `l3_stalled` are `stuck`, per [`stuck_slot`]
+    /// of their line: [`unstick`](Self::unstick) scans the queue only
+    /// when its line's slot is non-zero. Lines that share a slot cost a
+    /// scan, never a result.
+    stuck_lines: Vec<u16>,
     /// The cycle of the next `l3_stalled` retry in every-cycle order:
     /// one past the last tick. A tick after skipped cycles first catches
     /// up on the retries those cycles would have made.
@@ -325,6 +339,11 @@ pub(crate) struct Uncore {
     /// stall-queue entries visited. The DRAM counts are read from the
     /// memory system, and the system's own stay zero here.
     work: WorkCounts,
+    /// Sends every stalled head through the full L3 arrival, stuck or
+    /// not: the every-cycle twin the stall queue's shortcut is tested
+    /// against.
+    #[cfg(test)]
+    arrive_every_head: bool,
 }
 
 impl Uncore {
@@ -360,6 +379,7 @@ impl Uncore {
             l3_in: VecDeque::new(),
             l3_stalled: VecDeque::new(),
             l3_unstuck: 0,
+            stuck_lines: vec![0; STUCK_SLOTS],
             l3_retry_due: 0,
             l3_site: Site::new(
                 cfg.l3_prefetcher.as_ref().map(|p| p.build(cfg.page)),
@@ -375,6 +395,8 @@ impl Uncore {
             stats: UncoreStats::default(),
             recorder: events.then(Recorder::default),
             work: WorkCounts::default(),
+            #[cfg(test)]
+            arrive_every_head: false,
             l2s,
             page: cfg.page,
         }
@@ -1008,17 +1030,24 @@ impl Uncore {
     /// Puts `req` at the tail of the L3 stall queue, `stuck` or not.
     fn stall_at_l3(&mut self, mut req: L3Req, stuck: bool) {
         req.stuck = stuck;
-        self.l3_unstuck += usize::from(!stuck);
+        if stuck {
+            self.stuck_lines[stuck_slot(req.line)] += 1;
+        } else {
+            self.l3_unstuck += 1;
+        }
         self.l3_stalled.push_back(req);
+        self.check_stuck_counts();
     }
 
     /// Clears `stuck` on every stalled request for `line`: the line is
     /// entering the L3 by writeback, or an L3 or L2 fill-queue entry is
     /// being reserved for it, so its next retry may do more than move
     /// it to the tail. An L3 fill needs no call: the reservation of its
-    /// entry made one. O(1) when no request is stuck.
+    /// entry made one. O(1) unless a stuck request's line shares
+    /// `line`'s slot in `stuck_lines`; only then is the queue scanned.
     fn unstick(&mut self, line: LineAddr) {
-        if self.l3_unstuck == self.l3_stalled.len() {
+        let slot = stuck_slot(line);
+        if self.stuck_lines[slot] == 0 {
             return;
         }
         self.work.unstick_visits += self.l3_stalled.len() as u64;
@@ -1026,8 +1055,26 @@ impl Uncore {
             if r.stuck && r.line == line {
                 r.stuck = false;
                 self.l3_unstuck += 1;
+                self.stuck_lines[slot] -= 1;
             }
         }
+        self.check_stuck_counts();
+    }
+
+    /// Checks `stuck_lines` against a recount of the stall queue (debug
+    /// builds). Each change of the counts runs it, so a missed count
+    /// fails at the change.
+    fn check_stuck_counts(&self) {
+        debug_assert!(
+            {
+                let mut counts = [0; STUCK_SLOTS];
+                for r in self.l3_stalled.iter().filter(|r| r.stuck) {
+                    counts[stuck_slot(r.line)] += 1;
+                }
+                self.stuck_lines[..] == counts[..]
+            },
+            "the per-line counts of stuck requests are off"
+        );
     }
 
     /// Drains at most one ready entry from the L3 fill queue into the L3
@@ -1280,33 +1327,56 @@ impl Uncore {
         // 2. Requests arriving at the L3 (plus one stalled retry). Ticked
         // every cycle, each cycle skipped since the last tick would have
         // retried the head request; the queue slept through them, so
-        // each retry moved the head to the tail, and one rotation
-        // replays them all.
+        // each retry moved the head to the tail. This tick's retry of a
+        // stuck head under a full L3 fill queue is the same move: the
+        // line would miss in the L3 (which changes nothing), no L3
+        // fill-queue entry holds it, its L2 entry is already released,
+        // and the request would re-stall, still stuck. One rotation
+        // replays all of these retries without a lookup; any other head
+        // is popped and retried in full.
         let skipped = now - self.l3_retry_due;
         self.l3_retry_due = now + 1;
-        if skipped > 0 && !self.l3_stalled.is_empty() {
+        let n = self.l3_stalled.len();
+        if n > 0 {
             // Only a tick frees an L3 fill-queue entry.
-            debug_assert!(self.l3_fq.is_full());
-            let n = self.l3_stalled.len();
-            self.l3_stalled.rotate_left((skipped % n as u64) as usize);
-        }
-        if let Some(req) = self.l3_stalled.pop_front() {
-            self.l3_unstuck -= usize::from(!req.stuck);
-            let rotation = req.stuck && self.l3_fq.is_full();
-            debug_assert!(
-                !rotation
-                    || self.l2s[req.core.index()]
+            debug_assert!(skipped == 0 || self.l3_fq.is_full());
+            let skip = (skipped % n as u64) as usize;
+            let head = self.l3_stalled[skip];
+            let rotate = head.stuck && self.l3_fq.is_full();
+            #[cfg(test)]
+            let rotate = rotate && !self.arrive_every_head;
+            if rotate {
+                debug_assert!(
+                    !self.l3.contains(head.line),
+                    "a stuck request's line is in the L3"
+                );
+                debug_assert!(
+                    self.l3_fq.find(head.line).is_none(),
+                    "a stuck request's line has an L3 fill-queue entry"
+                );
+                debug_assert!(
+                    self.l2s[head.core.index()]
                         .fq
-                        .find(req.line)
+                        .find(head.line)
                         .is_none_or(|e| e.is_ready()),
-                "a stuck retry would release an L2 entry reserved since it stalled"
-            );
-            self.work.l3_retries += 1;
-            self.l3_arrive(req, now);
-            debug_assert!(
-                !rotation || self.l3_stalled.back() == Some(&L3Req { stuck: true, ..req }),
-                "a stuck retry under a full L3 fill queue did more than move to the tail"
-            );
+                    "a stuck retry would release an L2 entry reserved since it stalled"
+                );
+                // The retry still outranks the L3 prefetch site.
+                self.l3_saw_request = true;
+                self.l3_stalled.rotate_left(skip + 1);
+            } else {
+                self.l3_stalled.rotate_left(skip);
+                if let Some(req) = self.l3_stalled.pop_front() {
+                    if req.stuck {
+                        self.stuck_lines[stuck_slot(req.line)] -= 1;
+                    } else {
+                        self.l3_unstuck -= 1;
+                    }
+                    self.check_stuck_counts();
+                    self.work.l3_retries += 1;
+                    self.l3_arrive(req, now);
+                }
+            }
         }
         while let Some(&(t, req)) = self.l3_in.front() {
             if t > now {
@@ -1738,27 +1808,44 @@ mod tests {
     }
 
     /// The L3 stall queue sleeps while the L3 fill queue is full and
-    /// every stalled request is stuck, and the next tick replays the
-    /// skipped retries as one rotation. Two cores' demand misses back
-    /// up behind a two-entry L3 fill queue; one uncore ticks only at its
-    /// `next_ready_after` wake-up and its twin every cycle, and both get
-    /// the same requests on the same cycles. Midway, one stalled line is
-    /// re-requested as an ifetch (an L2 fill-queue reservation for it)
-    /// and another lands in the L3 by writeback, so both `unstick`
-    /// hooks fire. At every tick of the first uncore, the two have
-    /// delivered the same fills on the same cycles and hold the stall
-    /// queue in the same order.
+    /// every stalled request is stuck, the next tick replays the skipped
+    /// retries as one rotation, and a stuck head under a full L3 fill
+    /// queue moves to the tail without an L3 lookup. Two cores' demand
+    /// misses back up behind a two-entry L3 fill queue; one uncore ticks
+    /// only at its `next_ready_after` wake-up and its twin every cycle,
+    /// sending every stalled head through the full L3 arrival, and both
+    /// get the same requests on the same cycles. Midway, one stalled
+    /// line is re-requested as an ifetch (an L2 fill-queue reservation
+    /// for it) and another lands in the L3 by writeback, so both
+    /// `unstick` hooks fire. At every tick of the first uncore, the two
+    /// have delivered the same fills on the same cycles, hold the stall
+    /// queue in the same order and count the same statistics. A second
+    /// pass runs a next-line prefetcher at the L3, which may issue only
+    /// on cycles when no request, a stalled retry included, reached the
+    /// L3. Its candidates then wait while requests are stalled, and keep
+    /// the uncore awake: that pass never sleeps.
     #[test]
     fn golden_stats_sleeping_l3_stall_queue_matches_every_cycle() {
-        let cfg = SimConfig {
-            active_cores: 2,
-            page: PageSize::M4,
-            l2_prefetcher: crate::prefetchers::none(),
-            ..Default::default()
-        };
-        let [mut skipping, mut every] = [Uncore::new(&cfg), Uncore::new(&cfg)];
+        for l3_prefetcher in [None, Some(crate::prefetchers::next_line())] {
+            let sleeps = l3_prefetcher.is_none();
+            let cfg = SimConfig {
+                active_cores: 2,
+                page: PageSize::M4,
+                l2_prefetcher: crate::prefetchers::none(),
+                l3_prefetcher,
+                ..Default::default()
+            };
+            sleeping_l3_stall_queue_matches_every_cycle(&cfg, sleeps);
+        }
+    }
+
+    /// One pass of the twin test on `cfg`; `sleeps` says whether the
+    /// first uncore must sleep with requests stalled.
+    fn sleeping_l3_stall_queue_matches_every_cycle(cfg: &SimConfig, sleeps: bool) {
+        let [mut skipping, mut every] = [Uncore::new(cfg), Uncore::new(cfg)];
         skipping.shrink_fill_queues(16, 2);
         every.shrink_fill_queues(16, 2);
+        every.arrive_every_head = true;
         let (mut skip_fills, mut every_fills) = (Vec::new(), Vec::new());
         let mut fills = Vec::new();
         let mut wake = 0;
@@ -1779,6 +1866,11 @@ mod tests {
                 assert_eq!(
                     skipping.l3_stalled, every.l3_stalled,
                     "stall queues differ at cycle {now}"
+                );
+                assert_eq!(
+                    skipping.stats(),
+                    every.stats(),
+                    "statistics differ at cycle {now}"
                 );
             }
             // Requests reach both uncores after the cycle's tick, and
@@ -1816,8 +1908,15 @@ mod tests {
         // The ifetch merges into its line's demand fill.
         assert_eq!(every_fills.len(), 24, "{every_fills:?}");
         assert!(
-            slept_stalled > 0 && ticks < every_fills.last().map_or(0, |f| f.0) / 2,
+            !sleeps || slept_stalled > 0 && ticks < every_fills.last().map_or(0, |f| f.0) / 2,
             "the stall queue never slept: {ticks} ticks, {slept_stalled} after a sleep"
+        );
+        // Only the twin retried stuck heads in full.
+        assert!(
+            skipping.work.l3_retries < every.work.l3_retries,
+            "{:?} vs {:?}",
+            skipping.work,
+            every.work
         );
     }
 

@@ -84,8 +84,8 @@ fn four_cores_best_offset_462() {
             uncore_ticks: 54_415,
             dram_steps: 20_328,
             dram_idle_steps: 0,
-            l3_retries: 54_324,
-            unstick_visits: 1_432_057,
+            l3_retries: 7_401,
+            unstick_visits: 94_241,
         },
     );
 }
@@ -101,8 +101,8 @@ fn two_cores_adapt_and_tracing_429() {
             uncore_ticks: 127_352,
             dram_steps: 30_612,
             dram_idle_steps: 0,
-            l3_retries: 66_749,
-            unstick_visits: 20_873,
+            l3_retries: 17_640,
+            unstick_visits: 26,
         },
     );
 }
@@ -122,8 +122,8 @@ fn two_cores_large_pages_470() {
             uncore_ticks: 20_253,
             dram_steps: 4_318,
             dram_idle_steps: 0,
-            l3_retries: 19_861,
-            unstick_visits: 25_697,
+            l3_retries: 3_087,
+            unstick_visits: 86,
         },
     );
 }
